@@ -285,13 +285,18 @@ class Embedding(Module):
         self.embedding_dim = embedding_dim
         self.weight = Parameter(rng.normal(0.0, 0.02, (num_embeddings, embedding_dim)))
 
-    def forward(self, indices: np.ndarray) -> Tensor:
+    def checked(self, indices: np.ndarray) -> np.ndarray:
+        """``indices`` as an array, rejecting ids outside the table (bare
+        fancy indexing would silently wrap negative ones)."""
         indices = np.asarray(indices)
         if indices.min(initial=0) < 0 or indices.max(initial=0) >= self.num_embeddings:
             raise IndexError(
                 f"embedding index out of range [0, {self.num_embeddings})"
             )
-        return self.weight[indices]
+        return indices
+
+    def forward(self, indices: np.ndarray) -> Tensor:
+        return self.weight[self.checked(indices)]
 
 
 class LayerNorm(Module):

@@ -1,5 +1,6 @@
 """Edge-LLM substrate: tokenizer, transformer, generation, model zoo."""
 
+from . import infer
 from .attention import KVPrefix, MultiHeadSelfAttention
 from .generation import (
     DecodeRoundReport,
@@ -44,7 +45,7 @@ from .transformer import LMConfig, TinyCausalLM, TransformerBlock
 __all__ = [
     "Tokenizer", "PAD", "BOS", "EOS", "UNK", "SEP",
     "MultiHeadSelfAttention", "KVPrefix", "KVCache", "BatchedKVCache",
-    "LMConfig", "TransformerBlock", "TinyCausalLM",
+    "LMConfig", "TransformerBlock", "TinyCausalLM", "infer",
     "GenerationConfig", "PrefillState", "generate", "prefill", "decode_from",
     "DecodeSequence", "DecodeScheduler", "DecodeRoundReport", "decode_batch",
     "PretrainConfig", "pretrain_lm",

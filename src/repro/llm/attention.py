@@ -11,22 +11,12 @@ next step can do the same.  Prefixes and past-KVs compose: the prefix is
 constant trained conditioning re-attached every call, while the past cache
 accumulates real positions.
 
-:meth:`MultiHeadSelfAttention.decode_step` is the cross-sequence batched
-variant of that decode path: one new token per sequence, each sequence
-carrying its own (ragged-length) past.  The projections run as one batched
-matmul — numpy evaluates stacked ``(B, 1, d)`` matmuls slice-by-slice, so
-every row is bitwise what the single-sequence call computes — while the
-softmax/context core runs per sequence over *compact* keys.  A padded
-key-mask formulation would be mathematically equivalent but not
-bit-identical (masked entries change the length, and therefore the
-association order, of numpy's reductions), and bit-identity with the
-sequential reference is the contract the serving engine's batched decode
-is built on.
+This module is the *training* attention: it records an autograd graph.
+Serving-time attention (prefill, the batched decode round, speculative
+verify) runs the same arithmetic graph-free in :mod:`repro.llm.infer`.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -139,193 +129,6 @@ class MultiHeadSelfAttention(Module):
         if use_cache:
             return out, present
         return out
-
-    def decode_step(
-        self,
-        x: Tensor,
-        past: Sequence[KVPrefix],
-        prefix_kv: Sequence[KVPrefix | None] | None = None,
-    ) -> tuple[Tensor, list[KVPrefix]]:
-        """One decode round over ``B`` independent sequences at once.
-
-        ``x`` is (B, 1, d_model) — the newest token of each sequence —
-        and ``past[i]`` carries sequence ``i``'s cached keys/values, shaped
-        (1, heads, L_i, d_head) with ragged ``L_i``.  ``prefix_kv``
-        optionally carries each sequence's trained KV prefix (entries may
-        be None), re-attached ahead of the cache exactly as in
-        :meth:`forward`.
-
-        Returns ``(out, present)`` where ``out`` is (B, 1, d_model) and
-        ``present[i]`` extends ``past[i]`` by this round's position.  Every
-        row of ``out`` is bit-identical to calling :meth:`forward` with
-        that sequence alone: the projections are stacked matmuls (numpy
-        evaluates them slice-by-slice), and the attention core runs per
-        sequence over compact keys so no padded reduction can drift.
-        """
-        batch, length, _ = x.shape
-        if length != 1:
-            raise ValueError(
-                f"decode_step advances one token per sequence, got {length}"
-            )
-        if len(past) != batch:
-            raise ValueError(
-                f"{len(past)} past caches for a batch of {batch} tokens"
-            )
-        if prefix_kv is not None and len(prefix_kv) != batch:
-            raise ValueError(
-                f"{len(prefix_kv)} prefixes for a batch of {batch} tokens"
-            )
-        q = self._split_heads(self.q_proj(x), batch, length)
-        k = self._split_heads(self.k_proj(x), batch, length)
-        v = self._split_heads(self.v_proj(x), batch, length)
-        q_data, k_data, v_data = q.data, k.data, v.data
-        scale = np.float32(1.0 / np.sqrt(self.d_head))
-
-        contexts: list[np.ndarray] = []
-        present: list[KVPrefix] = []
-        for i in range(batch):
-            past_k, past_v = past[i]
-            self._check_kv(past_k, past_v, "past")
-            keys = np.concatenate([past_k.data, k_data[i:i + 1]], axis=2)
-            values = np.concatenate([past_v.data, v_data[i:i + 1]], axis=2)
-            present.append((Tensor(keys), Tensor(values)))
-            if prefix_kv is not None and prefix_kv[i] is not None:
-                pk, pv = prefix_kv[i]
-                self._check_kv(pk, pv, "prefix")
-                keys = np.concatenate([pk.data, keys], axis=2)
-                values = np.concatenate([pv.data, values], axis=2)
-            scores = np.matmul(q_data[i:i + 1], keys.swapaxes(-1, -2)) * scale
-            # A single new token sees the whole prefix and every cached
-            # position, so the causal mask is all-visible here; the softmax
-            # mirrors ag.softmax's exact operation sequence.
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            contexts.append(np.matmul(scores, values))
-
-        merged = (np.concatenate(contexts, axis=0)
-                  .transpose(0, 2, 1, 3)
-                  .reshape(batch, length, self.d_model))
-        return self.out_proj(Tensor(merged)), present
-
-    def decode_span_step(
-        self,
-        x: Tensor,
-        past: Sequence[KVPrefix],
-        spans: Sequence[int],
-        prefix_kv: Sequence[KVPrefix | None] | None = None,
-    ) -> tuple[Tensor, list[KVPrefix]]:
-        """Ragged multi-position decode over ``B`` independent sequences.
-
-        The speculative-verify generalisation of :meth:`decode_step`:
-        sequence ``s`` contributes ``spans[s] >= 1`` *new* positions, laid
-        out contiguously in ``x`` of shape ``(sum(spans), 1, d_model)`` —
-        every new position occupies its own batch slice of length 1, so
-        the stacked projections evaluate slice-by-slice exactly as the
-        single-token path does.  The attention core runs per *position*
-        over that sequence's compact cache plus the earlier positions of
-        its own span (causality inside the span), mirroring the operation
-        sequence of :meth:`decode_step` bit for bit.  Every output row is
-        therefore bit-identical to stepping that sequence one token at a
-        time through :meth:`decode_step` — the property that makes
-        speculative greedy decoding token-identical to the sequential
-        reference rather than merely close.
-
-        Returns ``(out, present)`` with ``out`` shaped like ``x`` and
-        ``present[s]`` extending ``past[s]`` by all ``spans[s]`` positions
-        (the caller truncates rejected suffixes via
-        :meth:`~repro.llm.kv_cache.KVCache.truncate`).
-        """
-        batch, length, _ = x.shape
-        if length != 1:
-            raise ValueError(
-                f"decode_span_step stacks positions on the batch axis, "
-                f"got length {length}"
-            )
-        spans = [int(span) for span in spans]
-        if any(span < 1 for span in spans):
-            raise ValueError(f"spans must be >= 1, got {spans}")
-        if sum(spans) != batch:
-            raise ValueError(
-                f"spans {spans} cover {sum(spans)} rows for {batch} inputs"
-            )
-        if len(past) != len(spans):
-            raise ValueError(
-                f"{len(past)} past caches for {len(spans)} spans"
-            )
-        if prefix_kv is not None and len(prefix_kv) != len(spans):
-            raise ValueError(
-                f"{len(prefix_kv)} prefixes for {len(spans)} spans"
-            )
-        q = self._split_heads(self.q_proj(x), batch, length)
-        k = self._split_heads(self.k_proj(x), batch, length)
-        v = self._split_heads(self.v_proj(x), batch, length)
-        q_data, k_data, v_data = q.data, k.data, v.data
-        scale = np.float32(1.0 / np.sqrt(self.d_head))
-
-        contexts = np.empty((batch, self.n_heads, 1, self.d_head),
-                            dtype=q_data.dtype)
-        present: list[KVPrefix] = []
-        row = 0
-        for s, span in enumerate(spans):
-            past_k, past_v = past[s]
-            self._check_kv(past_k, past_v, "past")
-            past_len = past_k.shape[2]
-            prefix = None
-            prefix_len = 0
-            if prefix_kv is not None and prefix_kv[s] is not None:
-                prefix = prefix_kv[s]
-                self._check_kv(prefix[0], prefix[1], "prefix")
-                prefix_len = prefix[0].shape[2]
-            # One buffer per sequence instead of per-row concatenation:
-            # row ``i`` attends over the slice [:, :, :prefix+past+i+1, :],
-            # whose per-head 2-D blocks have exactly the values *and*
-            # memory layout (row stride d_head) of the freshly
-            # concatenated array decode_step would build — the matmul
-            # inputs, hence outputs, stay bitwise those of the
-            # one-token-at-a-time path, while the O(T) copy of the past
-            # is paid once per sequence instead of once per row.
-            base_at = prefix_len + past_len
-            total = base_at + span
-            buf_k = np.empty((1, self.n_heads, total, self.d_head),
-                             dtype=k_data.dtype)
-            buf_v = np.empty_like(buf_k)
-            if prefix is not None:
-                buf_k[:, :, :prefix_len] = prefix[0].data
-                buf_v[:, :, :prefix_len] = prefix[1].data
-            buf_k[:, :, prefix_len:base_at] = past_k.data
-            buf_v[:, :, prefix_len:base_at] = past_v.data
-            buf_k[0, :, base_at:] = \
-                k_data[row:row + span, :, 0, :].transpose(1, 0, 2)
-            buf_v[0, :, base_at:] = \
-                v_data[row:row + span, :, 0, :].transpose(1, 0, 2)
-            for i in range(span):
-                at = base_at + i
-                attn_keys = buf_k[:, :, :at + 1]
-                attn_values = buf_v[:, :, :at + 1]
-                scores = np.matmul(q_data[row:row + 1],
-                                   attn_keys.swapaxes(-1, -2)) * scale
-                # All-visible: one new query position sees the prefix,
-                # the cache, and its span predecessors (already in the
-                # buffer); the inline softmax mirrors ag.softmax's exact
-                # operation sequence, as in decode_step.
-                scores -= scores.max(axis=-1, keepdims=True)
-                np.exp(scores, out=scores)
-                scores /= scores.sum(axis=-1, keepdims=True)
-                np.matmul(scores, attn_values, out=contexts[row:row + 1])
-                row += 1
-            if prefix is None:
-                # The buffer is exactly the extended cache — no copy.
-                present.append((Tensor(buf_k), Tensor(buf_v)))
-            else:
-                present.append(
-                    (Tensor(np.ascontiguousarray(buf_k[:, :, prefix_len:])),
-                     Tensor(np.ascontiguousarray(buf_v[:, :, prefix_len:]))))
-
-        merged = (contexts
-                  .transpose(0, 2, 1, 3)
-                  .reshape(batch, length, self.d_model))
-        return self.out_proj(Tensor(merged)), present
 
     @staticmethod
     def _causal_mask(length: int, prefix_len: int,

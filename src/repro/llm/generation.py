@@ -5,8 +5,9 @@ most 100 generated tokens.  Generation optionally consumes the two prompt
 conditioning mechanisms (soft-prompt embeddings and per-layer KV prefixes).
 
 Decoding is incremental by default: the prompt (soft prompt included) is
-run through the model once with ``use_cache=True`` (*prefill*), and every
-subsequent token is a single-position forward against the growing
+run through the model once (*prefill*, on the graph-free
+:mod:`~repro.llm.infer` kernels), and every subsequent token is a
+single-position forward against the growing
 :class:`~repro.llm.kv_cache.KVCache` — O(T) per step instead of re-running
 the whole sequence.  ``use_cache=False`` keeps the original full-reforward
 loop; both paths emit identical token ids under identical seeds.
@@ -35,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from ..ag import Tensor, cat, no_grad
+from . import infer
 from .attention import KVPrefix
 from .kv_cache import BatchedKVCache, KVCache
 from .transformer import TinyCausalLM
@@ -106,11 +108,14 @@ def _check_room(model: TinyCausalLM, n_tokens: int, virtual_len: int) -> None:
         )
 
 
-def _virtual_len(soft_prompt: Tensor | np.ndarray | None) -> int:
-    if soft_prompt is None:
-        return 0
+def _soft_rows(soft_prompt: Tensor | np.ndarray) -> np.ndarray:
+    """The (P, d_model) soft-prompt matrix as a raw float32 array."""
     data = soft_prompt.data if isinstance(soft_prompt, Tensor) else soft_prompt
-    return np.asarray(data).shape[0]
+    return np.asarray(data, dtype=np.float32)
+
+
+def _virtual_len(soft_prompt: Tensor | np.ndarray | None) -> int:
+    return 0 if soft_prompt is None else _soft_rows(soft_prompt).shape[0]
 
 
 def _embed_with_soft_prompt(model: TinyCausalLM, ids: np.ndarray,
@@ -130,6 +135,10 @@ def prefill(
 ) -> PrefillState:
     """Run the prompt once with a KV cache and return the decode-ready state.
 
+    Graph-free (:func:`repro.llm.infer.extend`): bitwise the autograd
+    ``model(..., use_cache=True)`` in eval mode, whatever mode ``model`` is
+    in, and it writes no module state.
+
     Raises ``ValueError`` when the prompt (plus soft-prompt rows) already
     fills the context window — there would be no room to generate.
     """
@@ -138,26 +147,12 @@ def prefill(
         raise ValueError("prefill() needs at least one prompt token")
     virtual_len = _virtual_len(soft_prompt)
     _check_room(model, token_ids.size, virtual_len)
-    # Toggle train/eval only when needed, so decoding a model already in
-    # eval mode writes no shared module state.  Module mode (unlike grad
-    # mode) is not thread-local: callers that decode concurrently must keep
-    # the model pinned to eval, as the serving engine does.
-    was_training = model.training
-    if was_training:
-        model.eval()
-    try:
-        with no_grad():
-            if soft_prompt is None:
-                logits, cache = model(token_ids[None, :], prefix_kv=prefix_kv,
-                                      use_cache=True)
-            else:
-                full = _embed_with_soft_prompt(model, token_ids, soft_prompt)
-                logits, cache = model(embeddings=full, prefix_kv=prefix_kv,
-                                      use_cache=True)
-    finally:
-        if was_training:
-            model.train()
-    return PrefillState(cache=cache, last_logits=logits.data[0, -1].copy(),
+    x = infer.embed(model.token_embedding, token_ids)
+    if soft_prompt is not None:
+        x = np.concatenate([_soft_rows(soft_prompt), x])
+    hidden, cache = infer.extend(model, x[None], prefix_kv=prefix_kv)
+    logits = infer.logits(model, hidden)
+    return PrefillState(cache=cache, last_logits=logits[0, -1].copy(),
                         n_tokens=int(token_ids.size), virtual_len=virtual_len,
                         prefix_kv=prefix_kv)
 
@@ -528,16 +523,8 @@ class DecodeScheduler:
         prefixes = None
         if any(seq.state.prefix_kv is not None for seq in active):
             prefixes = [seq.state.prefix_kv for seq in active]
-        was_training = model.training
-        if was_training:
-            model.eval()
-        try:
-            with no_grad():
-                logits, extended = model.decode_round(tokens, batched,
-                                                      prefix_kvs=prefixes)
-        finally:
-            if was_training:
-                model.train()
+        logits, extended = model.decode_round(tokens, batched,
+                                              prefix_kvs=prefixes)
         emitted = 0
         logits_data = logits.data
         for i, (seq, cache) in enumerate(zip(active, extended.split())):

@@ -1,0 +1,269 @@
+"""The graph-free inference core: one set of kernels, two forward shapes.
+
+Everything a query pays for on the CPU after tuning is inference over the
+frozen model, and inference never needs an autograd graph.  The kernels
+here work on raw float32 ndarrays and read weights from the live modules
+on every call (so distilling or quantizing a model afterwards Just Works);
+they never read ``Module.training`` — dropout is the identity — and never
+build a :class:`~repro.ag.Tensor` graph, so decoding writes no shared
+module state.
+
+**Bit-exactness contract** (stated once, pinned by ``tests/llm/
+test_infer.py``): each kernel runs the same numpy operation sequence as
+its ``repro.ag`` counterpart — :func:`layer_norm` as ``ag.LayerNorm``,
+:func:`affine` as ``ag.Linear`` / ``ag.QuantizedLinear``, :func:`gelu` as
+``ag.gelu``, :func:`softmax_` as ``ag.softmax`` — on operands of the same
+shape and memory layout, so its output equals the autograd op's under
+``np.array_equal``.
+
+The two forward shapes built on them:
+
+* *span* (:func:`span_attention`, driven by ``TinyCausalLM.decode_span``):
+  many sequences, a ragged number of new positions each, every position
+  its own batch-of-one row.  numpy evaluates the stacked ``(R, 1, d)``
+  matmuls slice by slice and the attention matmuls and softmax sum run
+  per row over that sequence's *compact* keys, so each row is bitwise what
+  the sequence would compute alone.  (A padded key-mask formulation
+  changes the length, hence the association order, of numpy's reductions
+  and drifts by ulps.)
+* *extend* (:func:`extend`): one sequence, many positions, causal mask,
+  optional KV prefix and past cache — prefill and the draft model's
+  catch-up.  Bitwise the autograd ``forward(..., use_cache=True)``.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from ..ag import Embedding, QuantizedLinear, Tensor
+from ..ag.functional import _GELU_COEFF, _SQRT_2_OVER_PI
+from .attention import KVPrefix
+from .kv_cache import KVCache
+
+__all__ = ["NEG_INF", "embed", "layer_norm", "affine", "gelu", "softmax_",
+           "mlp", "logits", "attention_scale", "span_attention", "extend"]
+
+NEG_INF = np.float32(-1e9)
+
+
+def embed(embedding: Embedding, ids: np.ndarray) -> np.ndarray:
+    """Rows of ``embedding`` for ``ids``, range-checked like its forward."""
+    return embedding.weight.data[embedding.checked(ids)]
+
+
+def layer_norm(x: np.ndarray, layer) -> np.ndarray:
+    """:class:`ag.LayerNorm` over the last axis."""
+    inv_n = np.float32(1.0 / x.shape[-1])
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    normed = centered * (1.0 / np.sqrt(var + np.float32(layer.eps)))
+    return normed * layer.weight.data + layer.bias.data
+
+
+def affine(layer, x: np.ndarray) -> np.ndarray:
+    """``x @ W + b`` for a dense ``Linear`` or a ``QuantizedLinear`` (its
+    fused ``affine_numpy``); ``bias`` may be None (the lm_head)."""
+    if isinstance(layer, QuantizedLinear):
+        return layer.affine_numpy(x)
+    out = np.matmul(x, layer.weight.data)
+    if layer.bias is not None:
+        out += layer.bias.data
+    return out
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    """GPT-2 tanh-approximation GELU (:func:`ag.gelu`)."""
+    inner = _SQRT_2_OVER_PI * (x + _GELU_COEFF * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def softmax_(scores: np.ndarray) -> np.ndarray:
+    """:func:`ag.softmax` over the last axis, overwriting ``scores``."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def mlp(block, x: np.ndarray) -> np.ndarray:
+    """The block's residual feed-forward half: ``x + ff2(gelu(ff1(ln2 x)))``."""
+    return x + affine(block.ff2,
+                      gelu(affine(block.ff1, layer_norm(x, block.ln2))))
+
+
+def logits(model, hidden: np.ndarray) -> np.ndarray:
+    """Final norm and lm_head over hidden states."""
+    return affine(model.lm_head, layer_norm(hidden, model.ln_final))
+
+
+def attention_scale(attn) -> np.float32:
+    """``1/sqrt(d_head)``, rounded to float32 as ``forward`` rounds it."""
+    return np.float32(1.0 / np.sqrt(attn.d_head))
+
+
+def _heads(attn, h: np.ndarray) -> list[np.ndarray]:
+    """q, k, v projections of ``h`` (B, T, d), each split to (B, H, T, d_head)."""
+    shape = h.shape[:2] + (attn.n_heads, attn.d_head)
+    return [affine(proj, h).reshape(shape).transpose(0, 2, 1, 3)
+            for proj in (attn.q_proj, attn.k_proj, attn.v_proj)]
+
+
+def _merge(attn, context: np.ndarray) -> np.ndarray:
+    """(B, H, T, d_head) contexts through the output projection."""
+    batch, _, length, _ = context.shape
+    return affine(attn.out_proj, context.transpose(0, 2, 1, 3)
+                  .reshape(batch, length, attn.d_model))
+
+
+def span_attention(
+    attn,
+    h: np.ndarray,
+    past: Sequence[KVPrefix],
+    spans: Sequence[int],
+    prefixes: Sequence[KVPrefix | None] | None = None,
+) -> tuple[np.ndarray, list[KVPrefix]]:
+    """Attention for ``sum(spans)`` new positions of ``len(spans)`` sequences.
+
+    ``h`` is ``(sum(spans), 1, d_model)``: sequence ``s`` owns ``spans[s]``
+    contiguous rows, cached keys/values ``past[s]`` (ragged lengths) and an
+    optional trained prefix ``prefixes[s]``.  Row ``i`` of a span attends,
+    all-visible, over prefix + cache + its span predecessors.  Returns the
+    attended rows and each sequence's cache extended by its whole span
+    (callers roll rejected suffixes back with ``KVCache.truncate``).
+    """
+    q, k, v = _heads(attn, h)
+    # Per row: the (keys, values) slices it attends over.
+    attended: list[tuple[np.ndarray, np.ndarray]] = []
+    present: list[KVPrefix] = []
+    row = width = 0
+    for s, span in enumerate(spans):
+        past_k, past_v = past[s]
+        attn._check_kv(past_k, past_v, "past")
+        prefix = None if prefixes is None else prefixes[s]
+        prefix_len = 0
+        if prefix is not None:
+            attn._check_kv(prefix[0], prefix[1], "prefix")
+            prefix_len = prefix[0].shape[2]
+        # One buffer per sequence: the slice [:, :, :at] a row attends over
+        # has, per head, exactly the values and memory layout (row stride
+        # d_head) of a freshly concatenated prefix+cache+span array, so
+        # every row is bitwise the one-token-at-a-time result while the
+        # O(T) copy of the past is paid once per sequence, not per row.
+        base = prefix_len + past_k.shape[2]
+        buf_k = np.empty((1, attn.n_heads, base + span, attn.d_head),
+                         dtype=np.float32)
+        buf_v = np.empty_like(buf_k)
+        if prefix is not None:
+            buf_k[:, :, :prefix_len] = prefix[0].data
+            buf_v[:, :, :prefix_len] = prefix[1].data
+        buf_k[:, :, prefix_len:base] = past_k.data
+        buf_v[:, :, prefix_len:base] = past_v.data
+        buf_k[0, :, base:] = k[row:row + span, :, 0].transpose(1, 0, 2)
+        buf_v[0, :, base:] = v[row:row + span, :, 0].transpose(1, 0, 2)
+        attended += [(buf_k[:, :, :at], buf_v[:, :, :at])
+                     for at in range(base + 1, base + span + 1)]
+        row += span
+        width = max(width, base + span)
+        # Views, not copies, past the prefix: the next round copies them
+        # into its own buffer before any matmul reads them (the argument
+        # ``KVCache.truncate(copy=False)`` relies on).
+        present.append((Tensor(buf_k[:, :, prefix_len:]),
+                        Tensor(buf_v[:, :, prefix_len:])))
+    # What BLAS and numpy's pairwise summation compute depends on the
+    # operand's length, so the two matmuls and the softmax sum run row by
+    # row over compact slices.  Scaling, the max shift, exp and the
+    # division are elementwise (max is exact in any order), so they run
+    # once for all rows over -inf padded scores: padding becomes exp(-inf)
+    # = 0 and no per-row operation ever reads it.
+    scores = np.full(q.shape[:3] + (width,), -np.inf, dtype=np.float32)
+    weights = []
+    for i, (keys, _) in enumerate(attended):
+        weights.append(scores[i:i + 1, :, :, :keys.shape[2]])
+        np.matmul(q[i:i + 1], keys.swapaxes(-1, -2), out=weights[i])
+    scores *= attention_scale(attn)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    sums = np.empty(q.shape[:3] + (1,), dtype=np.float32)
+    for i, row_weights in enumerate(weights):
+        row_weights.sum(axis=-1, keepdims=True, out=sums[i:i + 1])
+    scores /= sums
+    contexts = np.empty(q.shape, dtype=np.float32)
+    for i, (_, values) in enumerate(attended):
+        np.matmul(weights[i], values, out=contexts[i:i + 1])
+    return _merge(attn, contexts), present
+
+
+def _causal_attention(attn, h: np.ndarray, past: KVPrefix | None,
+                      prefix: KVPrefix | None) -> tuple[np.ndarray, KVPrefix]:
+    """``MultiHeadSelfAttention.forward(..., use_cache=True)`` on arrays."""
+    length = h.shape[1]
+    q, k, v = _heads(attn, h)
+    past_len = prefix_len = 0
+    if past is not None:
+        attn._check_kv(past[0], past[1], "past")
+        past_len = past[0].shape[2]
+        k = np.concatenate([past[0].data, k], axis=2)
+        v = np.concatenate([past[1].data, v], axis=2)
+    keys, values = k, v
+    if prefix is not None:
+        attn._check_kv(prefix[0], prefix[1], "prefix")
+        prefix_len = prefix[0].shape[2]
+        keys = np.concatenate([prefix[0].data, k], axis=2)
+        values = np.concatenate([prefix[1].data, v], axis=2)
+    scores = np.matmul(q, keys.swapaxes(-1, -2)) * attention_scale(attn)
+    if length > 1:   # a lone query sees every key
+        np.copyto(scores, NEG_INF,
+                  where=attn._causal_mask(length, prefix_len, past_len))
+    context = np.matmul(softmax_(scores), values)
+    # The attention above ran on forward's own (strided) views; the cache
+    # is handed on C-contiguous so that the sequential oracle's
+    # ``cat([past, new])`` — which inherits its inputs' memory order — and
+    # the span forward's buffer present BLAS the same key layout.
+    return _merge(attn, context), (Tensor(np.ascontiguousarray(k)),
+                                   Tensor(np.ascontiguousarray(v)))
+
+
+def extend(
+    model,
+    x: np.ndarray,
+    *,
+    past: KVCache | None = None,
+    prefix_kv: list[KVPrefix] | None = None,
+) -> tuple[np.ndarray, KVCache]:
+    """Run one sequence's new positions through every block.
+
+    ``x`` is ``(1, T, d_model)`` input embeddings (token rows, soft-prompt
+    rows — anything, *without* positions) occupying positions
+    ``past.seq_len ..`` of the sequence; ``prefix_kv`` is one trained
+    (key, value) pair per layer.  Returns the final hidden states
+    ``(1, T, d_model)`` — feed the rows you need to :func:`logits` — and
+    the cache extended by the ``T`` positions.
+    """
+    blocks = model.blocks
+    past_len = 0
+    if past is not None:
+        if past.n_layers != len(blocks):
+            raise ValueError(
+                f"past_kv has {past.n_layers} layers for {len(blocks)} blocks")
+        past_len = past.seq_len
+    length = x.shape[1]
+    if past_len + length > model.config.max_seq_len:
+        raise ValueError(
+            f"sequence of {past_len + length} exceeds "
+            f"max_seq_len={model.config.max_seq_len}")
+    if prefix_kv is not None and len(prefix_kv) != len(blocks):
+        raise ValueError(
+            f"prefix_kv has {len(prefix_kv)} entries for {len(blocks)} layers")
+    x = x + embed(model.position_embedding,
+                  np.arange(past_len, past_len + length))
+    layers: list[KVPrefix] = []
+    for i, block in enumerate(blocks):
+        attended, present = _causal_attention(
+            block.attn, layer_norm(x, block.ln1),
+            None if past is None else past.layer(i),
+            None if prefix_kv is None else prefix_kv[i])
+        layers.append(present)
+        x = mlp(block, x + attended)
+    return x, KVCache(layers)

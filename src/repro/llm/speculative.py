@@ -47,10 +47,11 @@ The draft fast path
 -------------------
 Because the draft only chooses *which* tokens to pre-compute, its
 forwards need to be deterministic but not bit-identical to the serving
-model's per-row reference path.  :class:`_FastDraft` exploits that: it
-runs the draft's weights through a plain-numpy, fully vectorised
-inference loop (padded batched attention, no autograd graph), which is
-several times cheaper than ``decode_round`` at the batch sizes drafting
+model's per-row path.  It runs on the same graph-free kernels as the
+base model (:mod:`repro.llm.infer`; :func:`~repro.llm.infer.extend` for
+first contact and catch-up), and :class:`_DraftRound` swaps only the
+attention core: padded whole-batch matmuls over a masked window, several
+times cheaper than per-row compact attention at the batch sizes drafting
 sees.  Token-identity of the *output* is untouched — the base model's
 verify forward still runs the bit-exact ``decode_span``.
 """
@@ -61,8 +62,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ag import QuantizedLinear, Tensor, no_grad
+from ..ag import Tensor
 from ..utils import Registry
+from . import infer
 from .generation import (DecodeRoundReport, DecodeScheduler, DecodeSequence,
                          GenerationConfig, generate)
 from .kv_cache import BatchedKVCache, KVCache
@@ -85,8 +87,7 @@ CONFIDENCE_POLICIES: Registry = Registry("confidence policy")
 
 def _softmax64(logits: np.ndarray) -> np.ndarray:
     """Probabilities in float64 (confidence is a heuristic, not a hot path)."""
-    scaled = logits.astype(np.float64) - float(logits.max())
-    probs = np.exp(scaled)
+    probs = np.exp(np.subtract(logits, logits.max(), dtype=np.float64))
     probs /= probs.sum()
     return probs
 
@@ -94,7 +95,10 @@ def _softmax64(logits: np.ndarray) -> np.ndarray:
 @CONFIDENCE_POLICIES.register("max-prob")
 def max_prob_confidence(logits: np.ndarray, **_params) -> float:
     """Probability mass on the argmax token (CECO F1)."""
-    return float(_softmax64(logits).max())
+    # The leader's shifted logit is exactly 0, so its probability is 1/Z:
+    # no need to normalise the whole distribution on the per-token path.
+    return 1.0 / float(np.exp(np.subtract(logits, logits.max(),
+                                          dtype=np.float64)).sum())
 
 
 @CONFIDENCE_POLICIES.register("entropy")
@@ -122,18 +126,15 @@ def temperature_confidence(logits: np.ndarray, *, temperature: float = 2.0,
 
 @CONFIDENCE_POLICIES.register("top-k")
 def top_k_confidence(logits: np.ndarray, *, k: int = 4, **_params) -> float:
-    """Aggregate mass of the top-k tokens, scaled by the leader's share.
+    """Aggregate probability mass of the ``k`` most likely tokens.
 
-    High when the distribution concentrates on a few candidates *and*
-    the leader dominates them (CECO F2's aggregate variant): the top-k
-    mass times the fraction of it held by the argmax.
+    High when the distribution concentrates on a few candidates (CECO
+    F2's TOP_K_AGG): more forgiving than max-prob of a near-tie among
+    the leaders.  ``k=1`` is exactly max-prob.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    probs = _softmax64(logits)
-    top = np.sort(probs)[-int(k):]
-    mass = float(top.sum())
-    return mass * (float(top[-1]) / mass)
+    return float(np.sort(_softmax64(logits))[-int(k):].sum())
 
 
 # ----------------------------------------------------------------------
@@ -206,126 +207,8 @@ def distill_draft(
 
 
 # ----------------------------------------------------------------------
-# The draft fast path
+# The draft proposal loop
 # ----------------------------------------------------------------------
-_SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
-_GELU_COEFF = np.float32(0.044715)
-_NEG_INF = np.float32(-1e9)
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """GPT-2 tanh-approximation GELU (same formula as :func:`ag.gelu`)."""
-    inner = _SQRT_2_OVER_PI * (x + _GELU_COEFF * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
-
-
-def _layer_norm(x: np.ndarray, layer) -> np.ndarray:
-    """Numpy mirror of :class:`ag.LayerNorm` in eval mode."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered * (var + layer.eps) ** -0.5
-    return normed * layer.weight.data + layer.bias.data
-
-
-def _affine(layer, x: np.ndarray) -> np.ndarray:
-    """``x @ W + b`` on raw arrays for a dense or weight-quantized Linear.
-
-    The draft model may have been converted to :class:`ag.QuantizedLinear`
-    by the engine (quantizing the draft too is safe: proposals only steer,
-    the base verify decides every emitted token); the fused kernel is the
-    layer's own ``affine_numpy``.  ``bias`` may be None (the lm_head).
-    """
-    if isinstance(layer, QuantizedLinear):
-        return layer.affine_numpy(x)
-    out = x @ layer.weight.data
-    if layer.bias is not None:
-        out = out + layer.bias.data
-    return out
-
-
-def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
-
-
-class _FastDraft:
-    """Vectorised numpy inference over a draft :class:`TinyCausalLM`.
-
-    Proposals only need to be *deterministic* — the base model's verify
-    forward decides every emitted token — so this path trades the
-    serving model's per-row bit-exact attention for padded whole-batch
-    matmuls and skips the autograd graph entirely.  Weights are read
-    from the live module on every call, so distilling the draft after
-    constructing the decoder Just Works.
-
-    Caches are ordinary :class:`KVCache` objects (batch 1), which keeps
-    ``truncate``-based rollback identical to the base model's.
-    """
-
-    __slots__ = ("model",)
-
-    def __init__(self, model: TinyCausalLM):
-        self.model = model
-
-    # -- single sequence: prefill or ragged catch-up -------------------
-    def extend(self, ids: np.ndarray,
-               cache: KVCache | None) -> tuple[np.ndarray, KVCache]:
-        """Feed ``ids`` on top of ``cache``; return (last logits, cache).
-
-        Handles both the first-contact prefill (``cache is None``) and
-        the per-round catch-up over the rejected-then-repaired span;
-        positions within ``ids`` attend causally.
-        """
-        model = self.model
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        past_len = 0 if cache is None else cache.seq_len
-        length = ids.size
-        x = (model.token_embedding.weight.data[ids]
-             + model.position_embedding.weight.data[past_len:past_len + length])
-        layers: list[tuple[Tensor, Tensor]] = []
-        for index, block in enumerate(model.blocks):
-            attn = block.attn
-            n_heads, d_head = attn.n_heads, attn.d_head
-            h = _layer_norm(x, block.ln1)
-            q = _affine(attn.q_proj, h)
-            k = _affine(attn.k_proj, h)
-            v = _affine(attn.v_proj, h)
-            q = q.reshape(length, n_heads, d_head).transpose(1, 0, 2)
-            k = k.reshape(length, n_heads, d_head).transpose(1, 0, 2)
-            v = v.reshape(length, n_heads, d_head).transpose(1, 0, 2)
-            if cache is not None:
-                past_k, past_v = cache.layer(index)
-                k = np.concatenate([past_k.data[0], k], axis=1)
-                v = np.concatenate([past_v.data[0], v], axis=1)
-            layers.append((Tensor(k[None]), Tensor(v[None])))
-            scale = np.float32(1.0 / np.sqrt(d_head))
-            scores = np.matmul(q, k.swapaxes(-1, -2)) * scale
-            if length > 1:
-                blocked = np.triu(
-                    np.ones((length, past_len + length), dtype=bool),
-                    k=past_len + 1)
-                scores = np.where(blocked, _NEG_INF, scores)
-            context = np.matmul(_softmax_inplace(scores), v)
-            merged = context.transpose(1, 0, 2).reshape(length,
-                                                        n_heads * d_head)
-            x = x + _affine(attn.out_proj, merged)
-            h = _layer_norm(x, block.ln2)
-            x = x + _affine(block.ff2, _gelu(_affine(block.ff1, h)))
-        final = _layer_norm(x[-1:], model.ln_final)
-        logits = _affine(model.lm_head, final)[0]
-        return logits, KVCache(layers)
-
-    # -- whole batch: the proposal loop --------------------------------
-    def begin_round(self, caches: Sequence[KVCache],
-                    max_steps: int) -> "_DraftRound":
-        """Open padded K/V buffers over ``caches`` for up to ``max_steps``
-        decode steps per sequence (see :class:`_DraftRound`)."""
-        return _DraftRound(self.model, caches, max_steps)
-
-
 class _DraftRound:
     """Padded whole-batch K/V buffers for one round's proposal loop.
 
@@ -334,10 +217,13 @@ class _DraftRound:
     with room for the round's decode steps.  Each :meth:`step` then runs
     attention as two whole-batch matmuls over a masked window of the
     buffers and writes the new key/value rows in place — no per-step
-    concatenation, padding rebuild or cache object churn.  When the
-    verify decides how much speculation survived, :meth:`cache_of`
-    carves a sequence's accepted prefix back out into a compact
-    :class:`KVCache`.
+    concatenation, padding rebuild or cache object churn.  The padded
+    window is the one place the draft's algorithm differs from the
+    serving forward (proposals need determinism, not bit-identity);
+    every norm, affine, activation and softmax is the shared
+    :mod:`~repro.llm.infer` kernel.  When the verify decides how much
+    speculation survived, :meth:`cache_of` carves a sequence's accepted
+    prefix back out into a compact :class:`KVCache`.
     """
 
     __slots__ = ("model", "lengths", "keys", "values")
@@ -363,53 +249,55 @@ class _DraftRound:
             self.keys.append(keys)
             self.values.append(values)
 
-    def step(self, tokens: Sequence[int],
-             rows: Sequence[int]) -> np.ndarray:
+    def step(self, tokens: Sequence[int], rows: Sequence[int],
+             logits: bool = True) -> np.ndarray | None:
         """Advance ``rows`` by one token each; logits (len(rows), vocab).
 
         Rows not listed keep their length and buffer contents untouched,
-        so the still-drafting subset can shrink between steps.
+        so the still-drafting subset can shrink between steps.  With
+        ``logits=False`` (the round's last feed, whose prediction nobody
+        reads) the step stops once every layer's K/V rows are written.
         """
         model = self.model
         rows_arr = np.asarray(rows, dtype=np.intp)
         full = rows_arr.size == self.lengths.size
         token_arr = np.asarray(tokens, dtype=np.int64)
         positions = self.lengths[rows_arr]
+        # Ids fed here are the models' own argmaxes and positions below
+        # the capacity check in _propose, never outside input: no range
+        # check on this per-step path.
         x = (model.token_embedding.weight.data[token_arr]
              + model.position_embedding.weight.data[positions])
         self.lengths[rows_arr] = positions + 1
         window = int(self.lengths.max())
-        blocked = (np.arange(window)[None, :]
-                   >= self.lengths[rows_arr, None])
+        blocked = (np.arange(window)[None, None, None, :]
+                   >= self.lengths[rows_arr, None, None, None])
         for index, block in enumerate(model.blocks):
             attn = block.attn
-            n_heads, d_head = attn.n_heads, attn.d_head
-            h = _layer_norm(x, block.ln1)
-            q = _affine(attn.q_proj, h)
-            k = _affine(attn.k_proj, h)
-            v = _affine(attn.v_proj, h)
-            q = q.reshape(rows_arr.size, n_heads, 1, d_head)
-            k = k.reshape(rows_arr.size, n_heads, d_head)
-            v = v.reshape(rows_arr.size, n_heads, d_head)
+            split = (rows_arr.size, attn.n_heads, attn.d_head)
+            h = infer.layer_norm(x, block.ln1)
             keys_buf, values_buf = self.keys[index], self.values[index]
-            keys_buf[rows_arr, :, positions] = k
-            values_buf[rows_arr, :, positions] = v
+            keys_buf[rows_arr, :, positions] = \
+                infer.affine(attn.k_proj, h).reshape(split)
+            values_buf[rows_arr, :, positions] = \
+                infer.affine(attn.v_proj, h).reshape(split)
+            if not logits and index == len(model.blocks) - 1:
+                return None
+            q = infer.affine(attn.q_proj, h).reshape(split)[:, :, None, :]
             if full:
                 keys = keys_buf[:, :, :window]
                 values = values_buf[:, :, :window]
             else:
                 keys = keys_buf[rows_arr][:, :, :window]
                 values = values_buf[rows_arr][:, :, :window]
-            scale = np.float32(1.0 / np.sqrt(d_head))
-            scores = np.matmul(q, keys.swapaxes(-1, -2)) * scale
-            scores = np.where(blocked[:, None, None, :], _NEG_INF, scores)
-            context = np.matmul(_softmax_inplace(scores), values)
-            merged = context.reshape(rows_arr.size, n_heads * d_head)
-            x = x + _affine(attn.out_proj, merged)
-            h = _layer_norm(x, block.ln2)
-            x = x + _affine(block.ff2, _gelu(_affine(block.ff1, h)))
-        final = _layer_norm(x, model.ln_final)
-        return _affine(model.lm_head, final)
+            scores = np.matmul(q, keys.swapaxes(-1, -2)) \
+                * infer.attention_scale(attn)
+            np.copyto(scores, infer.NEG_INF, where=blocked)
+            context = np.matmul(infer.softmax_(scores), values)
+            x = x + infer.affine(attn.out_proj,
+                                 context.reshape(rows_arr.size, attn.d_model))
+            x = infer.mlp(block, x)
+        return infer.logits(model, x)
 
     def cache_of(self, row: int, length: int) -> KVCache:
         """Sequence ``row``'s first ``length`` positions as a compact cache."""
@@ -474,7 +362,6 @@ class SpeculativeDecoder:
         self.policy = CONFIDENCE_POLICIES[policy]
         self.threshold = float(threshold)
         self.policy_params = dict(policy_params or {})
-        self._fast = _FastDraft(draft_model)
         # Pinned: advance() never toggles train/eval, so sharing one
         # decoder across concurrently-stepping schedulers is safe.
         draft_model.eval()
@@ -514,17 +401,8 @@ class SpeculativeDecoder:
         prefixes = None
         if any(seq.state.prefix_kv is not None for seq in active):
             prefixes = [seq.state.prefix_kv for seq in active]
-        model = scheduler.model
-        was_training = model.training
-        if was_training:
-            model.eval()
-        try:
-            with no_grad():
-                logits, extended = model.decode_span(spans, batched,
-                                                     prefix_kvs=prefixes)
-        finally:
-            if was_training:
-                model.train()
+        logits, extended = scheduler.model.decode_span(spans, batched,
+                                                       prefix_kvs=prefixes)
         scheduler.forwards += 1
 
         logits_data = logits.data
@@ -607,7 +485,6 @@ class SpeculativeDecoder:
         if not states:
             return proposals, states
 
-        fast = self._fast
         # Catch-up, slow cases first: first-contact sequences feed their
         # whole context, sequences that lagged through non-speculative
         # rounds feed the missed span.  Both land on a cache covering the
@@ -616,8 +493,10 @@ class SpeculativeDecoder:
             if state.seq.draft_cache is None \
                     or state.ctx_len - state.seq.draft_len > 1:
                 span = state.seq.context_ids()[state.seq.draft_len:]
-                state.logits, cache = fast.extend(span,
-                                                  state.seq.draft_cache)
+                hidden, cache = infer.extend(
+                    draft, infer.embed(draft.token_embedding, span)[None],
+                    past=state.seq.draft_cache)
+                state.logits = infer.logits(draft, hidden[:, -1:])[0, 0]
                 scheduler.draft_forwards += 1
                 state.seq.draft_cache = cache
                 state.seq.draft_len = state.ctx_len
@@ -625,8 +504,9 @@ class SpeculativeDecoder:
         # Open the round's padded buffers, then fold the common catch-up
         # case — a returning sequence is exactly one token behind (the
         # previous verify's bonus/repair token) — into the first step.
-        draft_round = fast.begin_round(
-            [state.seq.draft_cache for state in states], self.max_draft + 1)
+        draft_round = _DraftRound(
+            draft, [state.seq.draft_cache for state in states],
+            self.max_draft + 1)
         returning: list[_DraftState] = []
         for row, state in enumerate(states):
             state.round = draft_round
@@ -650,26 +530,25 @@ class SpeculativeDecoder:
         # unused): that keeps ``fed == len(proposals)``, so the next
         # round's catch-up is the single bonus/repair token again.
         drafting = list(states)
-        for _ in range(self.max_draft):
-            feeders: list[_DraftState] = []
-            for state in drafting:
-                if len(proposals[state.index]) >= state.cap:
-                    continue
-                confidence = self.policy(state.logits,
-                                         **self.policy_params)
-                if confidence < self.threshold:
-                    continue
-                proposals[state.index].append(
-                    int(np.argmax(state.logits)))
-                feeders.append(state)
-            if not feeders:
+        while drafting:
+            drafting = [
+                state for state in drafting
+                if len(proposals[state.index]) < state.cap
+                and self.policy(state.logits,
+                                **self.policy_params) >= self.threshold]
+            if not drafting:
                 break
-            step_logits = draft_round.step(
-                [proposals[state.index][-1] for state in feeders],
-                [state.row for state in feeders])
-            scheduler.draft_forwards += 1
-            for j, state in enumerate(feeders):
+            tokens = np.argmax([state.logits for state in drafting], axis=-1)
+            for state, token in zip(drafting, tokens):
+                proposals[state.index].append(int(token))
                 state.fed += 1
+            more = any(len(proposals[state.index]) < state.cap
+                       for state in drafting)
+            step_logits = draft_round.step(
+                tokens, [state.row for state in drafting], logits=more)
+            scheduler.draft_forwards += 1
+            if not more:
+                break
+            for j, state in enumerate(drafting):
                 state.logits = step_logits[j]
-            drafting = feeders
         return proposals, states

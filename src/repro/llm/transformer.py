@@ -13,13 +13,15 @@ use_cache=True)`` processes only the *new* positions against a
 embeddings are offset by the cached length) and returns the extended cache
 alongside the logits.
 
-Cross-sequence batched decoding adds a fourth: :meth:`TinyCausalLM.
-decode_round` advances *many independent sequences* by one token in a
-single forward.  Each sequence carries its own ragged-length cache (a
-:class:`~repro.llm.kv_cache.BatchedKVCache`) and its own position offset;
-the dense sublayers run as one stacked forward while attention composes
-per-sequence compact caches, so every row of the returned logits is
-bit-identical to stepping that sequence alone through ``forward``.
+Serving does not run ``forward`` at all.  :meth:`TinyCausalLM.decode_span`
+advances *many independent sequences* by a ragged number of tokens each
+(:meth:`TinyCausalLM.decode_round` is its one-token-each case) on the
+graph-free kernels of :mod:`repro.llm.infer`.  Each sequence carries its
+own ragged-length cache (a :class:`~repro.llm.kv_cache.BatchedKVCache`)
+and position offset; the dense sublayers run as one stacked forward while
+attention composes per-sequence compact caches, so every row of the
+returned logits is bit-identical to stepping that sequence alone through
+``forward``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..ag import Embedding, Dropout, LayerNorm, Linear, Module, Tensor, gelu
+from . import infer
 from .attention import KVPrefix, MultiHeadSelfAttention
 from .kv_cache import BatchedKVCache, KVCache
 from ..utils import rng_from_seed
@@ -89,33 +92,6 @@ class TransformerBlock(Module):
         if use_cache:
             return x, present
         return x
-
-    def decode_step(
-        self,
-        x: Tensor,
-        past: Sequence[KVPrefix],
-        prefix_kv: Sequence[KVPrefix | None] | None = None,
-    ) -> tuple[Tensor, list[KVPrefix]]:
-        """One batched decode round through this block (see attention)."""
-        attended, present = self.attn.decode_step(self.ln1(x), past,
-                                                  prefix_kv)
-        x = x + attended
-        x = x + self.drop(self.ff2(gelu(self.ff1(self.ln2(x)))))
-        return x, present
-
-    def decode_span_step(
-        self,
-        x: Tensor,
-        past: Sequence[KVPrefix],
-        spans: Sequence[int],
-        prefix_kv: Sequence[KVPrefix | None] | None = None,
-    ) -> tuple[Tensor, list[KVPrefix]]:
-        """One ragged multi-position decode round (see attention)."""
-        attended, present = self.attn.decode_span_step(self.ln1(x), past,
-                                                       spans, prefix_kv)
-        x = x + attended
-        x = x + self.drop(self.ff2(gelu(self.ff1(self.ln2(x)))))
-        return x, present
 
 
 class TinyCausalLM(Module):
@@ -239,66 +215,15 @@ class TinyCausalLM(Module):
     ) -> tuple[Tensor, BatchedKVCache]:
         """Advance ``B`` independent sequences by one token in one forward.
 
-        Args:
-            token_ids: (B,) newest token id of each sequence.
-            cache: each sequence's cached positions (ragged lengths).
-            prefix_kvs: optional per-sequence trained KV prefixes — entry
-                ``i`` is the ``prefix_kv`` list sequence ``i`` was
-                prefetched with (or None), re-attached every round exactly
-                as ``forward`` does.
-
-        Returns:
-            ``(logits, cache)`` where ``logits`` is (B, 1, vocab) and the
-            new cache extends every sequence by one position.  Row ``i``
-            is bit-identical to a single-sequence ``forward`` step with
-            ``past_kv=cache.sequence(i)``, which is what makes batched
-            serving answers token-identical to sequential ones.
+        ``token_ids`` is (B,), the newest token of each sequence: the
+        all-spans-of-length-1 case of :meth:`decode_span`, which see.  Row
+        ``i`` of the (B, 1, vocab) logits is bit-identical to a
+        single-sequence ``forward`` step with ``past_kv=cache.sequence(i)``
+        — what makes batched serving answers token-identical to
+        sequential ones.
         """
-        ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-        if cache.n_layers != len(self.blocks):
-            raise ValueError(
-                f"cache has {cache.n_layers} layers for "
-                f"{len(self.blocks)} blocks"
-            )
-        if ids.size != cache.batch_size:
-            raise ValueError(
-                f"{ids.size} tokens for {cache.batch_size} cached sequences"
-            )
-        if prefix_kvs is not None:
-            if len(prefix_kvs) != cache.batch_size:
-                raise ValueError(
-                    f"{len(prefix_kvs)} prefix entries for "
-                    f"{cache.batch_size} sequences"
-                )
-            for prefix in prefix_kvs:
-                if prefix is not None and len(prefix) != len(self.blocks):
-                    raise ValueError(
-                        f"prefix_kv has {len(prefix)} entries for "
-                        f"{len(self.blocks)} layers"
-                    )
-        lengths = cache.lengths
-        if int(lengths.max()) + 1 > self.config.max_seq_len:
-            raise ValueError(
-                f"a sequence of {int(lengths.max()) + 1} exceeds "
-                f"max_seq_len={self.config.max_seq_len}"
-            )
-        # Each sequence's new token sits at its own next position.
-        x = (self.token_embedding(ids[:, None])
-             + self.position_embedding(lengths[:, None]))
-        present_layers: list[list[KVPrefix]] = []
-        for i, block in enumerate(self.blocks):
-            prefix_i = None
-            if prefix_kvs is not None:
-                prefix_i = [None if p is None else p[i] for p in prefix_kvs]
-            x, layer_present = block.decode_step(x, cache.layer_slices(i),
-                                                 prefix_i)
-            present_layers.append(layer_present)
-        logits = self.lm_head(self.ln_final(x))
-        new_caches = [
-            KVCache([layer[s] for layer in present_layers])
-            for s in range(cache.batch_size)
-        ]
-        return logits, BatchedKVCache(new_caches)
+        ids = np.asarray(token_ids, dtype=np.int64).reshape(-1, 1)
+        return self.decode_span(ids, cache, prefix_kvs=prefix_kvs)
 
     # ------------------------------------------------------------------
     def decode_span(
@@ -310,22 +235,25 @@ class TinyCausalLM(Module):
     ) -> tuple[Tensor, BatchedKVCache]:
         """Advance ``B`` sequences by a ragged number of tokens each.
 
-        The verify forward of speculative decoding: sequence ``s`` feeds
-        ``token_spans[s]`` (its last accepted token followed by the
-        drafted continuation) and gets back one logits row per fed token.
-        Every new position occupies its own batch-of-one slice, so each
-        row of the result is bit-identical to advancing that sequence
-        one token at a time through :meth:`decode_round` — speculative
-        acceptance decisions therefore reproduce sequential greedy
-        decoding exactly instead of approximately.
+        The one batched inference forward, graph-free on the
+        :mod:`~repro.llm.infer` kernels (no autograd, dropout the
+        identity whatever ``self.training`` says).  As the verify forward
+        of speculative decoding, sequence ``s`` feeds ``token_spans[s]``
+        (its last accepted token followed by the drafted continuation)
+        and gets back one logits row per fed token.  Every new position
+        occupies its own batch-of-one slice, so each row of the result is
+        bit-identical to advancing that sequence one token at a time —
+        speculative acceptance decisions therefore reproduce sequential
+        greedy decoding exactly instead of approximately.
 
         Args:
             token_spans: per-sequence 1-D arrays of token ids, each of
-                length >= 1 (length 1 degenerates to a plain
-                :meth:`decode_round` row).
+                length >= 1.
             cache: each sequence's cached positions (ragged lengths).
-            prefix_kvs: optional per-sequence trained KV prefixes,
-                re-attached every round exactly as ``forward`` does.
+            prefix_kvs: optional per-sequence trained KV prefixes — entry
+                ``s`` is the ``prefix_kv`` list sequence ``s`` was
+                prefilled with (or None), re-attached every round exactly
+                as ``forward`` does.
 
         Returns:
             ``(logits, cache)`` where ``logits`` is (sum(spans), 1,
@@ -370,23 +298,25 @@ class TinyCausalLM(Module):
                     f"max_seq_len={self.config.max_seq_len}"
                 )
         ids = np.concatenate(spans)
+        # Each new token sits at its own sequence's next position(s).
         positions = np.concatenate([
             np.arange(lengths[s], lengths[s] + span_lens[s], dtype=np.int64)
             for s in range(cache.batch_size)
         ])
-        x = (self.token_embedding(ids[:, None])
-             + self.position_embedding(positions[:, None]))
+        x = (infer.embed(self.token_embedding, ids[:, None])
+             + infer.embed(self.position_embedding, positions[:, None]))
         present_layers: list[list[KVPrefix]] = []
         for i, block in enumerate(self.blocks):
             prefix_i = None
             if prefix_kvs is not None:
                 prefix_i = [None if p is None else p[i] for p in prefix_kvs]
-            x, layer_present = block.decode_span_step(
-                x, cache.layer_slices(i), span_lens, prefix_i)
+            attended, layer_present = infer.span_attention(
+                block.attn, infer.layer_norm(x, block.ln1),
+                cache.layer_slices(i), span_lens, prefix_i)
             present_layers.append(layer_present)
-        logits = self.lm_head(self.ln_final(x))
+            x = infer.mlp(block, x + attended)
         new_caches = [
             KVCache([layer[s] for layer in present_layers])
             for s in range(cache.batch_size)
         ]
-        return logits, BatchedKVCache(new_caches)
+        return Tensor(infer.logits(self, x)), BatchedKVCache(new_caches)

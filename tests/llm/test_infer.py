@@ -1,0 +1,268 @@
+"""The graph-free inference core's contract (``repro.llm.infer``).
+
+Each kernel must equal its ``repro.ag`` counterpart under
+``np.array_equal`` — not ``allclose`` — because the serving stack's
+byte-identity matrices (batched == sequential, speculative == greedy) are
+built on it; and the two forwards built on the kernels must equal the
+autograd ``forward`` while building no graph and ignoring train/eval mode.
+"""
+
+import numpy as np
+import pytest
+
+from repro import ag
+from repro.ag import Tensor, no_grad
+from repro.llm import (
+    BatchedKVCache,
+    DecodeScheduler,
+    GenerationConfig,
+    TinyCausalLM,
+    infer,
+    prefill,
+)
+from repro.llm.transformer import LMConfig
+
+VOCAB = 23
+LAYOUTS = {"rows": (5, 1, 16), "sequence": (1, 7, 16)}
+
+
+def tiny_model(seed=0, dropout=0.0):
+    return TinyCausalLM(LMConfig(vocab_size=VOCAB, d_model=16, n_heads=2,
+                                 n_layers=2, d_ff=24, max_seq_len=64,
+                                 dropout=dropout), seed=seed).eval()
+
+
+def activations(layout, seed=0, width=None):
+    shape = LAYOUTS[layout]
+    if width is not None:
+        shape = shape[:2] + (width,)
+    return np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+
+
+def make_prefix(model, length=3, seed=4):
+    rng = np.random.default_rng(seed)
+    heads = model.config.n_heads
+    d_head = model.config.d_model // heads
+    return [(Tensor(rng.normal(size=(1, heads, length, d_head))),
+             Tensor(rng.normal(size=(1, heads, length, d_head))))
+            for _ in range(model.config.n_layers)]
+
+
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("layout", LAYOUTS)
+class TestKernelsEqualAutogradOps:
+    def test_layer_norm(self, layout):
+        rng = np.random.default_rng(1)
+        layer = ag.LayerNorm(16)
+        layer.weight.data[:] = rng.normal(1.0, 0.3, 16)
+        layer.bias.data[:] = rng.normal(0.0, 0.3, 16)
+        x = activations(layout) * 3.0 + 1.0
+        assert np.array_equal(infer.layer_norm(x, layer),
+                              layer(Tensor(x)).data)
+
+    @pytest.mark.parametrize("bits", [None, 8, 4])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_affine(self, layout, bits, bias):
+        layer = ag.Linear(16, 40, bias=bias, rng=np.random.default_rng(2))
+        if bias:
+            layer.bias.data[:] = np.random.default_rng(3).normal(size=40)
+        if bits is not None:
+            layer = ag.QuantizedLinear.from_linear(layer, bits=bits,
+                                                   group_size=8)
+        x = activations(layout, seed=4)
+        assert np.array_equal(infer.affine(layer, x), layer(Tensor(x)).data)
+
+    def test_gelu(self, layout):
+        x = activations(layout, seed=5) * 4.0
+        assert np.array_equal(infer.gelu(x), ag.gelu(Tensor(x)).data)
+
+    def test_softmax_overwrites_with_ag_softmax(self, layout):
+        scores = activations(layout, seed=6) * 5.0
+        expected = ag.softmax(Tensor(scores), axis=-1).data
+        out = infer.softmax_(scores)
+        assert out is scores
+        assert np.array_equal(out, expected)
+
+    def test_mlp_and_logits(self, layout):
+        model = tiny_model(seed=7)
+        block = model.blocks[1]
+        x = activations(layout, seed=8)
+        with no_grad():
+            t = Tensor(x)
+            expected = t + block.ff2(ag.gelu(block.ff1(block.ln2(t))))
+            expected_logits = model.lm_head(model.ln_final(t))
+        assert np.array_equal(infer.mlp(block, x), expected.data)
+        assert np.array_equal(infer.logits(model, x), expected_logits.data)
+
+
+class TestEmbed:
+    def test_equals_embedding_forward(self):
+        table = ag.Embedding(VOCAB, 16, rng=np.random.default_rng(0))
+        ids = np.array([[0, 5], [VOCAB - 1, 2]])
+        assert np.array_equal(infer.embed(table, ids), table(ids).data)
+
+    @pytest.mark.parametrize("bad", [-1, VOCAB])
+    def test_out_of_range_ids_raise_instead_of_wrapping(self, bad):
+        table = ag.Embedding(VOCAB, 16, rng=np.random.default_rng(0))
+        with pytest.raises(IndexError, match="out of range"):
+            infer.embed(table, np.array([1, bad]))
+
+    def test_id_equal_to_vocab_size_raises_through_the_forwards(self):
+        model = tiny_model()
+        with pytest.raises(IndexError, match="out of range"):
+            prefill(model, np.array([1, VOCAB]))
+        cache = BatchedKVCache.stack([prefill(model, np.array([1, 2])).cache])
+        with pytest.raises(IndexError, match="out of range"):
+            model.decode_span([np.array([3, VOCAB])], cache)
+        with pytest.raises(IndexError, match="out of range"):
+            model.decode_round(np.array([VOCAB]), cache)
+
+
+# ----------------------------------------------------------------------
+class TestSpanForward:
+    @pytest.mark.parametrize("prefixed", [False, True])
+    def test_length_one_spans_equal_decode_round_and_autograd(self, prefixed):
+        model = tiny_model(seed=2)
+        rng = np.random.default_rng(9)
+        prefixes = None
+        if prefixed:   # mixed: sequence 1 decodes without a prefix
+            prefixes = [make_prefix(model, 3, 40), None,
+                        make_prefix(model, 2, 41)]
+        states = [prefill(model, rng.integers(1, VOCAB, size=length),
+                          prefix_kv=None if prefixes is None else prefixes[i])
+                  for i, length in enumerate((4, 9, 6))]
+        cache = BatchedKVCache.stack([state.cache for state in states])
+        tokens = np.array([3, 7, 11])
+
+        round_logits, round_cache = model.decode_round(
+            tokens, cache, prefix_kvs=prefixes)
+        span_logits, span_cache = model.decode_span(
+            [tokens[i:i + 1] for i in range(3)], cache, prefix_kvs=prefixes)
+        assert round_logits.shape == (3, 1, VOCAB)
+        assert np.array_equal(span_logits.data, round_logits.data)
+
+        for i, state in enumerate(states):
+            with no_grad():
+                alone, alone_cache = model(
+                    tokens[i:i + 1][None, :], past_kv=state.cache,
+                    prefix_kv=state.prefix_kv, use_cache=True)
+            assert np.array_equal(round_logits.data[i], alone.data[0])
+            for layer in range(model.config.n_layers):
+                for which in (0, 1):
+                    expected = alone_cache.layer(layer)[which].data
+                    assert np.array_equal(
+                        round_cache.sequence(i).layer(layer)[which].data,
+                        expected)
+                    assert np.array_equal(
+                        span_cache.sequence(i).layer(layer)[which].data,
+                        expected)
+
+    def test_prefixed_sequences_get_views_not_copies(self):
+        model = tiny_model(seed=2)
+        prefix = make_prefix(model, 3)
+        state = prefill(model, np.array([1, 2, 3]), prefix_kv=prefix)
+        _, extended = model.decode_round(
+            np.array([4]), BatchedKVCache.stack([state.cache]),
+            prefix_kvs=[prefix])
+        keys = extended.sequence(0).layer(0)[0].data
+        assert keys.shape[2] == 4
+        assert keys.base is not None   # the prefix+cache buffer, sliced
+
+
+class TestExtendForward:
+    @pytest.mark.parametrize("conditioning",
+                             ["plain", "soft", "prefix", "both"])
+    def test_prefill_equals_autograd_forward(self, conditioning):
+        model = tiny_model(seed=3)
+        ids = np.array([3, 7, 1, 4, 9, 2])
+        soft = prefix = None
+        if conditioning in ("soft", "both"):
+            soft = np.random.default_rng(5).normal(
+                size=(4, model.config.d_model)).astype(np.float32)
+        if conditioning in ("prefix", "both"):
+            prefix = make_prefix(model)
+        with no_grad():
+            if soft is None:
+                logits, cache = model(ids[None, :], prefix_kv=prefix,
+                                      use_cache=True)
+            else:
+                full = ag.cat([Tensor(soft[None]), model.embed(ids[None, :])],
+                              axis=1)
+                logits, cache = model(embeddings=full, prefix_kv=prefix,
+                                      use_cache=True)
+        for soft_prompt in (soft, None if soft is None else Tensor(soft)):
+            state = prefill(model, ids, soft_prompt=soft_prompt,
+                            prefix_kv=prefix)
+            assert np.array_equal(state.last_logits, logits.data[0, -1])
+            assert state.seq_len == cache.seq_len
+            for layer in range(model.config.n_layers):
+                for which in (0, 1):
+                    assert np.array_equal(
+                        state.cache.layer(layer)[which].data,
+                        cache.layer(layer)[which].data)
+
+    def test_extend_over_a_past_cache_equals_autograd_forward(self):
+        model = tiny_model(seed=3)
+        ids = np.array([3, 7, 1, 4, 9, 2, 8])
+        past = prefill(model, ids[:3]).cache
+        hidden, cache = infer.extend(
+            model, infer.embed(model.token_embedding, ids[3:])[None],
+            past=past)
+        with no_grad():
+            logits, expected = model(ids[None, 3:], past_kv=past,
+                                     use_cache=True)
+        assert np.array_equal(infer.logits(model, hidden), logits.data)
+        assert np.array_equal(cache.layer(1)[1].data,
+                              expected.layer(1)[1].data)
+
+    def test_extend_validates_like_forward(self):
+        model = tiny_model()
+        x = np.zeros((1, 3, model.config.d_model), dtype=np.float32)
+        with pytest.raises(ValueError, match="prefix_kv has 1 entries"):
+            infer.extend(model, x, prefix_kv=make_prefix(model)[:1])
+        with pytest.raises(ValueError, match="max_seq_len"):
+            infer.extend(model, np.zeros((1, 65, 16), dtype=np.float32))
+        deeper = TinyCausalLM(LMConfig(vocab_size=VOCAB, d_model=16,
+                                       n_heads=2, n_layers=3, d_ff=24))
+        with pytest.raises(ValueError, match="layers"):
+            infer.extend(model, x,
+                         past=prefill(deeper, np.array([1, 2])).cache)
+
+
+# ----------------------------------------------------------------------
+class TestGraphFree:
+    def test_prefill_and_a_scheduler_round_build_no_graph_nodes(
+            self, monkeypatch):
+        model = tiny_model()
+        made = []
+        original = Tensor._make
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
+        scheduler = DecodeScheduler(model)
+        for ids in (np.array([1, 2, 3]), np.array([4, 5, 6, 7, 8])):
+            scheduler.admit(prefill(model, ids),
+                            GenerationConfig(max_new_tokens=4,
+                                             temperature=0.0))
+        report = scheduler.decode_round()
+        assert report.tokens_emitted == 2
+        assert made == []
+
+    def test_train_mode_with_dropout_decodes_the_eval_tokens(self):
+        model = tiny_model(seed=6, dropout=0.5)
+        ids = np.array([2, 9, 4, 4, 1])
+        config = GenerationConfig(max_new_tokens=12, temperature=0.0)
+
+        def decode():
+            scheduler = DecodeScheduler(model)
+            sequence = scheduler.admit(prefill(model, ids), config)
+            scheduler.run()
+            return sequence.token_ids()
+
+        expected = decode()
+        model.train()
+        assert np.array_equal(decode(), expected)
+        assert model.training   # and the mode is left as found

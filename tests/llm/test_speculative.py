@@ -106,6 +106,14 @@ class TestConfidencePolicies:
         with pytest.raises(ValueError, match=">= 1"):
             top_k_confidence(logits, k=0)
 
+    def test_top_k_is_the_aggregate_mass_of_k_tokens(self):
+        logits = np.log(np.array([0.4, 0.3, 0.2, 0.1], dtype=np.float32))
+        assert top_k_confidence(logits, k=1) == pytest.approx(0.4)
+        assert top_k_confidence(logits, k=2) == pytest.approx(0.7)
+        assert top_k_confidence(logits, k=4) == pytest.approx(1.0)
+        assert top_k_confidence(logits, k=16) == pytest.approx(1.0)
+        assert top_k_confidence(logits, k=4) > top_k_confidence(logits, k=1)
+
     def test_decoder_rejects_unknown_policy(self):
         with pytest.raises(KeyError):
             SpeculativeDecoder(tiny_draft(), policy="oracle")
