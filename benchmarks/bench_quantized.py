@@ -98,7 +98,9 @@ def check_kernel_equivalence(model, *, mode: str, group_size: int,
             continue
         x = rng.normal(size=(4, 1, module.in_features)).astype(np.float32)
         fused = module.affine_numpy(x)
-        reference = module.reference_forward(x)
+        reference = x @ module.dequantized_weight()
+        if module.bias is not None:
+            reference = reference + module.bias.data
         scale = max(1.0, float(np.abs(reference).max()))
         if float(np.abs(fused - reference).max()) > rtol * scale:
             failures += 1

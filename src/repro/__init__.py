@@ -66,7 +66,7 @@ from .llm import (
 )
 from .mitigation import available_mitigations, register_mitigation
 from .nvm import available_devices, get_device, register_device
-from .retrieval import available_retrievals, register_retrieval
+from .retrieval import register_retrieval
 from .serve import (
     PromptServeEngine,
     QueryRequest,
@@ -102,6 +102,6 @@ __all__ = [
     # Registries
     "Registry", "get_device", "available_devices", "register_device",
     "available_mitigations", "register_mitigation",
-    "available_retrievals", "register_retrieval",
+    "register_retrieval",
     "__version__",
 ]

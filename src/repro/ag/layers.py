@@ -109,10 +109,11 @@ class QuantizedLinear(Module):
       path — every row's result is bitwise independent of which other
       sequences share the batch (a whole-batch 2-D GEMM would not be:
       BLAS picks different kernels for different batch heights).
-    - **Equivalence contract.**  :meth:`reference_forward` materializes
-      the dequantized weights (test/debug only) and runs the plain float
-      GEMM; the fused kernel agrees with it to float32 rounding, because
-      column blocking partitions outputs, never the reduction axis.
+    - **Equivalence contract.**  ``x @ layer.dequantized_weight()``
+      (plus bias) materializes the dequantized weights (test/debug only)
+      and runs the plain float GEMM; the fused kernel agrees with it to
+      float32 rounding, because column blocking partitions outputs, never
+      the reduction axis.
 
     The weight is frozen by construction — it is not a
     :class:`Parameter`, so optimizers never see it — but gradients still
@@ -235,7 +236,7 @@ class QuantizedLinear(Module):
         return self._affine(np.asarray(x, dtype=np.float32))
 
     # ------------------------------------------------------------------
-    # Reference mode (the equivalence contract; materializes W)
+    # Dequantized view (the equivalence contract; materializes W)
     # ------------------------------------------------------------------
     def dequantized_weight(self) -> np.ndarray:
         """The full float32 (in_features, out_features) weight matrix.
@@ -254,13 +255,6 @@ class QuantizedLinear(Module):
             unpacked -= np.float32(8.0)
             codes = unpacked[:, :self.in_features].T
         return np.ascontiguousarray(codes * self._row_scales[:, None])
-
-    def reference_forward(self, x: np.ndarray) -> np.ndarray:
-        """Float32 reference: explicitly-dequantized weights, plain GEMM."""
-        out = np.asarray(x, dtype=np.float32) @ self.dequantized_weight()
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
 
     # ------------------------------------------------------------------
     @property

@@ -4,8 +4,6 @@ from .accelerator import CiMMatrix, MitigationHooks, NullMitigation
 from .energy import (
     CIM_TECH,
     CPU_JETSON_ORIN,
-    CiMCostModel,
-    CpuCostModel,
     RetrievalCostReport,
     retrieval_cost,
 )
@@ -13,7 +11,7 @@ from .memory_model import PAPER_SCALE_STORAGE, OVTStorageModel
 
 __all__ = [
     "CiMMatrix", "MitigationHooks", "NullMitigation",
-    "CiMCostModel", "CpuCostModel", "RetrievalCostReport", "retrieval_cost",
+    "RetrievalCostReport", "retrieval_cost",
     "CIM_TECH", "CPU_JETSON_ORIN",
     "OVTStorageModel", "PAPER_SCALE_STORAGE",
 ]

@@ -6,20 +6,15 @@ Fig. 4), and tiled over 384x128 crossbars.  Matrix-vector products run
 slice-by-slice in the arrays and are shift-added digitally, which is
 exactly how the paper's scaled-search GMM executes.
 
-Two storage layouts implement the same physics:
-
-* ``vectorized=True`` (default) — all tiles live in one
-  :class:`~repro.nvm.crossbar.TileBank` stack ordered slice-major
-  ``(slice, row_tile, col_tile)``.  Programming is a single vectorized
-  noise application, and :meth:`CiMMatrix.matmat` evaluates a whole batch
-  of queries with one batched matmul plus one vectorized ADC quantization
-  — the serving engine's batched-retrieval hot path.
-* ``vectorized=False`` — the per-tile reference: a Python grid of
-  :class:`~repro.nvm.crossbar.CrossbarArray` objects, one small matvec per
-  tile.  Because every tile (in both layouts) draws programming noise from
-  its own spawned generator, the reference programs to *bit-identical*
-  conductances, and read-backs agree exactly; batched query outputs match
-  the reference to float tolerance.
+All tiles live in one :class:`~repro.nvm.crossbar.TileBank` stack ordered
+slice-major ``(slice, row_tile, col_tile)``.  Programming is a single
+vectorized noise application, and :meth:`CiMMatrix.matmat` evaluates a
+whole batch of queries with one batched matmul plus one vectorized ADC
+quantization — the serving engine's batched-retrieval hot path.  Every
+tile draws programming noise from its own spawned generator, so the
+per-tile :class:`~repro.nvm.crossbar.CrossbarArray` grid the equivalence
+tests build (``tests/oracles/per_tile_cim.py``) programs to *bit-identical*
+conductances.
 
 Noise-mitigation baselines plug in via hooks: ``post_program`` (e.g.
 selective write-verify re-pulses cells), ``correct_output`` (CxDNN /
@@ -34,7 +29,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ..nvm.crossbar import CrossbarArray, CrossbarStats, TileBank, TileView
+from ..nvm.crossbar import CrossbarStats, TileBank, TileView
 from ..nvm.device_models import NVMDevice
 from ..nvm.quantize import Int16Codec, slice_to_digits, slice_weights
 from ..utils import rng_from_seed, spawn_generators
@@ -111,7 +106,6 @@ class CiMMatrix:
         adc_bits: int = 8,
         mitigation: MitigationHooks | None = None,
         rng: np.random.Generator | None = None,
-        vectorized: bool = True,
     ):
         values = np.asarray(values, dtype=np.float32)
         if values.ndim != 2:
@@ -121,7 +115,6 @@ class CiMMatrix:
         self.subarray_rows = rows
         self.subarray_cols = cols
         self.mitigation = mitigation or NullMitigation()
-        self.vectorized = vectorized
         self._rng = rng or rng_from_seed(0)
 
         prepared = self.mitigation.prepare_values(values)
@@ -134,23 +127,36 @@ class CiMMatrix:
         d, n = self.shape
         self.n_row_tiles = -(-d // rows)
         self.n_col_tiles = -(-n // cols)
-        self._tiles: list[list[list[CrossbarArray]]] = []  # [slice][row][col]
-        self.bank: TileBank | None = None
         self._chunk_map: np.ndarray | None = None
         # Calibration data some mitigations fill in during post_program.
         self.calibration: dict[str, np.ndarray] = {}
-        self._program()
+        # One spawned generator per tile, derived hierarchically (matrix ->
+        # bit-slice -> tile, in slice-major order): programming noise is
+        # independent of tile iteration order, and a slice's streams do not
+        # depend on how the other slices are tiled.
+        per_slice = self.n_row_tiles * self.n_col_tiles
+        self.bank = self._new_bank([
+            tile_rng
+            for slice_rng in spawn_generators(self._rng, self.n_slices)
+            for tile_rng in spawn_generators(slice_rng, per_slice)])
+        self.bank.program(self._tiled_digits())
         self.mitigation.post_program(self)
 
     # ------------------------------------------------------------------
     # Programming and geometry
     # ------------------------------------------------------------------
+    def _new_bank(self, rngs: list[np.random.Generator] | None = None,
+                  ) -> TileBank:
+        return TileBank(self.device, self.n_subarrays,
+                        rows=self.subarray_rows, cols=self.subarray_cols,
+                        sigma=self.sigma, adc_bits=self._adc_bits, rngs=rngs)
+
     def _tiled_digits(self) -> np.ndarray:
         """Digit planes as a zero-padded (n_tiles, rows, cols) stack.
 
         Tiles are ordered slice-major — ``(slice, row_tile, col_tile)`` in
-        C order — the canonical order both layouts also use when spawning
-        per-tile generators.
+        C order — the canonical order the per-tile generators are spawned
+        in.
         """
         d, n = self.shape
         rows, cols = self.subarray_rows, self.subarray_cols
@@ -161,44 +167,6 @@ class CiMMatrix:
         stack = padded.reshape(self.n_slices, self.n_row_tiles, rows,
                                self.n_col_tiles, cols)
         return stack.transpose(0, 1, 3, 2, 4).reshape(-1, rows, cols)
-
-    def _program(self) -> None:
-        tile_count = self.n_slices * self.n_row_tiles * self.n_col_tiles
-        # One spawned generator per tile, derived hierarchically (matrix ->
-        # bit-slice -> tile, in slice-major order): programming noise is
-        # independent of tile iteration order and identical between the
-        # vectorized bank and the per-tile reference, and a slice's
-        # streams do not depend on how the other slices are tiled.
-        per_slice = self.n_row_tiles * self.n_col_tiles
-        rngs = [tile_rng
-                for slice_rng in spawn_generators(self._rng, self.n_slices)
-                for tile_rng in spawn_generators(slice_rng, per_slice)]
-        levels = self._tiled_digits()
-        if self.vectorized:
-            self.bank = TileBank(self.device, tile_count,
-                                 rows=self.subarray_rows,
-                                 cols=self.subarray_cols,
-                                 sigma=self.sigma, adc_bits=self._adc_bits,
-                                 rngs=rngs)
-            self.bank.program(levels)
-            return
-        flat = 0
-        for _ in range(self.n_slices):
-            row_tiles = []
-            for _ in range(self.n_row_tiles):
-                col_tiles = []
-                for _ in range(self.n_col_tiles):
-                    tile = CrossbarArray(self.device,
-                                         rows=self.subarray_rows,
-                                         cols=self.subarray_cols,
-                                         sigma=self.sigma,
-                                         adc_bits=self._adc_bits,
-                                         rng=rngs[flat])
-                    tile.program(levels[flat])
-                    col_tiles.append(tile)
-                    flat += 1
-                row_tiles.append(col_tiles)
-            self._tiles.append(row_tiles)
 
     @property
     def n_subarrays(self) -> int:
@@ -221,45 +189,21 @@ class CiMMatrix:
         start = slice_index * per_slice
         return np.arange(start, start + per_slice)
 
-    def iter_tiles(self):
-        """Yield every crossbar tile (used by write-verify mitigation).
-
-        On the vectorized layout these are :class:`TileView` adapters over
-        the bank; on the reference layout, the tile objects themselves.
-        """
-        for _, tile in self.iter_tiles_with_slice():
-            yield tile
-
     def iter_tiles_with_slice(self):
-        """Yield (slice_index, tile) pairs; slice 0 holds the LSB digits."""
-        if self.vectorized:
-            per_slice = self.n_row_tiles * self.n_col_tiles
-            for flat in range(self.n_subarrays):
-                yield flat // per_slice, TileView(self.bank, flat)
-            return
-        for slice_index, row_tiles in enumerate(self._tiles):
-            for col_tiles in row_tiles:
-                for tile in col_tiles:
-                    yield slice_index, tile
+        """Yield (slice_index, :class:`TileView`) pairs; slice 0 holds the
+        LSB digits."""
+        per_slice = self.n_row_tiles * self.n_col_tiles
+        for flat in range(self.n_subarrays):
+            yield flat // per_slice, TileView(self.bank, flat)
 
     def aggregate_stats(self) -> CrossbarStats:
         """Operation counters summed over every tile.
 
-        The vectorized layout sums the bank's counter vectors directly
-        (this runs inside ``PromptServeEngine.stats()``, so it must not
-        walk Python tile objects per call).
+        Sums the bank's counter vectors directly (this runs inside
+        ``PromptServeEngine.stats()``, so it must not walk Python tile
+        objects per call).
         """
-        if self.vectorized:
-            return self.bank.aggregate_stats()
-        total = CrossbarStats()
-        for tile in self._iter_reference_tiles():
-            total.add(tile.stats)
-        return total
-
-    def _iter_reference_tiles(self):
-        for row_tiles in self._tiles:
-            for col_tiles in row_tiles:
-                yield from col_tiles
+        return self.bank.aggregate_stats()
 
     # ------------------------------------------------------------------
     # Compute
@@ -268,51 +212,24 @@ class CiMMatrix:
                corrected: bool = True) -> np.ndarray:
         """In-memory ``x @ W`` with device noise; returns float (n,).
 
+        :meth:`matmat` with a batch of one, so single and batched queries
+        share one code path (and one set of counter semantics).
         ``corrected=False`` skips the mitigation's output correction
-        (mitigations use it during calibration).  On the vectorized layout
-        this is :meth:`matmat` with a batch of one, so single and batched
-        queries share one code path (and one set of counters semantics).
+        (mitigations use it during calibration).
         """
-        x = np.asarray(x, dtype=np.float32).reshape(-1)
-        d, n = self.shape
-        if x.size != d:
-            raise ValueError(f"input of {x.size} does not match matrix rows {d}")
-        if self.vectorized:
-            return self.matmat(x[None, :], quantize_output=quantize_output,
-                               corrected=corrected)[0]
-        level_gain = self.device.n_levels - 1
-        total = np.zeros(n, dtype=np.float64)
-        weights = slice_weights(self.device.bits_per_cell, self.n_slices)
-        for s, row_tiles in enumerate(self._tiles):
-            plane = np.zeros(n, dtype=np.float64)
-            for r_index, col_tiles in enumerate(row_tiles):
-                r0 = r_index * self.subarray_rows
-                chunk = np.zeros(self.subarray_rows, dtype=np.float32)
-                piece = x[r0:r0 + self.subarray_rows]
-                chunk[:piece.size] = piece
-                for c_index, tile in enumerate(col_tiles):
-                    c0 = c_index * self.subarray_cols
-                    out = tile.matvec(chunk, quantize_output=quantize_output)
-                    width = min(self.subarray_cols, n - c0)
-                    plane[c0:c0 + width] += out[:width] * level_gain
-            total += plane * weights[s]
-        # Remove the excess-32768 offset: every stored word carries +OFFSET.
-        total -= _OFFSET * float(x.sum())
-        outputs = (total * self.codec.scale).astype(np.float32)
-        if not corrected:
-            return outputs
-        return self.mitigation.correct_output(self, outputs)
+        x = np.asarray(x, dtype=np.float32).reshape(1, -1)
+        return self.matmat(x, quantize_output=quantize_output,
+                           corrected=corrected)[0]
 
     def matmat(self, queries: np.ndarray, *, quantize_output: bool = True,
                corrected: bool = True) -> np.ndarray:
         """Batched in-memory product ``X @ W`` for ``X`` of shape (B, d).
 
-        The vectorized layout evaluates the whole batch against every tile
-        with one batched matmul and one vectorized ADC pass; the reference
-        layout runs :meth:`matvec` per query.  Per-query physics is
-        unchanged either way: each query still bills one MVM per tile and
-        ``cols`` conversions per tile, so energy counters scale with the
-        batch width exactly as B sequential queries would.
+        The whole batch is evaluated against every tile with one batched
+        matmul and one vectorized ADC pass.  Per-query physics is
+        unchanged: each query still bills one MVM per tile and ``cols``
+        conversions per tile, so energy counters scale with the batch
+        width exactly as B sequential queries would.
         """
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim != 2:
@@ -323,14 +240,6 @@ class CiMMatrix:
                 f"inputs of {queries.shape[1]} do not match matrix rows {d}")
         if queries.shape[0] == 0:
             raise ValueError("matmat needs at least one query")
-        if not self.vectorized:
-            outputs = np.stack([
-                self.matvec(row, quantize_output=quantize_output,
-                            corrected=False) for row in queries])
-            if not corrected:
-                return outputs
-            return self.mitigation.correct_output(self, outputs)
-
         batch = queries.shape[0]
         n_rt, n_ct = self.n_row_tiles, self.n_col_tiles
         rows, cols = self.subarray_rows, self.subarray_cols
@@ -363,28 +272,14 @@ class CiMMatrix:
         d, n = self.shape
         value = np.zeros((d, n), dtype=np.float64)
         weights = slice_weights(self.device.bits_per_cell, self.n_slices)
-        if self.vectorized:
-            digits = self.bank.read_cells()
-            grid = digits.reshape(self.n_slices, self.n_row_tiles,
-                                  self.n_col_tiles, self.subarray_rows,
-                                  self.subarray_cols)
-            for s in range(self.n_slices):
-                full = grid[s].transpose(0, 2, 1, 3).reshape(
-                    self.n_row_tiles * self.subarray_rows,
-                    self.n_col_tiles * self.subarray_cols)
-                value += full[:d, :n] * weights[s]
-        else:
-            for s, row_tiles in enumerate(self._tiles):
-                for r_index, col_tiles in enumerate(row_tiles):
-                    r0 = r_index * self.subarray_rows
-                    height = min(self.subarray_rows, d - r0)
-                    for c_index, tile in enumerate(col_tiles):
-                        c0 = c_index * self.subarray_cols
-                        width = min(self.subarray_cols, n - c0)
-                        digits = tile.read_cells()
-                        value[r0:r0 + height, c0:c0 + width] += (
-                            digits[:height, :width] * weights[s]
-                        )
+        grid = self.bank.read_cells().reshape(
+            self.n_slices, self.n_row_tiles, self.n_col_tiles,
+            self.subarray_rows, self.subarray_cols)
+        for s in range(self.n_slices):
+            full = grid[s].transpose(0, 2, 1, 3).reshape(
+                self.n_row_tiles * self.subarray_rows,
+                self.n_col_tiles * self.subarray_cols)
+            value += full[:d, :n] * weights[s]
         value -= _OFFSET
         decoded = self.codec.decode(value)
         if not corrected:
@@ -411,25 +306,15 @@ class CiMMatrix:
         for ct in range(col0 // cols, (col1 - 1) // cols + 1):
             lo, hi = max(col0 - ct * cols, 0), min(col1 - ct * cols, cols)
             out0 = ct * cols + lo - col0
-            if self.vectorized:
-                # Flat bank index is (slice * n_rt + row_tile) * n_ct + ct.
-                tiles = (np.arange(self.n_slices * self.n_row_tiles)
-                         * self.n_col_tiles + ct)
-                digits = self.bank.read_cells(tiles=tiles, col0=lo, col1=hi)
-                digits = digits.reshape(self.n_slices,
-                                        self.n_row_tiles * self.subarray_rows,
-                                        hi - lo)
-                for s in range(self.n_slices):
-                    value[:, out0:out0 + hi - lo] += (
-                        digits[s, :d] * weights[s])
-            else:
-                for s, row_tiles in enumerate(self._tiles):
-                    for r_index, col_tiles in enumerate(row_tiles):
-                        r0 = r_index * self.subarray_rows
-                        height = min(self.subarray_rows, d - r0)
-                        digits = col_tiles[ct].read_cells_range(lo, hi)
-                        value[r0:r0 + height, out0:out0 + hi - lo] += (
-                            digits[:height] * weights[s])
+            # Flat bank index is (slice * n_rt + row_tile) * n_ct + ct.
+            tiles = (np.arange(self.n_slices * self.n_row_tiles)
+                     * self.n_col_tiles + ct)
+            digits = self.bank.read_cells(tiles=tiles, col0=lo, col1=hi)
+            digits = digits.reshape(self.n_slices,
+                                    self.n_row_tiles * self.subarray_rows,
+                                    hi - lo)
+            for s in range(self.n_slices):
+                value[:, out0:out0 + hi - lo] += digits[s, :d] * weights[s]
         value -= _OFFSET
         decoded = self.codec.decode(value)
         if not corrected:
@@ -459,8 +344,8 @@ class CiMMatrix:
         ``include_state=True`` captures everything
         :meth:`from_snapshot` needs to rebuild this matrix bit-identically
         *without* reprogramming: the int16 codewords, the tile
-        conductances and generator states (via the bank / per-tile
-        snapshots), mitigation calibration, and cumulative counters.
+        conductances and generator states (via the bank snapshot),
+        mitigation calibration, and cumulative counters.
         ``include_state=False`` is the compact recipe form: geometry and
         counters only, for callers that re-program deterministically and
         then :meth:`restore` the counters on top.
@@ -473,14 +358,9 @@ class CiMMatrix:
             "sigma": self.sigma,
             "adc_bits": self._adc_bits,
             "n_slices": self.n_slices,
-            "vectorized": self.vectorized,
             "mitigation": self.mitigation.name,
+            "bank": self.bank.snapshot(include_state=include_state),
         }
-        if self.vectorized:
-            snap["bank"] = self.bank.snapshot(include_state=include_state)
-        else:
-            snap["tiles"] = [tile.snapshot(include_state=include_state)
-                             for tile in self._iter_reference_tiles()]
         if include_state:
             snap["codec_scale"] = float(self.codec.scale)
             snap["ints"] = self._ints.copy()
@@ -496,12 +376,7 @@ class CiMMatrix:
         codewords, conductances, generator states and calibration.
         """
         self._check_snapshot(snap)
-        if self.vectorized:
-            self.bank.restore(snap["bank"])
-        else:
-            for tile, tile_snap in zip(self._iter_reference_tiles(),
-                                       snap["tiles"]):
-                tile.restore(tile_snap)
+        self.bank.restore(snap["bank"])
         if "ints" in snap:
             self.codec = Int16Codec(scale=float(snap["codec_scale"]))
             self._ints = np.asarray(snap["ints"], dtype=np.int16).copy()
@@ -515,13 +390,15 @@ class CiMMatrix:
             raise ValueError(
                 f"unsupported CiMMatrix snapshot version "
                 f"{snap.get('version')!r}")
+        # Version-1 writers recorded a layout flag; only the TileBank
+        # layout (flag absent or True) was ever deployed and is readable.
+        if not snap.get("vectorized", True):
+            raise ValueError("per-tile (vectorized=False) CiMMatrix "
+                             "snapshots are no longer readable")
         if tuple(snap["shape"]) != tuple(self.shape):
             raise ValueError(
                 f"snapshot shape {tuple(snap['shape'])} does not match "
                 f"stored matrix {self.shape}")
-        if bool(snap["vectorized"]) != self.vectorized:
-            raise ValueError("snapshot layout does not match this matrix "
-                             "(vectorized flag differs)")
 
     @classmethod
     def from_snapshot(cls, snap: dict, device: NVMDevice, *,
@@ -549,7 +426,6 @@ class CiMMatrix:
             raise ValueError(
                 f"snapshot was captured with mitigation "
                 f"{snap['mitigation']!r}, got {self.mitigation.name!r}")
-        self.vectorized = bool(snap["vectorized"])
         self._rng = np.random.default_rng(0)  # repro: noqa[RNG-001] unused post-build
         self.shape = tuple(int(d) for d in snap["shape"])
         self.codec = Int16Codec(scale=float(snap["codec_scale"]))
@@ -560,26 +436,8 @@ class CiMMatrix:
         d, n = self.shape
         self.n_row_tiles = -(-d // self.subarray_rows)
         self.n_col_tiles = -(-n // self.subarray_cols)
-        self._tiles = []
-        self.bank = None
         self._chunk_map = None
         self.calibration = {}
-        tile_count = self.n_slices * self.n_row_tiles * self.n_col_tiles
-        if self.vectorized:
-            self.bank = TileBank(device, tile_count,
-                                 rows=self.subarray_rows,
-                                 cols=self.subarray_cols,
-                                 sigma=self.sigma, adc_bits=self._adc_bits)
-        else:
-            for _ in range(self.n_slices):
-                row_tiles = []
-                for _ in range(self.n_row_tiles):
-                    row_tiles.append([
-                        CrossbarArray(device, rows=self.subarray_rows,
-                                      cols=self.subarray_cols,
-                                      sigma=self.sigma,
-                                      adc_bits=self._adc_bits)
-                        for _ in range(self.n_col_tiles)])
-                self._tiles.append(row_tiles)
+        self.bank = self._new_bank()
         self.restore(snap)
         return self

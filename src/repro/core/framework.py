@@ -74,6 +74,14 @@ def _plain(value):
     return value
 
 
+def _reject_unknown(section_cls, data: dict, section: str = "") -> None:
+    """``from_dict``'s promise, for the top level and each nested section."""
+    unknown = sorted(section + key for key in
+                     set(data) - {f.name for f in fields(section_cls)})
+    if unknown:
+        raise ValueError(f"unknown FrameworkConfig keys: {unknown}")
+
+
 @dataclass(frozen=True)
 class FrameworkConfig:
     """Everything that defines one NVCiM-PT configuration."""
@@ -90,7 +98,6 @@ class FrameworkConfig:
     noise_factors: tuple[float, float, float, float] = (1.0, 1.6, 1.6, 1.0)
     search: SearchConfig | None = None    # derived from `retrieval` if None
     on_cim: bool = True                   # False = ideal digital store
-    vectorized: bool = True               # stacked TileBank vs per-tile sim
     seed: int = 0
     base_quantization: str | None = None  # None | "int8" | "int4"
     quantization_group_size: int = 32     # scale group along input channels
@@ -143,23 +150,22 @@ class FrameworkConfig:
 
         Nested sections (``tuning``, ``k_selection``, ``search``) may be
         given as dicts of their dataclass fields; omitted keys take the
-        defaults.  Unknown keys are an error rather than silently dropped.
+        defaults.  Unknown keys — top-level or inside a section — are an
+        error rather than silently dropped.
         """
         data = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown FrameworkConfig keys: {sorted(unknown)}")
-        if isinstance(data.get("tuning"), dict):
-            data["tuning"] = TuningConfig(**data["tuning"])
-        if isinstance(data.get("k_selection"), dict):
-            data["k_selection"] = KSelectionConfig(**data["k_selection"])
-        if isinstance(data.get("search"), dict):
-            search = dict(data["search"])
-            for key in ("scales", "weights"):
-                if key in search:
-                    search[key] = tuple(search[key])
-            data["search"] = SearchConfig(**search)
+        _reject_unknown(cls, data)
+        for name, section_cls in (("tuning", TuningConfig),
+                                  ("k_selection", KSelectionConfig),
+                                  ("search", SearchConfig)):
+            section = data.get(name)
+            if not isinstance(section, dict):
+                continue
+            _reject_unknown(section_cls, section, f"{name}.")
+            # JSON lists (SearchConfig scales/weights) come back as tuples.
+            data[name] = section_cls(**{
+                key: tuple(value) if isinstance(value, list) else value
+                for key, value in section.items()})
         if "noise_factors" in data:
             data["noise_factors"] = tuple(data["noise_factors"])
         return cls(**data)
@@ -309,7 +315,6 @@ class NVCiMDeployment:
             config=config.search_config(),
             mitigation=mitigation,
             on_cim=config.on_cim,
-            vectorized=config.vectorized,
             rng=derive_rng(config.seed, "deployment", config.device_name,
                            config.mitigation, config.retrieval),
         )

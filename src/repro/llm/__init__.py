@@ -40,12 +40,12 @@ from .speculative import (
     draft_spec,
 )
 from .tokenizer import BOS, EOS, PAD, SEP, UNK, Tokenizer
-from .transformer import LMConfig, TinyCausalLM, TransformerBlock
+from .transformer import LMConfig, TinyCausalLM
 
 __all__ = [
     "Tokenizer", "PAD", "BOS", "EOS", "UNK", "SEP",
     "MultiHeadSelfAttention", "KVPrefix", "KVCache", "BatchedKVCache",
-    "LMConfig", "TransformerBlock", "TinyCausalLM", "infer",
+    "LMConfig", "TinyCausalLM", "infer",
     "GenerationConfig", "PrefillState", "generate", "prefill", "decode_from",
     "DecodeSequence", "DecodeScheduler", "DecodeRoundReport", "decode_batch",
     "PretrainConfig", "pretrain_lm",

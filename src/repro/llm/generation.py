@@ -4,13 +4,13 @@ Matches the paper's inference settings: temperature 0.1 (near-greedy) and at
 most 100 generated tokens.  Generation optionally consumes the two prompt
 conditioning mechanisms (soft-prompt embeddings and per-layer KV prefixes).
 
-Decoding is incremental by default: the prompt (soft prompt included) is
-run through the model once (*prefill*, on the graph-free
-:mod:`~repro.llm.infer` kernels), and every subsequent token is a
-single-position forward against the growing
-:class:`~repro.llm.kv_cache.KVCache` — O(T) per step instead of re-running
-the whole sequence.  ``use_cache=False`` keeps the original full-reforward
-loop; both paths emit identical token ids under identical seeds.
+Decoding is incremental: the prompt (soft prompt included) is run through
+the model once (*prefill*, on the graph-free :mod:`~repro.llm.infer`
+kernels), and every subsequent token is a single-position forward against
+the growing :class:`~repro.llm.kv_cache.KVCache` — O(T) per step instead
+of re-running the whole sequence.  The full-reforward loop it replaced
+lives on as a test oracle (``tests/oracles/generation.py``); both emit
+identical token ids under identical seeds.
 
 The prefill/decode split is also public (:func:`prefill`,
 :func:`decode_from`) so the serving engine can run a prompt's prefill once
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ag import Tensor, cat, no_grad
+from ..ag import Tensor, no_grad
 from . import infer
 from .attention import KVPrefix
 from .kv_cache import BatchedKVCache, KVCache
@@ -98,34 +98,6 @@ def _sample(logits: np.ndarray, temperature: float,
     return int(rng.choice(probs.size, p=probs))
 
 
-def _check_room(model: TinyCausalLM, n_tokens: int, virtual_len: int) -> None:
-    """Reject prompts that leave no room to generate a single token."""
-    if n_tokens + virtual_len >= model.config.max_seq_len:
-        raise ValueError(
-            f"prompt of {n_tokens} tokens plus soft prompt of {virtual_len} "
-            f"rows leaves no room to generate within "
-            f"max_seq_len={model.config.max_seq_len}"
-        )
-
-
-def _soft_rows(soft_prompt: Tensor | np.ndarray) -> np.ndarray:
-    """The (P, d_model) soft-prompt matrix as a raw float32 array."""
-    data = soft_prompt.data if isinstance(soft_prompt, Tensor) else soft_prompt
-    return np.asarray(data, dtype=np.float32)
-
-
-def _virtual_len(soft_prompt: Tensor | np.ndarray | None) -> int:
-    return 0 if soft_prompt is None else _soft_rows(soft_prompt).shape[0]
-
-
-def _embed_with_soft_prompt(model: TinyCausalLM, ids: np.ndarray,
-                            soft_prompt: Tensor | np.ndarray) -> Tensor:
-    """(1, P+T, d_model) embeddings: soft-prompt rows then token embeddings."""
-    prompt = soft_prompt if isinstance(soft_prompt, Tensor) else Tensor(soft_prompt)
-    token_emb = model.embed(ids[None, :])
-    return cat([prompt.reshape(1, *prompt.shape), token_emb], axis=1)
-
-
 def prefill(
     model: TinyCausalLM,
     token_ids: np.ndarray,
@@ -145,11 +117,19 @@ def prefill(
     token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
     if token_ids.size == 0:
         raise ValueError("prefill() needs at least one prompt token")
-    virtual_len = _virtual_len(soft_prompt)
-    _check_room(model, token_ids.size, virtual_len)
     x = infer.embed(model.token_embedding, token_ids)
+    virtual_len = 0
     if soft_prompt is not None:
-        x = np.concatenate([_soft_rows(soft_prompt), x])
+        rows = np.asarray(
+            soft_prompt.data if isinstance(soft_prompt, Tensor)
+            else soft_prompt, dtype=np.float32)
+        virtual_len = rows.shape[0]
+        x = np.concatenate([rows, x])
+    if x.shape[0] >= model.config.max_seq_len:
+        raise ValueError(
+            f"prompt of {token_ids.size} tokens plus soft prompt of "
+            f"{virtual_len} rows leaves no room to generate within "
+            f"max_seq_len={model.config.max_seq_len}")
     hidden, cache = infer.extend(model, x[None], prefix_kv=prefix_kv)
     logits = infer.logits(model, hidden)
     return PrefillState(cache=cache, last_logits=logits[0, -1].copy(),
@@ -206,9 +186,10 @@ def generate(
     *,
     soft_prompt: Tensor | np.ndarray | None = None,
     prefix_kv: list[KVPrefix] | None = None,
-    use_cache: bool = True,
 ) -> np.ndarray:
     """Generate a continuation of ``token_ids`` (1-D array of ids).
+
+    :func:`prefill` once, then :func:`decode_from` one position per step.
 
     Args:
         model: the language model (used in eval mode, no gradients).
@@ -217,9 +198,6 @@ def generate(
         soft_prompt: optional (P, d_model) virtual-token matrix prepended to
             the input embeddings — the OVT path of the paper.
         prefix_kv: optional per-layer KV prefixes (prefix tuning path).
-        use_cache: incremental decoding (prefill once, then one-position
-            steps).  ``False`` re-runs the full sequence every step; both
-            paths produce identical ids under identical seeds.
 
     Returns:
         The generated ids only (prompt excluded), stopping at ``eos_id``.
@@ -228,61 +206,9 @@ def generate(
         ValueError: when the prompt (plus soft-prompt rows) already fills
             the model's context window, leaving no room to generate.
     """
-    token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-    if use_cache:
-        state = prefill(model, token_ids, soft_prompt=soft_prompt,
-                        prefix_kv=prefix_kv)   # validates prompt and room
-        return decode_from(model, state, config)
-    if token_ids.size == 0:
-        raise ValueError("generate() needs at least one prompt token")
-    _check_room(model, token_ids.size, _virtual_len(soft_prompt))
-    return _generate_uncached(model, token_ids, config,
-                              soft_prompt=soft_prompt, prefix_kv=prefix_kv)
-
-
-def _generate_uncached(
-    model: TinyCausalLM,
-    token_ids: np.ndarray,
-    config: GenerationConfig,
-    *,
-    soft_prompt: Tensor | np.ndarray | None,
-    prefix_kv: list[KVPrefix] | None,
-) -> np.ndarray:
-    """Reference full-reforward loop (the pre-cache behaviour)."""
-    rng = rng_from_seed(config.seed)
-    was_training = model.training
-    if was_training:
-        model.eval()
-    prompt_len = _virtual_len(soft_prompt)
-    generated: list[int] = []
-    try:
-        with no_grad():
-            ids = token_ids.copy()
-            budget = model.config.max_seq_len - prompt_len
-            for _ in range(config.max_new_tokens):
-                if ids.size >= budget:
-                    break
-                logits = _full_forward(model, ids, soft_prompt, prefix_kv)
-                next_id = _sample(logits, config.temperature, rng)
-                if config.eos_id is not None and next_id == config.eos_id:
-                    break
-                generated.append(next_id)
-                ids = np.append(ids, next_id)
-    finally:
-        if was_training:
-            model.train()
-    return np.asarray(generated, dtype=np.int64)
-
-
-def _full_forward(model: TinyCausalLM, ids: np.ndarray,
-                  soft_prompt, prefix_kv) -> np.ndarray:
-    """Logits of the final position, with optional prompt conditioning."""
-    if soft_prompt is None:
-        logits = model(ids[None, :], prefix_kv=prefix_kv)
-    else:
-        full = _embed_with_soft_prompt(model, ids, soft_prompt)
-        logits = model(embeddings=full, prefix_kv=prefix_kv)
-    return logits.data[0, -1]
+    state = prefill(model, token_ids, soft_prompt=soft_prompt,
+                    prefix_kv=prefix_kv)   # validates prompt and room
+    return decode_from(model, state, config)
 
 
 # ----------------------------------------------------------------------

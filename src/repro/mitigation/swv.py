@@ -6,11 +6,10 @@ contribution of a cell grows with its positional weight, so SWV verifies the
 most-significant slices only, re-pulsing cells whose conductance deviates
 from the target by more than a tolerance.
 
-Both ``CiMMatrix`` layouts are supported: the vectorized path verifies all
-tiles of the MSB slices with stacked reads and one masked re-pulse per
-round, the reference path walks tile objects.  Because each tile draws
-noise from its own spawned generator, the two produce bit-identical
-conductances and identical operation counters.
+All tiles of the MSB slices are verified with stacked reads and one masked
+re-pulse per round.  Because each tile draws noise from its own spawned
+generator, a tile-by-tile verify loop (``tests/oracles/per_tile_cim.py``)
+produces bit-identical conductances and identical operation counters.
 """
 
 from __future__ import annotations
@@ -42,30 +41,13 @@ class SelectiveWriteVerify:
 
     # ------------------------------------------------------------------
     def post_program(self, matrix) -> None:
-        if getattr(matrix, "vectorized", False):
-            self._post_program_bank(matrix)
-            return
-        first_verified = matrix.n_slices - self.verify_slices
-        for slice_index, tile in matrix.iter_tiles_with_slice():
-            if slice_index < first_verified:
-                continue
-            for _ in range(self.max_iterations):
-                read = tile.read_cells() / (tile.device.n_levels - 1)
-                target = tile.device.level_values()[tile.target_levels]
-                error = np.abs(read - target)
-                mask = error > self.tolerance_levels
-                if not mask.any():
-                    break
-                tile.reprogram_cells(mask)
-
-    def _post_program_bank(self, matrix) -> None:
-        """Verify the MSB slices on the stacked layout.
+        """Verify the MSB slices of the matrix's tile bank.
 
         Per round: one stacked read of the still-active tiles, one masked
         re-pulse of those whose error exceeds the tolerance.  Tiles drop
-        out of the round loop as soon as they pass, exactly like the
-        per-tile reference — reads, re-pulse counts and noise draws match
-        it one for one.
+        out of the round loop as soon as they pass, exactly like a
+        tile-by-tile loop would — reads, re-pulse counts and noise draws
+        match it one for one.
         """
         bank = matrix.bank
         first_verified = max(matrix.n_slices - self.verify_slices, 0)

@@ -13,8 +13,8 @@ single batched matmul plus one vectorized ADC quantization.  Each tile
 draws its programming noise from an independently spawned generator, so a
 bank programs to exactly the same conductances as the equivalent per-tile
 :class:`CrossbarArray` objects would (and independently of tile iteration
-order).  :class:`TileView` adapts one tile of a bank back to the
-``CrossbarArray`` read/reprogram/stats surface.
+order).  :class:`TileView` exposes one tile of a bank by index (state,
+counters, re-pulse).
 """
 
 from __future__ import annotations
@@ -581,13 +581,13 @@ class TileBank:
 
 
 class TileView:
-    """One tile of a :class:`TileBank`, with the per-array surface.
+    """One tile of a :class:`TileBank`: its state and counters by index.
 
-    Write-verify loops and tests that walk ``CiMMatrix.iter_tiles()`` see
-    the same attributes a standalone :class:`CrossbarArray` exposes
-    (``conductance``, ``target_levels``, ``stats``, cell reads and
-    re-pulses); mutations go through the bank so its stacked state and
-    counters stay authoritative.
+    What ``CiMMatrix.iter_tiles_with_slice()`` yields — the attributes a
+    standalone :class:`CrossbarArray` exposes for inspection
+    (``conductance``, ``target_levels``, ``stats``) plus re-pulsing;
+    mutations go through the bank so its stacked state and counters stay
+    authoritative.
     """
 
     def __init__(self, bank: TileBank, index: int):
@@ -595,26 +595,6 @@ class TileView:
             raise IndexError(f"tile {index} out of range [0, {bank.n_tiles})")
         self.bank = bank
         self.index = index
-
-    @property
-    def device(self) -> NVMDevice:
-        return self.bank.device
-
-    @property
-    def rows(self) -> int:
-        return self.bank.rows
-
-    @property
-    def cols(self) -> int:
-        return self.bank.cols
-
-    @property
-    def sigma(self) -> float:
-        return self.bank.sigma
-
-    @property
-    def adc_bits(self) -> int:
-        return self.bank.adc_bits
 
     @property
     def conductance(self) -> np.ndarray:
@@ -635,13 +615,6 @@ class TileView:
             adc_conversions=int(bank.adc_conversions[i]),
             cell_reads=int(bank.cell_reads[i]),
         )
-
-    def read_cells(self) -> np.ndarray:
-        return self.bank.read_cells(tiles=np.array([self.index]))[0]
-
-    def read_cells_range(self, col0: int, col1: int) -> np.ndarray:
-        return self.bank.read_cells(tiles=np.array([self.index]),
-                                    col0=col0, col1=col1)[0]
 
     def reprogram_cells(self, mask: np.ndarray) -> None:
         mask = np.asarray(mask, dtype=bool)

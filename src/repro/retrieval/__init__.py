@@ -6,8 +6,6 @@ from .engine import (
     SSA_CONFIG,
     CiMSearchEngine,
     SearchConfig,
-    available_retrievals,
-    get_retrieval,
     register_retrieval,
     wmsdp_reference,
 )
@@ -17,6 +15,5 @@ __all__ = [
     "pad_rows", "avg_pool_rows", "multi_scale_vectors",
     "SearchConfig", "SSA_CONFIG", "MIPS_CONFIG",
     "CiMSearchEngine", "wmsdp_reference",
-    "RETRIEVAL_REGISTRY", "register_retrieval", "available_retrievals",
-    "get_retrieval",
+    "RETRIEVAL_REGISTRY", "register_retrieval",
 ]

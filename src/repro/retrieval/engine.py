@@ -29,8 +29,7 @@ from ..utils import Registry, rng_from_seed, spawn_generators
 from .pooling import multi_scale_vectors
 
 __all__ = ["SearchConfig", "SSA_CONFIG", "MIPS_CONFIG", "CiMSearchEngine",
-           "wmsdp_reference", "RETRIEVAL_REGISTRY", "register_retrieval",
-           "available_retrievals", "get_retrieval"]
+           "wmsdp_reference", "RETRIEVAL_REGISTRY", "register_retrieval"]
 
 
 @dataclass(frozen=True)
@@ -85,16 +84,6 @@ def register_retrieval(name: str, config: SearchConfig | None = None, *,
     return RETRIEVAL_REGISTRY.register(name, config, overwrite=overwrite)
 
 
-def available_retrievals() -> list[str]:
-    """Names accepted by ``FrameworkConfig(retrieval=...)``."""
-    return RETRIEVAL_REGISTRY.names()
-
-
-def get_retrieval(name: str) -> SearchConfig:
-    """Look up a registered retrieval strategy's search configuration."""
-    return RETRIEVAL_REGISTRY[name]
-
-
 def _unit(vector: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vector))
     return vector if norm == 0.0 else vector / norm
@@ -129,7 +118,6 @@ class CiMSearchEngine:
         config: SearchConfig = SSA_CONFIG,
         mitigation: MitigationHooks | None = None,
         on_cim: bool = True,
-        vectorized: bool = True,
         rng: np.random.Generator | None = None,
     ):
         self.device = device
@@ -137,7 +125,6 @@ class CiMSearchEngine:
         self.config = config
         self.mitigation = mitigation
         self.on_cim = on_cim
-        self.vectorized = vectorized
         self._rng = rng or rng_from_seed(0)
         self._scale_matrices: dict[int, CiMMatrix] = {}
         self._digital_vectors: dict[int, np.ndarray] = {}
@@ -187,7 +174,6 @@ class CiMSearchEngine:
                     stacked, self.device, sigma=self.sigma,
                     adc_bits=self.config.adc_bits,
                     mitigation=self.mitigation, rng=next(store_rngs),
-                    vectorized=self.vectorized,
                 )
             else:
                 self._digital_vectors[scale] = stacked
@@ -279,9 +265,9 @@ class CiMSearchEngine:
     def aggregate_stats(self) -> CrossbarStats:
         """Operation counters summed over every scale's store.
 
-        On the vectorized layout each store sums its bank's counter
-        vectors, so this is cheap enough for per-request serving
-        telemetry.  Digital stores report all-zero counters.
+        Each store sums its bank's counter vectors, so this is cheap
+        enough for per-request serving telemetry.  Digital stores report
+        all-zero counters.
         """
         total = CrossbarStats()
         for matrix in self._scale_matrices.values():
@@ -313,7 +299,6 @@ class CiMSearchEngine:
             "count": self._count,
             "row_counts": list(self._row_counts),
             "on_cim": self.on_cim,
-            "vectorized": self.vectorized,
             "sigma": self.sigma,
             "norms": {str(scale): norms.copy()
                       for scale, norms in self._norms.items()},
@@ -373,7 +358,7 @@ class CiMSearchEngine:
         """
         self = cls(device, sigma=float(snap["sigma"]), config=config,
                    mitigation=mitigation, on_cim=bool(snap["on_cim"]),
-                   vectorized=bool(snap["vectorized"]), rng=rng)
+                   rng=rng)
         self._check_snapshot(snap)
         self._count = int(snap["count"])
         self._row_counts = [int(n) for n in snap["row_counts"]]

@@ -37,11 +37,11 @@ and :meth:`PromptServeEngine.run_decode_round` advances *all* pending
 generations one token per round in a single batched forward — the shared
 base model is amortised across users instead of finishing each answer
 before starting the next.  The batched path is token-identical to the
-sequential one (kept as the reference via ``batched=False`` and
-:meth:`PromptServeEngine.query`): every sequence keeps a private compact
-KV cache, rng stream, and sampling config, and the batched forward is
-bit-exact per sequence.  Queries may also be admitted individually with
-:meth:`PromptServeEngine.begin_query` and driven by explicit rounds.
+sequential reference ``[engine.query(r) for r in requests]``: every
+sequence keeps a private compact KV cache, rng stream, and sampling
+config, and the batched forward is bit-exact per sequence.  Queries may
+also be admitted individually with :meth:`PromptServeEngine.begin_query`
+and driven by explicit rounds.
 """
 
 from __future__ import annotations
@@ -494,46 +494,30 @@ class PromptServeEngine:
         """
         with self._lock:
             session = self._resident_session(request.user_id)
-            return self._serve_one(session, session.deployment(), request,
-                                   {}, {})
+            return self._serve_one(session, session.deployment(), request)
 
-    def answer_batch(self, requests: list[QueryRequest], *,
-                     batched: bool = True) -> list[QueryResponse]:
+    def answer_batch(self,
+                     requests: list[QueryRequest]) -> list[QueryResponse]:
         """Serve a batch of queries; responses come back in input order.
 
         Queries are grouped by user so each user's deployment is resolved
         (and, if stale, reprogrammed) once per batch; repeated query texts
         share one encoding and repeated retrievals share one NVM read-back.
 
-        With ``batched=True`` (the default) every query is admitted to the
-        continuous-batching decoder and all answers advance one token per
-        round through a single forward over the shared model — the
-        multi-user throughput path.  ``batched=False`` keeps the
-        sequential reference loop (finish each answer before starting the
-        next).  Both are token-identical to issuing the same requests one
-        at a time through :meth:`query`.
+        Every query is admitted to the continuous-batching decoder and all
+        answers advance one token per round through a single forward over
+        the shared model — the multi-user throughput path.  Responses are
+        token-identical to issuing the same requests one at a time through
+        :meth:`query`.
         """
         with self._lock:
-            return self._answer_batch_locked(requests, batched)
+            return self._answer_batch_locked(requests)
 
-    def _answer_batch_locked(self, requests: list[QueryRequest],
-                             batched: bool) -> list[QueryResponse]:
+    def _answer_batch_locked(
+            self, requests: list[QueryRequest]) -> list[QueryResponse]:
         order: OrderedDict[int, list[int]] = OrderedDict()
         for position, request in enumerate(requests):
             order.setdefault(request.user_id, []).append(position)
-        if not batched:
-            responses: list[QueryResponse | None] = [None] * len(requests)
-            for user_id, positions in order.items():
-                session = self._resident_session(user_id)
-                deployment = session.deployment()
-                code_cache: dict[str, np.ndarray] = {}
-                prompt_cache: dict[int, np.ndarray] = {}
-                for position in positions:
-                    responses[position] = self._serve_one(
-                        session, deployment, requests[position],
-                        code_cache, prompt_cache)
-            return responses  # type: ignore[return-value]
-
         pendings: list[PendingQuery | None] = [None] * len(requests)
         try:
             for user_id, positions in order.items():
@@ -616,16 +600,6 @@ class PromptServeEngine:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _retrieve(deployment: NVCiMDeployment, text: str,
-                  code_cache: dict[str, np.ndarray]) -> tuple[int, np.ndarray]:
-        """In-memory search for the best OVT; memoises the query encoding."""
-        codes = code_cache.get(text)
-        if codes is None:
-            codes = code_cache[text] = deployment.encode_query(text)
-        scores = deployment.engine.query(codes)
-        return int(np.argmax(scores)), scores
-
-    @staticmethod
     def _retrieve_batch(
         deployment: NVCiMDeployment, texts: list[str],
         code_cache: dict[str, np.ndarray],
@@ -635,10 +609,10 @@ class PromptServeEngine:
         All texts are encoded (memoised in ``code_cache``) and scored
         against every scale's store with one
         :meth:`~repro.retrieval.CiMSearchEngine.query_batch` call; each
-        text maps to the (best index, per-OVT scores) pair the equivalent
-        single :meth:`_retrieve` would return.  Repeated texts keep their
-        own batch rows (identical bit for bit), so the crossbar counters
-        bill exactly the MVMs the sequential reference would.
+        text maps to the (best index, per-OVT scores) pair a search for it
+        alone would return.  Repeated texts keep their own batch rows
+        (identical bit for bit), so the crossbar counters bill exactly the
+        MVMs the sequential reference would.
         """
         for text in texts:
             if text not in code_cache:
@@ -663,16 +637,15 @@ class PromptServeEngine:
         return restore_prompt
 
     def _serve_one(self, session: UserSession, deployment: NVCiMDeployment,
-                   request: QueryRequest,
-                   code_cache: dict[str, np.ndarray],
-                   prompt_cache: dict[int, np.ndarray]) -> QueryResponse:
+                   request: QueryRequest) -> QueryResponse:
         """Sequential reference path: retrieve, restore, decode to the end."""
         started = time.perf_counter()
         text = request.text
-        index, scores = self._retrieve(deployment, text, code_cache)
+        scores = deployment.engine.query(deployment.encode_query(text))
+        index = int(np.argmax(scores))
         generation = request.generation or self.default_generation()
         state = session.prefill_state(
-            text, index, self._prompt_restorer(deployment, index, prompt_cache))
+            text, index, lambda: deployment.restored_prompt(index))
         answer = self.tokenizer.decode(
             decode_from(self.model, state, generation))
         cost = _deployment_cost(deployment)

@@ -178,8 +178,8 @@ class ShardedPromptEngine:
     def query(self, request: QueryRequest) -> QueryResponse:
         return self.worker_for(request.user_id).query(request)
 
-    def answer_batch(self, requests: list[QueryRequest], *,
-                     batched: bool = True) -> list[QueryResponse]:
+    def answer_batch(self,
+                     requests: list[QueryRequest]) -> list[QueryResponse]:
         """Serve a batch across the fleet; responses in input order.
 
         Each worker receives its users' requests as one sub-batch
@@ -195,8 +195,7 @@ class ShardedPromptEngine:
         responses: list[QueryResponse | None] = [None] * len(requests)
         for shard, positions in by_worker.items():
             shard_responses = self.workers[shard].answer_batch(
-                [requests[position] for position in positions],
-                batched=batched)
+                [requests[position] for position in positions])
             for position, response in zip(positions, shard_responses):
                 responses[position] = response
         return responses  # type: ignore[return-value]

@@ -206,7 +206,7 @@ class SessionSnapshot:
             raise SnapshotError(
                 f"snapshot was captured against a model with "
                 f"{fingerprint}, got {actual}")
-        config = FrameworkConfig.from_dict(self.config)
+        config = self._framework_config()
         session = UserSession(self.user_id, model, tokenizer, config)
 
         # Library: token matrices verbatim, autoencoder weights re-seated
@@ -243,9 +243,28 @@ class SessionSnapshot:
             counters["retired_cim"])
 
         if self.deployment is not None:
-            session._deployment = self._build_deployment(
-                model, tokenizer, library, config)
+            try:
+                session._deployment = self._build_deployment(
+                    model, tokenizer, library, config)
+            except ValueError as error:   # geometry / layout / mitigation
+                raise SnapshotError(
+                    f"deployment state does not restore: {error}") from error
         return session
+
+    def _framework_config(self) -> FrameworkConfig:
+        """The captured config, minus the switches retired since v1 blobs
+        were first written (``vectorized``, ``tuning.batched``): each only
+        ever held one deployable value, so they are dropped here rather
+        than by a schema bump.  The per-tile layout is refused outright."""
+        data = dict(self.config)
+        if not data.pop("vectorized", True):
+            raise SnapshotError("per-tile (vectorized=False) snapshots are "
+                                "no longer readable")
+        if isinstance(data.get("tuning"), dict):
+            data["tuning"] = {key: value
+                              for key, value in data["tuning"].items()
+                              if key != "batched"}
+        return FrameworkConfig.from_dict(data)
 
     def _build_deployment(self, model: TinyCausalLM, tokenizer: Tokenizer,
                           library: OVTLibrary,

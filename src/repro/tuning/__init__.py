@@ -4,32 +4,28 @@ from .apply import apply_embedding_delta, generate_with_artifact
 from .base import (
     IGNORE_INDEX,
     PromptArtifact,
-    TrainingBatch,
     TuningConfig,
     VirtualTokens,
     build_training_batch,
     build_training_ids,
     make_target_vector,
-    mean_loss,
 )
 from .dept import DEPTTuner
-from .prefix import PrefixTuner, kv_prefix_tensors, prefix_loss_for_batch, prefix_loss_for_sample
+from .prefix import PrefixTuner, kv_prefix_tensors, prefix_loss_for_batch
 from .ptuning_v2 import PTuningV2Tuner
 from .trainer import freeze_model, train_prompt_parameters
 from .vanilla import (
     VanillaPromptTuner,
     initial_prompt_matrix,
     prompt_loss_for_batch,
-    prompt_loss_for_sample,
 )
 
 __all__ = [
     "VirtualTokens", "PromptArtifact", "TuningConfig", "IGNORE_INDEX",
     "build_training_ids", "make_target_vector",
-    "TrainingBatch", "build_training_batch", "mean_loss",
+    "build_training_batch",
     "VanillaPromptTuner", "PrefixTuner", "DEPTTuner", "PTuningV2Tuner",
-    "initial_prompt_matrix", "prompt_loss_for_sample",
-    "prompt_loss_for_batch", "prefix_loss_for_sample",
+    "initial_prompt_matrix", "prompt_loss_for_batch",
     "prefix_loss_for_batch", "kv_prefix_tensors",
     "freeze_model", "train_prompt_parameters",
     "apply_embedding_delta", "generate_with_artifact",

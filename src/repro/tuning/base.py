@@ -13,7 +13,7 @@ from ..llm.tokenizer import Tokenizer
 
 __all__ = ["VirtualTokens", "PromptArtifact", "TuningConfig",
            "build_training_ids", "TrainingBatch", "build_training_batch",
-           "mean_loss", "IGNORE_INDEX"]
+           "IGNORE_INDEX"]
 
 IGNORE_INDEX = -100
 
@@ -75,9 +75,6 @@ class TuningConfig:
     warmup_fraction: float = 0.1
     anchor_weight: float = 10.0  # L2 pull toward the embedding-space init
     seed: int = 0
-    # One padded batched forward per optimizer step; False falls back to the
-    # loss-equivalent per-sample reference loop (kept for tests/debugging).
-    batched: bool = True
 
     def __post_init__(self):
         if self.n_virtual_tokens <= 0:
@@ -91,15 +88,6 @@ class TuningConfig:
 # A hook applied to the virtual-token tensor inside the forward pass.
 # Noise-aware training supplies one; plain training uses identity.
 PromptTransform = Callable[[Tensor], Tensor]
-
-
-def mean_loss(losses: list[Tensor]) -> Tensor:
-    """Mean of per-sample scalar losses — the ``batched=False`` reference
-    semantics every batched loss must reproduce."""
-    total = losses[0]
-    for item in losses[1:]:
-        total = total + item
-    return total * (1.0 / len(losses))
 
 
 def build_training_ids(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ag import Parameter, Tensor, cat, cross_entropy, sequence_cross_entropy
+from ..ag import Parameter, Tensor, cat, sequence_cross_entropy
 from ..data.lamp import Sample
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
@@ -19,9 +19,6 @@ from .base import (
     TuningConfig,
     VirtualTokens,
     build_training_batch,
-    build_training_ids,
-    make_target_vector,
-    mean_loss,
 )
 from .trainer import train_prompt_parameters
 from .vanilla import initial_prompt_matrix
@@ -57,21 +54,7 @@ class DEPTTuner:
         lora_b = Parameter(np.zeros((self.rank, cfg.d_model)))
         params = [prompt, lora_a, lora_b]
 
-        def sample_loss(sample: Sample) -> Tensor:
-            full_ids, loss_positions = build_training_ids(sample, self.tokenizer)
-            inputs = full_ids[:-1]
-            delta_table = lora_a @ lora_b           # (V, d)
-            delta = delta_table[inputs].reshape(1, inputs.size, cfg.d_model)
-            token_emb = self.model.embed(inputs[None, :]) + delta
-            prompt_batch = prompt.reshape(1, *prompt.shape)
-            embeddings = cat([prompt_batch, token_emb], axis=1)
-            logits = self.model(embeddings=embeddings)
-            targets = make_target_vector(full_ids, loss_positions, short_len)
-            vocab = logits.shape[-1]
-            return cross_entropy(logits.reshape(-1, vocab), targets,
-                                 ignore_index=IGNORE_INDEX)
-
-        def batch_loss(batch: list[Sample]) -> Tensor:
+        def loss_fn(batch: list[Sample]) -> Tensor:
             padded = build_training_batch(batch, self.tokenizer,
                                           prompt_len=short_len)
             size = padded.batch_size
@@ -87,11 +70,6 @@ class DEPTTuner:
             logits = self.model(embeddings=embeddings, key_padding_mask=mask)
             return sequence_cross_entropy(logits, padded.targets,
                                           ignore_index=IGNORE_INDEX)
-
-        def loss_fn(batch: list[Sample]) -> Tensor:
-            if self.config.batched:
-                return batch_loss(batch)
-            return mean_loss([sample_loss(s) for s in batch])
 
         train_prompt_parameters(self.model, params, loss_fn, samples,
                                 self.config)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ag import Parameter, Tensor, cross_entropy, gelu, sequence_cross_entropy
+from ..ag import Parameter, Tensor, gelu, sequence_cross_entropy
 from ..data.lamp import Sample
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
@@ -18,15 +18,11 @@ from .base import (
     PromptArtifact,
     TuningConfig,
     build_training_batch,
-    build_training_ids,
-    make_target_vector,
-    mean_loss,
 )
 from .trainer import train_prompt_parameters
 from ..utils import rng_from_seed
 
-__all__ = ["PrefixTuner", "prefix_loss_for_sample", "prefix_loss_for_batch",
-           "kv_prefix_tensors"]
+__all__ = ["PrefixTuner", "prefix_loss_for_batch", "kv_prefix_tensors"]
 
 
 def kv_prefix_tensors(raw: list[tuple[np.ndarray, np.ndarray]]):
@@ -34,33 +30,15 @@ def kv_prefix_tensors(raw: list[tuple[np.ndarray, np.ndarray]]):
     return [(Tensor(k), Tensor(v)) for k, v in raw]
 
 
-def prefix_loss_for_sample(model: TinyCausalLM,
-                           prefix_kv: list[tuple[Tensor, Tensor]],
-                           sample: Sample, tokenizer: Tokenizer) -> Tensor:
-    """LM loss of one sample conditioned on per-layer KV prefixes."""
-    full_ids, loss_positions = build_training_ids(sample, tokenizer)
-    inputs = full_ids[:-1]
-    logits = model(inputs[None, :], prefix_kv=prefix_kv)
-    targets = make_target_vector(full_ids, loss_positions, prompt_len=0)
-    vocab = logits.shape[-1]
-    return cross_entropy(logits.reshape(-1, vocab), targets,
-                         ignore_index=IGNORE_INDEX)
-
-
 def prefix_loss_for_batch(model: TinyCausalLM,
                           prefix_kv: list[tuple[Tensor, Tensor]],
-                          samples: list[Sample], tokenizer: Tokenizer, *,
-                          batched: bool = True) -> Tensor:
+                          samples: list[Sample], tokenizer: Tokenizer,
+                          ) -> Tensor:
     """Mean per-sample LM loss of a minibatch under per-layer KV prefixes.
 
-    ``batched=True`` runs one padded forward with the (batch-1) prefixes
-    broadcast across the minibatch; ``batched=False`` keeps the per-sample
-    reference loop.  Both return the mean of the per-sample losses.
+    One padded forward with the (batch-1) prefixes broadcast across the
+    minibatch.
     """
-    if not batched:
-        return mean_loss([prefix_loss_for_sample(model, prefix_kv, s,
-                                                 tokenizer)
-                          for s in samples])
     batch = build_training_batch(samples, tokenizer, prompt_len=0)
     size = batch.batch_size
     tiled = [(k.broadcast_to((size,) + k.shape[1:]),
@@ -113,8 +91,7 @@ class PrefixTuner:
 
         def loss_fn(batch: list[Sample]) -> Tensor:
             return prefix_loss_for_batch(self.model, materialise(), batch,
-                                         self.tokenizer,
-                                         batched=self.config.batched)
+                                         self.tokenizer)
 
         train_prompt_parameters(self.model, params, loss_fn, samples,
                                 self.config)

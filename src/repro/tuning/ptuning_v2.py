@@ -59,8 +59,7 @@ class PTuningV2Tuner:
 
         def loss_fn(batch: list[Sample]) -> Tensor:
             return prefix_loss_for_batch(self.model, self._project(prompts),
-                                         batch, self.tokenizer,
-                                         batched=self.config.batched)
+                                         batch, self.tokenizer)
 
         train_prompt_parameters(self.model, prompts, loss_fn, samples,
                                 self.config)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ag import Parameter, Tensor, cat, cross_entropy, sequence_cross_entropy
+from ..ag import Parameter, Tensor, cat, sequence_cross_entropy
 from ..data.lamp import Sample
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
@@ -20,15 +20,11 @@ from .base import (
     TuningConfig,
     VirtualTokens,
     build_training_batch,
-    build_training_ids,
-    make_target_vector,
-    mean_loss,
 )
 from .trainer import train_prompt_parameters
 from ..utils import rng_from_seed
 
-__all__ = ["VanillaPromptTuner", "prompt_loss_for_sample",
-           "prompt_loss_for_batch"]
+__all__ = ["VanillaPromptTuner", "prompt_loss_for_batch"]
 
 
 def initial_prompt_matrix(model: TinyCausalLM, tokenizer: Tokenizer,
@@ -50,34 +46,15 @@ def initial_prompt_matrix(model: TinyCausalLM, tokenizer: Tokenizer,
     return model.token_embedding.weight.data[chosen].copy()
 
 
-def prompt_loss_for_sample(model: TinyCausalLM, prompt: Tensor,
-                           sample: Sample, tokenizer: Tokenizer) -> Tensor:
-    """LM loss of one sample conditioned on a soft prompt."""
-    full_ids, loss_positions = build_training_ids(sample, tokenizer)
-    inputs = full_ids[:-1]
-    token_emb = model.embed(inputs[None, :])
-    prompt_batch = prompt.reshape(1, *prompt.shape)
-    embeddings = cat([prompt_batch, token_emb], axis=1)
-    logits = model(embeddings=embeddings)
-    targets = make_target_vector(full_ids, loss_positions, prompt.shape[0])
-    vocab = logits.shape[-1]
-    return cross_entropy(logits.reshape(-1, vocab), targets,
-                         ignore_index=IGNORE_INDEX)
-
-
 def prompt_loss_for_batch(model: TinyCausalLM, prompt: Tensor,
-                          samples: list[Sample], tokenizer: Tokenizer, *,
-                          batched: bool = True) -> Tensor:
+                          samples: list[Sample], tokenizer: Tokenizer,
+                          ) -> Tensor:
     """Mean per-sample LM loss of a minibatch conditioned on a soft prompt.
 
-    With ``batched=True`` the whole minibatch runs as one padded forward
-    (padded keys masked out of attention, padded targets out of the loss);
-    ``batched=False`` keeps the per-sample reference loop.  Both return the
-    mean of the per-sample losses.
+    The whole minibatch runs as one padded forward (padded keys masked out
+    of attention, padded targets out of the loss); a batch of one has no
+    padding at all, which is what the per-sample equivalence tests use.
     """
-    if not batched:
-        return mean_loss([prompt_loss_for_sample(model, prompt, s, tokenizer)
-                          for s in samples])
     n_tokens, d_model = prompt.shape
     batch = build_training_batch(samples, tokenizer, prompt_len=n_tokens)
     size = batch.batch_size
@@ -121,8 +98,7 @@ class VanillaPromptTuner:
         def loss_fn(batch: list[Sample]) -> Tensor:
             effective = prompt if transform is None else transform(prompt)
             total = prompt_loss_for_batch(self.model, effective, batch,
-                                          self.tokenizer,
-                                          batched=self.config.batched)
+                                          self.tokenizer)
             if self.config.anchor_weight > 0:
                 drift = prompt - anchor
                 total = total + (drift * drift).mean() * self.config.anchor_weight

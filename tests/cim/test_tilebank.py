@@ -1,10 +1,10 @@
-"""Equivalence matrix: vectorized TileBank layout vs per-tile reference.
+"""Equivalence matrix: ``CiMMatrix`` (TileBank) vs the per-tile oracle.
 
-The vectorized ``CiMMatrix`` must program bit-identical conductances (per
-tile, independent of iteration order), read back identically, evaluate
+``CiMMatrix`` must program bit-identical conductances (per tile,
+independent of iteration order), read back identically, evaluate
 matvec/matmat within float tolerance, and keep every operation counter in
-lockstep with the per-tile reference across devices, variation levels, ADC
-resolutions and non-divisible tile geometries.
+lockstep with ``tests/oracles/per_tile_cim.py`` across devices, variation
+levels, ADC resolutions and non-divisible tile geometries.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from repro.cim import CiMMatrix
 from repro.mitigation import SelectiveWriteVerify, make_mitigation
 from repro.nvm import TileBank, get_device
+from tests.oracles.per_tile_cim import PerTileCiMMatrix
 
 RNG = np.random.default_rng(57)
 
@@ -25,16 +26,15 @@ SHAPES = [(20, 7), (50, 23), (64, 16)]
 
 def make_pair(values, *, device="NVM-3", sigma=0.1, adc_bits=8, seed=7,
               mitigation_name=None, rows=32, cols=16):
-    """The same matrix stored on both layouts with the same seed."""
+    """The same matrix on the oracle and on ``CiMMatrix``, same seed."""
     pair = []
-    for vectorized in (False, True):
+    for layout in (PerTileCiMMatrix, CiMMatrix):
         mitigation = (make_mitigation(mitigation_name)
                       if mitigation_name else None)
-        pair.append(CiMMatrix(values, get_device(device), sigma=sigma,
-                              rows=rows, cols=cols, adc_bits=adc_bits,
-                              mitigation=mitigation,
-                              rng=np.random.default_rng(seed),
-                              vectorized=vectorized))
+        pair.append(layout(values, get_device(device), sigma=sigma,
+                           rows=rows, cols=cols, adc_bits=adc_bits,
+                           mitigation=mitigation,
+                           rng=np.random.default_rng(seed)))
     return pair
 
 
@@ -123,11 +123,11 @@ class TestMitigationEquivalence:
     def test_swv_multi_iteration_parity(self):
         w = RNG.normal(size=(50, 23)).astype(np.float32)
         pair = []
-        for vectorized in (False, True):
-            pair.append(CiMMatrix(
+        for layout in (PerTileCiMMatrix, CiMMatrix):
+            pair.append(layout(
                 w, get_device("NVM-3"), sigma=0.3, rows=32, cols=16,
                 mitigation=SelectiveWriteVerify(max_iterations=3),
-                rng=np.random.default_rng(11), vectorized=vectorized))
+                rng=np.random.default_rng(11)))
         ref, vec = pair
         np.testing.assert_array_equal(ref.read_matrix(), vec.read_matrix())
         assert ref.aggregate_stats() == vec.aggregate_stats()
@@ -173,9 +173,9 @@ class TestColumnRangeRead:
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_equals_full_read_columns(self, vectorized):
         w = RNG.normal(size=(50, 23)).astype(np.float32)
-        matrix = CiMMatrix(w, get_device("NVM-3"), sigma=0.1, rows=32,
-                           cols=16, rng=np.random.default_rng(3),
-                           vectorized=vectorized)
+        layout = CiMMatrix if vectorized else PerTileCiMMatrix
+        matrix = layout(w, get_device("NVM-3"), sigma=0.1, rows=32,
+                        cols=16, rng=np.random.default_rng(3))
         full = matrix.read_matrix()
         for col0, col1 in [(0, 1), (5, 6), (14, 19), (0, 23)]:
             np.testing.assert_array_equal(matrix.read_columns(col0, col1),
@@ -184,9 +184,9 @@ class TestColumnRangeRead:
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_bills_only_cells_read(self, vectorized):
         w = RNG.normal(size=(50, 23)).astype(np.float32)
-        matrix = CiMMatrix(w, get_device("NVM-3"), sigma=0.0, rows=32,
-                           cols=16, rng=np.random.default_rng(3),
-                           vectorized=vectorized)
+        layout = CiMMatrix if vectorized else PerTileCiMMatrix
+        matrix = layout(w, get_device("NVM-3"), sigma=0.0, rows=32,
+                        cols=16, rng=np.random.default_rng(3))
         before = matrix.aggregate_stats().cell_reads
         matrix.read_columns(2, 4)
         delta = matrix.aggregate_stats().cell_reads - before
@@ -212,9 +212,9 @@ class TestSpawnedTileStreams:
         noise for each tile (the pre-spawn layout consumed one shared
         stream, so order mattered)."""
         w = RNG.normal(size=(50, 23)).astype(np.float32)
-        mats = [CiMMatrix(w, get_device("NVM-3"), sigma=0.2, rows=32,
-                          cols=16, rng=np.random.default_rng(5),
-                          vectorized=False) for _ in range(2)]
+        mats = [PerTileCiMMatrix(w, get_device("NVM-3"), sigma=0.2, rows=32,
+                                 cols=16, rng=np.random.default_rng(5))
+                for _ in range(2)]
         tiles_a = list(mats[0].iter_tiles())
         tiles_b = list(mats[1].iter_tiles())
         mask = np.ones((32, 16), dtype=bool)

@@ -21,6 +21,7 @@ from repro.llm import (
 )
 from repro.llm.attention import MultiHeadSelfAttention
 from repro.llm.transformer import LMConfig
+from tests.oracles.generation import generate_uncached
 
 RNG = np.random.default_rng(9)
 
@@ -250,10 +251,9 @@ class TestGenerateEquivalence:
             kwargs["prefix_kv"] = make_prefix(model)
         config = GenerationConfig(max_new_tokens=12, temperature=temperature,
                                   seed=13)
-        reference = generate(model, np.array([2, 5, 8]), config,
-                             use_cache=False, **kwargs)
-        cached = generate(model, np.array([2, 5, 8]), config,
-                          use_cache=True, **kwargs)
+        reference = generate_uncached(model, np.array([2, 5, 8]), config,
+                                      **kwargs)
+        cached = generate(model, np.array([2, 5, 8]), config, **kwargs)
         np.testing.assert_array_equal(reference, cached)
         assert reference.size == 12
 
@@ -269,8 +269,8 @@ class TestGenerateEquivalence:
         """Both paths must stop at the same point near max_seq_len."""
         model = tiny_model(max_seq_len=12)
         config = GenerationConfig(max_new_tokens=100, temperature=0.0)
-        a = generate(model, np.arange(1, 6), config, use_cache=False)
-        b = generate(model, np.arange(1, 6), config, use_cache=True)
+        a = generate_uncached(model, np.arange(1, 6), config)
+        b = generate(model, np.arange(1, 6), config)
         np.testing.assert_array_equal(a, b)
         assert 5 + a.size == 12      # both fill the context exactly
 
@@ -280,15 +280,16 @@ class TestOverlongPromptRejected:
     def test_prompt_filling_context_raises(self, use_cache):
         model = tiny_model(max_seq_len=8)
         with pytest.raises(ValueError, match="no room to generate"):
-            generate(model, np.arange(1, 9), use_cache=use_cache)
+            run = generate if use_cache else generate_uncached
+            run(model, np.arange(1, 9), GenerationConfig())
 
     @pytest.mark.parametrize("use_cache", [True, False])
     def test_soft_prompt_counts_against_budget(self, use_cache):
         model = tiny_model(max_seq_len=8)
         soft = make_soft_prompt(model, rows=5)
         with pytest.raises(ValueError, match="no room to generate"):
-            generate(model, np.arange(1, 4), soft_prompt=soft,
-                     use_cache=use_cache)
+            run = generate if use_cache else generate_uncached
+            run(model, np.arange(1, 4), GenerationConfig(), soft_prompt=soft)
 
     def test_prefill_rejects_overlong_prompt(self):
         model = tiny_model(max_seq_len=8)

@@ -120,7 +120,7 @@ class TestQuantizedLinearKernel:
         layer = QuantizedLinear.from_linear(linear, bits=bits, group_size=32)
         x = RNG.normal(size=(3, 2, in_f)).astype(np.float32)
         fused = layer.affine_numpy(x)
-        reference = layer.reference_forward(x)
+        reference = x @ layer.dequantized_weight() + layer.bias.data
         scale = max(1.0, float(np.abs(reference).max()))
         assert float(np.abs(fused - reference).max()) <= 2e-4 * scale
 
@@ -173,8 +173,8 @@ class TestQuantizedLinearKernel:
         linear.weight.data = RNG.normal(size=(24, 12)).astype(np.float32)
         layer = QuantizedLinear.from_linear(linear, bits=8, group_size=8)
         x = RNG.normal(size=(4, 24)).astype(np.float32)
-        assert np.allclose(layer.affine_numpy(x), layer.reference_forward(x),
-                           atol=1e-4)
+        assert np.allclose(layer.affine_numpy(x),
+                           x @ layer.dequantized_weight(), atol=1e-4)
 
     def test_byte_accounting(self):
         linear = Linear(64, 128)

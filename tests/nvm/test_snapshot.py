@@ -129,37 +129,40 @@ class TestTileBankSnapshot:
 
 
 class TestCiMMatrixSnapshot:
-    def make_matrix(self, vectorized, seed=5, mitigation=None):
+    def make_matrix(self, seed=5, mitigation=None):
         values = np.random.default_rng(1).normal(size=(20, 10))
         return CiMMatrix(values.astype(np.float32), get_device("NVM-3"),
-                         sigma=0.1, rows=8, cols=6, vectorized=vectorized,
-                         mitigation=mitigation,
+                         sigma=0.1, rows=8, cols=6, mitigation=mitigation,
                          rng=np.random.default_rng(seed))
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_from_snapshot_is_bit_identical(self, vectorized):
-        matrix = self.make_matrix(vectorized)
+    # The in-memory dict and its codec-decoded twin (the spill/restore
+    # path) must both rebuild the matrix.
+    @pytest.mark.parametrize("through_codec", [True, False])
+    def test_from_snapshot_is_bit_identical(self, through_codec):
+        matrix = self.make_matrix()
         query = np.random.default_rng(2).normal(size=20).astype(np.float32)
         matrix.matvec(query)
-        rebuilt = CiMMatrix.from_snapshot(roundtrip(matrix.snapshot()),
-                                          get_device("NVM-3"))
+        snap = matrix.snapshot()
+        rebuilt = CiMMatrix.from_snapshot(
+            roundtrip(snap) if through_codec else snap, get_device("NVM-3"))
         assert rebuilt.aggregate_stats() == matrix.aggregate_stats()
         assert np.array_equal(rebuilt.matvec(query), matrix.matvec(query))
         assert np.array_equal(rebuilt.read_matrix(), matrix.read_matrix())
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_from_snapshot_bills_no_programming(self, vectorized):
-        matrix = self.make_matrix(vectorized)
+    @pytest.mark.parametrize("through_codec", [True, False])
+    def test_from_snapshot_bills_no_programming(self, through_codec):
+        matrix = self.make_matrix()
         before = matrix.aggregate_stats()
-        rebuilt = CiMMatrix.from_snapshot(matrix.snapshot(),
-                                          get_device("NVM-3"))
+        snap = matrix.snapshot()
+        rebuilt = CiMMatrix.from_snapshot(
+            roundtrip(snap) if through_codec else snap, get_device("NVM-3"))
         after = rebuilt.aggregate_stats()
         assert after.write_pulses == before.write_pulses
         assert after.cells_programmed == before.cells_programmed
 
     def test_mitigation_calibration_travels(self):
         from repro.mitigation import make_mitigation
-        matrix = self.make_matrix(True, mitigation=make_mitigation("cxdnn"))
+        matrix = self.make_matrix(mitigation=make_mitigation("cxdnn"))
         assert matrix.calibration  # cxdnn calibrates at program time
         rebuilt = CiMMatrix.from_snapshot(
             roundtrip(matrix.snapshot()), get_device("NVM-3"),
@@ -168,23 +171,35 @@ class TestCiMMatrixSnapshot:
         assert np.array_equal(rebuilt.matvec(query), matrix.matvec(query))
 
     def test_from_snapshot_requires_matching_mitigation(self):
-        matrix = self.make_matrix(True)
+        matrix = self.make_matrix()
         from repro.mitigation import make_mitigation
         with pytest.raises(ValueError, match="mitigation"):
             CiMMatrix.from_snapshot(matrix.snapshot(), get_device("NVM-3"),
                                     mitigation=make_mitigation("cxdnn"))
 
     def test_from_snapshot_requires_full_state(self):
-        matrix = self.make_matrix(True)
+        matrix = self.make_matrix()
         with pytest.raises(ValueError, match="counters-only"):
             CiMMatrix.from_snapshot(matrix.snapshot(include_state=False),
                                     get_device("NVM-3"))
 
+    def test_per_tile_snapshot_refused(self):
+        """v1 writers could record ``vectorized: False``; that layout is
+        gone, and its snapshots are refused by name, not by KeyError."""
+        matrix = self.make_matrix()
+        snap = dict(matrix.snapshot(), vectorized=False)
+        with pytest.raises(ValueError, match="per-tile"):
+            CiMMatrix.from_snapshot(snap, get_device("NVM-3"))
+        with pytest.raises(ValueError, match="per-tile"):
+            matrix.restore(snap)
+        matrix.restore(dict(matrix.snapshot(), vectorized=True))  # v1 form
+        assert "vectorized" not in matrix.snapshot()
+
     def test_counters_only_restore_onto_identical_rebuild(self):
-        matrix = self.make_matrix(True)
+        matrix = self.make_matrix()
         query = np.random.default_rng(2).normal(size=20).astype(np.float32)
         matrix.matvec(query)
-        rebuilt = self.make_matrix(True)   # same seeds -> same conductances
+        rebuilt = self.make_matrix()   # same seeds -> same conductances
         rebuilt.restore(roundtrip(matrix.snapshot(include_state=False)))
         assert rebuilt.aggregate_stats() == matrix.aggregate_stats()
         assert np.array_equal(rebuilt.matvec(query), matrix.matvec(query))

@@ -1,0 +1,162 @@
+"""Per-tile CiM oracle: one ``CrossbarArray`` object per subarray.
+
+Stores a matrix the way :class:`repro.cim.CiMMatrix` does — same codec,
+bit-slicing, tile grid and ``spawn_generators`` hierarchy (matrix -> slice
+-> tile) — but as a Python grid of standalone crossbars evaluated one small
+matvec at a time.  Same per-tile streams means bit-identical conductances,
+tile for tile; outputs agree to float tolerance and counters exactly.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+
+from repro.cim import NullMitigation
+from repro.mitigation import SelectiveWriteVerify
+from repro.nvm import (CrossbarArray, CrossbarStats, Int16Codec,
+                       slice_to_digits, slice_weights)
+from repro.utils import rng_from_seed, spawn_generators
+
+_OFFSET = 32768  # excess code of the int16 bit-slicing
+
+
+class PerTileCiMMatrix:
+    """Drop-in for ``CiMMatrix`` (compute, read-back, counters)."""
+
+    def __init__(self, values, device, *, sigma=0.1, rows=384, cols=128,
+                 adc_bits=8, mitigation=None, rng=None):
+        self.device = device
+        self.subarray_rows, self.subarray_cols = rows, cols
+        self.mitigation = mitigation or NullMitigation()
+        prepared = self.mitigation.prepare_values(
+            np.asarray(values, dtype=np.float32))
+        self.shape = d, n = prepared.shape
+        self.codec = Int16Codec.fit(prepared)
+        self._ints = self.codec.encode(prepared)
+        digits = slice_to_digits(self._ints, device.bits_per_cell)
+        self.n_slices = digits.shape[0]
+        self.n_row_tiles, self.n_col_tiles = -(-d // rows), -(-n // cols)
+        self.n_subarrays = self.n_slices * self.n_row_tiles * self.n_col_tiles
+        self.calibration = {}
+        padded = np.zeros((self.n_slices, self.n_row_tiles * rows,
+                           self.n_col_tiles * cols), dtype=np.int64)
+        padded[:, :d, :n] = digits
+        self._tiles = []  # [slice][row_tile][col_tile]
+        slice_rngs = spawn_generators(rng or rng_from_seed(0), self.n_slices)
+        for plane, slice_rng in zip(padded, slice_rngs):
+            tile_rngs = iter(spawn_generators(
+                slice_rng, self.n_row_tiles * self.n_col_tiles))
+            grid = []
+            for r in range(self.n_row_tiles):
+                grid.append([])
+                for c in range(self.n_col_tiles):
+                    tile = CrossbarArray(device, rows=rows, cols=cols,
+                                         sigma=sigma, adc_bits=adc_bits,
+                                         rng=next(tile_rngs))
+                    tile.program(plane[r * rows:(r + 1) * rows,
+                                       c * cols:(c + 1) * cols])
+                    grid[-1].append(tile)
+            self._tiles.append(grid)
+        if isinstance(self.mitigation, SelectiveWriteVerify):
+            self._write_verify(self.mitigation)
+        else:
+            self.mitigation.post_program(self)
+
+    def _write_verify(self, swv):
+        """SWV's verify/re-pulse loop, one tile object at a time."""
+        for slice_index, tile in self.iter_tiles_with_slice():
+            if slice_index < self.n_slices - swv.verify_slices:
+                continue
+            for _ in range(swv.max_iterations):
+                read = tile.read_cells() / (tile.device.n_levels - 1)
+                target = tile.device.level_values()[tile.target_levels]
+                mask = np.abs(read - target) > swv.tolerance_levels
+                if not mask.any():
+                    break
+                tile.reprogram_cells(mask)
+
+    def iter_tiles_with_slice(self):
+        for slice_index, grid in enumerate(self._tiles):
+            for row in grid:
+                for tile in row:
+                    yield slice_index, tile
+
+    def iter_tiles(self):
+        return [tile for _, tile in self.iter_tiles_with_slice()]
+
+    def aggregate_stats(self):
+        total = CrossbarStats()
+        for tile in self.iter_tiles():
+            total.add(tile.stats)
+        return total
+
+    def ideal_matrix(self):
+        return self.codec.decode(self._ints)
+
+    def matvec(self, x, **kwargs):
+        return self.matmat(np.asarray(x).reshape(1, -1), **kwargs)[0]
+
+    def matmat(self, queries, *, quantize_output=True, corrected=True):
+        """One query, one tile, one small matvec at a time."""
+        outputs = np.stack([self._mvm(np.asarray(x, dtype=np.float32),
+                                      quantize_output) for x in queries])
+        if not corrected:
+            return outputs
+        return self.mitigation.correct_output(self, outputs)
+
+    def _mvm(self, x, quantize_output):
+        rows, cols, n = self.subarray_rows, self.subarray_cols, self.shape[1]
+        total = np.zeros(n, dtype=np.float64)
+        weights = slice_weights(self.device.bits_per_cell, self.n_slices)
+        for s, grid in enumerate(self._tiles):
+            plane = np.zeros(n, dtype=np.float64)
+            for r, row in enumerate(grid):
+                chunk = np.zeros(rows, dtype=np.float32)
+                piece = x[r * rows:(r + 1) * rows]
+                chunk[:piece.size] = piece
+                for c, tile in enumerate(row):
+                    out = tile.matvec(chunk, quantize_output=quantize_output)
+                    width = min(cols, n - c * cols)
+                    plane[c * cols:c * cols + width] += (
+                        out[:width] * (self.device.n_levels - 1))
+            total += plane * weights[s]
+        total -= _OFFSET * float(x.sum())   # every stored word carries +OFFSET
+        return (total * self.codec.scale).astype(np.float32)
+
+    def read_matrix(self, *, corrected=True):
+        decoded = self._read(0, self.shape[1], whole_tiles=True)
+        if not corrected:
+            return decoded
+        return self.mitigation.correct_read(self, decoded)
+
+    def read_columns(self, col0, col1, *, corrected=True):
+        decoded = self._read(col0, col1, whole_tiles=False)
+        if not corrected:
+            return decoded
+        return self.mitigation.correct_read_columns(self, decoded, col0, col1)
+
+    def _read(self, col0, col1, whole_tiles):
+        """Columns ``[col0, col1)``: a full read bills every cell of every
+        tile, a range read only the cells that hold the columns."""
+        rows, cols, d = self.subarray_rows, self.subarray_cols, self.shape[0]
+        value = np.zeros((d, col1 - col0), dtype=np.float64)
+        weights = slice_weights(self.device.bits_per_cell, self.n_slices)
+        for ct in range(col0 // cols, (col1 - 1) // cols + 1):
+            lo, hi = max(col0 - ct * cols, 0), min(col1 - ct * cols, cols)
+            out0 = ct * cols + lo - col0
+            for s, grid in enumerate(self._tiles):
+                for r, row in enumerate(grid):
+                    height = min(rows, d - r * rows)
+                    digits = (row[ct].read_cells()[:, lo:hi] if whole_tiles
+                              else row[ct].read_cells_range(lo, hi))
+                    value[r * rows:r * rows + height,
+                          out0:out0 + hi - lo] += digits[:height] * weights[s]
+        return self.codec.decode(value - _OFFSET)
+
+
+@contextmanager
+def per_tile_stores():
+    """Inside this block ``CiMSearchEngine.build`` programs per-tile stores."""
+    with mock.patch("repro.retrieval.engine.CiMMatrix", PerTileCiMMatrix):
+        yield

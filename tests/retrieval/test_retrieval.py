@@ -1,5 +1,7 @@
 """Tests for pooling, WMSDP and the CiM search engines."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.retrieval import (
     pad_rows,
     wmsdp_reference,
 )
+from tests.oracles.per_tile_cim import per_tile_stores
 
 RNG = np.random.default_rng(31)
 
@@ -226,12 +229,15 @@ class TestBatchedQueries:
         return [RNG.normal(size=(rows, dim)).astype(np.float32)
                 for _ in range(n)]
 
-    def _engine(self, sigma=0.0, config=SSA_CONFIG, on_cim=True,
-                vectorized=True, seed=0):
+    def _engine(self, sigma=0.0, config=SSA_CONFIG, on_cim=True, seed=0):
         return CiMSearchEngine(get_device("NVM-3"), sigma=sigma,
                                config=config, on_cim=on_cim,
-                               vectorized=vectorized,
                                rng=np.random.default_rng(seed))
+
+    def _build(self, engine, ovts, vectorized=True):
+        """Program the stores: TileBank, or the per-tile oracle's."""
+        with contextlib.nullcontext() if vectorized else per_tile_stores():
+            engine.build(ovts)
 
     def _queries(self, n=5):
         return [RNG.normal(size=(rows, 12)).astype(np.float32)
@@ -240,9 +246,8 @@ class TestBatchedQueries:
     @pytest.mark.parametrize("on_cim", [True, False])
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_batch_matches_sequential(self, on_cim, vectorized):
-        engine = self._engine(sigma=0.1, on_cim=on_cim,
-                              vectorized=vectorized)
-        engine.build(self._ovts())
+        engine = self._engine(sigma=0.1, on_cim=on_cim)
+        self._build(engine, self._ovts(), vectorized)
         queries = self._queries()
         batched = engine.query_batch(queries)
         sequential = np.stack([engine.query(q) for q in queries])
@@ -290,13 +295,20 @@ class TestBatchedQueries:
         assert delta < full_read / 100
 
     def test_aggregate_stats_layout_parity(self):
+        """Counters exactly, scores to float tolerance, same picks, same
+        restored OVT — TileBank stores vs the per-tile oracle's."""
         ovts = self._ovts(4)
         queries = self._queries(3)
-        totals = []
+        totals, scores, picks, restored = [], [], [], []
         for vectorized in (False, True):
-            engine = self._engine(sigma=0.1, vectorized=vectorized)
-            engine.build(ovts)
-            engine.query_batch(queries)
-            engine.restore(1)
+            engine = self._engine(sigma=0.1)
+            self._build(engine, ovts, vectorized)
+            scores.append(engine.query_batch(queries))
+            picks.append([int(i) for i in np.argmax(scores[-1], axis=1)])
+            restored.append(engine.restore(1))
             totals.append(engine.aggregate_stats())
         assert totals[0] == totals[1]
+        np.testing.assert_allclose(scores[0], scores[1],
+                                   rtol=1e-3, atol=1e-3)
+        assert picks[0] == picks[1]
+        np.testing.assert_array_equal(restored[0], restored[1])

@@ -58,17 +58,23 @@ def interleaved_requests(tok, user_ids=(0, 1, 2), per_user=3, *,
     return requests[::2] + requests[1::2]      # interleave users
 
 
+def sequential(engine, requests):
+    """The sequential reference: one :meth:`query` at a time."""
+    return [engine.query(request) for request in requests]
+
+
 class TestBatchedEquivalence:
     @pytest.mark.parametrize("temperature", [0.0, 0.7])
     def test_batched_equals_sequential_reference(self, setup, temperature):
         _, tok = setup
-        requests = interleaved_requests(tok, temperature=temperature)
-        sequential = build_engine(setup).answer_batch(requests,
-                                                      batched=False)
-        batched = build_engine(setup).answer_batch(requests)
-        assert batched == sequential           # every response field
-        assert [r.request_id for r in batched] == \
-            [r.request_id for r in requests]
+        for use_eos in (True, False):
+            requests = interleaved_requests(tok, temperature=temperature,
+                                            use_eos=use_eos)
+            reference = sequential(build_engine(setup), requests)
+            batched = build_engine(setup).answer_batch(requests)
+            assert batched == reference            # every response field
+            assert [r.request_id for r in batched] == \
+                [r.request_id for r in requests]
 
     def test_batched_equals_query_loop(self, setup):
         _, tok = setup
@@ -126,8 +132,7 @@ class TestDecodeRounds:
             rounds += 1
             assert report.n_active >= report.n_retired
         assert rounds > 0
-        reference = build_engine(setup).answer_batch(requests,
-                                                     batched=False)
+        reference = sequential(build_engine(setup), requests)
         assert [p.response for p in pendings] == reference
         assert engine.stats()["pending_generations"] == 0
 
@@ -185,8 +190,8 @@ class TestEvictionDuringRounds:
         assert not engine.has_session(0)
         while not all(p.done for p in pendings):
             engine.run_decode_round()
-        reference = build_engine(setup, user_ids=(0, 1)) \
-            .answer_batch(requests, batched=False)
+        reference = sequential(build_engine(setup, user_ids=(0, 1)),
+                               requests)
         assert [p.response for p in pendings] == reference
         assert engine.stats()["pending_generations"] == 0
         assert not any(p.cancelled for p in pendings)
@@ -202,8 +207,8 @@ class TestEvictionDuringRounds:
         assert engine.drop_session(0)
         while not all(p.done for p in pendings):
             engine.run_decode_round()
-        reference = build_engine(setup, user_ids=(0, 1)) \
-            .answer_batch(requests, batched=False)
+        reference = sequential(build_engine(setup, user_ids=(0, 1)),
+                               requests)
         assert [p.response for p in pendings] == reference
 
     def test_drop_session_cancel_pending_truncates_cleanly(self, setup):
@@ -223,8 +228,7 @@ class TestEvictionDuringRounds:
             engine.run_decode_round()
         reference = {r.user_id: response for r, response in zip(
             requests,
-            build_engine(setup, user_ids=(0, 1)).answer_batch(
-                requests, batched=False))}
+            sequential(build_engine(setup, user_ids=(0, 1)), requests))}
         # The cancelled answer is a clean prefix of the full one; the
         # survivor's batch slot was untouched by the cancellation.
         assert reference[0].answer.startswith(cancelled.response.answer)

@@ -384,8 +384,20 @@ class TestConfigSurface:
             FrameworkConfig()
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="buffer_size"):
             FrameworkConfig.from_dict({"buffer_size": 10})
+        # Nested sections name the section; the retired switches take
+        # exactly this path when a persisted JSON config still has them.
+        for data, key in [({"tuning": {"steps": 3, "batched": True}},
+                           "tuning.batched"),
+                          ({"k_selection": {"n_maxx": 4}},
+                           "k_selection.n_maxx"),
+                          ({"search": {"scale": [1]}}, "search.scale"),
+                          ({"vectorized": True}, "vectorized")]:
+            with pytest.raises(
+                    ValueError,
+                    match=f"unknown FrameworkConfig keys.*'{key}'"):
+                FrameworkConfig.from_dict(data)
 
     def test_every_preset_builds_and_round_trips(self):
         names = FrameworkConfig.available_presets()
@@ -504,7 +516,11 @@ class TestCiMTelemetry:
                                      generation=fast_generation(tok))] * 3
             engine.session(0).deployment()   # program outside measurement
             before = engine.stats()["cim_mvm_ops"]
-            engine.answer_batch(requests, batched=batched)
+            if batched:
+                engine.answer_batch(requests)
+            else:
+                for request in requests:
+                    engine.query(request)
             deltas.append(engine.stats()["cim_mvm_ops"] - before)
         assert deltas[0] == deltas[1] > 0
 

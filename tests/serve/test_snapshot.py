@@ -275,6 +275,54 @@ class TestGoldenFixture:
         assert struct.unpack_from("<H", blob, len(MAGIC))[0] == 1
 
 
+    def test_this_build_writes_no_retired_keys(self, trained_session):
+        """``vectorized`` / ``batched`` each only ever held one deployable
+        value; writers stopped emitting them without a schema bump."""
+        session, *_ = trained_session
+        retired = {"vectorized", "batched"}
+        for mode in ("raw", "recipe"):
+            blob = SessionSnapshot.capture(session, mode=mode).to_bytes()
+            assert not retired & set(_keys(_body(blob)))
+        # ...while the v1 fixture carries both: the reader strips them.
+        assert retired <= set(_keys(_body(GOLDEN_PATH.read_bytes())))
+
+    def test_per_tile_v1_config_refused(self, setup):
+        model, tok = setup
+        snap = SessionSnapshot.from_bytes(GOLDEN_PATH.read_bytes())
+        snap.config["vectorized"] = False
+        edited = SessionSnapshot.from_bytes(snap.to_bytes())
+        with pytest.raises(SnapshotError, match="per-tile"):
+            edited.build_session(model, tok)
+
+    @pytest.mark.parametrize("mode", ["raw", "recipe"])
+    def test_per_tile_v1_store_refused(self, setup, trained_session, mode):
+        """The golden session is undeployed, so the CiMMatrix half edits a
+        fresh capture into the form a v1 per-tile writer produced."""
+        model, tok = setup
+        session, *_ = trained_session
+        snap = SessionSnapshot.capture(session, mode=mode)
+        for store in snap.deployment["engine"]["stores"].values():
+            store["vectorized"] = False
+        edited = SessionSnapshot.from_bytes(snap.to_bytes())
+        with pytest.raises(SnapshotError, match="per-tile"):
+            edited.build_session(model, tok)
+
+
+def _body(blob):
+    return decode_value(blob[len(MAGIC) + 2:])
+
+
+def _keys(value):
+    """Every dict key anywhere inside a decoded snapshot body."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _keys(item)
+
+
 def regenerate_golden():
     model, tok = build_stack()
     engine = golden_engine(model, tok)

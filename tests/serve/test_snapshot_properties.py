@@ -40,14 +40,14 @@ def codec_roundtrip(snap):
 class TestCiMMatrixProperties:
     @settings(max_examples=25, deadline=None)
     @given(device_name=DEVICES, sigma=SIGMAS, adc_bits=ADC_BITS,
-           vectorized=st.booleans(), seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1))
     def test_snapshot_roundtrip_is_bit_identical(self, device_name, sigma,
-                                                 adc_bits, vectorized, seed):
+                                                 adc_bits, seed):
         device = get_device(device_name)
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(12, 5)).astype(np.float32)
         matrix = CiMMatrix(values, device, sigma=sigma, rows=8, cols=4,
-                           adc_bits=adc_bits, vectorized=vectorized,
+                           adc_bits=adc_bits,
                            rng=np.random.default_rng(seed + 1))
         query = rng.normal(size=12).astype(np.float32)
         matrix.matvec(query)
@@ -79,16 +79,13 @@ class TestCiMMatrixProperties:
 class TestSearchEngineProperties:
     @settings(max_examples=15, deadline=None)
     @given(device_name=DEVICES, sigma=SIGMAS, adc_bits=ADC_BITS,
-           vectorized=st.booleans(), n_ovts=st.integers(1, 4),
-           seed=st.integers(0, 2**32 - 1))
+           n_ovts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_store_roundtrip_scores_identically(self, device_name, sigma,
-                                                adc_bits, vectorized,
-                                                n_ovts, seed):
+                                                adc_bits, n_ovts, seed):
         device = get_device(device_name)
         config = dataclasses.replace(SSA_CONFIG, adc_bits=adc_bits)
         rng = np.random.default_rng(seed)
         engine = CiMSearchEngine(device, sigma=sigma, config=config,
-                                 vectorized=vectorized,
                                  rng=np.random.default_rng(seed + 1))
         engine.build([rng.normal(size=(rng.integers(2, 6), 8))
                       .astype(np.float32) for _ in range(n_ovts)])

@@ -1,4 +1,5 @@
-"""Batched padded training forwards must match the per-sample reference.
+"""Batched padded training forwards must match the per-sample oracle
+(``tests/oracles/tuning.py``: the mean of unpadded singleton batches).
 
 The matrix: {vanilla soft prompt, noise-aware} x {uniform, ragged lengths}
 x {with/without prefix-KV}, checking both loss values and prompt-parameter
@@ -28,6 +29,8 @@ from repro.tuning import (
     prefix_loss_for_batch,
     prompt_loss_for_batch,
 )
+from repro.tuning import dept, vanilla
+from tests.oracles.tuning import singleton_mean, train_per_sample
 
 LOSS_TOL = 1e-5
 GRAD_TOL = 1e-5
@@ -79,8 +82,10 @@ class TestLossAndGradientEquivalence:
                 if noise_seed is not None:
                     effective = NoiseInjector(
                         NoiseInjectionConfig(seed=noise_seed))(prompt)
-                loss = prompt_loss_for_batch(model, effective, samples, tok,
-                                             batched=batched)
+                def loss_fn(batch):
+                    return prompt_loss_for_batch(model, effective, batch, tok)
+                loss = (loss_fn(samples) if batched
+                        else singleton_mean(loss_fn, samples))
                 loss.backward()
                 results.append((float(loss.data), prompt.grad.copy()))
         (loss_ref, grad_ref), (loss_bat, grad_bat) = results
@@ -95,8 +100,10 @@ class TestLossAndGradientEquivalence:
         with freeze_model(model):
             for batched in (False, True):
                 prefixes = _prefixes(model)
-                loss = prefix_loss_for_batch(model, prefixes, samples, tok,
-                                             batched=batched)
+                def loss_fn(batch):
+                    return prefix_loss_for_batch(model, prefixes, batch, tok)
+                loss = (loss_fn(samples) if batched
+                        else singleton_mean(loss_fn, samples))
                 loss.backward()
                 results.append((float(loss.data),
                                 [p.grad.copy() for kv in prefixes
@@ -106,26 +113,30 @@ class TestLossAndGradientEquivalence:
         for ref, bat in zip(grads_ref, grads_bat):
             np.testing.assert_allclose(bat, ref, atol=GRAD_TOL)
 
-    def test_full_training_run_equivalence(self, setup):
+    def test_full_training_run_equivalence(self, setup, monkeypatch):
         """End to end: batched and reference training walk the same
         optimisation trajectory and land on the same prompt."""
         model, tok, _, ragged = setup
+        config = TuningConfig(steps=5, lr=0.05, seed=0)
         artifacts = {}
-        for batched in (False, True):
-            config = TuningConfig(steps=5, lr=0.05, seed=0, batched=batched)
+        for batched in (True, False):
+            if not batched:
+                train_per_sample(monkeypatch, vanilla)
             artifacts[batched] = VanillaPromptTuner(model, tok, config).fit(
                 ragged)
         np.testing.assert_allclose(artifacts[True].soft_prompt.matrix,
                                    artifacts[False].soft_prompt.matrix,
                                    atol=1e-4)
 
-    def test_dept_training_run_equivalence(self, setup):
+    def test_dept_training_run_equivalence(self, setup, monkeypatch):
         """DEPT's batched loss (delta-table gather + broadcast prompt) must
         walk the same trajectory as its per-sample reference."""
         model, tok, _, ragged = setup
+        config = TuningConfig(steps=3, lr=0.05, seed=0)
         artifacts = {}
-        for batched in (False, True):
-            config = TuningConfig(steps=3, lr=0.05, seed=0, batched=batched)
+        for batched in (True, False):
+            if not batched:
+                train_per_sample(monkeypatch, dept)
             artifacts[batched] = DEPTTuner(model, tok, config).fit(ragged)
         np.testing.assert_allclose(artifacts[True].soft_prompt.matrix,
                                    artifacts[False].soft_prompt.matrix,

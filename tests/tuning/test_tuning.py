@@ -85,14 +85,14 @@ class TestVanillaPromptTuner:
     def test_training_reduces_loss(self, setup):
         model, tok, samples = setup
         from repro.ag import Tensor
-        from repro.tuning import prompt_loss_for_sample
+        from repro.tuning import prompt_loss_for_batch
         artifact = VanillaPromptTuner(model, tok, CFG).fit(samples[:1])
         from repro.tuning.vanilla import initial_prompt_matrix
         init = initial_prompt_matrix(model, tok, samples[:1], 8,
                                      np.random.default_rng(0))
-        before = prompt_loss_for_sample(model, Tensor(init), samples[0], tok)
-        after = prompt_loss_for_sample(model, Tensor(artifact.soft_prompt.matrix),
-                                       samples[0], tok)
+        before = prompt_loss_for_batch(model, Tensor(init), samples[:1], tok)
+        after = prompt_loss_for_batch(model, Tensor(artifact.soft_prompt.matrix),
+                                      samples[:1], tok)
         assert float(after.data) < float(before.data)
 
     def test_base_model_unchanged(self, setup):
