@@ -3,9 +3,10 @@
 The serving stack's correctness rests on invariants no test exercises
 directly: every random draw flows from one experiment seed, engine
 mutations happen under the lock, snapshots capture all ``__init__``
-state, nothing deserializes through pickle, and stats keys declare how
-they aggregate.  This package checks them structurally, with pure
-stdlib ``ast`` — run ``python -m repro.analysis`` (see ``__main__``).
+state, nothing deserializes through pickle, stats keys declare how
+they aggregate, and the inference path builds no autograd graph.  This
+package checks them structurally, with pure stdlib ``ast`` — run
+``python -m repro.analysis`` (see ``__main__``).
 
 Importing the package registers the built-in rules in :data:`RULES`;
 importing :mod:`repro.analysis` never imports (or executes) the code it
@@ -29,6 +30,7 @@ from . import rules_lock  # noqa: F401
 from . import rules_snapshot  # noqa: F401
 from . import rules_security  # noqa: F401
 from . import rules_stats  # noqa: F401
+from . import rules_inference  # noqa: F401
 
 __all__ = [
     "RULES",

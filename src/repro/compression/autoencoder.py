@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ag import Adam, Linear, Module, Tensor, mse_loss, no_grad
+from ..ag import Adam, Linear, Module, Tensor, mse_loss
 from ..utils import rng_from_seed
 
 __all__ = ["AutoencoderConfig", "OVTAutoencoder"]
@@ -40,8 +40,17 @@ class AutoencoderConfig:
             raise ValueError("dimensions must be positive")
 
 
+def _affine(layer: Linear, x: np.ndarray) -> np.ndarray:
+    """``layer(x)`` on raw arrays: the same numpy ops, no autograd graph."""
+    return np.matmul(x, layer.weight.data) + layer.bias.data
+
+
 class OVTAutoencoder(Module):
-    """Two-layer tanh encoder/decoder between model space and NVM space."""
+    """Two-layer tanh encoder/decoder between model space and NVM space.
+
+    ``encode_tensor``/``decode_tensor`` are the training graph; ``encode``/
+    ``decode`` (every query's path) compute the same values graph-free.
+    """
 
     def __init__(self, config: AutoencoderConfig):
         super().__init__()
@@ -63,8 +72,7 @@ class OVTAutoencoder(Module):
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """Encode (n, input_dim) rows to (n, code_dim) codes."""
         rows = self._check_rows(rows)
-        with no_grad():
-            return self.encode_tensor(Tensor(rows)).data.copy()
+        return _affine(self.enc2, np.tanh(_affine(self.enc1, rows)))
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Decode (n, code_dim) codes back to model space."""
@@ -73,8 +81,7 @@ class OVTAutoencoder(Module):
             raise ValueError(
                 f"expected (n, {self.config.code_dim}) codes, got {codes.shape}"
             )
-        with no_grad():
-            return self.decode_tensor(Tensor(codes)).data.copy()
+        return _affine(self.dec2, np.tanh(_affine(self.dec1, codes)))
 
     def reconstruction_error(self, rows: np.ndarray) -> float:
         """RMS reconstruction error on ``rows``."""

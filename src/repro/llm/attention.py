@@ -4,16 +4,10 @@ The KV-prefix hook is what makes prefix tuning and P-tuning v2 possible:
 both inject trained ``(key, value)`` matrices that every query position may
 attend to, ahead of the causal window.
 
-The *past-KV* hook is what makes incremental decoding possible: a decode
-step feeds only the newest token plus the keys/values of everything already
-processed (``past_kv``), and the layer returns the extended cache so the
-next step can do the same.  Prefixes and past-KVs compose: the prefix is
-constant trained conditioning re-attached every call, while the past cache
-accumulates real positions.
-
-This module is the *training* attention: it records an autograd graph.
-Serving-time attention (prefill, the batched decode round, speculative
-verify) runs the same arithmetic graph-free in :mod:`repro.llm.infer`.
+This module is the *training* attention: it records an autograd graph and
+always sees whole sequences.  Serving-time attention (prefill, the batched
+decode round, speculative verify) runs the same arithmetic graph-free, over
+cached keys/values, in :mod:`repro.llm.infer`.
 """
 
 from __future__ import annotations
@@ -51,7 +45,8 @@ class MultiHeadSelfAttention(Module):
     def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
         return x.reshape(batch, length, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
 
-    def _check_kv(self, k: Tensor, v: Tensor, what: str) -> None:
+    def _check_kv(self, k: Tensor | np.ndarray, v: Tensor | np.ndarray,
+                  what: str) -> None:
         if k.shape != v.shape:
             raise ValueError(f"{what} keys/values must share a shape")
         if k.shape[1] != self.n_heads or k.shape[3] != self.d_head:
@@ -64,24 +59,14 @@ class MultiHeadSelfAttention(Module):
         self,
         x: Tensor,
         prefix_kv: KVPrefix | None = None,
-        past_kv: KVPrefix | None = None,
-        use_cache: bool = False,
         key_padding_mask: np.ndarray | None = None,
-    ) -> Tensor | tuple[Tensor, KVPrefix]:
+    ) -> Tensor:
         """Attend over ``x`` (batch, T, d_model), optionally over a prefix.
 
         Prefix keys/values are visible to *all* query positions; the causal
         mask applies only among the real tokens.
 
-        ``past_kv`` carries the keys/values of previously processed
-        positions (cached tokens, *excluding* any prefix), each shaped
-        (batch, heads, T_past, d_head); the queries in ``x`` then occupy
-        positions ``T_past .. T_past+T-1`` of the causal window.  With
-        ``use_cache=True`` the return value is ``(output, (k, v))`` where
-        ``(k, v)`` extend ``past_kv`` with this call's positions — pass
-        them back as the next step's ``past_kv``.
-
-        ``key_padding_mask`` is a boolean (batch, T_past + T) array, True at
+        ``key_padding_mask`` is a boolean (batch, T) array, True at
         padded token positions: those keys receive zero attention weight
         from every query.  Prefix keys are trained conditioning and are
         never padded, so the mask covers only the real token positions.
@@ -90,15 +75,6 @@ class MultiHeadSelfAttention(Module):
         q = self._split_heads(self.q_proj(x), batch, length)
         k = self._split_heads(self.k_proj(x), batch, length)
         v = self._split_heads(self.v_proj(x), batch, length)
-
-        past_len = 0
-        if past_kv is not None:
-            past_k, past_v = past_kv
-            self._check_kv(past_k, past_v, "past")
-            past_len = past_k.shape[2]
-            k = cat([past_k, k], axis=2)
-            v = cat([past_v, v], axis=2)
-        present = (k, v) if use_cache else None
 
         prefix_len = 0
         if prefix_kv is not None:
@@ -109,13 +85,13 @@ class MultiHeadSelfAttention(Module):
             v = cat([pv, v], axis=2)
 
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.d_head))
-        mask = self._causal_mask(length, prefix_len, past_len)
+        mask = self._causal_mask(length, prefix_len)
         if key_padding_mask is not None:
             padded = np.asarray(key_padding_mask, dtype=bool)
-            if padded.shape != (batch, past_len + length):
+            if padded.shape != (batch, length):
                 raise ValueError(
                     f"key_padding_mask shaped {padded.shape} incompatible "
-                    f"with batch {batch} and {past_len + length} token keys"
+                    f"with batch {batch} and {length} token keys"
                 )
             if prefix_len:
                 padded = np.concatenate(
@@ -125,10 +101,7 @@ class MultiHeadSelfAttention(Module):
         weights = softmax(scores, axis=-1)
         context = weights @ v  # (batch, heads, T, d_head)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, length, self.d_model)
-        out = self.out_proj(merged)
-        if use_cache:
-            return out, present
-        return out
+        return self.out_proj(merged)
 
     @staticmethod
     def _causal_mask(length: int, prefix_len: int,

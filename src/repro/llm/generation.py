@@ -4,27 +4,26 @@ Matches the paper's inference settings: temperature 0.1 (near-greedy) and at
 most 100 generated tokens.  Generation optionally consumes the two prompt
 conditioning mechanisms (soft-prompt embeddings and per-layer KV prefixes).
 
-Decoding is incremental: the prompt (soft prompt included) is run through
-the model once (*prefill*, on the graph-free :mod:`~repro.llm.infer`
-kernels), and every subsequent token is a single-position forward against
-the growing :class:`~repro.llm.kv_cache.KVCache` — O(T) per step instead
-of re-running the whole sequence.  The full-reforward loop it replaced
-lives on as a test oracle (``tests/oracles/generation.py``); both emit
-identical token ids under identical seeds.
+Decoding is incremental and graph-free (:mod:`~repro.llm.infer`): the
+prompt (soft prompt included) is run through the model once
+(:func:`prefill`), and every subsequent token is a single-position forward
+against the growing :class:`~repro.llm.kv_cache.KVCache` — O(T) per step
+instead of re-running the whole sequence.
 
-The prefill/decode split is also public (:func:`prefill`,
-:func:`decode_from`) so the serving engine can run a prompt's prefill once
-and reuse it across repeated queries.
+There is one decode loop.  A :class:`DecodeScheduler` holds any number of
+in-flight generations and advances *all* of them per round through a
+single batched forward (:meth:`~repro.llm.transformer.TinyCausalLM
+.decode_span`), admitting new sequences and retiring finished ones (EOS,
+token budget, context limit) between rounds.  Each sequence keeps its own
+compact cache, rng stream, and sampling config, and the batched forward is
+bit-exact per sequence, so batching changes aggregate throughput, never
+answers; :func:`decode_from` and :func:`generate` are the scheduler with a
+batch of one.  The prefill/decode split is public so the serving engine
+can run a prompt's prefill once and reuse it across repeated queries.
 
-Continuous batching builds on that split: a :class:`DecodeScheduler`
-holds many in-flight generations and advances *all* of them one token per
-round through a single batched forward
-(:meth:`~repro.llm.transformer.TinyCausalLM.decode_round`), admitting new
-sequences and retiring finished ones (EOS, token budget, context limit)
-between rounds.  Every sequence's output is token-identical to decoding it
-alone with :func:`decode_from` — each keeps its own compact cache, rng
-stream, and sampling config — so batching changes aggregate throughput,
-never answers.
+The loops this replaced — full reforward per token, and the cached
+autograd step — live on as test oracles (``tests/oracles/generation.py``);
+all three emit identical token ids under identical seeds.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ag import Tensor, no_grad
+from ..ag import Tensor
 from . import infer
 from .attention import KVPrefix
 from .kv_cache import BatchedKVCache, KVCache
@@ -67,10 +66,10 @@ class GenerationConfig:
 class PrefillState:
     """One prompt run through the model, ready to decode from.
 
-    Reusable: :func:`decode_from` never mutates the state or its cache, so
-    one prefill can seed any number of decodes (different seeds,
-    temperatures, budgets).  The KV prefix the prompt was conditioned on is
-    recorded here and re-attached on every decode step — callers cannot
+    Reusable: decoding never mutates the state or its cache, so one
+    prefill can seed any number of decodes (different seeds, temperatures,
+    budgets).  The KV prefix the prompt was conditioned on is recorded
+    here and re-attached on every decode round — callers cannot
     accidentally decode with mismatched conditioning.
     """
 
@@ -108,8 +107,8 @@ def prefill(
     """Run the prompt once with a KV cache and return the decode-ready state.
 
     Graph-free (:func:`repro.llm.infer.extend`): bitwise the autograd
-    ``model(..., use_cache=True)`` in eval mode, whatever mode ``model`` is
-    in, and it writes no module state.
+    forward in eval mode, whatever mode ``model`` is in, and it writes no
+    module state.
 
     Raises ``ValueError`` when the prompt (plus soft-prompt rows) already
     fills the context window — there would be no room to generate.
@@ -142,41 +141,13 @@ def decode_from(
     state: PrefillState,
     config: GenerationConfig = GenerationConfig(),
 ) -> np.ndarray:
-    """Sample a continuation from a :class:`PrefillState`, one token per step.
+    """Sample a continuation from a :class:`PrefillState`.
 
-    The KV prefix recorded at prefill time is re-attached on every step —
-    it is constant conditioning, not part of the cache.  The state itself
-    is left untouched (decode again for another sample).
+    The scheduler with a batch of one (:func:`decode_batch`): the KV prefix
+    recorded at prefill time is re-attached on every round, and the state
+    itself is left untouched (decode again for another sample).
     """
-    rng = rng_from_seed(config.seed)
-    budget = model.config.max_seq_len - state.virtual_len
-    total = state.n_tokens
-    logits = state.last_logits
-    cache = state.cache
-    generated: list[int] = []
-    was_training = model.training
-    if was_training:
-        model.eval()
-    try:
-        with no_grad():
-            for _ in range(config.max_new_tokens):
-                if total >= budget:
-                    break
-                if generated:
-                    step_out, cache = model(
-                        np.array([[generated[-1]]], dtype=np.int64),
-                        prefix_kv=state.prefix_kv, past_kv=cache,
-                        use_cache=True)
-                    logits = step_out.data[0, -1]
-                next_id = _sample(logits, config.temperature, rng)
-                if config.eos_id is not None and next_id == config.eos_id:
-                    break
-                generated.append(next_id)
-                total += 1
-    finally:
-        if was_training:
-            model.train()
-    return np.asarray(generated, dtype=np.int64)
+    return decode_batch(model, [state], config)[0]
 
 
 def generate(
@@ -189,10 +160,11 @@ def generate(
 ) -> np.ndarray:
     """Generate a continuation of ``token_ids`` (1-D array of ids).
 
-    :func:`prefill` once, then :func:`decode_from` one position per step.
+    :func:`prefill` once, then :func:`decode_from` one position per round.
 
     Args:
-        model: the language model (used in eval mode, no gradients).
+        model: the language model (dropout is the identity and no graph is
+            built, whatever mode it is in; no module state is written).
         token_ids: the user-input ids.
         config: sampling parameters.
         soft_prompt: optional (P, d_model) virtual-token matrix prepended to
@@ -319,16 +291,15 @@ class DecodeScheduler:
     :meth:`decode_round`, through a single batched forward; finished
     sequences retire between rounds and new ones may be admitted at any
     time ("in-flight batching").  Each sequence's tokens are identical to
-    what :func:`decode_from` would produce from the same state — greedy
-    and seeded sampling alike — because the batched forward is bit-exact
-    per sequence and every sequence keeps a private rng stream.
+    what it would produce decoded alone from the same state — greedy and
+    seeded sampling alike — because the batched forward is bit-exact per
+    sequence and every sequence keeps a private rng stream.
 
     A :class:`~repro.llm.speculative.SpeculativeDecoder` may be attached
     at construction: rounds then draft several tokens per sequence with a
-    small model and verify them in one forward of ``model``
-    (token-identical for greedy sequences, plain rounds for the rest).
-    ``speculative=None`` is the sequential-reference path, byte-for-byte
-    the pre-speculation behaviour.
+    small model and verify them in the round's one forward of ``model``
+    (token-identical for greedy sequences; the rest, and every sequence
+    when ``speculative=None``, draft nothing and gain one token).
     """
 
     def __init__(self, model: TinyCausalLM, *, speculative=None):
@@ -361,9 +332,8 @@ class DecodeScheduler:
         """Add one prefilled sequence to the in-flight batch.
 
         The first token is sampled right here from the prefill logits (no
-        forward needed), exactly as :func:`decode_from` does; a sequence
-        that immediately hits EOS or a limit retires without ever joining
-        a round.  ``deadline`` (a ``time.monotonic()`` timestamp) bounds
+        forward needed); a sequence that immediately hits EOS or a limit
+        retires without ever joining a round.  ``deadline`` (a ``time.monotonic()`` timestamp) bounds
         how long the sequence may stay in flight: a round that starts
         after the deadline retires it with whatever tokens it has, the
         serving building block for per-request latency SLOs.
@@ -437,35 +407,65 @@ class DecodeScheduler:
             return DecodeRoundReport(0, 0, n_expired, n_expired=n_expired)
         if self.speculative is not None:
             return self.speculative.advance(self, n_expired)
-        return self._plain_round(n_expired)
+        return self._round([()] * len(self._active), n_expired)[0]
 
-    def _plain_round(self, n_expired: int) -> DecodeRoundReport:
-        """The sequential-reference round: one token per sequence."""
+    def _round(self, proposals: Sequence[Sequence[int]], n_expired: int,
+               ) -> tuple[DecodeRoundReport, list[int]]:
+        """The one round body; returns the report and, per sequence, how
+        many of its ``proposals`` the model confirmed.
+
+        Sequence ``s`` feeds its newest token followed by ``proposals[s]``
+        (drafted continuations; empty for a plain one-token advance) and
+        gets one logits row per fed token.  Rows are absorbed in order
+        until one samples something other than the token fed after it:
+        exactly the tokens one-token rounds would have emitted.
+        """
         active = self._active
-        model = self.model
-        tokens = np.array([seq.generated[-1] for seq in active],
-                          dtype=np.int64)
+        drafted = any(proposals)
+        spans = [[seq.generated[-1], *props]
+                 for seq, props in zip(active, proposals)]
         batched = BatchedKVCache.stack([seq.cache for seq in active])
         prefixes = None
         if any(seq.state.prefix_kv is not None for seq in active):
             prefixes = [seq.state.prefix_kv for seq in active]
-        logits, extended = model.decode_round(tokens, batched,
-                                              prefix_kvs=prefixes)
-        emitted = 0
-        logits_data = logits.data
-        for i, (seq, cache) in enumerate(zip(active, extended.split())):
-            seq.cache = cache
-            emitted += seq._absorb(logits_data[i, -1])
+        # decode_round is decode_span's every-span-is-one-token case under
+        # the name the measurement spine traces plain rounds by.
+        forward = self.model.decode_span if drafted else self.model.decode_round
+        logits, extended = forward(spans, batched, prefix_kvs=prefixes)
+        emitted = row = 0
+        accepted: list[int] = []
+        for seq, props, cache in zip(active, proposals, extended.split()):
+            confirmed = 0
+            # The row after the last proposal yields the model's own next
+            # token, which confirms nothing (None matches no token).
+            for fed, proposed in enumerate([*props, None], start=1):
+                landed = seq._absorb(logits[row + fed - 1, -1])
+                emitted += landed
+                if not landed or seq.generated[-1] != proposed:
+                    break
+                confirmed += 1
+                if seq.finished:
+                    break
+            # One-token rounds would have cached exactly the ``fed`` tokens
+            # absorbed from; anything further is rejected speculation.
+            # Views suffice: the source buffer is dropped next round and
+            # its tail is at most a few positions.
+            seq.cache = cache.truncate(seq.cache.seq_len + fed, copy=False)
+            accepted.append(confirmed)
+            row += 1 + len(props)
+            self.draft_proposed += len(props)
+            self.draft_accepted += confirmed
         self._active = [seq for seq in active if not seq.finished]
-        retired = len(active) - len(self._active)
         self.rounds += 1
         self.forwards += 1
+        self.spec_rounds += drafted
         self.tokens_emitted += emitted
         self.occupancy_sum += len(active)
+        retired = len(active) - len(self._active)
         return DecodeRoundReport(tokens_emitted=emitted,
                                  n_active=len(active),
                                  n_retired=retired + n_expired,
-                                 n_expired=n_expired)
+                                 n_expired=n_expired), accepted
 
     def run(self) -> None:
         """Round until every admitted sequence has retired."""
@@ -482,7 +482,7 @@ def decode_batch(
 
     ``configs`` may be one config for all states or one per state.  The
     result order matches ``states``, and each entry is token-identical to
-    ``decode_from(model, state, config)`` run on its own.
+    decoding that state on its own (:func:`decode_from`).
     """
     states = list(states)
     if configs is None:

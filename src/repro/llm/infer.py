@@ -28,7 +28,11 @@ The two forward shapes built on them:
   and drifts by ulps.)
 * *extend* (:func:`extend`): one sequence, many positions, causal mask,
   optional KV prefix and past cache — prefill and the draft model's
-  catch-up.  Bitwise the autograd ``forward(..., use_cache=True)``.
+  catch-up.  Bitwise the autograd attention over the same keys (the
+  cached step kept in ``tests/oracles/generation.py``).
+
+Caches are plain float32 ndarrays (:class:`~repro.llm.kv_cache.KVCache`);
+only the trained KV prefixes arrive as ``Tensor`` pairs.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ag import Embedding, QuantizedLinear, Tensor
+from ..ag import Embedding, QuantizedLinear
 from ..ag.functional import _GELU_COEFF, _SQRT_2_OVER_PI
 from .attention import KVPrefix
-from .kv_cache import KVCache
+from .kv_cache import KVArrays, KVCache
 
 __all__ = ["NEG_INF", "embed", "layer_norm", "affine", "gelu", "softmax_",
            "mlp", "logits", "attention_scale", "span_attention", "extend"]
@@ -120,10 +124,10 @@ def _merge(attn, context: np.ndarray) -> np.ndarray:
 def span_attention(
     attn,
     h: np.ndarray,
-    past: Sequence[KVPrefix],
+    past: Sequence[KVArrays],
     spans: Sequence[int],
     prefixes: Sequence[KVPrefix | None] | None = None,
-) -> tuple[np.ndarray, list[KVPrefix]]:
+) -> tuple[np.ndarray, list[KVArrays]]:
     """Attention for ``sum(spans)`` new positions of ``len(spans)`` sequences.
 
     ``h`` is ``(sum(spans), 1, d_model)``: sequence ``s`` owns ``spans[s]``
@@ -136,7 +140,7 @@ def span_attention(
     q, k, v = _heads(attn, h)
     # Per row: the (keys, values) slices it attends over.
     attended: list[tuple[np.ndarray, np.ndarray]] = []
-    present: list[KVPrefix] = []
+    present: list[KVArrays] = []
     row = width = 0
     for s, span in enumerate(spans):
         past_k, past_v = past[s]
@@ -158,8 +162,8 @@ def span_attention(
         if prefix is not None:
             buf_k[:, :, :prefix_len] = prefix[0].data
             buf_v[:, :, :prefix_len] = prefix[1].data
-        buf_k[:, :, prefix_len:base] = past_k.data
-        buf_v[:, :, prefix_len:base] = past_v.data
+        buf_k[:, :, prefix_len:base] = past_k
+        buf_v[:, :, prefix_len:base] = past_v
         buf_k[0, :, base:] = k[row:row + span, :, 0].transpose(1, 0, 2)
         buf_v[0, :, base:] = v[row:row + span, :, 0].transpose(1, 0, 2)
         attended += [(buf_k[:, :, :at], buf_v[:, :, :at])
@@ -169,8 +173,7 @@ def span_attention(
         # Views, not copies, past the prefix: the next round copies them
         # into its own buffer before any matmul reads them (the argument
         # ``KVCache.truncate(copy=False)`` relies on).
-        present.append((Tensor(buf_k[:, :, prefix_len:]),
-                        Tensor(buf_v[:, :, prefix_len:])))
+        present.append((buf_k[:, :, prefix_len:], buf_v[:, :, prefix_len:]))
     # What BLAS and numpy's pairwise summation compute depends on the
     # operand's length, so the two matmuls and the softmax sum run row by
     # row over compact slices.  Scaling, the max shift, exp and the
@@ -195,17 +198,17 @@ def span_attention(
     return _merge(attn, contexts), present
 
 
-def _causal_attention(attn, h: np.ndarray, past: KVPrefix | None,
-                      prefix: KVPrefix | None) -> tuple[np.ndarray, KVPrefix]:
-    """``MultiHeadSelfAttention.forward(..., use_cache=True)`` on arrays."""
+def _causal_attention(attn, h: np.ndarray, past: KVArrays | None,
+                      prefix: KVPrefix | None) -> tuple[np.ndarray, KVArrays]:
+    """``MultiHeadSelfAttention.forward`` on arrays, over a past cache."""
     length = h.shape[1]
     q, k, v = _heads(attn, h)
     past_len = prefix_len = 0
     if past is not None:
         attn._check_kv(past[0], past[1], "past")
         past_len = past[0].shape[2]
-        k = np.concatenate([past[0].data, k], axis=2)
-        v = np.concatenate([past[1].data, v], axis=2)
+        k = np.concatenate([past[0], k], axis=2)
+        v = np.concatenate([past[1], v], axis=2)
     keys, values = k, v
     if prefix is not None:
         attn._check_kv(prefix[0], prefix[1], "prefix")
@@ -218,11 +221,12 @@ def _causal_attention(attn, h: np.ndarray, past: KVPrefix | None,
                   where=attn._causal_mask(length, prefix_len, past_len))
     context = np.matmul(softmax_(scores), values)
     # The attention above ran on forward's own (strided) views; the cache
-    # is handed on C-contiguous so that the sequential oracle's
-    # ``cat([past, new])`` — which inherits its inputs' memory order — and
-    # the span forward's buffer present BLAS the same key layout.
-    return _merge(attn, context), (Tensor(np.ascontiguousarray(k)),
-                                   Tensor(np.ascontiguousarray(v)))
+    # is handed on C-contiguous so that the autograd oracle's
+    # ``cat([past, new])`` (tests/oracles/generation.py) — which inherits
+    # its inputs' memory order — and the span forward's buffer present
+    # BLAS the same key layout.
+    return _merge(attn, context), (np.ascontiguousarray(k),
+                                   np.ascontiguousarray(v))
 
 
 def extend(
@@ -246,7 +250,7 @@ def extend(
     if past is not None:
         if past.n_layers != len(blocks):
             raise ValueError(
-                f"past_kv has {past.n_layers} layers for {len(blocks)} blocks")
+                f"past has {past.n_layers} layers for {len(blocks)} blocks")
         past_len = past.seq_len
     length = x.shape[1]
     if past_len + length > model.config.max_seq_len:
@@ -258,7 +262,7 @@ def extend(
             f"prefix_kv has {len(prefix_kv)} entries for {len(blocks)} layers")
     x = x + embed(model.position_embedding,
                   np.arange(past_len, past_len + length))
-    layers: list[KVPrefix] = []
+    layers: list[KVArrays] = []
     for i, block in enumerate(blocks):
         attended, present = _causal_attention(
             block.attn, layer_norm(x, block.ln1),

@@ -1,25 +1,28 @@
 """Per-layer key/value caches for incremental decoding.
 
 A :class:`KVCache` holds, for every transformer layer, the keys and values
-of all positions processed so far, shaped ``(batch, heads, T, d_head)``.
-Caches are value-immutable: each forward pass with ``use_cache=True``
-returns a *new* cache whose tensors extend the old one (the old cache and
-its tensors are never mutated), so a prefill cache can be shared safely
-between many decodes — the basis of the serving engine's prefill reuse.
+of all positions processed so far: float32 ndarrays shaped ``(batch, heads,
+T, d_head)`` — nothing autograd ever consumes a cache, so there is no
+``Tensor`` here.  Caches are value-immutable: prefill and every decode
+round (:mod:`repro.llm.infer`) return a *new* cache whose arrays extend the
+old one (the old cache and its arrays are never mutated), so a prefill
+cache can be shared safely between many decodes — the basis of the serving
+engine's prefill reuse.
 
 A :class:`BatchedKVCache` groups many single-sequence caches so one decode
 round can advance them together even though their cached lengths are
 ragged (different users' prompts, admitted at different times).  Because
 single-sequence caches are value-immutable, :meth:`BatchedKVCache.stack`
 and :meth:`BatchedKVCache.split` are O(batch) reference operations — no
-tensor is ever copied or padded.  Keeping each sequence's rows compact
+array is ever copied or padded.  Keeping each sequence's rows compact
 (rather than right-padding to the longest and masking) is what lets the
-batched decode round reproduce the sequential path bit-for-bit: padded
-reductions change numpy's summation tree and drift by ulps.
+batched decode round reproduce each sequence decoded alone, bit for bit:
+padded reductions change numpy's summation tree and drift by ulps.
 
 Trained KV *prefixes* (prefix tuning / P-tuning v2) are deliberately not
-stored here: they are constant conditioning re-attached by the attention
-layer on every step, while the cache only accumulates real positions.
+stored here: they are constant conditioning (``Tensor`` pairs, trained
+through the autograd forward) re-attached on every step, while the cache
+only accumulates real positions.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ag import Tensor
-from .attention import KVPrefix
-
 __all__ = ["KVCache", "BatchedKVCache"]
+
+# One layer's cached (keys, values), each (batch, heads, T, d_head) float32.
+KVArrays = tuple[np.ndarray, np.ndarray]
 
 
 class KVCache:
@@ -39,7 +42,7 @@ class KVCache:
 
     __slots__ = ("_layers",)
 
-    def __init__(self, layers: list[KVPrefix]):
+    def __init__(self, layers: list[KVArrays]):
         if not layers:
             raise ValueError("KVCache needs at least one layer")
         lengths = {kv[0].shape[2] for kv in layers}
@@ -64,14 +67,13 @@ class KVCache:
     def batch_size(self) -> int:
         return self._layers[0][0].shape[0]
 
-    def layer(self, index: int) -> KVPrefix:
+    def layer(self, index: int) -> KVArrays:
         """The cached ``(key, value)`` pair of one layer."""
         return self._layers[index]
 
     def memory_bytes(self) -> int:
         """Approximate cache footprint (for serving telemetry)."""
-        return sum(kv[0].data.nbytes + kv[1].data.nbytes
-                   for kv in self._layers)
+        return sum(k.nbytes + v.nbytes for k, v in self._layers)
 
     def truncate(self, length: int, *, copy: bool = True) -> "KVCache":
         """A new cache covering only the first ``length`` positions.
@@ -82,7 +84,7 @@ class KVCache:
         length.  The original cache is untouched (value-immutability is
         the contract everything else relies on).  With ``copy=True`` the
         kept rows are copied so the truncated cache never pins the
-        rejected tensors alive; ``copy=False`` returns zero-copy views
+        rejected arrays alive; ``copy=False`` returns zero-copy views
         for hot paths that drop the source within a round anyway (the
         rejected tail is at most a few positions, so pinning it costs
         almost nothing).
@@ -94,17 +96,12 @@ class KVCache:
             )
         if length == self.seq_len:
             return self
+        layers = [(k[:, :, :length], v[:, :, :length])
+                  for k, v in self._layers]
         if copy:
-            return KVCache([
-                (Tensor(np.ascontiguousarray(k.data[:, :, :length, :])),
-                 Tensor(np.ascontiguousarray(v.data[:, :, :length, :])))
-                for k, v in self._layers
-            ])
-        return KVCache([
-            (Tensor(k.data[:, :, :length, :]),
-             Tensor(v.data[:, :, :length, :]))
-            for k, v in self._layers
-        ])
+            layers = [(np.ascontiguousarray(k), np.ascontiguousarray(v))
+                      for k, v in layers]
+        return KVCache(layers)
 
     def __len__(self) -> int:
         return self.n_layers
@@ -174,7 +171,7 @@ class BatchedKVCache:
         """One sequence's cache."""
         return self._caches[index]
 
-    def layer_slices(self, index: int) -> list[KVPrefix]:
+    def layer_slices(self, index: int) -> list[KVArrays]:
         """One layer's cached ``(key, value)`` pair for every sequence."""
         return [cache.layer(index) for cache in self._caches]
 

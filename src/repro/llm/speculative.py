@@ -5,16 +5,17 @@ token per base-model forward.  Speculative decoding breaks that coupling:
 a *draft* model — a shallower/narrower :class:`TinyCausalLM` sharing the
 tokenizer, typically built by :func:`build_draft_model` and distilled on
 base-model output by :func:`distill_draft` — proposes up to ``k`` tokens
-per sequence per round, and the base model verifies all of them in **one**
-ragged forward (:meth:`TinyCausalLM.decode_span`).  Accepted tokens cost
-a fraction of a forward each; the first mismatch is repaired for free,
-because the verify logits at the mismatching position are exactly the
-logits greedy decoding needed anyway.
+per sequence per round, and the base model verifies all of them in the
+round's **one** ragged forward (:meth:`TinyCausalLM.decode_span`, run by
+the scheduler's single round body — a plain round is the same body with
+nothing proposed).  Accepted tokens cost a fraction of a forward each;
+the first mismatch is repaired for free, because the verify logits at the
+mismatching position are exactly the logits greedy decoding needed anyway.
 
 Token-identity, not approximation
 ---------------------------------
 For greedy sequences (``temperature == 0``) the output is *bit-for-bit*
-the sequential reference: every verify logits row is computed as its own
+what one-token rounds emit: every verify logits row is computed as its own
 batch-of-one slice over that sequence's compact cache (see
 ``decode_span``), so the accept/reject comparison reproduces exactly the
 tokens ``DecodeScheduler`` would have emitted one round at a time.  The
@@ -37,8 +38,8 @@ Cache accounting
 ----------------
 The verify forward extends each sequence's base-model cache with every
 fed position; the rejected suffix is rolled back with
-:meth:`KVCache.truncate`, landing on exactly the cache the sequential
-path would hold.  The draft model keeps its own per-sequence cache
+:meth:`KVCache.truncate`, landing on exactly the cache one-token rounds
+would hold.  The draft model keeps its own per-sequence cache
 (``DecodeSequence.draft_cache``) over the raw token stream, truncated to
 the accepted prefix after every round and caught up at the start of the
 next.
@@ -62,12 +63,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ag import Tensor
 from ..utils import Registry
 from . import infer
 from .generation import (DecodeRoundReport, DecodeScheduler, DecodeSequence,
                          GenerationConfig, generate)
-from .kv_cache import BatchedKVCache, KVCache
+from .kv_cache import KVCache
 from .pretrain import PretrainConfig, pretrain_lm
 from .registry import (EdgeModelSpec, MODEL_REGISTRY, build_model,
                        register_model)
@@ -244,8 +244,8 @@ class _DraftRound:
             values = np.zeros_like(keys)
             for s, cache in enumerate(caches):
                 past_k, past_v = cache.layer(index)
-                keys[s, :, :past_k.shape[2]] = past_k.data[0]
-                values[s, :, :past_v.shape[2]] = past_v.data[0]
+                keys[s, :, :past_k.shape[2]] = past_k[0]
+                values[s, :, :past_v.shape[2]] = past_v[0]
             self.keys.append(keys)
             self.values.append(values)
 
@@ -301,12 +301,10 @@ class _DraftRound:
 
     def cache_of(self, row: int, length: int) -> KVCache:
         """Sequence ``row``'s first ``length`` positions as a compact cache."""
-        layers = [
-            (Tensor(np.ascontiguousarray(keys[row:row + 1, :, :length])),
-             Tensor(np.ascontiguousarray(values[row:row + 1, :, :length])))
-            for keys, values in zip(self.keys, self.values)
-        ]
-        return KVCache(layers)
+        return KVCache([
+            (np.ascontiguousarray(keys[row:row + 1, :, :length]),
+             np.ascontiguousarray(values[row:row + 1, :, :length]))
+            for keys, values in zip(self.keys, self.values)])
 
 
 # ----------------------------------------------------------------------
@@ -373,84 +371,23 @@ class SpeculativeDecoder:
 
         Called by :meth:`DecodeScheduler.decode_round` (deadline expiry
         already done, at least one sequence active).  Drafts with the
-        small model, verifies everything in one base forward, absorbs the
-        longest accepted prefix per sequence plus the base model's own
-        next token, rolls caches back, and updates the scheduler's
-        counters exactly as a plain round would.
+        small model, hands the proposals to the scheduler's round body —
+        which verifies them in its one base forward, absorbs the longest
+        confirmed prefix per sequence plus the base model's own next
+        token, and rolls caches back — then trims the draft caches to
+        what survived.
         """
-        active = scheduler._active
-        proposals, states = self._propose(scheduler, active)
-        if not any(proposals):
-            # Nothing drafted (ineligible batch or low confidence): run
-            # the unmodified single-token reference round — but first
-            # commit any catch-up the draft buffers absorbed, so the
-            # draft caches stay aligned with their sequences.
-            for state in states:
-                if state.seq.draft_len < state.ctx_len:
-                    state.seq.draft_cache = state.round.cache_of(
-                        state.row, state.ctx_len)
-                    state.seq.draft_len = state.ctx_len
-            return scheduler._plain_round(n_expired)
-
-        spans = [
-            np.concatenate(([seq.generated[-1]],
-                            np.asarray(props, dtype=np.int64)))
-            for seq, props in zip(active, proposals)
-        ]
-        batched = BatchedKVCache.stack([seq.cache for seq in active])
-        prefixes = None
-        if any(seq.state.prefix_kv is not None for seq in active):
-            prefixes = [seq.state.prefix_kv for seq in active]
-        logits, extended = scheduler.model.decode_span(spans, batched,
-                                                       prefix_kvs=prefixes)
-        scheduler.forwards += 1
-
-        logits_data = logits.data
-        emitted = 0
-        row = 0
-        accepted_by_index: dict[int, int] = {}
-        for i, (seq, cache) in enumerate(zip(active, extended.split())):
-            props = proposals[i]
-            old_len = seq.cache.seq_len
-            n_calls = 0
-            accepted = 0
-            for j in range(len(props) + 1):
-                landed = seq._absorb(logits_data[row + j, -1])
-                n_calls += 1
-                emitted += landed
-                matched = bool(landed) and j < len(props) \
-                    and seq.generated[-1] == props[j]
-                if matched:
-                    accepted += 1
-                if not matched or seq.finished:
-                    break
-            # The sequential path would have run n_calls one-token rounds,
-            # caching exactly the tokens it fed; everything further is the
-            # rejected speculation.  Views suffice: the source buffer is
-            # dropped next round and its tail is at most a few positions.
-            seq.cache = cache.truncate(old_len + n_calls, copy=False)
-            accepted_by_index[i] = accepted
-            row += len(props) + 1
-            if props:
-                scheduler.draft_proposed += len(props)
-                scheduler.draft_accepted += accepted
-
+        proposals, states = self._propose(scheduler, scheduler._active)
+        report, accepted = scheduler._round(proposals, n_expired)
         for state in states:
-            accepted = accepted_by_index[state.index]
-            keep = state.ctx_len + min(accepted, state.fed)
-            state.seq.draft_cache = state.round.cache_of(state.row, keep)
-            state.seq.draft_len = keep
-
-        scheduler._active = [seq for seq in active if not seq.finished]
-        retired = len(active) - len(scheduler._active)
-        scheduler.rounds += 1
-        scheduler.spec_rounds += 1
-        scheduler.tokens_emitted += emitted
-        scheduler.occupancy_sum += len(active)
-        return DecodeRoundReport(tokens_emitted=emitted,
-                                 n_active=len(active),
-                                 n_retired=retired + n_expired,
-                                 n_expired=n_expired)
+            # Covers the no-proposal round too: a catch-up the draft
+            # buffers absorbed is committed (keep == ctx_len) so the draft
+            # cache stays aligned with its sequence.
+            keep = state.ctx_len + min(accepted[state.index], state.fed)
+            if keep != state.seq.draft_len:
+                state.seq.draft_cache = state.round.cache_of(state.row, keep)
+                state.seq.draft_len = keep
+        return report
 
     # ------------------------------------------------------------------
     def _propose(self, scheduler: DecodeScheduler,
@@ -521,8 +458,7 @@ class SpeculativeDecoder:
             for j, state in enumerate(returning):
                 state.logits = logits[j]
             # seq.draft_len intentionally still lags: the buffers are
-            # authoritative until advance() commits (or, on the
-            # no-proposal fallback, commits the catch-up alone).
+            # authoritative until advance() commits.
 
         # Draft loop: propose greedily while the confidence policy
         # holds, advancing all still-drafting rows together.  Every

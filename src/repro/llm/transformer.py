@@ -1,27 +1,21 @@
 """Decoder-only transformer language model (the edge-LLM stand-in).
 
-The model exposes two hooks the prompt-tuning methods rely on:
+``forward`` is the *training* graph: whole sequences in, an autograd graph
+out.  It exposes the two hooks the prompt-tuning methods rely on:
 
 * ``forward(embeddings=...)`` — callers may pass pre-built input embeddings,
   which is how soft prompts are prepended (vanilla PT, DEPT);
 * ``forward(prefix_kv=[...])`` — per-layer key/value prefixes (prefix
   tuning, P-tuning v2).
 
-Incremental decoding adds a third hook: ``forward(past_kv=cache,
-use_cache=True)`` processes only the *new* positions against a
-:class:`~repro.llm.kv_cache.KVCache` of everything already seen (position
-embeddings are offset by the cached length) and returns the extended cache
-alongside the logits.
-
-Serving does not run ``forward`` at all.  :meth:`TinyCausalLM.decode_span`
+Inference does not run ``forward`` at all.  :meth:`TinyCausalLM.decode_span`
 advances *many independent sequences* by a ragged number of tokens each
 (:meth:`TinyCausalLM.decode_round` is its one-token-each case) on the
 graph-free kernels of :mod:`repro.llm.infer`.  Each sequence carries its
 own ragged-length cache (a :class:`~repro.llm.kv_cache.BatchedKVCache`)
 and position offset; the dense sublayers run as one stacked forward while
 attention composes per-sequence compact caches, so every row of the
-returned logits is bit-identical to stepping that sequence alone through
-``forward``.
+returned logits is bit-identical to advancing that sequence alone.
 """
 
 from __future__ import annotations
@@ -77,21 +71,11 @@ class TransformerBlock(Module):
         self,
         x: Tensor,
         prefix_kv: KVPrefix | None = None,
-        past_kv: KVPrefix | None = None,
-        use_cache: bool = False,
         key_padding_mask: np.ndarray | None = None,
-    ) -> Tensor | tuple[Tensor, KVPrefix]:
-        attended = self.attn(self.ln1(x), prefix_kv=prefix_kv,
-                             past_kv=past_kv, use_cache=use_cache,
-                             key_padding_mask=key_padding_mask)
-        present = None
-        if use_cache:
-            attended, present = attended
-        x = x + attended
-        x = x + self.drop(self.ff2(gelu(self.ff1(self.ln2(x)))))
-        if use_cache:
-            return x, present
-        return x
+    ) -> Tensor:
+        x = x + self.attn(self.ln1(x), prefix_kv=prefix_kv,
+                          key_padding_mask=key_padding_mask)
+        return x + self.drop(self.ff2(gelu(self.ff1(self.ln2(x)))))
 
 
 class TinyCausalLM(Module):
@@ -132,23 +116,15 @@ class TinyCausalLM(Module):
         *,
         embeddings: Tensor | None = None,
         prefix_kv: list[KVPrefix] | None = None,
-        past_kv: KVCache | None = None,
-        use_cache: bool = False,
         key_padding_mask: np.ndarray | None = None,
-    ) -> Tensor | tuple[Tensor, KVCache]:
+    ) -> Tensor:
         """Return logits of shape (batch, T, vocab).
 
         Exactly one of ``token_ids`` (batch, T) or ``embeddings``
         (batch, T, d_model) must be given.  ``prefix_kv`` carries one
         (key, value) pair per layer, or None.
 
-        ``past_kv`` is a :class:`KVCache` of previously processed positions:
-        the inputs are treated as positions ``past_kv.seq_len ..`` of the
-        logical sequence (position embeddings offset accordingly).  With
-        ``use_cache=True`` the return value is ``(logits, cache)`` where
-        ``cache`` extends ``past_kv`` with the new positions.
-
-        ``key_padding_mask`` is a boolean (batch, T_past + T) array, True at
+        ``key_padding_mask`` is a boolean (batch, T) array, True at
         right-padded positions of a batched ragged input: padded keys get
         zero attention weight in every layer, so real positions compute
         exactly what they would in an unpadded per-sample forward.
@@ -161,17 +137,9 @@ class TinyCausalLM(Module):
                 token_ids = token_ids[None, :]
             embeddings = self.token_embedding(token_ids)
         batch, length, _ = embeddings.shape
-        past_len = 0
-        if past_kv is not None:
-            if past_kv.n_layers != len(self.blocks):
-                raise ValueError(
-                    f"past_kv has {past_kv.n_layers} layers for "
-                    f"{len(self.blocks)} blocks"
-                )
-            past_len = past_kv.seq_len
-        if past_len + length > self.config.max_seq_len:
+        if length > self.config.max_seq_len:
             raise ValueError(
-                f"sequence of {past_len + length} exceeds "
+                f"sequence of {length} exceeds "
                 f"max_seq_len={self.config.max_seq_len}"
             )
         if prefix_kv is not None and len(prefix_kv) != len(self.blocks):
@@ -181,29 +149,19 @@ class TinyCausalLM(Module):
             )
         if key_padding_mask is not None:
             key_padding_mask = np.asarray(key_padding_mask, dtype=bool)
-            if key_padding_mask.shape != (batch, past_len + length):
+            if key_padding_mask.shape != (batch, length):
                 raise ValueError(
                     f"key_padding_mask shaped {key_padding_mask.shape} "
-                    f"incompatible with ({batch}, {past_len + length}) inputs"
+                    f"incompatible with ({batch}, {length}) inputs"
                 )
-        positions = np.arange(past_len, past_len + length)
-        x = embeddings + self.position_embedding(positions)
-        present: list[KVPrefix] = []
+        x = embeddings + self.position_embedding(np.arange(length))
         for i, block in enumerate(self.blocks):
             x = block(
                 x,
                 prefix_kv=None if prefix_kv is None else prefix_kv[i],
-                past_kv=None if past_kv is None else past_kv.layer(i),
-                use_cache=use_cache,
                 key_padding_mask=key_padding_mask,
             )
-            if use_cache:
-                x, layer_kv = x
-                present.append(layer_kv)
-        logits = self.lm_head(self.ln_final(x))
-        if use_cache:
-            return logits, KVCache(present)
-        return logits
+        return self.lm_head(self.ln_final(x))
 
     # ------------------------------------------------------------------
     def decode_round(
@@ -212,15 +170,14 @@ class TinyCausalLM(Module):
         cache: BatchedKVCache,
         *,
         prefix_kvs: Sequence[list[KVPrefix] | None] | None = None,
-    ) -> tuple[Tensor, BatchedKVCache]:
+    ) -> tuple[np.ndarray, BatchedKVCache]:
         """Advance ``B`` independent sequences by one token in one forward.
 
-        ``token_ids`` is (B,), the newest token of each sequence: the
-        all-spans-of-length-1 case of :meth:`decode_span`, which see.  Row
-        ``i`` of the (B, 1, vocab) logits is bit-identical to a
-        single-sequence ``forward`` step with ``past_kv=cache.sequence(i)``
-        — what makes batched serving answers token-identical to
-        sequential ones.
+        ``token_ids`` holds the newest token of each sequence, (B,) or
+        (B, 1): the all-spans-of-length-1 case of :meth:`decode_span`,
+        which see.  Row ``i`` of the (B, 1, vocab) logits is bit-identical
+        to advancing ``cache.sequence(i)`` alone — what makes batched
+        serving answers token-identical to sequential ones.
         """
         ids = np.asarray(token_ids, dtype=np.int64).reshape(-1, 1)
         return self.decode_span(ids, cache, prefix_kvs=prefix_kvs)
@@ -232,7 +189,7 @@ class TinyCausalLM(Module):
         cache: BatchedKVCache,
         *,
         prefix_kvs: Sequence[list[KVPrefix] | None] | None = None,
-    ) -> tuple[Tensor, BatchedKVCache]:
+    ) -> tuple[np.ndarray, BatchedKVCache]:
         """Advance ``B`` sequences by a ragged number of tokens each.
 
         The one batched inference forward, graph-free on the
@@ -252,8 +209,8 @@ class TinyCausalLM(Module):
             cache: each sequence's cached positions (ragged lengths).
             prefix_kvs: optional per-sequence trained KV prefixes — entry
                 ``s`` is the ``prefix_kv`` list sequence ``s`` was
-                prefilled with (or None), re-attached every round exactly
-                as ``forward`` does.
+                prefilled with (or None), re-attached every round (it is
+                constant conditioning, not part of the cache).
 
         Returns:
             ``(logits, cache)`` where ``logits`` is (sum(spans), 1,
@@ -319,4 +276,4 @@ class TinyCausalLM(Module):
             KVCache([layer[s] for layer in present_layers])
             for s in range(cache.batch_size)
         ]
-        return Tensor(infer.logits(self, x)), BatchedKVCache(new_caches)
+        return infer.logits(self, x), BatchedKVCache(new_caches)

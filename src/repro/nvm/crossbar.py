@@ -369,8 +369,8 @@ class TileBank:
         """Re-pulse masked cells; ``masks`` aligns with ``tiles``.
 
         Tiles whose mask is empty draw nothing (matching the per-tile
-        reference), so write-verify loops stay reproducible across
-        layouts.
+        oracle, ``tests/oracles/per_tile_cim.py``), so write-verify loops
+        reproduce it bit for bit.
         """
         self._require_programmed()
         tiles = (np.arange(self.n_tiles) if tiles is None
@@ -583,11 +583,12 @@ class TileBank:
 class TileView:
     """One tile of a :class:`TileBank`: its state and counters by index.
 
-    What ``CiMMatrix.iter_tiles_with_slice()`` yields — the attributes a
-    standalone :class:`CrossbarArray` exposes for inspection
-    (``conductance``, ``target_levels``, ``stats``) plus re-pulsing;
-    mutations go through the bank so its stacked state and counters stay
-    authoritative.
+    What ``CiMMatrix.iter_tiles_with_slice()`` yields: ``conductance``,
+    ``target_levels``, ``stats`` and re-pulsing — the inspection surface of
+    a standalone :class:`CrossbarArray`, so a bank can be compared tile by
+    tile with the grid-of-crossbars oracle
+    (``tests/oracles/per_tile_cim.py``).  Mutations go through the bank
+    so its stacked state and counters stay authoritative.
     """
 
     def __init__(self, bank: TileBank, index: int):

@@ -94,8 +94,8 @@ class PendingQuery:
     Returned by :meth:`~repro.serve.PromptServeEngine.begin_query`; each
     :meth:`~repro.serve.PromptServeEngine.run_decode_round` advances it by
     at most one token.  Once the generation retires, :attr:`response`
-    holds the same :class:`QueryResponse` the sequential path would have
-    produced.  The handle is self-contained — retrieval telemetry is
+    holds the same :class:`QueryResponse` the query would have got served
+    alone.  The handle is self-contained — retrieval telemetry is
     snapshotted at admission and the decode state lives in the underlying
     sequence — so evicting the owning session mid-flight can neither
     corrupt this query nor any other in the batch.

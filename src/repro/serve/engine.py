@@ -22,26 +22,22 @@ KV prefill and every token is a single-position forward.  Incremental
 decoding emits exactly the tokens the full-reforward loop would, so this
 changes latency, not answers.
 
-Retrieval batches the same way the decode loop does: when ``answer_batch``
-admits a user's queries, all of their query texts are scored in one
-:meth:`~repro.retrieval.CiMSearchEngine.query_batch` call — a single
-batched in-memory GMM per scale against that user's crossbars — instead
-of one scaled search per request.  Because single-query retrieval is the
-batch-of-one case of the same path, per-request telemetry (scores, OVT
-index, and the analytic per-query cost estimate) is unchanged, and the
-crossbar operation counters still bill every query individually.
-
-On top of that sits cross-user continuous batching: ``answer_batch``
-admits every query into one :class:`~repro.llm.generation.DecodeScheduler`
-and :meth:`PromptServeEngine.run_decode_round` advances *all* pending
-generations one token per round in a single batched forward — the shared
-base model is amortised across users instead of finishing each answer
-before starting the next.  The batched path is token-identical to the
-sequential reference ``[engine.query(r) for r in requests]``: every
-sequence keeps a private compact KV cache, rng stream, and sampling
-config, and the batched forward is bit-exact per sequence.  Queries may
-also be admitted individually with :meth:`PromptServeEngine.begin_query`
-and driven by explicit rounds.
+There is one serving path.  Every query — :meth:`PromptServeEngine.query`
+is ``answer_batch`` of one — is admitted to one
+:class:`~repro.llm.generation.DecodeScheduler`: admission scores all of a
+user's query texts in one :meth:`~repro.retrieval.CiMSearchEngine
+.query_batch` call (a single batched in-memory GMM per scale against that
+user's crossbars; per-request telemetry and the analytic per-query cost
+estimate are snapshotted then, and the crossbar operation counters bill
+every query individually), and :meth:`PromptServeEngine.run_decode_round`
+advances *all* pending generations per round in a single batched forward —
+the shared base model is amortised across users instead of finishing each
+answer before starting the next.  Batching is invisible in the answers:
+``answer_batch(requests)`` equals ``[engine.query(r) for r in requests]``
+token for token, because every sequence keeps a private compact KV cache,
+rng stream, and sampling config, and the batched forward is bit-exact per
+sequence.  Queries may also be admitted individually with
+:meth:`PromptServeEngine.begin_query` and driven by explicit rounds.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ from ..llm.generation import (
     DecodeRoundReport,
     DecodeScheduler,
     GenerationConfig,
-    decode_from,
 )
 from ..llm.quantization import quantization_stats, quantize_model
 from ..llm.tokenizer import Tokenizer
@@ -191,8 +186,8 @@ class PromptServeEngine:
         # Optional draft-verify decoding: a SpeculativeDecoder (see
         # repro.llm.speculative) makes every decode round draft several
         # tokens per greedy sequence with a small model and verify them in
-        # one base forward.  None is the sequential reference; answers are
-        # token-identical either way, only forward counts change.
+        # one base forward.  Answers are token-identical with or without
+        # one; only forward counts change.
         self.speculative = speculative
         # One continuous-batching decoder for the engine's lifetime: its
         # round/token/occupancy counters are the serving telemetry, and
@@ -486,15 +481,14 @@ class PromptServeEngine:
                                        generation=generation)).answer
 
     def query(self, request: QueryRequest) -> QueryResponse:
-        """Serve one query through the full retrieve/restore/generate path.
+        """Serve one query through the full retrieve/restore/generate path:
+        :meth:`answer_batch` of one.
 
         Raises ``KeyError`` for a user with no resident session — inference
         never creates sessions (that would let stray requests evict real
         users' libraries).
         """
-        with self._lock:
-            session = self._resident_session(request.user_id)
-            return self._serve_one(session, session.deployment(), request)
+        return self.answer_batch([request])[0]
 
     def answer_batch(self,
                      requests: list[QueryRequest]) -> list[QueryResponse]:
@@ -539,8 +533,8 @@ class PromptServeEngine:
         finally:
             # Even if a later user's admission fails (e.g. no resident
             # session), already-admitted queries are drained to completion
-            # — matching the sequential path, which serves earlier users
-            # before raising.
+            # — as a loop of query() calls would have served the earlier
+            # users before raising.
             while any(p is not None and not p.done for p in pendings):
                 self.run_decode_round()
         return [p.response for p in pendings]  # type: ignore[misc]
@@ -612,7 +606,7 @@ class PromptServeEngine:
         text maps to the (best index, per-OVT scores) pair a search for it
         alone would return.  Repeated texts keep their own batch rows
         (identical bit for bit), so the crossbar counters bill exactly the
-        MVMs the sequential reference would.
+        MVMs one search per text would.
         """
         for text in texts:
             if text not in code_cache:
@@ -636,35 +630,6 @@ class PromptServeEngine:
             return prompt
         return restore_prompt
 
-    def _serve_one(self, session: UserSession, deployment: NVCiMDeployment,
-                   request: QueryRequest) -> QueryResponse:
-        """Sequential reference path: retrieve, restore, decode to the end."""
-        started = time.perf_counter()
-        text = request.text
-        scores = deployment.engine.query(deployment.encode_query(text))
-        index = int(np.argmax(scores))
-        generation = request.generation or self.default_generation()
-        state = session.prefill_state(
-            text, index, lambda: deployment.restored_prompt(index))
-        answer = self.tokenizer.decode(
-            decode_from(self.model, state, generation))
-        cost = _deployment_cost(deployment)
-        session.queries_served += 1
-        self.requests_served += 1
-        self._latency.record(time.perf_counter() - started)
-        return QueryResponse(
-            user_id=request.user_id,
-            text=text,
-            answer=answer,
-            ovt_index=index,
-            scores=tuple(float(s) for s in scores),
-            n_ovts=deployment.engine.n_stored,
-            backend=cost.backend,
-            latency_ns=cost.latency_ns,
-            energy_pj=cost.energy_pj,
-            request_id=request.request_id,
-        )
-
     def _admit_one(self, session: UserSession, deployment: NVCiMDeployment,
                    request: QueryRequest,
                    code_cache: dict[str, np.ndarray],
@@ -677,10 +642,12 @@ class PromptServeEngine:
         ``retrieval`` carries a precomputed (index, scores) pair when the
         caller already ran a batched search; otherwise admission runs its
         own batch-of-one search.  Retrieval telemetry and the analytic
-        cost are snapshotted now so the eventual response matches the
-        sequential path even if the session is evicted (or retrained)
-        while the answer is in flight.
+        cost are snapshotted now so the eventual response is what it would
+        have been served alone, even if the session is evicted (or
+        retrained) while the answer is in flight.  The latency clock
+        starts here, before retrieval and prefill.
         """
+        admitted_at = time.perf_counter()
         text = request.text
         if retrieval is None:
             retrieval = self._retrieve_batch(
@@ -691,7 +658,7 @@ class PromptServeEngine:
             text, index, self._prompt_restorer(deployment, index, prompt_cache))
         pending = PendingQuery(request)
         pending._session = session
-        pending._admitted_at = time.perf_counter()
+        pending._admitted_at = admitted_at
         pending._retrieval = (index, tuple(float(s) for s in scores),
                               deployment.engine.n_stored,
                               _deployment_cost(deployment))

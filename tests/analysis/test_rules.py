@@ -327,11 +327,66 @@ class TestStats001:
 
 
 # ----------------------------------------------------------------------
+# INF-001: no autograd on the inference path
+# ----------------------------------------------------------------------
+class TestInf001:
+    def test_true_positive_every_mark_of_a_second_decode_loop(self, tmp_path):
+        report = run_tree(tmp_path, {"llm/generation.py": """\
+            from ..ag import Tensor, no_grad
+            def decode(model, ids, cache, use_cache=True):
+                model.eval()
+                with no_grad():
+                    out = model(ids, past_kv=cache)
+                model.train()
+                return Tensor(out)
+        """}, ["INF-001"])
+        assert rules_of(report) == ["INF-001"] * 6
+        # import, parameter, no_grad(), past_kv=, .train(), Tensor(...)
+        assert [f.line for f in report.findings] == [1, 2, 4, 5, 6, 7]
+
+    def test_true_negative_reads_pins_and_training_code(self, tmp_path):
+        report = run_tree(tmp_path, {
+            # reading a trained prefix and pinning eval() once are fine
+            "serve/engine.py": """\
+                from ..ag import Tensor
+                def rows(model, prompt):
+                    model.eval()
+                    return prompt.data if isinstance(prompt, Tensor) else prompt
+            """,
+            # distill_draft trains: exempt inside an inference module
+            "llm/speculative.py": """\
+                from ..ag import Tensor
+                def distill_draft(draft, stream):
+                    draft.train()
+                    return draft(Tensor(stream))
+            """,
+            # the training graph is out of scope altogether
+            "llm/transformer.py": """\
+                from ..ag import Tensor, no_grad
+                def forward(x):
+                    with no_grad():
+                        return Tensor(x)
+            """,
+        }, ["INF-001"])
+        assert report.findings == []
+
+    def test_suppressed_with_reason(self, tmp_path):
+        report = run_tree(tmp_path, {"gateway/debug.py": """\
+            from ..ag import Tensor
+            def wrap(x):
+                return Tensor(x)  # repro: noqa[INF-001] debug endpoint
+        """}, ["INF-001"])
+        assert report.findings == []
+        assert len(report.suppressed) == 1
+
+
+# ----------------------------------------------------------------------
 # Registry plumbing
 # ----------------------------------------------------------------------
 def test_all_shipped_rules_registered():
     assert set(RULES.names()) >= {"RNG-001", "RNG-002", "LOCK-001",
-                                  "SNAP-001", "SEC-001", "STATS-001"}
+                                  "SNAP-001", "SEC-001", "STATS-001",
+                                  "INF-001"}
 
 
 def test_registry_rejects_mismatched_rule_id():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.ag import Tensor
 from repro.compression import AutoencoderConfig, OVTAutoencoder
 
 RNG = np.random.default_rng(47)
@@ -27,6 +28,15 @@ class TestShapes:
         codes = ae.encode(rows)
         assert codes.shape == (10, 8)
         assert ae.decode(codes).shape == (10, 16)
+
+    def test_graph_free_paths_equal_the_training_graph_bitwise(self):
+        ae = make_ae()
+        ae.fit(low_rank_rows(), steps=5)       # biases off zero
+        rows = RNG.normal(size=(10, 16)).astype(np.float32)
+        codes = ae.encode(rows)
+        assert np.array_equal(codes, ae.encode_tensor(Tensor(rows)).data)
+        assert np.array_equal(ae.decode(codes),
+                              ae.decode_tensor(Tensor(codes)).data)
 
     def test_dimension_validation(self):
         ae = make_ae()

@@ -1,8 +1,9 @@
 """Tests for continuous-batching decode: the scheduler and its equivalence.
 
 The contract everything rests on: a batch of in-flight generations must
-emit, per sequence, token-for-token the ids :func:`repro.llm.decode_from`
-produces from the same prefill state — for greedy and seeded sampling,
+emit, per sequence, token-for-token the ids the sequential autograd oracle
+(``tests/oracles/generation.py``, one cached step per token) produces
+from the same prefill state — for greedy and seeded sampling,
 every conditioning mode, ragged prompt lengths, and sequences that are
 admitted or retired while other sequences are mid-flight.
 """
@@ -16,10 +17,10 @@ from repro.llm import (
     GenerationConfig,
     TinyCausalLM,
     decode_batch,
-    decode_from,
     prefill,
 )
 from repro.llm.transformer import LMConfig
+from tests.oracles.generation import decode_sequential, forward_cached
 
 RNG = np.random.default_rng(21)
 
@@ -64,7 +65,7 @@ def ragged_states(model, lengths, conditioning="plain"):
 def assert_matches_sequential(model, states, configs, results):
     for state, config, result in zip(states, configs, results):
         np.testing.assert_array_equal(result,
-                                      decode_from(model, state, config))
+                                      decode_sequential(model, state, config))
 
 
 class TestEquivalenceMatrix:
@@ -99,7 +100,7 @@ class TestEquivalenceMatrix:
         config = GenerationConfig(max_new_tokens=6, temperature=0.0)
         np.testing.assert_array_equal(
             decode_batch(model, [state], config)[0],
-            decode_from(model, state, config))
+            decode_sequential(model, state, config))
 
     def test_one_config_broadcasts(self):
         model = tiny_model()
@@ -136,7 +137,7 @@ class TestRetirement:
         model = tiny_model(seed=5)
         states = ragged_states(model, [5, 8])
         free = GenerationConfig(max_new_tokens=8, temperature=0.0)
-        reference = decode_from(model, states[0], free)
+        reference = decode_sequential(model, states[0], free)
         assert reference.size == 8
         eos_id = int(reference[3])     # greedy path will hit it mid-answer
         configs = [GenerationConfig(max_new_tokens=8, temperature=0.0,
@@ -180,11 +181,11 @@ class TestRetirement:
         scheduler.run()
         # The cancelled tokens are a prefix of its sequential answer; the
         # survivor is untouched by the batch shrinking under it.
-        reference = decode_from(model, states[0], config)
+        reference = decode_sequential(model, states[0], config)
         np.testing.assert_array_equal(victim.token_ids(),
                                       reference[:victim.n_generated])
         np.testing.assert_array_equal(survivor.token_ids(),
-                                      decode_from(model, states[1], config))
+                                      decode_sequential(model, states[1], config))
 
 
 class TestAdmission:
@@ -218,7 +219,7 @@ class TestAdmission:
     def test_immediate_eos_never_joins_a_round(self):
         model = tiny_model()
         (state,) = ragged_states(model, [5])
-        first = int(decode_from(model, state,
+        first = int(decode_sequential(model, state,
                                 GenerationConfig(max_new_tokens=1,
                                                  temperature=0.0))[0])
         scheduler = DecodeScheduler(model)
@@ -232,7 +233,7 @@ class TestAdmission:
 
     def test_multi_sequence_prefill_rejected(self):
         model = tiny_model()
-        _, cache = model(np.array([[1, 2], [3, 4]]), use_cache=True)
+        _, cache = forward_cached(model, np.array([[1, 2], [3, 4]]))
         from repro.llm import PrefillState
         state = PrefillState(cache=cache, last_logits=np.zeros(23),
                              n_tokens=2, virtual_len=0)

@@ -4,7 +4,8 @@ Each kernel must equal its ``repro.ag`` counterpart under
 ``np.array_equal`` — not ``allclose`` — because the serving stack's
 byte-identity matrices (batched == sequential, speculative == greedy) are
 built on it; and the two forwards built on the kernels must equal the
-autograd ``forward`` while building no graph and ignoring train/eval mode.
+autograd forward (over a cache: ``tests/oracles/generation.py``) while
+building no graph and ignoring train/eval mode.
 """
 
 import numpy as np
@@ -12,15 +13,23 @@ import pytest
 
 from repro import ag
 from repro.ag import Tensor, no_grad
+from repro.core import FrameworkConfig
+from repro.data import build_tokenizer, make_dataset, make_user
 from repro.llm import (
     BatchedKVCache,
     DecodeScheduler,
     GenerationConfig,
+    SpeculativeDecoder,
     TinyCausalLM,
+    build_model,
+    decode_from,
+    generate,
     infer,
     prefill,
 )
 from repro.llm.transformer import LMConfig
+from repro.serve import PromptServeEngine, QueryRequest, TuneRequest
+from tests.oracles.generation import forward_cached
 
 VOCAB = 23
 LAYOUTS = {"rows": (5, 1, 16), "sequence": (1, 7, 16)}
@@ -30,6 +39,19 @@ def tiny_model(seed=0, dropout=0.0):
     return TinyCausalLM(LMConfig(vocab_size=VOCAB, d_model=16, n_heads=2,
                                  n_layers=2, d_ff=24, max_seq_len=64,
                                  dropout=dropout), seed=seed).eval()
+
+
+def tiny_engine():
+    """A serving engine with one tuned user (untrained base model: only
+    the code path matters here) and a query for that user."""
+    tok = build_tokenizer()
+    engine = PromptServeEngine(build_model("phi-2-sim", tok.vocab_size), tok,
+                               FrameworkConfig.preset("fast"))
+    samples = make_dataset("LaMP-2").generate(make_user(0, seed=0), 10, seed=0)
+    engine.submit(TuneRequest(user_id=0, samples=tuple(samples)))
+    generation = GenerationConfig(max_new_tokens=4, temperature=0.0)
+    return engine, QueryRequest(user_id=0, text=samples[0].input_text,
+                                generation=generation)
 
 
 def activations(layout, seed=0, width=None):
@@ -139,22 +161,22 @@ class TestSpanForward:
         span_logits, span_cache = model.decode_span(
             [tokens[i:i + 1] for i in range(3)], cache, prefix_kvs=prefixes)
         assert round_logits.shape == (3, 1, VOCAB)
-        assert np.array_equal(span_logits.data, round_logits.data)
+        assert np.array_equal(span_logits, round_logits)
 
         for i, state in enumerate(states):
             with no_grad():
-                alone, alone_cache = model(
-                    tokens[i:i + 1][None, :], past_kv=state.cache,
-                    prefix_kv=state.prefix_kv, use_cache=True)
-            assert np.array_equal(round_logits.data[i], alone.data[0])
+                alone, alone_cache = forward_cached(
+                    model, tokens[i:i + 1][None, :], past=state.cache,
+                    prefix_kv=state.prefix_kv)
+            assert np.array_equal(round_logits[i], alone.data[0])
             for layer in range(model.config.n_layers):
                 for which in (0, 1):
-                    expected = alone_cache.layer(layer)[which].data
+                    expected = alone_cache.layer(layer)[which]
                     assert np.array_equal(
-                        round_cache.sequence(i).layer(layer)[which].data,
+                        round_cache.sequence(i).layer(layer)[which],
                         expected)
                     assert np.array_equal(
-                        span_cache.sequence(i).layer(layer)[which].data,
+                        span_cache.sequence(i).layer(layer)[which],
                         expected)
 
     def test_prefixed_sequences_get_views_not_copies(self):
@@ -164,7 +186,7 @@ class TestSpanForward:
         _, extended = model.decode_round(
             np.array([4]), BatchedKVCache.stack([state.cache]),
             prefix_kvs=[prefix])
-        keys = extended.sequence(0).layer(0)[0].data
+        keys = extended.sequence(0).layer(0)[0]
         assert keys.shape[2] == 4
         assert keys.base is not None   # the prefix+cache buffer, sliced
 
@@ -183,13 +205,13 @@ class TestExtendForward:
             prefix = make_prefix(model)
         with no_grad():
             if soft is None:
-                logits, cache = model(ids[None, :], prefix_kv=prefix,
-                                      use_cache=True)
+                logits, cache = forward_cached(model, ids[None, :],
+                                               prefix_kv=prefix)
             else:
                 full = ag.cat([Tensor(soft[None]), model.embed(ids[None, :])],
                               axis=1)
-                logits, cache = model(embeddings=full, prefix_kv=prefix,
-                                      use_cache=True)
+                logits, cache = forward_cached(model, embeddings=full,
+                                               prefix_kv=prefix)
         for soft_prompt in (soft, None if soft is None else Tensor(soft)):
             state = prefill(model, ids, soft_prompt=soft_prompt,
                             prefix_kv=prefix)
@@ -197,9 +219,8 @@ class TestExtendForward:
             assert state.seq_len == cache.seq_len
             for layer in range(model.config.n_layers):
                 for which in (0, 1):
-                    assert np.array_equal(
-                        state.cache.layer(layer)[which].data,
-                        cache.layer(layer)[which].data)
+                    assert np.array_equal(state.cache.layer(layer)[which],
+                                          cache.layer(layer)[which])
 
     def test_extend_over_a_past_cache_equals_autograd_forward(self):
         model = tiny_model(seed=3)
@@ -209,11 +230,9 @@ class TestExtendForward:
             model, infer.embed(model.token_embedding, ids[3:])[None],
             past=past)
         with no_grad():
-            logits, expected = model(ids[None, 3:], past_kv=past,
-                                     use_cache=True)
+            logits, expected = forward_cached(model, ids[None, 3:], past=past)
         assert np.array_equal(infer.logits(model, hidden), logits.data)
-        assert np.array_equal(cache.layer(1)[1].data,
-                              expected.layer(1)[1].data)
+        assert np.array_equal(cache.layer(1)[1], expected.layer(1)[1])
 
     def test_extend_validates_like_forward(self):
         model = tiny_model()
@@ -233,36 +252,57 @@ class TestExtendForward:
 class TestGraphFree:
     def test_prefill_and_a_scheduler_round_build_no_graph_nodes(
             self, monkeypatch):
+        """No ``Tensor`` at all on the inference path — not a graph node
+        (``_make``), not even a wrapper (``__init__``): ``generate``, a
+        plain and a speculative scheduler round, and a whole served query
+        (retrieve, restore, prefill, decode)."""
         model = tiny_model()
-        made = []
-        original = Tensor._make
+        engine, request = tiny_engine()
+        made = {"_make": 0, "__init__": 0}
+        for name in made:
+            def counting(*args, _name=name, _original=getattr(Tensor, name),
+                         **kwargs):
+                made[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(Tensor, name, staticmethod(counting)
+                                if name == "_make" else counting)
+        config = GenerationConfig(max_new_tokens=4, temperature=0.0)
+        assert generate(model, np.array([1, 2, 3]), config).size == 4
+        # Its own draft: both proposals confirmed, plus the bonus token.
+        draft = SpeculativeDecoder(model, threshold=0.0)
+        for speculative, tokens in ((None, 2), (draft, 6)):
+            scheduler = DecodeScheduler(model, speculative=speculative)
+            for ids in (np.array([1, 2, 3]), np.array([4, 5, 6, 7, 8])):
+                scheduler.admit(prefill(model, ids), config, prompt_ids=ids)
+            assert scheduler.decode_round().tokens_emitted == tokens
+        assert engine.query(request).answer
+        assert made == {"_make": 0, "__init__": 0}
 
-        def counting(*args, **kwargs):
-            made.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
-        scheduler = DecodeScheduler(model)
-        for ids in (np.array([1, 2, 3]), np.array([4, 5, 6, 7, 8])):
-            scheduler.admit(prefill(model, ids),
-                            GenerationConfig(max_new_tokens=4,
-                                             temperature=0.0))
-        report = scheduler.decode_round()
-        assert report.tokens_emitted == 2
-        assert made == []
-
-    def test_train_mode_with_dropout_decodes_the_eval_tokens(self):
+    def test_train_mode_with_dropout_decodes_the_eval_tokens(
+            self, monkeypatch):
+        """Decoding ignores ``Module.training`` instead of flipping it —
+        a flip would be visible to every thread sharing the model."""
         model = tiny_model(seed=6, dropout=0.5)
         ids = np.array([2, 9, 4, 4, 1])
         config = GenerationConfig(max_new_tokens=12, temperature=0.0)
 
-        def decode():
+        def scheduled():
             scheduler = DecodeScheduler(model)
             sequence = scheduler.admit(prefill(model, ids), config)
             scheduler.run()
             return sequence.token_ids()
 
-        expected = decode()
+        decoders = (scheduled,
+                    lambda: decode_from(model, prefill(model, ids), config),
+                    lambda: generate(model, ids, config))
+        expected = scheduled()
         model.train()
-        assert np.array_equal(decode(), expected)
+
+        def refuse(self):
+            raise AssertionError("decoding toggled Module.training")
+
+        monkeypatch.setattr(ag.Module, "eval", refuse)
+        monkeypatch.setattr(ag.Module, "train", refuse)
+        for decode in decoders:
+            assert np.array_equal(decode(), expected)
         assert model.training   # and the mode is left as found

@@ -3,7 +3,9 @@
 The one property everything rests on: decoding with the cache must emit
 token-for-token identical ids to the full-reforward reference loop, for
 every conditioning mode (plain, soft prompt, KV prefix, both) and for both
-greedy and seeded sampling.
+greedy and seeded sampling.  The autograd references (full reforward, and
+the cached step the model's ``forward`` no longer carries) live in
+``tests/oracles/generation.py``.
 """
 
 import numpy as np
@@ -17,11 +19,17 @@ from repro.llm import (
     TinyCausalLM,
     decode_from,
     generate,
+    infer,
     prefill,
 )
 from repro.llm.attention import MultiHeadSelfAttention
 from repro.llm.transformer import LMConfig
-from tests.oracles.generation import generate_uncached
+from tests.oracles.generation import (
+    attention_cached,
+    decode_sequential,
+    forward_cached,
+    generate_uncached,
+)
 
 RNG = np.random.default_rng(9)
 
@@ -30,6 +38,11 @@ def tiny_model(max_seq_len=48, seed=0):
     return TinyCausalLM(LMConfig(vocab_size=23, d_model=16, n_heads=2,
                                  n_layers=2, d_ff=24,
                                  max_seq_len=max_seq_len), seed=seed)
+
+
+def embed(model, ids):
+    """(1, T, d_model) token rows, the input ``infer.extend`` takes."""
+    return infer.embed(model.token_embedding, np.asarray(ids))[None]
 
 
 def make_prefix(model, length=3, seed=4):
@@ -53,9 +66,9 @@ class TestAttentionPastKV:
         x = Tensor(RNG.normal(size=(1, 6, 8)))
         full = attn(x).data
         first = Tensor(x.data[:, :5])
-        _, past = attn(first, use_cache=True)
-        step_out, new = attn(Tensor(x.data[:, 5:6]), past_kv=past,
-                             use_cache=True)
+        _, past = attention_cached(attn, first)
+        step_out, new = attention_cached(attn, Tensor(x.data[:, 5:6]),
+                                         past=past)
         np.testing.assert_allclose(step_out.data[0, 0], full[0, 5], atol=1e-5)
         assert new[0].shape == (1, 2, 6, 4)
 
@@ -66,7 +79,7 @@ class TestAttentionPastKV:
         x = Tensor(RNG.normal(size=(1, 4, 8)))
         pk = Tensor(RNG.normal(size=(1, 2, 3, 4)))
         pv = Tensor(RNG.normal(size=(1, 2, 3, 4)))
-        _, kv = attn(x, prefix_kv=(pk, pv), use_cache=True)
+        _, kv = attention_cached(attn, x, prefix_kv=(pk, pv))
         assert kv[0].shape[2] == 4                      # 4 tokens, no prefix
 
     def test_prefix_and_past_compose(self):
@@ -75,19 +88,19 @@ class TestAttentionPastKV:
         prefix = (Tensor(RNG.normal(size=(1, 2, 3, 4))),
                   Tensor(RNG.normal(size=(1, 2, 3, 4))))
         full = attn(x, prefix_kv=prefix).data
-        _, past = attn(Tensor(x.data[:, :4]), prefix_kv=prefix,
-                       use_cache=True)
-        step, _ = attn(Tensor(x.data[:, 4:5]), prefix_kv=prefix,
-                       past_kv=past, use_cache=True)
+        _, past = attention_cached(attn, Tensor(x.data[:, :4]),
+                                   prefix_kv=prefix)
+        step, _ = attention_cached(attn, Tensor(x.data[:, 4:5]),
+                                   prefix_kv=prefix, past=past)
         np.testing.assert_allclose(step.data[0, 0], full[0, 4], atol=1e-5)
 
     def test_past_shape_validated(self):
         attn = MultiHeadSelfAttention(8, 2)
-        x = Tensor(RNG.normal(size=(1, 1, 8)))
-        bad = (Tensor(RNG.normal(size=(1, 3, 2, 4))),
-               Tensor(RNG.normal(size=(1, 3, 2, 4))))    # wrong head count
-        with pytest.raises(ValueError):
-            attn(x, past_kv=bad)
+        h = RNG.normal(size=(1, 1, 8)).astype(np.float32)
+        bad = (np.zeros((1, 3, 2, 4), dtype=np.float32),
+               np.zeros((1, 3, 2, 4), dtype=np.float32))  # wrong head count
+        with pytest.raises(ValueError, match="past shaped"):
+            infer.span_attention(attn, h, [bad], [1])
 
     def test_causal_mask_with_past(self):
         mask = MultiHeadSelfAttention._causal_mask(1, 2, past_len=5)
@@ -105,8 +118,9 @@ class TestAttentionPastKV:
 
 class TestKVCacheContainer:
     def _cache(self, lengths=(4, 4)):
-        return KVCache([(Tensor(np.zeros((1, 2, t, 4))),
-                         Tensor(np.zeros((1, 2, t, 4)))) for t in lengths])
+        return KVCache([(np.zeros((1, 2, t, 4), dtype=np.float32),
+                         np.zeros((1, 2, t, 4), dtype=np.float32))
+                        for t in lengths])
 
     def test_properties(self):
         cache = self._cache()
@@ -127,13 +141,13 @@ class TestKVCacheContainer:
 
 class TestBatchedKVCacheContainer:
     def _cache(self, seq_len, n_layers=2, fill=0.0):
-        return KVCache([(Tensor(np.full((1, 2, seq_len, 4), fill)),
-                         Tensor(np.full((1, 2, seq_len, 4), fill)))
+        return KVCache([(np.full((1, 2, seq_len, 4), fill, dtype=np.float32),
+                         np.full((1, 2, seq_len, 4), fill, dtype=np.float32))
                         for _ in range(n_layers)])
 
     def test_stack_split_round_trips_by_reference(self):
         """Member caches are value-immutable, so stack/split move
-        references, never copy or pad tensors."""
+        references, never copy or pad arrays."""
         members = [self._cache(length, fill=length) for length in (3, 7, 5)]
         batched = BatchedKVCache.stack(members)
         assert batched.split() == members
@@ -167,8 +181,8 @@ class TestBatchedKVCacheContainer:
                                   self._cache(3, n_layers=3)])
 
     def test_multi_sequence_member_rejected(self):
-        wide = KVCache([(Tensor(np.zeros((2, 2, 3, 4))),
-                         Tensor(np.zeros((2, 2, 3, 4))))])
+        wide = KVCache([(np.zeros((2, 2, 3, 4), dtype=np.float32),
+                         np.zeros((2, 2, 3, 4), dtype=np.float32))])
         with pytest.raises(ValueError, match="batch 1"):
             BatchedKVCache.stack([wide])
 
@@ -180,9 +194,7 @@ class TestBatchedKVCacheContainer:
         model = tiny_model()
         caches = []
         for length in (3, 6, 4):
-            _, cache = model(np.arange(1, 1 + length)[None, :],
-                             use_cache=True)
-            caches.append(cache)
+            caches.append(prefill(model, np.arange(1, 1 + length)).cache)
         batched = BatchedKVCache.stack(caches)
         _, extended = model.decode_round(np.array([1, 2, 3]), batched)
         np.testing.assert_array_equal(extended.lengths, [4, 7, 5])
@@ -190,20 +202,19 @@ class TestBatchedKVCacheContainer:
         np.testing.assert_array_equal(batched.lengths, [3, 6, 4])
         for old, new in zip(batched.split(), extended.split()):
             np.testing.assert_array_equal(
-                new.layer(0)[0].data[:, :, :old.seq_len],
-                old.layer(0)[0].data)
+                new.layer(0)[0][:, :, :old.seq_len], old.layer(0)[0])
 
     def test_decode_round_respects_max_seq_len(self):
         model = tiny_model(max_seq_len=6)
-        _, full = model(np.array([[1, 2, 3, 4, 5, 6]]), use_cache=True)
-        _, short = model(np.array([[1, 2]]), use_cache=True)
+        _, full = forward_cached(model, np.array([[1, 2, 3, 4, 5, 6]]))
+        short = prefill(model, np.array([1, 2])).cache
         with pytest.raises(ValueError, match="max_seq_len"):
             model.decode_round(np.array([1, 1]),
                                BatchedKVCache.stack([full, short]))
 
     def test_decode_round_token_count_checked(self):
         model = tiny_model()
-        _, cache = model(np.array([[1, 2]]), use_cache=True)
+        cache = prefill(model, np.array([1, 2])).cache
         with pytest.raises(ValueError, match="cached sequences"):
             model.decode_round(np.array([1, 2]),
                                BatchedKVCache.stack([cache]))
@@ -214,28 +225,30 @@ class TestModelPastKV:
         model = tiny_model()
         ids = np.array([[3, 7, 1, 4, 9]])
         full = model(ids).data
-        _, cache = model(ids[:, :3], use_cache=True)
+        _, cache = forward_cached(model, ids[:, :3])
         for t in (3, 4):
-            logits, cache = model(ids[:, t:t + 1], past_kv=cache,
-                                  use_cache=True)
+            logits, cache = forward_cached(model, ids[:, t:t + 1], past=cache)
             np.testing.assert_allclose(logits.data[0, 0], full[0, t],
                                        atol=1e-4)
         assert cache.seq_len == 5
 
     def test_layer_count_checked(self):
         model = tiny_model()
-        one_layer = KVCache([(Tensor(np.zeros((1, 2, 2, 8))),
-                              Tensor(np.zeros((1, 2, 2, 8))))])
-        with pytest.raises(ValueError):
-            model(np.array([[1]]), past_kv=one_layer)
+        one_layer = KVCache([(np.zeros((1, 2, 2, 8), dtype=np.float32),
+                              np.zeros((1, 2, 2, 8), dtype=np.float32))])
+        with pytest.raises(ValueError, match="layers"):
+            infer.extend(model, embed(model, [1]), past=one_layer)
+        with pytest.raises(ValueError, match="layers"):
+            model.decode_round(np.array([1]),
+                               BatchedKVCache.stack([one_layer]))
 
     def test_max_seq_len_includes_past(self):
         model = tiny_model(max_seq_len=6)
-        _, cache = model(np.array([[1, 2, 3, 4, 5]]), use_cache=True)
-        model(np.array([[6]]), past_kv=cache, use_cache=True)  # fits: 6
-        _, cache = model(np.array([[6]]), past_kv=cache, use_cache=True)
-        with pytest.raises(ValueError):
-            model(np.array([[7]]), past_kv=cache)              # would be 7
+        cache = prefill(model, np.array([1, 2, 3, 4, 5])).cache
+        infer.extend(model, embed(model, [6]), past=cache)     # fits: 6
+        _, cache = infer.extend(model, embed(model, [6]), past=cache)
+        with pytest.raises(ValueError, match="max_seq_len"):
+            infer.extend(model, embed(model, [7]), past=cache)  # would be 7
 
 
 class TestGenerateEquivalence:
@@ -256,6 +269,10 @@ class TestGenerateEquivalence:
         cached = generate(model, np.array([2, 5, 8]), config, **kwargs)
         np.testing.assert_array_equal(reference, cached)
         assert reference.size == 12
+        # ... and the cached autograd step agrees from the same prefill.
+        state = prefill(model, np.array([2, 5, 8]), **kwargs)
+        np.testing.assert_array_equal(
+            decode_sequential(model, state, config), cached)
 
     def test_eos_stops_cached_path(self):
         model = tiny_model()

@@ -1,8 +1,8 @@
 """Tests for speculative draft-verify decoding.
 
 The contract: a scheduler given a :class:`SpeculativeDecoder` emits, per
-sequence, token-for-token what the plain scheduler (and therefore the
-sequential :func:`decode_from` reference) emits — for every confidence
+sequence, token-for-token what the sequential autograd oracle
+(``tests/oracles/generation.py``) emits — for every confidence
 policy, draft depth, batch size, conditioning mode, and mid-flight
 admission/retirement pattern.  Speculation may only change how many
 base-model forwards the tokens cost, never one token of any answer.
@@ -19,7 +19,6 @@ from repro.llm import (
     SpeculativeDecoder,
     TinyCausalLM,
     build_draft_model,
-    decode_from,
     distill_draft,
     draft_spec,
     prefill,
@@ -32,6 +31,7 @@ from repro.llm.speculative import (
     top_k_confidence,
 )
 from repro.llm.transformer import LMConfig
+from tests.oracles.generation import decode_sequential
 
 RNG = np.random.default_rng(33)
 VOCAB = 23
@@ -69,7 +69,7 @@ def run_speculative(model, states, prompts, configs, spec):
 def assert_matches_sequential(model, states, configs, results):
     for state, config, result in zip(states, configs, results):
         np.testing.assert_array_equal(result,
-                                      decode_from(model, state, config))
+                                      decode_sequential(model, state, config))
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +229,7 @@ class TestTokenIdentity:
         model, draft = tiny_base(seed=12), tiny_draft(seed=13)
         states, prompts = ragged_states(model, [5, 8])
         free = GenerationConfig(max_new_tokens=8, temperature=0.0)
-        reference = decode_from(model, states[0], free)
+        reference = decode_sequential(model, states[0], free)
         eos_id = int(reference[3])
         configs = [GenerationConfig(max_new_tokens=8, temperature=0.0,
                                     eos_id=eos_id), free]
@@ -320,8 +320,7 @@ class TestCounters:
 class TestTruncate:
     def make_cache(self, model, length=7):
         ids = RNG.integers(1, VOCAB, size=length).astype(np.int64)
-        _, cache = model(ids[None], use_cache=True)
-        return cache
+        return prefill(model, ids).cache
 
     def test_truncate_copies_by_default(self):
         cache = self.make_cache(tiny_base())
@@ -331,9 +330,8 @@ class TestTruncate:
         for index in range(cache.n_layers):
             kept_k, _ = short.layer(index)
             src_k, _ = cache.layer(index)
-            np.testing.assert_array_equal(kept_k.data,
-                                          src_k.data[:, :, :4, :])
-            assert not np.shares_memory(kept_k.data, src_k.data)
+            np.testing.assert_array_equal(kept_k, src_k[:, :, :4, :])
+            assert not np.shares_memory(kept_k, src_k)
 
     def test_truncate_views_on_request(self):
         cache = self.make_cache(tiny_base())
@@ -342,8 +340,8 @@ class TestTruncate:
         for index in range(cache.n_layers):
             kept_k, kept_v = short.layer(index)
             src_k, src_v = cache.layer(index)
-            assert np.shares_memory(kept_k.data, src_k.data)
-            assert np.shares_memory(kept_v.data, src_v.data)
+            assert np.shares_memory(kept_k, src_k)
+            assert np.shares_memory(kept_v, src_v)
 
     def test_truncate_full_length_returns_self(self):
         cache = self.make_cache(tiny_base())

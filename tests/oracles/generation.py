@@ -1,15 +1,38 @@
-"""Full-reforward generation oracle (the pre-KV-cache loop).
+"""Autograd decoding oracles: no ``repro.llm.infer`` kernel, no scheduler.
 
-Re-runs the whole sequence through the autograd forward for every token —
-no prefill, no cache, no ``repro.llm.infer`` kernel — so it is the one
-genuinely independent reference ``generate`` is token-identical to.
+Two independent references the production decode loop (the scheduler's
+span forward) is token-identical to, both on ``repro.ag`` ops only:
+
+* :func:`generate_uncached` — the pre-KV-cache loop: re-runs the whole
+  sequence through ``model.forward`` for every token.
+* :func:`decode_sequential` — the cached autograd step, one token at a
+  time (what ``decode_from`` was): :func:`forward_cached` is the
+  training forward extended to attend over a :class:`KVCache`, the
+  hook ``forward(past_kv=, use_cache=True)`` used to be.
 """
+
+import contextlib
 
 import numpy as np
 
-from repro.ag import Tensor, cat, no_grad
-from repro.llm.generation import _sample
+from repro.ag import Tensor, cat, gelu, no_grad, softmax
+from repro.llm.generation import _sample, prefill
+from repro.llm.kv_cache import KVCache
 from repro.utils import rng_from_seed
+
+
+@contextlib.contextmanager
+def _eval_no_grad(model):
+    """The autograd forward as inference: eval mode, no graph, mode restored."""
+    was_training = model.training
+    if was_training:
+        model.eval()
+    try:
+        with no_grad():
+            yield
+    finally:
+        if was_training:
+            model.train()
 
 
 def generate_uncached(model, token_ids, config, *, soft_prompt=None,
@@ -21,25 +44,18 @@ def generate_uncached(model, token_ids, config, *, soft_prompt=None,
     if token_ids.size >= budget:
         raise ValueError("prompt leaves no room to generate")
     rng = rng_from_seed(config.seed)
-    was_training = model.training
-    if was_training:
-        model.eval()
     generated: list[int] = []
-    try:
-        with no_grad():
-            ids = token_ids.copy()
-            for _ in range(config.max_new_tokens):
-                if ids.size >= budget:
-                    break
-                logits = _full_forward(model, ids, soft_prompt, prefix_kv)
-                next_id = _sample(logits, config.temperature, rng)
-                if config.eos_id is not None and next_id == config.eos_id:
-                    break
-                generated.append(next_id)
-                ids = np.append(ids, next_id)
-    finally:
-        if was_training:
-            model.train()
+    with _eval_no_grad(model):
+        ids = token_ids.copy()
+        for _ in range(config.max_new_tokens):
+            if ids.size >= budget:
+                break
+            logits = _full_forward(model, ids, soft_prompt, prefix_kv)
+            next_id = _sample(logits, config.temperature, rng)
+            if config.eos_id is not None and next_id == config.eos_id:
+                break
+            generated.append(next_id)
+            ids = np.append(ids, next_id)
     return np.asarray(generated, dtype=np.int64)
 
 
@@ -58,3 +74,91 @@ def _embed_with_soft_prompt(model, ids, soft_prompt) -> Tensor:
     prompt = soft_prompt if isinstance(soft_prompt, Tensor) else Tensor(soft_prompt)
     token_emb = model.embed(ids[None, :])
     return cat([prompt.reshape(1, *prompt.shape), token_emb], axis=1)
+
+
+def attention_cached(attn, x, *, prefix_kv=None, past=None):
+    """``attn.forward(x, prefix_kv)`` with queries at positions
+    ``T_past ..`` attending over the cached ``past`` (keys, values) too.
+
+    Returns the output and the ``(keys, values)`` arrays extended by this
+    call's positions (prefix excluded — it is re-attached every call).
+    """
+    batch, length, _ = x.shape
+    q = attn._split_heads(attn.q_proj(x), batch, length)
+    k = attn._split_heads(attn.k_proj(x), batch, length)
+    v = attn._split_heads(attn.v_proj(x), batch, length)
+    past_len = prefix_len = 0
+    if past is not None:
+        attn._check_kv(past[0], past[1], "past")
+        past_len = past[0].shape[2]
+        k = cat([Tensor(past[0]), k], axis=2)
+        v = cat([Tensor(past[1]), v], axis=2)
+    present = (k.data, v.data)
+    if prefix_kv is not None:
+        prefix_len = prefix_kv[0].shape[2]
+        k = cat([prefix_kv[0], k], axis=2)
+        v = cat([prefix_kv[1], v], axis=2)
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(attn.d_head))
+    scores = scores.masked_fill(
+        attn._causal_mask(length, prefix_len, past_len), -1e9)
+    context = softmax(scores, axis=-1) @ v
+    merged = context.transpose(0, 2, 1, 3).reshape(batch, length, attn.d_model)
+    return attn.out_proj(merged), present
+
+
+def forward_cached(model, token_ids=None, *, embeddings=None, prefix_kv=None,
+                   past=None):
+    """``model.forward`` over positions ``past.seq_len ..``; returns
+    ``(logits Tensor, KVCache extended by the new positions)``."""
+    if embeddings is None:
+        embeddings = model.token_embedding(np.asarray(token_ids))
+    past_len = 0 if past is None else past.seq_len
+    positions = np.arange(past_len, past_len + embeddings.shape[1])
+    x = embeddings + model.position_embedding(positions)
+    layers = []
+    for i, block in enumerate(model.blocks):
+        attended, present = attention_cached(
+            block.attn, block.ln1(x),
+            prefix_kv=None if prefix_kv is None else prefix_kv[i],
+            past=None if past is None else past.layer(i))
+        layers.append(present)
+        x = x + attended
+        x = x + block.drop(block.ff2(gelu(block.ff1(block.ln2(x)))))
+    return model.lm_head(model.ln_final(x)), KVCache(layers)
+
+
+def decode_sequential(model, state, config):
+    """``repro.llm.decode_from`` as one cached autograd step per token."""
+    rng = rng_from_seed(config.seed)
+    budget = model.config.max_seq_len - state.virtual_len
+    total = state.n_tokens
+    logits = state.last_logits
+    cache = state.cache
+    generated: list[int] = []
+    with _eval_no_grad(model):
+        for _ in range(config.max_new_tokens):
+            if total >= budget:
+                break
+            if generated:
+                step_out, cache = forward_cached(
+                    model, np.array([[generated[-1]]], dtype=np.int64),
+                    prefix_kv=state.prefix_kv, past=cache)
+                logits = step_out.data[0, -1]
+            next_id = _sample(logits, config.temperature, rng)
+            if config.eos_id is not None and next_id == config.eos_id:
+                break
+            generated.append(next_id)
+            total += 1
+    return np.asarray(generated, dtype=np.int64)
+
+
+def answer_sequential(engine, request) -> str:
+    """The answer text ``engine.query(request)`` must carry: retrieve,
+    restore, prefill, then :func:`decode_sequential` (no scheduler)."""
+    deployment = engine.session(request.user_id).deployment()
+    prompt = deployment.restored_prompt(deployment.retrieve(request.text))
+    state = prefill(engine.model, engine.tokenizer.encode(request.text),
+                    soft_prompt=prompt)
+    generation = request.generation or engine.default_generation()
+    return engine.tokenizer.decode(
+        decode_sequential(engine.model, state, generation))

@@ -1,10 +1,11 @@
 """Tests for cross-user continuous batching in the serving engine.
 
-The serving contract: ``answer_batch`` with the batched decoder produces
-responses *equal* (every field) to the sequential reference path, while
-advancing all users' answers one token per round over the shared model —
-and session eviction mid-round can neither corrupt another user's batch
-slot nor lose a pending answer.
+The serving contract: ``answer_batch`` produces responses *equal* (every
+field) to serving the same requests one :meth:`query` at a time — and the
+answers the sequential autograd oracle decodes — while advancing all
+users' answers one token per round over the shared model; and session
+eviction mid-round can neither corrupt another user's batch slot nor lose
+a pending answer.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.core import FrameworkConfig
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
 from repro.serve import PromptServeEngine, QueryRequest, TuneRequest
+from tests.oracles.generation import answer_sequential
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +61,7 @@ def interleaved_requests(tok, user_ids=(0, 1, 2), per_user=3, *,
 
 
 def sequential(engine, requests):
-    """The sequential reference: one :meth:`query` at a time."""
+    """One :meth:`query` at a time: the batch-invariance reference."""
     return [engine.query(request) for request in requests]
 
 
@@ -70,11 +72,15 @@ class TestBatchedEquivalence:
         for use_eos in (True, False):
             requests = interleaved_requests(tok, temperature=temperature,
                                             use_eos=use_eos)
-            reference = sequential(build_engine(setup), requests)
+            reference_engine = build_engine(setup)
+            reference = sequential(reference_engine, requests)
             batched = build_engine(setup).answer_batch(requests)
             assert batched == reference            # every response field
             assert [r.request_id for r in batched] == \
                 [r.request_id for r in requests]
+            # An independent implementation decides what the tokens are.
+            assert [r.answer for r in batched] == \
+                [answer_sequential(reference_engine, r) for r in requests]
 
     def test_batched_equals_query_loop(self, setup):
         _, tok = setup
@@ -164,6 +170,34 @@ class TestDecodeRounds:
         while not all(p.done for p in pendings):
             engine.run_decode_round()
         assert engine.stats()["requests_served"] == len(requests)
+
+    def test_latency_counts_retrieval_and_prefill(self, setup, monkeypatch):
+        """The request clock starts at the top of admission: a cold
+        ``begin_query``'s search and prefill are in ``latency_ms``."""
+        _, tok = setup
+        engine = build_engine(setup, user_ids=(0,))
+        session = engine.session(0)
+        clock = [100.0]
+        monkeypatch.setattr("repro.serve.engine.time.perf_counter",
+                            lambda: clock[0])
+
+        def taking(seconds, method):
+            def slow(*args, **kwargs):
+                clock[0] += seconds
+                return method(*args, **kwargs)
+            return slow
+
+        monkeypatch.setattr(engine, "_retrieve_batch",
+                            taking(2.0, engine._retrieve_batch))
+        monkeypatch.setattr(session, "prefill_state",
+                            taking(3.0, session.prefill_state))
+        pending = engine.begin_query(QueryRequest(
+            user_id=0, text=stream_for(0, 1)[0].input_text,
+            generation=GenerationConfig(max_new_tokens=3, temperature=0.0)))
+        while not pending.done:
+            engine.run_decode_round()
+        assert session.prefill_hits == 0                 # it was cold
+        assert engine.stats()["latency_ms"]["max_ms"] == pytest.approx(5000.0)
 
     def test_empty_round_is_noop(self, setup):
         engine = build_engine(setup, user_ids=())

@@ -13,6 +13,7 @@ from repro.serve import (
     UserSession,
 )
 from repro.tuning import TuningConfig
+from tests.oracles.generation import answer_sequential
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,9 @@ class TestBatching:
         assert [r.answer for r in batched] == [r.answer for r in sequential]
         assert [r.ovt_index for r in batched] == \
             [r.ovt_index for r in sequential]
+        # ... and both are what the sequential autograd oracle decodes.
+        assert [r.answer for r in batched] == \
+            [answer_sequential(trained_engine, r) for r in requests]
         # Input order and request ids are preserved.
         assert [r.request_id for r in batched] == \
             [r.request_id for r in requests]

@@ -95,6 +95,17 @@ class TestServingEquivalence:
             .answer_batch(requests)
         assert speculative == plain            # every response field
 
+    def test_query_drafts_too_and_returns_the_plain_response(self, setup):
+        """``query`` is ``answer_batch`` of one: it runs the speculative
+        rounds instead of bypassing the draft model."""
+        _, tok, _ = setup
+        plain_engine = build_engine(setup)
+        engine = build_engine(setup, make_spec(setup))
+        for request in greedy_requests(tok, use_eos=False):
+            assert engine.query(request) == plain_engine.query(request)
+        assert engine.stats()["spec_rounds"] > 0
+        assert plain_engine.stats()["spec_rounds"] == 0
+
     def test_sampled_requests_fall_back_identically(self, setup):
         """temperature > 0 disables drafting but not serving."""
         _, tok, _ = setup
