@@ -13,8 +13,8 @@ conversion costs in output quality:
   (retrieval -> soft prompt -> decode) and perplexity, each with its
   delta vs the float32 reference, plus the resident-weight footprint.
 
-``benchmarks/bench_quantized.py`` turns these records into the
-speed x accuracy frontier and CI gates the shipped default's deltas.
+``tests/eval/test_quantized_quality.py`` gates the shipped default's
+deltas; decode speed is the spine's ``llm.int8_tokens_per_s_b8``.
 """
 
 from __future__ import annotations

@@ -206,7 +206,7 @@ class TraceReport:
         return self.completed / self.wall_s if self.wall_s else 0.0
 
     def summary(self) -> dict:
-        """JSON-ready digest (the bench artifact payload)."""
+        """JSON-ready digest of the replay."""
         return {
             "requests": self.n_requests,
             "completed": self.completed,

@@ -60,3 +60,7 @@ class TestQuantizationQuality:
         assert 0 < int4["weight_bytes"] < int8["weight_bytes"]
         assert int8["quantized_layers"] == int4["quantized_layers"] > 0
         assert report["float32"]["weight_bytes"] > int8["weight_bytes"]
+        assert int4["weight_bytes"] <= 0.3 * report["float32"]["weight_bytes"]
+        # the shipped default (int8, group 32) must cost next to nothing
+        assert int8["accuracy_delta"] >= -0.05
+        assert int8["perplexity_ratio"] <= 1.05

@@ -2,8 +2,9 @@
 
 These tests exercise the full stack — pretraining, streaming data through
 the buffer, RS, (noise-aware) prompt tuning, autoencoding, NVM storage,
-scaled search, restoration, generation and scoring — and assert the
-paper's qualitative claims as statistical properties.
+scaled search, restoration, generation and scoring.  The paper's
+orderings (method ranking, SSA vs MIPS, sweeps, ablations) are asserted in
+``tests/eval/test_scorecard.py``; what stays here checks the plumbing.
 """
 
 import numpy as np
@@ -96,10 +97,15 @@ class TestEndToEnd:
     def test_library_differs_for_noise_aware(self, ctx):
         from dataclasses import replace
         config = fast_config()
+        plain = replace(config, noise_aware=False)
         a = ctx.library("phi-2-sim", "LaMP-2", 0, config)
-        b = ctx.library("phi-2-sim", "LaMP-2", 0,
-                        replace(config, noise_aware=False))
+        b = ctx.library("phi-2-sim", "LaMP-2", 0, plain)
         assert a is not b
+        # sigma only reaches training through noise injection
+        assert ctx.library("phi-2-sim", "LaMP-2", 0,
+                           replace(plain, sigma=0.15)) is b
+        assert ctx.library("phi-2-sim", "LaMP-2", 0,
+                           replace(config, sigma=0.15)) is not a
 
     def test_deployments_reuse_library_across_devices(self, ctx):
         from dataclasses import replace
@@ -132,26 +138,6 @@ class TestEndToEnd:
 
 
 class TestPaperShapeProperties:
-    def test_ssa_no_worse_than_mips_under_heavy_noise(self, ctx):
-        """Aggregate retrieval-quality claim behind Table I's last rows."""
-        from dataclasses import replace
-        model = ctx.model("phi-2-sim")
-        config = fast_config(noise_aware=True)
-        scores = {"ssa": [], "mips": []}
-        generation = ctx.generation_config()
-        for uid in (0, 1, 2):
-            task = ctx.user_task("LaMP-2", uid, config.buffer_capacity)
-            library = ctx.library("phi-2-sim", "LaMP-2", uid, config)
-            for retrieval in ("ssa", "mips"):
-                deployment = NVCiMDeployment(
-                    model, ctx.tokenizer, library,
-                    replace(config, sigma=0.15, retrieval=retrieval))
-                for query in task.queries:
-                    out = deployment.answer(query.input_text, generation)
-                    scores[retrieval].append(
-                        score_output("accuracy", out, query.target_text))
-        assert np.mean(scores["ssa"]) >= np.mean(scores["mips"]) - 0.10
-
     def test_restore_noise_grows_with_sigma(self, ctx):
         from dataclasses import replace
         config = fast_config()

@@ -183,6 +183,9 @@ class TestQuantizedLinearKernel:
         assert int8.dense_nbytes == 64 * 128 * 4
         assert int8.weight_nbytes == 64 * 128 + 2 * 4      # codes + 2 scales
         assert int4.weight_nbytes == 32 * 128 + 2 * 4      # two per byte
+        # the resident-memory contract: int4 at most 0.3x float32
+        assert int4.weight_nbytes <= 0.3 * int4.dense_nbytes
+        assert int8.weight_nbytes <= 0.3 * int8.dense_nbytes
 
 
 class TestModelConversion:

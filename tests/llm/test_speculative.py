@@ -191,18 +191,36 @@ class TestTokenIdentity:
         assert_matches_sequential(model, states, configs, results)
 
     def test_distilled_draft_accepts_and_stays_identical(self):
-        from repro.llm import PretrainConfig
-        model, draft = tiny_base(seed=8), tiny_draft(seed=9)
-        states, prompts = ragged_states(model, [4, 6, 9])
-        distill_draft(draft, model, prompts, max_new_tokens=12,
-                      pretrain=PretrainConfig(steps=120, seed=3))
-        configs = [GenerationConfig(max_new_tokens=12, temperature=0.0)
+        """The tuned serving configuration (draft depth 10, threshold 0.3,
+        batch 8) on a pretrained phi-2-sim and its distilled draft."""
+        from repro.data import build_corpus, build_tokenizer
+        from repro.llm import PretrainConfig, build_model, pretrain_lm
+        tok = build_tokenizer()
+        model = build_model("phi-2-sim", tok.vocab_size)
+        pretrain_lm(model, build_corpus(tok, n_sentences=400, seed=0),
+                    PretrainConfig(steps=200, seed=0))
+        draft = build_draft_model("phi-2-sim", tok.vocab_size)
+        prompts = [np.asarray(tok.encode(text), dtype=np.int64) for text in (
+            "the movie was", "a quiet morning", "science fiction story",
+            "my favorite recipe", "breaking news today", "the weather is",
+            "he opened the door", "numbers and letters",
+            "the committee agreed", "in the beginning", "her latest album",
+            "the engine started")]
+        distill_draft(draft, model, prompts, max_new_tokens=48,
+                      pretrain=PretrainConfig(steps=900, seed=1))
+        prompts = prompts[:8]
+        states = [prefill(model, ids) for ids in prompts]
+        configs = [GenerationConfig(max_new_tokens=32, temperature=0.0)
                    for _ in states]
-        spec = SpeculativeDecoder(draft, max_draft=4, threshold=0.1)
+        spec = SpeculativeDecoder(draft, max_draft=10, threshold=0.3)
         results, scheduler = run_speculative(model, states, prompts,
                                              configs, spec)
         assert_matches_sequential(model, states, configs, results)
-        assert scheduler.draft_accepted > 0   # distillation pays off
+        # Distillation pays off: what speculation saves, as counters (the
+        # wall-clock side is the spine's llm.spec_tokens_per_s_b8).  The
+        # floors sit 10% under the readings, 0.957 and 62.0.
+        assert scheduler.draft_accepted / scheduler.draft_proposed >= 0.86
+        assert scheduler.tokens_emitted / scheduler.forwards >= 55.0
 
     def test_mixed_eligibility_batch(self):
         """Greedy+prompt sequences speculate; sampled sequences and those
