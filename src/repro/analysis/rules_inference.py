@@ -44,11 +44,12 @@ class GraphFreeInference(Rule):
 
     Covers ``llm/infer.py``, ``llm/kv_cache.py``, ``llm/generation.py``,
     ``llm/speculative.py`` (outside ``distill_draft``, which trains),
-    ``serve/`` and ``gateway/``.  Caches hold ndarrays and every token is
-    decoded by the scheduler's span forward; wrapping arrays in
-    ``Tensor``, opening a ``no_grad()`` block, restoring train mode
-    after a temporary ``eval()``, or threading a cache through the
-    autograd ``forward`` are the four marks of a second decode loop.
+    ``serve/`` and ``gateway/``.  ``KVCache`` and ``KVBuffer`` hold
+    ndarrays and every token is decoded by the scheduler's span forward;
+    wrapping arrays in ``Tensor``, opening a ``no_grad()`` block,
+    restoring train mode after a temporary ``eval()``, or threading a
+    cache through the autograd ``forward`` are the four marks of a second
+    decode loop.
     Trained KV prefixes arrive as ``Tensor`` pairs and may be *read*
     (``.data``); ``eval()`` may be pinned once at construction.
     """
@@ -87,7 +88,8 @@ class GraphFreeInference(Rule):
                 yield self.finding(
                     ctx, node,
                     f"parameter {node.arg!r}: the inference path has one "
-                    f"cache API (KVCache + decode_span)")
+                    f"cache API (prefill's shared KVCache, copied into a "
+                    f"private KVBuffer that decode_span advances)")
             elif "no_grad" in (getattr(node, "id", None),
                                getattr(node, "attr", None),
                                getattr(node, "name", None)):

@@ -121,8 +121,8 @@ class CiMMatrix:
         self.shape = prepared.shape
         self.codec = Int16Codec.fit(prepared)
         self._ints = self.codec.encode(prepared)
-        self._digits = slice_to_digits(self._ints, device.bits_per_cell)
-        self.n_slices = self._digits.shape[0]
+        digits = slice_to_digits(self._ints, device.bits_per_cell)
+        self.n_slices = digits.shape[0]
         self._adc_bits = adc_bits
         d, n = self.shape
         self.n_row_tiles = -(-d // rows)
@@ -139,7 +139,7 @@ class CiMMatrix:
             tile_rng
             for slice_rng in spawn_generators(self._rng, self.n_slices)
             for tile_rng in spawn_generators(slice_rng, per_slice)])
-        self.bank.program(self._tiled_digits())
+        self.bank.program(self._tiled_digits(digits))
         self.mitigation.post_program(self)
 
     # ------------------------------------------------------------------
@@ -151,7 +151,7 @@ class CiMMatrix:
                         rows=self.subarray_rows, cols=self.subarray_cols,
                         sigma=self.sigma, adc_bits=self._adc_bits, rngs=rngs)
 
-    def _tiled_digits(self) -> np.ndarray:
+    def _tiled_digits(self, digits: np.ndarray) -> np.ndarray:
         """Digit planes as a zero-padded (n_tiles, rows, cols) stack.
 
         Tiles are ordered slice-major — ``(slice, row_tile, col_tile)`` in
@@ -163,7 +163,7 @@ class CiMMatrix:
         padded = np.zeros(
             (self.n_slices, self.n_row_tiles * rows, self.n_col_tiles * cols),
             dtype=np.int64)
-        padded[:, :d, :n] = self._digits
+        padded[:, :d, :n] = digits
         stack = padded.reshape(self.n_slices, self.n_row_tiles, rows,
                                self.n_col_tiles, cols)
         return stack.transpose(0, 1, 3, 2, 4).reshape(-1, rows, cols)
@@ -380,8 +380,6 @@ class CiMMatrix:
         if "ints" in snap:
             self.codec = Int16Codec(scale=float(snap["codec_scale"]))
             self._ints = np.asarray(snap["ints"], dtype=np.int16).copy()
-            self._digits = slice_to_digits(self._ints,
-                                           self.device.bits_per_cell)
             self.calibration = {key: np.asarray(value).copy()
                                 for key, value in snap["calibration"].items()}
 
@@ -430,7 +428,6 @@ class CiMMatrix:
         self.shape = tuple(int(d) for d in snap["shape"])
         self.codec = Int16Codec(scale=float(snap["codec_scale"]))
         self._ints = np.asarray(snap["ints"], dtype=np.int16).copy()
-        self._digits = slice_to_digits(self._ints, device.bits_per_cell)
         self.n_slices = int(snap["n_slices"])
         self._adc_bits = int(snap["adc_bits"])
         d, n = self.shape

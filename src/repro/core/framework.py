@@ -468,4 +468,4 @@ class NVCiMPT:
     def answer(self, input_text: str,
                generation: GenerationConfig | None = None) -> str:
         """Inference mode: answer with the best stored OVT."""
-        return self._session.answer(input_text, generation)
+        return self.engine.answer(self._FACADE_USER, input_text, generation)

@@ -4,9 +4,11 @@ The gateway deliberately avoids third-party web frameworks (the repo's
 only runtime dependency is numpy), so this module implements exactly the
 slice of HTTP/1.1 the serving edge needs: request-line + header parsing,
 ``Content-Length`` bodies, keep-alive connection reuse, and JSON response
-serialization.  Both the asyncio server (:mod:`repro.gateway.server`) and
-the blocking pooled client (:mod:`repro.gateway.client`) speak through
-the same parser, so the two sides cannot drift.
+serialization.  This is the server's half of the wire
+(:mod:`repro.gateway.server`); the blocking pooled client
+(:mod:`repro.gateway.client`) parses responses with stdlib
+``http.client``, so ``tests/gateway/test_http.py`` round-trips
+:func:`render_response` through that parser.
 
 Limits are explicit and conservative: header block and body sizes are
 bounded (an edge box fronting an LLM should never buffer megabytes of
@@ -20,9 +22,8 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["HTTPError", "HTTPRequest", "HTTPResponse", "read_request",
-           "read_response", "render_request", "render_response",
-           "STATUS_REASONS"]
+__all__ = ["HTTPError", "HTTPRequest", "read_request", "render_request",
+           "render_response", "STATUS_REASONS"]
 
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -95,38 +96,8 @@ class HTTPRequest:
         return payload
 
 
-@dataclass
-class HTTPResponse:
-    """One parsed response (client side)."""
-
-    status: int
-    headers: dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
-
-    @property
-    def keep_alive(self) -> bool:
-        return self.headers.get("connection", "keep-alive") != "close"
-
-    @property
-    def retry_after(self) -> float | None:
-        value = self.headers.get("retry-after")
-        if value is None:
-            return None
-        try:
-            return max(0.0, float(value))
-        except ValueError:
-            return None
-
-    def json(self) -> dict:
-        try:
-            payload = json.loads(self.body) if self.body else {}
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return {}
-        return payload if isinstance(payload, dict) else {}
-
-
 # ----------------------------------------------------------------------
-# Parsing (server side reads requests; the client reuses the header logic)
+# Parsing
 # ----------------------------------------------------------------------
 def _parse_headers(lines: list[bytes]) -> dict[str, str]:
     headers: dict[str, str] = {}
@@ -159,7 +130,7 @@ def _content_length(headers: dict[str, str]) -> int:
 
 
 async def _read_head(reader: asyncio.StreamReader) -> bytes | None:
-    """The request/status line + headers, or None on a clean EOF."""
+    """The request line + headers, or None on a clean EOF."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as error:
@@ -196,33 +167,6 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
             raise HTTPError(400, "connection closed mid-body") from None
     return HTTPRequest(method=method.decode("latin-1").upper(), path=path,
                        query=query, headers=headers, body=body)
-
-
-async def read_response(reader: asyncio.StreamReader) -> HTTPResponse:
-    """Parse one response off the stream (async client side)."""
-    head = await _read_head(reader)
-    if head is None:
-        raise HTTPError(503, "server closed the connection")
-    status_line, header_lines = _split_head(head)
-    parts = status_line.split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith(b"HTTP/1."):
-        raise HTTPError(503, f"malformed status line: {status_line[:60]!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise HTTPError(503,
-                        f"malformed status line: {status_line[:60]!r}") \
-            from None
-    headers = _parse_headers(header_lines)
-    body = b""
-    length = _content_length(headers)
-    if length:
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise HTTPError(503, "server closed the connection mid-body") \
-                from None
-    return HTTPResponse(status=status, headers=headers, body=body)
 
 
 # ----------------------------------------------------------------------

@@ -7,15 +7,17 @@ conditioning mechanisms (soft-prompt embeddings and per-layer KV prefixes).
 Decoding is incremental and graph-free (:mod:`~repro.llm.infer`): the
 prompt (soft prompt included) is run through the model once
 (:func:`prefill`), and every subsequent token is a single-position forward
-against the growing :class:`~repro.llm.kv_cache.KVCache` — O(T) per step
-instead of re-running the whole sequence.
+against the sequence's :class:`~repro.llm.kv_cache.KVBuffer` — the prefill
+cache copied once, at admission, into storage preallocated for the whole
+answer and appended to in place — O(T) per step instead of re-running the
+whole sequence.
 
 There is one decode loop.  A :class:`DecodeScheduler` holds any number of
 in-flight generations and advances *all* of them per round through a
 single batched forward (:meth:`~repro.llm.transformer.TinyCausalLM
 .decode_span`), admitting new sequences and retiring finished ones (EOS,
 token budget, context limit) between rounds.  Each sequence keeps its own
-compact cache, rng stream, and sampling config, and the batched forward is
+compact buffer, rng stream, and sampling config, and the batched forward is
 bit-exact per sequence, so batching changes aggregate throughput, never
 answers; :func:`decode_from` and :func:`generate` are the scheduler with a
 batch of one.  The prefill/decode split is public so the serving engine
@@ -37,7 +39,7 @@ import numpy as np
 from ..ag import Tensor
 from . import infer
 from .attention import KVPrefix
-from .kv_cache import BatchedKVCache, KVCache
+from .kv_cache import KVBuffer, KVCache
 from .transformer import TinyCausalLM
 from ..utils import rng_from_seed
 
@@ -66,11 +68,12 @@ class GenerationConfig:
 class PrefillState:
     """One prompt run through the model, ready to decode from.
 
-    Reusable: decoding never mutates the state or its cache, so one
-    prefill can seed any number of decodes (different seeds, temperatures,
-    budgets).  The KV prefix the prompt was conditioned on is recorded
-    here and re-attached on every decode round — callers cannot
-    accidentally decode with mismatched conditioning.
+    Reusable: decoding never mutates the state or its cache (admission
+    copies it into the sequence's own buffer), so one prefill can seed any
+    number of decodes (different seeds, temperatures, budgets).  The KV
+    prefix the prompt was conditioned on is recorded here and laid into
+    that buffer with it — callers cannot accidentally decode with
+    mismatched conditioning.
     """
 
     cache: KVCache
@@ -144,8 +147,8 @@ def decode_from(
     """Sample a continuation from a :class:`PrefillState`.
 
     The scheduler with a batch of one (:func:`decode_batch`): the KV prefix
-    recorded at prefill time is re-attached on every round, and the state
-    itself is left untouched (decode again for another sample).
+    recorded at prefill time conditions every round, and the state itself
+    is left untouched (decode again for another sample).
     """
     return decode_batch(model, [state], config)[0]
 
@@ -190,7 +193,7 @@ class DecodeSequence:
     """One in-flight generation inside a :class:`DecodeScheduler`.
 
     Self-contained by design: it references only the (immutable) prefill
-    state and owns its growing cache, rng stream, and sampling config, so
+    state and owns its K/V buffer, rng stream, and sampling config, so
     whoever admitted it (e.g. a serving session) can disappear mid-flight
     without affecting this or any other sequence in the batch.
     """
@@ -204,7 +207,9 @@ class DecodeSequence:
                  prompt_ids: np.ndarray | None = None):
         self.state = state
         self.config = config
-        self.cache = state.cache
+        # Allocated by DecodeScheduler.admit; stays None for a sequence
+        # that retires there without ever joining a round.
+        self.cache: KVBuffer | None = None
         self.generated: list[int] = []
         self.finished = False
         self.finish_reason: str | None = None
@@ -214,7 +219,7 @@ class DecodeSequence:
         # deterministic reference path.
         self.deadline = deadline
         # The raw prompt token ids, when the admitter knows them.  The
-        # KV cache only stores keys/values, so a draft model cannot
+        # KV buffer only stores keys/values, so a draft model cannot
         # reconstruct the context from it; speculative decoding needs the
         # ids to feed its own (smaller) model.  None disables drafting
         # for this sequence — it still decodes normally.
@@ -333,10 +338,15 @@ class DecodeScheduler:
 
         The first token is sampled right here from the prefill logits (no
         forward needed); a sequence that immediately hits EOS or a limit
-        retires without ever joining a round.  ``deadline`` (a ``time.monotonic()`` timestamp) bounds
-        how long the sequence may stay in flight: a round that starts
-        after the deadline retires it with whatever tokens it has, the
-        serving building block for per-request latency SLOs.
+        retires without ever joining a round.  One that stays gets its
+        private :class:`~repro.llm.kv_cache.KVBuffer` here — trained
+        prefix, then a copy of ``state.cache``, then room for exactly the
+        positions it can still reach (``max_new_tokens`` more, capped at
+        ``max_seq_len``) — so no later round allocates.  ``deadline`` (a
+        ``time.monotonic()`` timestamp) bounds how long the sequence may
+        stay in flight: a round that starts after the deadline retires it
+        with whatever tokens it has, the serving building block for
+        per-request latency SLOs.
         ``prompt_ids`` (the raw prompt tokens) makes the sequence eligible
         for speculative drafting when the scheduler has a
         :class:`~repro.llm.speculative.SpeculativeDecoder`; it is inert
@@ -355,6 +365,9 @@ class DecodeScheduler:
         else:
             sequence._absorb(state.last_logits)
         if not sequence.finished:
+            capacity = min(self.model.config.max_seq_len,
+                           state.seq_len + config.max_new_tokens)
+            sequence.cache = KVBuffer(state.cache, capacity, state.prefix_kv)
             self._active.append(sequence)
         return sequence
 
@@ -362,7 +375,7 @@ class DecodeScheduler:
         """Cleanly retire a sequence mid-flight; its tokens so far remain.
 
         Returns True if the sequence was active.  The batch simply shrinks
-        by one slot — remaining sequences are unaffected (their caches and
+        by one slot — remaining sequences are unaffected (their buffers and
         rng streams are private).
         """
         try:
@@ -424,17 +437,13 @@ class DecodeScheduler:
         drafted = any(proposals)
         spans = [[seq.generated[-1], *props]
                  for seq, props in zip(active, proposals)]
-        batched = BatchedKVCache.stack([seq.cache for seq in active])
-        prefixes = None
-        if any(seq.state.prefix_kv is not None for seq in active):
-            prefixes = [seq.state.prefix_kv for seq in active]
         # decode_round is decode_span's every-span-is-one-token case under
         # the name the measurement spine traces plain rounds by.
         forward = self.model.decode_span if drafted else self.model.decode_round
-        logits, extended = forward(spans, batched, prefix_kvs=prefixes)
+        logits = forward(spans, [seq.cache for seq in active])
         emitted = row = 0
         accepted: list[int] = []
-        for seq, props, cache in zip(active, proposals, extended.split()):
+        for seq, props in zip(active, proposals):
             confirmed = 0
             # The row after the last proposal yields the model's own next
             # token, which confirms nothing (None matches no token).
@@ -447,10 +456,9 @@ class DecodeScheduler:
                 if seq.finished:
                     break
             # One-token rounds would have cached exactly the ``fed`` tokens
-            # absorbed from; anything further is rejected speculation.
-            # Views suffice: the source buffer is dropped next round and
-            # its tail is at most a few positions.
-            seq.cache = cache.truncate(seq.cache.seq_len + fed, copy=False)
+            # absorbed from; anything further is rejected speculation,
+            # left behind the cursor for the next round to overwrite.
+            seq.cache.seq_len -= 1 + len(props) - fed
             accepted.append(confirmed)
             row += 1 + len(props)
             self.draft_proposed += len(props)

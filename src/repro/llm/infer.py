@@ -25,14 +25,17 @@ The two forward shapes built on them:
   per row over that sequence's *compact* keys, so each row is bitwise what
   the sequence would compute alone.  (A padded key-mask formulation
   changes the length, hence the association order, of numpy's reductions
-  and drifts by ulps.)
+  and drifts by ulps.)  It reads and writes each sequence's private
+  preallocated :class:`~repro.llm.kv_cache.KVBuffer` in place: a round
+  allocates no key or value array.
 * *extend* (:func:`extend`): one sequence, many positions, causal mask,
   optional KV prefix and past cache — prefill and the draft model's
   catch-up.  Bitwise the autograd attention over the same keys (the
-  cached step kept in ``tests/oracles/generation.py``).
+  cached step kept in ``tests/oracles/generation.py``).  It returns a new
+  immutable :class:`~repro.llm.kv_cache.KVCache` and mutates nothing.
 
-Caches are plain float32 ndarrays (:class:`~repro.llm.kv_cache.KVCache`);
-only the trained KV prefixes arrive as ``Tensor`` pairs.
+Both hold plain float32 ndarrays; only the trained KV prefixes arrive as
+``Tensor`` pairs.
 """
 
 from __future__ import annotations
@@ -124,56 +127,39 @@ def _merge(attn, context: np.ndarray) -> np.ndarray:
 def span_attention(
     attn,
     h: np.ndarray,
-    past: Sequence[KVArrays],
+    buffers: Sequence[KVArrays],
+    starts: Sequence[int],
     spans: Sequence[int],
-    prefixes: Sequence[KVPrefix | None] | None = None,
-) -> tuple[np.ndarray, list[KVArrays]]:
+) -> np.ndarray:
     """Attention for ``sum(spans)`` new positions of ``len(spans)`` sequences.
 
     ``h`` is ``(sum(spans), 1, d_model)``: sequence ``s`` owns ``spans[s]``
-    contiguous rows, cached keys/values ``past[s]`` (ragged lengths) and an
-    optional trained prefix ``prefixes[s]``.  Row ``i`` of a span attends,
-    all-visible, over prefix + cache + its span predecessors.  Returns the
-    attended rows and each sequence's cache extended by its whole span
-    (callers roll rejected suffixes back with ``KVCache.truncate``).
+    contiguous rows and this layer's ``buffers[s]`` — its private
+    preallocated ``(keys, values)`` arrays
+    (:class:`~repro.llm.kv_cache.KVBuffer`), live in rows ``[:starts[s]]``
+    (trained prefix, then cached positions).  The span's keys/values are
+    written in place at rows ``starts[s] ..`` and row ``i`` of a span
+    attends, all-visible, over everything before it plus its span
+    predecessors.  Returns the attended rows; the caller owns the cursor
+    (and has checked that the span fits).
     """
     q, k, v = _heads(attn, h)
     # Per row: the (keys, values) slices it attends over.
     attended: list[tuple[np.ndarray, np.ndarray]] = []
-    present: list[KVArrays] = []
     row = width = 0
-    for s, span in enumerate(spans):
-        past_k, past_v = past[s]
-        attn._check_kv(past_k, past_v, "past")
-        prefix = None if prefixes is None else prefixes[s]
-        prefix_len = 0
-        if prefix is not None:
-            attn._check_kv(prefix[0], prefix[1], "prefix")
-            prefix_len = prefix[0].shape[2]
-        # One buffer per sequence: the slice [:, :, :at] a row attends over
-        # has, per head, exactly the values and memory layout (row stride
-        # d_head) of a freshly concatenated prefix+cache+span array, so
-        # every row is bitwise the one-token-at-a-time result while the
-        # O(T) copy of the past is paid once per sequence, not per row.
-        base = prefix_len + past_k.shape[2]
-        buf_k = np.empty((1, attn.n_heads, base + span, attn.d_head),
-                         dtype=np.float32)
-        buf_v = np.empty_like(buf_k)
-        if prefix is not None:
-            buf_k[:, :, :prefix_len] = prefix[0].data
-            buf_v[:, :, :prefix_len] = prefix[1].data
-        buf_k[:, :, prefix_len:base] = past_k
-        buf_v[:, :, prefix_len:base] = past_v
-        buf_k[0, :, base:] = k[row:row + span, :, 0].transpose(1, 0, 2)
-        buf_v[0, :, base:] = v[row:row + span, :, 0].transpose(1, 0, 2)
+    for (buf_k, buf_v), base, span in zip(buffers, starts, spans):
+        attn._check_kv(buf_k, buf_v, "cache")
+        # The slice [:, :, :at] a row attends over has, per head, exactly
+        # the values and memory layout (row stride d_head) of a freshly
+        # concatenated prefix+cache+span array, so every row is bitwise the
+        # one-token-at-a-time result and nothing older is ever copied.
+        new = slice(row, row + span)
+        buf_k[0, :, base:base + span] = k[new, :, 0].transpose(1, 0, 2)
+        buf_v[0, :, base:base + span] = v[new, :, 0].transpose(1, 0, 2)
         attended += [(buf_k[:, :, :at], buf_v[:, :, :at])
                      for at in range(base + 1, base + span + 1)]
         row += span
         width = max(width, base + span)
-        # Views, not copies, past the prefix: the next round copies them
-        # into its own buffer before any matmul reads them (the argument
-        # ``KVCache.truncate(copy=False)`` relies on).
-        present.append((buf_k[:, :, prefix_len:], buf_v[:, :, prefix_len:]))
     # What BLAS and numpy's pairwise summation compute depends on the
     # operand's length, so the two matmuls and the softmax sum run row by
     # row over compact slices.  Scaling, the max shift, exp and the
@@ -195,7 +181,7 @@ def span_attention(
     contexts = np.empty(q.shape, dtype=np.float32)
     for i, (_, values) in enumerate(attended):
         np.matmul(weights[i], values, out=contexts[i:i + 1])
-    return _merge(attn, contexts), present
+    return _merge(attn, contexts)
 
 
 def _causal_attention(attn, h: np.ndarray, past: KVArrays | None,
@@ -223,8 +209,8 @@ def _causal_attention(attn, h: np.ndarray, past: KVArrays | None,
     # The attention above ran on forward's own (strided) views; the cache
     # is handed on C-contiguous so that the autograd oracle's
     # ``cat([past, new])`` (tests/oracles/generation.py) — which inherits
-    # its inputs' memory order — and the span forward's buffer present
-    # BLAS the same key layout.
+    # its inputs' memory order — and the span forward's ``KVBuffer``
+    # present BLAS the same key layout.
     return _merge(attn, context), (np.ascontiguousarray(k),
                                    np.ascontiguousarray(v))
 

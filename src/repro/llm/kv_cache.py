@@ -1,39 +1,39 @@
-"""Per-layer key/value caches for incremental decoding.
+"""Per-layer key/value storage for incremental decoding, in two roles.
 
-A :class:`KVCache` holds, for every transformer layer, the keys and values
-of all positions processed so far: float32 ndarrays shaped ``(batch, heads,
-T, d_head)`` — nothing autograd ever consumes a cache, so there is no
-``Tensor`` here.  Caches are value-immutable: prefill and every decode
-round (:mod:`repro.llm.infer`) return a *new* cache whose arrays extend the
-old one (the old cache and its arrays are never mutated), so a prefill
-cache can be shared safely between many decodes — the basis of the serving
-engine's prefill reuse.
+Both hold, for every transformer layer, keys and values as float32 ndarrays
+shaped ``(batch, heads, T, d_head)`` — nothing autograd ever consumes them,
+so there is no ``Tensor`` here.
 
-A :class:`BatchedKVCache` groups many single-sequence caches so one decode
-round can advance them together even though their cached lengths are
-ragged (different users' prompts, admitted at different times).  Because
-single-sequence caches are value-immutable, :meth:`BatchedKVCache.stack`
-and :meth:`BatchedKVCache.split` are O(batch) reference operations — no
-array is ever copied or padded.  Keeping each sequence's rows compact
-(rather than right-padding to the longest and masking) is what lets the
-batched decode round reproduce each sequence decoded alone, bit for bit:
-padded reductions change numpy's summation tree and drift by ulps.
+* :class:`KVCache` is the *shared, immutable* one: what :func:`prefill
+  <repro.llm.generation.prefill>` returns and the serving engine's prefill
+  LRU keeps.  Nothing ever writes to its arrays, so one prefill can seed
+  any number of decodes.  (The draft model's per-sequence cache is the same
+  class: :func:`repro.llm.infer.extend` returns a new one per catch-up.)
+* :class:`KVBuffer` is the *private, preallocated* one: at admission each
+  decoding sequence copies its prefill cache, once, into buffers sized for
+  every position it may still decode, and from then on a decode round
+  writes its new rows in place at the cursor (``seq_len``).  Rolling back
+  rejected speculation is an assignment to the cursor; the rows past it
+  are scratch the next round overwrites.
 
-Trained KV *prefixes* (prefix tuning / P-tuning v2) are deliberately not
-stored here: they are constant conditioning (``Tensor`` pairs, trained
-through the autograd forward) re-attached on every step, while the cache
-only accumulates real positions.
+Keeping each sequence's rows compact in its own buffer (rather than
+right-padding a batch to the longest and masking) is what lets the batched
+decode round reproduce each sequence decoded alone, bit for bit: padded
+reductions change numpy's summation tree and drift by ulps.
+
+A trained KV *prefix* (prefix tuning / P-tuning v2) is constant
+conditioning, not a cached position: a :class:`KVCache` never holds it,
+and a :class:`KVBuffer` lays it down once at the head of each layer's
+arrays, ahead of position 0, so every attention slice starts with it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-__all__ = ["KVCache", "BatchedKVCache"]
+__all__ = ["KVCache", "KVBuffer"]
 
-# One layer's cached (keys, values), each (batch, heads, T, d_head) float32.
+# One layer's (keys, values), each (batch, heads, T, d_head) float32.
 KVArrays = tuple[np.ndarray, np.ndarray]
 
 
@@ -75,34 +75,6 @@ class KVCache:
         """Approximate cache footprint (for serving telemetry)."""
         return sum(k.nbytes + v.nbytes for k, v in self._layers)
 
-    def truncate(self, length: int, *, copy: bool = True) -> "KVCache":
-        """A new cache covering only the first ``length`` positions.
-
-        This is the rollback primitive of speculative decoding: a verify
-        forward extends the cache with every *drafted* position, and the
-        rejected suffix is discarded by truncating back to the accepted
-        length.  The original cache is untouched (value-immutability is
-        the contract everything else relies on).  With ``copy=True`` the
-        kept rows are copied so the truncated cache never pins the
-        rejected arrays alive; ``copy=False`` returns zero-copy views
-        for hot paths that drop the source within a round anyway (the
-        rejected tail is at most a few positions, so pinning it costs
-        almost nothing).
-        """
-        if not 1 <= length <= self.seq_len:
-            raise ValueError(
-                f"cannot truncate a {self.seq_len}-position cache to "
-                f"{length} positions"
-            )
-        if length == self.seq_len:
-            return self
-        layers = [(k[:, :, :length], v[:, :, :length])
-                  for k, v in self._layers]
-        if copy:
-            layers = [(np.ascontiguousarray(k), np.ascontiguousarray(v))
-                      for k, v in layers]
-        return KVCache(layers)
-
     def __len__(self) -> int:
         return self.n_layers
 
@@ -111,78 +83,72 @@ class KVCache:
                 f"batch={self.batch_size})")
 
 
-class BatchedKVCache:
-    """A ragged batch of single-sequence caches advancing in lockstep.
+class KVBuffer:
+    """One decoding sequence's private K/V storage, allocated once.
 
-    Each member cache must have ``batch_size == 1`` and the same number of
-    layers; their sequence lengths may differ (that is the point — a decode
-    round serves users whose prompts were different lengths and who were
-    admitted at different times).  The container is as immutable as its
-    members: a decode round builds a *new* :class:`BatchedKVCache` from the
-    extended per-sequence caches.
+    Per layer, a ``(keys, values)`` pair shaped ``(1, heads, prefix_len +
+    capacity, d_head)``: ``prefix_kv`` (one trained ``Tensor`` pair per
+    layer, or None) in rows ``[:prefix_len]``, then ``cache`` — copied, so
+    the shared prefill cache stays untouched — then room up to
+    ``capacity`` positions.  ``seq_len`` is the cursor: the number of
+    positions that hold real keys/values.  :meth:`TinyCausalLM.decode_span
+    <repro.llm.transformer.TinyCausalLM.decode_span>` writes at it and
+    advances it; assigning a smaller value discards a rejected suffix.
     """
 
-    __slots__ = ("_caches",)
+    __slots__ = ("_layers", "prefix_len", "capacity", "seq_len")
 
-    def __init__(self, caches: Sequence[KVCache]):
-        caches = list(caches)
-        if not caches:
-            raise ValueError("BatchedKVCache needs at least one sequence")
-        layer_counts = {cache.n_layers for cache in caches}
-        if len(layer_counts) != 1:
+    def __init__(self, cache: KVCache, capacity: int,
+                 prefix_kv: list | None = None):
+        if cache.batch_size != 1:
             raise ValueError(
-                f"all sequences must cache the same number of layers, "
-                f"got {sorted(layer_counts)}"
+                f"a KVBuffer holds one sequence (batch 1), got batch "
+                f"{cache.batch_size}"
             )
-        for cache in caches:
-            if cache.batch_size != 1:
-                raise ValueError(
-                    f"BatchedKVCache members must be single-sequence "
-                    f"(batch 1), got batch {cache.batch_size}"
-                )
-        self._caches = caches
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def stack(cls, caches: Sequence[KVCache]) -> "BatchedKVCache":
-        """Group single-sequence caches into one ragged batch (no copies)."""
-        return cls(caches)
-
-    def split(self) -> list[KVCache]:
-        """The member caches, in batch order (no copies)."""
-        return list(self._caches)
-
-    # ------------------------------------------------------------------
-    @property
-    def batch_size(self) -> int:
-        return len(self._caches)
+        if capacity < cache.seq_len:
+            raise ValueError(
+                f"capacity {capacity} cannot hold the {cache.seq_len} "
+                f"positions already cached"
+            )
+        if prefix_kv is not None and len(prefix_kv) != cache.n_layers:
+            raise ValueError(
+                f"prefix_kv has {len(prefix_kv)} entries for "
+                f"{cache.n_layers} layers"
+            )
+        self.prefix_len = 0 if prefix_kv is None else prefix_kv[0][0].shape[2]
+        self.capacity = capacity
+        self.seq_len = cache.seq_len
+        filled = self.prefix_len + cache.seq_len
+        self._layers: list[KVArrays] = []
+        for index in range(cache.n_layers):
+            past = cache.layer(index)
+            _, heads, _, d_head = past[0].shape
+            pair = []
+            for which in (0, 1):
+                buf = np.empty((1, heads, self.prefix_len + capacity, d_head),
+                               dtype=np.float32)
+                if prefix_kv is not None:
+                    prefix = prefix_kv[index][which].data
+                    if prefix.shape != (1, heads, self.prefix_len, d_head):
+                        raise ValueError(
+                            f"prefix shaped {prefix.shape} incompatible "
+                            f"with {heads} heads of size {d_head} and a "
+                            f"{self.prefix_len}-row prefix"
+                        )
+                    buf[:, :, :self.prefix_len] = prefix
+                buf[:, :, self.prefix_len:filled] = past[which]
+                pair.append(buf)
+            self._layers.append(tuple(pair))
 
     @property
     def n_layers(self) -> int:
-        return self._caches[0].n_layers
+        return len(self._layers)
 
-    @property
-    def lengths(self) -> np.ndarray:
-        """Cached positions per sequence (soft-prompt rows included)."""
-        return np.array([cache.seq_len for cache in self._caches],
-                        dtype=np.int64)
-
-    def sequence(self, index: int) -> KVCache:
-        """One sequence's cache."""
-        return self._caches[index]
-
-    def layer_slices(self, index: int) -> list[KVArrays]:
-        """One layer's cached ``(key, value)`` pair for every sequence."""
-        return [cache.layer(index) for cache in self._caches]
-
-    def memory_bytes(self) -> int:
-        """Aggregate KV footprint (for serving telemetry)."""
-        return sum(cache.memory_bytes() for cache in self._caches)
-
-    def __len__(self) -> int:
-        return self.batch_size
+    def layer(self, index: int) -> KVArrays:
+        """One layer's whole ``(keys, values)`` buffers — the arrays
+        themselves, every call: rows ``[:prefix_len + seq_len]`` are live."""
+        return self._layers[index]
 
     def __repr__(self) -> str:
-        return (f"BatchedKVCache(batch={self.batch_size}, "
-                f"n_layers={self.n_layers}, "
-                f"lengths={self.lengths.tolist()})")
+        return (f"KVBuffer(n_layers={self.n_layers}, seq_len={self.seq_len}, "
+                f"capacity={self.capacity}, prefix_len={self.prefix_len})")

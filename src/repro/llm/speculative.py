@@ -36,13 +36,13 @@ token budget.
 
 Cache accounting
 ----------------
-The verify forward extends each sequence's base-model cache with every
-fed position; the rejected suffix is rolled back with
-:meth:`KVCache.truncate`, landing on exactly the cache one-token rounds
-would hold.  The draft model keeps its own per-sequence cache
-(``DecodeSequence.draft_cache``) over the raw token stream, truncated to
-the accepted prefix after every round and caught up at the start of the
-next.
+The verify forward writes every fed position into each sequence's
+base-model :class:`~repro.llm.kv_cache.KVBuffer` in place; the scheduler
+discards the rejected suffix by moving the buffer's cursor back, landing
+on exactly the rows one-token rounds would hold.  The draft model keeps
+its own per-sequence :class:`~repro.llm.kv_cache.KVCache`
+(``DecodeSequence.draft_cache``) over the raw token stream, cut to the
+accepted prefix after every round and caught up at the start of the next.
 
 The draft fast path
 -------------------
@@ -54,7 +54,10 @@ first contact and catch-up), and :class:`_DraftRound` swaps only the
 attention core: padded whole-batch matmuls over a masked window, several
 times cheaper than per-row compact attention at the batch sizes drafting
 sees.  Token-identity of the *output* is untouched — the base model's
-verify forward still runs the bit-exact ``decode_span``.
+verify forward still runs the bit-exact ``decode_span``.  That is also why
+the draft does not decode from per-sequence ``KVBuffer``s: whole-batch
+matmuls need one padded ``(B, heads, window, d_head)`` array, which
+:class:`_DraftRound` rebuilds per round from the compact draft caches.
 """
 
 from __future__ import annotations

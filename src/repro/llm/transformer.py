@@ -12,10 +12,11 @@ Inference does not run ``forward`` at all.  :meth:`TinyCausalLM.decode_span`
 advances *many independent sequences* by a ragged number of tokens each
 (:meth:`TinyCausalLM.decode_round` is its one-token-each case) on the
 graph-free kernels of :mod:`repro.llm.infer`.  Each sequence carries its
-own ragged-length cache (a :class:`~repro.llm.kv_cache.BatchedKVCache`)
-and position offset; the dense sublayers run as one stacked forward while
-attention composes per-sequence compact caches, so every row of the
-returned logits is bit-identical to advancing that sequence alone.
+own private, preallocated :class:`~repro.llm.kv_cache.KVBuffer` (ragged
+lengths, advanced in place) and position offset; the dense sublayers run
+as one stacked forward while attention reads each sequence's compact rows,
+so every row of the returned logits is bit-identical to advancing that
+sequence alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from ..ag import Embedding, Dropout, LayerNorm, Linear, Module, Tensor, gelu
 from . import infer
 from .attention import KVPrefix, MultiHeadSelfAttention
-from .kv_cache import BatchedKVCache, KVCache
+from .kv_cache import KVBuffer
 from ..utils import rng_from_seed
 
 __all__ = ["LMConfig", "TransformerBlock", "TinyCausalLM"]
@@ -164,32 +165,22 @@ class TinyCausalLM(Module):
         return self.lm_head(self.ln_final(x))
 
     # ------------------------------------------------------------------
-    def decode_round(
-        self,
-        token_ids: np.ndarray,
-        cache: BatchedKVCache,
-        *,
-        prefix_kvs: Sequence[list[KVPrefix] | None] | None = None,
-    ) -> tuple[np.ndarray, BatchedKVCache]:
+    def decode_round(self, token_ids: np.ndarray,
+                     caches: Sequence[KVBuffer]) -> np.ndarray:
         """Advance ``B`` independent sequences by one token in one forward.
 
         ``token_ids`` holds the newest token of each sequence, (B,) or
         (B, 1): the all-spans-of-length-1 case of :meth:`decode_span`,
         which see.  Row ``i`` of the (B, 1, vocab) logits is bit-identical
-        to advancing ``cache.sequence(i)`` alone — what makes batched
-        serving answers token-identical to sequential ones.
+        to advancing ``caches[i]`` alone — what makes batched serving
+        answers token-identical to sequential ones.
         """
         ids = np.asarray(token_ids, dtype=np.int64).reshape(-1, 1)
-        return self.decode_span(ids, cache, prefix_kvs=prefix_kvs)
+        return self.decode_span(ids, caches)
 
     # ------------------------------------------------------------------
-    def decode_span(
-        self,
-        token_spans: Sequence[np.ndarray],
-        cache: BatchedKVCache,
-        *,
-        prefix_kvs: Sequence[list[KVPrefix] | None] | None = None,
-    ) -> tuple[np.ndarray, BatchedKVCache]:
+    def decode_span(self, token_spans: Sequence[np.ndarray],
+                    caches: Sequence[KVBuffer]) -> np.ndarray:
         """Advance ``B`` sequences by a ragged number of tokens each.
 
         The one batched inference forward, graph-free on the
@@ -206,74 +197,56 @@ class TinyCausalLM(Module):
         Args:
             token_spans: per-sequence 1-D arrays of token ids, each of
                 length >= 1.
-            cache: each sequence's cached positions (ragged lengths).
-            prefix_kvs: optional per-sequence trained KV prefixes — entry
-                ``s`` is the ``prefix_kv`` list sequence ``s`` was
-                prefilled with (or None), re-attached every round (it is
-                constant conditioning, not part of the cache).
+            caches: each sequence's private buffer (ragged lengths, the
+                trained KV prefix it was prefilled with already laid at
+                its head).  **Advanced in place**: sequence ``s`` gains
+                ``len(token_spans[s])`` positions at its cursor.  The
+                caller discards a rejected suffix by assigning
+                ``caches[s].seq_len`` back.
 
         Returns:
-            ``(logits, cache)`` where ``logits`` is (sum(spans), 1,
-            vocab) — rows in sequence order, positions within a sequence
-            contiguous — and the new cache extends sequence ``s`` by
-            ``len(token_spans[s])`` positions.  The caller rolls back
-            rejected suffixes with :meth:`KVCache.truncate
-            <repro.llm.kv_cache.KVCache.truncate>`.
+            The logits, (sum(spans), 1, vocab) — rows in sequence order,
+            positions within a sequence contiguous.  Nothing is written
+            when validation fails.
         """
         spans = [np.asarray(span, dtype=np.int64).reshape(-1)
                  for span in token_spans]
         if any(span.size == 0 for span in spans):
             raise ValueError("every token span must hold at least one token")
-        if cache.n_layers != len(self.blocks):
-            raise ValueError(
-                f"cache has {cache.n_layers} layers for "
-                f"{len(self.blocks)} blocks"
-            )
-        if len(spans) != cache.batch_size:
+        if len(spans) != len(caches):
             raise ValueError(
                 f"{len(spans)} token spans for "
-                f"{cache.batch_size} cached sequences"
+                f"{len(caches)} cached sequences"
             )
-        if prefix_kvs is not None:
-            if len(prefix_kvs) != cache.batch_size:
+        for span, cache in zip(spans, caches):
+            if cache.n_layers != len(self.blocks):
                 raise ValueError(
-                    f"{len(prefix_kvs)} prefix entries for "
-                    f"{cache.batch_size} sequences"
+                    f"cache has {cache.n_layers} layers for "
+                    f"{len(self.blocks)} blocks"
                 )
-            for prefix in prefix_kvs:
-                if prefix is not None and len(prefix) != len(self.blocks):
-                    raise ValueError(
-                        f"prefix_kv has {len(prefix)} entries for "
-                        f"{len(self.blocks)} layers"
-                    )
-        lengths = cache.lengths
-        span_lens = [span.size for span in spans]
-        for s, span_len in enumerate(span_lens):
-            if int(lengths[s]) + span_len > self.config.max_seq_len:
+            if cache.seq_len + span.size > self.config.max_seq_len:
                 raise ValueError(
-                    f"a sequence of {int(lengths[s]) + span_len} exceeds "
+                    f"a sequence of {cache.seq_len + span.size} exceeds "
                     f"max_seq_len={self.config.max_seq_len}"
                 )
-        ids = np.concatenate(spans)
+            if cache.seq_len + span.size > cache.capacity:
+                raise ValueError(
+                    f"a span of {span.size} from position {cache.seq_len} "
+                    f"overruns a buffer of {cache.capacity} positions"
+                )
+        span_lens = [span.size for span in spans]
         # Each new token sits at its own sequence's next position(s).
         positions = np.concatenate([
-            np.arange(lengths[s], lengths[s] + span_lens[s], dtype=np.int64)
-            for s in range(cache.batch_size)
+            np.arange(cache.seq_len, cache.seq_len + span_len, dtype=np.int64)
+            for cache, span_len in zip(caches, span_lens)
         ])
-        x = (infer.embed(self.token_embedding, ids[:, None])
+        x = (infer.embed(self.token_embedding, np.concatenate(spans)[:, None])
              + infer.embed(self.position_embedding, positions[:, None]))
-        present_layers: list[list[KVPrefix]] = []
+        starts = [cache.prefix_len + cache.seq_len for cache in caches]
         for i, block in enumerate(self.blocks):
-            prefix_i = None
-            if prefix_kvs is not None:
-                prefix_i = [None if p is None else p[i] for p in prefix_kvs]
-            attended, layer_present = infer.span_attention(
+            x = infer.mlp(block, x + infer.span_attention(
                 block.attn, infer.layer_norm(x, block.ln1),
-                cache.layer_slices(i), span_lens, prefix_i)
-            present_layers.append(layer_present)
-            x = infer.mlp(block, x + attended)
-        new_caches = [
-            KVCache([layer[s] for layer in present_layers])
-            for s in range(cache.batch_size)
-        ]
-        return infer.logits(self, x), BatchedKVCache(new_caches)
+                [cache.layer(i) for cache in caches], starts, span_lens))
+        for cache, span_len in zip(caches, span_lens):
+            cache.seq_len += span_len
+        return infer.logits(self, x)

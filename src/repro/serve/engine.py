@@ -309,32 +309,37 @@ class PromptServeEngine:
     def drop_session(self, user_id: int, *,
                      cancel_pending: bool = False,
                      spill: bool = True) -> bool:
-        """Explicitly evict one user; True if they were resident.
+        """Explicitly evict one user; True if anything was removed.
 
         With a session store attached the dropped session is spilled like
-        an LRU eviction (``spill=False`` skips the snapshot — e.g. when
-        the user asked to be forgotten; their stored blob, if any, is
-        deleted instead).  A dropped user's pending generations are
-        self-contained (their decode state lives in the scheduler's
-        sequences, not the session), so by default they run to completion
-        and their responses stay token-identical to sequential serving.
-        With ``cancel_pending=True`` they are instead retired
-        immediately: each handle completes with the tokens generated so
-        far and is marked ``cancelled``.  Either way, other users' batch
-        slots are untouched.
+        an LRU eviction.  ``spill=False`` forgets the user instead: no
+        snapshot is taken and their stored blob, if any, is deleted —
+        whether or not they are resident right now, so a user who was
+        already spilled cannot come back on their next query.  A dropped
+        user's pending generations are self-contained (their decode state
+        lives in the scheduler's sequences, not the session), so by
+        default they run to completion and their responses stay
+        token-identical to sequential serving.  With
+        ``cancel_pending=True`` they are instead retired immediately:
+        each handle completes with the tokens generated so far and is
+        marked ``cancelled``.  Either way, other users' batch slots are
+        untouched.
         """
         with self._lock:
             session = self._sessions.pop(user_id, None)
+            forgotten = False
+            if not spill and self.session_store is not None:
+                # What the spill banked for this user stays banked: those
+                # requests were served.
+                forgotten = self.session_store.delete(user_id)
+                self._spill_baselines.pop(user_id, None)
             if session is None:
-                return False
+                return forgotten
             if spill:
                 self._spill_session(session)
             else:
                 self._evicted_prefill_hits += session.prefill_hits
                 self._evicted_cim.add(session.cim_stats())
-                if self.session_store is not None:
-                    self.session_store.delete(user_id)
-                    self._spill_baselines.pop(user_id, None)
             if cancel_pending:
                 for pending in [p for p in self._pending
                                 if p._session is session]:

@@ -171,17 +171,15 @@ class UserSession:
         return sum(state.cache.memory_bytes()
                    for state in self._prefill_states.values())
 
-    def clear_prefill_cache(self) -> None:
-        """Drop cached prefill states (e.g. to benchmark cold decodes).
-
-        Safe at any time: in-flight decodes hold their own references to
-        the states they started from.
-        """
-        self._prefill_states.clear()
-
     def answer(self, input_text: str,
                generation: GenerationConfig | None = None) -> str:
-        """Answer a query with this user's best stored OVT."""
+        """Answer a query with this user's best stored OVT.
+
+        The engine-less convenience (snapshot tests, examples): it takes
+        no engine lock, skips the prefill LRU and is absent from
+        ``engine.stats()``.  Served queries — :class:`~repro.core.NVCiMPT`
+        included — go through :meth:`PromptServeEngine.answer`.
+        """
         answer = self.deployment().answer(input_text, generation)
         self.queries_served += 1
         return answer

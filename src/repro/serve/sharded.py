@@ -55,12 +55,6 @@ def _summed_keys() -> tuple[str, ...]:
                  if kind == "additive")
 
 
-# Back-compat alias (tests iterate it); the live source of truth is the
-# manifest, which stats() re-reads so runtime register_stat() calls are
-# picked up without re-importing this module.
-_SUMMED_KEYS = _summed_keys()
-
-
 class ShardedPromptEngine:
     """N serving engines behind one engine-shaped facade."""
 

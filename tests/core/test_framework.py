@@ -173,6 +173,28 @@ class TestFacade:
                                              eos_id=tok.eos_id))
         assert isinstance(out, str)
 
+    def test_answer_is_served_by_the_engine(self, setup):
+        """The facade wraps a one-session engine and must not bypass it:
+        same bytes as the engine-less ``UserSession.answer``, and the
+        query is on the engine's books."""
+        model, tok = setup
+        system = NVCiMPT(model, tok, fast_config())
+        for sample in stream_for(0, 10):
+            system.observe(sample)
+        text = stream_for(0, 1)[0].input_text
+        for generation in (GenerationConfig(max_new_tokens=6,
+                                            temperature=0.0,
+                                            eos_id=tok.eos_id),
+                           None):                    # the paper defaults
+            served = system.engine.stats()["requests_served"]
+            out = system.answer(text, generation)
+            assert out.encode() == \
+                system._session.answer(text, generation).encode()
+            stats = system.engine.stats()
+            assert stats["requests_served"] == served + 1
+        assert stats["admitted"] == stats["latency_ms"]["count"] == 2
+        assert stats["prefill_hits"] == 1     # the repeat reused the prefill
+
     def test_deployment_rebuilt_after_new_epoch(self, setup):
         model, tok = setup
         system = NVCiMPT(model, tok, fast_config())

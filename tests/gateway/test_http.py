@@ -1,13 +1,17 @@
 """Unit tests for the minimal HTTP/1.1 wire layer.
 
-The server and the client share this parser, so the contract under test
-is the round-trip: whatever ``render_request``/``render_response`` emit,
-``read_request``/``read_response`` must parse back exactly — and every
-malformed input must surface as an :class:`HTTPError` with the right
-status, never a raw exception.
+The contract under test is the round-trip: whatever ``render_request``
+emits, ``read_request`` must parse back exactly, and whatever
+``render_response`` emits, stdlib ``http.client`` — the parser
+``GatewayClient`` reads responses with — must too; every malformed request
+must surface as an :class:`HTTPError` with the right status, never a raw
+exception.
 """
 
 import asyncio
+import http.client
+import io
+import json
 
 import pytest
 
@@ -16,7 +20,6 @@ from repro.gateway.http import (
     HTTPError,
     HTTPRequest,
     read_request,
-    read_response,
     render_request,
     render_response,
 )
@@ -35,8 +38,20 @@ def parse_request(data: bytes):
     return run_parser(read_request, data)
 
 
-def parse_response(data: bytes):
-    return run_parser(read_response, data)
+class _Wire:
+    """What ``http.client.HTTPResponse`` needs of a socket."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+
+    def makefile(self, *_args, **_kwargs):
+        return io.BytesIO(self._data)
+
+
+def parse_response(data: bytes) -> http.client.HTTPResponse:
+    response = http.client.HTTPResponse(_Wire(data))
+    response.begin()
+    return response
 
 
 class TestRequestRoundTrip:
@@ -131,22 +146,23 @@ class TestResponseRoundTrip:
         wire = render_response(200, {"answer": "ok"})
         response = parse_response(wire)
         assert response.status == 200
-        assert response.json() == {"answer": "ok"}
-        assert response.keep_alive
+        assert json.loads(response.read()) == {"answer": "ok"}
+        assert not response.will_close
 
     def test_retry_after_header(self):
         wire = render_response(429, {"error": "full"},
                                extra_headers={"Retry-After": "1.50"})
         response = parse_response(wire)
         assert response.status == 429
-        assert response.retry_after == pytest.approx(1.5)
+        assert float(response.getheader("Retry-After")) == pytest.approx(1.5)
 
     def test_no_retry_after(self):
-        assert parse_response(render_response(200, {})).retry_after is None
+        response = parse_response(render_response(200, {}))
+        assert response.getheader("Retry-After") is None
 
     def test_close_flag(self):
         wire = render_response(400, {"error": "x"}, keep_alive=False)
-        assert not parse_response(wire).keep_alive
+        assert parse_response(wire).will_close
 
     def test_error_body_contract(self):
         error = HTTPError(400, "bad field", field="user_id")

@@ -16,9 +16,9 @@ from repro.ag import Tensor, no_grad
 from repro.core import FrameworkConfig
 from repro.data import build_tokenizer, make_dataset, make_user
 from repro.llm import (
-    BatchedKVCache,
     DecodeScheduler,
     GenerationConfig,
+    KVBuffer,
     SpeculativeDecoder,
     TinyCausalLM,
     build_model,
@@ -133,11 +133,12 @@ class TestEmbed:
         model = tiny_model()
         with pytest.raises(IndexError, match="out of range"):
             prefill(model, np.array([1, VOCAB]))
-        cache = BatchedKVCache.stack([prefill(model, np.array([1, 2])).cache])
+        caches = [KVBuffer(prefill(model, np.array([1, 2])).cache, 8)]
         with pytest.raises(IndexError, match="out of range"):
-            model.decode_span([np.array([3, VOCAB])], cache)
+            model.decode_span([np.array([3, VOCAB])], caches)
         with pytest.raises(IndexError, match="out of range"):
-            model.decode_round(np.array([VOCAB]), cache)
+            model.decode_round(np.array([VOCAB]), caches)
+        assert caches[0].seq_len == 2   # a refused span advances nothing
 
 
 # ----------------------------------------------------------------------
@@ -153,13 +154,16 @@ class TestSpanForward:
         states = [prefill(model, rng.integers(1, VOCAB, size=length),
                           prefix_kv=None if prefixes is None else prefixes[i])
                   for i, length in enumerate((4, 9, 6))]
-        cache = BatchedKVCache.stack([state.cache for state in states])
         tokens = np.array([3, 7, 11])
 
-        round_logits, round_cache = model.decode_round(
-            tokens, cache, prefix_kvs=prefixes)
-        span_logits, span_cache = model.decode_span(
-            [tokens[i:i + 1] for i in range(3)], cache, prefix_kvs=prefixes)
+        def buffers():
+            return [KVBuffer(state.cache, state.seq_len + 1, state.prefix_kv)
+                    for state in states]
+
+        round_caches, span_caches = buffers(), buffers()
+        round_logits = model.decode_round(tokens, round_caches)
+        span_logits = model.decode_span(
+            [tokens[i:i + 1] for i in range(3)], span_caches)
         assert round_logits.shape == (3, 1, VOCAB)
         assert np.array_equal(span_logits, round_logits)
 
@@ -169,26 +173,38 @@ class TestSpanForward:
                     model, tokens[i:i + 1][None, :], past=state.cache,
                     prefix_kv=state.prefix_kv)
             assert np.array_equal(round_logits[i], alone.data[0])
-            for layer in range(model.config.n_layers):
-                for which in (0, 1):
-                    expected = alone_cache.layer(layer)[which]
-                    assert np.array_equal(
-                        round_cache.sequence(i).layer(layer)[which],
-                        expected)
-                    assert np.array_equal(
-                        span_cache.sequence(i).layer(layer)[which],
-                        expected)
+            for cache in (round_caches[i], span_caches[i]):
+                assert cache.seq_len == alone_cache.seq_len
+                live = slice(cache.prefix_len,
+                             cache.prefix_len + cache.seq_len)
+                for layer in range(model.config.n_layers):
+                    for which in (0, 1):
+                        assert np.array_equal(
+                            cache.layer(layer)[which][:, :, live],
+                            alone_cache.layer(layer)[which])
 
     def test_prefixed_sequences_get_views_not_copies(self):
+        """The prefix is laid down once, at the head of the sequence's own
+        buffer; a round attends over slices of that buffer and writes its
+        row into it — it never rebuilds prefix + cache."""
         model = tiny_model(seed=2)
         prefix = make_prefix(model, 3)
         state = prefill(model, np.array([1, 2, 3]), prefix_kv=prefix)
-        _, extended = model.decode_round(
-            np.array([4]), BatchedKVCache.stack([state.cache]),
-            prefix_kvs=[prefix])
-        keys = extended.sequence(0).layer(0)[0]
-        assert keys.shape[2] == 4
-        assert keys.base is not None   # the prefix+cache buffer, sliced
+        cache = KVBuffer(state.cache, 4, prefix)
+        keys = cache.layer(0)[0]
+        model.decode_round(np.array([4]), [cache])
+        assert cache.layer(0)[0] is keys
+        assert (cache.prefix_len, cache.seq_len) == (3, 4)
+        assert keys.shape[2] == 3 + 4
+        assert np.array_equal(keys[:, :, :3], prefix[0][0].data)
+
+    def test_a_span_that_overruns_its_buffer_is_refused(self):
+        model = tiny_model()
+        caches = [KVBuffer(prefill(model, np.array([1, 2, 3])).cache, 4)]
+        with pytest.raises(ValueError, match="overruns a buffer of 4"):
+            model.decode_span([np.array([4, 5])], caches)
+        assert caches[0].seq_len == 3
+        model.decode_span([np.array([4])], caches)      # exactly fits
 
 
 class TestExtendForward:

@@ -13,8 +13,8 @@ import pytest
 
 from repro.ag import Tensor
 from repro.llm import (
-    BatchedKVCache,
     GenerationConfig,
+    KVBuffer,
     KVCache,
     TinyCausalLM,
     decode_from,
@@ -99,8 +99,8 @@ class TestAttentionPastKV:
         h = RNG.normal(size=(1, 1, 8)).astype(np.float32)
         bad = (np.zeros((1, 3, 2, 4), dtype=np.float32),
                np.zeros((1, 3, 2, 4), dtype=np.float32))  # wrong head count
-        with pytest.raises(ValueError, match="past shaped"):
-            infer.span_attention(attn, h, [bad], [1])
+        with pytest.raises(ValueError, match="cache shaped"):
+            infer.span_attention(attn, h, [bad], [0], [1])
 
     def test_causal_mask_with_past(self):
         mask = MultiHeadSelfAttention._causal_mask(1, 2, past_len=5)
@@ -140,84 +140,110 @@ class TestKVCacheContainer:
 
 
 class TestBatchedKVCacheContainer:
-    def _cache(self, seq_len, n_layers=2, fill=0.0):
-        return KVCache([(np.full((1, 2, seq_len, 4), fill, dtype=np.float32),
-                         np.full((1, 2, seq_len, 4), fill, dtype=np.float32))
-                        for _ in range(n_layers)])
+    """The batched container is gone — a round takes the sequences' own
+    :class:`KVBuffer`s — so these are its behaviours on that call shape:
+    ragged members grouped by reference, validated, advanced together."""
+
+    def _buffer(self, seq_len, n_layers=2, fill=0.0):
+        cache = KVCache([(np.full((1, 2, seq_len, 4), fill, dtype=np.float32),
+                          np.full((1, 2, seq_len, 4), fill, dtype=np.float32))
+                         for _ in range(n_layers)])
+        return KVBuffer(cache, seq_len + 4)
+
+    def _prefilled(self, model, lengths):
+        return [KVBuffer(prefill(model, np.arange(1, 1 + length)).cache,
+                         length + 4) for length in lengths]
 
     def test_stack_split_round_trips_by_reference(self):
-        """Member caches are value-immutable, so stack/split move
-        references, never copy or pad arrays."""
-        members = [self._cache(length, fill=length) for length in (3, 7, 5)]
-        batched = BatchedKVCache.stack(members)
-        assert batched.split() == members
-        for i, member in enumerate(members):
-            assert batched.sequence(i) is member
+        """A round advances the very buffers it was handed: no array is
+        re-wrapped, copied or padded on the way in or out."""
+        model = tiny_model()
+        members = self._prefilled(model, (3, 7, 5))
+        arrays = [member.layer(1) for member in members]
+        model.decode_round(np.array([1, 2, 3]), members)
+        for member, (keys, values) in zip(members, arrays):
+            assert member.layer(1)[0] is keys
+            assert member.layer(1)[1] is values
 
     def test_ragged_lengths_reported(self):
-        batched = BatchedKVCache.stack([self._cache(t) for t in (3, 7, 5)])
-        assert batched.batch_size == len(batched) == 3
-        assert batched.n_layers == 2
-        np.testing.assert_array_equal(batched.lengths, [3, 7, 5])
-        assert "lengths=[3, 7, 5]" in repr(batched)
+        members = [self._buffer(t) for t in (3, 7, 5)]
+        assert [member.seq_len for member in members] == [3, 7, 5]
+        assert [member.capacity for member in members] == [7, 11, 9]
+        assert members[0].n_layers == 2
+        assert "seq_len=7" in repr(members[1])
 
     def test_layer_slices_align_with_sequences(self):
-        members = [self._cache(t, fill=t) for t in (2, 4)]
-        batched = BatchedKVCache.stack(members)
-        slices = batched.layer_slices(1)
-        assert len(slices) == 2
-        for member, (key, _) in zip(members, slices):
-            assert key is member.layer(1)[0]
+        members = [self._buffer(t, fill=t) for t in (2, 4)]
+        for member, length in zip(members, (2, 4)):
+            keys, values = member.layer(1)
+            assert keys is member.layer(1)[0]      # the array, not a copy
+            assert np.all(keys[:, :, :length] == length)
+            assert np.all(values[:, :, :length] == length)
 
     def test_memory_is_sum_of_members(self):
-        members = [self._cache(t) for t in (3, 5)]
-        batched = BatchedKVCache.stack(members)
-        assert batched.memory_bytes() == sum(m.memory_bytes()
-                                             for m in members)
+        """Allocated once, for exactly prefix + capacity rows per layer."""
+        model = tiny_model()
+        prefix = make_prefix(model, length=3)
+        state = prefill(model, np.array([1, 2, 3, 4, 5]), prefix_kv=prefix)
+        member = KVBuffer(state.cache, 9, prefix)
+        assert (member.prefix_len, member.seq_len, member.capacity) \
+            == (3, 5, 9)
+        for index in range(member.n_layers):
+            for which in (0, 1):
+                rows = member.layer(index)[which]
+                assert rows.shape == (1, 2, 3 + 9, 8)
+                assert np.array_equal(rows[:, :, :3],
+                                      prefix[index][which].data)
+                assert np.array_equal(rows[:, :, 3:8],
+                                      state.cache.layer(index)[which])
 
     def test_layer_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="same number of layers"):
-            BatchedKVCache.stack([self._cache(3, n_layers=2),
-                                  self._cache(3, n_layers=3)])
+        model = tiny_model()
+        with pytest.raises(ValueError, match="3 layers for 2 blocks"):
+            model.decode_round(np.array([1, 1]),
+                               [self._buffer(3, n_layers=2),
+                                self._buffer(3, n_layers=3)])
 
     def test_multi_sequence_member_rejected(self):
         wide = KVCache([(np.zeros((2, 2, 3, 4), dtype=np.float32),
                          np.zeros((2, 2, 3, 4), dtype=np.float32))])
         with pytest.raises(ValueError, match="batch 1"):
-            BatchedKVCache.stack([wide])
+            KVBuffer(wide, 8)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            BatchedKVCache.stack([])
+            tiny_model().decode_span([], [])
 
     def test_decode_round_extends_every_sequence_by_one(self):
         model = tiny_model()
-        caches = []
-        for length in (3, 6, 4):
-            caches.append(prefill(model, np.arange(1, 1 + length)).cache)
-        batched = BatchedKVCache.stack(caches)
-        _, extended = model.decode_round(np.array([1, 2, 3]), batched)
-        np.testing.assert_array_equal(extended.lengths, [4, 7, 5])
-        # The originals are untouched (value-immutable members).
-        np.testing.assert_array_equal(batched.lengths, [3, 6, 4])
-        for old, new in zip(batched.split(), extended.split()):
+        states = [prefill(model, np.arange(1, 1 + length))
+                  for length in (3, 6, 4)]
+        members = [KVBuffer(state.cache, state.seq_len + 2)
+                   for state in states]
+        model.decode_round(np.array([1, 2, 3]), members)
+        assert [member.seq_len for member in members] == [4, 7, 5]
+        for state, member in zip(states, members):
+            # The shared prefill caches are untouched and still the head
+            # of what each sequence attends over.
+            assert state.cache.seq_len == member.seq_len - 1
             np.testing.assert_array_equal(
-                new.layer(0)[0][:, :, :old.seq_len], old.layer(0)[0])
+                member.layer(0)[0][:, :, :state.seq_len],
+                state.cache.layer(0)[0])
 
     def test_decode_round_respects_max_seq_len(self):
         model = tiny_model(max_seq_len=6)
         _, full = forward_cached(model, np.array([[1, 2, 3, 4, 5, 6]]))
         short = prefill(model, np.array([1, 2])).cache
+        members = [KVBuffer(full, 8), KVBuffer(short, 8)]
         with pytest.raises(ValueError, match="max_seq_len"):
-            model.decode_round(np.array([1, 1]),
-                               BatchedKVCache.stack([full, short]))
+            model.decode_round(np.array([1, 1]), members)
+        assert [member.seq_len for member in members] == [6, 2]
 
     def test_decode_round_token_count_checked(self):
         model = tiny_model()
-        cache = prefill(model, np.array([1, 2])).cache
         with pytest.raises(ValueError, match="cached sequences"):
             model.decode_round(np.array([1, 2]),
-                               BatchedKVCache.stack([cache]))
+                               self._prefilled(model, (2,)))
 
 
 class TestModelPastKV:
@@ -239,8 +265,7 @@ class TestModelPastKV:
         with pytest.raises(ValueError, match="layers"):
             infer.extend(model, embed(model, [1]), past=one_layer)
         with pytest.raises(ValueError, match="layers"):
-            model.decode_round(np.array([1]),
-                               BatchedKVCache.stack([one_layer]))
+            model.decode_round(np.array([1]), [KVBuffer(one_layer, 4)])
 
     def test_max_seq_len_includes_past(self):
         model = tiny_model(max_seq_len=6)

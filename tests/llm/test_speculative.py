@@ -15,7 +15,7 @@ from repro.llm import (
     CONFIDENCE_POLICIES,
     DecodeScheduler,
     GenerationConfig,
-    KVCache,
+    KVBuffer,
     SpeculativeDecoder,
     TinyCausalLM,
     build_draft_model,
@@ -336,44 +336,86 @@ class TestCounters:
 
 
 class TestTruncate:
-    def make_cache(self, model, length=7):
-        ids = RNG.integers(1, VOCAB, size=length).astype(np.int64)
-        return prefill(model, ids).cache
+    """Rolling rejected speculation back.  Nothing is called ``truncate``
+    any more: the verify forward writes every fed row into the sequence's
+    own :class:`KVBuffer` and the scheduler moves the cursor back over the
+    rows it did not absorb from."""
+
+    def make_buffer(self, model):
+        ids = RNG.integers(1, VOCAB, size=7).astype(np.int64)
+        cache = prefill(model, ids).cache
+        return cache, KVBuffer(cache, 7 + 4)
 
     def test_truncate_copies_by_default(self):
-        cache = self.make_cache(tiny_base())
-        short = cache.truncate(4)
-        assert short.seq_len == 4
+        """The buffer is a copy, made once: cutting it back (or writing
+        into it) can never reach the shared prefill cache."""
+        cache, buffer = self.make_buffer(tiny_base())
+        buffer.seq_len = 4
+        assert buffer.seq_len == 4
         assert cache.seq_len == 7                       # source untouched
         for index in range(cache.n_layers):
-            kept_k, _ = short.layer(index)
+            kept_k, _ = buffer.layer(index)
             src_k, _ = cache.layer(index)
-            np.testing.assert_array_equal(kept_k, src_k[:, :, :4, :])
+            np.testing.assert_array_equal(kept_k[:, :, :4], src_k[:, :, :4])
             assert not np.shares_memory(kept_k, src_k)
 
     def test_truncate_views_on_request(self):
-        cache = self.make_cache(tiny_base())
-        short = cache.truncate(4, copy=False)
-        assert short.seq_len == 4
-        for index in range(cache.n_layers):
-            kept_k, kept_v = short.layer(index)
-            src_k, src_v = cache.layer(index)
-            assert np.shares_memory(kept_k, src_k)
-            assert np.shares_memory(kept_v, src_v)
+        """Rollback moves the cursor and nothing else."""
+        _, buffer = self.make_buffer(tiny_base())
+        before = [buffer.layer(index) for index in range(buffer.n_layers)]
+        buffer.seq_len = 4
+        for index, (keys, values) in enumerate(before):
+            assert buffer.layer(index)[0] is keys
+            assert buffer.layer(index)[1] is values
 
     def test_truncate_full_length_returns_self(self):
-        cache = self.make_cache(tiny_base())
-        assert cache.truncate(cache.seq_len) is cache
-
-    @pytest.mark.parametrize("length", [0, 8, -1])
-    def test_truncate_rejects_bad_lengths(self, length):
-        cache = self.make_cache(tiny_base())
-        with pytest.raises(ValueError, match="truncate"):
-            cache.truncate(length)
+        """A round whose proposals are all confirmed rolls nothing back."""
+        model = tiny_base(seed=5)
+        states, prompts = ragged_states(model, [6])
+        spec = SpeculativeDecoder(model, max_draft=3, threshold=0.0)
+        scheduler = DecodeScheduler(model, speculative=spec)
+        seq = scheduler.admit(
+            states[0], GenerationConfig(max_new_tokens=12, temperature=0.0),
+            prompt_ids=prompts[0])
+        scheduler.decode_round()
+        assert scheduler.draft_accepted == scheduler.draft_proposed == 3
+        assert seq.cache.seq_len == 6 + 1 + 3
 
     def test_layers_stay_consistent(self):
-        cache = self.make_cache(tiny_base())
-        short = cache.truncate(3)
-        assert isinstance(short, KVCache)
-        assert short.n_layers == cache.n_layers
-        assert short.batch_size == 1
+        """After every speculative round — most of which reject a suffix —
+        the live rows of every layer are bitwise the rows one-token rounds
+        hold at the same point, and a rejected tail is overwritten by the
+        round that follows."""
+        model, draft = tiny_base(seed=8), tiny_draft(seed=9)
+        states, prompts = ragged_states(model, [5])
+        config = GenerationConfig(max_new_tokens=16, temperature=0.0)
+        spec = SpeculativeDecoder(draft, max_draft=3, threshold=0.0)
+        speculative = DecodeScheduler(model, speculative=spec)
+        plain = DecodeScheduler(model)
+        fast = speculative.admit(states[0], config, prompt_ids=prompts[0])
+        slow = plain.admit(states[0], config)
+        stale = None     # (first rejected position, its keys) of last round
+        overwritten = 0
+        while not fast.finished:
+            before = fast.cache.seq_len
+            proposed = speculative.draft_proposed
+            speculative.decode_round()
+            while slow.n_generated < fast.n_generated:
+                plain.decode_round()
+            assert fast.generated == slow.generated
+            cursor = fast.cache.seq_len
+            assert cursor == slow.cache.seq_len
+            for index in range(fast.cache.n_layers):
+                for which in (0, 1):
+                    assert np.array_equal(
+                        fast.cache.layer(index)[which][:, :, :cursor],
+                        slow.cache.layer(index)[which][:, :, :cursor])
+            keys = fast.cache.layer(0)[0]
+            if stale is not None:
+                assert not np.array_equal(keys[:, :, stale[0]], stale[1])
+                overwritten += 1
+            fed = 1 + speculative.draft_proposed - proposed
+            stale = None
+            if cursor < before + fed:
+                stale = (cursor, keys[:, :, cursor].copy())
+        assert overwritten >= 3

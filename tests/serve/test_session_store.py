@@ -9,6 +9,7 @@ from repro.serve import (
     PromptServeEngine,
     QueryRequest,
     SessionStore,
+    ShardedPromptEngine,
     TuneRequest,
 )
 
@@ -198,6 +199,33 @@ class TestEngineSpillRestore:
         engine.session(0)                          # restore it
         engine.drop_session(0, spill=False)
         assert 0 not in store
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_drop_without_spill_forgets_a_spilled_user(self, setup, store,
+                                                       sharded):
+        """A user who is not resident is forgotten all the same: the blob
+        goes, and their next query finds no session to restore."""
+        model, tok = setup
+        if sharded:
+            engine = ShardedPromptEngine(
+                model, tok, FrameworkConfig.preset("fast"), n_workers=1,
+                max_sessions=1, session_store=store)
+        else:
+            engine = make_engine(model, tok, max_sessions=1,
+                                 session_store=store)
+        train(engine, 0)
+        train(engine, 1)                           # evicts and spills user 0
+        assert engine.active_users() == [1] and store.user_ids() == [0]
+        banked = engine.stats()["cim_write_pulses"]
+
+        assert engine.drop_session(0, spill=False) is True
+        assert 0 not in store and store.user_ids() == []
+        assert engine.drop_session(0, spill=False) is False   # nothing left
+        with pytest.raises(KeyError, match="no session for user 0"):
+            engine.answer(0, stream_for(0, 1)[0].input_text, greedy(tok))
+        stats = engine.stats()
+        assert stats["sessions_restored"] == 0
+        assert stats["cim_write_pulses"] == banked  # what they cost stays
 
     def test_rejects_unknown_snapshot_mode(self, setup):
         model, tok = setup

@@ -13,7 +13,7 @@ from repro.serve import (
     ShardedPromptEngine,
     TuneRequest,
 )
-from repro.serve.sharded import _SUMMED_KEYS
+from repro.serve.stats_manifest import STATS_MANIFEST
 
 USERS = (0, 1, 2, 3)
 
@@ -145,7 +145,10 @@ class TestAggregateStats:
         stats = sharded.stats()
         assert stats["n_workers"] == 4
         assert len(stats["workers"]) == 4
-        for key in _SUMMED_KEYS:
+        summed = [key for key, kind in STATS_MANIFEST.items()
+                  if kind == "additive"]
+        assert "requests_served" in summed
+        for key in summed:
             assert stats[key] == sum(worker[key]
                                      for worker in stats["workers"]), key
 
@@ -159,7 +162,7 @@ class TestAggregateStats:
 
     def test_registered_counter_aggregates_across_workers(self, engines):
         """A counter declared via register_stat() sums fleet-wide."""
-        from repro.serve.stats_manifest import STATS_MANIFEST, register_stat
+        from repro.serve.stats_manifest import register_stat
 
         sharded, *_ = engines
         originals = {w: w.stats for w in sharded.workers}
@@ -179,7 +182,7 @@ class TestAggregateStats:
             STATS_MANIFEST.pop("my_counter", None)
 
     def test_register_stat_validates_kinds(self):
-        from repro.serve.stats_manifest import STATS_MANIFEST, register_stat
+        from repro.serve.stats_manifest import register_stat
 
         with pytest.raises(ValueError):
             register_stat("bogus", "averaged")
