@@ -1,9 +1,9 @@
 """Differentiable functional operations built on :class:`~repro.ag.Tensor`.
 
 These cover the activations and losses the transformer substrate needs.
-``softmax``/``log_softmax`` are composed from primitive ops; ``cross_entropy``
-is a fused primitive (softmax-minus-onehot backward) because it sits on the
-hot path of every prompt-tuning step.
+``softmax``, ``gelu`` and the cross-entropy losses are fused primitives
+(one graph node, a hand-written backward) because they sit on the hot path
+of every prompt-tuning step; ``mse_loss`` is composed from tensor ops.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["softmax", "log_softmax", "gelu", "cross_entropy",
+__all__ = ["softmax", "gelu", "cross_entropy",
            "sequence_cross_entropy", "mse_loss"]
 
 _SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
@@ -38,12 +38,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         x._accumulate(value * (grad - inner))
 
     return Tensor._make(value, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "cat", "stack", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "cat", "no_grad", "is_grad_enabled"]
 
 # Grad mode is per-thread: the serving engine decodes under no_grad() on
 # worker threads while training may run with gradients elsewhere.
@@ -298,66 +298,15 @@ class Tensor:
             count = self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        value = self.data.max(axis=axis, keepdims=True)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = grad if keepdims else np.expand_dims(grad, axis=axis)
-            mask = (self.data == value).astype(np.float32)
-            mask /= mask.sum(axis=axis, keepdims=True)
-            self._accumulate(mask * g)
-
-        out_value = value if keepdims else value.squeeze(axis=axis)
-        return Tensor._make(out_value, (self,), backward)
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        value = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * value)
-
-        return Tensor._make(value, (self,), backward)
-
-    def log(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(np.log(self.data), (self,), backward)
-
     def tanh(self) -> "Tensor":
         value = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * (1.0 - value * value))
-
-        return Tensor._make(value, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
-    def relu(self) -> "Tensor":
-        mask = (self.data > 0).astype(np.float32)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return Tensor._make(self.data * mask, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        value = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * value * (1.0 - value))
 
         return Tensor._make(value, (self,), backward)
 
@@ -448,20 +397,5 @@ def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 slicer = [slice(None)] * grad.ndim
                 slicer[axis] = slice(start, stop)
                 tensor._accumulate(grad[tuple(slicer)])
-
-    return Tensor._make(data, tensors, backward)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis``."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("stack() requires at least one tensor")
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        for i, tensor in enumerate(tensors):
-            if tensor.requires_grad:
-                tensor._accumulate(np.take(grad, i, axis=axis))
 
     return Tensor._make(data, tensors, backward)

@@ -44,7 +44,7 @@ _FOOTER = """\
 Suppressions are findings too.  An inline waiver must carry a reason —
 
 ```python fragment
-self._rng = np.random.default_rng(0)  # repro: noqa[RNG-001] unused post-build
+jitter = np.random.default_rng(0)  # repro: noqa[RNG-001] plot jitter only
 ```
 
 — and the engine itself enforces two meta-invariants: a suppression

@@ -9,7 +9,7 @@ the bug surfaces weeks later as a counter that resets across eviction.
 For every class that defines ``snapshot()``, each instance attribute
 assigned in ``__init__`` must be *mentioned* somewhere in the class's
 snapshot-family methods (``snapshot``, ``restore``,
-``restore_counters``, ``from_snapshot``, ``_check_snapshot``) — as a
+``from_snapshot``, ``_check_snapshot``) — as a
 ``self.<attr>`` access or as a string key — or be listed in an explicit
 class-level ``_SNAPSHOT_EXCLUDED`` tuple documenting why it does not
 travel (config re-supplied by the caller, derived caches rebuilt
@@ -26,8 +26,8 @@ from .findings import Finding
 
 __all__ = ["SnapshotCompleteness", "SNAPSHOT_METHODS"]
 
-SNAPSHOT_METHODS = ("snapshot", "restore", "restore_counters",
-                    "from_snapshot", "_check_snapshot")
+SNAPSHOT_METHODS = ("snapshot", "restore", "from_snapshot",
+                    "_check_snapshot")
 
 
 def _init_attrs(init: ast.FunctionDef) -> dict[str, int]:

@@ -82,9 +82,9 @@ class UndeclaredStatKey(Rule):
 
     rule_id = "STATS-001"
     title = "stats() keys must be declared in serve/stats_manifest.py"
-    default_hint = ("add the key to STATS_MANIFEST (or register_stat()) "
-                    "with its aggregation kind: additive, capacity, "
-                    "histogram, structural, or ('ratio', num, den)")
+    default_hint = ("add the key to STATS_MANIFEST with its aggregation "
+                    "kind: additive, capacity, histogram, structural, or "
+                    "('ratio', num, den)")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.rel.startswith("repro/serve/"):

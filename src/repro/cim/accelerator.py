@@ -60,12 +60,7 @@ class MitigationHooks(Protocol):
 
     def correct_read_columns(self, matrix: "CiMMatrix", values: np.ndarray,
                              col0: int, col1: int) -> np.ndarray:
-        """Correct a column-range read-back (columns ``[col0, col1)``).
-
-        Optional for backward compatibility: mitigations that only
-        implement ``correct_read`` still work — :meth:`CiMMatrix.
-        read_columns` routes the slice through the full-width correction.
-        """
+        """Correct a column-range read-back (columns ``[col0, col1)``)."""
 
 
 class NullMitigation:
@@ -115,7 +110,6 @@ class CiMMatrix:
         self.subarray_rows = rows
         self.subarray_cols = cols
         self.mitigation = mitigation or NullMitigation()
-        self._rng = rng or rng_from_seed(0)
 
         prepared = self.mitigation.prepare_values(values)
         self.shape = prepared.shape
@@ -137,7 +131,8 @@ class CiMMatrix:
         per_slice = self.n_row_tiles * self.n_col_tiles
         self.bank = self._new_bank([
             tile_rng
-            for slice_rng in spawn_generators(self._rng, self.n_slices)
+            for slice_rng in spawn_generators(rng or rng_from_seed(0),
+                                              self.n_slices)
             for tile_rng in spawn_generators(slice_rng, per_slice)])
         self.bank.program(self._tiled_digits(digits))
         self.mitigation.post_program(self)
@@ -208,21 +203,18 @@ class CiMMatrix:
     # ------------------------------------------------------------------
     # Compute
     # ------------------------------------------------------------------
-    def matvec(self, x: np.ndarray, *, quantize_output: bool = True,
-               corrected: bool = True) -> np.ndarray:
+    def matvec(self, x: np.ndarray, *,
+               quantize_output: bool = True) -> np.ndarray:
         """In-memory ``x @ W`` with device noise; returns float (n,).
 
         :meth:`matmat` with a batch of one, so single and batched queries
         share one code path (and one set of counter semantics).
-        ``corrected=False`` skips the mitigation's output correction
-        (mitigations use it during calibration).
         """
         x = np.asarray(x, dtype=np.float32).reshape(1, -1)
-        return self.matmat(x, quantize_output=quantize_output,
-                           corrected=corrected)[0]
+        return self.matmat(x, quantize_output=quantize_output)[0]
 
-    def matmat(self, queries: np.ndarray, *, quantize_output: bool = True,
-               corrected: bool = True) -> np.ndarray:
+    def matmat(self, queries: np.ndarray, *,
+               quantize_output: bool = True) -> np.ndarray:
         """Batched in-memory product ``X @ W`` for ``X`` of shape (B, d).
 
         The whole batch is evaluated against every tile with one batched
@@ -263,12 +255,14 @@ class CiMMatrix:
         total = np.tensordot(planes, weights, axes=(1, 0))[:, :n]
         total -= _OFFSET * queries.sum(axis=1, dtype=np.float64)[:, None]
         outputs = (total * self.codec.scale).astype(np.float32)
-        if not corrected:
-            return outputs
         return self.mitigation.correct_output(self, outputs)
 
     def read_matrix(self, *, corrected: bool = True) -> np.ndarray:
-        """Read the stored matrix back (noisy), shape (d, n) float32."""
+        """Read the stored matrix back (noisy), shape (d, n) float32.
+
+        ``corrected=False`` skips the mitigation's read correction
+        (mitigations calibrate against the raw read).
+        """
         d, n = self.shape
         value = np.zeros((d, n), dtype=np.float64)
         weights = slice_weights(self.device.bits_per_cell, self.n_slices)
@@ -286,8 +280,7 @@ class CiMMatrix:
             return decoded
         return self.mitigation.correct_read(self, decoded)
 
-    def read_columns(self, col0: int, col1: int, *,
-                     corrected: bool = True) -> np.ndarray:
+    def read_columns(self, col0: int, col1: int) -> np.ndarray:
         """Read back only columns ``[col0, col1)``, shape (d, col1-col0).
 
         Touches (and bills ``cell_reads`` for) only the cells covering the
@@ -317,17 +310,7 @@ class CiMMatrix:
                 value[:, out0:out0 + hi - lo] += digits[s, :d] * weights[s]
         value -= _OFFSET
         decoded = self.codec.decode(value)
-        if not corrected:
-            return decoded
-        hook = getattr(self.mitigation, "correct_read_columns", None)
-        if hook is not None:
-            return hook(self, decoded, col0, col1)
-        # Mitigation predates column-range reads: route the slice through
-        # its full-width read correction (column-wise corrections ignore
-        # the zero padding outside the requested range).
-        padded = np.zeros(self.shape, dtype=decoded.dtype)
-        padded[:, col0:col1] = decoded
-        return self.mitigation.correct_read(self, padded)[:, col0:col1]
+        return self.mitigation.correct_read_columns(self, decoded, col0, col1)
 
     def ideal_matrix(self) -> np.ndarray:
         """The noise-free stored values (after int16 quantization)."""
@@ -338,19 +321,15 @@ class CiMMatrix:
     # ------------------------------------------------------------------
     SNAPSHOT_VERSION = 1
 
-    def snapshot(self, *, include_state: bool = True) -> dict:
+    def snapshot(self) -> dict:
         """Versioned capture of the stored matrix's durable state.
 
-        ``include_state=True`` captures everything
-        :meth:`from_snapshot` needs to rebuild this matrix bit-identically
-        *without* reprogramming: the int16 codewords, the tile
-        conductances and generator states (via the bank snapshot),
-        mitigation calibration, and cumulative counters.
-        ``include_state=False`` is the compact recipe form: geometry and
-        counters only, for callers that re-program deterministically and
-        then :meth:`restore` the counters on top.
+        Everything :meth:`from_snapshot` needs to rebuild this matrix
+        bit-identically *without* reprogramming: the int16 codewords, the
+        tile conductances, counters and generator states (the bank
+        snapshot), and the mitigation's calibration.
         """
-        snap = {
+        return {
             "version": self.SNAPSHOT_VERSION,
             "shape": [int(d) for d in self.shape],
             "subarray_rows": self.subarray_rows,
@@ -359,29 +338,26 @@ class CiMMatrix:
             "adc_bits": self._adc_bits,
             "n_slices": self.n_slices,
             "mitigation": self.mitigation.name,
-            "bank": self.bank.snapshot(include_state=include_state),
+            "bank": self.bank.snapshot(),
+            "codec_scale": float(self.codec.scale),
+            "ints": self._ints.copy(),
+            "calibration": {key: value.copy()
+                            for key, value in self.calibration.items()},
         }
-        if include_state:
-            snap["codec_scale"] = float(self.codec.scale)
-            snap["ints"] = self._ints.copy()
-            snap["calibration"] = {key: value.copy()
-                                   for key, value in self.calibration.items()}
-        return snap
 
     def restore(self, snap: dict) -> None:
-        """Apply a :meth:`snapshot` onto this (already built) matrix.
+        """Apply a :meth:`snapshot` onto this matrix; shapes must match.
 
-        A counters-only snapshot re-seats the operation counters (the
-        recipe restore path); a full snapshot additionally restores the
-        codewords, conductances, generator states and calibration.
+        Codewords, conductances, counters, generator states and
+        calibration all come from the snapshot; every key
+        :meth:`snapshot` writes is required.
         """
         self._check_snapshot(snap)
         self.bank.restore(snap["bank"])
-        if "ints" in snap:
-            self.codec = Int16Codec(scale=float(snap["codec_scale"]))
-            self._ints = np.asarray(snap["ints"], dtype=np.int16).copy()
-            self.calibration = {key: np.asarray(value).copy()
-                                for key, value in snap["calibration"].items()}
+        self.codec = Int16Codec(scale=float(snap["codec_scale"]))
+        self._ints = np.asarray(snap["ints"], dtype=np.int16).copy()
+        self.calibration = {key: np.asarray(value).copy()
+                            for key, value in snap["calibration"].items()}
 
     def _check_snapshot(self, snap: dict) -> None:
         if snap.get("version") != self.SNAPSHOT_VERSION:
@@ -402,7 +378,7 @@ class CiMMatrix:
     def from_snapshot(cls, snap: dict, device: NVMDevice, *,
                       mitigation: MitigationHooks | None = None,
                       ) -> "CiMMatrix":
-        """Rebuild a matrix from a full :meth:`snapshot`, bit-identically.
+        """Rebuild a matrix from a :meth:`snapshot`, bit-identically.
 
         No programming happens: conductances, counters and generator
         states come straight from the snapshot, so the restore neither
@@ -410,10 +386,6 @@ class CiMMatrix:
         ``mitigation`` are reconstructed by the caller (they are config,
         not state — the snapshot records only the mitigation's name).
         """
-        if "ints" not in snap:
-            raise ValueError(
-                "counters-only snapshot cannot rebuild a CiMMatrix; "
-                "capture with include_state=True or replay programming")
         self = object.__new__(cls)
         self.device = device
         self.sigma = float(snap["sigma"])
@@ -424,17 +396,13 @@ class CiMMatrix:
             raise ValueError(
                 f"snapshot was captured with mitigation "
                 f"{snap['mitigation']!r}, got {self.mitigation.name!r}")
-        self._rng = np.random.default_rng(0)  # repro: noqa[RNG-001] unused post-build
         self.shape = tuple(int(d) for d in snap["shape"])
-        self.codec = Int16Codec(scale=float(snap["codec_scale"]))
-        self._ints = np.asarray(snap["ints"], dtype=np.int16).copy()
         self.n_slices = int(snap["n_slices"])
         self._adc_bits = int(snap["adc_bits"])
         d, n = self.shape
         self.n_row_tiles = -(-d // self.subarray_rows)
         self.n_col_tiles = -(-n // self.subarray_cols)
         self._chunk_map = None
-        self.calibration = {}
         self.bank = self._new_bank()
         self.restore(snap)
         return self

@@ -360,29 +360,18 @@ class NVCiMDeployment:
     # ------------------------------------------------------------------
     SNAPSHOT_VERSION = 1
 
-    def snapshot(self, *, include_state: bool = True) -> dict:
+    def snapshot(self) -> dict:
         """Versioned capture of the deployment's durable NVM state.
 
-        With ``include_state`` ("raw" snapshots) the per-scale crossbar
-        stores travel in full — conductances, counters, generator states
-        — so :meth:`from_snapshot` brings the deployment back
-        bit-identically without one programming pulse.  Without it (the
-        "recipe" form) only cumulative counters travel: the deployment
-        constructor re-programs deterministically from the library
-        (its engine generator is derived purely from the config), and
-        :meth:`restore_counters` re-seats the counters afterwards so the
-        rebuild does not double-bill write pulses.
+        The per-scale crossbar stores travel in full — conductances,
+        counters, generator states — so :meth:`from_snapshot` brings the
+        deployment back bit-identically without one programming pulse.
         """
         return {
             "version": self.SNAPSHOT_VERSION,
             "scales": [float(s) for s in self._scales],
-            "engine": self.engine.snapshot(include_state=include_state),
+            "engine": self.engine.snapshot(),
         }
-
-    def restore_counters(self, snap: dict) -> None:
-        """Re-seat cumulative counters after a deterministic rebuild."""
-        self._check_snapshot(snap)
-        self.engine.restore_counters(snap["engine"])
 
     def _check_snapshot(self, snap: dict) -> None:
         if snap.get("version") != self.SNAPSHOT_VERSION:
@@ -398,7 +387,7 @@ class NVCiMDeployment:
     def from_snapshot(cls, model: TinyCausalLM, tokenizer: Tokenizer,
                       library: OVTLibrary, config: FrameworkConfig,
                       snap: dict) -> "NVCiMDeployment":
-        """Rebuild a deployment from a full snapshot without programming.
+        """Rebuild a deployment from a :meth:`snapshot` without programming.
 
         ``model``/``tokenizer``/``library``/``config`` are supplied by
         the caller (the session snapshot carries the library and config;

@@ -41,7 +41,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from ..serve import PromptServeEngine, QueryResponse, QueueFull
+from ..serve import (PromptServeEngine, QueryResponse, QueueFull,
+                     SnapshotError)
 from .http import HTTPError, HTTPRequest, read_request, render_response
 from .scheduler import AdmissionPolicy, QueuedQuery, build_policy
 from .validation import (
@@ -163,6 +164,8 @@ class PromptGateway:
         # -- runtime
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown: asyncio.Event | None = None
+        # Connections parked between requests (event-loop thread only).
+        self._idle: set[asyncio.StreamWriter] = set()
         self._loop_thread: threading.Thread | None = None
         self._worker_thread: threading.Thread | None = None
         self._startup_error: BaseException | None = None
@@ -229,11 +232,22 @@ class PromptGateway:
         ready.set()
         async with server:
             await self._shutdown.wait()
+            # A keep-alive client parked between requests would sit in
+            # read_request until asyncio.run cancels its handler (which
+            # asyncio logs as an exception in a callback): close those
+            # sockets so the handlers end on EOF, and give the ones with
+            # a response still to write the time to write it.
+            for writer in self._idle:
+                writer.close()
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            if handlers:
+                await asyncio.wait(handlers, timeout=5.0)
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while not self._stop.is_set():
+                self._idle.add(writer)
                 try:
                     request = await read_request(reader)
                 except HTTPError as error:
@@ -241,6 +255,8 @@ class PromptGateway:
                         error.status, error.body(), keep_alive=False))
                     await writer.drain()
                     return
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     return
                 self.http_requests += 1
@@ -519,10 +535,19 @@ class PromptGateway:
                                 {"Retry-After":
                                      f"{self._retry_after_hint():.2f}"})
             except Exception as error:
-                queued.complete(500, {"error": f"admission failed: "
-                                               f"{type(error).__name__}: "
-                                               f"{error}",
-                                      "status": 500})
+                if (isinstance(error, ValueError)
+                        and not isinstance(error, SnapshotError)):
+                    # The query cannot be served as posed (e.g. a text
+                    # that leaves no room to generate): the client's
+                    # mistake, not the engine's.
+                    self.validation_failures += 1
+                    queued.complete(400, ValidationError(
+                        "text", str(error)).body())
+                else:
+                    queued.complete(500, {"error": f"admission failed: "
+                                                   f"{type(error).__name__}: "
+                                                   f"{error}",
+                                          "status": 500})
             else:
                 with self._qlock:
                     self._admitted.append((queued, pending))

@@ -30,8 +30,8 @@ from ..utils import rng_from_seed
 __all__ = ["CrossbarArray", "CrossbarStats", "TileBank", "TileView",
            "SNAPSHOT_VERSION"]
 
-# Version of the snapshot dicts produced by CrossbarArray.snapshot() /
-# TileBank.snapshot(); restore() refuses anything it does not understand.
+# Version of the dict TileBank.snapshot() produces; restore() refuses
+# anything else.
 SNAPSHOT_VERSION = 1
 
 
@@ -82,14 +82,6 @@ class CrossbarStats:
         return cls(**{key: int(value) for key, value in data.items()})
 
 
-def _check_snapshot_version(snap: dict, kind: str) -> None:
-    version = snap.get("version")
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"unsupported {kind} snapshot version {version!r} "
-            f"(this build reads version {SNAPSHOT_VERSION})")
-
-
 def _rng_state(rng: np.random.Generator) -> dict:
     """A generator's bit-generator state as a plain (codec-safe) dict."""
     state = rng.bit_generator.state
@@ -107,10 +99,6 @@ def _restore_rng_state(rng: np.random.Generator, snap: dict) -> None:
 
 class CrossbarArray:
     """One NVM subarray with noisy programming and analog readout."""
-
-    # The device model is configuration, not state: snapshots are loaded
-    # back into an array built with the same device (checked by name).
-    _SNAPSHOT_EXCLUDED = ("device",)
 
     def __init__(self, device: NVMDevice, *, rows: int = 384, cols: int = 128,
                  sigma: float = 0.1, adc_bits: int = 8,
@@ -217,51 +205,6 @@ class CrossbarArray:
     def _require_programmed(self) -> None:
         if not self._programmed:
             raise RuntimeError("crossbar has not been programmed")
-
-    # ------------------------------------------------------------------
-    # Durable state
-    # ------------------------------------------------------------------
-    def snapshot(self, *, include_state: bool = True) -> dict:
-        """Versioned capture of this array's durable state.
-
-        With ``include_state`` the snapshot holds everything needed to
-        bring the array back bit-identically without replaying
-        programming: raw conductances, target levels, cumulative
-        counters, and the programming generator's state.  Without it,
-        only the counters travel — the compact form used when the caller
-        can replay programming deterministically.
-        """
-        snap = {
-            "version": SNAPSHOT_VERSION,
-            "kind": "crossbar",
-            "rows": self.rows,
-            "cols": self.cols,
-            "sigma": self.sigma,
-            "adc_bits": self.adc_bits,
-            "counters": self.stats.to_dict(),
-        }
-        if include_state:
-            snap["programmed"] = self._programmed
-            snap["target_levels"] = self._target_levels.copy()
-            snap["conductance"] = self._conductance.copy()
-            snap["rng"] = _rng_state(self._rng)
-        return snap
-
-    def restore(self, snap: dict) -> None:
-        """Apply a :meth:`snapshot`; geometry must match exactly."""
-        _check_snapshot_version(snap, "crossbar")
-        if (snap["rows"], snap["cols"]) != (self.rows, self.cols):
-            raise ValueError(
-                f"snapshot geometry {snap['rows']}x{snap['cols']} does not "
-                f"match this {self.rows}x{self.cols} array")
-        self.stats = CrossbarStats.from_dict(snap["counters"])
-        if "conductance" in snap:
-            self._target_levels = np.asarray(snap["target_levels"],
-                                             dtype=np.int64).copy()
-            self._conductance = np.asarray(snap["conductance"],
-                                           dtype=np.float32).copy()
-            self._programmed = bool(snap["programmed"])
-            _restore_rng_state(self._rng, snap["rng"])
 
 
 class TileBank:
@@ -405,7 +348,7 @@ class TileBank:
         if not 0 <= col0 < col1 <= self.cols:
             raise ValueError(
                 f"column range [{col0}, {col1}) outside [0, {self.cols})")
-        block = self._conductance[tiles][:, :, col0:col1]
+        block = self._conductance[tiles, :, col0:col1]
         self.cell_reads[tiles] += self.rows * (col1 - col0)
         return block * (self.device.n_levels - 1)
 
@@ -519,18 +462,15 @@ class TileBank:
     # ------------------------------------------------------------------
     # Durable state
     # ------------------------------------------------------------------
-    def snapshot(self, *, include_state: bool = True) -> dict:
+    def snapshot(self) -> dict:
         """Versioned capture of the bank's durable state.
 
-        ``include_state=True`` captures the stacked conductances, target
-        levels, per-tile counters, and every tile generator's state —
-        enough to :meth:`restore` the bank bit-identically with no
-        reprogramming (and no write-pulse billing).  ``include_state=
-        False`` captures only the counter vectors, for callers that
-        replay programming deterministically and then re-seat the
-        counters.
+        Stacked conductances, target levels, per-tile counters and every
+        tile generator's state: enough to :meth:`restore` the bank
+        bit-identically with no reprogramming (and no write-pulse
+        billing).
         """
-        snap = {
+        return {
             "version": SNAPSHOT_VERSION,
             "kind": "tile_bank",
             "n_tiles": self.n_tiles,
@@ -545,21 +485,24 @@ class TileBank:
                 "adc_conversions": self.adc_conversions.copy(),
                 "cell_reads": self.cell_reads.copy(),
             },
+            "programmed": self._programmed,
+            "target_levels": self._target_levels.copy(),
+            "conductance": self._conductance.copy(),
+            "rngs": [_rng_state(rng) for rng in self._rngs],
         }
-        if include_state:
-            snap["programmed"] = self._programmed
-            snap["target_levels"] = self._target_levels.copy()
-            snap["conductance"] = self._conductance.copy()
-            snap["rngs"] = [_rng_state(rng) for rng in self._rngs]
-        return snap
 
     def restore(self, snap: dict) -> None:
         """Apply a :meth:`snapshot`; geometry must match exactly.
 
-        Restoring bumps :attr:`version` so any cached merged matmul
-        operand is rebuilt from the restored conductances.
+        Every key :meth:`snapshot` writes is required.  Restoring bumps
+        :attr:`version` so any cached merged matmul operand is rebuilt
+        from the restored conductances.
         """
-        _check_snapshot_version(snap, "tile bank")
+        version = snap.get("version")
+        if version != SNAPSHOT_VERSION:
+            raise ValueError(
+                f"unsupported tile bank snapshot version {version!r} "
+                f"(this build reads version {SNAPSHOT_VERSION})")
         geometry = (snap["n_tiles"], snap["rows"], snap["cols"])
         if geometry != (self.n_tiles, self.rows, self.cols):
             raise ValueError(
@@ -569,14 +512,13 @@ class TileBank:
                      "adc_conversions", "cell_reads"):
             setattr(self, name, np.asarray(snap["counters"][name],
                                            dtype=np.int64).copy())
-        if "conductance" in snap:
-            self._target_levels = np.asarray(snap["target_levels"],
-                                             dtype=np.int64).copy()
-            self._conductance = np.asarray(snap["conductance"],
-                                           dtype=np.float32).copy()
-            self._programmed = bool(snap["programmed"])
-            for rng, state in zip(self._rngs, snap["rngs"]):
-                _restore_rng_state(rng, state)
+        self._target_levels = np.asarray(snap["target_levels"],
+                                         dtype=np.int64).copy()
+        self._conductance = np.asarray(snap["conductance"],
+                                       dtype=np.float32).copy()
+        self._programmed = bool(snap["programmed"])
+        for rng, state in zip(self._rngs, snap["rngs"]):
+            _restore_rng_state(rng, state)
         self.version += 1
 
 

@@ -220,17 +220,6 @@ class CiMSearchEngine:
         """Index of the best-matching stored OVT."""
         return int(np.argmax(self.query(encoded_query)))
 
-    def retrieve_batch(self,
-                       encoded_queries: Sequence[np.ndarray]) -> list[int]:
-        """Best-match index per query; ties resolve like :meth:`retrieve`.
-
-        ``np.argmax`` picks the first maximum along each row, so a batch
-        returns exactly the indices the equivalent sequential
-        :meth:`retrieve` calls would.
-        """
-        scores = self.query_batch(encoded_queries)
-        return [int(i) for i in np.argmax(scores, axis=1)]
-
     def restore(self, index: int) -> np.ndarray:
         """Read OVT ``index`` back from NVM (noisy), (tokens, code_dim).
 
@@ -255,13 +244,6 @@ class CiMSearchEngine:
         full = column.reshape(self.config.pad_length, code_dim)
         return full[:self._row_counts[index]].copy()
 
-    def subarray_count(self) -> int:
-        """Physical subarrays in use (drives the cost model)."""
-        self._require_built()
-        if not self.on_cim:
-            return 0
-        return sum(m.n_subarrays for m in self._scale_matrices.values())
-
     def aggregate_stats(self) -> CrossbarStats:
         """Operation counters summed over every scale's store.
 
@@ -283,15 +265,13 @@ class CiMSearchEngine:
     # ------------------------------------------------------------------
     SNAPSHOT_VERSION = 1
 
-    def snapshot(self, *, include_state: bool = True) -> dict:
+    def snapshot(self) -> dict:
         """Versioned capture of the built store's durable state.
 
-        ``include_state=True`` holds the per-scale :class:`CiMMatrix`
-        snapshots (conductances, generator states) plus this engine's own
-        generator — everything :meth:`from_snapshot` needs to rebuild the
-        store bit-identically without reprogramming.  ``include_state=
-        False`` is the recipe form: per-scale counters only, applied with
-        :meth:`restore` after a deterministic re-build.
+        The per-scale :class:`CiMMatrix` snapshots (conductances,
+        counters, generator states) plus this engine's own generator —
+        everything :meth:`from_snapshot` needs to rebuild the store
+        bit-identically without reprogramming.
         """
         self._require_built()
         snap = {
@@ -302,35 +282,17 @@ class CiMSearchEngine:
             "sigma": self.sigma,
             "norms": {str(scale): norms.copy()
                       for scale, norms in self._norms.items()},
+            "rng": _rng_state(self._rng),
         }
         if self.on_cim:
             snap["stores"] = {
-                str(scale): matrix.snapshot(include_state=include_state)
+                str(scale): matrix.snapshot()
                 for scale, matrix in self._scale_matrices.items()}
-        elif include_state:
+        else:
             snap["digital"] = {str(scale): stacked.copy()
                                for scale, stacked in
                                self._digital_vectors.items()}
-        if include_state:
-            snap["rng"] = _rng_state(self._rng)
         return snap
-
-    def restore_counters(self, snap: dict) -> None:
-        """Apply a :meth:`snapshot` onto this (already built) engine.
-
-        The recipe path: the engine was re-built deterministically, so
-        conductances already match; only the cumulative counters need
-        re-seating (a rebuild billed fresh programming pulses the
-        original session already paid for).  Not to be confused with
-        :meth:`restore`, which reads one stored OVT back from NVM.
-        """
-        self._check_snapshot(snap)
-        if snap["count"] != self._count:
-            raise ValueError(
-                f"snapshot holds {snap['count']} OVTs, store has "
-                f"{self._count}")
-        for scale, matrix in self._scale_matrices.items():
-            matrix.restore(snap["stores"][str(scale)])
 
     def _check_snapshot(self, snap: dict) -> None:
         if snap.get("version") != self.SNAPSHOT_VERSION:
@@ -350,7 +312,7 @@ class CiMSearchEngine:
         mitigation: MitigationHooks | None = None,
         rng: np.random.Generator | None = None,
     ) -> "CiMSearchEngine":
-        """Rebuild a store from a full :meth:`snapshot`, bit-identically.
+        """Rebuild a store from a :meth:`snapshot`, bit-identically.
 
         No crossbar is programmed: every scale store comes back through
         :meth:`CiMMatrix.from_snapshot`, counters and generator states

@@ -60,8 +60,8 @@ class QueryRequest:
     request_id: str = ""
 
     def __post_init__(self):
-        if not self.text:
-            raise ValueError("a QueryRequest needs non-empty text")
+        if not self.text.strip():   # tokenizes to nothing
+            raise ValueError("a QueryRequest needs non-blank text")
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ analytic CiM latency/energy estimate from :mod:`repro.cim.energy`.
 
 Batched entry points (:meth:`PromptServeEngine.submit_batch`,
 :meth:`PromptServeEngine.answer_batch`) group requests by user so each
-user's crossbars are programmed at most once per batch, and memoise query
-encodings and restored prompts within the batch.  Because retrieval noise
-is drawn at *programming* time (not per read), batched answers are
-byte-identical to sequential ones.
+user's crossbars are programmed at most once per batch.  Because
+retrieval noise is drawn at *programming* time (not per read), batched
+answers are byte-identical to sequential ones — and the crossbar counters
+(the energy model's input) move by the same amount either way.
 
 Generation runs through the incremental decode path: each session keeps an
 LRU of decode-ready prefill states keyed by ``(text, OVT index)``, so
@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
@@ -500,8 +500,8 @@ class PromptServeEngine:
         """Serve a batch of queries; responses come back in input order.
 
         Queries are grouped by user so each user's deployment is resolved
-        (and, if stale, reprogrammed) once per batch; repeated query texts
-        share one encoding and repeated retrievals share one NVM read-back.
+        (and, if stale, reprogrammed) once per batch and all of a user's
+        texts are scored in one batched in-memory search.
 
         Every query is admitted to the continuous-batching decoder and all
         answers advance one token per round through a single forward over
@@ -520,21 +520,13 @@ class PromptServeEngine:
         pendings: list[PendingQuery | None] = [None] * len(requests)
         try:
             for user_id, positions in order.items():
-                session = self._resident_session(user_id)
-                deployment = session.deployment()
-                user_codes: dict[str, np.ndarray] = {}
-                user_prompts: dict[int, np.ndarray] = {}
-                # One batched in-memory search scores every query text
-                # this user contributed to the batch.
-                retrievals = self._retrieve_batch(
-                    deployment,
-                    [requests[position].text for position in positions],
-                    user_codes)
-                for position in positions:
-                    pendings[position] = self._admit_one(
-                        session, deployment, requests[position],
-                        user_codes, user_prompts,
-                        retrieval=retrievals[requests[position].text])
+                admitted = self._admit(
+                    self._resident_session(user_id),
+                    [requests[position] for position in positions])
+                # One at a time, so a failure part-way leaves the earlier
+                # handles here for the drain below.
+                for position, pending in zip(positions, admitted):
+                    pendings[position] = pending
         finally:
             # Even if a later user's admission fails (e.g. no resident
             # session), already-admitted queries are drained to completion
@@ -569,8 +561,8 @@ class PromptServeEngine:
                 self.rejected += 1
                 raise QueueFull(len(self._pending), self.max_pending)
             session = self._resident_session(request.user_id)
-            return self._admit_one(session, session.deployment(), request,
-                                   {}, {}, deadline=deadline)
+            (pending,) = self._admit(session, [request], deadline=deadline)
+            return pending
 
     def run_decode_round(self) -> DecodeRoundReport:
         """Advance every pending generation (one base forward per round).
@@ -598,91 +590,52 @@ class PromptServeEngine:
             return report
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _retrieve_batch(
-        deployment: NVCiMDeployment, texts: list[str],
-        code_cache: dict[str, np.ndarray],
-    ) -> dict[str, tuple[int, np.ndarray]]:
-        """Batched in-memory search over the pending query texts.
+    def _admit(self, session: UserSession, requests: list[QueryRequest],
+               deadline: float | None = None) -> Iterator[PendingQuery]:
+        """Retrieve/restore/prefill one user's queries and admit them,
+        yielding each handle as it enters the decoder.
 
-        All texts are encoded (memoised in ``code_cache``) and scored
-        against every scale's store with one
-        :meth:`~repro.retrieval.CiMSearchEngine.query_batch` call; each
-        text maps to the (best index, per-OVT scores) pair a search for it
-        alone would return.  Repeated texts keep their own batch rows
-        (identical bit for bit), so the crossbar counters bill exactly the
-        MVMs one search per text would.
-        """
-        for text in texts:
-            if text not in code_cache:
-                code_cache[text] = deployment.encode_query(text)
-        scores = deployment.engine.query_batch(
-            [code_cache[text] for text in texts])
-        return {text: (int(np.argmax(row)), row)
-                for text, row in zip(texts, scores)}
-
-    @staticmethod
-    def _prompt_restorer(deployment: NVCiMDeployment, index: int,
-                         prompt_cache: dict[int, np.ndarray],
-                         ) -> Callable[[], np.ndarray]:
-        """Lazy NVM read-back: only reached on a prefill-cache miss, so a
-        repeated query skips the read-back and autoencoder decode along
-        with the prefill itself."""
-        def restore_prompt() -> np.ndarray:
-            prompt = prompt_cache.get(index)
-            if prompt is None:
-                prompt = prompt_cache[index] = deployment.restored_prompt(index)
-            return prompt
-        return restore_prompt
-
-    def _admit_one(self, session: UserSession, deployment: NVCiMDeployment,
-                   request: QueryRequest,
-                   code_cache: dict[str, np.ndarray],
-                   prompt_cache: dict[int, np.ndarray],
-                   retrieval: tuple[int, np.ndarray] | None = None,
-                   deadline: float | None = None,
-                   ) -> PendingQuery:
-        """Retrieve/restore/prefill one query and admit it to the decoder.
-
-        ``retrieval`` carries a precomputed (index, scores) pair when the
-        caller already ran a batched search; otherwise admission runs its
-        own batch-of-one search.  Retrieval telemetry and the analytic
-        cost are snapshotted now so the eventual response is what it would
-        have been served alone, even if the session is evicted (or
-        retrained) while the answer is in flight.  The latency clock
-        starts here, before retrieval and prefill.
+        One :meth:`~repro.retrieval.CiMSearchEngine.query_batch` scores
+        every text against every scale's store; each request keeps its
+        own batch row, NVM read-back (on a prefill miss) and prefill
+        lookup, so the crossbar counters bill exactly what admitting the
+        requests one at a time would.  Retrieval telemetry and the
+        analytic cost are snapshotted now so the eventual response is
+        what it would have been served alone, even if the session is
+        evicted (or retrained) while the answer is in flight.  The
+        latency clock starts here, before retrieval and prefill.
         """
         admitted_at = time.perf_counter()
-        text = request.text
-        if retrieval is None:
-            retrieval = self._retrieve_batch(
-                deployment, [text], code_cache)[text]
-        index, scores = retrieval
-        generation = request.generation or self.default_generation()
-        state = session.prefill_state(
-            text, index, self._prompt_restorer(deployment, index, prompt_cache))
-        pending = PendingQuery(request)
-        pending._session = session
-        pending._admitted_at = admitted_at
-        pending._retrieval = (index, tuple(float(s) for s in scores),
-                              deployment.engine.n_stored,
-                              _deployment_cost(deployment))
-        prompt_ids = None
-        if self.speculative is not None:
-            # The draft model sees the raw query tokens (no soft prompt /
-            # KV prefix — base-model conditioning it cannot consume).
-            # This only steers drafting; answers stay token-identical.
-            prompt_ids = np.asarray(self.tokenizer.encode(text),
-                                    dtype=np.int64)
-        pending._sequence = self._scheduler.admit(state, generation,
-                                                 deadline=deadline,
-                                                 prompt_ids=prompt_ids)
-        session.generations_in_flight += 1
-        self.admitted += 1
-        self._pending.append(pending)
-        if pending._sequence.finished:
-            self._finalize(pending)   # e.g. EOS on the very first sample
-        return pending
+        deployment = session.deployment()
+        scores = deployment.engine.query_batch(
+            [deployment.encode_query(request.text) for request in requests])
+        cost = _deployment_cost(deployment)
+        for request, row in zip(requests, scores):
+            text, index = request.text, int(np.argmax(row))
+            state = session.prefill_state(
+                text, index, lambda: deployment.restored_prompt(index))
+            pending = PendingQuery(request)
+            pending._session = session
+            pending._admitted_at = admitted_at
+            pending._retrieval = (index, tuple(float(s) for s in row),
+                                  deployment.engine.n_stored, cost)
+            prompt_ids = None
+            if self.speculative is not None:
+                # The draft model sees the raw query tokens (no soft
+                # prompt / KV prefix — base-model conditioning it cannot
+                # consume).  This only steers drafting; answers stay
+                # token-identical.
+                prompt_ids = np.asarray(self.tokenizer.encode(text),
+                                        dtype=np.int64)
+            pending._sequence = self._scheduler.admit(
+                state, request.generation or self.default_generation(),
+                deadline=deadline, prompt_ids=prompt_ids)
+            session.generations_in_flight += 1
+            self.admitted += 1
+            self._pending.append(pending)
+            if pending._sequence.finished:
+                self._finalize(pending)   # e.g. EOS on the very first sample
+            yield pending
 
     def _finalize(self, pending: PendingQuery) -> None:
         """Turn a retired generation into its response (exactly once)."""

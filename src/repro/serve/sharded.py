@@ -237,8 +237,8 @@ class ShardedPromptEngine:
         per_worker = [worker.stats() for worker in self.workers]
         aggregate: dict = {}
         # Scalar kinds merge by their declared semantics.  A key missing
-        # from any worker is skipped, not guessed at: extension counters
-        # only aggregate once both declared (register_stat) and emitted.
+        # from any worker is skipped, not guessed at: a counter
+        # aggregates only once it is both declared and emitted.
         for key, kind in STATS_MANIFEST.items():
             if not all(key in stats for stats in per_worker):
                 continue

@@ -11,16 +11,20 @@ session can leave memory (LRU eviction, process restart, another worker)
 and come back answering byte-identically, without re-running one tuner
 step.
 
-Two capture modes trade size against restore cost:
+Two capture modes trade size against restore cost, and both restore
+through the same path:
 
-* ``mode="raw"`` — the deployment's crossbar conductances, cumulative
-  counters and generator states travel in full.  Restore rebuilds the
-  NVM state bit-identically with **zero** programming pulses.
-* ``mode="recipe"`` — only cumulative counters travel.  Restore re-runs
-  deployment programming, which is deterministic (the deployment's
-  generator derives purely from the config), then re-seats the counters
-  so the rebuild is not double-billed.  Same conductances, smaller blob,
-  one reprogramming's latency.
+* ``mode="raw"`` — the deployment section travels: crossbar
+  conductances, cumulative counters and generator states.  Restore
+  rebuilds the NVM state bit-identically with **zero** programming pulses.
+* ``mode="recipe"`` — the session as if its deployment had just been
+  retired: no deployment section, the live crossbars' counters banked
+  into ``counters["retired_cim"]``.  The restored session is undeployed
+  and re-programs lazily on its next query, like any session whose
+  library changed.  Programming is deterministic (the deployment's
+  generator derives from the config alone), so the conductances and the
+  answers are the same — and the re-programming is *billed*: NVM write
+  energy and endurance are the paper's own cost model.
 
 The prefill KV cache is deliberately *not* serialized: prefill is
 deterministic, so a restored session recomputes any state it needs and
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.framework import FrameworkConfig, NVCiMDeployment, OVTLibrary
+from ..core.framework import FrameworkConfig, NVCiMDeployment
 from ..data.lamp import Sample
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
@@ -97,10 +101,12 @@ class SessionSnapshot:
         model = session.model
         library = session.library
         ae = library.autoencoder
-        deployment = None
-        if session.is_deployed:
-            deployment = session._deployment.snapshot(
-                include_state=(mode == "raw"))
+        # A recipe banks the live crossbars' counters as a retirement
+        # would; a deployment section carries its own.
+        deployment, retired_cim = None, session.cim_stats()
+        if mode == "raw" and session.is_deployed:
+            deployment = session._deployment.snapshot()
+            retired_cim = session._retired_cim
         return cls(
             user_id=session.user_id,
             mode=mode,
@@ -126,7 +132,7 @@ class SessionSnapshot:
                 "pipeline_epochs": session.pipeline._epochs_completed,
                 "queries_served": session.queries_served,
                 "prefill_hits": session.prefill_hits,
-                "retired_cim": session._retired_cim.to_dict(),
+                "retired_cim": retired_cim.to_dict(),
             },
             prefill_keys=[[text, index]
                           for text, index in session._prefill_states],
@@ -192,11 +198,12 @@ class SessionSnapshot:
                       tokenizer: Tokenizer) -> UserSession:
         """Rebuild the captured session against the shared base model.
 
-        Raw snapshots restore the NVM deployment bit-identically with no
-        programming; recipe snapshots replay the (deterministic)
-        programming and then re-seat the cumulative counters.  Either
-        way the rebuilt session's greedy answers are byte-identical to
-        the original's, with no tuner step re-run.
+        A deployment section comes back bit-identically with no
+        programming; without one the session is undeployed and
+        ``UserSession.deployment()`` re-programs (deterministically, and
+        billed) on its next query.  Either way the rebuilt session's
+        greedy answers are byte-identical to the original's, with no
+        tuner step re-run.
         """
         fingerprint = self.model_fingerprint
         actual = {"d_model": model.config.d_model,
@@ -243,9 +250,18 @@ class SessionSnapshot:
             counters["retired_cim"])
 
         if self.deployment is not None:
+            if self.mode != "raw":
+                raise SnapshotError(
+                    f"a {self.mode!r} snapshot carries a deployment "
+                    f"section (counters only, from an older build); those "
+                    f"are no longer readable")
             try:
-                session._deployment = self._build_deployment(
-                    model, tokenizer, library, config)
+                session._deployment = NVCiMDeployment.from_snapshot(
+                    model, tokenizer, library, config, self.deployment)
+            except KeyError as error:
+                raise SnapshotError(
+                    f"deployment state is incomplete: missing {error}"
+                ) from error
             except ValueError as error:   # geometry / layout / mitigation
                 raise SnapshotError(
                     f"deployment state does not restore: {error}") from error
@@ -265,16 +281,3 @@ class SessionSnapshot:
                               for key, value in data["tuning"].items()
                               if key != "batched"}
         return FrameworkConfig.from_dict(data)
-
-    def _build_deployment(self, model: TinyCausalLM, tokenizer: Tokenizer,
-                          library: OVTLibrary,
-                          config: FrameworkConfig) -> NVCiMDeployment:
-        if self.mode == "raw":
-            return NVCiMDeployment.from_snapshot(
-                model, tokenizer, library, config, self.deployment)
-        # Recipe: re-program deterministically, then re-seat the counters
-        # the original session had already accumulated (the rebuild's own
-        # fresh programming pulses are folded away, not double-billed).
-        deployment = NVCiMDeployment(model, tokenizer, library, config)
-        deployment.restore_counters(self.deployment)
-        return deployment

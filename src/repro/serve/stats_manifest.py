@@ -30,7 +30,7 @@ Kinds:
 
 from __future__ import annotations
 
-__all__ = ["STATS_MANIFEST", "register_stat"]
+__all__ = ["STATS_MANIFEST"]
 
 STATS_MANIFEST = {
     # -- session lifecycle ------------------------------------------------
@@ -83,31 +83,3 @@ STATS_MANIFEST = {
     "n_workers": "structural",
     "workers": "structural",
 }
-
-_KINDS = ("additive", "capacity", "histogram", "structural")
-
-
-def register_stat(key: str, kind) -> None:
-    """Declare an extension counter so the sharded merge picks it up.
-
-    Plugins that teach ``PromptServeEngine.stats()`` a new key call this
-    once at import time; ``ShardedPromptEngine.stats()`` then aggregates
-    the key with the declared semantics instead of dropping it (or,
-    worse, someone hand-editing a key list).  ``kind`` is one of the
-    scalar kinds or a ``("ratio", num, den)`` tuple, exactly as in
-    :data:`STATS_MANIFEST`.
-    """
-    if isinstance(kind, tuple):
-        if len(kind) != 3 or kind[0] != "ratio":
-            raise ValueError(
-                f"tuple kinds must be ('ratio', num_key, den_key), "
-                f"got {kind!r}")
-    elif kind not in _KINDS:
-        raise ValueError(
-            f"unknown stat kind {kind!r}; expected one of {_KINDS} "
-            f"or a ('ratio', num, den) tuple")
-    existing = STATS_MANIFEST.get(key)
-    if existing is not None and existing != kind:
-        raise ValueError(
-            f"stat {key!r} already declared as {existing!r}")
-    STATS_MANIFEST[key] = kind

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ag import (Tensor, cross_entropy, gelu, log_softmax, mse_loss,
+from repro.ag import (Tensor, cross_entropy, gelu, mse_loss,
                       sequence_cross_entropy, softmax)
 from tests.ag.gradcheck import check_gradient
 
@@ -28,13 +28,6 @@ class TestSoftmax:
     def test_gradient(self):
         weights = Tensor(RNG.normal(size=(2, 5)))
         check_gradient(lambda t: softmax(t) * weights, RNG.normal(size=(2, 5)))
-
-    def test_log_softmax_matches_log_of_softmax(self):
-        x = Tensor(RNG.normal(size=(4, 6)))
-        np.testing.assert_allclose(
-            log_softmax(x).data, np.log(softmax(x).data), atol=1e-5
-        )
-
 
 class TestGelu:
     def test_known_values(self):

@@ -132,32 +132,6 @@ class TestMitigationEquivalence:
         np.testing.assert_array_equal(ref.read_matrix(), vec.read_matrix())
         assert ref.aggregate_stats() == vec.aggregate_stats()
 
-    def test_legacy_mitigation_without_column_hook(self):
-        """Out-of-tree mitigations predating correct_read_columns keep
-        working: read_columns falls back to the full-width correction."""
-        class LegacyGain:
-            name = "legacy"
-
-            def post_program(self, matrix):
-                matrix.calibration["g"] = np.full(matrix.shape[1], 2.0,
-                                                  dtype=np.float32)
-
-            def prepare_values(self, values):
-                return values
-
-            def correct_output(self, matrix, outputs):
-                return outputs
-
-            def correct_read(self, matrix, values):
-                return values * matrix.calibration["g"][None, :]
-
-        w = RNG.normal(size=(20, 7)).astype(np.float32)
-        matrix = CiMMatrix(w, get_device("NVM-3"), sigma=0.0, rows=32,
-                           cols=16, mitigation=LegacyGain(),
-                           rng=np.random.default_rng(3))
-        np.testing.assert_array_equal(matrix.read_columns(2, 4),
-                                      matrix.read_matrix()[:, 2:4])
-
     def test_batched_output_correction_matches_per_query(self):
         """CxDNN/CorrectNet corrections broadcast over batched outputs."""
         w = RNG.normal(size=(50, 23)).astype(np.float32)

@@ -124,6 +124,20 @@ class TestErrorPaths:
             client.query(0, "")
         assert gateway.validation_failures == before + 1
 
+    @pytest.mark.parametrize("text", [
+        "   ",                        # tokenizes to nothing
+        " ".join(["movie"] * 300),    # leaves no room to generate
+    ], ids=["blank", "over-long"])
+    def test_unservable_text_is_a_400_not_a_500(self, gateway, engine,
+                                                client, text):
+        before = gateway.validation_failures
+        with pytest.raises(GatewayError) as info:
+            client.query(0, text)
+        assert info.value.status == 400
+        assert info.value.field == "text"
+        assert gateway.validation_failures == before + 1
+        assert engine.stats()["pending_generations"] == 0
+
 
 class TestStats:
     def test_two_layer_stats(self, client, setup, gateway):
@@ -192,6 +206,27 @@ class TestCancellation:
         response = client.query(1, "still here",
                                 generation=fast_generation(tok, n=2))
         assert response.user_id == 1
+
+
+class TestShutdown:
+    def test_stop_with_an_idle_keep_alive_client_is_silent(self, engine,
+                                                           caplog):
+        """A client parked between requests ends on EOF, not on a
+        cancellation that asyncio logs as an exception in a callback."""
+        import http.client
+
+        gateway = PromptGateway(engine, GatewayConfig(port=0)).start()
+        connection = http.client.HTTPConnection(*gateway.address)
+        try:
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()   # now idle, still open
+            with caplog.at_level("DEBUG", logger="asyncio"):
+                gateway.stop()
+            assert not gateway._loop_thread.is_alive()
+            assert [r for r in caplog.records
+                    if r.levelname in ("WARNING", "ERROR")] == []
+        finally:
+            connection.close()
 
 
 class TestBackpressure:

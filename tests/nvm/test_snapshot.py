@@ -1,27 +1,17 @@
-"""Snapshot/restore at the NVM layer: crossbars, tile banks, CiM matrices."""
+"""Snapshot/restore at the NVM layer: tile banks and CiM matrices."""
 
 import numpy as np
 import pytest
 
 from repro.cim import CiMMatrix
 from repro.nvm import get_device
-from repro.nvm.crossbar import CrossbarArray, CrossbarStats, TileBank
+from repro.nvm.crossbar import CrossbarStats, TileBank
 from repro.serve.codec import decode_value, encode_value
 
 
 def roundtrip(snap):
     """Push a snapshot through the binary codec, as spill/restore does."""
     return decode_value(encode_value(snap))
-
-
-def make_crossbar(seed=3, rows=8, cols=6):
-    device = get_device("NVM-1")
-    array = CrossbarArray(device, rows=rows, cols=cols, sigma=0.1,
-                          rng=np.random.default_rng(seed))
-    levels = np.random.default_rng(0).integers(0, device.n_levels,
-                                               (rows, cols))
-    array.program(levels)
-    return array
 
 
 class TestCrossbarStats:
@@ -33,49 +23,6 @@ class TestCrossbarStats:
     def test_dict_roundtrip(self):
         stats = CrossbarStats(1, 2, 3, 4, 5)
         assert CrossbarStats.from_dict(stats.to_dict()) == stats
-
-
-class TestCrossbarArraySnapshot:
-    def test_restore_is_bit_identical(self):
-        array = make_crossbar()
-        array.matvec(np.ones(8, dtype=np.float32))
-        other = CrossbarArray(get_device("NVM-1"), rows=8, cols=6, sigma=0.1)
-        other.restore(roundtrip(array.snapshot()))
-        assert np.array_equal(other.conductance, array.conductance)
-        assert np.array_equal(other.target_levels, array.target_levels)
-        assert other.stats == array.stats
-
-    def test_restored_rng_continues_identically(self):
-        array = make_crossbar()
-        other = CrossbarArray(get_device("NVM-1"), rows=8, cols=6, sigma=0.1)
-        other.restore(array.snapshot())
-        mask = np.ones((8, 6), dtype=bool)
-        array.reprogram_cells(mask)
-        other.reprogram_cells(mask)
-        assert np.array_equal(other.conductance, array.conductance)
-
-    def test_counters_only_snapshot_skips_state(self):
-        array = make_crossbar()
-        snap = array.snapshot(include_state=False)
-        assert "conductance" not in snap
-        other = make_crossbar(seed=99)
-        before = other.conductance.copy()
-        other.restore(roundtrip(snap))
-        assert np.array_equal(other.conductance, before)  # state untouched
-        assert other.stats == array.stats
-
-    def test_rejects_unknown_version(self):
-        array = make_crossbar()
-        snap = array.snapshot()
-        snap["version"] = 999
-        with pytest.raises(ValueError, match="version"):
-            array.restore(snap)
-
-    def test_rejects_geometry_mismatch(self):
-        array = make_crossbar()
-        other = CrossbarArray(get_device("NVM-1"), rows=4, cols=6, sigma=0.1)
-        with pytest.raises(ValueError, match="geometry"):
-            other.restore(array.snapshot())
 
 
 class TestTileBankSnapshot:
@@ -111,15 +58,16 @@ class TestTileBankSnapshot:
         other.reprogram_cells(masks)
         assert np.array_equal(other.conductance, bank.conductance)
 
-    def test_counters_only_restores_counter_vectors(self):
+    @pytest.mark.parametrize("key", ["conductance", "target_levels", "rngs",
+                                     "programmed", "counters"])
+    def test_restore_requires_every_state_key(self, key):
+        """One reader form: there is no counters-only (or any other
+        partial) snapshot a bank accepts."""
         bank = self.make_bank()
-        bank.read_cells()
-        snap = roundtrip(bank.snapshot(include_state=False))
-        assert "conductance" not in snap
-        other = self.make_bank(seed=77)
-        other.restore(snap)
-        assert np.array_equal(other.cell_reads, bank.cell_reads)
-        assert np.array_equal(other.write_pulses, bank.write_pulses)
+        snap = bank.snapshot()
+        del snap[key]
+        with pytest.raises(KeyError, match=key):
+            self.make_bank(seed=77).restore(snap)
 
     def test_rejects_geometry_mismatch(self):
         bank = self.make_bank()
@@ -179,9 +127,11 @@ class TestCiMMatrixSnapshot:
 
     def test_from_snapshot_requires_full_state(self):
         matrix = self.make_matrix()
-        with pytest.raises(ValueError, match="counters-only"):
-            CiMMatrix.from_snapshot(matrix.snapshot(include_state=False),
-                                    get_device("NVM-3"))
+        for key in ("ints", "codec_scale", "calibration", "bank"):
+            snap = matrix.snapshot()
+            del snap[key]
+            with pytest.raises(KeyError, match=key):
+                CiMMatrix.from_snapshot(snap, get_device("NVM-3"))
 
     def test_per_tile_snapshot_refused(self):
         """v1 writers could record ``vectorized: False``; that layout is
@@ -194,12 +144,3 @@ class TestCiMMatrixSnapshot:
             matrix.restore(snap)
         matrix.restore(dict(matrix.snapshot(), vectorized=True))  # v1 form
         assert "vectorized" not in matrix.snapshot()
-
-    def test_counters_only_restore_onto_identical_rebuild(self):
-        matrix = self.make_matrix()
-        query = np.random.default_rng(2).normal(size=20).astype(np.float32)
-        matrix.matvec(query)
-        rebuilt = self.make_matrix()   # same seeds -> same conductances
-        rebuilt.restore(roundtrip(matrix.snapshot(include_state=False)))
-        assert rebuilt.aggregate_stats() == matrix.aggregate_stats()
-        assert np.array_equal(rebuilt.matvec(query), matrix.matvec(query))

@@ -97,12 +97,10 @@ class PerTileCiMMatrix:
     def matvec(self, x, **kwargs):
         return self.matmat(np.asarray(x).reshape(1, -1), **kwargs)[0]
 
-    def matmat(self, queries, *, quantize_output=True, corrected=True):
+    def matmat(self, queries, *, quantize_output=True):
         """One query, one tile, one small matvec at a time."""
         outputs = np.stack([self._mvm(np.asarray(x, dtype=np.float32),
                                       quantize_output) for x in queries])
-        if not corrected:
-            return outputs
         return self.mitigation.correct_output(self, outputs)
 
     def _mvm(self, x, quantize_output):
@@ -130,10 +128,8 @@ class PerTileCiMMatrix:
             return decoded
         return self.mitigation.correct_read(self, decoded)
 
-    def read_columns(self, col0, col1, *, corrected=True):
+    def read_columns(self, col0, col1):
         decoded = self._read(col0, col1, whole_tiles=False)
-        if not corrected:
-            return decoded
         return self.mitigation.correct_read_columns(self, decoded, col0, col1)
 
     def _read(self, col0, col1, whole_tiles):

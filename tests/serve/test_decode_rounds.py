@@ -13,6 +13,7 @@ import pytest
 from repro.core import FrameworkConfig
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
+from repro.retrieval import CiMSearchEngine
 from repro.serve import PromptServeEngine, QueryRequest, TuneRequest
 from tests.oracles.generation import answer_sequential
 
@@ -172,8 +173,9 @@ class TestDecodeRounds:
         assert engine.stats()["requests_served"] == len(requests)
 
     def test_latency_counts_retrieval_and_prefill(self, setup, monkeypatch):
-        """The request clock starts at the top of admission: a cold
-        ``begin_query``'s search and prefill are in ``latency_ms``."""
+        """The request clock starts at the top of admission, on both
+        entry points: a cold query's search and prefill are in
+        ``latency_ms``."""
         _, tok = setup
         engine = build_engine(setup, user_ids=(0,))
         session = engine.session(0)
@@ -187,17 +189,24 @@ class TestDecodeRounds:
                 return method(*args, **kwargs)
             return slow
 
-        monkeypatch.setattr(engine, "_retrieve_batch",
-                            taking(2.0, engine._retrieve_batch))
+        monkeypatch.setattr(CiMSearchEngine, "query_batch",
+                            taking(2.0, CiMSearchEngine.query_batch))
         monkeypatch.setattr(session, "prefill_state",
                             taking(3.0, session.prefill_state))
+        generation = GenerationConfig(max_new_tokens=3, temperature=0.0)
+        first, second, third = (sample.input_text
+                                for sample in stream_for(0, 3))
         pending = engine.begin_query(QueryRequest(
-            user_id=0, text=stream_for(0, 1)[0].input_text,
-            generation=GenerationConfig(max_new_tokens=3, temperature=0.0)))
+            user_id=0, text=first, generation=generation))
         while not pending.done:
             engine.run_decode_round()
-        assert session.prefill_hits == 0                 # it was cold
         assert engine.stats()["latency_ms"]["max_ms"] == pytest.approx(5000.0)
+        # One search, two prefills, and both answers waited for all of it.
+        engine.answer_batch([QueryRequest(user_id=0, text=text,
+                                          generation=generation)
+                             for text in (second, third)])
+        assert engine.stats()["latency_ms"]["max_ms"] == pytest.approx(8000.0)
+        assert session.prefill_hits == 0                 # all three cold
 
     def test_empty_round_is_noop(self, setup):
         engine = build_engine(setup, user_ids=())

@@ -61,8 +61,9 @@ class TestRequestObjects:
         assert isinstance(request.samples, tuple)
 
     def test_query_request_needs_text(self):
-        with pytest.raises(ValueError):
-            QueryRequest(user_id=0, text="")
+        for text in ("", "   ", " \t\n"):   # blank tokenizes to nothing
+            with pytest.raises(ValueError):
+                QueryRequest(user_id=0, text=text)
 
 
 class TestMultiUserServing:
@@ -194,6 +195,22 @@ class TestBatching:
         # Input order and request ids are preserved.
         assert [r.request_id for r in batched] == \
             [r.request_id for r in requests]
+
+    def test_failed_admission_mid_batch_leaves_nothing_pending(
+            self, trained_engine, setup):
+        """One user's second text cannot be served: the first is drained
+        to completion, as a loop of query() calls would have served it."""
+        _, tok = setup
+        served = trained_engine.stats()["requests_served"]
+        requests = [QueryRequest(user_id=0, text=text,
+                                 generation=fast_generation(tok))
+                    for text in ("movie about robot tag",
+                                 " ".join(["movie"] * 300))]
+        with pytest.raises(ValueError, match="no room to generate"):
+            trained_engine.answer_batch(requests)
+        stats = trained_engine.stats()
+        assert stats["pending_generations"] == 0
+        assert stats["requests_served"] == served + 1
 
     def test_submit_batch_groups_by_user(self, setup):
         model, tok = setup
@@ -506,27 +523,35 @@ class TestCiMTelemetry:
         assert engine.stats()["cim_mvm_ops"] >= after_retrain
 
     def test_batched_retrieval_bills_like_sequential(self, setup):
-        """Duplicate texts in a batch bill one search each, exactly as
-        the sequential reference path would."""
+        """The hardware counters (the energy model's input) do not depend
+        on how requests were grouped: distinct texts that retrieve the
+        same OVT each bill their own search and NVM read-back, and a
+        repeated text bills its search, in a batch as one at a time."""
         model, tok = setup
+        keys = ("cim_mvm_ops", "cim_adc_conversions", "cim_cell_reads")
+        texts = [sample.input_text for sample in stream_for(0, 8, seed=5)]
+        assert len(set(texts)) == 8
         deltas = []
         for batched in (False, True):
             engine = PromptServeEngine(model, tok, fast_config(),
                                        max_sessions=2)
             engine.submit(TuneRequest(user_id=0,
                                       samples=tuple(stream_for(0, 10))))
-            text = stream_for(0, 1)[0].input_text
+            assert len(engine.session(0).library) < len(texts)  # OVTs shared
             requests = [QueryRequest(user_id=0, text=text,
-                                     generation=fast_generation(tok))] * 3
+                                     generation=fast_generation(tok))
+                        for text in texts + texts[:1]]
             engine.session(0).deployment()   # program outside measurement
-            before = engine.stats()["cim_mvm_ops"]
+            before = engine.stats()
             if batched:
                 engine.answer_batch(requests)
             else:
                 for request in requests:
                     engine.query(request)
-            deltas.append(engine.stats()["cim_mvm_ops"] - before)
-        assert deltas[0] == deltas[1] > 0
+            after = engine.stats()
+            deltas.append({key: after[key] - before[key] for key in keys})
+        assert deltas[0] == deltas[1]
+        assert all(delta > 0 for delta in deltas[0].values())
 
     def test_restore_reads_stay_bounded(self, trained_engine, setup):
         """Restores bill only the covering column, so cell reads stay far

@@ -160,37 +160,20 @@ class TestAggregateStats:
             assert stats["tokens_per_round"] == pytest.approx(
                 stats["decode_tokens"] / rounds)
 
-    def test_registered_counter_aggregates_across_workers(self, engines):
-        """A counter declared via register_stat() sums fleet-wide."""
-        from repro.serve.stats_manifest import register_stat
-
+    def test_registered_counter_aggregates_across_workers(self, engines,
+                                                          monkeypatch):
+        """The merge is manifest-driven: a counter sums fleet-wide once
+        the manifest declares it, and is dropped until then."""
         sharded, *_ = engines
-        originals = {w: w.stats for w in sharded.workers}
-        try:
-            for i, worker in enumerate(sharded.workers):
-                base = originals[worker]
-                worker.stats = (lambda b=base, v=i + 1:
-                                {**b(), "my_counter": v})
-            # emitted but undeclared: the merge must drop it, not guess
-            assert "my_counter" not in sharded.stats()
-            register_stat("my_counter", "additive")
-            expected = sum(range(1, sharded.n_workers + 1))
-            assert sharded.stats()["my_counter"] == expected
-        finally:
-            for worker, base in originals.items():
-                worker.stats = base
-            STATS_MANIFEST.pop("my_counter", None)
-
-    def test_register_stat_validates_kinds(self):
-        from repro.serve.stats_manifest import register_stat
-
-        with pytest.raises(ValueError):
-            register_stat("bogus", "averaged")
-        with pytest.raises(ValueError):
-            register_stat("bogus", ("ratio", "only_one"))
-        with pytest.raises(ValueError):
-            register_stat("requests_served", "capacity")  # redeclaration
-        assert "bogus" not in STATS_MANIFEST
+        for i, worker in enumerate(sharded.workers):
+            monkeypatch.setattr(
+                worker, "stats",
+                lambda base=worker.stats, v=i + 1: {**base(), "my_counter": v})
+        # emitted but undeclared: the merge must drop it, not guess
+        assert "my_counter" not in sharded.stats()
+        monkeypatch.setitem(STATS_MANIFEST, "my_counter", "additive")
+        expected = sum(range(1, sharded.n_workers + 1))
+        assert sharded.stats()["my_counter"] == expected
 
     def test_latency_histogram_merges_all_samples(self, engines):
         sharded, *_ = engines

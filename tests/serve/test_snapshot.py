@@ -173,16 +173,42 @@ class TestSessionRoundTrip:
 
     def test_recipe_restore_rebuilds_identical_conductances(
             self, setup, trained_session):
+        """A recipe is the session as if its deployment had just been
+        retired: counters banked, crossbars re-programmed — identically,
+        and billed — on the next use."""
         model, tok = setup
         session, *_ = trained_session
+        assert session.is_deployed
         snap = SessionSnapshot.capture(session, mode="recipe")
-        # Recipe form carries counters only: no conductances, no rng.
-        assert "rng" not in snap.deployment["engine"]
-        for store in snap.deployment["engine"]["stores"].values():
-            assert "ints" not in store
-        restored = snap.build_session(model, tok)
-        restored.deployment()  # recipe defers nothing further here
+        assert snap.deployment is None
+        restored = SessionSnapshot.from_bytes(
+            snap.to_bytes()).build_session(model, tok)
+        assert not restored.is_deployed
         assert restored.cim_stats() == session.cim_stats()
+
+        stores = restored.deployment().engine._scale_matrices
+        originals = session.deployment().engine._scale_matrices
+        assert stores.keys() == originals.keys()
+        for scale, matrix in stores.items():
+            assert np.array_equal(matrix.bank.conductance,
+                                  originals[scale].bank.conductance)
+        one_programming = sum(matrix.bank.conductance.size
+                              for matrix in stores.values())
+        assert (restored.cim_stats().write_pulses
+                == session.cim_stats().write_pulses + one_programming)
+
+    @pytest.mark.parametrize("key", ["conductance", "target_levels", "rngs",
+                                     "ints"])
+    def test_raw_blob_missing_state_never_builds_a_session(
+            self, setup, trained_session, key):
+        model, tok = setup
+        session, *_ = trained_session
+        snap = SessionSnapshot.capture(session, mode="raw")
+        store = next(iter(snap.deployment["engine"]["stores"].values()))
+        del (store if key == "ints" else store["bank"])[key]
+        damaged = SessionSnapshot.from_bytes(snap.to_bytes())
+        with pytest.raises(SnapshotError, match=key):
+            damaged.build_session(model, tok)
 
     def test_raw_blob_is_larger_than_recipe(self, trained_session):
         session, *_ = trained_session
@@ -297,14 +323,18 @@ class TestGoldenFixture:
     @pytest.mark.parametrize("mode", ["raw", "recipe"])
     def test_per_tile_v1_store_refused(self, setup, trained_session, mode):
         """The golden session is undeployed, so the CiMMatrix half edits a
-        fresh capture into the form a v1 per-tile writer produced."""
+        fresh capture into the form a v1 per-tile writer produced.  This
+        build's recipes carry no deployment section at all; one that does
+        (counters only — an older build's) is refused for that alone."""
         model, tok = setup
         session, *_ = trained_session
-        snap = SessionSnapshot.capture(session, mode=mode)
+        snap = SessionSnapshot.capture(session, mode="raw")
+        snap.mode = mode
         for store in snap.deployment["engine"]["stores"].values():
             store["vectorized"] = False
         edited = SessionSnapshot.from_bytes(snap.to_bytes())
-        with pytest.raises(SnapshotError, match="per-tile"):
+        reason = "per-tile" if mode == "raw" else "deployment section"
+        with pytest.raises(SnapshotError, match=reason):
             edited.build_session(model, tok)
 
 
