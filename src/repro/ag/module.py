@@ -85,12 +85,12 @@ class Module:
                 f"unexpected={sorted(unexpected)}"
             )
         for name, param in params.items():
-            value = np.asarray(state[name], dtype=np.float32)
+            value = np.array(state[name], dtype=np.float32)   # one owned copy
             if value.shape != param.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: {value.shape} vs {param.shape}"
                 )
-            param.data = value.copy()
+            param.data = value
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

@@ -151,13 +151,13 @@ class CiMMatrix:
 
         Tiles are ordered slice-major — ``(slice, row_tile, col_tile)`` in
         C order — the canonical order the per-tile generators are spawned
-        in.
+        in.  The stack is built at the bank's cell width.
         """
         d, n = self.shape
         rows, cols = self.subarray_rows, self.subarray_cols
         padded = np.zeros(
             (self.n_slices, self.n_row_tiles * rows, self.n_col_tiles * cols),
-            dtype=np.int64)
+            dtype=self.bank.target_levels.dtype)
         padded[:, :d, :n] = digits
         stack = padded.reshape(self.n_slices, self.n_row_tiles, rows,
                                self.n_col_tiles, cols)
@@ -353,10 +353,15 @@ class CiMMatrix:
         :meth:`snapshot` writes is required.
         """
         self._check_snapshot(snap)
+        ints = np.array(snap["ints"], dtype=np.int16)
+        if ints.shape != tuple(self.shape):
+            raise ValueError(
+                f"snapshot codewords have shape {ints.shape}, stored "
+                f"matrix is {tuple(self.shape)}")
         self.bank.restore(snap["bank"])
         self.codec = Int16Codec(scale=float(snap["codec_scale"]))
-        self._ints = np.asarray(snap["ints"], dtype=np.int16).copy()
-        self.calibration = {key: np.asarray(value).copy()
+        self._ints = ints
+        self.calibration = {key: np.array(value)
                             for key, value in snap["calibration"].items()}
 
     def _check_snapshot(self, snap: dict) -> None:

@@ -218,6 +218,13 @@ class TileBank:
     :func:`repro.utils.spawn_generators`): its noise draws match the
     equivalent standalone :class:`CrossbarArray` bit for bit and do not
     depend on what other tiles drew first.
+
+    Target levels are stored at cell width —
+    ``np.min_scalar_type(device.n_levels - 1)``, ``uint8`` for every
+    device up to 256 levels — in memory and therefore in a snapshot.
+    numpy re-widens a narrow index array on *every* fancy index, so code
+    that looks levels up in a table widens them once
+    (``levels.astype(np.intp)``) and indexes with that.
     """
 
     # `device` is configuration re-supplied at rebuild; the `_merged*`
@@ -247,7 +254,8 @@ class TileBank:
         self.sigma = sigma
         self.adc_bits = adc_bits
         self._rngs = list(rngs)
-        self._target_levels = np.zeros((n_tiles, rows, cols), dtype=np.int64)
+        self._target_levels = np.zeros(
+            (n_tiles, rows, cols), dtype=np.min_scalar_type(device.n_levels - 1))
         self._conductance = np.zeros((n_tiles, rows, cols), dtype=np.float32)
         self._programmed = False
         # Per-tile counters; aggregate_stats() sums them vectorially.
@@ -277,30 +285,38 @@ class TileBank:
         """A ``CrossbarArray``-like view of one tile of the bank."""
         return TileView(self, index)
 
-    def _fresh_conductance(self, tiles: np.ndarray) -> np.ndarray:
-        """Draw fresh noisy conductances for the selected tiles.
+    def _fresh_conductance(self, tiles: np.ndarray,
+                           levels: np.ndarray) -> np.ndarray:
+        """Draw fresh noisy conductances for ``tiles`` at ``levels``.
 
+        ``levels`` is the ``intp`` level stack of those tiles: widened
+        once by the caller, it indexes both tables.  The range check
+        (``sigma_for_levels``) runs before any generator is advanced.
         Noise assembly is fully vectorized; the standard-normal variates
         themselves come from each tile's own generator so results are
         identical to per-tile :class:`CrossbarArray` programming.
         """
-        levels = self._target_levels[tiles]
-        ideal = self.device.level_values()[levels]
         stds = self.device.sigma_for_levels(levels, self.sigma)
+        ideal = self.device.level_values()[levels]
         draws = np.stack([self._rngs[int(t)].normal(
             0.0, 1.0, size=(self.rows, self.cols)) for t in tiles])
         noise = draws.astype(np.float32) * stds
         return (ideal + noise).astype(np.float32)
 
     def program(self, levels: np.ndarray) -> None:
-        """Write level indices for every tile in one vectorized pulse."""
-        levels = np.asarray(levels, dtype=np.int64)
+        """Write level indices for every tile in one vectorized pulse.
+
+        A refused call (wrong shape, level out of range) leaves the bank
+        as it was: nothing is stored or drawn before the checks pass.
+        """
+        levels = np.asarray(levels, dtype=np.intp)
         if levels.shape != (self.n_tiles, self.rows, self.cols):
             raise ValueError(
                 f"level stack {levels.shape} does not fit "
                 f"{self.n_tiles}x{self.rows}x{self.cols}")
-        self._target_levels = levels.copy()
-        self._conductance = self._fresh_conductance(np.arange(self.n_tiles))
+        self._conductance = self._fresh_conductance(
+            np.arange(self.n_tiles), levels)
+        self._target_levels = levels.astype(self._target_levels.dtype)
         self._programmed = True
         per_tile = self.rows * self.cols
         self.cells_programmed += per_tile
@@ -325,7 +341,8 @@ class TileBank:
         selected = tiles[need]
         if selected.size == 0:
             return
-        fresh = self._fresh_conductance(selected)
+        fresh = self._fresh_conductance(
+            selected, self._target_levels[selected].astype(np.intp))
         current = self._conductance[selected]
         self._conductance[selected] = np.where(masks[need], fresh, current)
         self.write_pulses[selected] += masks[need].sum(axis=(1, 2))
@@ -494,9 +511,15 @@ class TileBank:
     def restore(self, snap: dict) -> None:
         """Apply a :meth:`snapshot`; geometry must match exactly.
 
-        Every key :meth:`snapshot` writes is required.  Restoring bumps
-        :attr:`version` so any cached merged matmul operand is rebuilt
-        from the restored conductances.
+        Every key :meth:`snapshot` writes is required, and every array is
+        checked against the geometry it claims: a conductance or level
+        stack that is not ``(n_tiles, rows, cols)``, a level that is not
+        an integer in the device's range, a counter vector that is not
+        ``(n_tiles,)`` or a generator list of another length is a
+        ``ValueError``.  Levels may arrive at any integer width (older
+        builds wrote ``int64``) and are stored at cell width.  Restoring
+        bumps :attr:`version` so any cached merged matmul operand is
+        rebuilt from the restored conductances.
         """
         version = snap.get("version")
         if version != SNAPSHOT_VERSION:
@@ -504,22 +527,61 @@ class TileBank:
                 f"unsupported tile bank snapshot version {version!r} "
                 f"(this build reads version {SNAPSHOT_VERSION})")
         geometry = (snap["n_tiles"], snap["rows"], snap["cols"])
-        if geometry != (self.n_tiles, self.rows, self.cols):
+        shape = (self.n_tiles, self.rows, self.cols)
+        if geometry != shape:
             raise ValueError(
                 f"snapshot geometry {geometry} does not match this "
-                f"{(self.n_tiles, self.rows, self.cols)} bank")
+                f"{shape} bank")
+        # Every array is looked at before any is adopted, and each is
+        # copied exactly once, into memory the bank owns: a decoded
+        # snapshot's arrays are read-only views over its blob.
+        counters = {}
         for name in ("cells_programmed", "write_pulses", "mvm_ops",
                      "adc_conversions", "cell_reads"):
-            setattr(self, name, np.asarray(snap["counters"][name],
-                                           dtype=np.int64).copy())
-        self._target_levels = np.asarray(snap["target_levels"],
-                                         dtype=np.int64).copy()
-        self._conductance = np.asarray(snap["conductance"],
-                                       dtype=np.float32).copy()
-        self._programmed = bool(snap["programmed"])
-        for rng, state in zip(self._rngs, snap["rngs"]):
+            vector = np.array(snap["counters"][name], dtype=np.int64)
+            if vector.shape != (self.n_tiles,):
+                raise ValueError(
+                    f"snapshot counter {name!r} has shape {vector.shape}, "
+                    f"not ({self.n_tiles},)")
+            counters[name] = vector
+        levels = np.asarray(snap["target_levels"])
+        if levels.dtype.kind not in "iu" or levels.shape != shape:
+            raise ValueError(
+                f"snapshot target_levels ({levels.dtype}, {levels.shape}) "
+                f"are not an integer {shape} stack")
+        # Checked at the width they arrived in: narrowing first would
+        # wrap an out-of-range level into a valid one.
+        if levels.min(initial=0) < 0 or \
+                levels.max(initial=0) >= self.device.n_levels:
+            raise ValueError(
+                f"snapshot target_levels leave the device's "
+                f"[0, {self.device.n_levels}) level range")
+        conductance = np.array(snap["conductance"], dtype=np.float32)
+        if conductance.shape != shape:
+            raise ValueError(
+                f"snapshot conductance has shape {conductance.shape}, "
+                f"not {shape}")
+        rngs, programmed = snap["rngs"], bool(snap["programmed"])
+        if len(rngs) != self.n_tiles:
+            raise ValueError(f"snapshot holds {len(rngs)} generator "
+                             f"states for {self.n_tiles} tiles")
+        for rng, state in zip(self._rngs, rngs):
             _restore_rng_state(rng, state)
+        for name, vector in counters.items():
+            setattr(self, name, vector)
+        self._target_levels = levels.astype(self._target_levels.dtype)
+        self._conductance = conductance
+        self._programmed = programmed
         self.version += 1
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the bank's cell state: conductances, target
+        levels and — once a product has built it — the merged matmul
+        operand (a second copy of the conductances)."""
+        merged = sum(operand.nbytes for operand in self._merged or ())
+        return (self._conductance.nbytes + self._target_levels.nbytes
+                + merged)
 
 
 class TileView:

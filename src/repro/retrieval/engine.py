@@ -256,6 +256,12 @@ class CiMSearchEngine:
             total.add(matrix.aggregate_stats())
         return total
 
+    def nvm_bytes(self) -> int:
+        """Resident bytes of every scale store's tile bank (see
+        :attr:`TileBank.nbytes`); a digital store holds none."""
+        return sum(matrix.bank.nbytes
+                   for matrix in self._scale_matrices.values())
+
     def _require_built(self) -> None:
         if self._count == 0:
             raise RuntimeError("search engine is empty; call build() first")
@@ -324,7 +330,7 @@ class CiMSearchEngine:
         self._check_snapshot(snap)
         self._count = int(snap["count"])
         self._row_counts = [int(n) for n in snap["row_counts"]]
-        self._norms = {int(scale): np.asarray(norms, dtype=np.float32).copy()
+        self._norms = {int(scale): np.array(norms, dtype=np.float32)
                        for scale, norms in snap["norms"].items()}
         if self.on_cim:
             self._scale_matrices = {
@@ -333,7 +339,7 @@ class CiMSearchEngine:
                 for scale, store in snap["stores"].items()}
         else:
             self._digital_vectors = {
-                int(scale): np.asarray(stacked, dtype=np.float32).copy()
+                int(scale): np.array(stacked, dtype=np.float32)
                 for scale, stacked in snap["digital"].items()}
         _restore_rng_state(self._rng, snap["rng"])
         return self

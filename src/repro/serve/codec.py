@@ -14,15 +14,24 @@ PCG64 generator states), ``float``, ``str``, ``bytes``, ``list``/``tuple``
 (decoded as ``list``), ``dict`` with ``str`` keys, and numeric/bool
 ``numpy.ndarray``.  ``pickle`` is deliberately not involved: decoding a
 snapshot never executes anything.
+
+Each byte moves once.  The encoder collects the pieces of the encoding —
+an array contributes a view of its own memory — and joins them in one
+pass; the decoder walks a ``memoryview`` of the blob and **returns every
+array as a read-only view over the blob's bytes** (possibly unaligned):
+nothing is copied, and the arrays keep the blob alive.  Copy what you
+keep — ``np.array(value, dtype=...)`` makes the one owned, writeable,
+aligned copy — so restored state never aliases, or pins, its blob.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-__all__ = ["encode_value", "decode_value", "CodecError"]
+__all__ = ["encode_value", "encode_parts", "decode_value", "CodecError"]
 
 
 class CodecError(ValueError):
@@ -48,30 +57,23 @@ _F64 = struct.Struct("<d")
 _ARRAY_KINDS = frozenset("biuf")
 
 
-def _encode_into(out: bytearray, value) -> None:
+def _encode_into(parts: list, value) -> None:
     if value is None:
-        out += _TAG_NONE
+        parts.append(_TAG_NONE)
     elif isinstance(value, bool) or isinstance(value, np.bool_):
-        out += _TAG_TRUE if value else _TAG_FALSE
+        parts.append(_TAG_TRUE if value else _TAG_FALSE)
     elif isinstance(value, (int, np.integer)):
         value = int(value)
         width = (value.bit_length() + 8) // 8 or 1
-        payload = value.to_bytes(width, "little", signed=True)
-        out += _TAG_INT
-        out += bytes([len(payload)])
-        out += payload
+        parts += (_TAG_INT, bytes([width]),
+                  value.to_bytes(width, "little", signed=True))
     elif isinstance(value, (float, np.floating)):
-        out += _TAG_FLOAT
-        out += _F64.pack(float(value))
+        parts += (_TAG_FLOAT, _F64.pack(float(value)))
     elif isinstance(value, str):
         payload = value.encode("utf-8")
-        out += _TAG_STR
-        out += _LEN.pack(len(payload))
-        out += payload
+        parts += (_TAG_STR, _LEN.pack(len(payload)), payload)
     elif isinstance(value, (bytes, bytearray)):
-        out += _TAG_BYTES
-        out += _LEN.pack(len(value))
-        out += bytes(value)
+        parts += (_TAG_BYTES, _LEN.pack(len(value)), bytes(value))
     elif isinstance(value, np.ndarray):
         if value.dtype.kind not in _ARRAY_KINDS:
             raise CodecError(
@@ -80,49 +82,60 @@ def _encode_into(out: bytearray, value) -> None:
         # ascontiguousarray promotes 0-d to 1-d; reshape preserves rank.
         data = np.ascontiguousarray(value).reshape(value.shape)
         dtype = data.dtype.str.encode("ascii")
-        out += _TAG_ARRAY
-        out += bytes([len(dtype)])
-        out += dtype
-        out += bytes([data.ndim])
-        for dim in data.shape:
-            out += _LEN.pack(dim)
-        raw = data.tobytes()
-        out += _LEN.pack(len(raw))
-        out += raw
+        parts += (_TAG_ARRAY, bytes([len(dtype)]), dtype, bytes([data.ndim]))
+        parts += [_LEN.pack(dim) for dim in data.shape]
+        # The payload is the array's own memory, viewed as bytes: the
+        # join in encode_value() is the only time it is copied.
+        parts += (_LEN.pack(data.nbytes), data.reshape(-1).view(np.uint8))
     elif isinstance(value, (list, tuple)):
-        out += _TAG_LIST
-        out += _LEN.pack(len(value))
+        parts += (_TAG_LIST, _LEN.pack(len(value)))
         for item in value:
-            _encode_into(out, item)
+            _encode_into(parts, item)
     elif isinstance(value, dict):
         if not all(isinstance(k, str) for k in value):
             raise CodecError("dict keys must be strings")
-        out += _TAG_DICT
-        out += _LEN.pack(len(value))
+        parts += (_TAG_DICT, _LEN.pack(len(value)))
         for key in sorted(value):
-            _encode_into(out, key)
-            _encode_into(out, value[key])
+            _encode_into(parts, key)
+            _encode_into(parts, value[key])
     else:
         raise CodecError(
             f"cannot encode value of type {type(value).__name__}")
 
 
+def encode_parts(value) -> list:
+    """The canonical encoding as a list of buffers, in order.
+
+    ``b"".join(encode_parts(value))`` is :func:`encode_value`; a caller
+    that frames the encoding (a header in front) joins its own pieces
+    with these so the body is still copied only once.
+    """
+    parts: list = []
+    _encode_into(parts, value)
+    return parts
+
+
 def encode_value(value) -> bytes:
     """Serialize ``value`` to its canonical binary form."""
-    out = bytearray()
-    _encode_into(out, value)
-    return bytes(out)
+    return b"".join(encode_parts(value))
 
 
-def _take(blob: bytes, offset: int, count: int) -> tuple[bytes, int]:
+def _take(view: memoryview, offset: int,
+          count: int) -> tuple[memoryview, int]:
     end = offset + count
-    if end > len(blob):
+    if end > len(view):
         raise CodecError("truncated snapshot blob")
-    return blob[offset:end], end
+    return view[offset:end], end
 
 
-def _decode_at(blob: bytes, offset: int) -> tuple[object, int]:
-    tag, offset = _take(blob, offset, 1)
+def _take_length(view: memoryview, offset: int) -> tuple[int, int]:
+    raw, offset = _take(view, offset, _LEN.size)
+    return _LEN.unpack(raw)[0], offset
+
+
+def _decode_at(view: memoryview, offset: int) -> tuple[object, int]:
+    raw, offset = _take(view, offset, 1)
+    tag = bytes(raw)
     if tag == _TAG_NONE:
         return None, offset
     if tag == _TAG_TRUE:
@@ -130,62 +143,66 @@ def _decode_at(blob: bytes, offset: int) -> tuple[object, int]:
     if tag == _TAG_FALSE:
         return False, offset
     if tag == _TAG_INT:
-        width, offset = _take(blob, offset, 1)
-        payload, offset = _take(blob, offset, width[0])
+        width, offset = _take(view, offset, 1)
+        payload, offset = _take(view, offset, width[0])
         return int.from_bytes(payload, "little", signed=True), offset
     if tag == _TAG_FLOAT:
-        payload, offset = _take(blob, offset, 8)
+        payload, offset = _take(view, offset, _F64.size)
         return _F64.unpack(payload)[0], offset
     if tag == _TAG_STR:
-        raw, offset = _take(blob, offset, 8)
-        payload, offset = _take(blob, offset, _LEN.unpack(raw)[0])
-        return payload.decode("utf-8"), offset
+        length, offset = _take_length(view, offset)
+        payload, offset = _take(view, offset, length)
+        return str(payload, "utf-8"), offset
     if tag == _TAG_BYTES:
-        raw, offset = _take(blob, offset, 8)
-        payload, offset = _take(blob, offset, _LEN.unpack(raw)[0])
-        return payload, offset
+        length, offset = _take_length(view, offset)
+        payload, offset = _take(view, offset, length)
+        return bytes(payload), offset
     if tag == _TAG_ARRAY:
-        width, offset = _take(blob, offset, 1)
-        dtype_str, offset = _take(blob, offset, width[0])
-        dtype = np.dtype(dtype_str.decode("ascii"))
+        width, offset = _take(view, offset, 1)
+        dtype_str, offset = _take(view, offset, width[0])
+        dtype = np.dtype(str(dtype_str, "ascii"))
         if dtype.kind not in _ARRAY_KINDS:
             raise CodecError(f"refusing to decode array of dtype {dtype}")
-        ndim_raw, offset = _take(blob, offset, 1)
+        ndim, offset = _take(view, offset, 1)
         shape = []
-        for _ in range(ndim_raw[0]):
-            raw, offset = _take(blob, offset, 8)
-            shape.append(_LEN.unpack(raw)[0])
-        raw, offset = _take(blob, offset, 8)
-        payload, offset = _take(blob, offset, _LEN.unpack(raw)[0])
-        array = np.frombuffer(payload, dtype=dtype)
-        expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if array.size != expected:
+        for _ in range(ndim[0]):
+            dim, offset = _take_length(view, offset)
+            shape.append(dim)
+        length, offset = _take_length(view, offset)
+        payload, offset = _take(view, offset, length)
+        if length != math.prod(shape) * dtype.itemsize:
             raise CodecError("array payload does not match its shape")
-        return array.reshape(shape).copy(), offset
+        # A view over the blob (read-only: the memoryview is), not a copy.
+        return np.frombuffer(payload, dtype=dtype).reshape(shape), offset
     if tag == _TAG_LIST:
-        raw, offset = _take(blob, offset, 8)
+        count, offset = _take_length(view, offset)
         items = []
-        for _ in range(_LEN.unpack(raw)[0]):
-            item, offset = _decode_at(blob, offset)
+        for _ in range(count):
+            item, offset = _decode_at(view, offset)
             items.append(item)
         return items, offset
     if tag == _TAG_DICT:
-        raw, offset = _take(blob, offset, 8)
+        count, offset = _take_length(view, offset)
         result = {}
-        for _ in range(_LEN.unpack(raw)[0]):
-            key, offset = _decode_at(blob, offset)
+        for _ in range(count):
+            key, offset = _decode_at(view, offset)
             if not isinstance(key, str):
                 raise CodecError("dict keys must decode to strings")
-            value, offset = _decode_at(blob, offset)
+            value, offset = _decode_at(view, offset)
             result[key] = value
         return result, offset
     raise CodecError(f"unknown tag {tag!r} at offset {offset - 1}")
 
 
-def decode_value(blob: bytes) -> object:
-    """Inverse of :func:`encode_value`; rejects trailing garbage."""
-    value, offset = _decode_at(blob, 0)
-    if offset != len(blob):
+def decode_value(blob) -> object:
+    """Inverse of :func:`encode_value`; rejects trailing garbage.
+
+    ``blob`` is any bytes-like object (``bytes``, ``bytearray``,
+    ``memoryview``).  Arrays in the result are read-only views over it.
+    """
+    view = memoryview(blob).toreadonly().cast("B")
+    value, offset = _decode_at(view, 0)
+    if offset != len(view):
         raise CodecError(
-            f"{len(blob) - offset} trailing bytes after the encoded value")
+            f"{len(view) - offset} trailing bytes after the encoded value")
     return value

@@ -169,6 +169,8 @@ class PromptServeEngine:
         self.sessions_created = 0    # fresh sessions (paid full tuning)
         self.sessions_spilled = 0    # snapshots written to the store
         self.sessions_restored = 0   # sessions rebuilt from the store
+        self.spilled_bytes = 0       # blob bytes handed to the store
+        self.restored_bytes = 0      # blob bytes read back from it
         self._evicted_prefill_hits = 0   # keeps stats monotonic across LRU
         self._evicted_cim = CrossbarStats()  # same, for crossbar counters
         # What was banked into the evicted baselines per spilled user, so a
@@ -224,35 +226,43 @@ class PromptServeEngine:
             return session
 
     def _evict_over_capacity(self) -> None:
-        """Spill least-recently-used sessions down to ``max_sessions``."""
+        """Spill least-recently-used sessions down to ``max_sessions``.
+
+        A session leaves only after its spill succeeded: when the store
+        refuses the blob the error reaches the caller, the victim stays
+        resident with its trained state (the engine is over capacity by
+        one) and the next eviction tries again.
+        """
         while len(self._sessions) > self.max_sessions:
             # LRU eviction may land on a session with generations still
             # in flight; those are self-contained (the decoder's
             # sequences own their caches and telemetry snapshots) and
             # finish normally, so eviction frees the NVM library
             # without touching any batch slot.
-            _, evicted = self._sessions.popitem(last=False)
-            self._spill_session(evicted)
+            user_id, victim = next(iter(self._sessions.items()))
+            self._spill_session(victim)
+            del self._sessions[user_id]
             self.evicted_sessions += 1
 
     def _spill_session(self, session: UserSession) -> None:
-        """Bank a leaving session's counters and snapshot it to the store.
+        """Snapshot a leaving session to the store, then bank its counters.
 
-        The banked values are remembered per user so that a later restore
-        can un-bank them — the restored session reports the same counters
-        itself, and totals must not double-count.
+        Spill first, commit after: a ``put`` that raises has banked
+        nothing.  The banked values are remembered per user so that a
+        later restore can un-bank them — the restored session reports the
+        same counters itself, and totals must not double-count.
         """
         hits = session.prefill_hits
         cim = session.cim_stats()
+        if self.session_store is not None:
+            blob = SessionSnapshot.capture(
+                session, mode=self.snapshot_mode).to_bytes()
+            self.session_store.put(session.user_id, blob)
+            self._spill_baselines[session.user_id] = (hits, cim)
+            self.sessions_spilled += 1
+            self.spilled_bytes += len(blob)
         self._evicted_prefill_hits += hits
         self._evicted_cim.add(cim)
-        if self.session_store is None:
-            return
-        blob = SessionSnapshot.capture(
-            session, mode=self.snapshot_mode).to_bytes()
-        self.session_store.put(session.user_id, blob)
-        self._spill_baselines[session.user_id] = (hits, cim)
-        self.sessions_spilled += 1
 
     def _restore_session(self, user_id: int) -> UserSession | None:
         """Rebuild a spilled user from the store; None when unknown."""
@@ -261,6 +271,7 @@ class PromptServeEngine:
         blob = self.session_store.get(user_id)
         if blob is None:
             return None
+        self.restored_bytes += len(blob)
         snapshot = SessionSnapshot.from_bytes(blob)
         session = snapshot.build_session(self.model, self.tokenizer)
         baseline = self._spill_baselines.pop(user_id, None)
@@ -326,7 +337,7 @@ class PromptServeEngine:
         untouched.
         """
         with self._lock:
-            session = self._sessions.pop(user_id, None)
+            session = self._sessions.get(user_id)
             forgotten = False
             if not spill and self.session_store is not None:
                 # What the spill banked for this user stays banked: those
@@ -336,10 +347,13 @@ class PromptServeEngine:
             if session is None:
                 return forgotten
             if spill:
+                # A put that raises leaves the user resident, as in LRU
+                # eviction: the session goes only once its blob is stored.
                 self._spill_session(session)
             else:
                 self._evicted_prefill_hits += session.prefill_hits
                 self._evicted_cim.add(session.cim_stats())
+            del self._sessions[user_id]
             if cancel_pending:
                 for pending in [p for p in self._pending
                                 if p._session is session]:
@@ -389,6 +403,10 @@ class PromptServeEngine:
                 "sessions_created": self.sessions_created,
                 "sessions_spilled": self.sessions_spilled,
                 "sessions_restored": self.sessions_restored,
+                "spilled_bytes": self.spilled_bytes,
+                "restored_bytes": self.restored_bytes,
+                "resident_nvm_bytes": sum(s.nvm_bytes()
+                                          for s in self._sessions.values()),
                 "session_store": (self.session_store.stats()
                                   if self.session_store is not None
                                   else None),

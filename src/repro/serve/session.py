@@ -124,6 +124,13 @@ class UserSession:
             total.add(self._deployment.engine.aggregate_stats())
         return total
 
+    def nvm_bytes(self) -> int:
+        """Resident bytes of the live deployment's crossbar state (0 while
+        undeployed)."""
+        if self._deployment is None:
+            return 0
+        return self._deployment.engine.nvm_bytes()
+
     # ------------------------------------------------------------------
     # Inference mode
     # ------------------------------------------------------------------

@@ -47,7 +47,7 @@ from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
 from ..nvm.crossbar import CrossbarStats
 from ..tuning import VirtualTokens
-from .codec import CodecError, decode_value, encode_value
+from .codec import CodecError, decode_value, encode_parts
 from .session import UserSession
 
 __all__ = ["SessionSnapshot", "SnapshotError", "SCHEMA_VERSION", "MAGIC"]
@@ -155,11 +155,18 @@ class SessionSnapshot:
             "prefill_keys": self.prefill_keys,
             "deployment": self.deployment,
         }
-        return MAGIC + _HEADER.pack(SCHEMA_VERSION) + encode_value(payload)
+        # One join: header and body pieces are copied into the blob once.
+        return b"".join([MAGIC, _HEADER.pack(SCHEMA_VERSION),
+                         *encode_parts(payload)])
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SessionSnapshot":
-        """Parse a serialized snapshot; refuses foreign or future blobs."""
+        """Parse a serialized snapshot; refuses foreign or future blobs.
+
+        The arrays of the returned snapshot are read-only views over
+        ``blob`` (see :mod:`repro.serve.codec`); :meth:`build_session`
+        copies each into memory the session owns.
+        """
         if len(blob) < len(MAGIC) + _HEADER.size:
             raise SnapshotError("blob too short to be a session snapshot")
         if blob[:len(MAGIC)] != MAGIC:
@@ -170,7 +177,8 @@ class SessionSnapshot:
                 f"snapshot schema version {version} is not supported "
                 f"(this build reads version {SCHEMA_VERSION})")
         try:
-            payload = decode_value(blob[len(MAGIC) + _HEADER.size:])
+            payload = decode_value(
+                memoryview(blob)[len(MAGIC) + _HEADER.size:])
         except CodecError as error:
             raise SnapshotError(f"corrupt snapshot body: {error}") from error
         if not isinstance(payload, dict):
@@ -221,7 +229,7 @@ class SessionSnapshot:
         library = session.library
         library.ovts.extend(
             VirtualTokens(
-                np.asarray(entry["matrix"], dtype=np.float32).copy(),
+                np.array(entry["matrix"], dtype=np.float32),
                 source=(_sample_from(entry["source"])
                         if entry["source"] is not None else None),
                 domain=entry["domain"])

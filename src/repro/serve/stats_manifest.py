@@ -40,6 +40,13 @@ STATS_MANIFEST = {
     "sessions_created": "additive",
     "sessions_spilled": "additive",
     "sessions_restored": "additive",
+    # Cumulative snapshot-blob bytes this engine handed to / read back
+    # from the session store.
+    "spilled_bytes": "additive",
+    "restored_bytes": "additive",
+    # Gauge: crossbar state (conductances, levels, merged matmul operand
+    # where built) held by resident deployed sessions.
+    "resident_nvm_bytes": "additive",
     "session_store": "structural",
     # -- request flow -----------------------------------------------------
     "requests_served": "additive",

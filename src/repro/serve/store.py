@@ -124,13 +124,14 @@ class SessionStore:
     def stats(self) -> dict:
         """Backend, resident snapshot count, and total stored bytes."""
         if self._directory is None:
-            total = sum(len(blob) for blob in self._memory.values())
+            sizes = [len(blob) for blob in self._memory.values()]
         else:
-            total = 0
+            # One directory scan per call: this runs under the engine lock.
+            sizes = []
             for user_id in self.user_ids():
                 try:
-                    total += self._path(user_id).stat().st_size
+                    sizes.append(self._path(user_id).stat().st_size)
                 except FileNotFoundError:
                     continue
-        return {"backend": self.backend, "sessions": len(self),
-                "bytes": total}
+        return {"backend": self.backend, "sessions": len(sizes),
+                "bytes": sum(sizes)}

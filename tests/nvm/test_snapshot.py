@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cim import CiMMatrix
-from repro.nvm import get_device
+from repro.nvm import NVM_DEVICES, NVMDevice, get_device, register_device
 from repro.nvm.crossbar import CrossbarStats, TileBank
 from repro.serve.codec import decode_value, encode_value
 
@@ -75,6 +75,105 @@ class TestTileBankSnapshot:
         with pytest.raises(ValueError, match="geometry"):
             other.restore(bank.snapshot())
 
+    # A snapshot whose integers describe this bank but whose arrays do
+    # not: each used to be adopted and to fail (or silently mis-count)
+    # on a later call.  `edit` damages one field of a good snapshot.
+    MALFORMED = {
+        "conductance-shape": lambda snap: snap.update(
+            conductance=snap["conductance"][:, :4]),
+        "levels-shape": lambda snap: snap.update(
+            target_levels=snap["target_levels"][:, :4]),
+        "levels-float": lambda snap: snap.update(
+            target_levels=snap["target_levels"].astype(np.float32)),
+        "levels-above-range": lambda snap: snap.update(
+            target_levels=np.full((3, 8, 6), 9)),
+        "levels-negative": lambda snap: snap.update(
+            target_levels=np.full((3, 8, 6), -1)),
+        # 257 narrows to a valid 1 in uint8: the check must come first.
+        "levels-would-wrap": lambda snap: snap.update(
+            target_levels=np.full((3, 8, 6), 257)),
+        "rngs-length": lambda snap: snap.update(rngs=snap["rngs"][:1]),
+        "counter-shape": lambda snap: snap["counters"].update(
+            mvm_ops=snap["counters"]["mvm_ops"][:1]),
+    }
+
+    @pytest.mark.parametrize("field", sorted(MALFORMED))
+    def test_restore_refuses_malformed_arrays(self, field):
+        snap = self.make_bank().snapshot()
+        self.MALFORMED[field](snap)
+        other = self.make_bank(seed=77)
+        before = other.snapshot()
+        with pytest.raises(ValueError):
+            other.restore(roundtrip(snap))
+        # Refused means untouched: nothing of the snapshot was adopted.
+        assert encode_value(other.snapshot()) == encode_value(before)
+
+    def test_levels_live_and_travel_at_cell_width(self):
+        bank = self.make_bank()
+        assert bank.target_levels.dtype == np.uint8
+        assert bank.snapshot()["target_levels"].dtype == np.uint8
+        assert bank.nbytes == bank.conductance.size * (4 + 1)
+        bank.matmat(np.zeros((bank.n_tiles, 1, bank.rows), np.float32))
+        assert bank.nbytes == bank.conductance.size * (4 + 1 + 4)
+
+    def test_wide_levels_restore_narrow(self):
+        """The bytes an older build wrote: ``int64`` levels.  They are
+        range-checked wide, stored narrow, and nothing else differs."""
+        bank = self.make_bank()
+        snap = bank.snapshot()
+        snap["target_levels"] = snap["target_levels"].astype(np.int64)
+        other = self.make_bank(seed=77)
+        other.restore(roundtrip(snap))
+        assert other.target_levels.dtype == np.uint8
+        assert np.array_equal(other.target_levels, bank.target_levels)
+        assert encode_value(other.snapshot()) == encode_value(bank.snapshot())
+
+    def test_restored_arrays_are_owned(self):
+        """Decoded arrays are read-only views over the blob; the bank
+        copies each once and never aliases (or pins) it."""
+        bank = self.make_bank()
+        blob = encode_value(bank.snapshot())
+        other = self.make_bank(seed=77)
+        other.restore(decode_value(blob))
+        raw = np.frombuffer(blob, dtype=np.uint8)
+        for array in (other.conductance, other.target_levels,
+                      other.mvm_ops, other.write_pulses):
+            assert not np.shares_memory(array, raw)
+            assert array.flags.writeable and array.flags.aligned
+        masks = np.ones((bank.n_tiles, bank.rows, bank.cols), dtype=bool)
+        bank.reprogram_cells(masks)
+        other.reprogram_cells(masks)
+        assert np.array_equal(other.conductance, bank.conductance)
+
+    def test_refused_program_leaves_bank_unchanged(self):
+        bank = self.make_bank()
+        before = encode_value(bank.snapshot())
+        with pytest.raises(ValueError, match="out of range"):
+            bank.program(np.full((3, 8, 6), 4))
+        assert encode_value(bank.snapshot()) == before
+
+    def test_512_level_device_uses_uint16(self):
+        register_device(
+            NVMDevice("NVM-512", "Test512", "RRAM", (0.01,) * 512))
+        try:
+            device = get_device("NVM-512")
+        finally:
+            NVM_DEVICES.unregister("NVM-512")
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        bank = TileBank(device, 2, rows=8, cols=6, sigma=0.1, rngs=rngs)
+        levels = np.random.default_rng(1).integers(0, 512, (2, 8, 6))
+        levels[0, 0, :2] = (511, 256)
+        bank.program(levels)
+        assert bank.target_levels.dtype == np.uint16
+        assert np.array_equal(bank.target_levels, levels)
+        snap = roundtrip(bank.snapshot())
+        assert snap["target_levels"].dtype == np.uint16
+        other = TileBank(device, 2, rows=8, cols=6, sigma=0.1)
+        other.restore(snap)
+        assert other.target_levels.dtype == np.uint16
+        assert np.array_equal(other.target_levels, levels)
+        assert np.array_equal(other.conductance, bank.conductance)
+
 
 class TestCiMMatrixSnapshot:
     def make_matrix(self, seed=5, mitigation=None):
@@ -132,6 +231,13 @@ class TestCiMMatrixSnapshot:
             del snap[key]
             with pytest.raises(KeyError, match=key):
                 CiMMatrix.from_snapshot(snap, get_device("NVM-3"))
+
+    def test_restore_refuses_misshapen_codewords(self):
+        matrix = self.make_matrix()
+        snap = matrix.snapshot()
+        snap["ints"] = snap["ints"][:, :4]
+        with pytest.raises(ValueError, match="codewords"):
+            CiMMatrix.from_snapshot(roundtrip(snap), get_device("NVM-3"))
 
     def test_per_tile_snapshot_refused(self):
         """v1 writers could record ``vectorized: False``; that layout is

@@ -1,5 +1,7 @@
 """SessionStore backends and the engine's spill/restore integration."""
 
+import errno
+
 import pytest
 
 from repro.core import FrameworkConfig
@@ -231,6 +233,177 @@ class TestEngineSpillRestore:
         model, tok = setup
         with pytest.raises(ValueError, match="snapshot_mode"):
             make_engine(model, tok, snapshot_mode="zip")
+
+
+class FullDiskOnce(SessionStore):
+    """A store whose next ``put`` fails like a full disk — once — and
+    which remembers the size of every blob that crossed it."""
+
+    def __init__(self, directory=None):
+        super().__init__(directory)
+        self.fail_next_put = False
+        self.put_sizes: list[int] = []
+        self.get_sizes: list[int] = []
+
+    def put(self, user_id, blob):
+        if self.fail_next_put:
+            self.fail_next_put = False
+            raise OSError(errno.ENOSPC, "No space left on device")
+        super().put(user_id, blob)
+        self.put_sizes.append(len(blob))
+
+    def get(self, user_id):
+        blob = super().get(user_id)
+        if blob is not None:
+            self.get_sizes.append(len(blob))
+        return blob
+
+
+@pytest.fixture(params=["memory", "disk"])
+def flaky_store(request, tmp_path):
+    return FullDiskOnce(tmp_path / "spool"
+                        if request.param == "disk" else None)
+
+
+def one_slot_engine(model, tok, store, sharded):
+    if sharded:
+        return ShardedPromptEngine(
+            model, tok, FrameworkConfig.preset("fast"), n_workers=1,
+            max_sessions=1, session_store=store)
+    return make_engine(model, tok, max_sessions=1, session_store=store)
+
+
+# Everything a spill commits; a failed one must move none of it.
+SPILL_KEYS = CIM_KEYS + ("prefill_hits", "evicted_sessions",
+                         "sessions_spilled", "spilled_bytes",
+                         "requests_served")
+
+
+class TestFailedSpill:
+    """Spill first, commit after: a ``put`` that raises costs the request
+    that triggered it, never the victim's trained state."""
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_failed_eviction_keeps_the_victim(self, setup, flaky_store,
+                                              sharded):
+        model, tok = setup
+        store, generation = flaky_store, greedy(tok)
+        engine = one_slot_engine(model, tok, store, sharded)
+        queries = {u: stream_for(u, 12)[11].input_text for u in (0, 1)}
+        train(engine, 0)
+        train(engine, 1)                     # spills user 0
+        expected = engine.answer(1, queries[1], generation)
+        before = engine.stats()
+
+        store.fail_next_put = True
+        with pytest.raises(OSError, match="No space left"):
+            engine.answer(0, queries[0], generation)   # restores 0, evicts 1
+
+        # The victim is still resident (over capacity by one), nothing
+        # was banked or counted, and it answers as it did.
+        assert sorted(engine.active_users()) == [0, 1]
+        assert store.user_ids() == [0]
+        after = engine.stats()
+        for key in SPILL_KEYS:
+            assert after[key] == before[key], key
+        assert after["sessions_restored"] == before["sessions_restored"] + 1
+        assert engine.answer(1, queries[1], generation) == expected
+
+        # The store is healthy again: the next eviction spills normally,
+        # down to capacity, and both users come back from their blobs.
+        train(engine, 2)
+        assert engine.active_users() == [2]
+        assert store.user_ids() == [0, 1]
+        assert engine.stats()["sessions_spilled"] == \
+            before["sessions_spilled"] + 2
+        assert engine.answer(1, queries[1], generation) == expected
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_failed_drop_keeps_the_session(self, setup, flaky_store,
+                                           sharded):
+        model, tok = setup
+        store, generation = flaky_store, greedy(tok)
+        engine = one_slot_engine(model, tok, store, sharded)
+        query = stream_for(0, 12)[11].input_text
+        train(engine, 0)
+        expected = engine.answer(0, query, generation)
+        before = engine.stats()
+
+        store.fail_next_put = True
+        with pytest.raises(OSError, match="No space left"):
+            engine.drop_session(0)
+        assert engine.has_session(0) and store.user_ids() == []
+        after = engine.stats()
+        for key in SPILL_KEYS:
+            assert after[key] == before[key], key
+        assert engine.answer(0, query, generation) == expected
+
+        assert engine.drop_session(0) is True          # healthy again
+        assert not engine.has_session(0) and store.user_ids() == [0]
+        assert engine.answer(0, query, generation) == expected
+
+
+class TestByteStats:
+    """``spilled_bytes`` / ``restored_bytes`` / ``resident_nvm_bytes``:
+    what moved and what is held, in bytes rather than session counts."""
+
+    def test_spilled_and_restored_bytes_are_the_blobs(self, setup,
+                                                      flaky_store):
+        model, tok = setup
+        store = flaky_store
+        engine = make_engine(model, tok, max_sessions=1, session_store=store)
+        for user_id in (0, 1, 2):
+            train(engine, user_id)           # spills 0, then 1
+        stats = engine.stats()
+        assert len(store.put_sizes) == stats["sessions_spilled"] == 2
+        assert stats["spilled_bytes"] == sum(store.put_sizes)
+        assert stats["restored_bytes"] == 0
+
+        engine.session(0)                    # restores 0, spills 2
+        stats = engine.stats()
+        assert stats["restored_bytes"] == store.get_sizes[-1]
+        assert stats["spilled_bytes"] == sum(store.put_sizes)
+        assert len(store.put_sizes) == 3
+        assert stats["session_store"]["bytes"] == sum(store.put_sizes)
+
+    def test_resident_nvm_bytes_per_cell(self, setup):
+        """5 B a cell (float32 conductance + uint8 level) until a query
+        builds the merged matmul operand, 9 B after."""
+        model, tok = setup
+        engine = make_engine(model, tok, max_sessions=1,
+                             session_store=SessionStore())
+        query = stream_for(0, 12)[11].input_text
+        train(engine, 0)
+        assert engine.stats()["resident_nvm_bytes"] == 0     # undeployed
+        engine.answer(0, query, greedy(tok))
+        cells = sum(matrix.bank.conductance.size for matrix in
+                    engine.session(0).deployment()
+                    .engine._scale_matrices.values())
+        assert engine.stats()["resident_nvm_bytes"] == 9 * cells
+
+        engine.drop_session(0)               # spill ...
+        assert engine.stats()["resident_nvm_bytes"] == 0
+        engine.session(0)                    # ... and restore: no operand
+        assert engine.stats()["resident_nvm_bytes"] == 5 * cells
+        engine.answer(0, query, greedy(tok))
+        assert engine.stats()["resident_nvm_bytes"] == 9 * cells
+
+    def test_sharded_totals_are_the_sum_of_workers(self, setup):
+        model, tok = setup
+        engine = ShardedPromptEngine(
+            model, tok, FrameworkConfig.preset("fast"), n_workers=2,
+            max_sessions=1, session_store=SessionStore())
+        for user_id in range(4):
+            train(engine, user_id)
+            engine.answer(user_id, stream_for(user_id, 12)[11].input_text,
+                          greedy(tok))
+        for user_id in range(4):
+            engine.session(user_id)
+        stats = engine.stats()
+        assert stats["spilled_bytes"] > 0 and stats["restored_bytes"] > 0
+        assert stats["resident_nvm_bytes"] > 0
+        for key in ("spilled_bytes", "restored_bytes", "resident_nvm_bytes"):
+            assert stats[key] == sum(w[key] for w in stats["workers"]), key
 
 
 class TestCounterMonotonicity:

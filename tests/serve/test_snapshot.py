@@ -8,6 +8,9 @@ intentional schema bump::
 
 import pathlib
 import struct
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +213,35 @@ class TestSessionRoundTrip:
         with pytest.raises(SnapshotError, match=key):
             damaged.build_session(model, tok)
 
+    # The geometry integers are right and one array is not: restore()
+    # looks at every array before adopting any (it used to adopt them
+    # unseen, and the session died on a later query).
+    MALFORMED = {
+        "conductance": lambda store: store["bank"].update(
+            conductance=store["bank"]["conductance"][:, :4]),
+        "target_levels-shape": lambda store: store["bank"].update(
+            target_levels=store["bank"]["target_levels"][:, :4]),
+        "target_levels-range": lambda store: store["bank"].update(
+            target_levels=store["bank"]["target_levels"] + 9),
+        "rngs": lambda store: store["bank"].update(
+            rngs=store["bank"]["rngs"][:1]),
+        "counters": lambda store: store["bank"]["counters"].update(
+            mvm_ops=store["bank"]["counters"]["mvm_ops"][:1]),
+        "ints": lambda store: store.update(ints=store["ints"][:-1]),
+    }
+
+    @pytest.mark.parametrize("field", sorted(MALFORMED))
+    def test_raw_blob_malformed_state_never_builds_a_session(
+            self, setup, trained_session, field):
+        model, tok = setup
+        session, *_ = trained_session
+        snap = SessionSnapshot.capture(session, mode="raw")
+        self.MALFORMED[field](
+            next(iter(snap.deployment["engine"]["stores"].values())))
+        damaged = SessionSnapshot.from_bytes(snap.to_bytes())
+        with pytest.raises(SnapshotError, match="does not restore"):
+            damaged.build_session(model, tok)
+
     def test_raw_blob_is_larger_than_recipe(self, trained_session):
         session, *_ = trained_session
         raw = SessionSnapshot.capture(session, mode="raw").to_bytes()
@@ -228,6 +260,137 @@ class TestSessionRoundTrip:
         assert list(rebuilt) == list(original)
         # The KV cache itself stays behind; only its keys are metadata.
         assert len(restored._prefill_states) == 0
+
+
+def _banks(session):
+    return [matrix.bank for matrix in
+            session._deployment.engine._scale_matrices.values()]
+
+
+def _arrays(value):
+    """Every ndarray anywhere inside a decoded snapshot value."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _arrays(item)
+
+
+class TestBlobMovesOnce:
+    """The durable path without a clock: a blob is as big as its cells,
+    encoding copies it once, decoding copies nothing, restoring copies
+    each array once into memory the session owns."""
+
+    def test_raw_blob_is_its_cells(self, trained_session):
+        """Conductances at float32 plus levels at cell width, and little
+        else (fails by 11 MB when levels travel as int64)."""
+        session, *_ = trained_session
+        blob = SessionSnapshot.capture(session, mode="raw").to_bytes()
+        cells = sum(bank.conductance.nbytes
+                    + bank.conductance.size * bank.target_levels.itemsize
+                    for bank in _banks(session))
+        assert len(blob) <= cells + 256 * 1024
+        levels = [store["bank"]["target_levels"] for store in
+                  _body(blob)["deployment"]["engine"]["stores"].values()]
+        assert levels and all(a.dtype.str == "|u1" for a in levels)
+
+    def test_encode_copies_once_and_decode_copies_nothing(
+            self, trained_session):
+        session, *_ = trained_session
+        snap = SessionSnapshot.capture(session, mode="raw")
+        blob = snap.to_bytes()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            snap.to_bytes()
+            encode_peak = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            decoded = SessionSnapshot.from_bytes(blob)
+            decode_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert decoded.user_id == session.user_id
+        assert encode_peak < 1.1 * len(blob)
+        assert decode_peak < 0.05 * len(blob)
+
+    def test_decoded_arrays_are_read_only_views_and_restored_ones_owned(
+            self, setup, trained_session):
+        model, tok = setup
+        session, query, generation, answer = trained_session
+        blob = SessionSnapshot.capture(session, mode="raw").to_bytes()
+        snap = SessionSnapshot.from_bytes(blob)
+        raw = np.frombuffer(blob, dtype=np.uint8)
+        decoded = list(_arrays([snap.library, snap.deployment]))
+        assert decoded
+        for array in decoded:
+            assert not array.flags.writeable
+            assert array.size == 0 or np.shares_memory(array, raw)
+
+        restored = snap.build_session(model, tok)
+        owned = [ovt.matrix for ovt in restored.library.ovts]
+        owned += [p.data for _, p in
+                  restored.library.autoencoder.named_parameters()]
+        owned += list(restored._deployment.engine._norms.values())
+        for matrix in restored._deployment.engine._scale_matrices.values():
+            bank = matrix.bank
+            owned += [bank.conductance, bank.target_levels, bank.mvm_ops,
+                      bank.write_pulses, matrix._ints]
+        for array in owned:
+            assert not np.shares_memory(array, raw)
+            assert array.flags.writeable and array.flags.aligned
+        assert restored.answer(query, generation) == answer
+
+    def test_restored_session_rngs_continue_identically(
+            self, setup, trained_session):
+        """Re-pulsing after a spill/restore draws the noise the original
+        would have drawn (the session-level twin of the bank test)."""
+        model, tok = setup
+        session, *_ = trained_session
+        blob = SessionSnapshot.capture(session, mode="raw").to_bytes()
+        twins = [SessionSnapshot.from_bytes(blob).build_session(model, tok)
+                 for _ in range(2)]
+        # Twin 0 goes through a second spill/restore cycle first.
+        twins[0] = SessionSnapshot.from_bytes(
+            SessionSnapshot.capture(twins[0], mode="raw").to_bytes()
+        ).build_session(model, tok)
+        for mine, theirs in zip(_banks(twins[0]), _banks(twins[1])):
+            before = mine.conductance.copy()
+            masks = np.ones(mine.conductance.shape, dtype=bool)
+            mine.reprogram_cells(masks)
+            theirs.reprogram_cells(masks)
+            assert not np.array_equal(mine.conductance, before)
+            assert np.array_equal(mine.conductance, theirs.conductance)
+
+    def test_wide_levels_from_an_older_build_restore_identically(
+            self, setup, trained_session):
+        """Fixture-free cross-version check: the bytes the previous build
+        wrote differ from ours only in ``int64`` levels.  Arrays are
+        self-describing, so they restore — narrow — with identical
+        state and answers, and no schema bump."""
+        model, tok = setup
+        session, query, generation, answer = trained_session
+        snap = SessionSnapshot.capture(session, mode="raw")
+        for store in snap.deployment["engine"]["stores"].values():
+            bank = store["bank"]
+            bank["target_levels"] = bank["target_levels"].astype(np.int64)
+        old_blob = snap.to_bytes()
+        new_blob = SessionSnapshot.capture(session, mode="raw").to_bytes()
+        assert len(old_blob) > 2 * len(new_blob)
+
+        restored = SessionSnapshot.from_bytes(old_blob).build_session(
+            model, tok)
+        for mine, theirs in zip(_banks(restored), _banks(session)):
+            assert mine.target_levels.dtype == theirs.target_levels.dtype
+            assert np.array_equal(mine.target_levels, theirs.target_levels)
+            assert np.array_equal(mine.conductance, theirs.conductance)
+        assert encode_value(restored._deployment.snapshot()) == \
+            encode_value(session._deployment.snapshot())
+        assert restored.answer(query, generation) == answer
 
 
 class TestSnapshotValidation:
@@ -294,6 +457,18 @@ class TestGoldenFixture:
     def test_golden_reencodes_byte_identically(self):
         blob = GOLDEN_PATH.read_bytes()
         assert SessionSnapshot.from_bytes(blob).to_bytes() == blob
+
+    def test_blob_report_accounts_for_every_golden_byte(self):
+        """``tools/blob_report.py`` (the CI spine job runs it): its
+        sections add up to the file, or it exits 1."""
+        tool = pathlib.Path(__file__).parents[2] / "tools" / "blob_report.py"
+        done = subprocess.run([sys.executable, str(tool), str(GOLDEN_PATH)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        total = done.stdout.splitlines()[-1].split()
+        assert total[0] == "total"
+        assert int(total[1].replace(",", "")) == GOLDEN_PATH.stat().st_size
+        assert "library.ovts[0].matrix" in done.stdout
 
     def test_golden_header_pins_schema_v1(self):
         blob = GOLDEN_PATH.read_bytes()

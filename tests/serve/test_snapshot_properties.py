@@ -23,6 +23,7 @@ from repro.serve import (
     TuneRequest,
 )
 from repro.serve.codec import decode_value, encode_value
+from tests.oracles.codec import encode_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -35,6 +36,81 @@ ADC_BITS = st.integers(min_value=4, max_value=10)
 
 def codec_roundtrip(snap):
     return decode_value(encode_value(snap))
+
+
+# Every value shape the codec supports, nested: scalars (ints past 64
+# bits, for PCG64 states), text, bytes, and arrays of every allowed kind
+# including 0-d, 0-size and non-contiguous ones.
+DTYPES = st.sampled_from(["?", "u1", "<u2", "<i4", ">i4", "<i8", "<f4", "<f8"])
+
+
+@st.composite
+def arrays(draw):
+    dtype = np.dtype(draw(DTYPES))
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    raw = draw(st.binary(min_size=int(np.prod(shape)) * dtype.itemsize,
+                         max_size=int(np.prod(shape)) * dtype.itemsize))
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    return array.T if draw(st.booleans()) else array
+
+
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 130, 2 ** 130)
+    | st.floats(allow_nan=False) | st.text(max_size=8)
+    | st.binary(max_size=8) | arrays(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12)
+
+
+def same(a, b):
+    """Structural equality that also pins array dtype and shape."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, (list, tuple)):
+        return (isinstance(b, list) and len(a) == len(b)
+                and all(same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(same(a[k], b[k]) for k in a))
+    return type(a) is type(b) and a == b
+
+
+class TestCodecProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(value=VALUES)
+    def test_encoding_is_the_reference_encoding(self, value):
+        """The one-copy join writes, byte for byte, what the obvious
+        bytearray encoder (``tests/oracles/codec.py``) writes."""
+        assert encode_value(value) == encode_reference(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=VALUES)
+    def test_decoding_does_not_depend_on_the_buffer_type(self, value):
+        blob = encode_value(value)
+        padded = b"\x00" + blob       # an odd offset: unaligned payloads
+        for buffer in (blob, bytearray(blob), memoryview(blob),
+                       memoryview(padded)[1:]):
+            decoded = decode_value(buffer)
+            assert same(value, decoded)
+            assert encode_value(decoded) == blob
+
+    def test_zero_size_and_zero_d_arrays_roundtrip(self):
+        for array in (np.zeros((2, 0, 3), dtype=np.float32),
+                      np.array([], dtype=np.uint8),
+                      np.array(2.5), np.array(7, dtype=np.uint16)):
+            blob = encode_value(array)
+            assert blob == encode_reference(array)
+            for buffer in (blob, bytearray(blob), memoryview(blob)):
+                assert same(array, decode_value(buffer))
+
+    def test_arrays_decoded_from_a_bytearray_are_read_only(self):
+        decoded = decode_value(bytearray(encode_value(np.arange(4))))
+        assert not decoded.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            decoded[0] = 1
 
 
 class TestCiMMatrixProperties:
