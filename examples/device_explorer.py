@@ -2,7 +2,8 @@
 latency/energy the CiM search saves over a CPU.
 
 One OVT library is trained once and then deployed on all five devices —
-exactly how the paper's Table I reuses the same prompts across NVMs.
+exactly how the paper's Table I reuses the same prompts across NVMs — as
+five sessions of one serving engine, queried in a single batch.
 
 Run:  python examples/device_explorer.py
 """
@@ -14,6 +15,8 @@ import numpy as np
 from repro import (
     FrameworkConfig,
     GenerationConfig,
+    PromptServeEngine,
+    QueryRequest,
     available_devices,
     build_corpus,
     build_tokenizer,
@@ -23,7 +26,7 @@ from repro import (
     make_user,
 )
 from repro.cim import retrieval_cost
-from repro.core import NVCiMDeployment, OVTTrainingPipeline
+from repro.core import OVTTrainingPipeline
 from repro.eval import score_output
 
 
@@ -45,16 +48,23 @@ def main() -> None:
     generation = GenerationConfig(max_new_tokens=6, temperature=0.1,
                                   eos_id=tokenizer.eos_id)
 
+    # One session per device, all serving the same library.
+    devices = available_devices()
+    engine = PromptServeEngine(model, tokenizer, config,
+                               max_sessions=len(devices))
+    for arm, device_name in enumerate(devices):
+        engine.load_session(arm, pipeline.library,
+                            config=replace(config, device_name=device_name))
+    responses = engine.answer_batch([
+        QueryRequest(user_id=arm, text=q.input_text, generation=generation)
+        for arm in range(len(devices)) for q in queries])
+
     print(f"{'device':8s} {'tech':6s} {'levels':>6s} {'accuracy':>9s}")
-    for device_name in available_devices():
+    for arm, device_name in enumerate(devices):
         device = get_device(device_name)
-        deployment = NVCiMDeployment(
-            model, tokenizer, pipeline.library,
-            replace(config, device_name=device_name))
-        scores = [score_output("accuracy",
-                               deployment.answer(q.input_text, generation),
-                               q.target_text)
-                  for q in queries]
+        answers = responses[arm * len(queries):(arm + 1) * len(queries)]
+        scores = [score_output("accuracy", response.answer, q.target_text)
+                  for response, q in zip(answers, queries)]
         print(f"{device_name:8s} {device.kind:6s} {device.n_levels:>6d} "
               f"{np.mean(scores):>9.2f}")
 

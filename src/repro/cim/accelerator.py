@@ -6,21 +6,22 @@ Fig. 4), and tiled over 384x128 crossbars.  Matrix-vector products run
 slice-by-slice in the arrays and are shift-added digitally, which is
 exactly how the paper's scaled-search GMM executes.
 
-All tiles live in one :class:`~repro.nvm.crossbar.TileBank` stack ordered
-slice-major ``(slice, row_tile, col_tile)``.  Programming is a single
-vectorized noise application, and :meth:`CiMMatrix.matmat` evaluates a
-whole batch of queries with one batched matmul plus one vectorized ADC
-quantization — the serving engine's batched-retrieval hot path.  Every
-tile draws programming noise from its own spawned generator, so the
-per-tile :class:`~repro.nvm.crossbar.CrossbarArray` grid the equivalence
-tests build (``tests/oracles/per_tile_cim.py``) programs to *bit-identical*
+All tiles live in one :class:`~repro.nvm.crossbar.TileBank` ordered
+slice-major ``(slice, row_tile, col_tile)`` and grouped by row tile — the
+tiles one input chunk feeds — so the bank holds each row tile's
+conductances side by side, as the GEMM operand.
+:meth:`CiMMatrix.matmat` evaluates a whole batch of queries with one GEMM
+per row tile over the stored cells plus one vectorized ADC quantization —
+the serving engine's batched-retrieval hot path.  Every tile draws
+programming noise from its own spawned generator, so the grid of
+standalone crossbars the equivalence tests build
+(``tests/oracles/per_tile_cim.py``) programs to *bit-identical*
 conductances.
 
 Noise-mitigation baselines plug in via hooks: ``post_program`` (e.g.
 selective write-verify re-pulses cells), ``correct_output`` (CxDNN /
 CorrectNet compensation applied to single or batched MVM outputs) and
-``correct_read`` / ``correct_read_columns`` for full and column-range
-read-backs.
+``correct_read_columns`` for the mitigated read-back.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ class MitigationHooks(Protocol):
                        outputs: np.ndarray) -> np.ndarray:
         """Correct MVM outputs — one vector (n,) or a batch (B, n)."""
 
-    def correct_read(self, matrix: "CiMMatrix",
-                     values: np.ndarray) -> np.ndarray:
-        """Correct a full read-back of the stored matrix."""
-
     def correct_read_columns(self, matrix: "CiMMatrix", values: np.ndarray,
                              col0: int, col1: int) -> np.ndarray:
         """Correct a column-range read-back (columns ``[col0, col1)``)."""
@@ -77,10 +74,6 @@ class NullMitigation:
     def correct_output(self, matrix: "CiMMatrix",
                        outputs: np.ndarray) -> np.ndarray:
         return outputs
-
-    def correct_read(self, matrix: "CiMMatrix",
-                     values: np.ndarray) -> np.ndarray:
-        return values
 
     def correct_read_columns(self, matrix: "CiMMatrix", values: np.ndarray,
                              col0: int, col1: int) -> np.ndarray:
@@ -121,7 +114,6 @@ class CiMMatrix:
         d, n = self.shape
         self.n_row_tiles = -(-d // rows)
         self.n_col_tiles = -(-n // cols)
-        self._chunk_map: np.ndarray | None = None
         # Calibration data some mitigations fill in during post_program.
         self.calibration: dict[str, np.ndarray] = {}
         # One spawned generator per tile, derived hierarchically (matrix ->
@@ -142,9 +134,12 @@ class CiMMatrix:
     # ------------------------------------------------------------------
     def _new_bank(self, rngs: list[np.random.Generator] | None = None,
                   ) -> TileBank:
+        # A tile's input chunk is its row tile.
+        per_slice = np.repeat(np.arange(self.n_row_tiles), self.n_col_tiles)
         return TileBank(self.device, self.n_subarrays,
                         rows=self.subarray_rows, cols=self.subarray_cols,
-                        sigma=self.sigma, adc_bits=self._adc_bits, rngs=rngs)
+                        sigma=self.sigma, adc_bits=self._adc_bits, rngs=rngs,
+                        chunk_index=np.tile(per_slice, self.n_slices))
 
     def _tiled_digits(self, digits: np.ndarray) -> np.ndarray:
         """Digit planes as a zero-padded (n_tiles, rows, cols) stack.
@@ -166,14 +161,6 @@ class CiMMatrix:
     @property
     def n_subarrays(self) -> int:
         return self.n_slices * self.n_row_tiles * self.n_col_tiles
-
-    def _chunk_index(self) -> np.ndarray:
-        """Input-chunk group of each flat tile: its row-tile index."""
-        if self._chunk_map is None:
-            per_slice = np.repeat(np.arange(self.n_row_tiles),
-                                  self.n_col_tiles)
-            self._chunk_map = np.tile(per_slice, self.n_slices)
-        return self._chunk_map
 
     def slice_tile_indices(self, slice_index: int) -> np.ndarray:
         """Flat bank indices of every tile holding ``slice_index`` digits."""
@@ -243,7 +230,7 @@ class CiMMatrix:
             chunks.reshape(batch, n_rt, rows).transpose(1, 0, 2))
         # One GEMM + one vectorized ADC pass per row-tile group; a group's
         # result blocks its columns per (slice, col_tile) in flat order.
-        grouped = self.bank.matmat_grouped(chunks, self._chunk_index(),
+        grouped = self.bank.matmat_grouped(chunks,
                                            quantize_output=quantize_output)
         # Shift-add: sum row-tile planes, weight the slices, crop padding.
         planes = grouped[0].reshape(batch, n_slices, n_ct * cols)
@@ -257,11 +244,10 @@ class CiMMatrix:
         outputs = (total * self.codec.scale).astype(np.float32)
         return self.mitigation.correct_output(self, outputs)
 
-    def read_matrix(self, *, corrected: bool = True) -> np.ndarray:
-        """Read the stored matrix back (noisy), shape (d, n) float32.
-
-        ``corrected=False`` skips the mitigation's read correction
-        (mitigations calibrate against the raw read).
+    def read_matrix(self) -> np.ndarray:
+        """Read the stored matrix back raw (noisy, uncorrected), shape
+        (d, n) float32: the whole-tile read mitigations calibrate
+        against.  :meth:`read_columns` is the mitigated read.
         """
         d, n = self.shape
         value = np.zeros((d, n), dtype=np.float64)
@@ -275,10 +261,7 @@ class CiMMatrix:
                 self.n_col_tiles * self.subarray_cols)
             value += full[:d, :n] * weights[s]
         value -= _OFFSET
-        decoded = self.codec.decode(value)
-        if not corrected:
-            return decoded
-        return self.mitigation.correct_read(self, decoded)
+        return self.codec.decode(value)
 
     def read_columns(self, col0: int, col1: int) -> np.ndarray:
         """Read back only columns ``[col0, col1)``, shape (d, col1-col0).
@@ -286,8 +269,8 @@ class CiMMatrix:
         Touches (and bills ``cell_reads`` for) only the cells covering the
         requested columns in the tiles that hold them — the restore path's
         read, which a full :meth:`read_matrix` would overcount by the
-        whole store.  Values equal the same columns of
-        :meth:`read_matrix` exactly.
+        whole store.  Before the mitigation's correction, values equal
+        the same columns of :meth:`read_matrix` exactly.
         """
         d, n = self.shape
         if not 0 <= col0 < col1 <= n:
@@ -407,7 +390,6 @@ class CiMMatrix:
         d, n = self.shape
         self.n_row_tiles = -(-d // self.subarray_rows)
         self.n_col_tiles = -(-n // self.subarray_cols)
-        self._chunk_map = None
         self.bank = self._new_bank()
         self.restore(snap)
         return self

@@ -8,9 +8,10 @@ Two phases, mirroring the paper's training and inference modes:
   and refreshes the autoencoder with the non-representative remainder.
   The result is an :class:`OVTLibrary`.
 * :class:`NVCiMDeployment` — encodes the library with the autoencoder,
-  programs the scaled copies onto NVM crossbars, and serves queries:
-  embed -> encode -> in-memory scaled search -> restore -> decode ->
-  prepend as soft prompt -> generate.
+  programs the scaled copies onto NVM crossbars, and serves the retrieval
+  half of a query: embed -> encode -> in-memory scaled search -> restore
+  -> decode.  Prepending the restored prompt and generating is the
+  serving engine's one decode loop (:mod:`repro.serve.engine`).
 
 :class:`NVCiMPT` is the convenience facade combining both.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from ..compression import AutoencoderConfig, OVTAutoencoder
 from ..data.buffer import DataBuffer
 from ..data.lamp import Sample
-from ..llm.generation import GenerationConfig, generate
+from ..llm.generation import GenerationConfig
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
 from ..mitigation import MITIGATION_REGISTRY, make_mitigation
@@ -293,7 +294,8 @@ class OVTTrainingPipeline:
 
 
 class NVCiMDeployment:
-    """Inference mode: the library programmed onto NVM, serving queries."""
+    """Inference mode: the library programmed onto NVM, retrieving and
+    restoring the prompt for each query."""
 
     def __init__(self, model: TinyCausalLM, tokenizer: Tokenizer,
                  library: OVTLibrary,
@@ -343,17 +345,6 @@ class NVCiMDeployment:
         codes = self.engine.restore(index)
         return self.library.autoencoder.decode_matrix(codes,
                                                       self._scales[index])
-
-    def answer(self, input_text: str,
-               generation: GenerationConfig | None = None) -> str:
-        """Full inference path: retrieve, restore, generate."""
-        generation = generation or GenerationConfig(
-            max_new_tokens=100, temperature=0.1, eos_id=self.tokenizer.eos_id)
-        index = self.retrieve(input_text)
-        prompt = self.restored_prompt(index)
-        ids = self.tokenizer.encode(input_text)
-        out = generate(self.model, ids, generation, soft_prompt=prompt)
-        return self.tokenizer.decode(out)
 
     # ------------------------------------------------------------------
     # Durable state
@@ -444,11 +435,6 @@ class NVCiMPT:
     @property
     def library(self) -> OVTLibrary:
         return self._session.library
-
-    @property
-    def _deployment(self) -> NVCiMDeployment | None:
-        # Legacy introspection point: None whenever the crossbars are stale.
-        return self._session._deployment
 
     def observe(self, sample: Sample) -> None:
         """Training mode: absorb one user interaction."""

@@ -27,9 +27,7 @@ from ..ag import Linear, iter_modules, no_grad
 from ..core.framework import FrameworkConfig
 from ..llm.quantization import quantization_stats, quantize_model
 from ..llm.transformer import TinyCausalLM
-from ..serve import PromptServeEngine, QueryRequest
-from .metrics import score_output
-from .runner import ExperimentContext
+from .runner import TABLE1_METHODS, ExperimentContext, evaluate_method
 
 __all__ = ["perplexity", "quantization_quality"]
 
@@ -66,38 +64,6 @@ def perplexity(model: TinyCausalLM, token_stream: np.ndarray, *,
     return float(np.exp(total_nll / total_tokens))
 
 
-def _answer_accuracy(context: ExperimentContext, model: TinyCausalLM,
-                     model_name: str, dataset_name: str,
-                     config: FrameworkConfig,
-                     user_ids: tuple[int, ...]) -> float:
-    """Serve each user's queries on ``model`` with float-trained libraries.
-
-    Mirrors :func:`repro.eval.runner.evaluate_method`, but over an
-    explicit model instance so quantized arms serve a converted copy
-    while the library training (memoised in ``context``) stays float.
-    """
-    engine = PromptServeEngine(model, context.tokenizer, config,
-                               max_sessions=max(len(user_ids), 1))
-    generation = context.generation_config()
-    requests: list[QueryRequest] = []
-    expected: list[tuple[str, str]] = []
-    for user_id in user_ids:
-        task = context.user_task(dataset_name, user_id,
-                                 config.buffer_capacity)
-        engine.load_session(
-            user_id,
-            context.library(model_name, dataset_name, user_id, config))
-        for query in task.queries:
-            requests.append(QueryRequest(user_id=user_id,
-                                         text=query.input_text,
-                                         generation=generation))
-            expected.append((task.dataset.metric, query.target_text))
-    responses = engine.answer_batch(requests)
-    scores = [score_output(metric, response.answer, target)
-              for response, (metric, target) in zip(responses, expected)]
-    return float(np.mean(scores))
-
-
 def quantization_quality(
     context: ExperimentContext,
     model_name: str = "phi-2-sim",
@@ -117,14 +83,18 @@ def quantization_quality(
     (point over float — above 1.0 means worse), and the byte footprint
     from :func:`repro.llm.quantization.quantization_stats`.
 
-    The float model comes from the context's memoised store; every
-    quantized arm converts a ``deepcopy`` so the shared float model —
-    and the libraries tuned against it — are never touched.
+    Accuracy is :func:`~repro.eval.runner.evaluate_method` on the
+    NVCiM-PT column: libraries are tuned against the context's memoised
+    float model and an engine configured with the point's
+    ``base_quantization`` serves a converted copy.  Perplexity likewise
+    converts a ``deepcopy``, so the shared float model — and the
+    libraries tuned against it — are never touched.
     """
     base_config = FrameworkConfig(buffer_capacity=5)
+    method = next(m for m in TABLE1_METHODS if m.name == "NVCiM-PT")
     float_model = context.model(model_name)
-    float_accuracy = _answer_accuracy(context, float_model, model_name,
-                                      dataset_name, base_config, user_ids)
+    float_accuracy = evaluate_method(context, model_name, dataset_name,
+                                     method, base_config, user_ids=user_ids)
     float_ppl = perplexity(float_model, context.corpus,
                            window=ppl_window, max_windows=ppl_windows)
     float_bytes = sum(module.weight.data.nbytes
@@ -135,8 +105,11 @@ def quantization_quality(
         arm = copy.deepcopy(float_model)
         quantize_model(arm, mode, group_size)
         arm.eval()
-        accuracy = _answer_accuracy(context, arm, model_name, dataset_name,
-                                    base_config, user_ids)
+        accuracy = evaluate_method(
+            context, model_name, dataset_name, method,
+            base_config.replace(base_quantization=mode,
+                                quantization_group_size=group_size),
+            user_ids=user_ids)
         ppl = perplexity(arm, context.corpus,
                          window=ppl_window, max_windows=ppl_windows)
         stats = quantization_stats(arm)

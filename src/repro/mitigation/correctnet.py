@@ -41,7 +41,7 @@ class CorrectNetMitigation:
         return np.clip(values, mean - bound, mean + bound)
 
     def post_program(self, matrix) -> None:
-        actual = matrix.read_matrix(corrected=False)
+        actual = matrix.read_matrix()
         ideal = matrix.ideal_matrix()
         # Per-column affine model of the *systematic* error:
         # actual ~ a * ideal + b, inverted at read time as (v - b) / a.
@@ -76,10 +76,6 @@ class CorrectNetMitigation:
         """
         slope, _ = self._coeffs(matrix)
         return outputs / slope
-
-    def correct_read(self, matrix, values: np.ndarray) -> np.ndarray:
-        slope, intercept = self._coeffs(matrix)
-        return (values - intercept[None, :]) / slope[None, :]
 
     def correct_read_columns(self, matrix, values: np.ndarray,
                              col0: int, col1: int) -> np.ndarray:

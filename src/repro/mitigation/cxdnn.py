@@ -24,7 +24,7 @@ class CxDNNCompensation:
     name = "cxdnn"
 
     def post_program(self, matrix) -> None:
-        actual = matrix.read_matrix(corrected=False)
+        actual = matrix.read_matrix()
         ideal = matrix.ideal_matrix()
         # Gain of the *systematic* column error: project the actual read
         # onto the ideal column and invert that factor.  (Fitting against
@@ -52,9 +52,6 @@ class CxDNNCompensation:
         as B sequential outputs would be.
         """
         return outputs * self._gain(matrix)
-
-    def correct_read(self, matrix, values: np.ndarray) -> np.ndarray:
-        return values * self._gain(matrix)[None, :]
 
     def correct_read_columns(self, matrix, values: np.ndarray,
                              col0: int, col1: int) -> np.ndarray:

@@ -75,9 +75,6 @@ class SelectiveWriteVerify:
     def correct_output(self, matrix, outputs: np.ndarray) -> np.ndarray:
         return outputs
 
-    def correct_read(self, matrix, values: np.ndarray) -> np.ndarray:
-        return values
-
     def correct_read_columns(self, matrix, values: np.ndarray,
                              col0: int, col1: int) -> np.ndarray:
         return values

@@ -1,20 +1,18 @@
 """Crossbar array simulation.
 
-A :class:`CrossbarArray` models one physical subarray (default 384x128, the
-paper's geometry): cells are programmed to discrete conductance levels with
-device-dependent Gaussian variation, read back either cell-wise or through
-an analog matrix-vector multiply with ADC quantization at the columns.
-
-A :class:`TileBank` is the vectorized counterpart of a *list* of
-crossbars: ``n_tiles`` subarrays of identical geometry whose conductances
-live in one stacked ``(n_tiles, rows, cols)`` array, programmed with one
-vectorized noise draw and evaluated for a whole batch of inputs with a
-single batched matmul plus one vectorized ADC quantization.  Each tile
+A :class:`TileBank` is ``n_tiles`` subarrays of identical geometry
+(default 384x128, the paper's): cells are programmed to discrete
+conductance levels with device-dependent Gaussian variation and read back
+either cell-wise or through an analog matrix product with ADC
+quantization at the columns.  The conductances live once, in the layout
+the product reads — tiles that share an input chunk side by side — so a
+whole batch of inputs evaluates with one GEMM per chunk group over the
+stored cells themselves, plus one vectorized ADC quantization.  Each tile
 draws its programming noise from an independently spawned generator, so a
-bank programs to exactly the same conductances as the equivalent per-tile
-:class:`CrossbarArray` objects would (and independently of tile iteration
-order).  :class:`TileView` exposes one tile of a bank by index (state,
-counters, re-pulse).
+bank programs to exactly the same conductances as the equivalent
+standalone crossbar objects would (``tests/oracles/crossbar.py``), and
+independently of tile iteration order.  :class:`TileView` exposes one
+tile of a bank by index (state, counters, re-pulse).
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ import numpy as np
 from .device_models import NVMDevice
 from ..utils import rng_from_seed
 
-__all__ = ["CrossbarArray", "CrossbarStats", "TileBank", "TileView",
-           "SNAPSHOT_VERSION"]
+__all__ = ["CrossbarStats", "TileBank", "TileView", "SNAPSHOT_VERSION"]
 
 # Version of the dict TileBank.snapshot() produces; restore() refuses
 # anything else.
@@ -97,129 +94,30 @@ def _restore_rng_state(rng: np.random.Generator, snap: dict) -> None:
     rng.bit_generator.state = state
 
 
-class CrossbarArray:
-    """One NVM subarray with noisy programming and analog readout."""
-
-    def __init__(self, device: NVMDevice, *, rows: int = 384, cols: int = 128,
-                 sigma: float = 0.1, adc_bits: int = 8,
-                 rng: np.random.Generator | None = None):
-        if rows <= 0 or cols <= 0:
-            raise ValueError("rows and cols must be positive")
-        if adc_bits < 2 or adc_bits > 16:
-            raise ValueError("adc_bits must be in [2, 16]")
-        self.device = device
-        self.rows = rows
-        self.cols = cols
-        self.sigma = sigma
-        self.adc_bits = adc_bits
-        self._rng = rng or rng_from_seed(0)
-        self._target_levels = np.zeros((rows, cols), dtype=np.int64)
-        self._conductance = np.zeros((rows, cols), dtype=np.float32)
-        self._programmed = False
-        self.stats = CrossbarStats()
-
-    # ------------------------------------------------------------------
-    @property
-    def conductance(self) -> np.ndarray:
-        """The actual (noisy) normalised conductances, shape (rows, cols)."""
-        return self._conductance
-
-    @property
-    def target_levels(self) -> np.ndarray:
-        return self._target_levels
-
-    def program(self, levels: np.ndarray) -> None:
-        """Write a full array of level indices with one programming pulse."""
-        levels = np.asarray(levels, dtype=np.int64)
-        if levels.shape != (self.rows, self.cols):
-            raise ValueError(
-                f"level array {levels.shape} does not fit {self.rows}x{self.cols}"
-            )
-        self._target_levels = levels.copy()
-        self._conductance = self._program_values(levels)
-        self._programmed = True
-        self.stats.cells_programmed += levels.size
-        self.stats.write_pulses += levels.size
-
-    def reprogram_cells(self, mask: np.ndarray) -> None:
-        """Re-pulse the masked cells (used by write-verify loops)."""
-        self._require_programmed()
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self._conductance.shape:
-            raise ValueError("mask shape mismatch")
-        if not mask.any():
-            return
-        fresh = self._program_values(self._target_levels)
-        self._conductance = np.where(mask, fresh, self._conductance)
-        self.stats.write_pulses += int(mask.sum())
-
-    def _program_values(self, levels: np.ndarray) -> np.ndarray:
-        ideal = self.device.level_values()[levels]
-        noise = self.device.program_noise(levels, self.sigma, self._rng)
-        return (ideal + noise).astype(np.float32)
-
-    # ------------------------------------------------------------------
-    def read_cells(self) -> np.ndarray:
-        """Cell-wise readout of conductances in level units (float)."""
-        self._require_programmed()
-        self.stats.cell_reads += self._conductance.size
-        return self._conductance * (self.device.n_levels - 1)
-
-    def read_cells_range(self, col0: int, col1: int) -> np.ndarray:
-        """Read only columns ``[col0, col1)``, counting only those cells.
-
-        This is the column-range read restore-style accesses use: reading
-        one stored column must not bill the energy model for the whole
-        subarray.
-        """
-        self._require_programmed()
-        if not 0 <= col0 < col1 <= self.cols:
-            raise ValueError(
-                f"column range [{col0}, {col1}) outside [0, {self.cols})")
-        block = self._conductance[:, col0:col1]
-        self.stats.cell_reads += block.size
-        return block * (self.device.n_levels - 1)
-
-    def matvec(self, x: np.ndarray, *, quantize_output: bool = True) -> np.ndarray:
-        """Analog MVM: returns ``x @ G`` per column, optionally ADC-quantized.
-
-        ``x`` has length ``rows``; output has length ``cols``.  The ADC
-        quantizes each column current to ``adc_bits`` over the array's
-        dynamic range, as NeuroSim does for SAR ADC columns.
-        """
-        self._require_programmed()
-        x = np.asarray(x, dtype=np.float32).reshape(-1)
-        if x.size != self.rows:
-            raise ValueError(f"input of {x.size} does not match {self.rows} rows")
-        currents = x @ self._conductance
-        self.stats.mvm_ops += 1
-        if not quantize_output:
-            # No ADC on an un-quantized (ideal analog) readout: counting
-            # conversions here would inflate the energy model.
-            return currents
-        self.stats.adc_conversions += self.cols
-        full_scale = float(np.abs(x).sum()) or 1.0  # max possible current
-        step = 2.0 * full_scale / (2 ** self.adc_bits - 1)
-        return np.round(currents / step) * step
-
-    def _require_programmed(self) -> None:
-        if not self._programmed:
-            raise RuntimeError("crossbar has not been programmed")
-
-
 class TileBank:
-    """``n_tiles`` stacked crossbar subarrays operated as one array.
+    """``n_tiles`` crossbar subarrays operated as one array.
 
-    The bank keeps one ``(n_tiles, rows, cols)`` conductance stack and
-    per-tile operation counters (``(n_tiles,)`` vectors), so programming,
-    write-verify re-pulses and batched matrix products are single
-    vectorized numpy operations instead of Python loops over tile objects.
-    Every tile owns an independently spawned ``rng`` (see
-    :func:`repro.utils.spawn_generators`): its noise draws match the
-    equivalent standalone :class:`CrossbarArray` bit for bit and do not
-    depend on what other tiles drew first.
+    Every conductance is held once, in the layout the matrix product
+    reads.  ``chunk_index`` says which input chunk feeds each tile; tiles
+    fed by the same chunk form a *group*, and the cells live group-major
+    in one ``(n_groups, rows, group_size, cols)`` float32 array.  Group
+    ``g``'s GEMM operand — its tiles side by side, ``(rows, group_size *
+    cols)`` — is ``cells[g].reshape(rows, -1)``: a view, so the stored
+    conductances *are* the operand, as on the array being simulated.
+    Tile order (``conductance``, ``read_cells``, a snapshot) is a gather
+    out of that array; programming, re-pulses and ``restore`` write into
+    it.  Groups are equal-sized (a bit-sliced matrix has ``n_slices *
+    n_col_tiles`` tiles per row tile; the default, one chunk per tile, is
+    groups of one) and anything else is refused at construction.
 
-    Target levels are stored at cell width —
+    Counters are per-tile ``(n_tiles,)`` vectors.  Every tile owns an
+    independently spawned ``rng`` (see
+    :func:`repro.utils.spawn_generators`): its noise draws match a
+    standalone crossbar given the same generator
+    (``tests/oracles/crossbar.py``) bit for bit and do not depend on what
+    other tiles drew first.
+
+    Target levels are stored in tile order at cell width —
     ``np.min_scalar_type(device.n_levels - 1)``, ``uint8`` for every
     device up to 256 levels — in memory and therefore in a snapshot.
     numpy re-widens a narrow index array on *every* fancy index, so code
@@ -227,15 +125,15 @@ class TileBank:
     (``levels.astype(np.intp)``) and indexes with that.
     """
 
-    # `device` is configuration re-supplied at rebuild; the `_merged*`
-    # trio is a lazily invalidated matmul-operand cache keyed off
-    # `version`, rebuilt on first use after restore.
-    _SNAPSHOT_EXCLUDED = ("device", "_merged", "_merged_groups",
-                          "_merged_key")
+    # `device` is configuration and `_group_of` / `_slot_of` are the
+    # grouping geometry derived from `chunk_index`: all re-supplied at
+    # construction, none of it state.
+    _SNAPSHOT_EXCLUDED = ("device", "_group_of", "_slot_of")
 
     def __init__(self, device: NVMDevice, n_tiles: int, *, rows: int = 384,
                  cols: int = 128, sigma: float = 0.1, adc_bits: int = 8,
-                 rngs: Sequence[np.random.Generator] | None = None):
+                 rngs: Sequence[np.random.Generator] | None = None,
+                 chunk_index: np.ndarray | None = None):
         if n_tiles <= 0:
             raise ValueError("n_tiles must be positive")
         if rows <= 0 or cols <= 0:
@@ -247,6 +145,20 @@ class TileBank:
         if len(rngs) != n_tiles:
             raise ValueError(f"need {n_tiles} per-tile generators, "
                              f"got {len(rngs)}")
+        if chunk_index is None:
+            chunk_index = np.arange(n_tiles)
+        chunk_index = np.asarray(chunk_index)
+        if (chunk_index.shape != (n_tiles,)
+                or chunk_index.dtype.kind not in "iu"
+                or chunk_index.min() < 0):
+            raise ValueError("chunk_index must map every tile to a "
+                             "non-negative input chunk")
+        chunk_index = chunk_index.astype(np.intp)
+        sizes = np.bincount(chunk_index)
+        if (sizes != sizes[0]).any():
+            raise ValueError(
+                f"chunk_index must split the tiles into equal-sized "
+                f"groups, got sizes {sizes.tolist()}")
         self.device = device
         self.n_tiles = n_tiles
         self.rows = rows
@@ -254,9 +166,16 @@ class TileBank:
         self.sigma = sigma
         self.adc_bits = adc_bits
         self._rngs = list(rngs)
+        # Tile t is slot `_slot_of[t]` of group `_group_of[t]`; a
+        # group's tiles take its slots in ascending tile order.
+        self._group_of = chunk_index
+        self._slot_of = np.empty(n_tiles, dtype=np.intp)
+        self._slot_of[np.argsort(chunk_index, kind="stable")] = (
+            np.arange(n_tiles) % sizes[0])
         self._target_levels = np.zeros(
             (n_tiles, rows, cols), dtype=np.min_scalar_type(device.n_levels - 1))
-        self._conductance = np.zeros((n_tiles, rows, cols), dtype=np.float32)
+        self._cells = np.zeros((sizes.size, rows, int(sizes[0]), cols),
+                               dtype=np.float32)
         self._programmed = False
         # Per-tile counters; aggregate_stats() sums them vectorially.
         self.cells_programmed = np.zeros(n_tiles, dtype=np.int64)
@@ -264,47 +183,53 @@ class TileBank:
         self.mvm_ops = np.zeros(n_tiles, dtype=np.int64)
         self.adc_conversions = np.zeros(n_tiles, dtype=np.int64)
         self.cell_reads = np.zeros(n_tiles, dtype=np.int64)
-        # Bumped on every conductance mutation so the cached matmul
-        # operand can be invalidated lazily.
-        self.version = 0
-        self._merged: list[np.ndarray] | None = None
-        self._merged_groups: list[np.ndarray] | None = None
-        self._merged_key: tuple | None = None
 
     # ------------------------------------------------------------------
     @property
     def conductance(self) -> np.ndarray:
-        """The stacked noisy conductances, shape (n_tiles, rows, cols)."""
-        return self._conductance
+        """The noisy conductances in tile order, ``(n_tiles, rows, cols)``.
+
+        A gathered copy: writing to it does not reach the bank (mutate
+        through :meth:`program` / :meth:`reprogram_cells`).
+        """
+        return self._cells[self._group_of, :, self._slot_of]
 
     @property
     def target_levels(self) -> np.ndarray:
         return self._target_levels
 
     def tile(self, index: int) -> "TileView":
-        """A ``CrossbarArray``-like view of one tile of the bank."""
+        """One tile of the bank: state, counters and re-pulse by index."""
         return TileView(self, index)
 
-    def _fresh_conductance(self, tiles: np.ndarray,
-                           levels: np.ndarray) -> np.ndarray:
-        """Draw fresh noisy conductances for ``tiles`` at ``levels``.
+    def _tile_cells(self, index: int) -> np.ndarray:
+        """The ``(rows, cols)`` cells of one tile, a view into the bank."""
+        return self._cells[self._group_of[index], :, self._slot_of[index]]
+
+    def _pulse(self, tiles: np.ndarray, levels: np.ndarray,
+               masks: np.ndarray | None = None) -> None:
+        """Write fresh noisy conductances for ``tiles`` at ``levels``.
 
         ``levels`` is the ``intp`` level stack of those tiles: widened
         once by the caller, it indexes both tables.  The range check
         (``sigma_for_levels``) runs before any generator is advanced.
-        Noise assembly is fully vectorized; the standard-normal variates
-        themselves come from each tile's own generator so results are
-        identical to per-tile :class:`CrossbarArray` programming.
+        Each tile's standard-normal variates come from its own generator
+        and ``ideal + noise`` lands straight in the tile's cells (only
+        where its mask is set, when ``masks`` is given), so results are
+        identical to programming standalone crossbars and no bank-sized
+        conductance array is built on the way.
         """
         stds = self.device.sigma_for_levels(levels, self.sigma)
         ideal = self.device.level_values()[levels]
-        draws = np.stack([self._rngs[int(t)].normal(
-            0.0, 1.0, size=(self.rows, self.cols)) for t in tiles])
-        noise = draws.astype(np.float32) * stds
-        return (ideal + noise).astype(np.float32)
+        for i, tile in enumerate(tiles):
+            draws = self._rngs[int(tile)].normal(
+                0.0, 1.0, size=(self.rows, self.cols))
+            np.add(ideal[i], draws.astype(np.float32) * stds[i],
+                   out=self._tile_cells(tile),
+                   where=True if masks is None else masks[i])
 
     def program(self, levels: np.ndarray) -> None:
-        """Write level indices for every tile in one vectorized pulse.
+        """Write level indices for every tile of the bank.
 
         A refused call (wrong shape, level out of range) leaves the bank
         as it was: nothing is stored or drawn before the checks pass.
@@ -314,14 +239,12 @@ class TileBank:
             raise ValueError(
                 f"level stack {levels.shape} does not fit "
                 f"{self.n_tiles}x{self.rows}x{self.cols}")
-        self._conductance = self._fresh_conductance(
-            np.arange(self.n_tiles), levels)
+        self._pulse(np.arange(self.n_tiles), levels)
         self._target_levels = levels.astype(self._target_levels.dtype)
         self._programmed = True
         per_tile = self.rows * self.cols
         self.cells_programmed += per_tile
         self.write_pulses += per_tile
-        self.version += 1
 
     def reprogram_cells(self, masks: np.ndarray,
                         tiles: np.ndarray | None = None) -> None:
@@ -341,12 +264,9 @@ class TileBank:
         selected = tiles[need]
         if selected.size == 0:
             return
-        fresh = self._fresh_conductance(
-            selected, self._target_levels[selected].astype(np.intp))
-        current = self._conductance[selected]
-        self._conductance[selected] = np.where(masks[need], fresh, current)
+        self._pulse(selected, self._target_levels[selected].astype(np.intp),
+                    masks[need])
         self.write_pulses[selected] += masks[need].sum(axis=(1, 2))
-        self.version += 1
 
     # ------------------------------------------------------------------
     def read_cells(self, tiles: np.ndarray | None = None,
@@ -365,66 +285,33 @@ class TileBank:
         if not 0 <= col0 < col1 <= self.cols:
             raise ValueError(
                 f"column range [{col0}, {col1}) outside [0, {self.cols})")
-        block = self._conductance[tiles, :, col0:col1]
+        block = self._cells[self._group_of[tiles], :, self._slot_of[tiles],
+                            col0:col1]
         self.cell_reads[tiles] += self.rows * (col1 - col0)
         return block * (self.device.n_levels - 1)
 
-    def _merged_operand(self, chunk_index: np.ndarray
-                        ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-group matmul operands, cached against the bank version.
-
-        Tiles sharing an input chunk (same ``chunk_index``) are merged
-        column-wise into one ``(rows, group_size * cols)`` matrix, so a
-        whole group evaluates with a single GEMM instead of one small
-        matvec per tile.  The cache deliberately holds a second full
-        copy of the bank's conductances (float32, rebuilt lazily after
-        re-pulses): compute speed is bought with ~2x simulation memory,
-        the same trade the decode path makes for its KV caches.
-        """
-        key = (self.version, chunk_index.tobytes())
-        if self._merged_key != key:
-            groups = [np.flatnonzero(chunk_index == g)
-                      for g in range(int(chunk_index.max()) + 1)]
-            self._merged = [
-                np.ascontiguousarray(
-                    self._conductance[tiles].transpose(1, 0, 2).reshape(
-                        self.rows, tiles.size * self.cols))
-                for tiles in groups
-            ]
-            self._merged_groups = groups
-            self._merged_key = key
-        return self._merged, self._merged_groups
-
-    def matmat(self, chunks: np.ndarray,
-               chunk_index: np.ndarray | None = None, *,
+    def matmat(self, chunks: np.ndarray, *,
                quantize_output: bool = True) -> np.ndarray:
         """Batched analog MVM for every tile at once.
 
         ``chunks`` has shape ``(n_groups, batch, rows)`` — the distinct
-        input chunks for each query in the batch — and ``chunk_index``
-        maps each tile to its chunk (identity when omitted, i.e. one
-        chunk per tile).  Returns per-tile column currents ``(n_tiles,
-        batch, cols)`` computed with one GEMM per chunk group, optionally
-        pushed through one vectorized ADC quantization (per-tile,
-        per-query full scale, as the SAR ADC columns would).  Counters
-        scale with the batch width: each tile bills ``batch`` MVMs and
-        ``batch * cols`` conversions.
+        input chunks for each query in the batch, one per tile unless the
+        bank was built with a ``chunk_index``.  Returns per-tile column
+        currents ``(n_tiles, batch, cols)`` computed with one GEMM per
+        chunk group, optionally pushed through one vectorized ADC
+        quantization (per-tile, per-query full scale, as the SAR ADC
+        columns would).  Counters scale with the batch width: each tile
+        bills ``batch`` MVMs and ``batch * cols`` conversions.
         """
-        if chunk_index is None:
-            chunk_index = np.arange(self.n_tiles)
-        chunks = np.asarray(chunks, dtype=np.float32)
-        batch = chunks.shape[1] if chunks.ndim == 3 else 0
-        grouped = self.matmat_grouped(chunks, chunk_index,
-                                      quantize_output=quantize_output)
-        out = np.empty((self.n_tiles, batch, self.cols), dtype=np.float32)
-        for currents, tiles in zip(grouped, self._merged_groups):
-            out[tiles] = currents.reshape(
-                batch, tiles.size, self.cols).transpose(1, 0, 2)
-        return out
+        grouped = np.stack(self.matmat_grouped(
+            chunks, quantize_output=quantize_output))
+        n_groups, batch = grouped.shape[:2]
+        return grouped.reshape(n_groups, batch, -1, self.cols)[
+            self._group_of, :, self._slot_of]
 
-    def matmat_grouped(self, chunks: np.ndarray, chunk_index: np.ndarray, *,
+    def matmat_grouped(self, chunks: np.ndarray, *,
                        quantize_output: bool = True) -> list[np.ndarray]:
-        """The GEMM core of :meth:`matmat`, without the per-tile scatter.
+        """The GEMM core of :meth:`matmat`, without the per-tile gather.
 
         Returns one ``(batch, group_size * cols)`` current matrix per
         chunk group; columns are blocked per tile in ascending flat-index
@@ -434,15 +321,11 @@ class TileBank:
         """
         self._require_programmed()
         chunks = np.asarray(chunks, dtype=np.float32)
-        chunk_index = np.asarray(chunk_index, dtype=np.int64)
-        if chunk_index.shape != (self.n_tiles,):
-            raise ValueError("chunk_index must map every tile to a chunk")
-        if (chunks.ndim != 3 or chunks.shape[0] != int(chunk_index.max()) + 1
+        if (chunks.ndim != 3 or chunks.shape[0] != len(self._cells)
                 or chunks.shape[2] != self.rows):
             raise ValueError(
-                f"expected (n_chunks, batch, rows={self.rows}) inputs, "
-                f"got {chunks.shape}")
-        operands, _ = self._merged_operand(chunk_index)
+                f"expected (n_chunks={len(self._cells)}, batch, "
+                f"rows={self.rows}) inputs, got {chunks.shape}")
         if quantize_output:
             # One ADC step per (tile group, query): the full scale
             # depends only on the shared input chunk.
@@ -450,8 +333,9 @@ class TileBank:
             full_scale = np.where(full_scale == 0.0, 1.0, full_scale)
             steps = 2.0 * full_scale / (2 ** self.adc_bits - 1)
         out = []
-        for g, (chunk, operand) in enumerate(zip(chunks, operands)):
-            currents = chunk @ operand          # (batch, group * cols)
+        for g, (chunk, cells) in enumerate(zip(chunks, self._cells)):
+            # The stored cells are the operand: (rows, group * cols).
+            currents = chunk @ cells.reshape(self.rows, -1)
             if quantize_output:
                 step = steps[g][:, None]
                 currents = np.rint(currents / step) * step
@@ -482,10 +366,10 @@ class TileBank:
     def snapshot(self) -> dict:
         """Versioned capture of the bank's durable state.
 
-        Stacked conductances, target levels, per-tile counters and every
-        tile generator's state: enough to :meth:`restore` the bank
-        bit-identically with no reprogramming (and no write-pulse
-        billing).
+        Conductances and target levels in tile order, per-tile counters
+        and every tile generator's state: enough to :meth:`restore` the
+        bank bit-identically with no reprogramming (and no write-pulse
+        billing), whatever its grouping.
         """
         return {
             "version": SNAPSHOT_VERSION,
@@ -504,7 +388,7 @@ class TileBank:
             },
             "programmed": self._programmed,
             "target_levels": self._target_levels.copy(),
-            "conductance": self._conductance.copy(),
+            "conductance": self.conductance,
             "rngs": [_rng_state(rng) for rng in self._rngs],
         }
 
@@ -517,9 +401,7 @@ class TileBank:
         an integer in the device's range, a counter vector that is not
         ``(n_tiles,)`` or a generator list of another length is a
         ``ValueError``.  Levels may arrive at any integer width (older
-        builds wrote ``int64``) and are stored at cell width.  Restoring
-        bumps :attr:`version` so any cached merged matmul operand is
-        rebuilt from the restored conductances.
+        builds wrote ``int64``) and are stored at cell width.
         """
         version = snap.get("version")
         if version != SNAPSHOT_VERSION:
@@ -556,11 +438,15 @@ class TileBank:
             raise ValueError(
                 f"snapshot target_levels leave the device's "
                 f"[0, {self.device.n_levels}) level range")
-        conductance = np.array(snap["conductance"], dtype=np.float32)
+        conductance = np.asarray(snap["conductance"])
         if conductance.shape != shape:
             raise ValueError(
                 f"snapshot conductance has shape {conductance.shape}, "
                 f"not {shape}")
+        # The one copy of the conductances: tile order in, group-major
+        # out, converted to float32 on the way.
+        cells = np.empty_like(self._cells)
+        cells[self._group_of, :, self._slot_of] = conductance
         rngs, programmed = snap["rngs"], bool(snap["programmed"])
         if len(rngs) != self.n_tiles:
             raise ValueError(f"snapshot holds {len(rngs)} generator "
@@ -570,18 +456,14 @@ class TileBank:
         for name, vector in counters.items():
             setattr(self, name, vector)
         self._target_levels = levels.astype(self._target_levels.dtype)
-        self._conductance = conductance
+        self._cells = cells
         self._programmed = programmed
-        self.version += 1
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the bank's cell state: conductances, target
-        levels and — once a product has built it — the merged matmul
-        operand (a second copy of the conductances)."""
-        merged = sum(operand.nbytes for operand in self._merged or ())
-        return (self._conductance.nbytes + self._target_levels.nbytes
-                + merged)
+        """Resident bytes of the bank's cell state: each cell's
+        conductance (float32) and target level, held once."""
+        return self._cells.nbytes + self._target_levels.nbytes
 
 
 class TileView:
@@ -589,10 +471,10 @@ class TileView:
 
     What ``CiMMatrix.iter_tiles_with_slice()`` yields: ``conductance``,
     ``target_levels``, ``stats`` and re-pulsing — the inspection surface of
-    a standalone :class:`CrossbarArray`, so a bank can be compared tile by
-    tile with the grid-of-crossbars oracle
-    (``tests/oracles/per_tile_cim.py``).  Mutations go through the bank
-    so its stacked state and counters stay authoritative.
+    a standalone crossbar, so a bank can be compared tile by tile with the
+    grid-of-crossbars oracle (``tests/oracles/per_tile_cim.py``).
+    Mutations go through the bank so its state and counters stay
+    authoritative.
     """
 
     def __init__(self, bank: TileBank, index: int):
@@ -603,7 +485,7 @@ class TileView:
 
     @property
     def conductance(self) -> np.ndarray:
-        return self.bank.conductance[self.index]
+        return self.bank._tile_cells(self.index)
 
     @property
     def target_levels(self) -> np.ndarray:

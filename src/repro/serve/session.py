@@ -32,7 +32,7 @@ from ..core.framework import (
 )
 from ..data.lamp import Sample
 from ..nvm.crossbar import CrossbarStats
-from ..llm.generation import GenerationConfig, PrefillState, prefill
+from ..llm.generation import PrefillState, prefill
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
 
@@ -177,16 +177,3 @@ class UserSession:
         """Approximate KV footprint of the cached prefill states."""
         return sum(state.cache.memory_bytes()
                    for state in self._prefill_states.values())
-
-    def answer(self, input_text: str,
-               generation: GenerationConfig | None = None) -> str:
-        """Answer a query with this user's best stored OVT.
-
-        The engine-less convenience (snapshot tests, examples): it takes
-        no engine lock, skips the prefill LRU and is absent from
-        ``engine.stats()``.  Served queries — :class:`~repro.core.NVCiMPT`
-        included — go through :meth:`PromptServeEngine.answer`.
-        """
-        answer = self.deployment().answer(input_text, generation)
-        self.queries_served += 1
-        return answer

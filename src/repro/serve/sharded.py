@@ -49,12 +49,6 @@ from .store import SessionStore
 __all__ = ["ShardedPromptEngine"]
 
 
-def _summed_keys() -> tuple[str, ...]:
-    """The additive counters, straight from the stats manifest."""
-    return tuple(key for key, kind in STATS_MANIFEST.items()
-                 if kind == "additive")
-
-
 class ShardedPromptEngine:
     """N serving engines behind one engine-shaped facade."""
 
@@ -234,7 +228,16 @@ class ShardedPromptEngine:
         averages); request latency histograms merge sample-by-sample.
         The shared session store is reported once, not per worker.
         """
-        per_worker = [worker.stats() for worker in self.workers]
+        per_worker = []
+        latency = LatencyHistogram()
+        for worker in self.workers:
+            # One critical section per worker: the decode thread records
+            # into this histogram under the same lock, so the merge sees
+            # exactly the samples the worker's own summary reports and
+            # never a histogram mid-`record`.
+            with worker._lock:
+                per_worker.append(worker.stats())
+                latency.merge(worker._latency)
         aggregate: dict = {}
         # Scalar kinds merge by their declared semantics.  A key missing
         # from any worker is skipped, not guessed at: a counter
@@ -255,9 +258,6 @@ class ShardedPromptEngine:
                 if num in aggregate and den in aggregate:
                     aggregate[key] = (aggregate[num] / aggregate[den]
                                       if aggregate[den] else 0.0)
-        latency = LatencyHistogram()
-        for worker in self.workers:
-            latency.merge(worker._latency)
         aggregate["latency_ms"] = latency.summary()
         aggregate["session_store"] = (self.session_store.stats()
                                       if self.session_store is not None

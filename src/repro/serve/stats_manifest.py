@@ -44,8 +44,8 @@ STATS_MANIFEST = {
     # from the session store.
     "spilled_bytes": "additive",
     "restored_bytes": "additive",
-    # Gauge: crossbar state (conductances, levels, merged matmul operand
-    # where built) held by resident deployed sessions.
+    # Gauge: crossbar state held by resident deployed sessions — each
+    # cell's conductance and level, once (5 B a cell).
     "resident_nvm_bytes": "additive",
     "session_store": "structural",
     # -- request flow -----------------------------------------------------

@@ -13,7 +13,9 @@ from repro.core import (
 from repro.compression import AutoencoderConfig, OVTAutoencoder
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
+from repro.serve import PromptServeEngine
 from repro.tuning import TuningConfig, VirtualTokens
+from tests.oracles.generation import session_answer_sequential
 
 
 @pytest.fixture(scope="module")
@@ -133,11 +135,12 @@ class TestDeployment:
     def test_answer_produces_text(self, setup):
         model, tok = setup
         library = self._library(setup)
-        deployment = NVCiMDeployment(model, tok, library, fast_config())
-        out = deployment.answer(stream_for(0, 1)[0].input_text,
-                                GenerationConfig(max_new_tokens=3,
-                                                 temperature=0.0,
-                                                 eos_id=tok.eos_id))
+        engine = PromptServeEngine(model, tok, fast_config())
+        engine.load_session(0, library)
+        out = engine.answer(0, stream_for(0, 1)[0].input_text,
+                            GenerationConfig(max_new_tokens=3,
+                                             temperature=0.0,
+                                             eos_id=tok.eos_id))
         assert isinstance(out, str)
 
     def test_digital_mode_restore_is_exact_in_code_space(self, setup):
@@ -175,8 +178,9 @@ class TestFacade:
 
     def test_answer_is_served_by_the_engine(self, setup):
         """The facade wraps a one-session engine and must not bypass it:
-        same bytes as the engine-less ``UserSession.answer``, and the
-        query is on the engine's books."""
+        same bytes as the engine-less oracle
+        (``tests/oracles/generation.py``), and the query is on the
+        engine's books."""
         model, tok = setup
         system = NVCiMPT(model, tok, fast_config())
         for sample in stream_for(0, 10):
@@ -188,8 +192,9 @@ class TestFacade:
                            None):                    # the paper defaults
             served = system.engine.stats()["requests_served"]
             out = system.answer(text, generation)
-            assert out.encode() == \
-                system._session.answer(text, generation).encode()
+            assert out.encode() == session_answer_sequential(
+                system._session, text,
+                generation or system.engine.default_generation()).encode()
             stats = system.engine.stats()
             assert stats["requests_served"] == served + 1
         assert stats["admitted"] == stats["latency_ms"]["count"] == 2
@@ -202,10 +207,10 @@ class TestFacade:
             system.observe(sample)
         system.answer(stream_for(0, 1)[0].input_text,
                       GenerationConfig(max_new_tokens=1))
-        first = system._deployment
+        first = system._session._deployment
         for sample in stream_for(0, 10, seed=2):
             system.observe(sample)
-        assert system._deployment is None  # invalidated
+        assert system._session._deployment is None  # invalidated
         system.answer(stream_for(0, 1)[0].input_text,
                       GenerationConfig(max_new_tokens=1))
-        assert system._deployment is not first
+        assert system._session._deployment is not first

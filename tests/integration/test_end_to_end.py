@@ -14,6 +14,7 @@ from repro.core import FrameworkConfig, NVCiMDeployment
 from repro.eval import score_output
 from repro.eval.runner import ExperimentContext, TABLE1_METHODS, evaluate_method
 from repro.llm.generation import generate
+from repro.serve import PromptServeEngine
 from repro.tuning import TuningConfig
 
 
@@ -72,10 +73,11 @@ class TestEndToEnd:
         generation = ctx.generation_config()
         task = ctx.user_task("LaMP-2", 0, config.buffer_capacity)
         library = ctx.library("phi-2-sim", "LaMP-2", 0, config)
-        deployment = NVCiMDeployment(model, ctx.tokenizer, library, config)
+        engine = PromptServeEngine(model, ctx.tokenizer, config)
+        engine.load_session(0, library)
         framework, zero_shot = [], []
         for query in task.queries:
-            out = deployment.answer(query.input_text, generation)
+            out = engine.answer(0, query.input_text, generation)
             framework.append(score_output("accuracy", out, query.target_text))
             base = ctx.tokenizer.decode(
                 generate(model, ctx.tokenizer.encode(query.input_text),
@@ -130,10 +132,11 @@ class TestEndToEnd:
         config = fast_config()
         task = ctx.user_task("LaMP-5", 0, config.buffer_capacity)
         library = ctx.library("phi-2-sim", "LaMP-5", 0, config)
-        deployment = NVCiMDeployment(ctx.model("phi-2-sim"), ctx.tokenizer,
-                                     library, config)
-        out = deployment.answer(task.queries[0].input_text,
-                                ctx.generation_config())
+        engine = PromptServeEngine(ctx.model("phi-2-sim"), ctx.tokenizer,
+                                   config)
+        engine.load_session(0, library)
+        out = engine.answer(0, task.queries[0].input_text,
+                            ctx.generation_config())
         assert isinstance(out, str) and out
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nvm import (
-    CrossbarArray,
     Int16Codec,
     REFERENCE_SIGMA,
     available_devices,
@@ -12,6 +11,8 @@ from repro.nvm import (
     get_device,
     slice_to_digits,
 )
+
+from tests.oracles.crossbar import CrossbarArray
 
 RNG = np.random.default_rng(17)
 

@@ -1,5 +1,7 @@
 """Snapshot/restore at the NVM layer: tile banks and CiM matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,7 @@ class TestTileBankSnapshot:
         other.restore(roundtrip(bank.snapshot()))
         assert np.array_equal(other.conductance, bank.conductance)
         assert other.aggregate_stats() == bank.aggregate_stats()
-        # The restored bank computes identically, merged-operand cache
-        # included (restore bumps the version so the cache rebuilds).
+        # The restored bank computes identically.
         assert np.array_equal(other.matmat(chunks), bank.matmat(chunks))
 
     def test_restored_rngs_continue_identically(self):
@@ -112,9 +113,53 @@ class TestTileBankSnapshot:
         bank = self.make_bank()
         assert bank.target_levels.dtype == np.uint8
         assert bank.snapshot()["target_levels"].dtype == np.uint8
-        assert bank.nbytes == bank.conductance.size * (4 + 1)
+        # Every cell once — float32 conductance + level — at every point
+        # of a bank's life: the product reads the stored cells, so a
+        # query (or a restore) leaves no second copy behind.
+        cells = bank.n_tiles * bank.rows * bank.cols
+        assert bank.nbytes == cells * (4 + 1)
         bank.matmat(np.zeros((bank.n_tiles, 1, bank.rows), np.float32))
-        assert bank.nbytes == bank.conductance.size * (4 + 1 + 4)
+        assert bank.nbytes == cells * (4 + 1)
+        other = self.make_bank(seed=77)
+        other.restore(roundtrip(bank.snapshot()))
+        other.matmat(np.zeros((bank.n_tiles, 1, bank.rows), np.float32))
+        assert other.nbytes == cells * (4 + 1)
+
+    def test_no_second_copy_of_the_conductances(self):
+        """``program`` writes each tile's ``ideal + noise`` straight into
+        the bank (temporaries: the per-cell sigma and ideal tables, the
+        narrowed levels, one tile of draws), ``restore`` fills one fresh
+        cell array, ``matmat`` allocates its outputs — and none of them
+        leaves a bank-sized array behind."""
+        device = get_device("NVM-3")
+        n_tiles, rows, cols = 16, 128, 64
+        levels = np.random.default_rng(1).integers(
+            0, device.n_levels, (n_tiles, rows, cols)).astype(np.intp)
+        chunks = np.ones((2, 1, rows), dtype=np.float32)
+        float_bank = 4 * levels.size        # one float32 per cell
+
+        def traced(call):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            now, peak = tracemalloc.get_traced_memory()
+            return (peak - before) / float_bank, (now - before) / float_bank
+
+        tracemalloc.start()
+        try:
+            bank = TileBank(device, n_tiles, rows=rows, cols=cols,
+                            chunk_index=np.tile(np.arange(2), 8))
+            bank.program(levels)
+            program = traced(lambda: bank.program(levels))
+            matmat = traced(lambda: bank.matmat(chunks))
+            snap = bank.snapshot()
+            restore = traced(lambda: bank.restore(snap))
+        finally:
+            tracemalloc.stop()
+        # (peak, left behind), in float32 banks.
+        assert program[0] < 2.5 and abs(program[1]) < 0.05
+        assert matmat[0] < 0.05 and abs(matmat[1]) < 0.05
+        assert restore[0] < 1.5 and abs(restore[1]) < 0.05
 
     def test_wide_levels_restore_narrow(self):
         """The bytes an older build wrote: ``int64`` levels.  They are
@@ -136,7 +181,7 @@ class TestTileBankSnapshot:
         other = self.make_bank(seed=77)
         other.restore(decode_value(blob))
         raw = np.frombuffer(blob, dtype=np.uint8)
-        for array in (other.conductance, other.target_levels,
+        for array in (other._cells, other.target_levels,
                       other.mvm_ops, other.write_pulses):
             assert not np.shares_memory(array, raw)
             assert array.flags.writeable and array.flags.aligned

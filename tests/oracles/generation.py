@@ -152,13 +152,20 @@ def decode_sequential(model, state, config):
     return np.asarray(generated, dtype=np.int64)
 
 
-def answer_sequential(engine, request) -> str:
-    """The answer text ``engine.query(request)`` must carry: retrieve,
-    restore, prefill, then :func:`decode_sequential` (no scheduler)."""
-    deployment = engine.session(request.user_id).deployment()
-    prompt = deployment.restored_prompt(deployment.retrieve(request.text))
-    state = prefill(engine.model, engine.tokenizer.encode(request.text),
+def session_answer_sequential(session, text, generation) -> str:
+    """What a served query must answer from this session's crossbars:
+    retrieve, restore, prefill, then :func:`decode_sequential` — no
+    engine, no scheduler, no prefill LRU, nothing on any engine's books."""
+    deployment = session.deployment()
+    prompt = deployment.restored_prompt(deployment.retrieve(text))
+    state = prefill(session.model, session.tokenizer.encode(text),
                     soft_prompt=prompt)
-    generation = request.generation or engine.default_generation()
-    return engine.tokenizer.decode(
-        decode_sequential(engine.model, state, generation))
+    return session.tokenizer.decode(
+        decode_sequential(session.model, state, generation))
+
+
+def answer_sequential(engine, request) -> str:
+    """The answer text ``engine.query(request)`` must carry."""
+    return session_answer_sequential(
+        engine.session(request.user_id), request.text,
+        request.generation or engine.default_generation())

@@ -14,9 +14,10 @@ import numpy as np
 
 from repro.cim import NullMitigation
 from repro.mitigation import SelectiveWriteVerify
-from repro.nvm import (CrossbarArray, CrossbarStats, Int16Codec,
-                       slice_to_digits, slice_weights)
+from repro.nvm import (CrossbarStats, Int16Codec, slice_to_digits,
+                       slice_weights)
 from repro.utils import rng_from_seed, spawn_generators
+from tests.oracles.crossbar import CrossbarArray
 
 _OFFSET = 32768  # excess code of the int16 bit-slicing
 
@@ -122,11 +123,8 @@ class PerTileCiMMatrix:
         total -= _OFFSET * float(x.sum())   # every stored word carries +OFFSET
         return (total * self.codec.scale).astype(np.float32)
 
-    def read_matrix(self, *, corrected=True):
-        decoded = self._read(0, self.shape[1], whole_tiles=True)
-        if not corrected:
-            return decoded
-        return self.mitigation.correct_read(self, decoded)
+    def read_matrix(self):
+        return self._read(0, self.shape[1], whole_tiles=True)
 
     def read_columns(self, col0, col1):
         decoded = self._read(col0, col1, whole_tiles=False)

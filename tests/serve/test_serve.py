@@ -369,8 +369,8 @@ class TestUserSession:
     def test_answer_without_library_raises(self, setup):
         model, tok = setup
         session = UserSession(7, model, tok, fast_config())
-        with pytest.raises(RuntimeError):
-            session.answer("movie about robot space tag")
+        with pytest.raises(RuntimeError, match="no OVTs trained"):
+            session.deployment()
 
     def test_adopt_library(self, setup):
         model, tok = setup

@@ -367,8 +367,9 @@ class TestByteStats:
         assert stats["session_store"]["bytes"] == sum(store.put_sizes)
 
     def test_resident_nvm_bytes_per_cell(self, setup):
-        """5 B a cell (float32 conductance + uint8 level) until a query
-        builds the merged matmul operand, 9 B after."""
+        """5 B a cell (float32 conductance + uint8 level) before and
+        after the first query, and after a restore: the GEMM reads the
+        stored cells, there is no second copy to build."""
         model, tok = setup
         engine = make_engine(model, tok, max_sessions=1,
                              session_store=SessionStore())
@@ -376,17 +377,17 @@ class TestByteStats:
         train(engine, 0)
         assert engine.stats()["resident_nvm_bytes"] == 0     # undeployed
         engine.answer(0, query, greedy(tok))
-        cells = sum(matrix.bank.conductance.size for matrix in
+        cells = sum(matrix.bank.target_levels.size for matrix in
                     engine.session(0).deployment()
                     .engine._scale_matrices.values())
-        assert engine.stats()["resident_nvm_bytes"] == 9 * cells
+        assert engine.stats()["resident_nvm_bytes"] == 5 * cells
 
         engine.drop_session(0)               # spill ...
         assert engine.stats()["resident_nvm_bytes"] == 0
-        engine.session(0)                    # ... and restore: no operand
+        engine.session(0)                    # ... and restore
         assert engine.stats()["resident_nvm_bytes"] == 5 * cells
         engine.answer(0, query, greedy(tok))
-        assert engine.stats()["resident_nvm_bytes"] == 9 * cells
+        assert engine.stats()["resident_nvm_bytes"] == 5 * cells
 
     def test_sharded_totals_are_the_sum_of_workers(self, setup):
         model, tok = setup

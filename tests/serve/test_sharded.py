@@ -1,5 +1,7 @@
 """ShardedPromptEngine: routing, trace equivalence, aggregate stats."""
 
+import threading
+
 import pytest
 
 from repro.core import FrameworkConfig
@@ -181,6 +183,43 @@ class TestAggregateStats:
         total = sum(worker["latency_ms"]["count"]
                     for worker in stats["workers"])
         assert stats["latency_ms"]["count"] == total
+
+    def test_latency_read_in_the_workers_critical_section(self, engines,
+                                                          monkeypatch):
+        """A request retiring on the decode thread while ``stats()`` runs
+        lands in both the worker's summary and the merged histogram or
+        in neither: the two are read under one hold of the worker's
+        lock.  Here a "decode thread" tries to record right after each
+        worker's own ``stats()`` returns — between the two reads."""
+        sharded, *_ = engines
+        recorders = []
+
+        def stats_then_record(worker, base):
+            summary = base()
+
+            def record():
+                with worker._lock:          # as _finalize does
+                    worker._latency.record(0.001)
+            recorder = threading.Thread(target=record)
+            recorder.start()
+            recorder.join(timeout=0.1)      # blocked while stats() holds on
+            recorders.append(recorder)
+            return summary
+
+        for worker in sharded.workers:
+            monkeypatch.setattr(
+                worker, "stats",
+                lambda worker=worker, base=worker.stats:
+                    stats_then_record(worker, base))
+        aggregate = sharded.stats()
+        assert aggregate["latency_ms"]["count"] == sum(
+            w["latency_ms"]["count"] for w in aggregate["workers"])
+        for recorder in recorders:
+            recorder.join(timeout=5)
+            assert not recorder.is_alive()
+        monkeypatch.undo()
+        assert sharded.stats()["latency_ms"]["count"] == (
+            aggregate["latency_ms"]["count"] + sharded.n_workers)
 
     def test_shared_store_reported_once(self, setup):
         model, tok = setup

@@ -23,11 +23,13 @@ from repro.serve import (
     PromptServeEngine,
     QueryRequest,
     SessionSnapshot,
+    SessionStore,
     SnapshotError,
     TuneRequest,
 )
 from repro.serve.codec import CodecError, decode_value, encode_value
 from repro.serve.snapshot import MAGIC, SCHEMA_VERSION
+from tests.oracles.generation import session_answer_sequential
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_session_v1.nvpt"
 GOLDEN_USER = 7
@@ -153,8 +155,15 @@ class TestSessionRoundTrip:
         monkeypatch.setattr(OVTAutoencoder, "fit", boom)
         monkeypatch.setattr(OVTAutoencoder, "update", boom)
 
-        restored = SessionSnapshot.from_bytes(blob).build_session(model, tok)
-        assert restored.answer(query, generation) == answer
+        # The path a real restore takes: an engine finds the blob in
+        # its store on the user's next query.
+        store = SessionStore()
+        store.put(session.user_id, blob)
+        engine = PromptServeEngine(model, tok, FrameworkConfig.preset("fast"),
+                                   session_store=store)
+        assert engine.answer(session.user_id, query, generation) == answer
+        assert engine.stats()["sessions_restored"] == 1
+        restored = engine.session(session.user_id)
         assert restored.queries_served == session.queries_served + 1
         assert restored.epochs_completed == session.epochs_completed
         assert len(restored.library) == len(session.library)
@@ -338,12 +347,13 @@ class TestBlobMovesOnce:
         owned += list(restored._deployment.engine._norms.values())
         for matrix in restored._deployment.engine._scale_matrices.values():
             bank = matrix.bank
-            owned += [bank.conductance, bank.target_levels, bank.mvm_ops,
+            owned += [bank._cells, bank.target_levels, bank.mvm_ops,
                       bank.write_pulses, matrix._ints]
         for array in owned:
             assert not np.shares_memory(array, raw)
             assert array.flags.writeable and array.flags.aligned
-        assert restored.answer(query, generation) == answer
+        assert session_answer_sequential(restored, query,
+                                         generation) == answer
 
     def test_restored_session_rngs_continue_identically(
             self, setup, trained_session):
@@ -390,7 +400,8 @@ class TestBlobMovesOnce:
             assert np.array_equal(mine.conductance, theirs.conductance)
         assert encode_value(restored._deployment.snapshot()) == \
             encode_value(session._deployment.snapshot())
-        assert restored.answer(query, generation) == answer
+        assert session_answer_sequential(restored, query,
+                                         generation) == answer
 
 
 class TestSnapshotValidation:
@@ -451,8 +462,8 @@ class TestGoldenFixture:
         generation = GenerationConfig(max_new_tokens=4, temperature=0.0,
                                       eos_id=tok.eos_id)
         query = stream_for(GOLDEN_USER, 10)[9].input_text
-        assert restored.answer(query, generation) == \
-            engine.session(GOLDEN_USER).answer(query, generation)
+        assert session_answer_sequential(restored, query, generation) == \
+            engine.answer(GOLDEN_USER, query, generation)
 
     def test_golden_reencodes_byte_identically(self):
         blob = GOLDEN_PATH.read_bytes()

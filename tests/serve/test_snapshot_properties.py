@@ -24,6 +24,7 @@ from repro.serve import (
 )
 from repro.serve.codec import decode_value, encode_value
 from tests.oracles.codec import encode_reference
+from tests.oracles.generation import session_answer_sequential
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -228,4 +229,5 @@ class TestSessionRoundTripAcrossTuners:
         restored = SessionSnapshot.from_bytes(blob).build_session(model, tok)
         assert restored.library.noise_aware is noise_aware
         assert restored.cim_stats() == session.cim_stats()
-        assert restored.answer(query, generation) == answer
+        assert session_answer_sequential(restored, query,
+                                         generation) == answer
