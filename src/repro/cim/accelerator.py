@@ -9,7 +9,11 @@ exactly how the paper's scaled-search GMM executes.
 All tiles live in one :class:`~repro.nvm.crossbar.TileBank` ordered
 slice-major ``(slice, row_tile, col_tile)`` and grouped by row tile — the
 tiles one input chunk feeds — so the bank holds each row tile's
-conductances side by side, as the GEMM operand.
+conductances side by side, as the GEMM operand.  The bank is as big as the
+matrix: a tile's occupied extent is the block of the digit plane that
+falls on it, nothing is zero-padded to subarray size, and programming,
+the product, the ADC, read-back, billing and snapshots all cost what
+``n_slices x d x n`` cells cost.
 :meth:`CiMMatrix.matmat` evaluates a whole batch of queries with one GEMM
 per row tile over the stored cells plus one vectorized ADC quantization —
 the serving engine's batched-retrieval hot path.  Every tile draws
@@ -81,7 +85,8 @@ class NullMitigation:
 
 
 class CiMMatrix:
-    """A (d, n) float matrix stored bit-sliced on NVM crossbars."""
+    """A (d, n) float matrix stored bit-sliced on NVM crossbars, occupying
+    ``n_slices * d * n`` cells of its ``n_subarrays`` subarrays."""
 
     def __init__(
         self,
@@ -126,7 +131,13 @@ class CiMMatrix:
             for slice_rng in spawn_generators(rng or rng_from_seed(0),
                                               self.n_slices)
             for tile_rng in spawn_generators(slice_rng, per_slice)])
-        self.bank.program(self._tiled_digits(digits))
+        # Each tile gets its (unpadded) block of its digit plane, in the
+        # same (slice, row_tile, col_tile) order.
+        self.bank.program([
+            plane[r * rows:(r + 1) * rows, c * cols:(c + 1) * cols]
+            for plane in digits
+            for r in range(self.n_row_tiles)
+            for c in range(self.n_col_tiles)])
         self.mitigation.post_program(self)
 
     # ------------------------------------------------------------------
@@ -134,29 +145,19 @@ class CiMMatrix:
     # ------------------------------------------------------------------
     def _new_bank(self, rngs: list[np.random.Generator] | None = None,
                   ) -> TileBank:
-        # A tile's input chunk is its row tile.
-        per_slice = np.repeat(np.arange(self.n_row_tiles), self.n_col_tiles)
-        return TileBank(self.device, self.n_subarrays,
-                        rows=self.subarray_rows, cols=self.subarray_cols,
-                        sigma=self.sigma, adc_bits=self._adc_bits, rngs=rngs,
-                        chunk_index=np.tile(per_slice, self.n_slices))
-
-    def _tiled_digits(self, digits: np.ndarray) -> np.ndarray:
-        """Digit planes as a zero-padded (n_tiles, rows, cols) stack.
-
-        Tiles are ordered slice-major — ``(slice, row_tile, col_tile)`` in
-        C order — the canonical order the per-tile generators are spawned
-        in.  The stack is built at the bank's cell width.
-        """
+        """A bank as big as the matrix: tiles are whole except along the
+        last row tile and the last column tile, which hold what is left
+        of ``shape``.  A tile's input chunk is its row tile."""
         d, n = self.shape
         rows, cols = self.subarray_rows, self.subarray_cols
-        padded = np.zeros(
-            (self.n_slices, self.n_row_tiles * rows, self.n_col_tiles * cols),
-            dtype=self.bank.target_levels.dtype)
-        padded[:, :d, :n] = digits
-        stack = padded.reshape(self.n_slices, self.n_row_tiles, rows,
-                               self.n_col_tiles, cols)
-        return stack.transpose(0, 1, 3, 2, 4).reshape(-1, rows, cols)
+        row_tile = np.repeat(np.arange(self.n_row_tiles), self.n_col_tiles)
+        col_tile = np.tile(np.arange(self.n_col_tiles), self.n_row_tiles)
+        per_slice = np.stack([np.minimum(rows, d - rows * row_tile),
+                              np.minimum(cols, n - cols * col_tile)], axis=1)
+        return TileBank(self.device, self.n_subarrays, rows=rows, cols=cols,
+                        sigma=self.sigma, adc_bits=self._adc_bits, rngs=rngs,
+                        chunk_index=np.tile(row_tile, self.n_slices),
+                        extent=np.tile(per_slice, (self.n_slices, 1)))
 
     @property
     def n_subarrays(self) -> int:
@@ -206,9 +207,9 @@ class CiMMatrix:
 
         The whole batch is evaluated against every tile with one batched
         matmul and one vectorized ADC pass.  Per-query physics is
-        unchanged: each query still bills one MVM per tile and ``cols``
-        conversions per tile, so energy counters scale with the batch
-        width exactly as B sequential queries would.
+        unchanged: each query still bills one MVM per tile and one
+        conversion per occupied column of it, so energy counters scale
+        with the batch width exactly as B sequential queries would.
         """
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim != 2:
@@ -220,8 +221,7 @@ class CiMMatrix:
         if queries.shape[0] == 0:
             raise ValueError("matmat needs at least one query")
         batch = queries.shape[0]
-        n_rt, n_ct = self.n_row_tiles, self.n_col_tiles
-        rows, cols = self.subarray_rows, self.subarray_cols
+        n_rt, rows = self.n_row_tiles, self.subarray_rows
         n_slices = self.n_slices
         # Row chunks, zero-padded to the tile grid: (n_rt, B, rows).
         chunks = np.zeros((batch, n_rt * rows), dtype=np.float32)
@@ -229,55 +229,45 @@ class CiMMatrix:
         chunks = np.ascontiguousarray(
             chunks.reshape(batch, n_rt, rows).transpose(1, 0, 2))
         # One GEMM + one vectorized ADC pass per row-tile group; a group's
-        # result blocks its columns per (slice, col_tile) in flat order.
+        # result blocks its occupied columns per (slice, col_tile) in flat
+        # order, so it is (batch, n_slices * n) with nothing to crop.
         grouped = self.bank.matmat_grouped(chunks,
                                            quantize_output=quantize_output)
-        # Shift-add: sum row-tile planes, weight the slices, crop padding.
-        planes = grouped[0].reshape(batch, n_slices, n_ct * cols)
-        planes = planes.astype(np.float64)
+        # Shift-add: sum row-tile planes, weight the slices.
+        planes = grouped[0].reshape(batch, n_slices, n).astype(np.float64)
         for part in grouped[1:]:
-            planes += part.reshape(batch, n_slices, n_ct * cols)
+            planes += part.reshape(batch, n_slices, n)
         weights = slice_weights(self.device.bits_per_cell, n_slices)
         weights = weights * (self.device.n_levels - 1)
-        total = np.tensordot(planes, weights, axes=(1, 0))[:, :n]
+        total = np.tensordot(planes, weights, axes=(1, 0))
         total -= _OFFSET * queries.sum(axis=1, dtype=np.float64)[:, None]
         outputs = (total * self.codec.scale).astype(np.float32)
         return self.mitigation.correct_output(self, outputs)
 
     def read_matrix(self) -> np.ndarray:
         """Read the stored matrix back raw (noisy, uncorrected), shape
-        (d, n) float32: the whole-tile read mitigations calibrate
-        against.  :meth:`read_columns` is the mitigated read.
+        (d, n) float32: the read mitigations calibrate against.
+        :meth:`read_columns` is the mitigated read.
         """
-        d, n = self.shape
-        value = np.zeros((d, n), dtype=np.float64)
-        weights = slice_weights(self.device.bits_per_cell, self.n_slices)
-        grid = self.bank.read_cells().reshape(
-            self.n_slices, self.n_row_tiles, self.n_col_tiles,
-            self.subarray_rows, self.subarray_cols)
-        for s in range(self.n_slices):
-            full = grid[s].transpose(0, 2, 1, 3).reshape(
-                self.n_row_tiles * self.subarray_rows,
-                self.n_col_tiles * self.subarray_cols)
-            value += full[:d, :n] * weights[s]
-        value -= _OFFSET
-        return self.codec.decode(value)
+        return self._read(0, self.shape[1])
 
     def read_columns(self, col0: int, col1: int) -> np.ndarray:
         """Read back only columns ``[col0, col1)``, shape (d, col1-col0).
 
         Touches (and bills ``cell_reads`` for) only the cells covering the
         requested columns in the tiles that hold them — the restore path's
-        read, which a full :meth:`read_matrix` would overcount by the
-        whole store.  Before the mitigation's correction, values equal
-        the same columns of :meth:`read_matrix` exactly.
+        read.  Before the mitigation's correction, values equal the same
+        columns of :meth:`read_matrix` exactly.
         """
-        d, n = self.shape
-        if not 0 <= col0 < col1 <= n:
+        if not 0 <= col0 < col1 <= self.shape[1]:
             raise ValueError(f"column range [{col0}, {col1}) outside "
-                             f"[0, {n})")
-        cols = self.subarray_cols
-        value = np.zeros((d, col1 - col0), dtype=np.float64)
+                             f"[0, {self.shape[1]})")
+        return self.mitigation.correct_read_columns(
+            self, self._read(col0, col1), col0, col1)
+
+    def _read(self, col0: int, col1: int) -> np.ndarray:
+        rows, cols = self.subarray_rows, self.subarray_cols
+        value = np.zeros((self.shape[0], col1 - col0), dtype=np.float64)
         weights = slice_weights(self.device.bits_per_cell, self.n_slices)
         for ct in range(col0 // cols, (col1 - 1) // cols + 1):
             lo, hi = max(col0 - ct * cols, 0), min(col1 - ct * cols, cols)
@@ -285,15 +275,13 @@ class CiMMatrix:
             # Flat bank index is (slice * n_rt + row_tile) * n_ct + ct.
             tiles = (np.arange(self.n_slices * self.n_row_tiles)
                      * self.n_col_tiles + ct)
-            digits = self.bank.read_cells(tiles=tiles, col0=lo, col1=hi)
-            digits = digits.reshape(self.n_slices,
-                                    self.n_row_tiles * self.subarray_rows,
-                                    hi - lo)
-            for s in range(self.n_slices):
-                value[:, out0:out0 + hi - lo] += digits[s, :d] * weights[s]
+            blocks = self.bank.read_cells(tiles=tiles, col0=lo, col1=hi)
+            for index, digits in enumerate(blocks):
+                s, rt = divmod(index, self.n_row_tiles)
+                value[rt * rows:rt * rows + len(digits),
+                      out0:out0 + hi - lo] += digits * weights[s]
         value -= _OFFSET
-        decoded = self.codec.decode(value)
-        return self.mitigation.correct_read_columns(self, decoded, col0, col1)
+        return self.codec.decode(value)
 
     def ideal_matrix(self) -> np.ndarray:
         """The noise-free stored values (after int16 quantization)."""

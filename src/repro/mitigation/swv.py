@@ -6,9 +6,11 @@ contribution of a cell grows with its positional weight, so SWV verifies the
 most-significant slices only, re-pulsing cells whose conductance deviates
 from the target by more than a tolerance.
 
-All tiles of the MSB slices are verified with stacked reads and one masked
-re-pulse per round.  Because each tile draws noise from its own spawned
-generator, a tile-by-tile verify loop (``tests/oracles/per_tile_cim.py``)
+The tiles of the MSB slices are verified one at a time, each at its
+occupied extent: erased cells hold nothing to verify, are never read and
+never re-pulsed, and no bank-sized level or mask stack is built.  Because
+each tile draws noise from its own spawned generator, the oracle's verify
+loop over standalone crossbars (``tests/oracles/per_tile_cim.py``)
 produces bit-identical conductances and identical operation counters.
 """
 
@@ -43,31 +45,24 @@ class SelectiveWriteVerify:
     def post_program(self, matrix) -> None:
         """Verify the MSB slices of the matrix's tile bank.
 
-        Per round: one stacked read of the still-active tiles, one masked
-        re-pulse of those whose error exceeds the tolerance.  Tiles drop
-        out of the round loop as soon as they pass, exactly like a
-        tile-by-tile loop would — reads, re-pulse counts and noise draws
-        match it one for one.
+        Per tile and round: one read of its occupied cells, one masked
+        re-pulse of those whose error exceeds the tolerance.  A tile
+        leaves the loop as soon as it passes.
         """
         bank = matrix.bank
-        first_verified = max(matrix.n_slices - self.verify_slices, 0)
-        active = np.concatenate([
-            matrix.slice_tile_indices(s)
-            for s in range(first_verified, matrix.n_slices)
-        ])
         level_values = bank.device.level_values()
         level_gain = bank.device.n_levels - 1
-        for _ in range(self.max_iterations):
-            if active.size == 0:
-                break
-            read = bank.read_cells(tiles=active) / level_gain
-            target = level_values[bank.target_levels[active]]
-            masks = np.abs(read - target) > self.tolerance_levels
-            failing = masks.any(axis=(1, 2))
-            if not failing.any():
-                break
-            bank.reprogram_cells(masks[failing], tiles=active[failing])
-            active = active[failing]
+        first_verified = max(matrix.n_slices - self.verify_slices, 0)
+        for slice_index in range(first_verified, matrix.n_slices):
+            for index in matrix.slice_tile_indices(slice_index):
+                tile = bank.tile(index)
+                for _ in range(self.max_iterations):
+                    read = tile.read_cells() / level_gain
+                    target = level_values[tile.target_levels]
+                    mask = np.abs(read - target) > self.tolerance_levels
+                    if not mask.any():
+                        break
+                    tile.reprogram_cells(mask)
 
     def prepare_values(self, values: np.ndarray) -> np.ndarray:
         return values

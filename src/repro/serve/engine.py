@@ -70,7 +70,7 @@ from .api import (
 )
 from .metrics import LatencyHistogram
 from .session import UserSession
-from .snapshot import SessionSnapshot
+from .snapshot import SessionSnapshot, SnapshotError
 from .store import SessionStore
 
 __all__ = ["PromptServeEngine", "QueueFull"]
@@ -121,16 +121,11 @@ class PromptServeEngine:
                  max_sessions: int = 8,
                  max_pending: int | None = None,
                  session_store: SessionStore | None = None,
-                 snapshot_mode: str = "raw",
                  speculative=None):
         if max_sessions <= 0:
             raise ValueError("max_sessions must be positive")
         if max_pending is not None and max_pending <= 0:
             raise ValueError("max_pending must be positive (or None)")
-        if snapshot_mode not in ("raw", "recipe"):
-            raise ValueError(
-                f"snapshot_mode must be 'raw' or 'recipe', "
-                f"got {snapshot_mode!r}")
         self.config = config if config is not None else FrameworkConfig()
         # Optional weight quantization: convert the frozen base model's
         # dense Linears to the packed int8/int4 execution path once, before
@@ -157,10 +152,9 @@ class PromptServeEngine:
         # gateway leans on.
         self.max_pending = max_pending
         # Durable session storage: when present, LRU eviction spills each
-        # session's snapshot here and session lookups transparently
+        # session's (raw) snapshot here and session lookups transparently
         # restore spilled users instead of losing their trained state.
         self.session_store = session_store
-        self.snapshot_mode = snapshot_mode
         self._sessions: OrderedDict[int, UserSession] = OrderedDict()
         self.evicted_sessions = 0
         self.requests_served = 0
@@ -171,6 +165,7 @@ class PromptServeEngine:
         self.sessions_restored = 0   # sessions rebuilt from the store
         self.spilled_bytes = 0       # blob bytes handed to the store
         self.restored_bytes = 0      # blob bytes read back from it
+        self.sessions_quarantined = 0    # blobs that did not restore
         self._evicted_prefill_hits = 0   # keeps stats monotonic across LRU
         self._evicted_cim = CrossbarStats()  # same, for crossbar counters
         # What was banked into the evicted baselines per spilled user, so a
@@ -255,8 +250,7 @@ class PromptServeEngine:
         hits = session.prefill_hits
         cim = session.cim_stats()
         if self.session_store is not None:
-            blob = SessionSnapshot.capture(
-                session, mode=self.snapshot_mode).to_bytes()
+            blob = SessionSnapshot.capture(session, mode="raw").to_bytes()
             self.session_store.put(session.user_id, blob)
             self._spill_baselines[session.user_id] = (hits, cim)
             self.sessions_spilled += 1
@@ -265,15 +259,28 @@ class PromptServeEngine:
         self._evicted_cim.add(cim)
 
     def _restore_session(self, user_id: int) -> UserSession | None:
-        """Rebuild a spilled user from the store; None when unknown."""
+        """Rebuild a spilled user from the store; None when unknown.
+
+        A blob that does not restore (truncated, corrupt, another
+        geometry or build) is quarantined and the user becomes unknown:
+        this query fails like any untuned user's, the next tune starts a
+        fresh session, no later query meets the blob again.  What the
+        spill banked stays banked — those requests were served.
+        """
         if self.session_store is None:
             return None
         blob = self.session_store.get(user_id)
         if blob is None:
             return None
+        try:
+            session = SessionSnapshot.from_bytes(blob).build_session(
+                self.model, self.tokenizer)
+        except SnapshotError:
+            self.session_store.quarantine(user_id)
+            self.sessions_quarantined += 1
+            self._spill_baselines.pop(user_id, None)
+            return None
         self.restored_bytes += len(blob)
-        snapshot = SessionSnapshot.from_bytes(blob)
-        session = snapshot.build_session(self.model, self.tokenizer)
         baseline = self._spill_baselines.pop(user_id, None)
         if baseline is not None:
             # This engine banked these counters when it spilled the user;
@@ -405,6 +412,7 @@ class PromptServeEngine:
                 "sessions_restored": self.sessions_restored,
                 "spilled_bytes": self.spilled_bytes,
                 "restored_bytes": self.restored_bytes,
+                "sessions_quarantined": self.sessions_quarantined,
                 "resident_nvm_bytes": sum(s.nvm_bytes()
                                           for s in self._sessions.values()),
                 "session_store": (self.session_store.stats()

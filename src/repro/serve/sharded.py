@@ -58,7 +58,6 @@ class ShardedPromptEngine:
                  max_sessions: int = 8,
                  max_pending: int | None = None,
                  session_store: SessionStore | None = None,
-                 snapshot_mode: str = "raw",
                  speculative=None):
         """``max_sessions`` and ``max_pending`` are per-worker budgets
         (each worker models one device's NVM banks and decode slots).
@@ -78,7 +77,6 @@ class ShardedPromptEngine:
                               max_sessions=max_sessions,
                               max_pending=max_pending,
                               session_store=session_store,
-                              snapshot_mode=snapshot_mode,
                               speculative=speculative)
             for _ in range(n_workers))
 

@@ -12,7 +12,8 @@ and come back answering byte-identically, without re-running one tuner
 step.
 
 Two capture modes trade size against restore cost, and both restore
-through the same path:
+through the same path (the engines spill ``raw``; ``recipe`` is how an
+operator archives a user without their crossbar state):
 
 * ``mode="raw"`` — the deployment section travels: crossbar
   conductances, cumulative counters and generator states.  Restore

@@ -44,8 +44,12 @@ STATS_MANIFEST = {
     # from the session store.
     "spilled_bytes": "additive",
     "restored_bytes": "additive",
+    # Stored blobs that did not restore and were moved aside; the user is
+    # unknown until re-tuned.
+    "sessions_quarantined": "additive",
     # Gauge: crossbar state held by resident deployed sessions — each
-    # cell's conductance and level, once (5 B a cell).
+    # occupied cell's conductance and level, once (5 B a cell; the erased
+    # rest of a subarray is not held).
     "resident_nvm_bytes": "additive",
     "session_store": "structural",
     # -- request flow -----------------------------------------------------

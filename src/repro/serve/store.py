@@ -94,6 +94,19 @@ class SessionStore:
         except FileNotFoundError:
             return False
 
+    def quarantine(self, user_id: int) -> bool:
+        """Move a blob that does not restore out of the store's sight;
+        True if there was one.  On disk it stays, for whoever asks why,
+        as ``session_<user>.nvpt.quarantined``; memory just drops it."""
+        if self._directory is None:
+            return self.delete(user_id)
+        path = self._path(int(user_id))
+        try:
+            os.replace(path, path.with_name(path.name + ".quarantined"))
+            return True
+        except FileNotFoundError:
+            return False
+
     def clear(self) -> None:
         """Drop every stored blob."""
         for user_id in self.user_ids():

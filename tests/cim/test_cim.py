@@ -80,8 +80,11 @@ class TestCiMMatrix:
         matrix = make_matrix(RNG.normal(size=(16, 4)).astype(np.float32))
         matrix.matvec(np.ones(16))
         stats = matrix.aggregate_stats()
-        assert stats.cells_programmed == 384 * 128 * 8
+        # One tile per slice, each as big as the matrix: occupied cells
+        # are programmed and converted, the rest of the 384x128 is erased.
+        assert stats.cells_programmed == stats.write_pulses == 16 * 4 * 8
         assert stats.mvm_ops == 8  # one per slice
+        assert stats.adc_conversions == 4 * 8
 
 
 class TestRetrievalCost:

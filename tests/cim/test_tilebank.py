@@ -4,7 +4,9 @@
 independent of iteration order), read back identically, evaluate
 matvec/matmat within float tolerance, and keep every operation counter in
 lockstep with ``tests/oracles/per_tile_cim.py`` across devices, variation
-levels, ADC resolutions and non-divisible tile geometries.
+levels, ADC resolutions and non-divisible tile geometries.  Both sides are
+as big as their data: a tile that the matrix only partly covers holds,
+pulses, multiplies and bills its occupied corner.
 """
 
 import numpy as np
@@ -20,8 +22,13 @@ RNG = np.random.default_rng(57)
 DEVICES = ["NVM-1", "NVM-3"]
 SIGMAS = [0.0, 0.15]
 ADC_BITS = [4, 8]
-# Single tile / non-divisible multi-tile / exactly tiled (32x16 subarrays).
-SHAPES = [(20, 7), (50, 23), (64, 16)]
+# On 32x16 subarrays: single tile / ragged in both directions, two column
+# tiles / exactly tiled / one row over / one column over / 3x3 tiles with
+# ragged last row and column tiles.
+SHAPES = [(20, 7), (50, 23), (64, 16), (33, 16), (32, 17), (70, 40)]
+# What a spine user deploys: two OVTs as the columns of one store per
+# scale, on the paper's 384x128 subarrays.
+SPINE_SHAPES = [(768, 2), (384, 2), (192, 2)]
 
 
 def make_pair(values, *, device="NVM-3", sigma=0.1, adc_bits=8, seed=7,
@@ -38,13 +45,13 @@ def make_pair(values, *, device="NVM-3", sigma=0.1, adc_bits=8, seed=7,
     return pair
 
 
-def run_workload(matrix, x, batch):
+def run_workload(matrix, x, batch, columns=(1, 3)):
     """A fixed mixed workload whose counters must match across layouts."""
     matrix.matvec(x)
     matrix.matvec(x, quantize_output=False)
     matrix.matmat(batch)
     matrix.read_matrix()
-    matrix.read_columns(1, 3)
+    matrix.read_columns(*columns)
 
 
 class TestEquivalenceMatrix:
@@ -86,6 +93,29 @@ class TestEquivalenceMatrix:
         run_workload(vec, x, batch)
         assert ref.aggregate_stats() == vec.aggregate_stats()
 
+    @pytest.mark.parametrize("shape", SPINE_SHAPES)
+    @pytest.mark.parametrize("mitigation_name", [None, "swv"])
+    def test_spine_shapes_agree(self, shape, mitigation_name):
+        w = RNG.normal(size=shape).astype(np.float32)
+        ref, vec = make_pair(w, sigma=0.1, rows=384, cols=128,
+                             mitigation_name=mitigation_name)
+        for (_, t_ref), (_, t_vec) in zip(ref.iter_tiles_with_slice(),
+                                          vec.iter_tiles_with_slice()):
+            assert t_vec.conductance.shape == (min(shape[0], 384), 2)
+            np.testing.assert_array_equal(t_ref.conductance,
+                                          t_vec.conductance)
+        x = RNG.normal(size=shape[0]).astype(np.float32)
+        batch = RNG.normal(size=(4, shape[0])).astype(np.float32)
+        run_workload(ref, x, batch, columns=(1, 2))
+        run_workload(vec, x, batch, columns=(1, 2))
+        np.testing.assert_allclose(ref.matmat(batch), vec.matmat(batch),
+                                   rtol=1e-3, atol=1e-3)
+        stats = vec.aggregate_stats()
+        assert ref.aggregate_stats() == stats
+        # Occupied cells only: 2 of every 128 columns, shape[0] rows.
+        assert stats.cells_programmed == vec.n_slices * shape[0] * 2
+        assert vec.bank.nbytes == stats.cells_programmed * 5
+
     def test_batched_counters_scale_with_batch_width(self):
         w = RNG.normal(size=(50, 23)).astype(np.float32)
         _, vec = make_pair(w, sigma=0.1)
@@ -94,8 +124,11 @@ class TestEquivalenceMatrix:
         vec.matmat(batch)
         stats = vec.aggregate_stats()
         assert stats.mvm_ops - base.mvm_ops == 5 * vec.n_subarrays
+        # One conversion per occupied column: every slice and row tile
+        # converts the matrix's 23 columns once (16 + 7 over two column
+        # tiles), not 2 x 16.
         assert (stats.adc_conversions - base.adc_conversions
-                == 5 * vec.n_subarrays * vec.subarray_cols)
+                == 5 * vec.n_slices * vec.n_row_tiles * 23)
 
     def test_matmat_rows_equal_single_matvecs(self):
         """Batched evaluation is bit-identical to one query at a time."""
@@ -164,11 +197,14 @@ class TestColumnRangeRead:
         before = matrix.aggregate_stats().cell_reads
         matrix.read_columns(2, 4)
         delta = matrix.aggregate_stats().cell_reads - before
-        # One column tile covers columns [0, 16): every slice reads both
-        # row tiles of that tile column, 2 columns x 32 rows each.
-        assert delta == matrix.n_slices * matrix.n_row_tiles * 32 * 2
-        # Far below a full-matrix read.
-        full_read = matrix.n_subarrays * 32 * 16
+        # One column tile covers columns [0, 16): every slice reads the
+        # occupied rows of that tile column (32 + 18 of the matrix's 50),
+        # 2 columns each.
+        assert delta == matrix.n_slices * 50 * 2
+        # Far below a full-matrix read, which bills what the store holds.
+        matrix.read_matrix()
+        full_read = matrix.aggregate_stats().cell_reads - before - delta
+        assert full_read == matrix.n_slices * 50 * 23
         assert delta < full_read / 10
 
     def test_range_validation(self):
@@ -191,11 +227,15 @@ class TestSpawnedTileStreams:
                 for _ in range(2)]
         tiles_a = list(mats[0].iter_tiles())
         tiles_b = list(mats[1].iter_tiles())
-        mask = np.ones((32, 16), dtype=bool)
-        tiles_a[3].reprogram_cells(mask)
-        tiles_a[5].reprogram_cells(mask)
-        tiles_b[5].reprogram_cells(mask)
-        tiles_b[3].reprogram_cells(mask)
+        # A tile is as big as its data: 3 is the ragged (18, 7) corner
+        # tile, 5 the (32, 7) one above it in the next slice.
+        masks = {t: np.ones(tiles_a[t].conductance.shape, dtype=bool)
+                 for t in (3, 5)}
+        assert [m.shape for m in masks.values()] == [(18, 7), (32, 7)]
+        tiles_a[3].reprogram_cells(masks[3])
+        tiles_a[5].reprogram_cells(masks[5])
+        tiles_b[5].reprogram_cells(masks[5])
+        tiles_b[3].reprogram_cells(masks[3])
         np.testing.assert_array_equal(mats[0].read_matrix(),
                                       mats[1].read_matrix())
 

@@ -65,7 +65,7 @@ class TestSelectiveWriteVerify:
         matrix = stored(w, SelectiveWriteVerify(verify_slices=2))
         for slice_index, tile in matrix.iter_tiles_with_slice():
             if slice_index < 6:  # LSB slices: initial program pulses only
-                assert tile.stats.write_pulses == 384 * 128
+                assert tile.stats.write_pulses == 16 * 4   # occupied cells
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -80,20 +80,29 @@ class TestTileBankSnapshot:
     # not: each used to be adopted and to fail (or silently mis-count)
     # on a later call.  `edit` damages one field of a good snapshot.
     MALFORMED = {
+        # The occupied cells travel flat in tile order: 3 * 8 * 6 of them.
         "conductance-shape": lambda snap: snap.update(
-            conductance=snap["conductance"][:, :4]),
+            conductance=snap["conductance"][:-4]),
         "levels-shape": lambda snap: snap.update(
-            target_levels=snap["target_levels"][:, :4]),
+            target_levels=snap["target_levels"][:-4]),
         "levels-float": lambda snap: snap.update(
             target_levels=snap["target_levels"].astype(np.float32)),
         "levels-above-range": lambda snap: snap.update(
-            target_levels=np.full((3, 8, 6), 9)),
+            target_levels=np.full(3 * 8 * 6, 9)),
         "levels-negative": lambda snap: snap.update(
-            target_levels=np.full((3, 8, 6), -1)),
+            target_levels=np.full(3 * 8 * 6, -1)),
         # 257 narrows to a valid 1 in uint8: the check must come first.
         "levels-would-wrap": lambda snap: snap.update(
-            target_levels=np.full((3, 8, 6), 257)),
+            target_levels=np.full(3 * 8 * 6, 257)),
+        # Flat arrays mean nothing under another bank's extent ...
+        "extent-of-another-bank": lambda snap: snap.update(
+            extent=snap["extent"] - 1),
+        # ... and without one the arrays must be whole-tile stacks.
+        "extent-absent-flat-arrays": lambda snap: snap.pop("extent"),
         "rngs-length": lambda snap: snap.update(rngs=snap["rngs"][:1]),
+        # Found at the last tile: the first two must not have been set.
+        "rng-kind-at-last-tile": lambda snap: snap["rngs"][-1].update(
+            state=dict(snap["rngs"][-1]["state"], bit_generator="MT19937")),
         "counter-shape": lambda snap: snap["counters"].update(
             mvm_ops=snap["counters"]["mvm_ops"][:1]),
     }
@@ -181,7 +190,7 @@ class TestTileBankSnapshot:
         other = self.make_bank(seed=77)
         other.restore(decode_value(blob))
         raw = np.frombuffer(blob, dtype=np.uint8)
-        for array in (other._cells, other.target_levels,
+        for array in (*other._cells, *other._levels,
                       other.mvm_ops, other.write_pulses):
             assert not np.shares_memory(array, raw)
             assert array.flags.writeable and array.flags.aligned

@@ -1,12 +1,14 @@
 """Single-subarray oracle: one standalone ``CrossbarArray`` object.
 
 The per-tile reference :class:`repro.nvm.TileBank` is compared against
-(through ``tests/oracles/per_tile_cim.py``): one physical subarray
-(default 384x128, the paper's geometry) whose cells are programmed to
-discrete conductance levels with device-dependent Gaussian variation and
-read back either cell-wise or through an analog matrix-vector multiply
-with ADC quantization at the columns.  A bank tile given the same
-generator programs to the same conductances bit for bit.
+(through ``tests/oracles/per_tile_cim.py``): an array as big as the data
+that falls on it (``rows x cols``), pulsed as the corner of a
+``pulse_shape`` physical subarray (default: the array itself; the paper's
+subarrays are 384x128).  Its cells are programmed to discrete conductance
+levels with device-dependent Gaussian variation and read back either
+cell-wise or through an analog matrix-vector multiply with ADC
+quantization at the columns.  A bank tile with the same occupied extent
+and the same generator programs to the same conductances bit for bit.
 """
 
 import numpy as np
@@ -20,9 +22,13 @@ class CrossbarArray:
 
     def __init__(self, device: NVMDevice, *, rows: int = 384, cols: int = 128,
                  sigma: float = 0.1, adc_bits: int = 8,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 pulse_shape: tuple[int, int] | None = None):
         if rows <= 0 or cols <= 0:
             raise ValueError("rows and cols must be positive")
+        self.pulse_shape = pulse_shape or (rows, cols)
+        if self.pulse_shape[0] < rows or self.pulse_shape[1] < cols:
+            raise ValueError("the array must fit inside its pulse_shape")
         if adc_bits < 2 or adc_bits > 16:
             raise ValueError("adc_bits must be in [2, 16]")
         self.device = device
@@ -73,8 +79,14 @@ class CrossbarArray:
 
     def _program_values(self, levels: np.ndarray) -> np.ndarray:
         ideal = self.device.level_values()[levels]
-        noise = self.device.program_noise(levels, self.sigma, self._rng)
-        return (ideal + noise).astype(np.float32)
+        stds = self.device.sigma_for_levels(levels, self.sigma)
+        # One draw per cell of the physical subarray, the array's corner
+        # kept: the whole-tile draw TileBank._pulse makes, and the one
+        # expression that changes with it ("draw what you occupy" would
+        # be size=levels.shape — every conductance re-rolls).
+        draws = self._rng.normal(0.0, 1.0, size=self.pulse_shape)[
+            :self.rows, :self.cols]
+        return (ideal + draws.astype(np.float32) * stds).astype(np.float32)
 
     # ------------------------------------------------------------------
     def read_cells(self) -> np.ndarray:

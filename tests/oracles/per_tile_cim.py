@@ -2,9 +2,11 @@
 
 Stores a matrix the way :class:`repro.cim.CiMMatrix` does — same codec,
 bit-slicing, tile grid and ``spawn_generators`` hierarchy (matrix -> slice
--> tile) — but as a Python grid of standalone crossbars evaluated one small
-matvec at a time.  Same per-tile streams means bit-identical conductances,
-tile for tile; outputs agree to float tolerance and counters exactly.
+-> tile) — but as a Python grid of standalone crossbars, each as big as the
+unpadded block of the digit plane that falls on it, evaluated one small
+matvec at a time.  Same per-tile streams and the same occupied extents
+means bit-identical conductances, tile for tile; outputs agree to float
+tolerance and counters exactly.
 """
 
 from contextlib import contextmanager
@@ -40,23 +42,23 @@ class PerTileCiMMatrix:
         self.n_row_tiles, self.n_col_tiles = -(-d // rows), -(-n // cols)
         self.n_subarrays = self.n_slices * self.n_row_tiles * self.n_col_tiles
         self.calibration = {}
-        padded = np.zeros((self.n_slices, self.n_row_tiles * rows,
-                           self.n_col_tiles * cols), dtype=np.int64)
-        padded[:, :d, :n] = digits
         self._tiles = []  # [slice][row_tile][col_tile]
         slice_rngs = spawn_generators(rng or rng_from_seed(0), self.n_slices)
-        for plane, slice_rng in zip(padded, slice_rngs):
+        for plane, slice_rng in zip(digits.astype(np.int64), slice_rngs):
             tile_rngs = iter(spawn_generators(
                 slice_rng, self.n_row_tiles * self.n_col_tiles))
             grid = []
             for r in range(self.n_row_tiles):
                 grid.append([])
                 for c in range(self.n_col_tiles):
-                    tile = CrossbarArray(device, rows=rows, cols=cols,
-                                         sigma=sigma, adc_bits=adc_bits,
-                                         rng=next(tile_rngs))
-                    tile.program(plane[r * rows:(r + 1) * rows,
-                                       c * cols:(c + 1) * cols])
+                    block = plane[r * rows:(r + 1) * rows,
+                                  c * cols:(c + 1) * cols]
+                    tile = CrossbarArray(device, rows=block.shape[0],
+                                         cols=block.shape[1], sigma=sigma,
+                                         adc_bits=adc_bits,
+                                         rng=next(tile_rngs),
+                                         pulse_shape=(rows, cols))
+                    tile.program(block)
                     grid[-1].append(tile)
             self._tiles.append(grid)
         if isinstance(self.mitigation, SelectiveWriteVerify):
@@ -111,14 +113,11 @@ class PerTileCiMMatrix:
         for s, grid in enumerate(self._tiles):
             plane = np.zeros(n, dtype=np.float64)
             for r, row in enumerate(grid):
-                chunk = np.zeros(rows, dtype=np.float32)
-                piece = x[r * rows:(r + 1) * rows]
-                chunk[:piece.size] = piece
+                chunk = x[r * rows:(r + 1) * rows]
                 for c, tile in enumerate(row):
                     out = tile.matvec(chunk, quantize_output=quantize_output)
-                    width = min(cols, n - c * cols)
-                    plane[c * cols:c * cols + width] += (
-                        out[:width] * (self.device.n_levels - 1))
+                    plane[c * cols:c * cols + tile.cols] += (
+                        out * (self.device.n_levels - 1))
             total += plane * weights[s]
         total -= _OFFSET * float(x.sum())   # every stored word carries +OFFSET
         return (total * self.codec.scale).astype(np.float32)
@@ -131,8 +130,8 @@ class PerTileCiMMatrix:
         return self.mitigation.correct_read_columns(self, decoded, col0, col1)
 
     def _read(self, col0, col1, whole_tiles):
-        """Columns ``[col0, col1)``: a full read bills every cell of every
-        tile, a range read only the cells that hold the columns."""
+        """Columns ``[col0, col1)``: a full read bills every cell every
+        tile holds, a range read only the cells that hold the columns."""
         rows, cols, d = self.subarray_rows, self.subarray_cols, self.shape[0]
         value = np.zeros((d, col1 - col0), dtype=np.float64)
         weights = slice_weights(self.device.bits_per_cell, self.n_slices)
@@ -141,11 +140,10 @@ class PerTileCiMMatrix:
             out0 = ct * cols + lo - col0
             for s, grid in enumerate(self._tiles):
                 for r, row in enumerate(grid):
-                    height = min(rows, d - r * rows)
                     digits = (row[ct].read_cells()[:, lo:hi] if whole_tiles
                               else row[ct].read_cells_range(lo, hi))
-                    value[r * rows:r * rows + height,
-                          out0:out0 + hi - lo] += digits[:height] * weights[s]
+                    value[r * rows:r * rows + len(digits),
+                          out0:out0 + hi - lo] += digits * weights[s]
         return self.codec.decode(value - _OFFSET)
 
 

@@ -10,6 +10,7 @@ from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
 from repro.serve import (
     PromptServeEngine,
     QueryRequest,
+    SessionSnapshot,
     SessionStore,
     ShardedPromptEngine,
     TuneRequest,
@@ -45,6 +46,19 @@ class TestSessionStoreBackends:
         assert store.delete(1)
         assert not store.delete(1)
         assert store.get(1) is None
+
+    def test_quarantine_moves_the_blob_out_of_sight(self, store):
+        store.put(1, b"bad")
+        store.put(2, b"good")
+        assert store.quarantine(1)
+        assert not store.quarantine(1)
+        assert store.get(1) is None and 1 not in store
+        assert store.user_ids() == [2] and store.stats()["bytes"] == 4
+        if store.directory is not None:     # kept for whoever asks why
+            assert (store.directory / "session_1.nvpt.quarantined"
+                    ).read_bytes() == b"bad"
+        store.put(1, b"fresh")              # the user can come back
+        assert store.get(1) == b"fresh"
 
     def test_user_ids_sorted(self, store):
         for user_id in (5, 1, 9):
@@ -100,12 +114,10 @@ def stream_for(user_id, count, seed=0):
     return ds.generate(make_user(user_id, seed=0), count, seed=seed)
 
 
-def make_engine(model, tok, *, max_sessions=2, session_store=None,
-                snapshot_mode="raw"):
+def make_engine(model, tok, *, max_sessions=2, session_store=None):
     return PromptServeEngine(model, tok, FrameworkConfig.preset("fast"),
                              max_sessions=max_sessions,
-                             session_store=session_store,
-                             snapshot_mode=snapshot_mode)
+                             session_store=session_store)
 
 
 def train(engine, user_id, count=10):
@@ -147,11 +159,17 @@ class TestEngineSpillRestore:
         expected = reference.query(QueryRequest(user_id=0, text=query,
                                                 generation=generation))
 
-        engine = make_engine(model, tok, session_store=SessionStore(),
-                             snapshot_mode=snapshot_mode)
+        store = SessionStore()
+        engine = make_engine(model, tok, session_store=store)
         for user_id in (0, 1, 2):
             train(engine, user_id)          # user 0 spills to the store
         assert not engine.has_session(0)
+        if snapshot_mode == "recipe":
+            # Engines spill raw; a recipe in the store (an archived user:
+            # deployed state left behind, re-programmed on the next
+            # query) restores through the same lookup.
+            store.put(0, SessionSnapshot.capture(
+                reference.session(0), mode="recipe").to_bytes())
         response = engine.query(QueryRequest(user_id=0, text=query,
                                              generation=generation))
         assert response.answer == expected.answer
@@ -228,11 +246,6 @@ class TestEngineSpillRestore:
         stats = engine.stats()
         assert stats["sessions_restored"] == 0
         assert stats["cim_write_pulses"] == banked  # what they cost stays
-
-    def test_rejects_unknown_snapshot_mode(self, setup):
-        model, tok = setup
-        with pytest.raises(ValueError, match="snapshot_mode"):
-            make_engine(model, tok, snapshot_mode="zip")
 
 
 class FullDiskOnce(SessionStore):
@@ -343,6 +356,78 @@ class TestFailedSpill:
         assert engine.answer(0, query, generation) == expected
 
 
+def truncated(blob):
+    return blob[:len(blob) // 2]
+
+
+def wrong_geometry(blob):
+    """What a build with other subarrays wrote: every array intact, the
+    banks not this deployment's."""
+    snap = SessionSnapshot.from_bytes(blob)
+    for store in snap.deployment["engine"]["stores"].values():
+        store["bank"]["rows"] = 192
+    return snap.to_bytes()
+
+
+class TestQuarantine:
+    """A blob that does not restore costs one re-tune, not every later
+    query: it is moved aside, counted, and the user becomes unknown."""
+
+    @pytest.mark.parametrize("damage", [truncated, wrong_geometry])
+    @pytest.mark.parametrize("n_workers", [None, 2])
+    def test_bad_blob_costs_one_retune(self, setup, flaky_store, n_workers,
+                                       damage):
+        model, tok = setup
+        store, generation = flaky_store, greedy(tok)
+        if n_workers:
+            engine = ShardedPromptEngine(
+                model, tok, FrameworkConfig.preset("fast"),
+                n_workers=n_workers, max_sessions=1, session_store=store)
+        else:
+            engine = make_engine(model, tok, max_sessions=1,
+                                 session_store=store)
+        query = stream_for(0, 12)[11].input_text
+        train(engine, 0)
+        expected = engine.answer(0, query, generation)
+        engine.drop_session(0)                       # spilled, deployed
+        store.put(0, damage(store.get(0)))
+        reads, before = len(store.get_sizes), engine.stats()
+
+        def monotone(since):
+            now = engine.stats()
+            for key in CIM_KEYS + ("prefill_hits", "requests_served",
+                                   "spilled_bytes", "restored_bytes"):
+                assert now[key] >= since[key], key
+            return now
+
+        # The first query meets the blob: unknown user, as if never tuned.
+        with pytest.raises(KeyError, match="no session for user 0"):
+            engine.answer(0, query, generation)
+        after = monotone(before)
+        assert after["sessions_quarantined"] == 1
+        assert after["sessions_restored"] == before["sessions_restored"]
+        assert after["restored_bytes"] == before["restored_bytes"]
+        assert len(store.get_sizes) == reads + 1
+        assert 0 not in store and store.user_ids() == []
+        if store.directory is not None:
+            assert (store.directory / "session_0.nvpt.quarantined").exists()
+
+        # The second does not: nothing left to read, same answer.
+        with pytest.raises(KeyError, match="no session for user 0"):
+            engine.answer(0, query, generation)
+        assert len(store.get_sizes) == reads + 1
+        assert monotone(after)["sessions_quarantined"] == 1
+
+        # A tune starts a fresh session, and it serves.
+        train(engine, 0)
+        assert engine.answer(0, query, generation) == expected
+        final = monotone(after)
+        assert final["sessions_created"] == before["sessions_created"] + 1
+        assert final["sessions_quarantined"] == 1
+        engine.drop_session(0)                       # spills again, cleanly
+        assert engine.answer(0, query, generation) == expected
+
+
 class TestByteStats:
     """``spilled_bytes`` / ``restored_bytes`` / ``resident_nvm_bytes``:
     what moved and what is held, in bytes rather than session counts."""
@@ -367,9 +452,10 @@ class TestByteStats:
         assert stats["session_store"]["bytes"] == sum(store.put_sizes)
 
     def test_resident_nvm_bytes_per_cell(self, setup):
-        """5 B a cell (float32 conductance + uint8 level) before and
-        after the first query, and after a restore: the GEMM reads the
-        stored cells, there is no second copy to build."""
+        """5 B an occupied cell (float32 conductance + uint8 level)
+        before and after the first query, and after a restore: the GEMM
+        reads the stored cells, there is no second copy to build, and the
+        erased rest of each subarray is not held at all."""
         model, tok = setup
         engine = make_engine(model, tok, max_sessions=1,
                              session_store=SessionStore())
@@ -377,10 +463,15 @@ class TestByteStats:
         train(engine, 0)
         assert engine.stats()["resident_nvm_bytes"] == 0     # undeployed
         engine.answer(0, query, greedy(tok))
-        cells = sum(matrix.bank.target_levels.size for matrix in
-                    engine.session(0).deployment()
-                    .engine._scale_matrices.values())
-        assert engine.stats()["resident_nvm_bytes"] == 5 * cells
+        stores = (engine.session(0).deployment()
+                  .engine._scale_matrices.values())
+        # Two OVTs as the columns of a 768-, a 384- and a 192-row store,
+        # eight 2-bit slices each — of 32 subarrays' 1,572,864 cells.
+        cells = sum(matrix.n_slices * matrix.shape[0] * matrix.shape[1]
+                    for matrix in stores)
+        assert cells == 8 * (768 + 384 + 192) * 2 == 21_504
+        assert sum(matrix.n_subarrays for matrix in stores) == 32
+        assert engine.stats()["resident_nvm_bytes"] == 5 * cells == 107_520
 
         engine.drop_session(0)               # spill ...
         assert engine.stats()["resident_nvm_bytes"] == 0

@@ -146,7 +146,10 @@ class TestCiMMatrixProperties:
         matrix = CiMMatrix(values, device, sigma=sigma, rows=8, cols=4,
                            rng=np.random.default_rng(seed + 1))
         rebuilt = CiMMatrix.from_snapshot(matrix.snapshot(), device)
-        masks = np.ones((matrix.bank.n_tiles, 8, 4), dtype=bool)
+        # Every occupied cell: the (10, 4) matrix leaves a (2, 4) corner
+        # in each slice's second row tile.
+        masks = [np.ones(shape, dtype=bool) for shape in matrix.bank.extent]
+        assert masks[1].shape == (2, 4)
         matrix.bank.reprogram_cells(masks)    # fresh noise draws
         rebuilt.bank.reprogram_cells(masks)
         assert np.array_equal(rebuilt.bank.conductance,
