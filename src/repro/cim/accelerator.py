@@ -6,14 +6,14 @@ Fig. 4), and tiled over 384x128 crossbars.  Matrix-vector products run
 slice-by-slice in the arrays and are shift-added digitally, which is
 exactly how the paper's scaled-search GMM executes.
 
-All tiles live in one :class:`~repro.nvm.crossbar.TileBank` ordered
-slice-major ``(slice, row_tile, col_tile)`` and grouped by row tile — the
-tiles one input chunk feeds — so the bank holds each row tile's
-conductances side by side, as the GEMM operand.  The bank is as big as the
-matrix: a tile's occupied extent is the block of the digit plane that
-falls on it, nothing is zero-padded to subarray size, and programming,
-the product, the ADC, read-back, billing and snapshots all cost what
-``n_slices x d x n`` cells cost.
+All tiles live in one :class:`~repro.nvm.crossbar.TileBank` built with
+``shape=self.shape``: one plane of tiles per bit slice, ordered
+``(slice, row_tile, col_tile)``, each row tile's conductances side by
+side as the GEMM operand — the grid is the bank's to work out.  The bank
+is as big as the matrix: a tile's occupied extent is the block of the
+digit plane that falls on it, nothing is zero-padded to subarray size,
+and programming, the product, the ADC, read-back, billing and snapshots
+all cost what ``n_slices x d x n`` cells cost.
 :meth:`CiMMatrix.matmat` evaluates a whole batch of queries with one GEMM
 per row tile over the stored cells plus one vectorized ADC quantization —
 the serving engine's batched-retrieval hot path.  Every tile draws
@@ -22,15 +22,14 @@ standalone crossbars the equivalence tests build
 (``tests/oracles/per_tile_cim.py``) programs to *bit-identical*
 conductances.
 
-Noise-mitigation baselines plug in via hooks: ``post_program`` (e.g.
+Noise-mitigation baselines subclass :class:`MitigationHooks`, whose no-op
+hooks are the no-mitigation case, and override ``post_program`` (e.g.
 selective write-verify re-pulses cells), ``correct_output`` (CxDNN /
 CorrectNet compensation applied to single or batched MVM outputs) and
 ``correct_read_columns`` for the mitigated read-back.
 """
 
 from __future__ import annotations
-
-from typing import Protocol
 
 import numpy as np
 
@@ -44,44 +43,36 @@ __all__ = ["CiMMatrix", "MitigationHooks", "NullMitigation"]
 _OFFSET = 32768  # excess code used by the int16 bit-slicing
 
 
-class MitigationHooks(Protocol):
-    """Interface the noise-mitigation baselines implement."""
+class MitigationHooks:
+    """The hooks a noise-mitigation baseline overrides.
 
-    name: str
+    Every hook defaults to doing nothing, so this class itself is no
+    mitigation — store and read raw, the paper's \"No-Miti\" — and is
+    registered as ``"none"`` (:data:`NullMitigation`).  A baseline
+    subclasses it and overrides only the hooks it implements.
+    """
+
+    name = "none"
 
     def post_program(self, matrix: "CiMMatrix") -> None:
         """Run after programming (may verify/re-program cells)."""
 
     def prepare_values(self, values: np.ndarray) -> np.ndarray:
         """Transform values before quantization (e.g. outlier clipping)."""
+        return values
 
     def correct_output(self, matrix: "CiMMatrix",
                        outputs: np.ndarray) -> np.ndarray:
         """Correct MVM outputs — one vector (n,) or a batch (B, n)."""
-
-    def correct_read_columns(self, matrix: "CiMMatrix", values: np.ndarray,
-                             col0: int, col1: int) -> np.ndarray:
-        """Correct a column-range read-back (columns ``[col0, col1)``)."""
-
-
-class NullMitigation:
-    """No mitigation: store and read raw (the paper's \"No-Miti\")."""
-
-    name = "none"
-
-    def post_program(self, matrix: "CiMMatrix") -> None:
-        return None
-
-    def prepare_values(self, values: np.ndarray) -> np.ndarray:
-        return values
-
-    def correct_output(self, matrix: "CiMMatrix",
-                       outputs: np.ndarray) -> np.ndarray:
         return outputs
 
     def correct_read_columns(self, matrix: "CiMMatrix", values: np.ndarray,
                              col0: int, col1: int) -> np.ndarray:
+        """Correct a column-range read-back (columns ``[col0, col1)``)."""
         return values
+
+
+NullMitigation = MitigationHooks
 
 
 class CiMMatrix:
@@ -145,19 +136,11 @@ class CiMMatrix:
     # ------------------------------------------------------------------
     def _new_bank(self, rngs: list[np.random.Generator] | None = None,
                   ) -> TileBank:
-        """A bank as big as the matrix: tiles are whole except along the
-        last row tile and the last column tile, which hold what is left
-        of ``shape``.  A tile's input chunk is its row tile."""
-        d, n = self.shape
-        rows, cols = self.subarray_rows, self.subarray_cols
-        row_tile = np.repeat(np.arange(self.n_row_tiles), self.n_col_tiles)
-        col_tile = np.tile(np.arange(self.n_col_tiles), self.n_row_tiles)
-        per_slice = np.stack([np.minimum(rows, d - rows * row_tile),
-                              np.minimum(cols, n - cols * col_tile)], axis=1)
-        return TileBank(self.device, self.n_subarrays, rows=rows, cols=cols,
+        """A bank as big as the matrix: one plane per bit slice."""
+        return TileBank(self.device, self.n_subarrays,
+                        rows=self.subarray_rows, cols=self.subarray_cols,
                         sigma=self.sigma, adc_bits=self._adc_bits, rngs=rngs,
-                        chunk_index=np.tile(row_tile, self.n_slices),
-                        extent=np.tile(per_slice, (self.n_slices, 1)))
+                        shape=self.shape)
 
     @property
     def n_subarrays(self) -> int:
@@ -187,6 +170,11 @@ class CiMMatrix:
         objects per call).
         """
         return self.bank.aggregate_stats()
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the stored cells (:attr:`TileBank.nbytes`)."""
+        return self.bank.nbytes
 
     # ------------------------------------------------------------------
     # Compute

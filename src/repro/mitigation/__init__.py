@@ -1,12 +1,15 @@
 """Noise-mitigation baselines: SWV, CxDNN, CorrectNet (paper Table I).
 
-The schemes live in a :class:`~repro.utils.Registry`, so new mitigations
-plug in without touching the framework:
+Each scheme subclasses :class:`~repro.cim.MitigationHooks` and overrides
+only the hooks it implements; the base class itself is ``"none"``.  The
+schemes live in a :class:`~repro.utils.Registry`, so new mitigations plug
+in without touching the framework:
 
+    from repro.cim import MitigationHooks
     from repro.mitigation import register_mitigation
 
     @register_mitigation("mymiti")
-    class MyMitigation: ...
+    class MyMitigation(MitigationHooks): ...
 
 and then ``FrameworkConfig(mitigation="mymiti")`` selects it.
 """

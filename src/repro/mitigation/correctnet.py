@@ -15,13 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cim.accelerator import MitigationHooks
+
 __all__ = ["CorrectNetMitigation"]
 
 _EPS = 1e-12
 
 
 @dataclass
-class CorrectNetMitigation:
+class CorrectNetMitigation(MitigationHooks):
     """Value clipping + per-column affine read/output correction."""
 
     clip_sigmas: float = 3.0

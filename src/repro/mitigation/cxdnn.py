@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cim.accelerator import MitigationHooks
+
 __all__ = ["CxDNNCompensation"]
 
 _EPS = 1e-12
 
 
 @dataclass
-class CxDNNCompensation:
+class CxDNNCompensation(MitigationHooks):
     """Per-column multiplicative output compensation."""
 
     name = "cxdnn"
@@ -34,9 +36,6 @@ class CxDNNCompensation:
             np.sum(ideal * ideal, axis=0) + _EPS)
         safe = np.where(np.abs(projection) < 0.05, 1.0, projection)
         matrix.calibration["column_gain"] = (1.0 / safe).astype(np.float32)
-
-    def prepare_values(self, values: np.ndarray) -> np.ndarray:
-        return values
 
     def _gain(self, matrix) -> np.ndarray:
         gain = matrix.calibration.get("column_gain")

@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cim.accelerator import MitigationHooks
+
 __all__ = ["SelectiveWriteVerify"]
 
 
 @dataclass
-class SelectiveWriteVerify:
+class SelectiveWriteVerify(MitigationHooks):
     """Write-verify on the top ``verify_slices`` bit planes."""
 
     verify_slices: int = 2          # MSB slices to verify
@@ -63,13 +65,3 @@ class SelectiveWriteVerify:
                     if not mask.any():
                         break
                     tile.reprogram_cells(mask)
-
-    def prepare_values(self, values: np.ndarray) -> np.ndarray:
-        return values
-
-    def correct_output(self, matrix, outputs: np.ndarray) -> np.ndarray:
-        return outputs
-
-    def correct_read_columns(self, matrix, values: np.ndarray,
-                             col0: int, col1: int) -> np.ndarray:
-        return values

@@ -1,18 +1,19 @@
 """Crossbar array simulation.
 
 A :class:`TileBank` is ``n_tiles`` subarrays of identical geometry
-(default 384x128, the paper's), each holding data in an occupied corner
-and erased elsewhere: occupied cells are programmed to discrete
-conductance levels with device-dependent Gaussian variation and read back
-either cell-wise or through an analog matrix product with ADC
-quantization at the occupied columns.  The conductances live once, in the
-layout the product reads — tiles that share an input chunk side by side —
-so a whole batch of inputs evaluates with one GEMM per chunk group over
-the stored cells themselves, plus one vectorized ADC quantization.  Each tile
-draws its programming noise from an independently spawned generator, so a
-bank programs to exactly the same conductances as the equivalent
-standalone crossbar objects would (``tests/oracles/crossbar.py``), and
-independently of tile iteration order.  :class:`TileView` exposes one
+(default 384x128, the paper's) tiling one matrix shape per plane, each
+holding data in an occupied corner and erased elsewhere: occupied cells
+are programmed to discrete conductance levels with device-dependent
+Gaussian variation and read back either cell-wise or through an analog
+matrix product with ADC quantization at the occupied columns.  The
+conductances live once, in the layout the product reads — the tiles of
+one row tile side by side — so a whole batch of inputs evaluates with one
+GEMM per row tile over the stored cells themselves, plus one vectorized
+ADC quantization.  Each tile draws its programming noise from an
+independently spawned generator, so a bank programs to exactly the same
+conductances as the equivalent standalone crossbar objects would
+(``tests/oracles/crossbar.py``), and independently of tile iteration
+order.  :class:`TileView` exposes one
 tile of a bank by index (state, counters, re-pulse).
 """
 
@@ -103,26 +104,30 @@ def _restore_rng_state(rng: np.random.Generator, snap: dict) -> None:
 class TileBank:
     """``n_tiles`` crossbar subarrays operated as one array.
 
-    A bank is as big as its data: ``extent`` gives every tile its
-    occupied ``(used_rows, used_cols) <= (rows, cols)`` corner (whole
-    tiles by default — the case ``extent == (rows, cols)``, not a second
-    path).  Cells outside it are *erased*: they read as level 0 /
-    conductance 0.0, are never pulsed, multiplied, billed, held or
-    snapshotted, and addressing one is a ``ValueError``.
+    The bank holds ``n_planes`` matrices of one ``shape=(d, n)``, each cut
+    on a grid of ``rows x cols`` subarrays: tile ``t`` is ``(plane,
+    row_tile, col_tile)`` in C order, so ``n_tiles`` is a whole number of
+    ``ceil(d / rows) * ceil(n / cols)``-tile planes.  ``shape=None`` is
+    ``(n_tiles * rows, cols)``: one plane of whole tiles, each its own
+    row tile and so fed by its own input chunk.
+
+    A bank is as big as its data: a tile's occupied corner, ``extent[t] =
+    (used_rows, used_cols)``, is the part of its plane that falls on it —
+    whole tiles except along the last row tile and the last column tile.
+    Cells outside it are *erased*: they are never pulsed, multiplied,
+    billed, held or snapshotted, and addressing one is a ``ValueError``.
 
     Every occupied cell is held once, in the layout the matrix product
-    reads.  ``chunk_index`` says which input chunk feeds each tile; tiles
-    fed by the same chunk form a *group*, share their used rows, and live
-    side by side in one ``(used_rows, sum(used_cols))`` float32 array — a
-    tile is a column range of it — so the stored conductances *are* the
-    GEMM operand, as on the array being simulated; target levels live in
-    the same layout at cell width.  Groups are equal-sized (a bit-sliced
-    matrix has ``n_slices * n_col_tiles`` tiles per row tile; the
-    default, one chunk per tile, is groups of one) and anything else is
-    refused at construction.  Per-tile data crosses the API as one
-    ``(used_rows, used_cols)`` block per tile (``program`` levels,
+    reads.  A tile's input chunk is its row tile; the tiles of one row
+    tile (a *group*) live side by side in one ``(used_rows, n_planes *
+    n)`` float32 array, tile ``(plane, row_tile, col_tile)`` at columns
+    ``plane * n + col_tile * cols`` — so the stored conductances *are*
+    the GEMM operand, as on the array being simulated; target levels
+    live in the same layout at cell width.  Per-tile data crosses the API
+    as one ``(used_rows, used_cols)`` block per tile (``program`` levels,
     ``reprogram_cells`` masks, ``read_cells`` results; for whole tiles a
-    stacked array is such a sequence).
+    stacked array is such a sequence); :meth:`tile` reads one tile's
+    state as views.
 
     Counters are per-tile ``(n_tiles,)`` vectors.  Every tile owns an
     independently spawned ``rng`` (see
@@ -138,17 +143,16 @@ class TileBank:
     (``levels.astype(np.intp)``) and indexes with that.
     """
 
-    # `device` is configuration and `_span` is geometry derived from
-    # `chunk_index` and `extent`: re-supplied at construction, not state.
-    # `extent` itself is shipped — a snapshot's flat arrays mean nothing
-    # without it — and `restore` refuses another bank's.
-    _SNAPSHOT_EXCLUDED = ("device", "_span")
+    # `device` is configuration; `shape` and `_span` are geometry, derived
+    # at construction, not state.  `extent` is derived too but shipped —
+    # a snapshot's flat arrays mean nothing without it — and `restore`
+    # refuses another bank's.
+    _SNAPSHOT_EXCLUDED = ("device", "shape", "_span")
 
     def __init__(self, device: NVMDevice, n_tiles: int, *, rows: int = 384,
                  cols: int = 128, sigma: float = 0.1, adc_bits: int = 8,
                  rngs: Sequence[np.random.Generator] | None = None,
-                 chunk_index: np.ndarray | None = None,
-                 extent: np.ndarray | None = None):
+                 shape: tuple[int, int] | None = None):
         if n_tiles <= 0:
             raise ValueError("n_tiles must be positive")
         if rows <= 0 or cols <= 0:
@@ -160,51 +164,36 @@ class TileBank:
         if len(rngs) != n_tiles:
             raise ValueError(f"need {n_tiles} per-tile generators, "
                              f"got {len(rngs)}")
-        if chunk_index is None:
-            chunk_index = np.arange(n_tiles)
-        chunk_index = np.asarray(chunk_index)
-        if (chunk_index.shape != (n_tiles,)
-                or chunk_index.dtype.kind not in "iu"
-                or chunk_index.min() < 0):
-            raise ValueError("chunk_index must map every tile to a "
-                             "non-negative input chunk")
-        chunk_index = chunk_index.astype(np.intp)
-        sizes = np.bincount(chunk_index)
-        if (sizes != sizes[0]).any():
+        shape = np.asarray((n_tiles * rows, cols) if shape is None else shape)
+        if shape.shape != (2,) or shape.dtype.kind not in "iu" or \
+                (shape < 1).any():
+            raise ValueError(f"shape must be (d, n), two positive integers, "
+                             f"got {shape.tolist()}")
+        d, n = shape.tolist()
+        grid = (-(-d // rows), -(-n // cols))
+        n_planes, rest = divmod(n_tiles, grid[0] * grid[1])
+        if rest:
             raise ValueError(
-                f"chunk_index must split the tiles into equal-sized "
-                f"groups, got sizes {sizes.tolist()}")
-        extent = np.asarray([(rows, cols)] * n_tiles if extent is None
-                            else extent)
-        if (extent.shape != (n_tiles, 2) or extent.dtype.kind not in "iu"
-                or (extent < 1).any() or (extent > (rows, cols)).any()):
-            raise ValueError(
-                f"extent must give every tile its (used_rows, used_cols) "
-                f"within [1, {rows}] x [1, {cols}]")
-        extent = extent.astype(np.intp)
-        # A group's tiles take its columns in ascending tile order.
-        order = np.argsort(chunk_index, kind="stable")
-        used_rows, used_cols = extent[order].reshape(sizes.size, -1, 2).T
-        if (used_rows != used_rows[0]).any():
-            raise ValueError("extent must give the tiles fed by one chunk "
-                             "the same used rows")
-        ends = used_cols.cumsum(axis=0)
-        col0 = np.empty(n_tiles, dtype=np.intp)
-        col0[order] = (ends - used_cols).T.ravel()
+                f"a {d}x{n} shape takes {grid[0]}x{grid[1]} tiles a plane; "
+                f"{n_tiles} tiles are not a whole number of planes")
+        plane, row_tile, col_tile = np.unravel_index(np.arange(n_tiles),
+                                                     (n_planes, *grid))
         self.device = device
         self.n_tiles = n_tiles
         self.rows = rows
         self.cols = cols
         self.sigma = sigma
         self.adc_bits = adc_bits
-        self.extent = extent
+        self.shape = (d, n)
+        self.extent = np.stack([np.minimum(rows, d - rows * row_tile),
+                                np.minimum(cols, n - cols * col_tile)], axis=1)
         self._rngs = list(rngs)
-        # Tile t is columns [col0, col1) of group `group`'s arrays.
-        self._span = list(zip(chunk_index.tolist(), col0.tolist(),
-                              (col0 + extent[:, 1]).tolist()))
-        self._cells = [np.zeros(shape, dtype=np.float32)
-                       for shape in zip(used_rows[0].tolist(),
-                                        ends[-1].tolist())]
+        # Tile t is columns [col0, col1) of its row tile's arrays.
+        col0 = plane * n + col_tile * cols
+        self._span = list(zip(row_tile.tolist(), col0.tolist(),
+                              (col0 + self.extent[:, 1]).tolist()))
+        self._cells = [np.zeros((min(rows, d - rows * r), n_planes * n),
+                                dtype=np.float32) for r in range(grid[0])]
         self._levels = [
             np.zeros(group.shape,
                      dtype=np.min_scalar_type(device.n_levels - 1))
@@ -223,27 +212,6 @@ class TileBank:
         array list (``_cells`` / ``_levels``): a view."""
         group, col0, col1 = self._span[index]
         return groups[group][:, col0:col1]
-
-    def _stacked(self, groups: list[np.ndarray]) -> np.ndarray:
-        stack = np.zeros((self.n_tiles, self.rows, self.cols),
-                         dtype=groups[0].dtype)
-        for index, (used_rows, used_cols) in enumerate(self.extent.tolist()):
-            stack[index, :used_rows, :used_cols] = self._tile(groups, index)
-        return stack
-
-    @property
-    def conductance(self) -> np.ndarray:
-        """The noisy conductances as whole tiles, ``(n_tiles, rows,
-        cols)``, erased cells 0.0: a gathered copy for inspection.
-        Writing to it does not reach the bank (mutate through
-        :meth:`program` / :meth:`reprogram_cells`); :meth:`tile` reads one
-        tile without copying."""
-        return self._stacked(self._cells)
-
-    @property
-    def target_levels(self) -> np.ndarray:
-        """The target levels as whole tiles (see :attr:`conductance`)."""
-        return self._stacked(self._levels)
 
     def tile(self, index: int) -> "TileView":
         """One tile of the bank: state, counters and re-pulse by index."""
@@ -371,11 +339,11 @@ class TileBank:
                quantize_output: bool = True) -> np.ndarray:
         """Batched analog MVM for every tile at once.
 
-        ``chunks`` has shape ``(n_groups, batch, rows)`` — the distinct
-        input chunks for each query in the batch, one per tile unless the
-        bank was built with a ``chunk_index``.  Returns per-tile column
-        currents ``(n_tiles, batch, cols)`` (exactly 0 in unoccupied
-        columns) computed with one GEMM per chunk group, optionally
+        ``chunks`` has shape ``(n_row_tiles, batch, rows)`` — each row
+        tile's input chunk for each query in the batch (one per tile for
+        the default ``shape``).  Returns per-tile column currents
+        ``(n_tiles, batch, cols)`` (exactly 0 in unoccupied columns)
+        computed with one GEMM per row tile, optionally
         pushed through one vectorized ADC quantization (per-tile,
         per-query full scale, as the SAR ADC columns would).  Counters
         scale with the batch width: each tile bills ``batch`` MVMs and
@@ -392,9 +360,10 @@ class TileBank:
                        quantize_output: bool = True) -> list[np.ndarray]:
         """The GEMM core of :meth:`matmat`, without the per-tile gather.
 
-        Returns one ``(batch, sum(used_cols))`` current matrix per chunk
-        group; columns are blocked per tile in ascending flat-index
-        order, and only occupied columns are converted.  Callers that
+        Returns one ``(batch, n_planes * n)`` current matrix per row
+        tile, laid out like its cells (tile ``(plane, row_tile,
+        col_tile)`` at columns ``plane * n + col_tile * cols``); only
+        occupied columns exist, so only they are converted.  Callers that
         immediately re-aggregate tiles (the bit-sliced shift-add) use
         this to skip materialising the ``(n_tiles, batch, cols)`` layout.
         """
@@ -406,14 +375,14 @@ class TileBank:
                 f"expected (n_chunks={len(self._cells)}, batch, "
                 f"rows={self.rows}) inputs, got {chunks.shape}")
         if quantize_output:
-            # One ADC step per (tile group, query): the full scale
+            # One ADC step per (row tile, query): the full scale
             # depends only on the shared input chunk.
-            full_scale = np.abs(chunks).sum(axis=2)  # (n_groups, batch)
+            full_scale = np.abs(chunks).sum(axis=2)  # (n_row_tiles, batch)
             full_scale = np.where(full_scale == 0.0, 1.0, full_scale)
             steps = 2.0 * full_scale / (2 ** self.adc_bits - 1)
         out = []
         for g, (chunk, cells) in enumerate(zip(chunks, self._cells)):
-            # The stored cells are the operand: (used_rows, sum used_cols).
+            # The stored cells are the operand: (used_rows, n_planes * n).
             currents = chunk[:, :len(cells)] @ cells
             if quantize_output:
                 step = steps[g][:, None]
@@ -477,7 +446,8 @@ class TileBank:
         with the ``extent`` that gives them their shape, per-tile
         counters and every tile generator's state: enough to
         :meth:`restore` the bank bit-identically with no reprogramming
-        (and no write-pulse billing), whatever its grouping.
+        (and no write-pulse billing); tile order, so the row-tile layout
+        does not leak into it.
         """
         return {
             "version": SNAPSHOT_VERSION,

@@ -103,8 +103,51 @@ def wmsdp_reference(query: np.ndarray, candidate: np.ndarray,
     return total / sum(config.weights)
 
 
+class IdealStore:
+    """The ``on_cim=False`` store: the matrix held digitally and read
+    noise-free, behind the part of the :class:`CiMMatrix` surface the
+    search engine uses.  It bills no operation and holds no NVM bytes."""
+
+    nbytes = 0
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape
+
+    def matmat(self, queries: np.ndarray) -> np.ndarray:
+        # Per-row gemv keeps the digital baseline bit-identical to
+        # sequential queries regardless of the batch width.
+        return np.stack([row @ self.values for row in queries])
+
+    def read_columns(self, col0: int, col1: int) -> np.ndarray:
+        return self.values[:, col0:col1]
+
+    def aggregate_stats(self) -> CrossbarStats:
+        return CrossbarStats()
+
+    def snapshot(self) -> np.ndarray:
+        return self.values.copy()
+
+    @classmethod
+    def from_snapshot(cls, snap: np.ndarray, device: NVMDevice, *,
+                      mitigation: MitigationHooks | None = None,
+                      ) -> "IdealStore":
+        """The :meth:`CiMMatrix.from_snapshot` signature; a digital store
+        has no device or mitigation to apply."""
+        return cls(np.array(snap, dtype=np.float32))
+
+
 class CiMSearchEngine:
-    """Stores encoded OVTs on NVM and retrieves by WMSDP / MIPS."""
+    """Stores encoded OVTs on NVM and retrieves by WMSDP / MIPS.
+
+    Each scale's ``(rows, n_ovts)`` matrix is one *store*: a
+    :class:`CiMMatrix`, or with ``on_cim=False`` an :class:`IdealStore`
+    with the same interface — ``on_cim`` picks the class and the
+    snapshot key, and nothing else.
+    """
 
     # The device model is configuration: restore targets an engine
     # already built with the same device (snapshot stores its name).
@@ -126,8 +169,7 @@ class CiMSearchEngine:
         self.mitigation = mitigation
         self.on_cim = on_cim
         self._rng = rng or rng_from_seed(0)
-        self._scale_matrices: dict[int, CiMMatrix] = {}
-        self._digital_vectors: dict[int, np.ndarray] = {}
+        self._stores: dict[int, CiMMatrix | IdealStore] = {}
         self._norms: dict[int, np.ndarray] = {}
         self._row_counts: list[int] = []
         self._count = 0
@@ -148,8 +190,7 @@ class CiMSearchEngine:
             raise ValueError("need at least one OVT to build the store")
         self._row_counts = [m.shape[0] for m in encoded_ovts]
         self._count = len(encoded_ovts)
-        self._scale_matrices.clear()
-        self._digital_vectors.clear()
+        self._stores.clear()
         self._norms = {}
         # One spawned stream per scale store: a store's programming noise
         # depends only on its position in the build, not on how many
@@ -169,14 +210,11 @@ class CiMSearchEngine:
                 norms.append(norm if norm > 0 else 1.0)
             self._norms[scale] = np.asarray(norms, dtype=np.float32)
             stacked = np.stack(columns, axis=1)  # (rows, n_ovts)
-            if self.on_cim:
-                self._scale_matrices[scale] = CiMMatrix(
-                    stacked, self.device, sigma=self.sigma,
-                    adc_bits=self.config.adc_bits,
-                    mitigation=self.mitigation, rng=next(store_rngs),
-                )
-            else:
-                self._digital_vectors[scale] = stacked
+            self._stores[scale] = CiMMatrix(
+                stacked, self.device, sigma=self.sigma,
+                adc_bits=self.config.adc_bits,
+                mitigation=self.mitigation, rng=next(store_rngs),
+            ) if self.on_cim else IdealStore(stacked)
 
     def query(self, encoded_query: np.ndarray) -> np.ndarray:
         """WMSDP similarity of the query against every stored OVT.
@@ -205,14 +243,7 @@ class CiMSearchEngine:
             rows = [vectors[scale] for vectors in pooled]
             if self.config.normalize_scales:
                 rows = [_unit(row) for row in rows]
-            stacked = np.stack(rows)
-            if self.on_cim:
-                similarity = self._scale_matrices[scale].matmat(stacked)
-            else:
-                # Per-row gemv keeps the digital baseline bit-identical to
-                # sequential queries regardless of the batch width.
-                store = self._digital_vectors[scale]
-                similarity = np.stack([row @ store for row in stacked])
+            similarity = self._stores[scale].matmat(np.stack(rows))
             total += weight * similarity.astype(np.float64)
         return (total / sum(self.config.weights)).astype(np.float32)
 
@@ -232,11 +263,7 @@ class CiMSearchEngine:
             raise IndexError(f"OVT index {index} out of range")
         if 1 not in self.config.scales:
             raise RuntimeError("restore requires the scale-1 store")
-        if self.on_cim:
-            column = self._scale_matrices[1].read_columns(index, index + 1)
-            column = column[:, 0]
-        else:
-            column = self._digital_vectors[1][:, index]
+        column = self._stores[1].read_columns(index, index + 1)[:, 0]
         if self.config.normalize_scales:
             # Stored columns are unit vectors; the norm travels digitally.
             column = column * self._norms[1][index]
@@ -252,15 +279,14 @@ class CiMSearchEngine:
         all-zero counters.
         """
         total = CrossbarStats()
-        for matrix in self._scale_matrices.values():
-            total.add(matrix.aggregate_stats())
+        for store in self._stores.values():
+            total.add(store.aggregate_stats())
         return total
 
     def nvm_bytes(self) -> int:
         """Resident bytes of every scale store's tile bank (see
         :attr:`TileBank.nbytes`); a digital store holds none."""
-        return sum(matrix.bank.nbytes
-                   for matrix in self._scale_matrices.values())
+        return sum(store.nbytes for store in self._stores.values())
 
     def _require_built(self) -> None:
         if self._count == 0:
@@ -274,13 +300,14 @@ class CiMSearchEngine:
     def snapshot(self) -> dict:
         """Versioned capture of the built store's durable state.
 
-        The per-scale :class:`CiMMatrix` snapshots (conductances,
-        counters, generator states) plus this engine's own generator —
-        everything :meth:`from_snapshot` needs to rebuild the store
-        bit-identically without reprogramming.
+        The per-scale store snapshots (a :class:`CiMMatrix`'s
+        conductances, counters and generator states under ``"stores"``;
+        an :class:`IdealStore`'s matrix under ``"digital"``) plus this
+        engine's own generator — everything :meth:`from_snapshot` needs
+        to rebuild the stores bit-identically without reprogramming.
         """
         self._require_built()
-        snap = {
+        return {
             "version": self.SNAPSHOT_VERSION,
             "count": self._count,
             "row_counts": list(self._row_counts),
@@ -289,24 +316,33 @@ class CiMSearchEngine:
             "norms": {str(scale): norms.copy()
                       for scale, norms in self._norms.items()},
             "rng": _rng_state(self._rng),
+            "stores" if self.on_cim else "digital": {
+                str(scale): store.snapshot()
+                for scale, store in self._stores.items()},
         }
-        if self.on_cim:
-            snap["stores"] = {
-                str(scale): matrix.snapshot()
-                for scale, matrix in self._scale_matrices.items()}
-        else:
-            snap["digital"] = {str(scale): stacked.copy()
-                               for scale, stacked in
-                               self._digital_vectors.items()}
-        return snap
 
-    def _check_snapshot(self, snap: dict) -> None:
+    def _check_snapshot(self, snap: dict, key: str) -> None:
+        """Refuse another version, or parts that disagree about what the
+        engine holds: per-scale sections (``key``'s stores, ``norms``)
+        that are not exactly ``config.scales``, or ``row_counts`` / norms
+        that are not ``count`` long."""
         if snap.get("version") != self.SNAPSHOT_VERSION:
             raise ValueError(
                 f"unsupported CiMSearchEngine snapshot version "
                 f"{snap.get('version')!r}")
-        if bool(snap["on_cim"]) != self.on_cim:
-            raise ValueError("snapshot on_cim flag does not match engine")
+        scales = sorted(self.config.scales)
+        for part in (key, "norms"):
+            held = sorted(int(scale) for scale in snap[part])
+            if held != scales:
+                raise ValueError(f"snapshot {part} cover scales {held}, "
+                                 f"the search uses {scales}")
+        count = int(snap["count"])
+        shapes = {np.shape(norms) for norms in snap["norms"].values()}
+        if len(snap["row_counts"]) != count or shapes != {(count,)}:
+            raise ValueError(
+                f"snapshot of {count} OVTs holds "
+                f"{len(snap['row_counts'])} row counts and norms of "
+                f"shapes {sorted(shapes)}")
 
     @classmethod
     def from_snapshot(
@@ -321,25 +357,33 @@ class CiMSearchEngine:
         """Rebuild a store from a :meth:`snapshot`, bit-identically.
 
         No crossbar is programmed: every scale store comes back through
-        :meth:`CiMMatrix.from_snapshot`, counters and generator states
-        included.
+        its class's ``from_snapshot``, counters and generator states
+        included.  A section whose parts disagree (see
+        :meth:`_check_snapshot`), or a store that is not ``(rows_s,
+        count)`` — ``pad_length // s`` pooled tokens of one code width —
+        is a ``ValueError`` here rather than an error on every query.
         """
         self = cls(device, sigma=float(snap["sigma"]), config=config,
                    mitigation=mitigation, on_cim=bool(snap["on_cim"]),
                    rng=rng)
-        self._check_snapshot(snap)
-        self._count = int(snap["count"])
+        store_class, key = ((CiMMatrix, "stores") if self.on_cim
+                            else (IdealStore, "digital"))
+        self._check_snapshot(snap, key)
+        count = int(snap["count"])
+        stores = {int(scale): store_class.from_snapshot(
+                      store, device, mitigation=self.mitigation)
+                  for scale, store in snap[key].items()}
+        first = min(stores)
+        code_dim = stores[first].shape[0] * first // config.pad_length
+        for scale, store in stores.items():
+            shape = (config.pad_length // scale * code_dim, count)
+            if tuple(store.shape) != shape:
+                raise ValueError(f"the scale-{scale} store holds a "
+                                 f"{tuple(store.shape)} matrix, not {shape}")
+        self._count = count
         self._row_counts = [int(n) for n in snap["row_counts"]]
         self._norms = {int(scale): np.array(norms, dtype=np.float32)
                        for scale, norms in snap["norms"].items()}
-        if self.on_cim:
-            self._scale_matrices = {
-                int(scale): CiMMatrix.from_snapshot(
-                    store, device, mitigation=self.mitigation)
-                for scale, store in snap["stores"].items()}
-        else:
-            self._digital_vectors = {
-                int(scale): np.array(stacked, dtype=np.float32)
-                for scale, stacked in snap["digital"].items()}
+        self._stores = stores
         _restore_rng_state(self._rng, snap["rng"])
         return self

@@ -282,7 +282,7 @@ class TestTileBank:
         mask = np.zeros((8, 4), dtype=bool)
         mask[0] = True
         view.reprogram_cells(mask)
-        after = bank.conductance[2]
+        after = view.conductance
         assert not np.allclose(after[0], before[0])
         np.testing.assert_allclose(after[1:], before[1:])
         assert view.stats.write_pulses == 8 * 4 + 4

@@ -158,7 +158,7 @@ class TestDeployment:
         library = self._library(setup)
         deployment = NVCiMDeployment(model, tok, library,
                                      fast_config(mitigation="cxdnn"))
-        engine_matrix = deployment.engine._scale_matrices[1]
+        engine_matrix = deployment.engine._stores[1]
         assert "column_gain" in engine_matrix.calibration
 
 

@@ -9,6 +9,7 @@ from repro.cim import CiMMatrix
 from repro.nvm import NVM_DEVICES, NVMDevice, get_device, register_device
 from repro.nvm.crossbar import CrossbarStats, TileBank
 from repro.serve.codec import decode_value, encode_value
+from tests.oracles.crossbar import whole_tiles
 
 
 def roundtrip(snap):
@@ -45,7 +46,7 @@ class TestTileBankSnapshot:
         bank.matmat(chunks)
         other = self.make_bank(seed=77)
         other.restore(roundtrip(bank.snapshot()))
-        assert np.array_equal(other.conductance, bank.conductance)
+        assert np.array_equal(whole_tiles(other), whole_tiles(bank))
         assert other.aggregate_stats() == bank.aggregate_stats()
         # The restored bank computes identically.
         assert np.array_equal(other.matmat(chunks), bank.matmat(chunks))
@@ -57,7 +58,7 @@ class TestTileBankSnapshot:
         masks = np.ones((bank.n_tiles, bank.rows, bank.cols), dtype=bool)
         bank.reprogram_cells(masks)
         other.reprogram_cells(masks)
-        assert np.array_equal(other.conductance, bank.conductance)
+        assert np.array_equal(whole_tiles(other), whole_tiles(bank))
 
     @pytest.mark.parametrize("key", ["conductance", "target_levels", "rngs",
                                      "programmed", "counters"])
@@ -120,7 +121,7 @@ class TestTileBankSnapshot:
 
     def test_levels_live_and_travel_at_cell_width(self):
         bank = self.make_bank()
-        assert bank.target_levels.dtype == np.uint8
+        assert whole_tiles(bank, "target_levels").dtype == np.uint8
         assert bank.snapshot()["target_levels"].dtype == np.uint8
         # Every cell once — float32 conductance + level — at every point
         # of a bank's life: the product reads the stored cells, so a
@@ -157,7 +158,7 @@ class TestTileBankSnapshot:
         tracemalloc.start()
         try:
             bank = TileBank(device, n_tiles, rows=rows, cols=cols,
-                            chunk_index=np.tile(np.arange(2), 8))
+                            shape=(2 * rows, 8 * cols))
             bank.program(levels)
             program = traced(lambda: bank.program(levels))
             matmat = traced(lambda: bank.matmat(chunks))
@@ -178,8 +179,9 @@ class TestTileBankSnapshot:
         snap["target_levels"] = snap["target_levels"].astype(np.int64)
         other = self.make_bank(seed=77)
         other.restore(roundtrip(snap))
-        assert other.target_levels.dtype == np.uint8
-        assert np.array_equal(other.target_levels, bank.target_levels)
+        levels = whole_tiles(other, "target_levels")
+        assert levels.dtype == np.uint8
+        assert np.array_equal(levels, whole_tiles(bank, "target_levels"))
         assert encode_value(other.snapshot()) == encode_value(bank.snapshot())
 
     def test_restored_arrays_are_owned(self):
@@ -197,7 +199,7 @@ class TestTileBankSnapshot:
         masks = np.ones((bank.n_tiles, bank.rows, bank.cols), dtype=bool)
         bank.reprogram_cells(masks)
         other.reprogram_cells(masks)
-        assert np.array_equal(other.conductance, bank.conductance)
+        assert np.array_equal(whole_tiles(other), whole_tiles(bank))
 
     def test_refused_program_leaves_bank_unchanged(self):
         bank = self.make_bank()
@@ -218,15 +220,15 @@ class TestTileBankSnapshot:
         levels = np.random.default_rng(1).integers(0, 512, (2, 8, 6))
         levels[0, 0, :2] = (511, 256)
         bank.program(levels)
-        assert bank.target_levels.dtype == np.uint16
-        assert np.array_equal(bank.target_levels, levels)
+        assert whole_tiles(bank, "target_levels").dtype == np.uint16
+        assert np.array_equal(whole_tiles(bank, "target_levels"), levels)
         snap = roundtrip(bank.snapshot())
         assert snap["target_levels"].dtype == np.uint16
         other = TileBank(device, 2, rows=8, cols=6, sigma=0.1)
         other.restore(snap)
-        assert other.target_levels.dtype == np.uint16
-        assert np.array_equal(other.target_levels, levels)
-        assert np.array_equal(other.conductance, bank.conductance)
+        assert whole_tiles(other, "target_levels").dtype == np.uint16
+        assert np.array_equal(whole_tiles(other, "target_levels"), levels)
+        assert np.array_equal(whole_tiles(other), whole_tiles(bank))
 
 
 class TestCiMMatrixSnapshot:

@@ -1,10 +1,11 @@
-"""``TileBank(extent=...)``: a bank is as big as its data.
+"""``TileBank(shape=...)``: a bank is as big as its data.
 
-A tile's occupied extent is the corner of the subarray that holds data;
-the rest is erased.  Given the same generators, an extent bank is bit for
-bit the occupied corner of the whole-tile bank programmed with the same
-levels (zero outside the extent) — the bank every earlier build held —
-and it pulses, converts, reads, holds and snapshots only that corner.
+A tile's occupied extent is the corner of the subarray that its plane's
+``shape`` covers; the rest is erased.  Given the same generators, a bank
+of a ragged shape is bit for bit the occupied corner of the whole-tile
+bank on the same grid programmed with the same levels (zero outside the
+extent) — the bank every earlier build held — and it pulses, converts,
+reads, holds and snapshots only that corner.
 """
 
 import numpy as np
@@ -12,74 +13,71 @@ import pytest
 
 from repro.nvm import TileBank, available_devices, get_device
 from repro.serve.codec import decode_value, encode_value
-from tests.nvm.test_tilebank_grouping import groupings
+from tests.nvm.test_tilebank_grouping import grids
+from tests.oracles.crossbar import whole_tiles
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 given, settings = hypothesis.given, hypothesis.settings
 
 
-
-def make_bank(device, chunk_index, rows, cols, seed, extent=None, **kwargs):
-    n_tiles = len(chunk_index)
+def make_bank(device, n_tiles, rows, cols, seed, shape, **kwargs):
     return TileBank(
-        device, n_tiles, rows=rows, cols=cols, chunk_index=chunk_index,
+        device, n_tiles, rows=rows, cols=cols, shape=shape,
         rngs=[np.random.default_rng([seed, t]) for t in range(n_tiles)],
-        extent=extent, **kwargs)
+        **kwargs)
 
 
-def corners(bank, blocks):
-    """Per-tile blocks as a whole-tile stack, zero outside each extent."""
-    stack = np.zeros((bank.n_tiles, bank.rows, bank.cols),
-                     dtype=np.asarray(blocks[0]).dtype)
-    for tile, block in zip(stack, blocks):
-        tile[:block.shape[0], :block.shape[1]] = block
-    return stack
+def covered(n_tiles, rows, cols, shape):
+    """Which cells of each tile its plane's ``shape`` covers, worked out
+    by cutting a ``shape``-sized block of ones on the grid."""
+    n_row_tiles, n_col_tiles = -(-shape[0] // rows), -(-shape[1] // cols)
+    plane = np.zeros((n_row_tiles * rows, n_col_tiles * cols), dtype=bool)
+    plane[:shape[0], :shape[1]] = True
+    tiles = plane.reshape(n_row_tiles, rows, n_col_tiles, cols).swapaxes(1, 2)
+    per_plane = n_row_tiles * n_col_tiles
+    return np.tile(tiles.reshape(per_plane, rows, cols),
+                   (n_tiles // per_plane, 1, 1))
 
 
 class TestExtentIsTheOccupiedCorner:
     @settings(max_examples=60, deadline=None)
-    @given(chunk_index=groupings(),
+    @given(grid=grids(ragged=True),
            device_name=st.sampled_from(available_devices()),
-           rows=st.integers(1, 6), cols=st.integers(1, 5),
            sigma=st.sampled_from([0.0, 0.1, 0.3]),
            adc_bits=st.integers(4, 10), seed=st.integers(0, 2 ** 32 - 1),
            data=st.data())
     def test_extent_bank_equals_corner_of_whole_tile_bank(
-            self, chunk_index, device_name, rows, cols, sigma, adc_bits,
-            seed, data):
+            self, grid, device_name, sigma, adc_bits, seed, data):
         device = get_device(device_name)
-        n_tiles, n_groups = len(chunk_index), int(chunk_index.max()) + 1
-        group_rows = np.array(data.draw(st.lists(
-            st.integers(1, rows), min_size=n_groups, max_size=n_groups)))
-        extent = np.stack([group_rows[chunk_index], data.draw(st.lists(
-            st.integers(1, cols), min_size=n_tiles, max_size=n_tiles))],
-            axis=1)
-        occupied = extent.prod(axis=1)
+        rows, cols, n_tiles, shape = grid
+        n_groups, n_col_tiles = -(-shape[0] // rows), -(-shape[1] // cols)
         small, whole = (
-            make_bank(device, chunk_index, rows, cols, seed, extent=e,
-                      sigma=sigma, adc_bits=adc_bits) for e in (extent, None))
+            make_bank(device, n_tiles, rows, cols, seed, s, sigma=sigma,
+                      adc_bits=adc_bits)
+            for s in (shape, (n_groups * rows, n_col_tiles * cols)))
+        inside = covered(n_tiles, rows, cols, shape)
+        extent = np.stack([inside.any(axis=2).sum(axis=1),
+                           inside.any(axis=1).sum(axis=1)], axis=1)
         assert np.array_equal(small.extent, extent)
         assert (whole.extent == (rows, cols)).all()
+        occupied = extent.prod(axis=1)
 
         rng = np.random.default_rng(seed)
-        levels = [rng.integers(0, device.n_levels, shape) for shape in extent]
+        levels = [rng.integers(0, device.n_levels, corner)
+                  for corner in extent]
         small.program(levels)
-        whole.program(corners(whole, levels))
-        inside = corners(small, [np.ones(shape, bool) for shape in extent])
+        whole.program(whole_tiles(whole, levels))
 
         def same_corner():
-            assert np.array_equal(small.conductance[inside],
-                                  whole.conductance[inside])
-            assert not small.conductance[~inside].any()
-            assert np.array_equal(small.target_levels,
-                                  whole.target_levels)
-            for index, shape in enumerate(extent):
-                view = small.tile(index)
-                assert view.conductance.shape == tuple(shape)
-                assert np.array_equal(
-                    view.conductance,
-                    whole.conductance[index, :shape[0], :shape[1]])
+            conductance = whole_tiles(small)
+            assert np.array_equal(conductance[inside],
+                                  whole_tiles(whole)[inside])
+            assert not conductance[~inside].any()
+            assert np.array_equal(whole_tiles(small, "target_levels"),
+                                  whole_tiles(whole, "target_levels"))
+            for index, corner in enumerate(extent):
+                assert small.tile(index).conductance.shape == tuple(corner)
 
         same_corner()
         assert small.nbytes == occupied.sum() * 5
@@ -87,17 +85,18 @@ class TestExtentIsTheOccupiedCorner:
         assert np.array_equal(small.cells_programmed, occupied)
 
         # A masked re-pulse (an empty mask draws nothing, on either bank).
-        masks = [rng.random(shape) < 0.5 for shape in extent]
+        masks = [rng.random(corner) < 0.5 for corner in extent]
         masks[0][...] = data.draw(st.booleans())
         small.reprogram_cells(masks)
-        whole.reprogram_cells(corners(whole, masks))
+        whole.reprogram_cells(whole_tiles(whole, masks))
         same_corner()
         assert np.array_equal(small.write_pulses, whole.write_pulses
                               - (rows * cols - occupied))
 
-        # The product.  Inputs are zero beyond a group's used rows, as a
-        # matrix's zero-padded row chunks are: the whole-tile bank's
+        # The product.  Inputs are zero beyond a row tile's used rows, as
+        # a matrix's zero-padded row chunks are: the whole-tile bank's
         # padding rows hold level-0 noise the extent bank does not have.
+        group_rows = extent[:n_groups * n_col_tiles:n_col_tiles, 0]
         chunks = rng.normal(size=(n_groups, 2, rows)).astype(np.float32)
         chunks *= np.arange(rows) < group_rows[:, None, None]
         analog = small.matmat(chunks, quantize_output=False)
@@ -123,31 +122,35 @@ class TestExtentIsTheOccupiedCorner:
         assert [block.shape for block in blocks] == [tuple(s) for s in extent]
         assert np.array_equal(small.cell_reads, occupied)
         gain = device.n_levels - 1
-        assert np.array_equal(corners(small, blocks),
-                              small.conductance * gain)
+        assert np.array_equal(whole_tiles(small, blocks),
+                              whole_tiles(small) * gain)
 
         # The snapshot is the corner, flat, and restores to itself.
         snap = small.snapshot()
         assert snap["conductance"].shape == (occupied.sum(),)
         assert snap["target_levels"].shape == (occupied.sum(),)
-        twin = make_bank(device, chunk_index, rows, cols, seed + 1,
-                         extent=extent, sigma=sigma, adc_bits=adc_bits)
+        twin = make_bank(device, n_tiles, rows, cols, seed + 1, shape,
+                         sigma=sigma, adc_bits=adc_bits)
         twin.restore(decode_value(encode_value(snap)))
         assert encode_value(twin.snapshot()) == encode_value(snap)
         assert np.array_equal(twin.matmat(chunks), small.matmat(chunks))
+
+
+# Two row tiles of 6 and 3 rows, two column tiles of 4 and 1 columns, on
+# 6x4 subarrays: tile extents (6, 4), (6, 1), (3, 4), (3, 1).
+SHAPE = (9, 5)
 
 
 class TestWholeTileSnapshots:
     """What every build before the occupied extent wrote: whole-tile
     ``(n_tiles, rows, cols)`` stacks and no ``extent``."""
 
-    def make(self, seed=3, extent=((5, 2), (5, 4), (3, 1), (3, 3))):
+    def make(self, seed=3):
         device = get_device("NVM-3")
-        bank = make_bank(device, np.array([0, 0, 1, 1]), 6, 4, seed,
-                         extent=np.array(extent))
+        bank = make_bank(device, 4, 6, 4, seed, SHAPE)
         rng = np.random.default_rng(seed)
         bank.program([rng.integers(0, device.n_levels, shape)
-                      for shape in extent])
+                      for shape in bank.extent])
         return bank
 
     @staticmethod
@@ -171,6 +174,7 @@ class TestWholeTileSnapshots:
         """The occupied corner is kept; what sat in the padding (zeros in
         every blob a build wrote, junk here) is dropped."""
         bank = self.make()
+        assert bank.extent.tolist() == [[6, 4], [6, 1], [3, 4], [3, 1]]
         chunks = np.ones((2, 1, 6), dtype=np.float32)
         bank.matmat(chunks)
         old = self.as_whole_tiles(bank, bank.snapshot(), junk_level=3,
@@ -215,36 +219,22 @@ class TestErasedCells:
     def make(self):
         return TestWholeTileSnapshots().make()
 
-    @pytest.mark.parametrize("extent", [
-        [(0, 2), (5, 4), (3, 1), (3, 3)],      # no rows
-        [(5, 2), (5, 5), (3, 1), (3, 3)],      # more columns than the tile
-        [(7, 2), (7, 4), (3, 1), (3, 3)],      # more rows than the tile
-        [(5, 2), (4, 4), (3, 1), (3, 3)],      # unequal rows in group 0
-        [(5, 2), (5, 4), (3, 1)],              # one tile short
-        [(5.0, 2.0)] * 4,                      # not integers
-    ])
-    def test_unusable_extent_refused_at_construction(self, extent):
-        with pytest.raises(ValueError, match="extent"):
-            TileBank(get_device("NVM-3"), 4, rows=6, cols=4,
-                     chunk_index=np.array([0, 0, 1, 1]),
-                     extent=np.array(extent))
-
     def test_addressing_an_erased_cell_is_refused_and_changes_nothing(self):
         bank = self.make()
         before = encode_value(bank.snapshot())
         whole = np.zeros((4, 6, 4), dtype=bool)
-        whole[0, 5, 3] = True                  # tile 0 is (5, 2)
+        whole[1, 5, 3] = True                  # tile 1 is (6, 1)
         with pytest.raises(ValueError, match="erased"):
             bank.reprogram_cells(whole)
         with pytest.raises(ValueError, match="erased"):
-            bank.tile(0).reprogram_cells(whole[0])
+            bank.tile(1).reprogram_cells(whole[1])
         with pytest.raises(ValueError, match="erased"):
             bank.program(np.zeros((4, 6, 4), dtype=np.int64))
         with pytest.raises(ValueError, match="occupied"):
-            bank.read_cells(col0=0, col1=2)    # tile 2 has one column
+            bank.read_cells(col0=0, col1=2)    # tile 1 has one column
         with pytest.raises(ValueError, match="occupied"):
-            bank.read_cells(tiles=[0], col0=2, col1=3)
+            bank.read_cells(tiles=[3], col0=1, col1=2)
         assert encode_value(bank.snapshot()) == before
-        assert [b.shape for b in bank.read_cells(tiles=[1, 3], col0=1,
-                                                 col1=3)] == [(5, 2), (3, 2)]
-        assert bank.cell_reads.tolist() == [0, 10, 0, 6]
+        assert [b.shape for b in bank.read_cells(tiles=[0, 2], col0=1,
+                                                 col1=3)] == [(6, 2), (3, 2)]
+        assert bank.cell_reads.tolist() == [12, 0, 6, 0]

@@ -1,10 +1,11 @@
-"""``TileBank(chunk_index=...)`` is pure data movement.
+"""``TileBank(shape=...)`` is pure data movement.
 
-However the tiles are grouped, the bank holds the same cells: given the
-same generators and levels, everything read in tile order —
-``conductance``, ``read_cells``, a re-pulse, the snapshot — is *exactly*
-what an identity-grouped bank (one chunk per tile, the layout every
-earlier build had) produces, and only the GEMM's operand shape differs.
+A bank cut on a grid holds each row tile's tiles side by side, the GEMM
+operand of the chunk they share.  Given the same generators and levels,
+everything read in tile order — ``bank.tile(i)``, ``read_cells``, a
+re-pulse, the snapshot — is *exactly* what the default bank (one row of
+whole tiles, one chunk per tile, the layout every earlier build had)
+produces, and only the GEMM's operand shape differs.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from repro.nvm import TileBank, available_devices, get_device
 from repro.serve.codec import encode_value
+from tests.oracles.crossbar import whole_tiles
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -19,48 +21,62 @@ given, settings = hypothesis.given, hypothesis.settings
 
 
 @st.composite
-def groupings(draw):
-    """Every way to split ``n_groups * group_size`` tiles into equal
-    groups: a shuffled ``repeat(arange(n_groups), group_size)``."""
-    n_groups = draw(st.integers(1, 4))
-    group_size = draw(st.integers(1, 4))
-    index = np.repeat(np.arange(n_groups), group_size)
-    return draw(st.permutations(index.tolist()).map(np.array))
+def grids(draw, ragged=False):
+    """``(rows, cols, n_tiles, shape)``: ``rows x cols`` tiles, one to
+    three planes of a grid of at most 3 x 2 tiles, and the ``shape`` each
+    plane holds — whole tiles, or (``ragged``) any shape that needs that
+    grid, so its last row and column tiles are partly erased."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    n_planes = draw(st.integers(1, 3))
+    n_row_tiles, n_col_tiles = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    d, n = n_row_tiles * rows, n_col_tiles * cols
+    if ragged:
+        d = draw(st.integers(d - rows + 1, d))
+        n = draw(st.integers(n - cols + 1, n))
+    return rows, cols, n_planes * n_row_tiles * n_col_tiles, (d, n)
 
 
-def make_bank(device, chunk_index, rows, cols, sigma, adc_bits, seed,
-              grouped):
-    n_tiles = len(chunk_index)
+def row_tiles(bank):
+    """The row tile — the input chunk — of every tile, in tile order."""
+    n_row_tiles = -(-bank.shape[0] // bank.rows)
+    n_col_tiles = -(-bank.shape[1] // bank.cols)
+    return np.arange(bank.n_tiles) // n_col_tiles % n_row_tiles
+
+
+def make_bank(device, n_tiles, rows, cols, sigma, adc_bits, seed, shape):
     return TileBank(
         device, n_tiles, rows=rows, cols=cols, sigma=sigma,
         adc_bits=adc_bits,
         rngs=[np.random.default_rng([seed, t]) for t in range(n_tiles)],
-        chunk_index=chunk_index if grouped else None)
+        shape=shape)
 
 
 def assert_same_state(grouped, identity):
-    assert grouped.conductance.tobytes() == identity.conductance.tobytes()
-    assert np.array_equal(grouped.target_levels, identity.target_levels)
+    for name in ("conductance", "target_levels"):
+        assert whole_tiles(grouped, name).tobytes() == \
+            whole_tiles(identity, name).tobytes()
     assert encode_value(grouped.snapshot()) == \
         encode_value(identity.snapshot())
 
 
 class TestGroupingIsDataMovement:
     @settings(max_examples=60, deadline=None)
-    @given(chunk_index=groupings(),
+    @given(grid=grids(),
            device_name=st.sampled_from(available_devices()),
-           rows=st.integers(1, 6), cols=st.integers(1, 5),
            sigma=st.sampled_from([0.0, 0.1, 0.3]),
            adc_bits=st.integers(4, 10), seed=st.integers(0, 2 ** 32 - 1),
            data=st.data())
     def test_grouped_bank_equals_identity_bank(
-            self, chunk_index, device_name, rows, cols, sigma, adc_bits,
-            seed, data):
+            self, grid, device_name, sigma, adc_bits, seed, data):
         device = get_device(device_name)
-        n_tiles, n_groups = len(chunk_index), int(chunk_index.max()) + 1
+        rows, cols, n_tiles, shape = grid
         grouped, identity = (
-            make_bank(device, chunk_index, rows, cols, sigma, adc_bits, seed,
-                      grouped=flag) for flag in (True, False))
+            make_bank(device, n_tiles, rows, cols, sigma, adc_bits, seed,
+                      shape=s) for s in (shape, None))
+        assert identity.shape == (n_tiles * rows, cols)
+        chunk_index = row_tiles(grouped)
+        n_groups = int(chunk_index.max()) + 1
+        assert len(grouped._cells) == n_groups
         rng = np.random.default_rng(seed)
         levels = rng.integers(0, device.n_levels, (n_tiles, rows, cols))
         for bank in (grouped, identity):
@@ -76,7 +92,7 @@ class TestGroupingIsDataMovement:
         assert encode_value(grouped.read_cells(tiles, col0, col1)) == \
             encode_value(identity.read_cells(tiles, col0, col1))
         assert grouped.tile(int(tiles[0])).conductance.tobytes() == \
-            identity.conductance[tiles[0]].tobytes()
+            identity.tile(int(tiles[0])).conductance.tobytes()
 
         # A masked re-pulse of those tiles (an empty mask draws nothing).
         masks = rng.random((len(tiles), rows, cols)) < 0.5
@@ -85,7 +101,7 @@ class TestGroupingIsDataMovement:
             bank.reprogram_cells(masks, tiles=tiles)
         assert_same_state(grouped, identity)
 
-        # The product: one GEMM per group vs one per tile.
+        # The product: one GEMM per row tile vs one per tile.
         chunks = rng.normal(size=(n_groups, 2, rows)).astype(np.float32)
         np.testing.assert_allclose(
             grouped.matmat(chunks, quantize_output=False),
@@ -104,30 +120,30 @@ class TestGroupingIsDataMovement:
                                   getattr(identity, name)), name
         assert_same_state(grouped, identity)
 
-        # A snapshot does not remember the grouping it was taken under.
-        twin = make_bank(device, chunk_index, rows, cols, sigma, adc_bits,
-                         seed + 1, grouped=True)
+        # A snapshot does not remember the layout it was taken under.
+        twin = make_bank(device, n_tiles, rows, cols, sigma, adc_bits,
+                         seed + 1, shape=shape)
         twin.restore(identity.snapshot())
         assert_same_state(twin, identity)
         assert np.array_equal(twin.matmat(chunks), grouped.matmat(chunks))
 
-    @pytest.mark.parametrize("chunk_index", [
-        [0, 0, 0, 1],              # unequal groups
-        [0, 0, 2, 2],              # chunk 1 feeds no tile
-        [-1, 0, 0, -1],            # negative entry
-        [0, 1, 0],                 # wrong length: 3 for 4 tiles ...
-        [0, 1, 0, 1, 0],           # ... and 5
-        [[0, 1], [0, 1]],          # not a vector
-        [0.0, 1.0, 0.0, 1.0],      # not integers
+    @pytest.mark.parametrize("shape", [
+        (0, 3),                    # no rows
+        (4, -1),                   # negative columns
+        (4, 3, 1),                 # not a pair ...
+        [[4, 3]],                  # ... nor a vector
+        (4.0, 3.0),                # not integers
+        (True, True),              # nor booleans
+        (12, 3),                   # 3 row tiles a plane: 4 tiles are not
+        (8, 9),                    # ... whole planes, nor are 2 x 3
+        (17, 3),                   # a plane needs 5 tiles, the bank has 4
     ])
-    def test_unusable_chunk_index_refused_at_construction(self, chunk_index):
-        with pytest.raises(ValueError, match="chunk_index"):
-            TileBank(get_device("NVM-3"), 4, rows=4, cols=3,
-                     chunk_index=np.array(chunk_index))
+    def test_unusable_shape_refused_at_construction(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            TileBank(get_device("NVM-3"), 4, rows=4, cols=3, shape=shape)
 
     def test_chunks_must_match_the_grouping(self):
-        bank = TileBank(get_device("NVM-3"), 4, rows=4, cols=3,
-                        chunk_index=np.array([0, 1, 0, 1]))
+        bank = TileBank(get_device("NVM-3"), 4, rows=4, cols=3, shape=(8, 3))
         bank.program(np.zeros((4, 4, 3), dtype=np.int64))
         assert bank.matmat(np.ones((2, 1, 4), np.float32)).shape == (4, 1, 3)
         with pytest.raises(ValueError, match="n_chunks=2"):

@@ -9,6 +9,8 @@ levels with device-dependent Gaussian variation and read back either
 cell-wise or through an analog matrix-vector multiply with ADC
 quantization at the columns.  A bank tile with the same occupied extent
 and the same generator programs to the same conductances bit for bit.
+:func:`whole_tiles` gathers a bank's tiles into the zero-padded stack a
+bank of whole subarrays would hold, for tests that compare whole banks.
 """
 
 import numpy as np
@@ -135,3 +137,19 @@ class CrossbarArray:
     def _require_programmed(self) -> None:
         if not self._programmed:
             raise RuntimeError("crossbar has not been programmed")
+
+
+def whole_tiles(bank, blocks="conductance") -> np.ndarray:
+    """A ``TileBank``'s tiles as one ``(n_tiles, rows, cols)`` stack, zero
+    outside each tile's occupied corner — what a bank of whole subarrays
+    would hold.  ``blocks`` is one block per tile, or the name of the
+    ``TileView`` attribute to read from ``bank.tile(i)``
+    (``"conductance"`` / ``"target_levels"``)."""
+    if isinstance(blocks, str):
+        blocks = [getattr(bank.tile(i), blocks) for i in range(bank.n_tiles)]
+    blocks = [np.asarray(block) for block in blocks]
+    stack = np.zeros((bank.n_tiles, bank.rows, bank.cols),
+                     dtype=blocks[0].dtype)
+    for tile, block in zip(stack, blocks):
+        tile[:block.shape[0], :block.shape[1]] = block
+    return stack

@@ -218,6 +218,28 @@ class TestCiMSearchEngine:
         assert engine.n_stored == 2
         assert engine.retrieve(fresh[1]) == 1
 
+    @pytest.mark.parametrize("on_cim", [True, False])
+    def test_snapshot_parts_must_agree(self, on_cim):
+        """Either store class: a snapshot whose stores are one OVT wider
+        than ``count`` says, or that lost a scale, is refused at restore
+        — not by every later query."""
+        engine = self._engine(sigma=0.1, on_cim=on_cim)
+        engine.build(self._ovts(3))
+        key = "stores" if on_cim else "digital"
+        narrow = engine.snapshot()
+        narrow.update(count=2, row_counts=narrow["row_counts"][:2],
+                      norms={s: n[:2] for s, n in narrow["norms"].items()})
+        missing = engine.snapshot()
+        del missing[key]["2"]
+        for snap, reason in ((narrow, r"\(192, 3\) matrix, not \(192, 2\)"),
+                             (missing, f"{key} cover scales")):
+            with pytest.raises(ValueError, match=reason):
+                CiMSearchEngine.from_snapshot(snap, get_device("NVM-3"))
+        rebuilt = CiMSearchEngine.from_snapshot(engine.snapshot(),
+                                                get_device("NVM-3"))
+        query = self._ovts(1)[0]
+        assert np.array_equal(rebuilt.query(query), engine.query(query))
+
 
 class TestBatchedQueries:
     def _ovts(self, n=6, rows=8, dim=12):
@@ -283,7 +305,7 @@ class TestBatchedQueries:
         before = engine.aggregate_stats().cell_reads
         engine.restore(2)
         delta = engine.aggregate_stats().cell_reads - before
-        scale1 = engine._scale_matrices[1]
+        scale1 = engine._stores[1]
         rows, n_ovts = scale1.shape
         # One stored column out of four: the occupied rows of one column
         # per slice, a quarter of what the store holds.

@@ -560,7 +560,7 @@ class TestCiMTelemetry:
         session = trained_engine.session(0)
         deployment = session.deployment()
         engine = deployment.engine
-        scale1 = engine._scale_matrices[1]
+        scale1 = engine._stores[1]
         before = engine.aggregate_stats().cell_reads
         engine.restore(0)
         delta = engine.aggregate_stats().cell_reads - before

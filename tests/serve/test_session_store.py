@@ -369,11 +369,20 @@ def wrong_geometry(blob):
     return snap.to_bytes()
 
 
+def missing_scale(blob):
+    """Every bank intact, the engine's scale-4 store gone: it restored,
+    and every later query raised ``KeyError: 4``."""
+    snap = SessionSnapshot.from_bytes(blob)
+    del snap.deployment["engine"]["stores"]["4"]
+    return snap.to_bytes()
+
+
 class TestQuarantine:
     """A blob that does not restore costs one re-tune, not every later
     query: it is moved aside, counted, and the user becomes unknown."""
 
-    @pytest.mark.parametrize("damage", [truncated, wrong_geometry])
+    @pytest.mark.parametrize("damage", [truncated, wrong_geometry,
+                                        missing_scale])
     @pytest.mark.parametrize("n_workers", [None, 2])
     def test_bad_blob_costs_one_retune(self, setup, flaky_store, n_workers,
                                        damage):
@@ -464,7 +473,7 @@ class TestByteStats:
         assert engine.stats()["resident_nvm_bytes"] == 0     # undeployed
         engine.answer(0, query, greedy(tok))
         stores = (engine.session(0).deployment()
-                  .engine._scale_matrices.values())
+                  .engine._stores.values())
         # Two OVTs as the columns of a 768-, a 384- and a 192-row store,
         # eight 2-bit slices each — of 32 subarrays' 1,572,864 cells.
         cells = sum(matrix.n_slices * matrix.shape[0] * matrix.shape[1]

@@ -30,6 +30,7 @@ from repro.serve import (
 )
 from repro.serve.codec import CodecError, decode_value, encode_value
 from repro.serve.snapshot import MAGIC, SCHEMA_VERSION
+from tests.oracles.crossbar import whole_tiles
 from tests.oracles.generation import session_answer_sequential
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_session_v1.nvpt"
@@ -199,12 +200,12 @@ class TestSessionRoundTrip:
         assert not restored.is_deployed
         assert restored.cim_stats() == session.cim_stats()
 
-        stores = restored.deployment().engine._scale_matrices
-        originals = session.deployment().engine._scale_matrices
+        stores = restored.deployment().engine._stores
+        originals = session.deployment().engine._stores
         assert stores.keys() == originals.keys()
         for scale, matrix in stores.items():
-            assert np.array_equal(matrix.bank.conductance,
-                                  originals[scale].bank.conductance)
+            assert np.array_equal(whole_tiles(matrix.bank),
+                                  whole_tiles(originals[scale].bank))
         # One pulse per occupied cell: two OVTs on 768 + 384 + 192 rows,
         # eight slices.
         one_programming = sum(int(matrix.bank.extent.prod(axis=1).sum())
@@ -255,6 +256,34 @@ class TestSessionRoundTrip:
         with pytest.raises(SnapshotError, match="does not restore"):
             damaged.build_session(model, tok)
 
+    # Every store restores and the engine section's parts disagree: each
+    # used to build a session whose every query then raised (KeyError: 4,
+    # IndexError), which a gateway answered as "no session" forever.
+    INCONSISTENT = {
+        "missing-scale": lambda engine: engine["stores"].pop("4"),
+        "extra-scale": lambda engine: engine["stores"].update(
+            {"8": engine["stores"]["4"]}),
+        "norms-short": lambda engine: engine.update(norms={
+            scale: norms[:1] for scale, norms in engine["norms"].items()}),
+        "row-counts-short": lambda engine: engine.update(
+            row_counts=engine["row_counts"][:1]),
+        # One OVT as far as the counts go; the stores hold two.
+        "store-width": lambda engine: engine.update(
+            count=1, row_counts=engine["row_counts"][:1], norms={
+                scale: norms[:1] for scale, norms in engine["norms"].items()}),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(INCONSISTENT))
+    def test_raw_blob_inconsistent_engine_never_builds_a_session(
+            self, setup, trained_session, damage):
+        model, tok = setup
+        session, *_ = trained_session
+        snap = SessionSnapshot.capture(session, mode="raw")
+        self.INCONSISTENT[damage](snap.deployment["engine"])
+        damaged = SessionSnapshot.from_bytes(snap.to_bytes())
+        with pytest.raises(SnapshotError, match="does not restore"):
+            damaged.build_session(model, tok)
+
     def test_raw_blob_is_larger_than_recipe(self, trained_session):
         session, *_ = trained_session
         raw = SessionSnapshot.capture(session, mode="raw").to_bytes()
@@ -277,7 +306,7 @@ class TestSessionRoundTrip:
 
 def _banks(session):
     return [matrix.bank for matrix in
-            session._deployment.engine._scale_matrices.values()]
+            session._deployment.engine._stores.values()]
 
 
 def _arrays(value):
@@ -409,7 +438,7 @@ class TestBlobMovesOnce:
         owned += [p.data for _, p in
                   restored.library.autoencoder.named_parameters()]
         owned += list(restored._deployment.engine._norms.values())
-        for matrix in restored._deployment.engine._scale_matrices.values():
+        for matrix in restored._deployment.engine._stores.values():
             bank = matrix.bank
             owned += [*bank._cells, *bank._levels, bank.mvm_ops,
                       bank.write_pulses, matrix._ints]
@@ -433,12 +462,12 @@ class TestBlobMovesOnce:
             SessionSnapshot.capture(twins[0], mode="raw").to_bytes()
         ).build_session(model, tok)
         for mine, theirs in zip(_banks(twins[0]), _banks(twins[1])):
-            before = mine.conductance.copy()
+            before = whole_tiles(mine)
             masks = [np.ones(shape, dtype=bool) for shape in mine.extent]
             mine.reprogram_cells(masks)
             theirs.reprogram_cells(masks)
-            assert not np.array_equal(mine.conductance, before)
-            assert np.array_equal(mine.conductance, theirs.conductance)
+            assert not np.array_equal(whole_tiles(mine), before)
+            assert np.array_equal(whole_tiles(mine), whole_tiles(theirs))
 
     def test_wide_levels_from_an_older_build_restore_identically(
             self, setup, trained_session):
@@ -460,9 +489,10 @@ class TestBlobMovesOnce:
         restored = SessionSnapshot.from_bytes(old_blob).build_session(
             model, tok)
         for mine, theirs in zip(_banks(restored), _banks(session)):
-            assert mine.target_levels.dtype == theirs.target_levels.dtype
-            assert np.array_equal(mine.target_levels, theirs.target_levels)
-            assert np.array_equal(mine.conductance, theirs.conductance)
+            levels = whole_tiles(mine, "target_levels")
+            assert levels.dtype == whole_tiles(theirs, "target_levels").dtype
+            assert np.array_equal(levels, whole_tiles(theirs, "target_levels"))
+            assert np.array_equal(whole_tiles(mine), whole_tiles(theirs))
         assert encode_value(restored._deployment.snapshot()) == \
             encode_value(session._deployment.snapshot())
         assert session_answer_sequential(restored, query,
