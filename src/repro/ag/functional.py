@@ -4,9 +4,15 @@ These cover the activations and losses the transformer substrate needs.
 ``softmax``, ``gelu`` and the cross-entropy losses are fused primitives
 (one graph node, a hand-written backward) because they sit on the hot path
 of every prompt-tuning step; ``mse_loss`` is composed from tensor ops.
+The fused backwards are plain array functions (:func:`softmax_grad`,
+:func:`gelu_grad`, :func:`sequence_cross_entropy_arrays`), shared with the
+graph-free prompt gradient (:mod:`repro.llm.vjp`), so both compute the
+same bits.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -17,6 +23,13 @@ __all__ = ["softmax", "gelu", "cross_entropy",
 
 _SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
 _GELU_COEFF = np.float32(0.044715)
+
+
+def softmax_grad(value: np.ndarray, grad: np.ndarray,
+                 axis: int = -1) -> np.ndarray:
+    """Input gradient of a softmax whose output is ``value``."""
+    inner = (grad * value).sum(axis=axis, keepdims=True)
+    return value * (grad - inner)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -34,10 +47,18 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        inner = (grad * value).sum(axis=axis, keepdims=True)
-        x._accumulate(value * (grad - inner))
+        x._accumulate(softmax_grad(value, grad, axis))
 
     return Tensor._make(value, (x,), backward)
+
+
+def gelu_grad(data: np.ndarray, tanh_inner: np.ndarray,
+              grad: np.ndarray) -> np.ndarray:
+    """Input gradient of :func:`gelu` at ``data``, whose forward computed
+    ``tanh_inner``."""
+    sech2 = 1.0 - tanh_inner * tanh_inner
+    d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_COEFF * (data * data))
+    return grad * (0.5 * (1.0 + tanh_inner) + 0.5 * data * sech2 * d_inner)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -54,10 +75,7 @@ def gelu(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        sech2 = 1.0 - tanh_inner * tanh_inner
-        d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_COEFF * (data * data))
-        x._accumulate(grad * (0.5 * (1.0 + tanh_inner)
-                              + 0.5 * data * sech2 * d_inner))
+        x._accumulate(gelu_grad(data, tanh_inner, grad))
 
     return Tensor._make(value, (x,), backward)
 
@@ -132,11 +150,31 @@ def sequence_cross_entropy(
     Returns:
         A scalar tensor.
     """
+    value, grad_fn = sequence_cross_entropy_arrays(logits.data, targets,
+                                                   ignore_index)
+
+    def backward(grad: np.ndarray) -> None:
+        if logits.requires_grad:
+            logits._accumulate(grad_fn(float(grad)))
+
+    return Tensor._make(np.asarray(value), (logits,), backward)
+
+
+def sequence_cross_entropy_arrays(
+    scores: np.ndarray,
+    targets: np.ndarray,
+    ignore_index: int | None = None,
+) -> tuple[np.float32, Callable[[float], np.ndarray]]:
+    """:func:`sequence_cross_entropy` on a raw ``(B, T, V)`` score array.
+
+    Returns ``(loss, grad_fn)``: ``grad_fn(g)`` is the scores' gradient
+    when the loss's upstream gradient is ``g``.
+    """
     targets = np.asarray(targets)
-    if logits.ndim != 3 or targets.ndim != 2 or logits.shape[:2] != targets.shape:
+    if scores.ndim != 3 or targets.ndim != 2 or scores.shape[:2] != targets.shape:
         raise ValueError(
             f"sequence_cross_entropy expects (B, T, V) logits and (B, T) "
-            f"targets, got {logits.shape} and {targets.shape}"
+            f"targets, got {scores.shape} and {targets.shape}"
         )
     if ignore_index is not None:
         valid = targets != ignore_index
@@ -148,7 +186,6 @@ def sequence_cross_entropy(
             "sequence_cross_entropy received a sequence with no valid targets"
         )
 
-    scores = logits.data
     peak = scores.max(axis=-1, keepdims=True)
     shifted = scores - peak
     logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + peak[..., 0]
@@ -158,19 +195,17 @@ def sequence_cross_entropy(
     per_sequence = losses.sum(axis=1) / counts
     value = np.float32(per_sequence.mean())
 
-    def backward(grad: np.ndarray) -> None:
-        if not logits.requires_grad:
-            return
+    def grad_fn(grad: float) -> np.ndarray:
         batch, length, vocab = scores.shape
         probs = np.exp(shifted)
         probs /= probs.sum(axis=-1, keepdims=True)
         flat = probs.reshape(-1, vocab)
         flat[np.arange(batch * length), safe_targets.reshape(-1)] -= 1.0
         probs[~valid] = 0.0
-        scale = (float(grad) / batch) / counts
-        logits._accumulate(probs * scale[:, None, None].astype(np.float32))
+        scale = (grad / batch) / counts
+        return probs * scale[:, None, None].astype(np.float32)
 
-    return Tensor._make(np.asarray(value), (logits,), backward)
+    return value, grad_fn
 
 
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:

@@ -299,18 +299,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # ------------------------------------------------------------------
-    # Elementwise nonlinearities
-    # ------------------------------------------------------------------
-    def tanh(self) -> "Tensor":
-        value = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - value * value))
-
-        return Tensor._make(value, (self,), backward)
-
-    # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
     def reshape(self, *shape) -> "Tensor":

@@ -4,7 +4,8 @@ The serving stack's correctness rests on invariants no test exercises
 directly: every random draw flows from one experiment seed, engine
 mutations happen under the lock, snapshots capture all ``__init__``
 state, nothing deserializes through pickle, stats keys declare how
-they aggregate, and the inference path builds no autograd graph.  This
+they aggregate, and neither the inference path nor the tune path builds
+an autograd graph.  This
 package checks them structurally, with pure stdlib ``ast`` — run
 ``python -m repro.analysis`` (see ``__main__``).
 

@@ -1,4 +1,4 @@
-"""The inference path stays graph-free: INF-001.
+"""The serving and tune paths stay graph-free: INF-001 and TUNE-001.
 
 Serving runs on raw float32 ndarrays (:mod:`repro.llm.infer`): one decode
 loop, no autograd graph, no ``Module.training`` flips a concurrent thread
@@ -6,7 +6,9 @@ could observe.  The autograd ``forward`` is the training graph and the
 cached autograd step is a test oracle (``tests/oracles/generation.py``).
 INF-001 keeps a second decode path from growing back: the first
 ``Tensor(...)`` wrap or ``no_grad()`` block in the inference modules is
-how one would start.
+how one would start.  TUNE-001 does the same for the tune epoch a
+``tune`` request runs: its autoencoder update and soft-prompt steps
+differentiate by hand, and their autograd references are test oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator
 from .base import RULES, FileContext, Rule
 from .findings import Finding
 
-__all__ = ["GraphFreeInference"]
+__all__ = ["GraphFreeInference", "GraphFreeTuning"]
 
 _INFERENCE_FILES = ("repro/llm/infer.py", "repro/llm/kv_cache.py",
                     "repro/llm/generation.py", "repro/llm/speculative.py")
@@ -97,3 +99,50 @@ class GraphFreeInference(Rule):
                     ctx, node,
                     "no_grad on the inference path: graph-free code has "
                     "no graph to disable")
+
+
+_TUNE_FILES = ("repro/compression/autoencoder.py", "repro/tuning/vanilla.py",
+               "repro/core/noise_training.py", "repro/core/framework.py",
+               "repro/llm/vjp.py")
+
+
+@RULES.register("TUNE-001")
+class GraphFreeTuning(Rule):
+    """No ``Tensor(...)`` and no ``.backward()`` on the tune path.
+
+    Covers ``compression/autoencoder.py``, ``tuning/vanilla.py``,
+    ``core/noise_training.py``, ``core/framework.py`` and
+    ``llm/vjp.py``: the tune epoch a ``tune`` request runs under the
+    engine lock.  The autoencoder's ``fit`` and the soft-prompt step of
+    ``VanillaPromptTuner`` (which ``NoiseAwareTrainer`` wraps) run on raw
+    arrays with a hand-written backward that is bit-identical to the
+    autograd graph; the graph versions are test oracles
+    (``tests/oracles/autoencoder.py``, ``tests/oracles/tuning.py``).
+    Prefix tuning, P-tuning v2 and DEPT — baselines off the serving path
+    — still use the graph.
+    """
+
+    rule_id = "TUNE-001"
+    title = "the tune path builds no autograd graph"
+    default_hint = ("compute the loss and its gradient on raw ndarrays "
+                    "(repro.llm.vjp, OVTAutoencoder._train_step); an "
+                    "autograd reference belongs in tests/oracles/")
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if ctx.rel not in _TUNE_FILES:
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if "Tensor" in (getattr(func, "id", None),
+                            getattr(func, "attr", None)):
+                yield self.finding(
+                    ctx, node,
+                    "Tensor(...) constructed on the tune path: a tune "
+                    "epoch runs on raw ndarrays")
+            elif isinstance(func, ast.Attribute) and func.attr == "backward":
+                yield self.finding(
+                    ctx, node,
+                    ".backward() on the tune path: gradients are "
+                    "written by hand, not replayed from a graph")

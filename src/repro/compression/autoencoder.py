@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ag import Adam, Linear, Module, Tensor, mse_loss
+from ..ag import Adam, Linear, Module
 from ..utils import rng_from_seed
 
 __all__ = ["AutoencoderConfig", "OVTAutoencoder"]
@@ -38,6 +38,12 @@ class AutoencoderConfig:
     def __post_init__(self):
         if self.input_dim <= 0 or self.code_dim <= 0 or self.hidden_dim <= 0:
             raise ValueError("dimensions must be positive")
+        if self.pretrain_steps <= 0 or self.update_steps <= 0:
+            raise ValueError("pretrain_steps and update_steps must be positive")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        if self.quant_noise < 0 or self.gram_weight < 0:
+            raise ValueError("quant_noise and gram_weight must be non-negative")
 
 
 def _affine(layer: Linear, x: np.ndarray) -> np.ndarray:
@@ -45,11 +51,32 @@ def _affine(layer: Linear, x: np.ndarray) -> np.ndarray:
     return np.matmul(x, layer.weight.data) + layer.bias.data
 
 
+def _affine_grad(layer: Linear, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Backward of ``_affine(layer, x)``: sets the layer's parameter
+    gradients and returns the input gradient."""
+    layer.bias.grad = grad.sum(axis=0)
+    layer.weight.grad = np.matmul(x.swapaxes(-1, -2), grad)
+    return np.matmul(grad, layer.weight.data.swapaxes(-1, -2))
+
+
+def _mse(prediction: np.ndarray, target: np.ndarray):
+    """``ag.mse_loss`` on arrays: the loss and its backward, which maps the
+    loss's upstream gradient to the prediction's."""
+    diff = prediction - target
+    scale = np.float32(1.0 / diff.size)
+
+    def backward(grad) -> np.ndarray:
+        term = grad * scale * diff
+        return term + term      # diff * diff: one term per operand
+
+    return (diff * diff).sum() * scale, backward
+
+
 class OVTAutoencoder(Module):
     """Two-layer tanh encoder/decoder between model space and NVM space.
 
-    ``encode_tensor``/``decode_tensor`` are the training graph; ``encode``/
-    ``decode`` (every query's path) compute the same values graph-free.
+    ``encode``/``decode`` serve every query; ``fit`` trains on the same
+    arrays with a hand-written backward (no autograd graph).
     """
 
     def __init__(self, config: AutoencoderConfig):
@@ -63,12 +90,6 @@ class OVTAutoencoder(Module):
         self._trained = False
 
     # ------------------------------------------------------------------
-    def encode_tensor(self, x: Tensor) -> Tensor:
-        return self.enc2(self.enc1(x).tanh())
-
-    def decode_tensor(self, code: Tensor) -> Tensor:
-        return self.dec2(self.dec1(code).tanh())
-
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """Encode (n, input_dim) rows to (n, code_dim) codes."""
         rows = self._check_rows(rows)
@@ -113,35 +134,64 @@ class OVTAutoencoder(Module):
 
     # ------------------------------------------------------------------
     def fit(self, rows: np.ndarray, *, steps: int | None = None) -> list[float]:
-        """(Pre)train on embedding rows; returns the loss history."""
+        """(Pre)train on embedding rows; returns the loss history.
+
+        ``steps=None`` runs ``config.pretrain_steps``; ``steps=0`` runs
+        none and leaves the autoencoder as it was.
+        """
         rows = self._check_rows(rows)
-        steps = steps or self.config.pretrain_steps
+        steps = self.config.pretrain_steps if steps is None else steps
+        if steps < 0:
+            raise ValueError("steps must be non-negative")
         rng = rng_from_seed(self.config.seed + 1)
         optimizer = Adam(self.parameters(), lr=self.config.lr)
         history = []
         for _ in range(steps):
             count = min(self.config.batch_size, rows.shape[0])
             picks = rng.choice(rows.shape[0], size=count, replace=False)
-            batch = Tensor(rows[picks])
-            optimizer.zero_grad()
-            code = self.encode_tensor(batch)
-            if self.config.quant_noise > 0:
-                noise = rng.normal(0.0, self.config.quant_noise,
-                                   code.shape).astype(np.float32)
-                code = code + Tensor(noise)
-            out = self.decode_tensor(code)
-            loss = mse_loss(out, batch)
-            if self.config.gram_weight > 0:
-                # Retrieval runs dot products in code space, so the encoder
-                # must preserve inner products: match the Gram matrices.
-                gram_in = batch @ batch.transpose(1, 0)
-                gram_code = code @ code.transpose(1, 0)
-                loss = loss + mse_loss(gram_code, gram_in) * self.config.gram_weight
-            loss.backward()
+            history.append(self._train_step(rows[picks], rng))
             optimizer.step()
-            history.append(float(loss.data))
-        self._trained = True
+        self._trained = self._trained or steps > 0
         return history
+
+    def _train_step(self, batch: np.ndarray, rng: np.random.Generator) -> float:
+        """One step's loss, each parameter's gradient left in ``.grad``.
+
+        The loss is ``mse(decode(encode(x) + noise), x) + gram_weight *
+        mse(code code^T, x x^T)``: retrieval runs dot products in code
+        space, so the encoder must preserve inner products.  Forward and
+        backward run the numpy operations of its autograd graph
+        (``tests/oracles/autoencoder.py``) in the same order, so losses and
+        gradients are bit-identical to it; ``code``'s three gradient terms
+        add up in the graph's reverse-DFS order — the decoder's, then the
+        Gram product's left operand's, then its right operand's.
+        """
+        config = self.config
+        hidden = np.tanh(_affine(self.enc1, batch))
+        code = _affine(self.enc2, hidden)
+        if config.quant_noise > 0:
+            code = code + rng.normal(0.0, config.quant_noise,
+                                     code.shape).astype(np.float32)
+        dec_hidden = np.tanh(_affine(self.dec1, code))
+        loss, mse_grad = _mse(_affine(self.dec2, dec_hidden), batch)
+        weight = np.float32(config.gram_weight)
+        if config.gram_weight > 0:
+            gram_loss, gram_grad = _mse(np.matmul(code, code.transpose(1, 0)),
+                                        np.matmul(batch, batch.transpose(1, 0)))
+            loss = loss + gram_loss * weight
+
+        grad = _affine_grad(self.dec2, dec_hidden, mse_grad(1.0))
+        grad = grad * (1.0 - dec_hidden * dec_hidden)
+        code_grad = _affine_grad(self.dec1, code, grad)
+        if config.gram_weight > 0:
+            grad = gram_grad(weight)
+            code_grad += np.matmul(grad, code)
+            code_grad += np.matmul(code.swapaxes(-1, -2), grad).transpose(1, 0)
+        grad = _affine_grad(self.enc2, hidden, code_grad)
+        grad = grad * (1.0 - hidden * hidden)
+        self.enc1.bias.grad = grad.sum(axis=0)
+        self.enc1.weight.grad = np.matmul(batch.swapaxes(-1, -2), grad)
+        return float(loss)
 
     def update(self, rows: np.ndarray) -> list[float]:
         """Incremental update with new user data (buffer remainder)."""

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ag import Tensor
 from ..data.lamp import Sample
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
@@ -65,31 +64,24 @@ class NoiseInjectionConfig:
 
 
 class NoiseInjector:
-    """Callable transform applied to the prompt tensor each forward pass."""
+    """The Eq. 4 noise hook: called with the prompt before each forward
+    pass, it returns the noise added for that pass."""
 
     def __init__(self, config: NoiseInjectionConfig):
         self.config = config
         self._rng = rng_from_seed(config.seed)
 
-    def __call__(self, prompt: Tensor) -> Tensor:
-        values = prompt.data
+    def __call__(self, values: np.ndarray) -> np.ndarray | None:
+        """``N * max|S|`` for the prompt ``values``, a fresh draw per call;
+        None — and no draw — when sigma or the peak is zero."""
         peak = float(np.abs(values).max())
         if peak == 0.0 or self.config.sigma == 0.0:
-            return prompt
+            return None
         normalised = values / peak
         stds = self.config.sigma * self.config.factors_for(normalised)
         noise = self._rng.normal(0.0, 1.0, values.shape).astype(np.float32)
         noise *= stds * peak
-        return prompt + Tensor(noise)
-
-    def sample_noise(self, values: np.ndarray) -> np.ndarray:
-        """The noise matrix alone (used by tests and analysis)."""
-        peak = float(np.abs(values).max())
-        if peak == 0.0:
-            return np.zeros_like(values, dtype=np.float32)
-        stds = self.config.sigma * self.config.factors_for(values / peak)
-        noise = self._rng.normal(0.0, 1.0, values.shape).astype(np.float32)
-        return noise * stds * peak
+        return noise
 
 
 class NoiseAwareTrainer:

@@ -159,6 +159,8 @@ class TileBank:
             raise ValueError("rows and cols must be positive")
         if adc_bits < 2 or adc_bits > 16:
             raise ValueError("adc_bits must be in [2, 16]")
+        if sigma < 0:
+            raise ValueError("sigma must be non-negative")
         if rngs is None:
             rngs = [rng_from_seed(i) for i in range(n_tiles)]
         if len(rngs) != n_tiles:
@@ -239,19 +241,22 @@ class TileBank:
                masks: list[np.ndarray] | None = None) -> None:
         """Write fresh noisy conductances for ``tiles`` at ``levels``.
 
-        ``levels`` holds each tile's ``intp`` level block: widened once by
-        the caller, it indexes both tables.  The range check
-        (``sigma_for_levels``) runs for every tile before any generator is
-        advanced.  Each tile's standard-normal variates come from its own
-        generator and ``ideal + noise`` lands straight in the tile's cells
-        (only where its mask is set, when ``masks`` is given), so results
-        are identical to programming standalone crossbars.
+        ``levels`` holds each tile's level block at any integer width.
+        Every block is range-checked before any generator is advanced;
+        then one tile at a time is widened once (``astype(np.intp)``, which
+        indexes both tables), given its per-cell sigma and pulsed, so the
+        transients are one tile's, not the bank's.  Each tile's
+        standard-normal variates come from its own generator and ``ideal +
+        noise`` lands straight in the tile's cells (only where its mask is
+        set, when ``masks`` is given), so results are identical to
+        programming standalone crossbars.
         """
-        stds = [self.device.sigma_for_levels(block, self.sigma)
-                for block in levels]
+        for block in levels:
+            self.device.check_levels(block)
         ideal = self.device.level_values()
         for i, tile in enumerate(tiles):
-            used_rows, used_cols = levels[i].shape
+            block = levels[i].astype(np.intp, copy=False)
+            used_rows, used_cols = block.shape
             # Whole-tile draw, occupied corner kept — on purpose: a tile
             # is bit for bit the corner of the whole-tile bank every
             # earlier build programmed.  Drawing `size=levels[i].shape`
@@ -264,20 +269,22 @@ class TileBank:
             draws = self._rngs[tile].normal(
                 0.0, 1.0, size=(self.rows, self.cols)
             )[:used_rows, :used_cols].astype(np.float32)
-            np.add(ideal[levels[i]], draws * stds[i],
+            np.add(ideal[block],
+                   draws * self.device.sigma_for_levels(block, self.sigma),
                    out=self._tile(self._cells, tile),
                    where=True if masks is None else masks[i])
 
     def program(self, levels: Sequence[np.ndarray]) -> None:
         """Write level indices for every tile, one ``(used_rows,
         used_cols)`` block each (whole tiles: an ``(n_tiles, rows, cols)``
-        stack); occupied cells are what is pulsed and billed.
+        stack) of any integer width; occupied cells are what is pulsed
+        and billed.
 
         A refused call (wrong shape, level out of range) leaves the bank
         as it was: nothing is stored or drawn before the checks pass.
         """
         tiles = range(self.n_tiles)
-        levels = self._blocks(levels, tiles, np.intp, "level")
+        levels = self._blocks(levels, tiles, None, "level")
         self._pulse(tiles, levels)
         for tile, block in zip(tiles, levels):
             self._tile(self._levels, tile)[...] = block
@@ -304,8 +311,8 @@ class TileBank:
         if not selected:
             return
         tiles, masks = zip(*selected)
-        self._pulse(tiles, [self._tile(self._levels, tile).astype(np.intp)
-                            for tile in tiles], masks)
+        self._pulse(tiles, [self._tile(self._levels, tile) for tile in tiles],
+                    masks)
         self.write_pulses[list(tiles)] += [int(mask.sum()) for mask in masks]
 
     # ------------------------------------------------------------------

@@ -76,13 +76,19 @@ class NVMDevice:
         """
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
+        levels = self.check_levels(levels)
+        table = np.asarray(self.level_sigmas, dtype=np.float32)
+        return table[levels] * (sigma / REFERENCE_SIGMA)
+
+    def check_levels(self, levels: np.ndarray) -> np.ndarray:
+        """``levels`` as an array, refused unless every index is one of
+        this device's levels."""
         levels = np.asarray(levels)
         if levels.min(initial=0) < 0 or levels.max(initial=0) >= self.n_levels:
             raise ValueError(
                 f"level index out of range [0, {self.n_levels}) for {self.name}"
             )
-        table = np.asarray(self.level_sigmas, dtype=np.float32)
-        return table[levels] * (sigma / REFERENCE_SIGMA)
+        return levels
 
     def program_noise(self, levels: np.ndarray, sigma: float,
                       rng: np.random.Generator) -> np.ndarray:

@@ -24,7 +24,8 @@ def slice_to_digits(ints: np.ndarray, bits_per_cell: int) -> np.ndarray:
     """Decompose unsigned 16-bit words into base-2^bits digits.
 
     Returns an array of shape (n_slices, *ints.shape), least-significant
-    digit first.
+    digit first, at digit width (``uint8`` up to 8 bits a cell): one
+    level index per cell, the width a ``TileBank`` stores levels at.
     """
     if 16 % bits_per_cell != 0:
         raise ValueError(f"bits_per_cell must divide 16, got {bits_per_cell}")
@@ -33,7 +34,8 @@ def slice_to_digits(ints: np.ndarray, bits_per_cell: int) -> np.ndarray:
         raise ValueError("values out of int16 range")
     n_slices = 16 // bits_per_cell
     base = 2 ** bits_per_cell
-    digits = np.empty((n_slices,) + unsigned.shape, dtype=np.int64)
+    digits = np.empty((n_slices,) + unsigned.shape,
+                      dtype=np.min_scalar_type(base - 1))
     remaining = unsigned.copy()
     for s in range(n_slices):
         digits[s] = remaining % base

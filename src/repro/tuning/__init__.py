@@ -17,7 +17,7 @@ from .trainer import freeze_model, train_prompt_parameters
 from .vanilla import (
     VanillaPromptTuner,
     initial_prompt_matrix,
-    prompt_loss_for_batch,
+    prompt_loss_and_grad,
 )
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "build_training_ids", "make_target_vector",
     "build_training_batch",
     "VanillaPromptTuner", "PrefixTuner", "DEPTTuner", "PTuningV2Tuner",
-    "initial_prompt_matrix", "prompt_loss_for_batch",
+    "initial_prompt_matrix", "prompt_loss_and_grad",
     "prefix_loss_for_batch", "kv_prefix_tensors",
     "freeze_model", "train_prompt_parameters",
     "apply_embedding_delta", "generate_with_artifact",

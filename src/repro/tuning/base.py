@@ -7,7 +7,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..ag import Tensor
 from ..data.lamp import Sample
 from ..llm.tokenizer import Tokenizer
 
@@ -85,9 +84,10 @@ class TuningConfig:
             raise ValueError("anchor_weight must be non-negative")
 
 
-# A hook applied to the virtual-token tensor inside the forward pass.
-# Noise-aware training supplies one; plain training uses identity.
-PromptTransform = Callable[[Tensor], Tensor]
+# An additive-noise hook: given the virtual tokens before a forward pass,
+# the noise added to them for that pass (None: none).  Noise-aware
+# training supplies one; plain training has none.
+PromptTransform = Callable[[np.ndarray], np.ndarray | None]
 
 
 def build_training_ids(

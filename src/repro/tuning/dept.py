@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ag import Parameter, Tensor, cat, sequence_cross_entropy
+from ..ag import Parameter, cat, sequence_cross_entropy
 from ..data.lamp import Sample
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
@@ -54,7 +54,7 @@ class DEPTTuner:
         lora_b = Parameter(np.zeros((self.rank, cfg.d_model)))
         params = [prompt, lora_a, lora_b]
 
-        def loss_fn(batch: list[Sample]) -> Tensor:
+        def step(batch: list[Sample]) -> float:
             padded = build_training_batch(batch, self.tokenizer,
                                           prompt_len=short_len)
             size = padded.batch_size
@@ -68,10 +68,12 @@ class DEPTTuner:
             mask = np.concatenate([np.zeros((size, short_len), dtype=bool),
                                    padded.key_padding_mask], axis=1)
             logits = self.model(embeddings=embeddings, key_padding_mask=mask)
-            return sequence_cross_entropy(logits, padded.targets,
+            loss = sequence_cross_entropy(logits, padded.targets,
                                           ignore_index=IGNORE_INDEX)
+            loss.backward()
+            return float(loss.data)
 
-        train_prompt_parameters(self.model, params, loss_fn, samples,
+        train_prompt_parameters(self.model, params, step, samples,
                                 self.config)
         tokens = VirtualTokens(prompt.data.copy())
         delta = (lora_a.data @ lora_b.data).astype(np.float32)

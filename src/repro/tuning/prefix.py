@@ -89,11 +89,13 @@ class PrefixTuner:
                 prefixes.append((keys, values))
             return prefixes
 
-        def loss_fn(batch: list[Sample]) -> Tensor:
-            return prefix_loss_for_batch(self.model, materialise(), batch,
+        def step(batch: list[Sample]) -> float:
+            loss = prefix_loss_for_batch(self.model, materialise(), batch,
                                          self.tokenizer)
+            loss.backward()
+            return float(loss.data)
 
-        train_prompt_parameters(self.model, params, loss_fn, samples,
+        train_prompt_parameters(self.model, params, step, samples,
                                 self.config)
         final = materialise()
         raw = [(k.data.copy(), v.data.copy()) for k, v in final]

@@ -57,11 +57,13 @@ class PTuningV2Tuner:
             for _ in range(cfg.n_layers)
         ]
 
-        def loss_fn(batch: list[Sample]) -> Tensor:
-            return prefix_loss_for_batch(self.model, self._project(prompts),
+        def step(batch: list[Sample]) -> float:
+            loss = prefix_loss_for_batch(self.model, self._project(prompts),
                                          batch, self.tokenizer)
+            loss.backward()
+            return float(loss.data)
 
-        train_prompt_parameters(self.model, prompts, loss_fn, samples,
+        train_prompt_parameters(self.model, prompts, step, samples,
                                 self.config)
         final = self._project(prompts)
         raw = [(k.data.copy(), v.data.copy()) for k, v in final]

@@ -1,9 +1,11 @@
 """Generic prompt-tuning training loop.
 
 All four methods share this loop: Adam + linear warmup/decay over the
-trainable prompt parameters only, with the base model frozen.  A
-``transform`` hook lets noise-aware training perturb the virtual tokens
-inside every forward pass (Eq. 4 of the paper).
+trainable prompt parameters only, with the base model frozen.  Each
+method supplies the step: given a minibatch it returns the loss and
+leaves the gradients on its parameters — vanilla prompt tuning (and the
+noise-aware trainer wrapping it) graph-free, prefix tuning, P-tuning v2
+and DEPT by calling ``.backward()`` on their autograd loss.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ import contextlib
 import threading
 from typing import Callable, Sequence
 
-import numpy as np
-
-from ..ag import Adam, LinearWarmupDecay, Parameter, Tensor, clip_grad_norm
+from ..ag import Adam, LinearWarmupDecay, Parameter, clip_grad_norm
 from ..data.lamp import Sample
 from ..llm.transformer import TinyCausalLM
 from .base import TuningConfig
@@ -67,17 +67,17 @@ def freeze_model(model: TinyCausalLM):
 def train_prompt_parameters(
     model: TinyCausalLM,
     parameters: Sequence[Parameter],
-    loss_fn: Callable[[list[Sample]], Tensor],
+    step_fn: Callable[[list[Sample]], float],
     samples: list[Sample],
     config: TuningConfig,
     *,
     batch_size: int = 8,
 ) -> list[float]:
-    """Optimise ``parameters`` to minimise ``loss_fn`` over ``samples``.
+    """Optimise ``parameters`` over ``samples``.
 
-    Returns the per-step loss history.  ``loss_fn`` receives a minibatch of
-    samples and must return a scalar loss tensor that depends on
-    ``parameters``.
+    Returns the per-step loss history.  ``step_fn`` receives a minibatch of
+    samples, returns its loss and leaves each parameter's gradient in
+    ``.grad`` (cleared before every call).
     """
     if not samples:
         raise ValueError("prompt tuning needs at least one sample")
@@ -98,10 +98,9 @@ def train_prompt_parameters(
                 picks = rng.choice(len(samples), size=batch_size, replace=False)
                 batch = [samples[i] for i in picks]
             optimizer.zero_grad()
-            loss = loss_fn(batch)
-            loss.backward()
+            loss = step_fn(batch)
             clip_grad_norm(list(parameters), config.grad_clip)
             optimizer.step()
             scheduler.step()
-            history.append(float(loss.data))
+            history.append(float(loss))
     return history

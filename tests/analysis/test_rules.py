@@ -381,12 +381,65 @@ class TestInf001:
 
 
 # ----------------------------------------------------------------------
+# TUNE-001: no autograd graph on the tune path
+# ----------------------------------------------------------------------
+class TestTune001:
+    def test_true_positive_graph_and_backward(self, tmp_path):
+        report = run_tree(tmp_path, {
+            "compression/autoencoder.py": """\
+                from ..ag import Tensor
+                def fit(self, rows):
+                    loss = self.loss(Tensor(rows))
+                    loss.backward()
+            """,
+            "tuning/vanilla.py": """\
+                from .. import ag
+                def step(prompt):
+                    ag.Tensor(prompt).sum().backward()
+            """,
+        }, ["TUNE-001"])
+        assert rules_of(report) == ["TUNE-001"] * 4
+        assert sorted((f.file, f.line) for f in report.findings) == [
+            ("repro/compression/autoencoder.py", 3),
+            ("repro/compression/autoencoder.py", 4),
+            ("repro/tuning/vanilla.py", 3),
+            ("repro/tuning/vanilla.py", 3)]
+
+    def test_true_negative_baselines_and_array_code(self, tmp_path):
+        report = run_tree(tmp_path, {
+            # the graph baselines are off the serving path
+            "tuning/prefix.py": """\
+                from ..ag import Tensor
+                def step(loss):
+                    loss.backward()
+                    return Tensor(0.0)
+            """,
+            # reading a Tensor and writing .grad by hand are fine
+            "core/noise_training.py": """\
+                def step(prompt, grad):
+                    prompt.grad = grad
+                    return prompt.data
+            """,
+        }, ["TUNE-001"])
+        assert report.findings == []
+
+    def test_suppressed_with_reason(self, tmp_path):
+        report = run_tree(tmp_path, {"core/framework.py": """\
+            from ..ag import Tensor
+            def debug(x):
+                return Tensor(x)  # repro: noqa[TUNE-001] debug helper
+        """}, ["TUNE-001"])
+        assert report.findings == []
+        assert len(report.suppressed) == 1
+
+
+# ----------------------------------------------------------------------
 # Registry plumbing
 # ----------------------------------------------------------------------
 def test_all_shipped_rules_registered():
     assert set(RULES.names()) >= {"RNG-001", "RNG-002", "LOCK-001",
                                   "SNAP-001", "SEC-001", "STATS-001",
-                                  "INF-001"}
+                                  "INF-001", "TUNE-001"}
 
 
 def test_registry_rejects_mismatched_rule_id():

@@ -5,6 +5,8 @@ import pytest
 
 from repro.ag import Tensor
 from repro.compression import AutoencoderConfig, OVTAutoencoder
+from tests.oracles.autoencoder import (decode_tensor, encode_tensor,
+                                       fit_graph, update_graph)
 
 RNG = np.random.default_rng(47)
 
@@ -34,9 +36,9 @@ class TestShapes:
         ae.fit(low_rank_rows(), steps=5)       # biases off zero
         rows = RNG.normal(size=(10, 16)).astype(np.float32)
         codes = ae.encode(rows)
-        assert np.array_equal(codes, ae.encode_tensor(Tensor(rows)).data)
+        assert np.array_equal(codes, encode_tensor(ae, Tensor(rows)).data)
         assert np.array_equal(ae.decode(codes),
-                              ae.decode_tensor(Tensor(codes)).data)
+                              decode_tensor(ae, Tensor(codes)).data)
 
     def test_dimension_validation(self):
         ae = make_ae()
@@ -50,6 +52,94 @@ class TestShapes:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AutoencoderConfig(input_dim=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("pretrain_steps", 0), ("pretrain_steps", -5),
+        ("update_steps", 0), ("batch_size", 0), ("batch_size", -1),
+        ("quant_noise", -1e-4), ("gram_weight", -0.5),
+    ])
+    def test_config_rejects_non_positive_counts_and_negative_weights(
+            self, field, value):
+        with pytest.raises(ValueError):
+            AutoencoderConfig(input_dim=16, **{field: value})
+
+    def test_zero_quant_noise_and_gram_weight_are_valid(self):
+        AutoencoderConfig(input_dim=16, quant_noise=0.0, gram_weight=0.0)
+
+
+class TestStepCounts:
+    def test_fit_with_zero_steps_trains_nothing(self):
+        ae = make_ae()
+        before = ae.state_dict()
+        assert ae.fit(low_rank_rows(), steps=0) == []
+        assert not ae.is_trained
+        for name, value in ae.state_dict().items():
+            assert np.array_equal(value, before[name])
+
+    def test_fit_runs_exactly_the_steps_asked_for(self):
+        assert len(make_ae(steps=150).fit(low_rank_rows(), steps=3)) == 3
+        assert len(make_ae(steps=7).fit(low_rank_rows())) == 7
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError):
+            make_ae().fit(low_rank_rows(), steps=-1)
+
+    def test_update_runs_update_steps(self):
+        ae = OVTAutoencoder(AutoencoderConfig(
+            input_dim=16, code_dim=8, hidden_dim=32, pretrain_steps=9,
+            update_steps=4, seed=0))
+        assert len(ae.fit(low_rank_rows())) == 9
+        assert len(ae.update(low_rank_rows())) == 4
+
+
+class TestGraphOracle:
+    """``fit`` is the autograd graph's arithmetic on raw arrays: loss
+    history and every parameter equal ``tests/oracles/autoencoder.py``
+    bit for bit, after ``fit`` and after a following ``update``."""
+
+    @staticmethod
+    def _pair(seed, **overrides):
+        config = AutoencoderConfig(input_dim=16, code_dim=8, hidden_dim=32,
+                                   pretrain_steps=25, update_steps=10,
+                                   seed=seed, **overrides)
+        return OVTAutoencoder(config), OVTAutoencoder(config)
+
+    @staticmethod
+    def _assert_same(fast, graph, fast_history, graph_history):
+        assert fast_history == graph_history
+        for (name, a), (_, b) in zip(fast.named_parameters(),
+                                     graph.named_parameters()):
+            assert np.array_equal(a.data, b.data), name
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 47])
+    @pytest.mark.parametrize("n_rows", [5, 32, 77],
+                             ids=["below-batch", "at-batch", "above-batch"])
+    def test_fit_then_update_bitwise(self, seed, n_rows):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n_rows, 16)).astype(np.float32)
+        fresh = rng.normal(size=(n_rows, 16)).astype(np.float32) + 0.3
+        fast, graph = self._pair(seed)
+        self._assert_same(fast, graph, fast.fit(rows), fit_graph(graph, rows))
+        self._assert_same(fast, graph, fast.update(fresh),
+                          update_graph(graph, fresh))
+
+    @pytest.mark.parametrize("overrides", [
+        {"quant_noise": 0.0}, {"gram_weight": 0.0},
+        {"quant_noise": 0.0, "gram_weight": 0.0}])
+    def test_without_noise_or_gram_term_bitwise(self, overrides):
+        rows = low_rank_rows(40)
+        fast, graph = self._pair(0, **overrides)
+        self._assert_same(fast, graph, fast.fit(rows), fit_graph(graph, rows))
+
+    def test_framework_sized_autoencoder_bitwise(self):
+        """The dimensions every deployment uses (d_model 56 → code 48)."""
+        config = AutoencoderConfig(input_dim=56, seed=0, pretrain_steps=12)
+        fast, graph = OVTAutoencoder(config), OVTAutoencoder(config)
+        rows = np.random.default_rng(5).normal(size=(90, 56)).astype(
+            np.float32)
+        self._assert_same(fast, graph, fast.fit(rows), fit_graph(graph, rows))
+        self._assert_same(fast, graph, fast.update(rows[:20]),
+                          update_graph(graph, rows[:20]))
 
 
 class TestTraining:

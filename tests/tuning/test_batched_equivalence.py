@@ -27,10 +27,10 @@ from repro.tuning import (
     initial_prompt_matrix,
     make_target_vector,
     prefix_loss_for_batch,
-    prompt_loss_for_batch,
 )
 from repro.tuning import dept, vanilla
-from tests.oracles.tuning import singleton_mean, train_per_sample
+from tests.oracles.tuning import (prompt_loss_for_batch, singleton_mean,
+                                  train_per_sample)
 
 LOSS_TOL = 1e-5
 GRAD_TOL = 1e-5
@@ -80,8 +80,8 @@ class TestLossAndGradientEquivalence:
                 prompt = Parameter(init.copy())
                 effective = prompt
                 if noise_seed is not None:
-                    effective = NoiseInjector(
-                        NoiseInjectionConfig(seed=noise_seed))(prompt)
+                    effective = prompt + Tensor(NoiseInjector(
+                        NoiseInjectionConfig(seed=noise_seed))(init))
                 def loss_fn(batch):
                     return prompt_loss_for_batch(model, effective, batch, tok)
                 loss = (loss_fn(samples) if batched

@@ -84,16 +84,15 @@ class TestVanillaPromptTuner:
 
     def test_training_reduces_loss(self, setup):
         model, tok, samples = setup
-        from repro.ag import Tensor
-        from repro.tuning import prompt_loss_for_batch
+        from repro.tuning import prompt_loss_and_grad
         artifact = VanillaPromptTuner(model, tok, CFG).fit(samples[:1])
         from repro.tuning.vanilla import initial_prompt_matrix
         init = initial_prompt_matrix(model, tok, samples[:1], 8,
                                      np.random.default_rng(0))
-        before = prompt_loss_for_batch(model, Tensor(init), samples[:1], tok)
-        after = prompt_loss_for_batch(model, Tensor(artifact.soft_prompt.matrix),
-                                      samples[:1], tok)
-        assert float(after.data) < float(before.data)
+        before, _ = prompt_loss_and_grad(model, init, samples[:1], tok)
+        after, _ = prompt_loss_and_grad(model, artifact.soft_prompt.matrix,
+                                        samples[:1], tok)
+        assert after < before
 
     def test_base_model_unchanged(self, setup):
         model, tok, samples = setup
@@ -119,15 +118,23 @@ class TestVanillaPromptTuner:
                 < np.linalg.norm(loose - init))
 
     def test_transform_hook_called(self, setup):
+        """The additive-noise hook sees the prompt before every forward
+        pass; returning None adds nothing."""
         model, tok, samples = setup
         calls = []
 
         def spy(prompt):
+            assert isinstance(prompt, np.ndarray)
+            assert prompt.shape == (8, model.config.d_model)
             calls.append(1)
-            return prompt
+            return None
 
-        VanillaPromptTuner(model, tok, CFG).fit(samples[:1], transform=spy)
+        spied = VanillaPromptTuner(model, tok, CFG).fit(samples[:1],
+                                                        transform=spy)
+        plain = VanillaPromptTuner(model, tok, CFG).fit(samples[:1])
         assert len(calls) == CFG.steps
+        assert np.array_equal(spied.soft_prompt.matrix,
+                              plain.soft_prompt.matrix)
 
     def test_empty_samples_rejected(self, setup):
         model, tok, _ = setup
