@@ -6,7 +6,7 @@ multi-user serving system.  The public API has two levels:
 **Serving layer** (:mod:`repro.serve`) — the primary surface.  A
 :class:`PromptServeEngine` owns one shared frozen base model and a bounded
 LRU cache of per-user sessions, each holding that user's OVT library and
-its lazily reprogrammed NVM deployment.  Training data arrives as
+its NVM deployment.  Training data arrives as
 :class:`TuneRequest`s, queries as :class:`QueryRequest`s (singly or in
 batches via ``submit_batch`` / ``answer_batch``), and every
 :class:`QueryResponse` carries retrieval telemetry: the selected OVT, the

@@ -112,8 +112,8 @@ class GraphFreeTuning(Rule):
 
     Covers ``compression/autoencoder.py``, ``tuning/vanilla.py``,
     ``core/noise_training.py``, ``core/framework.py`` and
-    ``llm/vjp.py``: the tune epoch a ``tune`` request runs under the
-    engine lock.  The autoencoder's ``fit`` and the soft-prompt step of
+    ``llm/vjp.py``: the tune epoch a ``tune`` request runs beside the
+    decode rounds.  The autoencoder's ``fit`` and the soft-prompt step of
     ``VanillaPromptTuner`` (which ``NoiseAwareTrainer`` wraps) run on raw
     arrays with a hand-written backward that is bit-identical to the
     autograd graph; the graph versions are test oracles

@@ -18,6 +18,7 @@ Two phases, mirroring the paper's training and inference modes:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field, fields, replace
 
@@ -255,8 +256,27 @@ class OVTTrainingPipeline:
             self.observe(sample)
         return self.library
 
+    def fork(self) -> OVTTrainingPipeline:
+        """A copy to train on while this pipeline's library keeps serving.
+
+        The fork has its own buffer; the library is shared, which is safe
+        because an epoch never changes a library in place — it installs a
+        new one.
+        """
+        twin = copy.copy(self)
+        twin.buffer = self.buffer.copy()
+        return twin
+
     # ------------------------------------------------------------------
     def _run_epoch(self) -> None:
+        """Train the buffer into a new :class:`OVTLibrary`: the old one —
+        its OVT list and its autoencoder — is left as it was, so whoever
+        serves it (a deployment, a session not yet re-published) never
+        sees an epoch half-applied."""
+        library = OVTLibrary(ovts=list(self.library.ovts),
+                             autoencoder=copy.deepcopy(
+                                 self.library.autoencoder),
+                             noise_aware=self.library.noise_aware)
         samples, embeddings = self.buffer.take_all()
         selection = select_representatives(
             embeddings, k_config=self.config.k_selection,
@@ -275,7 +295,7 @@ class OVTTrainingPipeline:
         for representative in representatives:
             artifact = trainer.fit([representative])
             fresh_ovts.append(artifact.soft_prompt)
-        self.library.ovts.extend(fresh_ovts)
+        library.ovts.extend(fresh_ovts)
 
         # Autoencoder upkeep (paper: the buffer remainder updates the AE).
         # The freshly trained OVTs join the update set so the encoder also
@@ -286,10 +306,11 @@ class OVTTrainingPipeline:
             pieces.append(ovt.matrix
                           / OVTAutoencoder.matrix_scale(ovt.matrix))
         rows = np.concatenate(pieces, axis=0)
-        if self.library.autoencoder.is_trained:
-            self.library.autoencoder.update(rows)
+        if library.autoencoder.is_trained:
+            library.autoencoder.update(rows)
         else:
-            self.library.autoencoder.fit(rows)
+            library.autoencoder.fit(rows)
+        self.library = library
         self._epochs_completed += 1
 
 
@@ -438,7 +459,7 @@ class NVCiMPT:
 
     def observe(self, sample: Sample) -> None:
         """Training mode: absorb one user interaction."""
-        self._session.observe(sample)
+        self.engine.observe(self._FACADE_USER, sample)
 
     def answer(self, input_text: str,
                generation: GenerationConfig | None = None) -> str:

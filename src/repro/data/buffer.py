@@ -58,6 +58,14 @@ class DataBuffer:
         self._samples.append(sample)
         self._embeddings.append(embedding)
 
+    def copy(self) -> "DataBuffer":
+        """An independent buffer with the same entries (which are never
+        mutated, so they are shared)."""
+        twin = DataBuffer(self.capacity)
+        twin._samples = list(self._samples)
+        twin._embeddings = list(self._embeddings)
+        return twin
+
     def clear(self) -> None:
         self._samples.clear()
         self._embeddings.clear()

@@ -1,6 +1,6 @@
 """The async HTTP serving gateway in front of :class:`PromptServeEngine`.
 
-Architecture — three kinds of thread around one engine:
+Architecture — four kinds of thread around one engine:
 
 * **Event-loop thread** — an asyncio HTTP/1.1 server (pure stdlib, see
   :mod:`repro.gateway.http`).  Handlers parse and validate payloads,
@@ -15,9 +15,14 @@ Architecture — three kinds of thread around one engine:
   ``engine.begin_query``, runs one ``engine.run_decode_round`` (every
   in-flight answer advances one token in a single batched forward), and
   resolves the futures of retired generations back into the event loop.
-* **Executor threads** — tune and stats requests run the engine's
-  (internally locked) training/stats entry points off the event loop,
-  interleaving with decode rounds at round boundaries.
+* **The tune thread** (``gateway-tune``) — tune requests run
+  ``engine.submit`` here, one at a time, at the lowest CPU priority the
+  OS offers (nice 19 on Linux, where niceness is per thread).  A tune
+  trains off the engine lock and takes it only to publish, so its epoch
+  runs *beside* decode rounds; the low priority is what keeps the core
+  for them, and queries keep their latency while a tune is in flight.
+* **Executor threads** — stats requests run the engine's (internally
+  locked) ``stats`` off the event loop, between decode rounds.
 
 Backpressure is two-layered by design: the gateway's queue bounds
 *accepted-but-unadmitted* work (HTTP 429 with a ``Retry-After`` hint
@@ -36,9 +41,12 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
+import os
+import sys
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..serve import (PromptServeEngine, QueryResponse, QueueFull,
@@ -74,6 +82,19 @@ class GatewayConfig:
             raise ValueError("max_queue must be positive")
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
+
+
+def _background_priority() -> None:
+    """Lower the calling thread to the lowest CPU priority (nice 19).
+
+    Only on Linux, where niceness belongs to the thread (``setpriority``
+    of its native id); elsewhere it would renice the whole process, so
+    this is a no-op.  It is never raised back: an unprivileged process
+    cannot.  A kernel that refuses leaves the thread at normal priority.
+    """
+    if sys.platform.startswith("linux"):
+        with contextlib.suppress(OSError):
+            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
 
 
 def query_response_to_dict(response: QueryResponse, *,
@@ -168,6 +189,7 @@ class PromptGateway:
         self._idle: set[asyncio.StreamWriter] = set()
         self._loop_thread: threading.Thread | None = None
         self._worker_thread: threading.Thread | None = None
+        self._tune_executor: ThreadPoolExecutor | None = None
         self._startup_error: BaseException | None = None
 
     # ------------------------------------------------------------------
@@ -177,6 +199,9 @@ class PromptGateway:
         """Bind, start serving, and return once the port is live."""
         if self._loop_thread is not None:
             raise RuntimeError("gateway already started")
+        self._tune_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="gateway-tune",
+            initializer=_background_priority)
         ready = threading.Event()
         self._loop_thread = threading.Thread(
             target=self._run_event_loop, args=(ready,),
@@ -205,6 +230,8 @@ class PromptGateway:
                 self._loop.call_soon_threadsafe(self._shutdown.set)
         if self._loop_thread is not None:
             self._loop_thread.join(timeout=10.0)
+        if self._tune_executor is not None:
+            self._tune_executor.shutdown(wait=True)
 
     def __enter__(self) -> "PromptGateway":
         return self.start()
@@ -415,8 +442,15 @@ class PromptGateway:
     async def _handle_tune(self, request: HTTPRequest,
                            ) -> tuple[int, dict, dict | None]:
         tune = parse_tune_request(request.json())
-        response = await self._loop.run_in_executor(
-            None, self.engine.submit, tune)
+        try:
+            response = await self._loop.run_in_executor(
+                self._tune_executor, self.engine.submit, tune)
+        except KeyError as error:
+            # The session was dropped mid-tune: nothing was absorbed, and
+            # the client is told so rather than the samples vanishing.
+            return 404, {"error": str(error), "status": 404,
+                         "user_id": tune.user_id,
+                         "request_id": tune.request_id}, None
         return 200, {
             "user_id": response.user_id,
             "accepted": response.accepted,

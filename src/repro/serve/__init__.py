@@ -6,8 +6,8 @@ base model.  This package is that story as an API:
 
 * :class:`PromptServeEngine` — owns the shared model/tokenizer and a
   bounded LRU cache of per-user sessions (limited on-device NVM).
-* :class:`UserSession` — one user's training pipeline plus lazily
-  reprogrammed NVM deployment.
+* :class:`UserSession` — one user's training pipeline plus the NVM
+  deployment each published epoch programs.
 * :class:`TuneRequest` / :class:`QueryRequest` / :class:`QueryResponse` —
   the typed request/response surface, with retrieval telemetry (selected
   OVT, similarity scores, analytic latency/energy) on every answer.

@@ -9,8 +9,11 @@ at once.  Training data and queries arrive as typed request objects
 analytic CiM latency/energy estimate from :mod:`repro.cim.energy`.
 
 Batched entry points (:meth:`PromptServeEngine.submit_batch`,
-:meth:`PromptServeEngine.answer_batch`) group requests by user so each
-user's crossbars are programmed at most once per batch.  Because
+:meth:`PromptServeEngine.answer_batch`) group requests by user, so one
+user's buffer fills contiguously and their deployment is resolved once
+per batch of queries.  A tune trains off the engine lock and programs
+the new library's crossbars when it publishes
+(:meth:`PromptServeEngine.submit`).  Because
 retrieval noise is drawn at *programming* time (not per read), batched
 answers are byte-identical to sequential ones — and the crossbar counters
 (the energy model's input) move by the same amount either way.
@@ -42,6 +45,7 @@ sequence.  Queries may also be admitted individually with
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import OrderedDict
@@ -179,6 +183,8 @@ class PromptServeEngine:
         # (run_decode_round) from different threads, and stats() may be
         # read from yet another.  Rounds hold the lock for one batched
         # forward, so readers see consistent counters, never torn state.
+        # A tune holds it only to publish: its training runs beside the
+        # rounds (submit).
         self._lock = threading.RLock()
         # Optional draft-verify decoding: a SpeculativeDecoder (see
         # repro.llm.speculative) makes every decode round draft several
@@ -226,16 +232,25 @@ class PromptServeEngine:
         A session leaves only after its spill succeeded: when the store
         refuses the blob the error reaches the caller, the victim stays
         resident with its trained state (the engine is over capacity by
-        one) and the next eviction tries again.
+        one) and the next eviction tries again.  A session with a tune in
+        flight is passed over — the tune publishes into the session it
+        started on — and when no other is left the engine stays over
+        capacity until that tune's publish evicts again.
         """
         while len(self._sessions) > self.max_sessions:
             # LRU eviction may land on a session with generations still
             # in flight; those are self-contained (the decoder's
             # sequences own their caches and telemetry snapshots) and
             # finish normally, so eviction frees the NVM library
-            # without touching any batch slot.
-            user_id, victim = next(iter(self._sessions.items()))
-            self._spill_session(victim)
+            # without touching any batch slot.  The most recent session
+            # is the one a caller is about to use, never a victim.
+            older = itertools.islice(self._sessions.items(),
+                                     len(self._sessions) - 1)
+            user_id = next((user_id for user_id, session in older
+                            if not session.tunes_in_flight), None)
+            if user_id is None:
+                return
+            self._spill_session(self._sessions[user_id])
             del self._sessions[user_id]
             self.evicted_sessions += 1
 
@@ -312,9 +327,14 @@ class PromptServeEngine:
 
     def load_session(self, user_id: int, library: OVTLibrary, *,
                      config: FrameworkConfig | None = None) -> UserSession:
-        """Create/refresh a session serving a library trained elsewhere."""
+        """Create/refresh a session serving a library trained elsewhere.
+
+        A tune of this user in flight publishes first; the adopted
+        library then replaces what it published.
+        """
         session = self.session(user_id, config=config)
-        session.adopt_library(library)
+        with session.tune_lock, self._lock:
+            session.adopt_library(library)
         return session
 
     def has_session(self, user_id: int) -> bool:
@@ -426,6 +446,8 @@ class PromptServeEngine:
                                     for s in self._sessions.values()),
                 "prefill_cache_bytes": sum(s.prefill_cache_bytes()
                                            for s in self._sessions.values()),
+                "tunes_in_flight": sum(s.tunes_in_flight
+                                       for s in self._sessions.values()),
                 "pending_generations": len(self._pending),
                 "queue_depth": len(self._pending),
                 "max_pending": self.max_pending,
@@ -465,21 +487,46 @@ class PromptServeEngine:
     # ------------------------------------------------------------------
     def observe(self, user_id: int, sample: Sample) -> bool:
         """Absorb one interaction; True when it triggered a training epoch."""
-        with self._lock:
-            return self.session(user_id).observe(sample)
+        return self.submit(TuneRequest(user_id=user_id,
+                                       samples=(sample,))).epochs_fired > 0
 
     def submit(self, request: TuneRequest) -> TuneResponse:
-        """Absorb one user's batch of interactions."""
+        """Absorb one user's batch of interactions.
+
+        Writes beside reads: the training runs *off* the engine lock, on
+        a fork of the session's pipeline
+        (:meth:`~repro.serve.session.UserSession.prepare`), while every
+        query — this user's too — is served from the published library.
+        One publish under the lock then installs the fork and, when an
+        epoch fired, programs the new library's crossbars.  Tunes of one
+        user run one at a time, and the session cannot be evicted in
+        between.  A session dropped mid-tune stays dropped: the tune
+        raises ``KeyError`` and absorbs nothing.
+        """
+        user_id = request.user_id
         with self._lock:
-            session = self.session(request.user_id)
-            epochs = session.extend(list(request.samples))
-        return TuneResponse(
-            user_id=request.user_id,
-            accepted=len(request.samples),
-            epochs_fired=epochs,
-            library_size=len(session.library),
-            request_id=request.request_id,
-        )
+            session = self.session(user_id)
+            session.tunes_in_flight += 1
+        try:
+            with session.tune_lock:
+                pipeline, epochs = session.prepare(list(request.samples))
+                with self._lock:
+                    if self._sessions.get(user_id) is not session:
+                        raise KeyError(
+                            f"session for user {user_id!r} was dropped "
+                            f"during the tune; its samples were not absorbed")
+                    session.publish(pipeline, epochs)
+                    return TuneResponse(
+                        user_id=user_id,
+                        accepted=len(request.samples),
+                        epochs_fired=epochs,
+                        library_size=len(session.library),
+                        request_id=request.request_id,
+                    )
+        finally:
+            with self._lock:
+                session.tunes_in_flight -= 1
+                self._evict_over_capacity()
 
     def submit_batch(self, requests: list[TuneRequest]) -> list[TuneResponse]:
         """Absorb many users' batches; responses come back in input order.
@@ -526,7 +573,7 @@ class PromptServeEngine:
         """Serve a batch of queries; responses come back in input order.
 
         Queries are grouped by user so each user's deployment is resolved
-        (and, if stale, reprogrammed) once per batch and all of a user's
+        (and, if it has none, programmed) once per batch and all of a user's
         texts are scored in one batched in-memory search.
 
         Every query is admitted to the continuous-batching decoder and all

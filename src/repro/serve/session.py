@@ -1,24 +1,37 @@
-"""Per-user serving state: one training pipeline + one lazy deployment.
+"""Per-user serving state: one training pipeline + one NVM deployment.
 
 A :class:`UserSession` is everything the engine keeps for a single user:
 their streaming buffer and OVT library (via
 :class:`~repro.core.OVTTrainingPipeline`) and, once the library is
 non-empty, an :class:`~repro.core.NVCiMDeployment` whose crossbars hold the
-library.  The deployment is (re)programmed lazily: each training epoch
-changes the library, so the previous NVM contents are invalidated and the
-next query pays one reprogramming — exactly the write-then-serve cadence of
-the paper's edge device.
+library.
+
+A tune is two steps, so that training never stalls a reader:
+
+* :meth:`UserSession.prepare` trains on a private fork of the pipeline
+  and touches nothing a query reads — the engine runs it off its lock;
+* :meth:`UserSession.publish` installs the fork.  When an epoch fired it
+  retires the old deployment, programs the new library onto fresh
+  crossbars and clears the prefill cache — the paper's write-then-serve
+  cadence: OVTs are written to NVM at the end of training.
+
+A query therefore sees the library before a tune or after it, never a mix.
+The engine's ``submit`` is the one tune path; a session outside an engine
+tunes the same way, ``session.publish(*session.prepare(samples))``.
+:meth:`UserSession.deployment` still programs lazily a session that has
+none — one restored from a recipe snapshot, or serving an adopted library.
 
 The session also keeps a small LRU cache of decode-ready
 :class:`~repro.llm.generation.PrefillState`s keyed by ``(query text, OVT
 index)``: a repeated query (within a batch or across batches) pays the KV
 prefill once and every answer is produced by incremental decode steps
-against the cached state.  Training invalidates the cache along with the
-deployment, since a retrained library restores different soft prompts.
+against the cached state.  Publishing an epoch clears the cache along with
+the deployment, since a retrained library restores different soft prompts.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Callable
 
@@ -68,6 +81,13 @@ class UserSession:
         # correctness requirement: evicting a session mid-flight leaves its
         # pending generations running to completion.
         self.generations_in_flight = 0
+        # Tunes between prepare and publish (the engine's gauge, and its
+        # eviction pin: a session leaving mid-tune would lose the tune).
+        self.tunes_in_flight = 0
+        # Serialises this user's tunes in an engine: prepare forks the
+        # pipeline that publish replaces, so two tunes of one user must not
+        # overlap.  Taken before the engine lock, never while holding it.
+        self.tune_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -84,24 +104,39 @@ class UserSession:
 
     @property
     def is_deployed(self) -> bool:
-        """Whether the library is currently programmed onto the crossbars."""
+        """Whether the library is currently programmed onto the crossbars:
+        from the publish of an epoch (or a raw restore) on; a session
+        restored from a recipe, or serving an adopted library, is
+        programmed by its next query."""
         return self._deployment is not None
 
     # ------------------------------------------------------------------
     # Training mode
     # ------------------------------------------------------------------
-    def observe(self, sample: Sample) -> bool:
-        """Absorb one interaction; True when a training epoch just ran."""
-        fired = self.pipeline.observe(sample)
-        if fired:
-            self.epochs_completed += 1
-            self._retire_deployment()  # library changed; reprogram lazily
-            self._prefill_states.clear()  # restored prompts change too
-        return fired
+    def prepare(self, samples: list[Sample]
+                ) -> tuple[OVTTrainingPipeline, int]:
+        """Absorb interactions into a fork of the pipeline; returns the
+        fork and the number of epochs it fired.
 
-    def extend(self, samples: list[Sample]) -> int:
-        """Absorb many interactions; returns the number of epochs fired."""
-        return sum(self.observe(sample) for sample in samples)
+        Reads the current pipeline and changes nothing: the session keeps
+        serving its library until :meth:`publish` installs the fork.
+        """
+        pipeline = self.pipeline.fork()
+        return pipeline, sum(pipeline.observe(sample) for sample in samples)
+
+    def publish(self, pipeline: OVTTrainingPipeline, epochs: int) -> None:
+        """Install what :meth:`prepare` trained.
+
+        After an epoch the old deployment is retired *before* the new
+        library is programmed, so the two sets of crossbars are never
+        held at once.
+        """
+        self.pipeline = pipeline
+        if epochs:
+            self.epochs_completed += epochs
+            self._retire_deployment()
+            self._prefill_states.clear()   # restored prompts change too
+            self.deployment()
 
     def adopt_library(self, library: OVTLibrary) -> None:
         """Serve a library trained elsewhere (e.g. restored from storage)."""
@@ -135,10 +170,10 @@ class UserSession:
     # Inference mode
     # ------------------------------------------------------------------
     def deployment(self) -> NVCiMDeployment:
-        """The NVM deployment, (re)programming the crossbars if stale."""
+        """The NVM deployment, programming the crossbars if there is none."""
         if not self.library.ovts:
             raise RuntimeError(
-                "no OVTs trained yet; feed more samples via observe()"
+                "no OVTs trained yet; tune this user first"
             )
         if self._deployment is None:
             self._deployment = NVCiMDeployment(
@@ -157,8 +192,8 @@ class UserSession:
         ``restore_prompt`` is only invoked on a cache miss, so a repeated
         query skips the NVM read-back and autoencoder decode entirely.  It
         must restore the soft prompt for ``ovt_index`` from the *current*
-        deployment — the cache key assumes it, and training (which changes
-        what each index restores to) clears the cache.
+        deployment — the cache key assumes it, and publishing an epoch
+        (which changes what each index restores to) clears the cache.
         """
         key = (text, ovt_index)
         state = self._prefill_states.get(key)

@@ -21,11 +21,11 @@ operator archives a user without their crossbar state):
 * ``mode="recipe"`` — the session as if its deployment had just been
   retired: no deployment section, the live crossbars' counters banked
   into ``counters["retired_cim"]``.  The restored session is undeployed
-  and re-programs lazily on its next query, like any session whose
-  library changed.  Programming is deterministic (the deployment's
-  generator derives from the config alone), so the conductances and the
-  answers are the same — and the re-programming is *billed*: NVM write
-  energy and endurance are the paper's own cost model.
+  and re-programs lazily on its next query.  Programming is
+  deterministic (the deployment's generator derives from the config
+  alone), so the conductances and the answers are the same — and the
+  re-programming is *billed*: NVM write energy and endurance are the
+  paper's own cost model.
 
 The prefill KV cache is deliberately *not* serialized: prefill is
 deterministic, so a restored session recomputes any state it needs and

@@ -57,6 +57,9 @@ STATS_MANIFEST = {
     "stored_ovts": "additive",
     "prefill_hits": "additive",
     "prefill_cache_bytes": "additive",
+    # Gauge: tunes between prepare and publish on resident sessions (each
+    # pins its session against LRU eviction until it publishes).
+    "tunes_in_flight": "additive",
     "pending_generations": "additive",
     "queue_depth": "additive",
     "max_pending": "capacity",

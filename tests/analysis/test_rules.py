@@ -162,6 +162,56 @@ class TestLock001:
 
 
 # ----------------------------------------------------------------------
+# LOCK-002: no training under self._lock
+# ----------------------------------------------------------------------
+class TestLock002:
+    def test_true_positive_epoch_under_the_lock(self, tmp_path):
+        report = run_tree(tmp_path, {"serve/bad.py": """\
+            class PromptServeEngine:
+                def submit(self, request):
+                    with self._lock:
+                        session = self.session(request.user_id)
+                        epochs = session.extend(list(request.samples))
+                def observe(self, user_id, sample):
+                    with self._lock:
+                        return self.session(user_id).observe(sample)
+                def tune(self, request):
+                    with self._lock:
+                        fork = self._sessions[0].prepare(request.samples)
+                        self.submit(request)
+        """}, ["LOCK-002"])
+        assert rules_of(report) == ["LOCK-002"] * 4
+        assert [f.line for f in report.findings] == [5, 8, 11, 12]
+        assert ".extend()" in report.findings[0].message
+
+    def test_true_negative_prepare_off_lock_publish_under_it(self, tmp_path):
+        report = run_tree(tmp_path, {"serve/good.py": """\
+            class PromptServeEngine:
+                def submit(self, request):
+                    with self._lock:
+                        session = self.session(request.user_id)
+                        self._pending.extend([])      # a list, not a tune
+                    fork, epochs = session.prepare(request.samples)
+                    with self._lock:
+                        session.publish(fork, epochs)
+                        session.deployment()          # programming is allowed
+                def observe(self, user_id, sample):
+                    return self.submit(sample)
+        """}, ["LOCK-002"])
+        assert report.findings == []
+
+    def test_suppressed(self, tmp_path):
+        report = run_tree(tmp_path, {"serve/ok.py": """\
+            class Engine:
+                def warm(self, session, samples):
+                    with self._lock:
+                        session.extend(samples)  # repro: noqa[LOCK-002] offline
+        """}, ["LOCK-002"])
+        assert report.findings == []
+        assert len(report.suppressed) == 1
+
+
+# ----------------------------------------------------------------------
 # SNAP-001: snapshot completeness
 # ----------------------------------------------------------------------
 class TestSnap001:
@@ -438,7 +488,8 @@ class TestTune001:
 # ----------------------------------------------------------------------
 def test_all_shipped_rules_registered():
     assert set(RULES.names()) >= {"RNG-001", "RNG-002", "LOCK-001",
-                                  "SNAP-001", "SEC-001", "STATS-001",
+                                  "LOCK-002", "SNAP-001", "SEC-001",
+                                  "STATS-001",
                                   "INF-001", "TUNE-001"}
 
 

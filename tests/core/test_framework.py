@@ -210,7 +210,10 @@ class TestFacade:
         first = system._session._deployment
         for sample in stream_for(0, 10, seed=2):
             system.observe(sample)
-        assert system._session._deployment is None  # invalidated
+        # Re-programmed when the epoch published, not by the next query.
+        rebuilt = system._session._deployment
+        assert rebuilt is not None and rebuilt is not first
+        assert rebuilt.library is system.library
         system.answer(stream_for(0, 1)[0].input_text,
                       GenerationConfig(max_new_tokens=1))
-        assert system._session._deployment is not first
+        assert system._session._deployment is rebuilt

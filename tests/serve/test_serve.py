@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FrameworkConfig, NVCiMPT
+from repro.core import FrameworkConfig, NVCiMPT, OVTTrainingPipeline
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
 from repro.serve import (
@@ -32,6 +32,19 @@ def fast_config(**overrides):
 def stream_for(user_id, count, seed=0):
     ds = make_dataset("LaMP-2")
     return ds.generate(make_user(user_id, seed=0), count, seed=seed)
+
+
+def donor_library(model, tok, user_id=1):
+    """A library trained elsewhere, for ``load_session`` / adoption."""
+    return OVTTrainingPipeline(model, tok, fast_config()).run(
+        stream_for(user_id, 10, seed=user_id))
+
+
+def tune_session(session, samples):
+    """The engine's tune on a bare session: prepare, then publish."""
+    pipeline, epochs = session.prepare(samples)
+    session.publish(pipeline, epochs)
+    return epochs
 
 
 def fast_generation(tok, n=3):
@@ -342,8 +355,7 @@ class TestPrefillSharing:
 
     def test_adopt_library_invalidates_prefill_cache(self, setup):
         model, tok = setup
-        donor = UserSession(1, model, tok, fast_config())
-        donor.extend(stream_for(1, 10, seed=1))
+        donor = donor_library(model, tok)
         engine = PromptServeEngine(model, tok, fast_config(), max_sessions=2)
         engine.submit(TuneRequest(user_id=0,
                                   samples=tuple(stream_for(0, 10))))
@@ -351,20 +363,30 @@ class TestPrefillSharing:
         engine.query(QueryRequest(user_id=0, text=text,
                                   generation=fast_generation(tok)))
         assert len(engine.session(0)._prefill_states) == 1
-        engine.load_session(0, donor.library)
+        engine.load_session(0, donor)
         assert len(engine.session(0)._prefill_states) == 0
 
 
 class TestUserSession:
     def test_deployment_invalidated_by_new_epoch(self, setup):
+        """Publishing an epoch retires the old deployment and programs the
+        new library at once; the retired one never saw the epoch."""
         model, tok = setup
         session = UserSession(7, model, tok, fast_config())
-        assert session.extend(stream_for(7, 10, seed=7)) == 1
-        first = session.deployment()
+        assert tune_session(session, stream_for(7, 10, seed=7)) == 1
+        assert session.is_deployed                   # written at publish
+        first, first_library = session.deployment(), session.library
+        n_ovts = len(first_library)
+        assert tune_session(session, stream_for(7, 10, seed=8)) == 1
         assert session.is_deployed
-        session.extend(stream_for(7, 10, seed=8))
-        assert not session.is_deployed               # stale after training
-        assert session.deployment() is not first
+        second = session.deployment()
+        assert second is not first
+        assert second.library is session.library is not first_library
+        assert first.library is first_library
+        assert len(first_library) == n_ovts < len(session.library)
+        # Samples that fire no epoch change no crossbar.
+        assert tune_session(session, stream_for(7, 3, seed=9)) == 0
+        assert session.deployment() is second
 
     def test_answer_without_library_raises(self, setup):
         model, tok = setup
@@ -374,12 +396,11 @@ class TestUserSession:
 
     def test_adopt_library(self, setup):
         model, tok = setup
-        donor = UserSession(1, model, tok, fast_config())
-        donor.extend(stream_for(1, 10, seed=1))
+        donor = donor_library(model, tok)
         session = UserSession(2, model, tok, fast_config())
-        session.adopt_library(donor.library)
-        assert session.library is donor.library
-        assert session.deployment().engine.n_stored == len(donor.library)
+        session.adopt_library(donor)
+        assert session.library is donor
+        assert session.deployment().engine.n_stored == len(donor)
 
 
 class TestConfigSurface:

@@ -461,17 +461,15 @@ class TestByteStats:
         assert stats["session_store"]["bytes"] == sum(store.put_sizes)
 
     def test_resident_nvm_bytes_per_cell(self, setup):
-        """5 B an occupied cell (float32 conductance + uint8 level)
-        before and after the first query, and after a restore: the GEMM
-        reads the stored cells, there is no second copy to build, and the
-        erased rest of each subarray is not held at all."""
+        """5 B an occupied cell (float32 conductance + uint8 level) from
+        the tune's publish on, after the first query, and after a restore:
+        the GEMM reads the stored cells, there is no second copy to build,
+        and the erased rest of each subarray is not held at all."""
         model, tok = setup
         engine = make_engine(model, tok, max_sessions=1,
                              session_store=SessionStore())
         query = stream_for(0, 12)[11].input_text
         train(engine, 0)
-        assert engine.stats()["resident_nvm_bytes"] == 0     # undeployed
-        engine.answer(0, query, greedy(tok))
         stores = (engine.session(0).deployment()
                   .engine._stores.values())
         # Two OVTs as the columns of a 768-, a 384- and a 192-row store,
@@ -481,6 +479,8 @@ class TestByteStats:
         assert cells == 8 * (768 + 384 + 192) * 2 == 21_504
         assert sum(matrix.n_subarrays for matrix in stores) == 32
         assert engine.stats()["resident_nvm_bytes"] == 5 * cells == 107_520
+        engine.answer(0, query, greedy(tok))
+        assert engine.stats()["resident_nvm_bytes"] == 5 * cells
 
         engine.drop_session(0)               # spill ...
         assert engine.stats()["resident_nvm_bytes"] == 0

@@ -17,6 +17,8 @@ from repro.serve import (
 )
 from repro.serve.stats_manifest import STATS_MANIFEST
 
+from .tune_gate import Background, EpochGate
+
 USERS = (0, 1, 2, 3)
 
 
@@ -176,6 +178,27 @@ class TestAggregateStats:
         monkeypatch.setitem(STATS_MANIFEST, "my_counter", "additive")
         expected = sum(range(1, sharded.n_workers + 1))
         assert sharded.stats()["my_counter"] == expected
+
+    def test_tunes_in_flight_gauge_sums_across_workers(self, setup,
+                                                       monkeypatch):
+        """A tune parked inside prepare shows on its worker and in the
+        fleet total, and leaves both when it publishes."""
+        assert STATS_MANIFEST["tunes_in_flight"] == "additive"
+        model, tok = setup
+        sharded = ShardedPromptEngine(model, tok,
+                                      FrameworkConfig.preset("fast"),
+                                      n_workers=2, max_sessions=2)
+        gate = EpochGate(monkeypatch)
+        tuning = Background(sharded.submit, TuneRequest(
+            user_id=0, samples=tuple(stream_for(0, 10))))
+        gate.wait_entered()
+        stats = sharded.stats()
+        assert stats["tunes_in_flight"] == 1
+        assert [worker["tunes_in_flight"] for worker in stats["workers"]] \
+            == [int(index == sharded.shard_of(0)) for index in range(2)]
+        gate.release()
+        assert tuning.result().epochs_fired == 1
+        assert sharded.stats()["tunes_in_flight"] == 0
 
     def test_latency_histogram_merges_all_samples(self, engines):
         sharded, *_ = engines
