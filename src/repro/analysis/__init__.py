@@ -3,10 +3,10 @@
 The serving stack's correctness rests on invariants no test exercises
 directly: every random draw flows from one experiment seed, engine
 mutations happen under the lock, snapshots capture all ``__init__``
-state, nothing deserializes through pickle, stats keys declare how
-they aggregate, and neither the inference path nor the tune path builds
-an autograd graph.  This
-package checks them structurally, with pure stdlib ``ast`` — run
+state, nothing deserializes through pickle, stats keys declare how they
+aggregate, neither the inference path nor the tune path builds an
+autograd graph, and the layers sharing the base model never write it.
+This package checks them structurally, with pure stdlib ``ast`` — run
 ``python -m repro.analysis`` (see ``__main__``).
 
 Importing the package registers the built-in rules in :data:`RULES`;
@@ -32,6 +32,7 @@ from . import rules_snapshot  # noqa: F401
 from . import rules_security  # noqa: F401
 from . import rules_stats  # noqa: F401
 from . import rules_inference  # noqa: F401
+from . import rules_model  # noqa: F401
 
 __all__ = [
     "RULES",

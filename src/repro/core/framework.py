@@ -101,21 +101,10 @@ class FrameworkConfig:
     search: SearchConfig | None = None    # derived from `retrieval` if None
     on_cim: bool = True                   # False = ideal digital store
     seed: int = 0
-    base_quantization: str | None = None  # None | "int8" | "int4"
-    quantization_group_size: int = 32     # scale group along input channels
 
     def __post_init__(self):
         if self.buffer_capacity <= 0:
             raise ValueError("buffer_capacity must be positive")
-        if self.base_quantization is not None:
-            from ..llm.quantization import QUANTIZATION_BITS
-            if self.base_quantization not in QUANTIZATION_BITS:
-                raise ValueError(
-                    f"base_quantization must be None or one of "
-                    f"{sorted(QUANTIZATION_BITS)}, "
-                    f"got {self.base_quantization!r}")
-        if self.quantization_group_size <= 0:
-            raise ValueError("quantization_group_size must be positive")
         if self.retrieval not in RETRIEVAL_REGISTRY:
             raise ValueError(
                 f"retrieval must be one of {RETRIEVAL_REGISTRY.names()}, "

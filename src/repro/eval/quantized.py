@@ -85,10 +85,10 @@ def quantization_quality(
 
     Accuracy is :func:`~repro.eval.runner.evaluate_method` on the
     NVCiM-PT column: libraries are tuned against the context's memoised
-    float model and an engine configured with the point's
-    ``base_quantization`` serves a converted copy.  Perplexity likewise
-    converts a ``deepcopy``, so the shared float model — and the
-    libraries tuned against it — are never touched.
+    float model, and each point converts one ``deepcopy`` of it that
+    serves the point's accuracy and scores its perplexity, so the shared
+    float model — and the libraries tuned against it — are never
+    touched.
     """
     base_config = FrameworkConfig(buffer_capacity=5)
     method = next(m for m in TABLE1_METHODS if m.name == "NVCiM-PT")
@@ -104,12 +104,8 @@ def quantization_quality(
     for mode, group_size in points:
         arm = copy.deepcopy(float_model)
         quantize_model(arm, mode, group_size)
-        arm.eval()
-        accuracy = evaluate_method(
-            context, model_name, dataset_name, method,
-            base_config.replace(base_quantization=mode,
-                                quantization_group_size=group_size),
-            user_ids=user_ids)
+        accuracy = evaluate_method(context, model_name, dataset_name, method,
+                                   base_config, user_ids=user_ids, model=arm)
         ppl = perplexity(arm, context.corpus,
                          window=ppl_window, max_windows=ppl_windows)
         stats = quantization_stats(arm)

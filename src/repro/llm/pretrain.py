@@ -48,29 +48,41 @@ def _sample_windows(stream: np.ndarray, count: int, seq_len: int,
 
 def pretrain_lm(model: TinyCausalLM, token_stream: np.ndarray,
                 config: PretrainConfig = PretrainConfig()) -> list[float]:
-    """Train ``model`` in place on next-token prediction; return loss curve."""
+    """Train ``model`` in place on next-token prediction; return loss curve.
+
+    The weights are trainable only inside this loop, however it exits.
+    """
     token_stream = np.asarray(token_stream, dtype=np.int64).reshape(-1)
     rng = rng_from_seed(config.seed)
-    optimizer = Adam(model.parameters(), lr=config.lr)
-    scheduler = LinearWarmupDecay(
-        optimizer,
-        warmup_steps=max(1, int(config.steps * config.warmup_fraction)),
-        total_steps=config.steps,
-    )
-    losses: list[float] = []
-    model.train()
-    for _ in range(config.steps):
-        windows = _sample_windows(stream=token_stream, count=config.batch_size,
-                                  seq_len=config.seq_len, rng=rng)
-        inputs, targets = windows[:, :-1], windows[:, 1:]
-        optimizer.zero_grad()
-        logits = model(inputs)
-        vocab = logits.shape[-1]
-        loss = cross_entropy(logits.reshape(-1, vocab), targets.reshape(-1))
-        loss.backward()
-        clip_grad_norm(model.parameters(), config.grad_clip)
-        optimizer.step()
-        scheduler.step()
-        losses.append(float(loss.data))
-    model.eval()
+    params = model.parameters()
+    for param in params:
+        param.requires_grad = True
+    try:
+        optimizer = Adam(params, lr=config.lr)
+        scheduler = LinearWarmupDecay(
+            optimizer,
+            warmup_steps=max(1, int(config.steps * config.warmup_fraction)),
+            total_steps=config.steps,
+        )
+        losses: list[float] = []
+        model.train()
+        for _ in range(config.steps):
+            windows = _sample_windows(token_stream, config.batch_size,
+                                      config.seq_len, rng)
+            inputs, targets = windows[:, :-1], windows[:, 1:]
+            optimizer.zero_grad()
+            logits = model(inputs)
+            vocab = logits.shape[-1]
+            loss = cross_entropy(logits.reshape(-1, vocab),
+                                 targets.reshape(-1))
+            loss.backward()
+            clip_grad_norm(params, config.grad_clip)
+            optimizer.step()
+            scheduler.step()
+            losses.append(float(loss.data))
+    finally:
+        for param in params:
+            param.requires_grad = False
+            param.grad = None
+        model.eval()
     return losses

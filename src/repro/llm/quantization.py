@@ -37,7 +37,7 @@ __all__ = [
     "quantization_stats",
 ]
 
-#: ``FrameworkConfig.base_quantization`` values and the bit width each means.
+#: :func:`quantize_model` modes and the bit width each means.
 QUANTIZATION_BITS = {"int8": 8, "int4": 4}
 
 
@@ -78,8 +78,8 @@ def quantize_model_weights(model: Module, bits: int = 4,
 def quantize_model(model: Module, mode: str, group_size: int = 32) -> int:
     """Convert every dense :class:`Linear` of ``model`` to the packed path.
 
-    ``mode`` is ``"int8"`` or ``"int4"`` (a ``FrameworkConfig``
-    ``base_quantization`` value).  Each Linear reachable from ``model`` —
+    ``mode`` is ``"int8"`` or ``"int4"``; the model's owner converts it
+    before an engine holds it.  Each Linear reachable from ``model`` —
     through attributes, containers, and dicts, deduplicated by identity so
     tied layers convert once — is replaced in place by a
     :class:`~repro.ag.QuantizedLinear`; embeddings and LayerNorm stay

@@ -92,6 +92,9 @@ class TinyCausalLM(Module):
                        for _ in range(config.n_layers)]
         self.ln_final = LayerNorm(config.d_model)
         self.lm_head = Linear(config.d_model, config.vocab_size, bias=False, rng=rng)
+        # Built frozen: only pretrain_lm makes the weights trainable.
+        for param in self.parameters():
+            param.requires_grad = False
 
     # ------------------------------------------------------------------
     def embed(self, token_ids: np.ndarray) -> Tensor:

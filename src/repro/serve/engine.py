@@ -62,7 +62,7 @@ from ..llm.generation import (
     DecodeScheduler,
     GenerationConfig,
 )
-from ..llm.quantization import quantization_stats, quantize_model
+from ..llm.quantization import quantization_stats
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
 from .api import (
@@ -131,19 +131,8 @@ class PromptServeEngine:
         if max_pending is not None and max_pending <= 0:
             raise ValueError("max_pending must be positive (or None)")
         self.config = config if config is not None else FrameworkConfig()
-        # Optional weight quantization: convert the frozen base model's
-        # dense Linears to the packed int8/int4 execution path once, before
-        # any forward.  Idempotent, so a model shared across engines (the
-        # sharded deployment) converts exactly once; the draft model rides
-        # along — its proposals only steer, the base verify still decides
-        # every token.  The resident-weight accounting feeds stats().
-        if self.config.base_quantization is not None:
-            quantize_model(model, self.config.base_quantization,
-                           self.config.quantization_group_size)
-            if speculative is not None:
-                quantize_model(speculative.draft_model,
-                               self.config.base_quantization,
-                               self.config.quantization_group_size)
+        # Served at the precision its owner converted it to (before any
+        # engine held it); the resident-weight accounting feeds stats().
         self._quantization = quantization_stats(model)
         # The base model is frozen shared state: pin it to eval mode once so
         # decoding never has to flip module flags other threads could see.

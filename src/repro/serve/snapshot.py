@@ -212,7 +212,8 @@ class SessionSnapshot:
         ``UserSession.deployment()`` re-programs (deterministically, and
         billed) on its next query.  Either way the rebuilt session's
         greedy answers are byte-identical to the original's, with no
-        tuner step re-run.
+        tuner step re-run.  Any section that does not rebuild raises
+        :class:`SnapshotError`, so the engine quarantines the blob.
         """
         fingerprint = self.model_fingerprint
         actual = {"d_model": model.config.d_model,
@@ -222,6 +223,16 @@ class SessionSnapshot:
             raise SnapshotError(
                 f"snapshot was captured against a model with "
                 f"{fingerprint}, got {actual}")
+        try:
+            return self._rebuild(model, tokenizer)
+        except SnapshotError:
+            raise
+        except (KeyError, ValueError, TypeError) as error:
+            raise SnapshotError(
+                f"snapshot state does not restore: {error!r}") from error
+
+    def _rebuild(self, model: TinyCausalLM,
+                 tokenizer: Tokenizer) -> UserSession:
         config = self._framework_config()
         session = UserSession(self.user_id, model, tokenizer, config)
 
@@ -264,27 +275,22 @@ class SessionSnapshot:
                     f"a {self.mode!r} snapshot carries a deployment "
                     f"section (counters only, from an older build); those "
                     f"are no longer readable")
-            try:
-                session._deployment = NVCiMDeployment.from_snapshot(
-                    model, tokenizer, library, config, self.deployment)
-            except KeyError as error:
-                raise SnapshotError(
-                    f"deployment state is incomplete: missing {error}"
-                ) from error
-            except ValueError as error:   # geometry / layout / mitigation
-                raise SnapshotError(
-                    f"deployment state does not restore: {error}") from error
+            session._deployment = NVCiMDeployment.from_snapshot(
+                model, tokenizer, library, config, self.deployment)
         return session
 
     def _framework_config(self) -> FrameworkConfig:
         """The captured config, minus the switches retired since v1 blobs
         were first written (``vectorized``, ``tuning.batched``): each only
         ever held one deployable value, so they are dropped here rather
-        than by a schema bump.  The per-tile layout is refused outright."""
+        than by a schema bump, as are the base model's (never the
+        session's) precision keys.  The per-tile layout is refused."""
         data = dict(self.config)
         if not data.pop("vectorized", True):
             raise SnapshotError("per-tile (vectorized=False) snapshots are "
                                 "no longer readable")
+        data.pop("base_quantization", None)
+        data.pop("quantization_group_size", None)
         if isinstance(data.get("tuning"), dict):
             data["tuning"] = {key: value
                               for key, value in data["tuning"].items()

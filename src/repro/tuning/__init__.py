@@ -1,6 +1,6 @@
 """Prompt tuning methods: vanilla PT, prefix tuning, DEPT, P-tuning v2."""
 
-from .apply import apply_embedding_delta, generate_with_artifact
+from .apply import generate_with_artifact
 from .base import (
     IGNORE_INDEX,
     PromptArtifact,
@@ -13,7 +13,7 @@ from .base import (
 from .dept import DEPTTuner
 from .prefix import PrefixTuner, kv_prefix_tensors, prefix_loss_for_batch
 from .ptuning_v2 import PTuningV2Tuner
-from .trainer import freeze_model, train_prompt_parameters
+from .trainer import train_prompt_parameters
 from .vanilla import (
     VanillaPromptTuner,
     initial_prompt_matrix,
@@ -27,6 +27,5 @@ __all__ = [
     "VanillaPromptTuner", "PrefixTuner", "DEPTTuner", "PTuningV2Tuner",
     "initial_prompt_matrix", "prompt_loss_and_grad",
     "prefix_loss_for_batch", "kv_prefix_tensors",
-    "freeze_model", "train_prompt_parameters",
-    "apply_embedding_delta", "generate_with_artifact",
+    "train_prompt_parameters", "generate_with_artifact",
 ]

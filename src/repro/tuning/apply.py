@@ -2,36 +2,16 @@
 
 from __future__ import annotations
 
-import contextlib
+import copy
 
-import numpy as np
-
+from ..ag import Tensor
 from ..llm.generation import GenerationConfig, generate
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
 from .base import PromptArtifact
 from .prefix import kv_prefix_tensors
 
-__all__ = ["apply_embedding_delta", "generate_with_artifact"]
-
-
-@contextlib.contextmanager
-def apply_embedding_delta(model: TinyCausalLM, delta: np.ndarray | None):
-    """Temporarily add DEPT's low-rank delta to the embedding table."""
-    if delta is None:
-        yield
-        return
-    weight = model.token_embedding.weight
-    if delta.shape != weight.shape:
-        raise ValueError(
-            f"embedding delta {delta.shape} does not match table {weight.shape}"
-        )
-    original = weight.data
-    weight.data = original + delta
-    try:
-        yield
-    finally:
-        weight.data = original
+__all__ = ["generate_with_artifact"]
 
 
 def generate_with_artifact(
@@ -43,21 +23,30 @@ def generate_with_artifact(
 ) -> str:
     """Generate a continuation of ``input_text`` under ``artifact``.
 
-    ``artifact=None`` evaluates the frozen base model (zero-shot).
+    ``artifact=None`` evaluates the frozen base model (zero-shot).  A
+    DEPT artifact decodes on a shallow copy of ``model`` whose token
+    embedding holds ``weight + embedding_delta``.
     """
     config = config or GenerationConfig(max_new_tokens=100, temperature=0.1,
                                         eos_id=tokenizer.eos_id)
     ids = tokenizer.encode(input_text)
     soft_prompt = None
     prefix_kv = None
-    delta = None
     if artifact is not None:
         if artifact.soft_prompt is not None:
             soft_prompt = artifact.soft_prompt.matrix
         if artifact.prefix_kv is not None:
             prefix_kv = kv_prefix_tensors(artifact.prefix_kv)
         delta = artifact.embedding_delta
-    with apply_embedding_delta(model, delta):
-        out_ids = generate(model, ids, config, soft_prompt=soft_prompt,
-                           prefix_kv=prefix_kv)
+        if delta is not None:
+            table = model.token_embedding.weight.data
+            if delta.shape != table.shape:
+                raise ValueError(f"embedding delta {delta.shape} does not "
+                                 f"match table {table.shape}")
+            embedding = copy.copy(model.token_embedding)
+            embedding.weight = Tensor(table + delta)
+            model = copy.copy(model)
+            model.token_embedding = embedding
+    out_ids = generate(model, ids, config, soft_prompt=soft_prompt,
+                       prefix_kv=prefix_kv)
     return tokenizer.decode(out_ids)

@@ -73,8 +73,7 @@ class DEPTTuner:
             loss.backward()
             return float(loss.data)
 
-        train_prompt_parameters(self.model, params, step, samples,
-                                self.config)
+        train_prompt_parameters(params, step, samples, self.config)
         tokens = VirtualTokens(prompt.data.copy())
         delta = (lora_a.data @ lora_b.data).astype(np.float32)
         return PromptArtifact(soft_prompt=tokens, embedding_delta=delta,

@@ -95,8 +95,7 @@ class PrefixTuner:
             loss.backward()
             return float(loss.data)
 
-        train_prompt_parameters(self.model, params, step, samples,
-                                self.config)
+        train_prompt_parameters(params, step, samples, self.config)
         final = materialise()
         raw = [(k.data.copy(), v.data.copy()) for k, v in final]
         return PromptArtifact(prefix_kv=raw, method=self.method_name)

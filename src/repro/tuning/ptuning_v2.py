@@ -63,8 +63,7 @@ class PTuningV2Tuner:
             loss.backward()
             return float(loss.data)
 
-        train_prompt_parameters(self.model, prompts, step, samples,
-                                self.config)
+        train_prompt_parameters(prompts, step, samples, self.config)
         final = self._project(prompts)
         raw = [(k.data.copy(), v.data.copy()) for k, v in final]
         return PromptArtifact(prefix_kv=raw, method=self.method_name)

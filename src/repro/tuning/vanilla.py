@@ -112,8 +112,7 @@ class VanillaPromptTuner:
             prompt.grad = grad
             return float(loss)
 
-        train_prompt_parameters(self.model, [prompt], step, samples,
-                                self.config)
+        train_prompt_parameters([prompt], step, samples, self.config)
         domain = samples[0].domain if len(samples) == 1 else ""
         source = samples[0] if len(samples) == 1 else None
         tokens = VirtualTokens(prompt.data.copy(), source=source, domain=domain)

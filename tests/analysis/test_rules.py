@@ -484,13 +484,109 @@ class TestTune001:
 
 
 # ----------------------------------------------------------------------
+# MODEL-001: the shared base model is read-only after set-up
+# ----------------------------------------------------------------------
+class TestModel001:
+    def test_true_positive_convert_flip_and_swap(self, tmp_path):
+        report = run_tree(tmp_path, {
+            "serve/engine.py": """\
+                from ..llm import quantization
+                from ..llm.quantization import quantize_model
+                def __init__(self, model, draft):
+                    quantize_model(model, "int8")
+                    quantization.quantize_model_weights(draft, bits=4)
+            """,
+            "tuning/trainer.py": """\
+                def freeze(model):
+                    for p in model.parameters():
+                        p.requires_grad = False
+                    first, model.lm_head.weight.requires_grad = 0, True
+            """,
+            "tuning/apply.py": """\
+                def shift(model, delta):
+                    model.token_embedding.weight.data = delta
+                    model.blocks[0].ff1.bias.data += delta
+                    model.ln_final.weight.data[0] = 1.0
+            """,
+            "gateway/server.py": """\
+                def admin(layer, value):
+                    layer.weight.data: object = value
+            """,
+            "core/framework.py": """\
+                def deploy(self):
+                    self.model.lm_head.weight.data, self.ready = None, True
+            """,
+        }, ["MODEL-001"])
+        assert rules_of(report) == ["MODEL-001"] * 9
+        assert sorted((f.file, f.line) for f in report.findings) == [
+            ("repro/core/framework.py", 2),
+            ("repro/gateway/server.py", 2),
+            ("repro/serve/engine.py", 4),
+            ("repro/serve/engine.py", 5),
+            ("repro/tuning/apply.py", 2),
+            ("repro/tuning/apply.py", 3),
+            ("repro/tuning/apply.py", 4),
+            ("repro/tuning/trainer.py", 3),
+            ("repro/tuning/trainer.py", 4)]
+
+    def test_true_negative_owner_copies_and_prompts(self, tmp_path):
+        report = run_tree(tmp_path, {
+            # the model's owner builds, trains and converts it
+            "llm/pretrain.py": """\
+                def pretrain_lm(model):
+                    for p in model.parameters():
+                        p.requires_grad = True
+                    model.lm_head.weight.data = model.lm_head.weight.data * 2
+            """,
+            "llm/registry.py": """\
+                from .quantization import quantize_model_weights
+                def load(model):
+                    quantize_model_weights(model, bits=4)
+            """,
+            # reading weights, a variant built on a copy, a fresh prompt
+            # Parameter's own data, and importing the converter are fine
+            "tuning/apply.py": """\
+                import copy
+                from ..ag import Tensor
+                from ..llm import quantize_model
+                def shifted(model, delta):
+                    table = model.token_embedding.weight.data
+                    embedding = copy.copy(model.token_embedding)
+                    embedding.weight = Tensor(table + delta)
+                    return embedding
+            """,
+            "tuning/vanilla.py": """\
+                def step(prompt, grad, lr):
+                    prompt.data = prompt.data - lr * grad
+                    prompt.grad = grad
+            """,
+            "serve/engine.py": """\
+                def footprint(model):
+                    return model.lm_head.weight.data.nbytes
+            """,
+        }, ["MODEL-001"])
+        assert report.findings == []
+
+    def test_suppressed_with_reason(self, tmp_path):
+        report = run_tree(tmp_path, {"serve/debug.py": """\
+            from ..llm import quantize_model
+            def convert(model):
+                return quantize_model(model, "int8")  # repro: noqa[MODEL-001] private copy
+        """}, ["MODEL-001"])
+        assert report.findings == []
+        assert len(report.suppressed) == 1
+        assert report.suppressed[0][1] == "private copy"
+
+
+# ----------------------------------------------------------------------
 # Registry plumbing
 # ----------------------------------------------------------------------
 def test_all_shipped_rules_registered():
     assert set(RULES.names()) >= {"RNG-001", "RNG-002", "LOCK-001",
                                   "LOCK-002", "SNAP-001", "SEC-001",
-                                  "STATS-001",
-                                  "INF-001", "TUNE-001"}
+                                  "STATS-001", "INF-001", "TUNE-001",
+                                  "MODEL-001"}
+
 
 
 def test_registry_rejects_mismatched_rule_id():

@@ -80,7 +80,7 @@ class TestNoiseInjector:
             NoiseInjectionConfig(sigma=0.1, seed=1))(prompt)
         seen = {}
 
-        def first_step(model, params, step_fn, samples, config):
+        def first_step(params, step_fn, samples, config):
             seen["loss"] = step_fn(samples)
             seen["grad"] = params[0].grad.copy()
             return [seen["loss"]]

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core import FrameworkConfig
 from repro.eval.quantized import perplexity, quantization_quality
-from repro.eval.runner import ExperimentContext
+from repro.eval.runner import TABLE1_METHODS, ExperimentContext
 from repro.llm import quantization_stats
 
 
@@ -61,6 +62,26 @@ class TestQuantizationQuality:
         assert int8["quantized_layers"] == int4["quantized_layers"] > 0
         assert report["float32"]["weight_bytes"] > int8["weight_bytes"]
         assert int4["weight_bytes"] <= 0.3 * report["float32"]["weight_bytes"]
-        # the shipped default (int8, group 32) must cost next to nothing
+        # the recommended point (int8, group 32) must cost next to nothing
         assert int8["accuracy_delta"] >= -0.05
         assert int8["perplexity_ratio"] <= 1.05
+
+    def test_quantized_arms_never_hit_the_float_memo(self, ctx, monkeypatch):
+        """The float and quantized arms share one cell key (same method,
+        config, users); only the served model differs.  A memo hit across
+        them would report the float score as the arm's, a silent 0.0
+        delta.  Seed the float cell with a score no 3-query cell can
+        reach and check that no arm reads it, or writes the memo."""
+        sentinel = 0.123
+        method = next(m for m in TABLE1_METHODS if m.name == "NVCiM-PT")
+        key = ("phi-2-sim", "LaMP-1",
+               method.apply(FrameworkConfig(buffer_capacity=5)), (0,))
+        monkeypatch.setattr(ctx, "_scores", {key: sentinel})
+        report = quantization_quality(ctx, "phi-2-sim", "LaMP-1",
+                                      points=(("int8", 32), ("int4", 32)),
+                                      user_ids=(0,), ppl_windows=2)
+        assert report["float32"]["accuracy"] == sentinel
+        for point in report["points"]:
+            assert point["accuracy"] != sentinel
+            assert point["accuracy_delta"] == point["accuracy"] - sentinel
+        assert ctx._scores == {key: sentinel}

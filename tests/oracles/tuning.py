@@ -61,7 +61,7 @@ def fit_graph(model, tokenizer, config, samples, noise=None) -> np.ndarray:
                                  config.n_virtual_tokens, rng)
     prompt = Parameter(init)
     train_prompt_parameters(
-        model, [prompt],
+        [prompt],
         graph_step(model, tokenizer, prompt, init.copy(),
                    config.anchor_weight, noise),
         samples, config)
@@ -79,7 +79,7 @@ def train_per_sample(monkeypatch, tuner_module):
     each sample's loss and gradients alone, then averaged."""
     train = tuner_module.train_prompt_parameters
 
-    def per_sample(model, params, step_fn, samples, config):
+    def per_sample(params, step_fn, samples, config):
         def step(batch):
             losses, grads = [], []
             for sample in batch:
@@ -90,5 +90,5 @@ def train_per_sample(monkeypatch, tuner_module):
             for param, *per in zip(params, *grads):
                 param.grad = sum(per[1:], per[0]) * (1.0 / len(batch))
             return sum(losses) / len(batch)
-        return train(model, params, step, samples, config)
+        return train(params, step, samples, config)
     monkeypatch.setattr(tuner_module, "train_prompt_parameters", per_sample)

@@ -1,9 +1,16 @@
-"""Serving on a weight-quantized base model: determinism, stats, config."""
+"""Serving on a weight-quantized base model: determinism, stats, and
+blobs that still carry the retired config switches.
+
+The model's owner converts it (and a speculative draft) with
+``quantize_model`` before building an engine; engines serve what they
+are given."""
 
 import copy
 
+import numpy as np
 import pytest
 
+from repro.ag import QuantizedLinear, iter_modules
 from repro.core import FrameworkConfig
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import (
@@ -13,10 +20,14 @@ from repro.llm import (
     build_draft_model,
     build_model,
     pretrain_lm,
+    quantization_stats,
+    quantize_model,
 )
 from repro.serve import (
     PromptServeEngine,
     QueryRequest,
+    SessionSnapshot,
+    SessionStore,
     ShardedPromptEngine,
     TuneRequest,
 )
@@ -35,8 +46,15 @@ def setup():
     return model, tok
 
 
-def quant_config():
-    return FrameworkConfig.preset("fast").replace(base_quantization="int8")
+def fast():
+    return FrameworkConfig.preset("fast")
+
+
+def int8(model):
+    """A converted copy: the caller's own int8 model."""
+    converted = copy.deepcopy(model)
+    quantize_model(converted, "int8", 32)
+    return converted
 
 
 def trace(tok):
@@ -64,26 +82,26 @@ class TestQuantizedServing:
     def test_restart_byte_identity(self, setup):
         model, tok = setup
         first = serve_trace(
-            PromptServeEngine(copy.deepcopy(model), tok, quant_config(),
+            PromptServeEngine(int8(model), tok, fast(),
                               max_sessions=4), tok)
         second = serve_trace(
-            PromptServeEngine(copy.deepcopy(model), tok, quant_config(),
+            PromptServeEngine(int8(model), tok, fast(),
                               max_sessions=4), tok)
         assert first == second
 
     def test_sharded_matches_single_engine(self, setup):
         model, tok = setup
         single = serve_trace(
-            PromptServeEngine(copy.deepcopy(model), tok, quant_config(),
+            PromptServeEngine(int8(model), tok, fast(),
                               max_sessions=8), tok)
         sharded = serve_trace(
-            ShardedPromptEngine(copy.deepcopy(model), tok, quant_config(),
+            ShardedPromptEngine(int8(model), tok, fast(),
                                 n_workers=3, max_sessions=4), tok)
         assert sharded == single
 
     def test_stats_keys_emitted_and_declared(self, setup):
         model, tok = setup
-        engine = PromptServeEngine(copy.deepcopy(model), tok, quant_config())
+        engine = PromptServeEngine(int8(model), tok, fast())
         stats = engine.stats()
         for key in QUANT_KEYS:
             assert key in STATS_MANIFEST
@@ -94,28 +112,17 @@ class TestQuantizedServing:
 
     def test_float_engine_reports_zero_footprint(self, setup):
         model, tok = setup
-        stats = PromptServeEngine(copy.deepcopy(model), tok,
-                                  FrameworkConfig.preset("fast")).stats()
+        stats = PromptServeEngine(copy.deepcopy(model), tok, fast()).stats()
         assert all(stats[key] == 0 for key in QUANT_KEYS)
 
     def test_sharded_reports_shared_model_once(self, setup):
         model, tok = setup
-        sharded = ShardedPromptEngine(copy.deepcopy(model), tok,
-                                      quant_config(), n_workers=3)
+        sharded = ShardedPromptEngine(int8(model), tok, fast(), n_workers=3)
         stats = sharded.stats()
         # structural, from worker 0 — NOT summed across the fleet
         assert stats["weight_bytes"] == stats["workers"][0]["weight_bytes"]
         assert all(worker["weight_bytes"] == stats["weight_bytes"]
                    for worker in stats["workers"])
-
-    def test_shared_model_converts_once_across_workers(self, setup):
-        model, tok = setup
-        shared = copy.deepcopy(model)
-        sharded = ShardedPromptEngine(shared, tok, quant_config(),
-                                      n_workers=4)
-        single = PromptServeEngine(shared, tok, quant_config())
-        assert (single.stats()["quantized_layers"]
-                == sharded.stats()["quantized_layers"])
 
 
 class TestQuantizedSpeculative:
@@ -123,39 +130,87 @@ class TestQuantizedSpeculative:
         model, tok = setup
         draft = build_draft_model("phi-2-sim", tok.vocab_size)
         plain = serve_trace(
-            PromptServeEngine(copy.deepcopy(model), tok, quant_config(),
+            PromptServeEngine(int8(model), tok, fast(),
                               max_sessions=4), tok)
-        spec = SpeculativeDecoder(copy.deepcopy(draft), max_draft=3,
-                                  threshold=0.1)
+        spec = SpeculativeDecoder(int8(draft), max_draft=3, threshold=0.1)
         speculative = serve_trace(
-            PromptServeEngine(copy.deepcopy(model), tok, quant_config(),
+            PromptServeEngine(int8(model), tok, fast(),
                               max_sessions=4, speculative=spec), tok)
         assert speculative == plain
 
-    def test_draft_model_is_quantized_alongside_base(self, setup):
+
+def weights(model):
+    """Every array the model holds, by path: parameters and the packed
+    codes and scales of its quantized layers."""
+    arrays = {name: p.data.copy() for name, p in model.named_parameters()}
+    for index, module in enumerate(iter_modules(model)):
+        if isinstance(module, QuantizedLinear):
+            arrays[f"q{index}.qweight"] = module.qweight.copy()
+            arrays[f"q{index}.scales"] = module.scales.copy()
+    return arrays
+
+
+class TestEnginesNeverConvert:
+    """Building an engine reads the model it is given and writes none of
+    it: precision is the owner's call, made before any engine exists."""
+
+    @pytest.mark.parametrize("precision", ["float", "int8"])
+    def test_construction_leaves_model_and_draft_unchanged(self, setup,
+                                                          precision):
         model, tok = setup
-        from repro.llm import quantization_stats
+        base = copy.deepcopy(model) if precision == "float" else int8(model)
         draft = build_draft_model("phi-2-sim", tok.vocab_size)
+        before = [(quantization_stats(m), weights(m)) for m in (base, draft)]
         spec = SpeculativeDecoder(draft, max_draft=3)
-        PromptServeEngine(copy.deepcopy(model), tok, quant_config(),
-                          speculative=spec)
-        assert quantization_stats(spec.draft_model)["quantized_layers"] > 0
+        PromptServeEngine(base, tok, fast(), speculative=spec)
+        ShardedPromptEngine(base, tok, fast(), n_workers=3, speculative=spec)
+        after = [(quantization_stats(m), weights(m)) for m in (base, draft)]
+        for (stats_before, arrays_before), (stats_after, arrays_after) in zip(
+                before, after):
+            assert stats_after == stats_before
+            assert arrays_after.keys() == arrays_before.keys()
+            for name, array in arrays_before.items():
+                assert np.array_equal(arrays_after[name], array), name
+        assert quantization_stats(draft)["quantized_layers"] == 0
 
 
-class TestConfigPlumbing:
-    def test_round_trip_and_back_compat(self):
-        config = quant_config()
-        assert FrameworkConfig.from_dict(config.to_dict()) == config
-        legacy = {key: value
-                  for key, value in FrameworkConfig().to_dict().items()
-                  if key not in ("base_quantization",
-                                 "quantization_group_size")}
-        restored = FrameworkConfig.from_dict(legacy)
-        assert restored.base_quantization is None
-        assert restored.quantization_group_size == 32
+class TestRetiredConfigKeys:
+    """Builds before the switch moved to the model's owner wrote
+    ``base_quantization`` and ``quantization_group_size`` into every
+    session's config; those blobs restore here and answer the same."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FrameworkConfig(base_quantization="int2")
-        with pytest.raises(ValueError):
-            FrameworkConfig(quantization_group_size=0)
+    @pytest.mark.parametrize("retired", [None, "int8"])
+    def test_blob_with_retired_keys_restores(self, setup, retired):
+        model, tok = setup
+        generation = GenerationConfig(max_new_tokens=4, temperature=0.0,
+                                      eos_id=tok.eos_id)
+        tunes, queries = trace(tok)
+        engine = PromptServeEngine(copy.deepcopy(model), tok, fast())
+        engine.submit(tunes[0])
+        query = queries[0].text
+        expected = engine.answer(0, query, generation)
+        snap = SessionSnapshot.capture(engine.session(0), mode="raw")
+        snap.config.update(base_quantization=retired,
+                           quantization_group_size=32)
+        snap.user_id = 5
+        blob = snap.to_bytes()
+        assert SessionSnapshot.from_bytes(blob).config[
+            "base_quantization"] == retired
+        store = SessionStore()
+        store.put(5, blob)
+        fresh = PromptServeEngine(engine.model, tok, fast(),
+                                  session_store=store)
+        assert fresh.answer(5, query, generation) == expected
+        stats = fresh.stats()
+        assert stats["sessions_restored"] == 1
+        assert stats["sessions_quarantined"] == 0
+        assert fresh.session(5).config == engine.session(0).config
+
+    @pytest.mark.parametrize("key", ["base_quantization",
+                                     "quantization_group_size"])
+    def test_from_dict_still_refuses_unknown_keys(self, key):
+        data = fast().to_dict()
+        data[key] = 32 if key == "quantization_group_size" else "int8"
+        with pytest.raises(ValueError, match="unknown FrameworkConfig keys"):
+            FrameworkConfig.from_dict(data)
+        assert not hasattr(FrameworkConfig(), key)

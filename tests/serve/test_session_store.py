@@ -2,6 +2,7 @@
 
 import errno
 
+import numpy as np
 import pytest
 
 from repro.core import FrameworkConfig
@@ -377,12 +378,55 @@ def missing_scale(blob):
     return snap.to_bytes()
 
 
+def edited(edit):
+    """A damage that edits the decoded snapshot and re-encodes it."""
+    def damage(blob):
+        snap = SessionSnapshot.from_bytes(blob)
+        edit(snap)
+        return snap.to_bytes()
+    damage.__name__ = edit.__name__
+    return damage
+
+
+# Sections besides the deployment that do not rebuild.  Each used to
+# build no session and raise on every query instead (ValueError, which
+# the gateway answered as a bad request, or KeyError, a permanent
+# "no session"), leaving the blob in the store.
+@edited
+def invalid_config_value(snap):
+    snap.config["buffer_capacity"] = 0
+
+
+@edited
+def unknown_config_key(snap):
+    snap.config["replicas"] = 2
+
+
+@edited
+def library_entry_without_matrix(snap):
+    del snap.library["ovts"][0]["matrix"]
+
+
+@edited
+def autoencoder_state_misshapen(snap):
+    state = snap.library["autoencoder_state"]
+    name = next(iter(state))
+    state[name] = np.zeros((3, 3), dtype=np.float32)
+
+
+@edited
+def counters_missing_a_key(snap):
+    del snap.counters["queries_served"]
+
+
 class TestQuarantine:
     """A blob that does not restore costs one re-tune, not every later
     query: it is moved aside, counted, and the user becomes unknown."""
 
-    @pytest.mark.parametrize("damage", [truncated, wrong_geometry,
-                                        missing_scale])
+    @pytest.mark.parametrize("damage", [
+        truncated, wrong_geometry, missing_scale, invalid_config_value,
+        unknown_config_key, library_entry_without_matrix,
+        autoencoder_state_misshapen, counters_missing_a_key])
     @pytest.mark.parametrize("n_workers", [None, 2])
     def test_bad_blob_costs_one_retune(self, setup, flaky_store, n_workers,
                                        damage):

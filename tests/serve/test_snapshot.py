@@ -584,12 +584,16 @@ class TestGoldenFixture:
 
     def test_this_build_writes_no_retired_keys(self, trained_session):
         """``vectorized`` / ``batched`` each only ever held one deployable
-        value; writers stopped emitting them without a schema bump."""
+        value; writers stopped emitting them without a schema bump.
+        ``base_quantization`` / ``quantization_group_size`` described the
+        engine's base model, not the session, and went the same way."""
         session, *_ = trained_session
         retired = {"vectorized", "batched"}
         for mode in ("raw", "recipe"):
             blob = SessionSnapshot.capture(session, mode=mode).to_bytes()
-            assert not retired & set(_keys(_body(blob)))
+            assert not (retired | {"base_quantization",
+                                   "quantization_group_size"}
+                        ) & set(_keys(_body(blob)))
         # ...while the v1 fixture carries both: the reader strips them.
         assert retired <= set(_keys(_body(GOLDEN_PATH.read_bytes())))
 

@@ -23,7 +23,6 @@ from repro.tuning import (
     VanillaPromptTuner,
     build_training_batch,
     build_training_ids,
-    freeze_model,
     initial_prompt_matrix,
     make_target_vector,
     prefix_loss_for_batch,
@@ -75,19 +74,18 @@ class TestLossAndGradientEquivalence:
         samples = uniform if lengths == "uniform" else ragged
         init = _prompt_init(model, tok, samples)
         results = []
-        with freeze_model(model):
-            for batched in (False, True):
-                prompt = Parameter(init.copy())
-                effective = prompt
-                if noise_seed is not None:
-                    effective = prompt + Tensor(NoiseInjector(
-                        NoiseInjectionConfig(seed=noise_seed))(init))
-                def loss_fn(batch):
-                    return prompt_loss_for_batch(model, effective, batch, tok)
-                loss = (loss_fn(samples) if batched
-                        else singleton_mean(loss_fn, samples))
-                loss.backward()
-                results.append((float(loss.data), prompt.grad.copy()))
+        for batched in (False, True):
+            prompt = Parameter(init.copy())
+            effective = prompt
+            if noise_seed is not None:
+                effective = prompt + Tensor(NoiseInjector(
+                    NoiseInjectionConfig(seed=noise_seed))(init))
+            def loss_fn(batch):
+                return prompt_loss_for_batch(model, effective, batch, tok)
+            loss = (loss_fn(samples) if batched
+                    else singleton_mean(loss_fn, samples))
+            loss.backward()
+            results.append((float(loss.data), prompt.grad.copy()))
         (loss_ref, grad_ref), (loss_bat, grad_bat) = results
         assert abs(loss_ref - loss_bat) <= LOSS_TOL
         np.testing.assert_allclose(grad_bat, grad_ref, atol=GRAD_TOL)
@@ -97,17 +95,16 @@ class TestLossAndGradientEquivalence:
         model, tok, uniform, ragged = setup
         samples = uniform if lengths == "uniform" else ragged
         results = []
-        with freeze_model(model):
-            for batched in (False, True):
-                prefixes = _prefixes(model)
-                def loss_fn(batch):
-                    return prefix_loss_for_batch(model, prefixes, batch, tok)
-                loss = (loss_fn(samples) if batched
-                        else singleton_mean(loss_fn, samples))
-                loss.backward()
-                results.append((float(loss.data),
-                                [p.grad.copy() for kv in prefixes
-                                 for p in kv]))
+        for batched in (False, True):
+            prefixes = _prefixes(model)
+            def loss_fn(batch):
+                return prefix_loss_for_batch(model, prefixes, batch, tok)
+            loss = (loss_fn(samples) if batched
+                    else singleton_mean(loss_fn, samples))
+            loss.backward()
+            results.append((float(loss.data),
+                            [p.grad.copy() for kv in prefixes
+                             for p in kv]))
         (loss_ref, grads_ref), (loss_bat, grads_bat) = results
         assert abs(loss_ref - loss_bat) <= LOSS_TOL
         for ref, bat in zip(grads_ref, grads_bat):
@@ -182,27 +179,26 @@ class TestPaddingMaskSemantics:
         model, tok, _, ragged = setup
         init = _prompt_init(model, tok, ragged)
         losses, grads = [], []
-        with freeze_model(model):
-            for filler in (tok.pad_id, 7):
-                batch = build_training_batch(ragged, tok, prompt_len=8)
-                ids = np.where(batch.key_padding_mask, filler,
-                               batch.input_ids)
-                prompt = Parameter(init.copy())
-                size, n_tokens = batch.batch_size, 8
-                emb = model.embed(ids)
-                rows = prompt.reshape(1, n_tokens, model.config.d_model)
-                from repro.ag import cat, sequence_cross_entropy
-                full = cat([rows.broadcast_to(
-                    (size, n_tokens, model.config.d_model)), emb], axis=1)
-                mask = np.concatenate(
-                    [np.zeros((size, n_tokens), dtype=bool),
-                     batch.key_padding_mask], axis=1)
-                loss = sequence_cross_entropy(
-                    model(embeddings=full, key_padding_mask=mask),
-                    batch.targets, ignore_index=IGNORE_INDEX)
-                loss.backward()
-                losses.append(float(loss.data))
-                grads.append(prompt.grad.copy())
+        for filler in (tok.pad_id, 7):
+            batch = build_training_batch(ragged, tok, prompt_len=8)
+            ids = np.where(batch.key_padding_mask, filler,
+                           batch.input_ids)
+            prompt = Parameter(init.copy())
+            size, n_tokens = batch.batch_size, 8
+            emb = model.embed(ids)
+            rows = prompt.reshape(1, n_tokens, model.config.d_model)
+            from repro.ag import cat, sequence_cross_entropy
+            full = cat([rows.broadcast_to(
+                (size, n_tokens, model.config.d_model)), emb], axis=1)
+            mask = np.concatenate(
+                [np.zeros((size, n_tokens), dtype=bool),
+                 batch.key_padding_mask], axis=1)
+            loss = sequence_cross_entropy(
+                model(embeddings=full, key_padding_mask=mask),
+                batch.targets, ignore_index=IGNORE_INDEX)
+            loss.backward()
+            losses.append(float(loss.data))
+            grads.append(prompt.grad.copy())
         assert losses[0] == pytest.approx(losses[1], abs=1e-6)
         np.testing.assert_allclose(grads[0], grads[1], atol=1e-6)
 

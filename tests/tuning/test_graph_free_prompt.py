@@ -16,8 +16,7 @@ from repro.core import NoiseInjectionConfig, NoiseInjector
 from repro.data import build_tokenizer, make_dataset, make_user
 from repro.llm import build_model, quantize_model
 from repro.tuning import (TuningConfig, VanillaPromptTuner, build_training_ids,
-                          freeze_model, initial_prompt_matrix,
-                          prompt_loss_and_grad)
+                          initial_prompt_matrix, prompt_loss_and_grad)
 from tests.oracles.tuning import fit_graph, prompt_loss_for_batch
 
 BATCHES = [1, 3, 8]
@@ -61,11 +60,10 @@ def test_loss_and_gradient_bitwise(model, tok, samples, batch, sigma):
                                  np.random.default_rng(0))
     added = _noise(sigma)(init)
     noisy = init if added is None else init + added
-    with freeze_model(model):
-        prompt = Parameter(init.copy())
-        effective = prompt if added is None else prompt + Tensor(added)
-        graph = prompt_loss_for_batch(model, effective, chosen, tok)
-        graph.backward()
+    prompt = Parameter(init.copy())
+    effective = prompt if added is None else prompt + Tensor(added)
+    graph = prompt_loss_for_batch(model, effective, chosen, tok)
+    graph.backward()
     loss, grad = prompt_loss_and_grad(model, noisy, chosen, tok)
     assert np.array_equal(loss, graph.data)
     assert np.array_equal(grad, prompt.grad)

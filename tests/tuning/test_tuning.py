@@ -9,11 +9,11 @@ from repro.tuning import (
     DEPTTuner,
     IGNORE_INDEX,
     PTuningV2Tuner,
+    PromptArtifact,
     PrefixTuner,
     TuningConfig,
     VanillaPromptTuner,
     VirtualTokens,
-    apply_embedding_delta,
     build_training_ids,
     generate_with_artifact,
     make_target_vector,
@@ -193,19 +193,50 @@ class TestArtifactApplication:
             prompted = model(embeddings=full).data[0, -1]
         assert not np.allclose(base, prompted, atol=1e-3)
 
-    def test_embedding_delta_restored_after_context(self, setup):
-        model, tok, _ = setup
-        before = model.token_embedding.weight.data.copy()
-        delta = np.ones_like(before)
-        with apply_embedding_delta(model, delta):
-            assert not np.allclose(model.token_embedding.weight.data, before)
-        np.testing.assert_allclose(model.token_embedding.weight.data, before)
+    def test_dept_answer_without_writing_the_shared_table(
+            self, setup, monkeypatch):
+        """A DEPT artifact decodes on a copy whose embedding table is
+        ``weight + delta`` — the answer a model with that table gives —
+        while the shared model's table stays the same array, unchanged,
+        through the whole decode."""
+        import copy
+
+        from repro.tuning import apply
+        model, tok, samples = setup
+        artifact = DEPTTuner(model, tok, CFG).fit(samples[:2])
+        table = model.token_embedding.weight.data
+        before = table.copy()
+        generation = GenerationConfig(max_new_tokens=5, temperature=0.0,
+                                      eos_id=tok.eos_id)
+        shifted = copy.deepcopy(model)
+        shifted.token_embedding.weight.data = before + artifact.embedding_delta
+        expected = generate_with_artifact(
+            shifted, tok, PromptArtifact(soft_prompt=artifact.soft_prompt),
+            samples[0].input_text, generation)
+
+        decode = apply.generate
+        seen = []
+
+        def spy(decoding_model, *args, **kwargs):
+            assert model.token_embedding.weight.data is table
+            assert np.array_equal(table, before)
+            seen.append(decoding_model.token_embedding.weight.data)
+            return decode(decoding_model, *args, **kwargs)
+        monkeypatch.setattr(apply, "generate", spy)
+        answer = generate_with_artifact(model, tok, artifact,
+                                        samples[0].input_text, generation)
+        assert answer == expected
+        assert len(seen) == 1 and seen[0] is not table
+        assert model.token_embedding.weight.data is table
+        assert np.array_equal(table, before)
 
     def test_embedding_delta_shape_checked(self, setup):
-        model, tok, _ = setup
-        with pytest.raises(ValueError):
-            with apply_embedding_delta(model, np.ones((2, 2))):
-                pass
+        model, tok, samples = setup
+        artifact = PromptArtifact(embedding_delta=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="embedding delta"):
+            generate_with_artifact(model, tok, artifact,
+                                   samples[0].input_text,
+                                   GenerationConfig(max_new_tokens=1))
 
     def test_prefix_artifact_generation_runs(self, setup):
         model, tok, samples = setup
