@@ -13,7 +13,7 @@ from .generation import (
     generate,
     prefill,
 )
-from .kv_cache import KVBuffer, KVCache
+from .kv_cache import KVBuffer, KVCache, KVSlab
 from .pretrain import PretrainConfig, pretrain_lm
 from .quantization import (
     QUANTIZATION_BITS,
@@ -44,7 +44,7 @@ from .transformer import LMConfig, TinyCausalLM
 
 __all__ = [
     "Tokenizer", "PAD", "BOS", "EOS", "UNK", "SEP",
-    "MultiHeadSelfAttention", "KVPrefix", "KVCache", "KVBuffer",
+    "MultiHeadSelfAttention", "KVPrefix", "KVCache", "KVSlab", "KVBuffer",
     "LMConfig", "TinyCausalLM", "infer",
     "GenerationConfig", "PrefillState", "generate", "prefill", "decode_from",
     "DecodeSequence", "DecodeScheduler", "DecodeRoundReport", "decode_batch",

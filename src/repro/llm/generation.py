@@ -17,8 +17,9 @@ in-flight generations and advances *all* of them per round through a
 single batched forward (:meth:`~repro.llm.transformer.TinyCausalLM
 .decode_span`), admitting new sequences and retiring finished ones (EOS,
 token budget, context limit) between rounds.  Each sequence keeps its own
-compact buffer, rng stream, and sampling config, and the batched forward is
-bit-exact per sequence, so batching changes aggregate throughput, never
+buffer (a slot of the scheduler's KV slab), rng stream, and sampling
+config, and the batched forward is bit-exact per sequence (the grouping
+rule of :mod:`~repro.llm.infer`), so batching changes throughput, never
 answers; :func:`decode_from` and :func:`generate` are the scheduler with a
 batch of one.  The prefill/decode split is public so the serving engine
 can run a prompt's prefill once and reuse it across repeated queries.
@@ -39,7 +40,7 @@ import numpy as np
 from ..ag import Tensor
 from . import infer
 from .attention import KVPrefix
-from .kv_cache import KVBuffer, KVCache
+from .kv_cache import KVBuffer, KVCache, KVSlab
 from .transformer import TinyCausalLM
 from ..utils import rng_from_seed
 
@@ -189,6 +190,9 @@ def generate(
 # ----------------------------------------------------------------------
 # Continuous-batching decode
 # ----------------------------------------------------------------------
+SLAB_SLOTS = 8   # sequences a scheduler's KVSlab holds
+
+
 class DecodeSequence:
     """One in-flight generation inside a :class:`DecodeScheduler`.
 
@@ -266,9 +270,10 @@ class DecodeSequence:
         elif self._total >= self._budget:
             self._finish("context")
 
-    def _absorb(self, logits: np.ndarray) -> int:
-        """Sample one token from ``logits``; returns 1 if a token landed."""
-        next_id = _sample(logits, self.config.temperature, self._rng)
+    def _absorb(self, logits: np.ndarray, greedy_id: int) -> int:
+        """Take ``greedy_id`` (temperature 0) or sample; 1 if one landed."""
+        next_id = (greedy_id if self.config.temperature == 0.0 else
+                   _sample(logits, self.config.temperature, self._rng))
         if self.config.eos_id is not None and next_id == self.config.eos_id:
             self._finish("eos")
             return 0
@@ -311,9 +316,11 @@ class DecodeScheduler:
         self.model = model
         self.speculative = speculative
         self._active: list[DecodeSequence] = []
+        self._slab: KVSlab | None = None   # where admission claims buffers
         self.rounds = 0
         self.tokens_emitted = 0
         self.occupancy_sum = 0   # sum over rounds of sequences per round
+        self.grouped_rows = 0    # rows attending in a length group of 2+
         self.forwards = 0        # base-model decode forwards (verify included)
         self.spec_rounds = 0     # rounds in which at least one token drafted
         self.draft_forwards = 0  # draft-model forwards (prefill/catch-up/step)
@@ -342,11 +349,14 @@ class DecodeScheduler:
         private :class:`~repro.llm.kv_cache.KVBuffer` here — trained
         prefix, then a copy of ``state.cache``, then room for exactly the
         positions it can still reach (``max_new_tokens`` more, capped at
-        ``max_seq_len``) — so no later round allocates.  ``deadline`` (a
-        ``time.monotonic()`` timestamp) bounds how long the sequence may
-        stay in flight: a round that starts after the deadline retires it
-        with whatever tokens it has, the serving building block for
-        per-request latency SLOs.
+        ``max_seq_len``) — in the next slot of the scheduler's current
+        :class:`~repro.llm.kv_cache.KVSlab` (a new one of
+        :data:`SLAB_SLOTS` when it is full or too narrow), so no later
+        round allocates and sequences admitted together attend through
+        one view.  ``deadline`` (a ``time.monotonic()`` timestamp) bounds
+        how long the sequence may stay in flight: a round that starts
+        after it retires the sequence with whatever tokens it has, the
+        serving building block for per-request latency SLOs.
         ``prompt_ids`` (the raw prompt tokens) makes the sequence eligible
         for speculative drafting when the scheduler has a
         :class:`~repro.llm.speculative.SpeculativeDecoder`; it is inert
@@ -363,11 +373,17 @@ class DecodeScheduler:
         if sequence._total >= budget:
             sequence._finish("context")   # prefill() normally rejects this
         else:
-            sequence._absorb(state.last_logits)
+            sequence._absorb(state.last_logits,
+                             int(np.argmax(state.last_logits)))
         if not sequence.finished:
             capacity = min(self.model.config.max_seq_len,
                            state.seq_len + config.max_new_tokens)
-            sequence.cache = KVBuffer(state.cache, capacity, state.prefix_kv)
+            rows = capacity + (0 if state.prefix_kv is None
+                               else state.prefix_kv[0][0].shape[2])
+            if self._slab is None or not self._slab.fits(rows):
+                self._slab = KVSlab(state.cache, rows, SLAB_SLOTS)
+            sequence.cache = KVBuffer(state.cache, capacity, state.prefix_kv,
+                                      self._slab)
             self._active.append(sequence)
         return sequence
 
@@ -437,10 +453,17 @@ class DecodeScheduler:
         drafted = any(proposals)
         spans = [[seq.generated[-1], *props]
                  for seq, props in zip(active, proposals)]
+        caches = [seq.cache for seq in active]
+        groups = infer.length_groups(
+            [cache.prefix_len + cache.seq_len for cache in caches],
+            [len(span) for span in spans])
+        self.grouped_rows += sum(len(g) for g in groups.values() if len(g) > 1)
         # decode_round is decode_span's every-span-is-one-token case under
         # the name the measurement spine traces plain rounds by.
         forward = self.model.decode_span if drafted else self.model.decode_round
-        logits = forward(spans, [seq.cache for seq in active])
+        logits = forward(spans, caches)
+        # Every greedy row's token (the first index on ties, as per row).
+        greedy = np.argmax(logits[:, -1], axis=-1).tolist()
         emitted = row = 0
         accepted: list[int] = []
         for seq, props in zip(active, proposals):
@@ -448,7 +471,8 @@ class DecodeScheduler:
             # The row after the last proposal yields the model's own next
             # token, which confirms nothing (None matches no token).
             for fed, proposed in enumerate([*props, None], start=1):
-                landed = seq._absorb(logits[row + fed - 1, -1])
+                landed = seq._absorb(logits[row + fed - 1, -1],
+                                     greedy[row + fed - 1])
                 emitted += landed
                 if not landed or seq.generated[-1] != proposed:
                     break

@@ -19,15 +19,19 @@ shape and memory layout, so its output equals the autograd op's under
 The two forward shapes built on them:
 
 * *span* (:func:`span_attention`, driven by ``TinyCausalLM.decode_span``):
-  many sequences, a ragged number of new positions each, every position
-  its own batch-of-one row.  numpy evaluates the stacked ``(R, 1, d)``
-  matmuls slice by slice and the attention matmuls and softmax sum run
-  per row over that sequence's *compact* keys, so each row is bitwise what
-  the sequence would compute alone.  (A padded key-mask formulation
-  changes the length, hence the association order, of numpy's reductions
-  and drifts by ulps.)  It reads and writes each sequence's private
-  preallocated :class:`~repro.llm.kv_cache.KVBuffer` in place: a round
-  allocates no key or value array.
+  many sequences, a ragged number of new positions each, every sequence
+  in its slot of a :class:`~repro.llm.kv_cache.KVSlab`, written in place.
+  **The grouping rule**: rows that attend over the same number of keys
+  ``at`` share one pass — a ``(G, H, 1, d_head) @ (G, H, d_head, at)``
+  score matmul over their keys (one view of consecutive slots, else
+  gathered C-contiguous), one last-axis softmax, one context matmul — and
+  each row is bitwise what it computes alone: numpy's matmul hands BLAS
+  one 2-D operand per (row, head), the same alone or grouped (shape
+  ``(at, d_head)``, row stride ``d_head``); a length-``at`` last-axis sum
+  builds the same pairwise tree; scale, max shift, exp and divide are
+  elementwise.  Rows of unequal length are never padded together: a key
+  mask changes the length, hence the association order, of numpy's
+  reductions and drifts by ulps.
 * *extend* (:func:`extend`): one sequence, many positions, causal mask,
   optional KV prefix and past cache — prefill and the draft model's
   catch-up.  Bitwise the autograd attention over the same keys (the
@@ -50,7 +54,8 @@ from .attention import KVPrefix
 from .kv_cache import KVArrays, KVCache
 
 __all__ = ["NEG_INF", "embed", "layer_norm", "affine", "gelu", "softmax_",
-           "mlp", "logits", "attention_scale", "span_attention", "extend"]
+           "mlp", "logits", "attention_scale", "length_groups",
+           "span_attention", "extend"]
 
 NEG_INF = np.float32(-1e9)
 
@@ -124,63 +129,77 @@ def _merge(attn, context: np.ndarray) -> np.ndarray:
                   .reshape(batch, length, attn.d_model))
 
 
+def length_groups(starts: Sequence[int],
+                  spans: Sequence[int]) -> dict[int, list[int]]:
+    """A span forward's rows (numbered in sequence order, each span
+    contiguous) keyed by attended length: row ``i`` of sequence ``s``'s
+    span attends over ``starts[s] + i + 1`` keys."""
+    groups: dict[int, list[int]] = {}
+    row = 0
+    for base, span in zip(starts, spans):
+        for at in range(base + 1, base + span + 1):
+            groups.setdefault(at, []).append(row)
+            row += 1
+    return groups
+
+
 def span_attention(
     attn,
     h: np.ndarray,
     buffers: Sequence[KVArrays],
     starts: Sequence[int],
     spans: Sequence[int],
+    groups: dict[int, list[int]] | None = None,
+    slabs: Sequence[tuple[KVArrays, int]] | None = None,
 ) -> np.ndarray:
     """Attention for ``sum(spans)`` new positions of ``len(spans)`` sequences.
 
     ``h`` is ``(sum(spans), 1, d_model)``: sequence ``s`` owns ``spans[s]``
-    contiguous rows and this layer's ``buffers[s]`` — its private
-    preallocated ``(keys, values)`` arrays
-    (:class:`~repro.llm.kv_cache.KVBuffer`), live in rows ``[:starts[s]]``
-    (trained prefix, then cached positions).  The span's keys/values are
-    written in place at rows ``starts[s] ..`` and row ``i`` of a span
-    attends, all-visible, over everything before it plus its span
-    predecessors.  Returns the attended rows; the caller owns the cursor
-    (and has checked that the span fits).
+    contiguous rows and this layer's ``buffers[s]`` — its ``(keys,
+    values)`` arrays (:meth:`~repro.llm.kv_cache.KVBuffer.layer`), live in
+    rows ``[:starts[s]]`` — which are row ``slot`` of ``pair`` for
+    ``(pair, slot) = slabs[s]`` (its :class:`~repro.llm.kv_cache.KVSlab`
+    layer; by default the buffer itself, slot 0).  The span's keys/values
+    are written in place at rows ``starts[s] ..`` and row ``i`` of a span
+    attends over everything before it plus its span predecessors, one pass
+    per :func:`length_groups` entry (``groups``; computed when None).
+    Returns the attended rows; the caller owns the cursor (and has checked
+    that the span fits).
     """
     q, k, v = _heads(attn, h)
-    # Per row: the (keys, values) slices it attends over.
-    attended: list[tuple[np.ndarray, np.ndarray]] = []
-    row = width = 0
-    for (buf_k, buf_v), base, span in zip(buffers, starts, spans):
-        attn._check_kv(buf_k, buf_v, "cache")
-        # The slice [:, :, :at] a row attends over has, per head, exactly
-        # the values and memory layout (row stride d_head) of a freshly
-        # concatenated prefix+cache+span array, so every row is bitwise the
-        # one-token-at-a-time result and nothing older is ever copied.
-        new = slice(row, row + span)
-        buf_k[0, :, base:base + span] = k[new, :, 0].transpose(1, 0, 2)
-        buf_v[0, :, base:base + span] = v[new, :, 0].transpose(1, 0, 2)
-        attended += [(buf_k[:, :, :at], buf_v[:, :, :at])
-                     for at in range(base + 1, base + span + 1)]
-        row += span
-        width = max(width, base + span)
-    # What BLAS and numpy's pairwise summation compute depends on the
-    # operand's length, so the two matmuls and the softmax sum run row by
-    # row over compact slices.  Scaling, the max shift, exp and the
-    # division are elementwise (max is exact in any order), so they run
-    # once for all rows over -inf padded scores: padding becomes exp(-inf)
-    # = 0 and no per-row operation ever reads it.
-    scores = np.full(q.shape[:3] + (width,), -np.inf, dtype=np.float32)
-    weights = []
-    for i, (keys, _) in enumerate(attended):
-        weights.append(scores[i:i + 1, :, :, :keys.shape[2]])
-        np.matmul(q[i:i + 1], keys.swapaxes(-1, -2), out=weights[i])
-    scores *= attention_scale(attn)
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    sums = np.empty(q.shape[:3] + (1,), dtype=np.float32)
-    for i, row_weights in enumerate(weights):
-        row_weights.sum(axis=-1, keepdims=True, out=sums[i:i + 1])
-    scores /= sums
+    for keys, values in buffers:
+        attn._check_kv(keys, values, "cache")
+    slabs = slabs or [(buffer, 0) for buffer in buffers]
+    owner = [s for s, span in enumerate(spans) for _ in range(span)]
+    passes = []
+    for at, rows in (groups or length_groups(starts, spans)).items():
+        seqs = [owner[r] for r in rows]
+        store, first = slabs[seqs[0]]
+        if not all(slabs[s][0] is store and slabs[s][1] == first + i
+                   for i, s in enumerate(seqs)):
+            store = None   # not consecutive slots of one slab: a gather
+        index = (slice(rows[0], rows[-1] + 1)
+                 if rows[-1] - rows[0] == len(rows) - 1 else rows)
+        passes.append((at, index, seqs, store, first))
+        # Every row of the group writes its key and value at ``at - 1``.
+        for which, new in enumerate((k, v)):
+            if store is not None:
+                store[which][first:first + len(rows), :, at - 1] = \
+                    new[index, :, 0]
+            else:
+                for row, s in zip(rows, seqs):
+                    buffers[s][which][0, :, at - 1] = new[row, :, 0]
     contexts = np.empty(q.shape, dtype=np.float32)
-    for i, (_, values) in enumerate(attended):
-        np.matmul(weights[i], values, out=contexts[i:i + 1])
+    for at, index, seqs, store, first in passes:
+        # One view of consecutive slots, else a gather: per (row, head)
+        # the same BLAS operand either way (the grouping rule).
+        keys, values = (
+            store[which][first:first + len(seqs), :, :at] if store is not None
+            else np.concatenate([buffers[s][which][:, :, :at] for s in seqs])
+            for which in (0, 1))
+        scores = np.matmul(q[index], keys.swapaxes(-1, -2))
+        scores *= attention_scale(attn)
+        contexts[index] = np.matmul(softmax_(scores), values)
     return _merge(attn, contexts)
 
 

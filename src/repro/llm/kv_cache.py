@@ -14,12 +14,10 @@ so there is no ``Tensor`` here.
   every position it may still decode, and from then on a decode round
   writes its new rows in place at the cursor (``seq_len``).  Rolling back
   rejected speculation is an assignment to the cursor; the rows past it
-  are scratch the next round overwrites.
-
-Keeping each sequence's rows compact in its own buffer (rather than
-right-padding a batch to the longest and masking) is what lets the batched
-decode round reproduce each sequence decoded alone, bit for bit: padded
-reductions change numpy's summation tree and drift by ulps.
+  are scratch the next round overwrites.  A buffer is one row of a
+  :class:`KVSlab` that a scheduler's admissions share, so sequences
+  admitted together attend through one view under
+  :mod:`~repro.llm.infer`'s grouping rule, bit for bit as decoded alone.
 
 A trained KV *prefix* (prefix tuning / P-tuning v2) is constant
 conditioning, not a cached position: a :class:`KVCache` never holds it,
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["KVCache", "KVBuffer"]
+__all__ = ["KVCache", "KVSlab", "KVBuffer"]
 
 # One layer's (keys, values), each (batch, heads, T, d_head) float32.
 KVArrays = tuple[np.ndarray, np.ndarray]
@@ -83,6 +81,29 @@ class KVCache:
                 f"batch={self.batch_size})")
 
 
+class KVSlab:
+    """K/V storage the buffers of up to ``n_slots`` sequences share: per
+    layer ``(keys, values)`` shaped ``(n_slots, heads, width, d_head)``,
+    one slot (row) a :class:`KVBuffer`, claimed in order and never given
+    back — so sequences admitted one after another sit in consecutive
+    slots and the span forward views a group of them whole."""
+
+    __slots__ = ("layers", "claimed")
+
+    def __init__(self, cache: KVCache, width: int, n_slots: int):
+        _, heads, _, d_head = cache.layer(0)[0].shape   # cache's geometry
+        shape = (n_slots, heads, width, d_head)
+        self.layers: list[KVArrays] = [
+            (np.empty(shape, np.float32), np.empty(shape, np.float32))
+            for _ in range(cache.n_layers)]
+        self.claimed = 0
+
+    def fits(self, rows: int) -> bool:
+        """Whether a buffer of ``rows`` rows a layer can claim a slot."""
+        n_slots, _, width, _ = self.layers[0][0].shape
+        return self.claimed < n_slots and rows <= width
+
+
 class KVBuffer:
     """One decoding sequence's private K/V storage, allocated once.
 
@@ -90,16 +111,18 @@ class KVBuffer:
     capacity, d_head)``: ``prefix_kv`` (one trained ``Tensor`` pair per
     layer, or None) in rows ``[:prefix_len]``, then ``cache`` — copied, so
     the shared prefill cache stays untouched — then room up to
-    ``capacity`` positions.  ``seq_len`` is the cursor: the number of
-    positions that hold real keys/values.  :meth:`TinyCausalLM.decode_span
-    <repro.llm.transformer.TinyCausalLM.decode_span>` writes at it and
-    advances it; assigning a smaller value discards a rejected suffix.
+    ``capacity`` positions: views of row :attr:`slot` of :attr:`slab` (of
+    a one-slot slab of its own when none is given).  ``seq_len`` is the
+    cursor, the number of positions that hold real keys/values:
+    :meth:`~repro.llm.transformer.TinyCausalLM.decode_span` writes at it
+    and advances it; assigning a smaller value discards a rejected suffix.
     """
 
-    __slots__ = ("_layers", "prefix_len", "capacity", "seq_len")
+    __slots__ = ("_layers", "slab", "slot", "prefix_len", "capacity",
+                 "seq_len")
 
     def __init__(self, cache: KVCache, capacity: int,
-                 prefix_kv: list | None = None):
+                 prefix_kv: list | None = None, slab: KVSlab | None = None):
         if cache.batch_size != 1:
             raise ValueError(
                 f"a KVBuffer holds one sequence (batch 1), got batch "
@@ -119,14 +142,19 @@ class KVBuffer:
         self.capacity = capacity
         self.seq_len = cache.seq_len
         filled = self.prefix_len + cache.seq_len
+        rows = self.prefix_len + capacity
+        _, heads, _, d_head = cache.layer(0)[0].shape
+        if slab is None:
+            slab = KVSlab(cache, rows, 1)
+        elif not slab.fits(rows):
+            raise ValueError(f"no slot of {rows} rows left in the slab")
+        self.slab, self.slot = slab, slab.claimed
+        slab.claimed += 1
         self._layers: list[KVArrays] = []
-        for index in range(cache.n_layers):
-            past = cache.layer(index)
-            _, heads, _, d_head = past[0].shape
-            pair = []
-            for which in (0, 1):
-                buf = np.empty((1, heads, self.prefix_len + capacity, d_head),
-                               dtype=np.float32)
+        for index, store in enumerate(slab.layers):
+            pair = tuple(buf[self.slot:self.slot + 1, :, :rows]
+                         for buf in store)
+            for which, buf in enumerate(pair):
                 if prefix_kv is not None:
                     prefix = prefix_kv[index][which].data
                     if prefix.shape != (1, heads, self.prefix_len, d_head):
@@ -136,9 +164,8 @@ class KVBuffer:
                             f"{self.prefix_len}-row prefix"
                         )
                     buf[:, :, :self.prefix_len] = prefix
-                buf[:, :, self.prefix_len:filled] = past[which]
-                pair.append(buf)
-            self._layers.append(tuple(pair))
+                buf[:, :, self.prefix_len:filled] = cache.layer(index)[which]
+            self._layers.append(pair)
 
     @property
     def n_layers(self) -> int:

@@ -15,10 +15,10 @@ mismatching position are exactly the logits greedy decoding needed anyway.
 Token-identity, not approximation
 ---------------------------------
 For greedy sequences (``temperature == 0``) the output is *bit-for-bit*
-what one-token rounds emit: every verify logits row is computed as its own
-batch-of-one slice over that sequence's compact cache (see
-``decode_span``), so the accept/reject comparison reproduces exactly the
-tokens ``DecodeScheduler`` would have emitted one round at a time.  The
+what one-token rounds emit: every verify logits row attends under
+:mod:`~repro.llm.infer`'s grouping rule (see ``decode_span``), so the
+accept/reject comparison reproduces exactly the tokens
+``DecodeScheduler`` would have emitted one round at a time.  The
 draft model only ever chooses *which* positions get pre-computed — never
 what token is emitted.  Sampled sequences (``temperature > 0``) and
 sequences admitted without ``prompt_ids`` fall back to a plain
@@ -48,16 +48,17 @@ The draft fast path
 -------------------
 Because the draft only chooses *which* tokens to pre-compute, its
 forwards need to be deterministic but not bit-identical to the serving
-model's per-row path.  It runs on the same graph-free kernels as the
+model's grouped path.  It runs on the same graph-free kernels as the
 base model (:mod:`repro.llm.infer`; :func:`~repro.llm.infer.extend` for
 first contact and catch-up), and :class:`_DraftRound` swaps only the
-attention core: padded whole-batch matmuls over a masked window, several
-times cheaper than per-row compact attention at the batch sizes drafting
-sees.  Token-identity of the *output* is untouched — the base model's
-verify forward still runs the bit-exact ``decode_span``.  That is also why
-the draft does not decode from per-sequence ``KVBuffer``s: whole-batch
-matmuls need one padded ``(B, heads, window, d_head)`` array, which
-:class:`_DraftRound` rebuilds per round from the compact draft caches.
+attention core: padded whole-batch matmuls over a masked window, one
+pass however ragged the draft contexts are, where the grouping rule
+needs equal lengths.  Token-identity of the *output* is untouched — the
+base model's verify forward still runs the bit-exact ``decode_span``.
+That is also why the draft does not decode from per-sequence
+``KVBuffer``s: whole-batch matmuls need one padded ``(B, heads, window,
+d_head)`` array, which :class:`_DraftRound` rebuilds per round from the
+compact draft caches.
 """
 
 from __future__ import annotations

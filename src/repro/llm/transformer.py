@@ -14,9 +14,9 @@ advances *many independent sequences* by a ragged number of tokens each
 graph-free kernels of :mod:`repro.llm.infer`.  Each sequence carries its
 own private, preallocated :class:`~repro.llm.kv_cache.KVBuffer` (ragged
 lengths, advanced in place) and position offset; the dense sublayers run
-as one stacked forward while attention reads each sequence's compact rows,
-so every row of the returned logits is bit-identical to advancing that
-sequence alone.
+as one stacked forward while attention follows the grouping rule of
+:mod:`repro.llm.infer`, so every row of the returned logits is
+bit-identical to advancing that sequence alone.
 """
 
 from __future__ import annotations
@@ -191,11 +191,10 @@ class TinyCausalLM(Module):
         identity whatever ``self.training`` says).  As the verify forward
         of speculative decoding, sequence ``s`` feeds ``token_spans[s]``
         (its last accepted token followed by the drafted continuation)
-        and gets back one logits row per fed token.  Every new position
-        occupies its own batch-of-one slice, so each row of the result is
-        bit-identical to advancing that sequence one token at a time —
-        speculative acceptance decisions therefore reproduce sequential
-        greedy decoding exactly instead of approximately.
+        and gets back one logits row per fed token.  Positions attend
+        under :mod:`~repro.llm.infer`'s grouping rule, so each row is
+        bit-identical to advancing that sequence one token at a time and
+        speculative acceptance reproduces sequential greedy decoding.
 
         Args:
             token_spans: per-sequence 1-D arrays of token ids, each of
@@ -246,10 +245,13 @@ class TinyCausalLM(Module):
         x = (infer.embed(self.token_embedding, np.concatenate(spans)[:, None])
              + infer.embed(self.position_embedding, positions[:, None]))
         starts = [cache.prefix_len + cache.seq_len for cache in caches]
+        groups = infer.length_groups(starts, span_lens)
         for i, block in enumerate(self.blocks):
             x = infer.mlp(block, x + infer.span_attention(
                 block.attn, infer.layer_norm(x, block.ln1),
-                [cache.layer(i) for cache in caches], starts, span_lens))
+                [cache.layer(i) for cache in caches], starts, span_lens,
+                groups, [(cache.slab.layers[i], cache.slot)
+                         for cache in caches]))
         for cache, span_len in zip(caches, span_lens):
             cache.seq_len += span_len
         return infer.logits(self, x)

@@ -450,6 +450,10 @@ class PromptServeEngine:
                                      if rounds else 0.0),
                 "batch_occupancy": (scheduler.occupancy_sum / rounds
                                     if rounds else 0.0),
+                "decode_grouped_rows": scheduler.grouped_rows,
+                "grouped_row_share": (
+                    scheduler.grouped_rows / scheduler.occupancy_sum
+                    if scheduler.occupancy_sum else 0.0),
                 "decode_forwards": scheduler.forwards,
                 "spec_rounds": scheduler.spec_rounds,
                 "draft_forwards": scheduler.draft_forwards,

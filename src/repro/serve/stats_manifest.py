@@ -72,6 +72,12 @@ STATS_MANIFEST = {
     "occupancy_sum": "additive",
     "tokens_per_round": ("ratio", "decode_tokens", "decode_rounds"),
     "batch_occupancy": ("ratio", "occupancy_sum", "decode_rounds"),
+    # Decode rows that attended beside another row of the same attended
+    # length — one batched matmul for the group instead of one per row —
+    # and their share of the rows.  A speculative verify span feeds one
+    # row per token, so under speculation the share can exceed 1.
+    "decode_grouped_rows": "additive",
+    "grouped_row_share": ("ratio", "decode_grouped_rows", "occupancy_sum"),
     # -- speculative decoding ----------------------------------------------
     "decode_forwards": "additive",
     "spec_rounds": "additive",

@@ -241,6 +241,57 @@ class TestAdmission:
             DecodeScheduler(model).admit(state)
 
 
+class TestEqualLengthGroups:
+    """Rows of one attended length share a pass (``infer.length_groups``);
+    the answers stay the sequential oracle's."""
+
+    def test_a_sequence_admitted_mid_flight_joins_the_group(self):
+        model = tiny_model(seed=11)
+        states = ragged_states(model, [6, 6, 6, 8])
+        # Rows 6 + 6 and 8 + 4: the late one fits the slab's next slot.
+        configs = [GenerationConfig(max_new_tokens=n, temperature=0.0)
+                   for n in (6, 6, 6, 4)]
+        scheduler = DecodeScheduler(model)
+        sequences = [scheduler.admit(states[i], configs[i]) for i in range(3)]
+        scheduler.decode_round()
+        scheduler.decode_round()
+        assert scheduler.grouped_rows == 3 + 3
+        # Prompt 8 after two rounds of prompt 6: the same attended length.
+        sequences.append(scheduler.admit(states[3], configs[3]))
+        scheduler.decode_round()
+        assert scheduler.grouped_rows == 3 + 3 + 4
+        assert [seq.cache.slot for seq in sequences] == [0, 1, 2, 3]
+        scheduler.run()
+        assert_matches_sequential(model, states, configs,
+                                  [seq.token_ids() for seq in sequences])
+
+    def test_greedy_and_sampled_rows_in_one_round(self):
+        model = tiny_model(seed=12)
+        states = ragged_states(model, [7] * 6)
+        configs = [GenerationConfig(max_new_tokens=8,
+                                    temperature=0.0 if i % 2 else 0.9,
+                                    seed=30 + i) for i in range(6)]
+        scheduler = DecodeScheduler(model)
+        sequences = [scheduler.admit(state, config)
+                     for state, config in zip(states, configs)]
+        scheduler.run()
+        assert scheduler.grouped_rows == scheduler.occupancy_sum == 6 * 7
+        assert_matches_sequential(model, states, configs,
+                                  [seq.token_ids() for seq in sequences])
+
+    def test_tied_greedy_logits_take_the_first_index(self):
+        """Duplicate lm_head columns tie every token with its neighbour:
+        the round's one argmax keeps the first, as a per-row argmax."""
+        model = tiny_model(seed=13, vocab=24)
+        weight = model.lm_head.weight.data
+        weight[:, 1::2] = weight[:, 0::2]
+        states = ragged_states(model, [5, 5, 5])
+        config = GenerationConfig(max_new_tokens=6, temperature=0.0)
+        results = decode_batch(model, states, config)
+        assert all(token % 2 == 0 for result in results for token in result)
+        assert_matches_sequential(model, states, [config] * 3, results)
+
+
 class TestSchedulerTelemetry:
     def test_round_reports_and_counters(self):
         model = tiny_model(seed=9)

@@ -19,6 +19,7 @@ from repro.llm import (
     DecodeScheduler,
     GenerationConfig,
     KVBuffer,
+    KVSlab,
     SpeculativeDecoder,
     TinyCausalLM,
     build_model,
@@ -141,8 +142,108 @@ class TestEmbed:
         assert caches[0].seq_len == 2   # a refused span advances nothing
 
 
+def autograd_steps(model, state, span):
+    """Logits rows and cache of feeding ``span`` to the autograd oracle one
+    token at a time (what one-token rounds compute)."""
+    cache, rows = state.cache, []
+    for token in span:
+        with no_grad():
+            out, cache = forward_cached(model, np.array([[token]]),
+                                        past=cache, prefix_kv=state.prefix_kv)
+        rows.append(out.data[0, 0])
+    return np.stack(rows), cache
+
+
+def assert_spans_equal_autograd(model, states, spans, logits, caches,
+                                fed_before=None):
+    """Each sequence's logits rows and written K/V rows are bitwise the
+    oracle's, token by token (after ``fed_before[s]``, fed earlier)."""
+    row = 0
+    for s, (state, span, cache) in enumerate(zip(states, spans, caches)):
+        before = [] if fed_before is None else list(fed_before[s])
+        alone, alone_cache = autograd_steps(model, state, before + list(span))
+        assert np.array_equal(logits[row:row + len(span), 0],
+                              alone[len(before):])
+        row += len(span)
+        assert cache.seq_len == alone_cache.seq_len
+        live = slice(cache.prefix_len, cache.prefix_len + cache.seq_len)
+        for layer in range(model.config.n_layers):
+            for which in (0, 1):
+                assert np.array_equal(cache.layer(layer)[which][:, :, live],
+                                      alone_cache.layer(layer)[which])
+    assert row == logits.shape[0]
+
+
+def slab_buffers(states, extra, layout, order=None):
+    """One buffer per state with room for ``extra`` more positions: in
+    slots of one shared slab (claimed in ``order``) or each its own."""
+    slab = None
+    if layout == "slab":
+        slab = KVSlab(states[0].cache, 3 + max(s.seq_len for s in states)
+                      + extra, len(states))
+    caches = [None] * len(states)
+    for i in order or range(len(states)):
+        state = states[i]
+        caches[i] = KVBuffer(state.cache, state.seq_len + extra,
+                             state.prefix_kv, slab)
+    return caches
+
+
 # ----------------------------------------------------------------------
 class TestSpanForward:
+    @pytest.mark.parametrize("layout", ["slab", "private"])
+    @pytest.mark.parametrize("prefixed", [False, True])
+    def test_equal_length_rows_equal_the_autograd_step(self, prefixed,
+                                                       layout):
+        """Four rows attending over one length form one group: a view of
+        four consecutive slab slots, or a gather of private buffers."""
+        model = tiny_model(seed=2)
+        rng = np.random.default_rng(10)
+        prefix = make_prefix(model, 3, 40) if prefixed else None
+        states = [prefill(model, rng.integers(1, VOCAB, size=6),
+                          prefix_kv=prefix) for _ in range(4)]
+        caches = slab_buffers(states, 2, layout)
+        if layout == "slab":
+            assert [cache.slot for cache in caches] == [0, 1, 2, 3]
+        fed = np.zeros((4, 0), dtype=np.int64)
+        for _ in range(2):     # the second round writes behind the first
+            tokens = rng.integers(1, VOCAB, size=(4, 1))
+            logits = model.decode_round(tokens, caches)
+            assert_spans_equal_autograd(model, states, tokens, logits,
+                                        caches, fed)
+            fed = np.concatenate([fed, tokens], axis=1)
+
+    @pytest.mark.parametrize("order", [None, (4, 0, 5, 2, 1, 3)])
+    def test_a_round_of_two_groups_and_a_singleton(self, order):
+        """Lengths 5, 5, 8, 8, 8 and 3: groups of two and three rows and a
+        lone row, in slab slots claimed in order or shuffled (gathers)."""
+        model = tiny_model(seed=4)
+        rng = np.random.default_rng(12)
+        states = [prefill(model, rng.integers(1, VOCAB, size=length))
+                  for length in (5, 5, 8, 8, 8, 3)]
+        caches = slab_buffers(states, 1, "slab", order)
+        assert infer.length_groups(
+            [cache.seq_len for cache in caches], [1] * 6) == {
+                6: [0, 1], 9: [2, 3, 4], 4: [5]}
+        tokens = rng.integers(1, VOCAB, size=6)
+        logits = model.decode_round(tokens, caches)
+        assert_spans_equal_autograd(model, states, tokens[:, None], logits,
+                                    caches)
+
+    def test_verify_spans_group_by_attended_length(self):
+        """Equal starts, ragged spans: row i of every span attends over
+        the same length, so the rows group across sequences."""
+        model = tiny_model(seed=5)
+        rng = np.random.default_rng(13)
+        states = [prefill(model, rng.integers(1, VOCAB, size=7))
+                  for _ in range(4)]
+        spans = [rng.integers(1, VOCAB, size=n) for n in (3, 1, 2, 1)]
+        assert infer.length_groups([7] * 4, [3, 1, 2, 1]) == {
+            8: [0, 3, 4, 6], 9: [1, 5], 10: [2]}
+        caches = slab_buffers(states, 3, "slab")
+        logits = model.decode_span(spans, caches)
+        assert_spans_equal_autograd(model, states, spans, logits, caches)
+
     @pytest.mark.parametrize("prefixed", [False, True])
     def test_length_one_spans_equal_decode_round_and_autograd(self, prefixed):
         model = tiny_model(seed=2)

@@ -14,7 +14,9 @@ from repro.ag import Tensor
 from repro.llm import (
     DecodeScheduler,
     GenerationConfig,
+    KVBuffer,
     KVCache,
+    KVSlab,
     PrefillState,
     SpeculativeDecoder,
     TinyCausalLM,
@@ -157,6 +159,45 @@ class TestCapacityIsExact:
                                                       eos_id=first))
         assert seq.finish_reason == "eos" and seq.cache is None
         assert not scheduler.has_active
+
+
+# ----------------------------------------------------------------------
+class TestSlabs:
+    def test_admissions_claim_consecutive_slots_of_one_slab(self):
+        """Eight equal sequences fill one slab; the ninth, and one that
+        needs more rows than the slab's, each start a new one."""
+        model = tiny_model(seed=7)
+        scheduler = DecodeScheduler(model)
+        state = prefill(model, prompt(5))
+        sequences = [scheduler.admit(state, GREEDY) for _ in range(9)]
+        wide = scheduler.admit(state, GenerationConfig(max_new_tokens=11,
+                                                       temperature=0.0))
+        assert [seq.cache.slot for seq in sequences + [wide]] == \
+            [0, 1, 2, 3, 4, 5, 6, 7, 0, 0]
+        slabs = [seq.cache.slab.layers[0]
+                 for seq in (sequences[0], sequences[8], wide)]
+        assert all(seq.cache.slab.layers[0] is slabs[0]
+                   for seq in sequences[:8])
+        assert slabs[0] is not slabs[1] and slabs[1] is not slabs[2]
+        assert slabs[0][0].shape == (8, 2, 5 + 10, 8)
+        for seq in sequences[:8]:   # exact-capacity views of their row
+            keys = seq.cache.layer(0)[0]
+            assert keys.base is slabs[0][0]
+            assert keys.shape == (1, 2, 5 + 10, 8)
+        scheduler.run()
+        expected = decode_sequential(model, state, GREEDY)
+        for seq in sequences:
+            np.testing.assert_array_equal(seq.token_ids(), expected)
+
+    def test_a_buffer_refuses_a_full_or_narrow_slab(self):
+        model = tiny_model()
+        state = prefill(model, prompt(4))
+        slab = KVSlab(state.cache, 6, 1)
+        with pytest.raises(ValueError, match="no slot of 7 rows"):
+            KVBuffer(state.cache, 7, slab=slab)
+        assert KVBuffer(state.cache, 6, slab=slab).slot == 0
+        with pytest.raises(ValueError, match="no slot of 5 rows"):
+            KVBuffer(state.cache, 5, slab=slab)
 
 
 # ----------------------------------------------------------------------

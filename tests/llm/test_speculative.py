@@ -190,6 +190,22 @@ class TestTokenIdentity:
         results, _ = run_speculative(model, states, prompts, configs, spec)
         assert_matches_sequential(model, states, configs, results)
 
+    def test_equal_length_batch_beside_length_one_rows(self):
+        """Equal prompts: every verify span's row i attends over the same
+        length as the others' row i and as the sampled sequences' lone
+        rows, so rounds mix grouped verify rows and length-1 rows."""
+        model, draft = tiny_base(seed=20), tiny_draft(seed=21)
+        states, prompts = ragged_states(model, [6] * 5)
+        configs = [GenerationConfig(max_new_tokens=9,
+                                    temperature=0.7 if i == 2 else 0.0,
+                                    seed=i) for i in range(5)]
+        spec = SpeculativeDecoder(draft, max_draft=3, threshold=0.0)
+        results, scheduler = run_speculative(model, states, prompts,
+                                             configs, spec)
+        assert_matches_sequential(model, states, configs, results)
+        assert scheduler.draft_proposed > 0
+        assert scheduler.grouped_rows >= scheduler.occupancy_sum
+
     def test_distilled_draft_accepts_and_stays_identical(self):
         """The tuned serving configuration (draft depth 10, threshold 0.3,
         batch 8) on a pretrained phi-2-sim and its distilled draft."""

@@ -154,6 +154,21 @@ class TestDecodeRounds:
             interleaved_requests(tok))
         assert stats["tokens_per_round"] <= stats["batch_occupancy"]
         assert stats["requests_served"] == 9
+        # Every LaMP-2 text is 7 tokens and users share the soft-prompt
+        # length: the rows share their round's attended length.
+        assert 0 < stats["decode_grouped_rows"] <= stats["occupancy_sum"]
+        assert stats["grouped_row_share"] == pytest.approx(
+            stats["decode_grouped_rows"] / stats["occupancy_sum"])
+
+    def test_lone_queries_group_no_rows(self, setup):
+        _, tok = setup
+        engine = build_engine(setup)
+        for request in interleaved_requests(tok, per_user=1):
+            engine.query(request)
+        stats = engine.stats()
+        assert stats["occupancy_sum"] > 0
+        assert (stats["decode_grouped_rows"], stats["grouped_row_share"]) \
+            == (0, 0.0)
 
     def test_stats_readable_mid_round(self, setup):
         """Counters only advance at retirement: a half-decoded batch shows

@@ -163,6 +163,14 @@ class TestAggregateStats:
         if rounds:
             assert stats["tokens_per_round"] == pytest.approx(
                 stats["decode_tokens"] / rounds)
+        # Recomputed from the summed rows, never a mean of worker shares.
+        workers = stats["workers"]
+        assert stats["decode_grouped_rows"] == sum(
+            worker["decode_grouped_rows"] for worker in workers) > 0
+        assert stats["grouped_row_share"] == pytest.approx(
+            stats["decode_grouped_rows"] / stats["occupancy_sum"])
+        assert STATS_MANIFEST["grouped_row_share"] == (
+            "ratio", "decode_grouped_rows", "occupancy_sum")
 
     def test_registered_counter_aggregates_across_workers(self, engines,
                                                           monkeypatch):
