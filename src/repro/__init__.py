@@ -15,10 +15,9 @@ per-OVT similarity scores, and analytic CiM latency/energy estimates.
 
 **Serving edge** (:mod:`repro.gateway`) — the network front.  A
 :class:`PromptGateway` exposes the engine over HTTP (pure stdlib asyncio)
-with bounded-queue admission control, pluggable round-admission policies,
-deadline SLOs, and a worker thread driving the engine's continuous
-batching; :class:`GatewayClient` is the pooled retrying client, and
-:mod:`repro.gateway.traffic` generates Poisson/bursty Zipf-skewed load.
+with bounded-queue FIFO admission control, deadline SLOs, and a worker
+thread driving the engine's continuous batching; :class:`GatewayClient`
+is the pooled retrying client.
 
 **Building blocks** — the framework pieces the engine composes:
 :class:`OVTTrainingPipeline` / :class:`NVCiMDeployment`, the
@@ -74,7 +73,6 @@ from .serve import (
     QueueFull,
     SessionSnapshot,
     SessionStore,
-    ShardedPromptEngine,
     TuneRequest,
     TuneResponse,
     UserSession,
@@ -85,7 +83,7 @@ __version__ = "0.2.0"
 
 __all__ = [
     # Serving layer
-    "PromptServeEngine", "ShardedPromptEngine", "UserSession", "QueueFull",
+    "PromptServeEngine", "UserSession", "QueueFull",
     "SessionSnapshot", "SessionStore",
     "TuneRequest", "TuneResponse", "QueryRequest", "QueryResponse",
     # Serving edge

@@ -23,8 +23,8 @@ from .findings import Finding
 __all__ = ["UnlockedPublicMutation", "TrainingUnderLock"]
 
 # Classes held to lock discipline even if they do not (yet) own a lock:
-# the two engine facades the gateway serves from multiple threads.
-LOCKED_CLASSES = ("PromptServeEngine", "ShardedPromptEngine")
+# the engine the gateway serves from multiple threads.
+LOCKED_CLASSES = ("PromptServeEngine",)
 
 
 def _assigns_lock(method: ast.FunctionDef) -> bool:

@@ -1,13 +1,13 @@
-"""Stats aggregation contract: STATS-001.
+"""Stats declaration contract: STATS-001.
 
-``ShardedPromptEngine.stats()`` merges per-worker counter dicts, and
-merging is semantic: additive counters sum, ratios recompute from summed
-numerators, histograms merge sample-by-sample.  The semantics live in
-one pure-literal manifest (``repro/serve/stats_manifest.py``); this rule
-closes the loop by checking that every key the engines *emit* is
-declared there.  An undeclared key is exactly the bug the manifest
-exists to prevent — a counter that shows up on one engine and silently
-vanishes (or mis-aggregates) fleet-wide.
+How a ``stats()`` key may be read is semantic: additive counters total,
+ratios recompute from their numerator and denominator, histogram
+summaries are never added up.  The semantics live in one pure-literal
+manifest (``repro/serve/stats_manifest.py``); this rule closes the loop
+by checking that every key the engine *emits* is declared there.  An
+undeclared key is exactly the bug the manifest exists to prevent — a
+counter whose kind nothing records, so anything that totals or exports
+the stats must guess it.
 
 The manifest is read with ``ast.literal_eval``, never imported: the
 linter must not execute serve code, and the literal-ness requirement is
@@ -26,7 +26,7 @@ from .findings import Finding
 __all__ = ["UndeclaredStatKey", "load_manifest"]
 
 MANIFEST_REL = "serve/stats_manifest.py"
-_STATS_CLASSES = ("PromptServeEngine", "ShardedPromptEngine")
+_STATS_CLASSES = ("PromptServeEngine",)
 _SCALAR_KINDS = ("additive", "capacity", "histogram", "structural")
 
 
@@ -138,6 +138,5 @@ class UndeclaredStatKey(Rule):
                 yield self.finding(
                     ctx, anchor,
                     f"{node.name}.stats() emits {key!r} but "
-                    f"STATS_MANIFEST does not declare how it aggregates "
-                    f"across shards; ShardedPromptEngine.stats() would "
-                    f"drop or mis-merge it")
+                    f"STATS_MANIFEST does not declare what kind of "
+                    f"number it is")

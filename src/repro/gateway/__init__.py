@@ -3,12 +3,11 @@
 This package turns :class:`~repro.serve.PromptServeEngine` into a
 network service without adding dependencies: a minimal HTTP/1.1 layer on
 asyncio streams (:mod:`~repro.gateway.http`), typed request validation
-(:mod:`~repro.gateway.validation`), pluggable round-admission policies
-(:mod:`~repro.gateway.scheduler`), the server itself
-(:mod:`~repro.gateway.server`) with bounded-queue admission control and
-a worker thread driving the engine's continuous-batching decode rounds,
-a pooled retrying client (:mod:`~repro.gateway.client`), and a
-trace-driven load generator (:mod:`~repro.gateway.traffic`).
+(:mod:`~repro.gateway.validation`), the server itself
+(:mod:`~repro.gateway.server`) with bounded-queue admission control, FIFO
+round admission and a worker thread driving the engine's
+continuous-batching decode rounds, and a pooled retrying client
+(:mod:`~repro.gateway.client`).
 
 The wire contract is exact: a query answered over HTTP is byte-identical
 to the same ``engine.query`` call made in-process.
@@ -16,23 +15,14 @@ to the same ``engine.query`` call made in-process.
 
 from .client import (DeadlineExceeded, GatewayClient, GatewayError,
                      RetryPolicy)
-from .scheduler import (AdmissionPolicy, DeadlineFairPolicy, FIFOPolicy,
-                        QueuedQuery, available_policies, build_policy,
-                        register_policy)
 from .server import (GatewayConfig, PromptGateway, query_response_from_dict,
                      query_response_to_dict)
-from .traffic import (RequestRecord, TraceConfig, TraceEvent, TraceReport,
-                      build_trace, replay, zipf_weights)
 from .validation import (ValidationError, parse_query_request,
                          parse_tune_request)
 
 __all__ = [
     "PromptGateway", "GatewayConfig",
     "GatewayClient", "GatewayError", "DeadlineExceeded", "RetryPolicy",
-    "AdmissionPolicy", "FIFOPolicy", "DeadlineFairPolicy", "QueuedQuery",
-    "register_policy", "build_policy", "available_policies",
-    "TraceConfig", "TraceEvent", "TraceReport", "RequestRecord",
-    "build_trace", "replay", "zipf_weights",
     "ValidationError", "parse_query_request", "parse_tune_request",
     "query_response_to_dict", "query_response_from_dict",
 ]

@@ -9,12 +9,12 @@ Architecture — four kinds of thread around one engine:
   hot path, so slow decodes cannot stall accepts, health checks, or
   rejections.
 * **Worker thread** — the decode driver.  It owns the serving hot loop:
-  each tick it expires queued requests past their deadline, lets the
-  admission policy (:mod:`repro.gateway.scheduler`) pick which queued
-  queries take the free decode-batch slots, feeds them to
-  ``engine.begin_query``, runs one ``engine.run_decode_round`` (every
-  in-flight answer advances one token in a single batched forward), and
-  resolves the futures of retired generations back into the event loop.
+  each tick it expires queued requests past their deadline, admits the
+  oldest queued queries into the free decode-batch slots (strict arrival
+  order) through ``engine.begin_query``, runs one
+  ``engine.run_decode_round`` (every in-flight answer advances one token
+  in a single batched forward), and resolves the futures of retired
+  generations back into the event loop.
 * **The tune thread** (``gateway-tune``) — tune requests run
   ``engine.submit`` here, one at a time, at the lowest CPU priority the
   OS offers (nice 19 on Linux, where niceness is per thread).  A tune
@@ -27,8 +27,8 @@ Architecture — four kinds of thread around one engine:
 Backpressure is two-layered by design: the gateway's queue bounds
 *accepted-but-unadmitted* work (HTTP 429 with a ``Retry-After`` hint
 derived from observed service time), while the engine's own
-``max_pending`` bounds decoder occupancy — the policy decides who
-crosses from one to the other each round.
+``max_pending`` bounds decoder occupancy — queued queries cross from
+one to the other in arrival order as slots free.
 
 Cancellation: a client that disconnects while its query is queued or
 decoding frees its slot within one round (the generation retires with
@@ -40,19 +40,18 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import itertools
 import os
 import sys
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
-from ..serve import (PromptServeEngine, QueryResponse, QueueFull,
-                     SnapshotError)
+from ..serve import (PromptServeEngine, QueryRequest, QueryResponse,
+                     QueueFull, SnapshotError)
 from .http import HTTPError, HTTPRequest, read_request, render_response
-from .scheduler import AdmissionPolicy, QueuedQuery, build_policy
 from .validation import (
     ValidationError,
     parse_query_request,
@@ -71,8 +70,6 @@ class GatewayConfig:
     port: int = 0                 # 0 = bind an ephemeral port
     max_queue: int = 64           # accepted-but-unadmitted bound (429 beyond)
     max_batch: int = 8            # decode-batch slots the worker keeps full
-    policy: str = "fifo"          # round-admission policy name
-    fair_share: int = 2           # per-user slot cap (deadline policy)
     default_deadline_s: float | None = None   # SLO when the request has none
     retry_after_s: float | None = None   # fixed 429 hint; None = estimated
     idle_wait_s: float = 0.02     # worker sleep when nothing is pending
@@ -82,6 +79,30 @@ class GatewayConfig:
             raise ValueError("max_queue must be positive")
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
+        if self.default_deadline_s is not None \
+                and self.default_deadline_s <= 0:
+            raise ValueError("default_deadline_s must be positive or None")
+        if self.retry_after_s is not None and self.retry_after_s < 0:
+            raise ValueError("retry_after_s must be non-negative or None")
+        if self.idle_wait_s <= 0:
+            raise ValueError("idle_wait_s must be positive")
+
+
+@dataclass
+class QueuedQuery:
+    """One accepted query waiting for a decode-batch slot.
+
+    ``deadline`` is an absolute ``time.monotonic()`` timestamp (None =
+    no SLO).  ``cancelled`` flips when the HTTP client disconnects while
+    still queued — the worker then drops the entry without admitting it.
+    """
+
+    request: QueryRequest
+    enqueued_at: float
+    deadline: float | None = None
+    cancelled: bool = False
+    # Resolves the HTTP handler's future with (status, payload, headers).
+    complete: Callable | None = field(default=None, repr=False)
 
 
 def _background_priority() -> None:
@@ -153,22 +174,15 @@ class PromptGateway:
     """
 
     def __init__(self, engine: PromptServeEngine,
-                 config: GatewayConfig | None = None, *,
-                 policy: AdmissionPolicy | None = None):
+                 config: GatewayConfig | None = None):
         self.engine = engine
         self.config = config if config is not None else GatewayConfig()
-        if policy is None:
-            kwargs = ({"fair_share": self.config.fair_share}
-                      if self.config.policy == "deadline" else {})
-            policy = build_policy(self.config.policy, **kwargs)
-        self.policy = policy
         self.address: tuple[str, int] | None = None
         # -- accepted-but-unadmitted queue (event loop appends, worker
         #    drains); one lock covers the queue and the admitted list.
         self._qlock = threading.Lock()
         self._queue: deque[QueuedQuery] = deque()
         self._admitted: list[tuple[QueuedQuery, object]] = []
-        self._sequence = itertools.count()
         self._work = threading.Event()
         self._stop = threading.Event()
         # -- counters (worker/loop threads; ints, so GIL-atomic enough
@@ -365,8 +379,7 @@ class PromptGateway:
                                 retry_after=self._retry_after_hint())
             future = self._loop.create_future()
             queued = QueuedQuery(
-                request=query, sequence=next(self._sequence),
-                enqueued_at=now, deadline=deadline,
+                request=query, enqueued_at=now, deadline=deadline,
                 complete=self._completer(future))
             self._queue.append(queued)
             self.accepted += 1
@@ -468,7 +481,6 @@ class PromptGateway:
                 "in_flight": len(self._admitted),
                 "max_queue": self.config.max_queue,
                 "max_batch": self.config.max_batch,
-                "policy": self.policy.name,
                 "http_requests": self.http_requests,
                 "accepted": self.accepted,
                 "rejected": self.rejected,
@@ -512,7 +524,7 @@ class PromptGateway:
         """One worker iteration; returns True when it did any work."""
         now = time.monotonic()
         self._drop_dead_queued(now)
-        admitted_now = self._admit(now)
+        admitted_now = self._admit()
         self._cancel_disconnected()
         progressed = self._drive_round()
         resolved = self._resolve_finished()
@@ -539,20 +551,13 @@ class PromptGateway:
                 "finish_reason": "deadline",
             })
 
-    def _admit(self, now: float) -> int:
-        """Policy-selected queued queries take the free decode slots."""
+    def _admit(self) -> int:
+        """The oldest queued queries take the free decode slots."""
         with self._qlock:
             slots = self.config.max_batch - len(self._admitted)
-            if slots <= 0 or not self._queue:
-                return 0
-            in_flight: dict[int, int] = {}
-            for queued, _ in self._admitted:
-                in_flight[queued.user_id] = \
-                    in_flight.get(queued.user_id, 0) + 1
-            picks = self.policy.select(list(self._queue), slots, now,
-                                       in_flight)
-            for queued in picks:
-                self._queue.remove(queued)
+            picks: list[QueuedQuery] = []
+            while self._queue and len(picks) < slots:
+                picks.append(self._queue.popleft())
         admitted = 0
         for queued in picks:
             try:

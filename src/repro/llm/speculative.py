@@ -339,8 +339,9 @@ class SpeculativeDecoder:
     state lives on the sequences, all counters on the scheduler) and pass
     it to ``DecodeScheduler(model, speculative=...)`` or
     ``PromptServeEngine(..., speculative=...)``.  One instance may be
-    shared by many schedulers (the sharded engine does): the draft model
-    is pinned to eval mode here and only ever read afterwards.
+    shared by many schedulers (several engines over one draft): the
+    draft model is pinned to eval mode here and only ever read
+    afterwards.
 
     Args:
         draft_model: the proposer; must share the base model's tokenizer

@@ -19,8 +19,6 @@ base model.  This package is that story as an API:
   user's trained library, buffer and NVM state as a versioned binary
   blob that LRU eviction spills and session lookups transparently
   restore, byte-identically and without re-running a tuner step.
-* :class:`ShardedPromptEngine` — users hash-routed across N engines with
-  the same surface, so the gateway scales out unchanged.
 
 Quickstart::
 
@@ -41,7 +39,6 @@ from .api import (
 from .engine import PromptServeEngine, QueueFull
 from .metrics import LatencyHistogram
 from .session import UserSession
-from .sharded import ShardedPromptEngine
 from .snapshot import SessionSnapshot, SnapshotError
 from .store import SessionStore
 
@@ -49,5 +46,4 @@ __all__ = [
     "PromptServeEngine", "QueueFull", "UserSession", "LatencyHistogram",
     "TuneRequest", "TuneResponse", "QueryRequest", "QueryResponse",
     "PendingQuery", "SessionSnapshot", "SnapshotError", "SessionStore",
-    "ShardedPromptEngine",
 ]

@@ -63,16 +63,6 @@ class LatencyHistogram:
         self.min_s = min(self.min_s, seconds)
         self.max_s = max(self.max_s, seconds)
 
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold another histogram's samples into this one (returns self)."""
-        for i, n in enumerate(other._counts):
-            self._counts[i] += n
-        self.count += other.count
-        self.total_s += other.total_s
-        self.min_s = min(self.min_s, other.min_s)
-        self.max_s = max(self.max_s, other.max_s)
-        return self
-
     # ------------------------------------------------------------------
     def percentile(self, q: float) -> float:
         """Estimated latency (seconds) at quantile ``q`` in [0, 1].

@@ -1,11 +1,11 @@
-"""The stats manifest: how every serving counter aggregates across shards.
+"""The stats manifest: what kind of number every serving counter is.
 
-Single-engine ``stats()`` and fleet-wide ``ShardedPromptEngine.stats()``
-must agree on what each key *means* under aggregation — summing an
-average or averaging a ratio is the classic dashboard lie.  This module
-is the one place that meaning is declared; the sharded engine merges
-from it (no hardcoded key lists) and the STATS-001 lint rule
-cross-checks it against the keys the engines actually emit.
+``PromptServeEngine.stats()`` is a flat dict, and a value alone does not
+say how it may be read: a counter can be totalled or differenced between
+two readings, a ratio cannot, and a histogram summary is neither.
+Summing an average or averaging a ratio is the classic dashboard lie.
+This module is the one place each key's kind is declared; the STATS-001
+lint rule cross-checks it against the keys the engine actually emits.
 
 ``STATS_MANIFEST`` must stay a **pure literal**: the linter reads it
 with ``ast.literal_eval`` so it can check the manifest without importing
@@ -13,19 +13,17 @@ with ``ast.literal_eval`` so it can check the manifest without importing
 
 Kinds:
 
-- ``"additive"``    — sums across workers (monotonic counters, gauges
-  that partition across shards, and per-worker capacity budgets like
-  ``max_sessions``).
-- ``"capacity"``    — additive, but ``None`` means unbounded and
-  poisons the sum (one uncapped worker makes the fleet uncapped).
-- ``"histogram"``   — merged sample-by-sample via
-  :meth:`~repro.serve.metrics.LatencyHistogram.merge`, never summed.
-- ``("ratio", numerator_key, denominator_key)`` — recomputed from the
-  *summed* numerator/denominator; averaging per-worker ratios would
-  weight idle workers equally with busy ones.
-- ``"structural"``  — not aggregated: reported once fleet-wide
-  (``session_store``) or synthesized by the sharded engine itself
-  (``n_workers``, ``workers``).
+- ``"additive"``    — a count or a gauge: totals and differences of it
+  mean something.
+- ``"capacity"``    — a configured bound; ``None`` means unbounded.
+- ``"histogram"``   — a :class:`~repro.serve.metrics.LatencyHistogram`
+  summary (count, percentiles, mean, max): read, never added up.
+- ``("ratio", numerator_key, denominator_key)`` — derived from two
+  declared keys; a total recomputes it from theirs, since averaging
+  ratios would weight an idle period equally with a busy one.
+- ``"structural"``  — not a number to aggregate: a description of the
+  engine (the session store's stats, the base model's footprint),
+  reported as is.
 """
 
 from __future__ import annotations
@@ -88,9 +86,8 @@ STATS_MANIFEST = {
     "draft_acceptance_rate": ("ratio", "draft_accepted_tokens",
                               "draft_proposed_tokens"),
     # -- weight quantization ----------------------------------------------
-    # Resident-model accounting: the base model is shared by every worker,
-    # so these are structural (worker 0 speaks for the fleet) — summing
-    # would multiply the one model's footprint by n_workers.
+    # Resident-model accounting: a property of the one shared base model,
+    # not a count of events.
     "quantized_layers": "structural",
     "weight_bytes": "structural",
     "weight_bytes_saved": "structural",
@@ -99,7 +96,4 @@ STATS_MANIFEST = {
     "cim_adc_conversions": "additive",
     "cim_cell_reads": "additive",
     "cim_write_pulses": "additive",
-    # -- fleet shape (sharded engine only) --------------------------------
-    "n_workers": "structural",
-    "workers": "structural",
 }

@@ -141,7 +141,7 @@ class TestLock001:
 
     def test_named_classes_checked_even_without_lock(self, tmp_path):
         report = run_tree(tmp_path, {"serve/facade.py": """\
-            class ShardedPromptEngine:
+            class PromptServeEngine:
                 def reset(self):
                     self.count = 0
         """}, ["LOCK-001"])
@@ -330,7 +330,7 @@ class TestStats001:
         report = run_tree(tmp_path, {
             "serve/stats_manifest.py": MANIFEST,
             "serve/engine.py": """\
-                class ShardedPromptEngine:
+                class PromptServeEngine:
                     def stats(self):
                         return {"requests": 1, "cap": None, "rate": 0.0}
             """,

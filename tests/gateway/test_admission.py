@@ -1,0 +1,181 @@
+"""The gateway's own decisions, without sockets or a model.
+
+``GatewayConfig`` refuses values that would break the worker, round
+admission is FIFO, each way ``begin_query`` can fail has its status, and
+queued entries past their deadline leave with a 504 before admission:
+``PromptGateway._admit`` / ``_drop_dead_queued`` are driven directly
+against a stub engine, no threads started.
+"""
+
+import pytest
+
+from repro.gateway import GatewayConfig, PromptGateway
+from repro.gateway.server import QueuedQuery
+from repro.serve import QueryRequest, QueueFull, SnapshotError
+
+
+class TestGatewayConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_queue", 0),
+        ("max_batch", 0),
+        ("idle_wait_s", 0.0),            # Event.wait(0): a busy spin
+        ("idle_wait_s", -0.5),
+        ("default_deadline_s", 0.0),     # every deadline-free query 504s
+        ("default_deadline_s", -1.0),
+        ("retry_after_s", -0.1),         # a negative Retry-After header
+    ])
+    def test_rejects_values_that_break_the_gateway(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GatewayConfig(**{field: value})
+
+    def test_accepts_the_edges_that_work(self):
+        config = GatewayConfig(retry_after_s=0.0, default_deadline_s=None,
+                               idle_wait_s=1e-3)
+        assert config.retry_after_s == 0.0
+
+
+class RecordingEngine:
+    """Records ``begin_query`` order and deadlines; unknown users raise
+    ``KeyError``, and ``failures`` maps a user to the error to raise."""
+
+    def __init__(self, unknown=(), failures=None):
+        self.unknown = set(unknown)
+        self.failures = dict(failures or {})
+        self.begun: list[int] = []
+        self.deadlines: list[float | None] = []
+
+    def begin_query(self, request, deadline=None):
+        if request.user_id in self.unknown:
+            raise KeyError(f"no session for user {request.user_id}")
+        if request.user_id in self.failures:
+            raise self.failures[request.user_id]
+        self.begun.append(request.user_id)
+        self.deadlines.append(deadline)
+        return object()
+
+
+def enqueue(gateway, user_ids, deadline=None):
+    """Queue one query per user; returns ``{user_id: [replies]}``."""
+    replies = {}
+    for user_id in user_ids:
+        replies[user_id] = []
+        gateway._queue.append(QueuedQuery(
+            request=QueryRequest(user_id=user_id, text=f"query {user_id}"),
+            enqueued_at=0.0, deadline=deadline,
+            complete=lambda *reply, box=replies[user_id]: box.append(reply)))
+    return replies
+
+
+class TestFIFOAdmission:
+    def test_keeps_arrival_order(self):
+        engine = RecordingEngine()
+        gateway = PromptGateway(engine, GatewayConfig(max_batch=8))
+        enqueue(gateway, [5, 2, 9, 2])
+        assert gateway._admit() == 4
+        assert engine.begun == [5, 2, 9, 2]
+        assert [q.request.user_id for q, _ in gateway._admitted] == \
+            [5, 2, 9, 2]
+        assert not gateway._queue
+
+    def test_takes_at_most_the_free_slots(self):
+        engine = RecordingEngine()
+        gateway = PromptGateway(engine, GatewayConfig(max_batch=3))
+        enqueue(gateway, [0, 1])
+        assert gateway._admit() == 2            # 1 of 3 slots left
+        enqueue(gateway, [2, 3, 4])
+        assert gateway._admit() == 1
+        assert engine.begun == [0, 1, 2]
+        assert [q.request.user_id for q in gateway._queue] == [3, 4]
+        assert gateway._admit() == 0            # batch full: nothing taken
+        assert len(gateway._queue) == 2
+
+    def test_unknown_user_is_a_404_and_the_next_is_still_admitted(self):
+        engine = RecordingEngine(unknown={7})
+        gateway = PromptGateway(engine, GatewayConfig(max_batch=2))
+        replies = enqueue(gateway, [7, 1, 3])
+        assert gateway._admit() == 1
+        (status, payload), = replies[7]
+        assert status == 404
+        assert payload["user_id"] == 7
+        assert engine.begun == [1]
+        assert replies[1] == []                  # admitted, not answered
+        assert [q.request.user_id for q in gateway._queue] == [3]
+
+    def test_the_queued_deadline_reaches_the_engine(self):
+        engine = RecordingEngine()
+        gateway = PromptGateway(engine, GatewayConfig())
+        enqueue(gateway, [0], deadline=12.5)
+        enqueue(gateway, [1])
+        assert gateway._admit() == 2
+        assert engine.deadlines == [12.5, None]
+
+
+class TestAdmissionFailures:
+    """What each ``begin_query`` failure answers; none takes a slot, and
+    the entry behind it is still admitted."""
+
+    def admit(self, error, config=None):
+        engine = RecordingEngine(failures={0: error})
+        gateway = PromptGateway(engine, config or GatewayConfig())
+        replies = enqueue(gateway, [0, 1])
+        assert gateway._admit() == 1
+        assert engine.begun == [1]
+        assert [q.request.user_id for q, _ in gateway._admitted] == [1]
+        (reply,) = replies[0]
+        return gateway, reply
+
+    def test_engine_at_capacity_is_a_429_with_retry_after(self):
+        gateway, (status, payload, headers) = self.admit(
+            QueueFull(4, 4), GatewayConfig(retry_after_s=1.5))
+        assert status == 429 and payload["status"] == 429
+        assert headers == {"Retry-After": "1.50"}
+
+    def test_unservable_text_is_a_400(self):
+        gateway, (status, payload) = self.admit(
+            ValueError("prompt fills the context"))
+        assert status == 400
+        assert "prompt fills the context" in str(payload)
+        assert gateway.validation_failures == 1
+
+    def test_a_blob_that_does_not_restore_is_a_500_not_a_400(self):
+        gateway, (status, payload) = self.admit(
+            SnapshotError("truncated blob"))
+        assert status == 500
+        assert payload["error"] == \
+            "admission failed: SnapshotError: truncated blob"
+        assert gateway.validation_failures == 0
+
+
+class TestQueuedDeadlines:
+    """``_drop_dead_queued`` runs before each admission: entries whose
+    deadline has come leave with a 504, cancelled ones leave silently."""
+
+    def test_expired_entry_is_a_504_and_never_admitted(self):
+        engine = RecordingEngine()
+        gateway = PromptGateway(engine, GatewayConfig())
+        expired = enqueue(gateway, [3], deadline=10.0)
+        live = enqueue(gateway, [4], deadline=10.5)
+        gateway._drop_dead_queued(now=10.0)          # due at 10.0: expired
+        (status, payload), = expired[3]
+        assert status == 504
+        assert payload["finish_reason"] == "deadline"
+        assert payload["partial_answer"] == ""
+        assert gateway.deadline_misses == 1
+        assert gateway._admit() == 1
+        assert engine.begun == [4] and live[4] == []
+
+    def test_cancelled_entry_leaves_without_a_reply(self):
+        engine = RecordingEngine()
+        gateway = PromptGateway(engine, GatewayConfig())
+        replies = enqueue(gateway, [5, 6])
+        gateway._queue[0].cancelled = True
+        gateway._drop_dead_queued(now=0.0)
+        assert replies[5] == [] and gateway.deadline_misses == 0
+        assert gateway._admit() == 1
+        assert engine.begun == [6]
+
+    def test_deadline_free_entries_never_expire(self):
+        gateway = PromptGateway(RecordingEngine(), GatewayConfig())
+        replies = enqueue(gateway, [7])
+        gateway._drop_dead_queued(now=1e12)
+        assert replies[7] == [] and len(gateway._queue) == 1

@@ -20,14 +20,12 @@ from repro.gateway import (
     GatewayError,
     PromptGateway,
     RetryPolicy,
-    TraceConfig,
-    build_trace,
-    replay,
 )
 from repro.llm import GenerationConfig
 from repro.serve import QueryRequest
 
 from .conftest import stream_for
+from .traffic import TraceConfig, build_trace, replay
 
 
 def fast_generation(tok, n=6):
@@ -146,7 +144,6 @@ class TestStats:
                      generation=fast_generation(tok, n=2))
         stats = client.stats()
         gw = stats["gateway"]
-        assert gw["policy"] == "fifo"
         assert gw["max_queue"] == gateway.config.max_queue
         assert gw["accepted"] >= 1
         assert gw["completed"] >= 1
@@ -296,22 +293,6 @@ class TestBackpressure:
                 assert "first" in outcome
         finally:
             gateway.stop()
-
-
-class TestPolicies:
-    def test_deadline_policy_serves_end_to_end(self, engine, setup):
-        _, tok = setup
-        config = GatewayConfig(port=0, max_batch=2, policy="deadline",
-                               fair_share=1)
-        with PromptGateway(engine, config) as gateway:
-            host, port = gateway.address
-            with GatewayClient(host, port) as client:
-                response = client.query(
-                    0, "served under EDF",
-                    generation=fast_generation(tok, n=2),
-                    deadline_ms=60_000)
-                assert response.user_id == 0
-                assert client.stats()["gateway"]["policy"] == "deadline"
 
 
 class TestTraceReplay:

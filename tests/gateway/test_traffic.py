@@ -11,8 +11,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.gateway import TraceConfig, build_trace, zipf_weights
-from repro.gateway.traffic import RequestRecord, TraceReport
+from .traffic import (RequestRecord, TraceConfig, TraceReport, build_trace,
+                      zipf_weights)
 
 
 class TestZipfWeights:

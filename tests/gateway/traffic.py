@@ -1,7 +1,7 @@
 """Trace-driven traffic: synthetic arrival processes and a replay harness.
 
-The load side of the serving story.  A trace is built *ahead of time*
-(deterministic under a seed) from three ingredients:
+The load side of the gateway's end-to-end tests.  A trace is built
+*ahead of time* (deterministic under a seed) from three ingredients:
 
 * **Arrival process** — Poisson (exponential inter-arrivals at a target
   rate) or bursty (a two-state Markov-modulated Poisson process: quiet
@@ -31,9 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..llm.generation import GenerationConfig
-from .client import DeadlineExceeded, GatewayClient, GatewayError
-from ..utils import rng_from_seed
+from repro.gateway.client import DeadlineExceeded, GatewayClient, GatewayError
+from repro.llm.generation import GenerationConfig
+from repro.utils import rng_from_seed
 
 __all__ = ["TraceConfig", "TraceEvent", "zipf_weights", "build_trace",
            "RequestRecord", "TraceReport", "replay"]

@@ -78,19 +78,7 @@ class TestPercentiles:
         assert histogram.percentile(0.99) <= 3600.0
 
 
-class TestMerge:
-    def test_merge_folds_samples(self):
-        left, right = LatencyHistogram(), LatencyHistogram()
-        left.record(0.010)
-        right.record(0.030)
-        right.record(0.050)
-        merged = left.merge(right)
-        assert merged is left
-        assert left.count == 3
-        assert left.min_s == pytest.approx(0.010)
-        assert left.max_s == pytest.approx(0.050)
-        assert left.mean_s == pytest.approx(0.030)
-
+class TestSummary:
     def test_summary_units_are_milliseconds(self):
         histogram = LatencyHistogram()
         histogram.record(0.200)

@@ -28,7 +28,6 @@ from repro.serve import (
     QueryRequest,
     SessionSnapshot,
     SessionStore,
-    ShardedPromptEngine,
     TuneRequest,
 )
 from repro.serve.stats_manifest import STATS_MANIFEST
@@ -89,16 +88,6 @@ class TestQuantizedServing:
                               max_sessions=4), tok)
         assert first == second
 
-    def test_sharded_matches_single_engine(self, setup):
-        model, tok = setup
-        single = serve_trace(
-            PromptServeEngine(int8(model), tok, fast(),
-                              max_sessions=8), tok)
-        sharded = serve_trace(
-            ShardedPromptEngine(int8(model), tok, fast(),
-                                n_workers=3, max_sessions=4), tok)
-        assert sharded == single
-
     def test_stats_keys_emitted_and_declared(self, setup):
         model, tok = setup
         engine = PromptServeEngine(int8(model), tok, fast())
@@ -114,15 +103,6 @@ class TestQuantizedServing:
         model, tok = setup
         stats = PromptServeEngine(copy.deepcopy(model), tok, fast()).stats()
         assert all(stats[key] == 0 for key in QUANT_KEYS)
-
-    def test_sharded_reports_shared_model_once(self, setup):
-        model, tok = setup
-        sharded = ShardedPromptEngine(int8(model), tok, fast(), n_workers=3)
-        stats = sharded.stats()
-        # structural, from worker 0 — NOT summed across the fleet
-        assert stats["weight_bytes"] == stats["workers"][0]["weight_bytes"]
-        assert all(worker["weight_bytes"] == stats["weight_bytes"]
-                   for worker in stats["workers"])
 
 
 class TestQuantizedSpeculative:
@@ -163,7 +143,6 @@ class TestEnginesNeverConvert:
         before = [(quantization_stats(m), weights(m)) for m in (base, draft)]
         spec = SpeculativeDecoder(draft, max_draft=3)
         PromptServeEngine(base, tok, fast(), speculative=spec)
-        ShardedPromptEngine(base, tok, fast(), n_workers=3, speculative=spec)
         after = [(quantization_stats(m), weights(m)) for m in (base, draft)]
         for (stats_before, arrays_before), (stats_after, arrays_after) in zip(
                 before, after):

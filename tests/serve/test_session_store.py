@@ -13,7 +13,6 @@ from repro.serve import (
     QueryRequest,
     SessionSnapshot,
     SessionStore,
-    ShardedPromptEngine,
     TuneRequest,
 )
 
@@ -221,19 +220,11 @@ class TestEngineSpillRestore:
         engine.drop_session(0, spill=False)
         assert 0 not in store
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_drop_without_spill_forgets_a_spilled_user(self, setup, store,
-                                                       sharded):
+    def test_drop_without_spill_forgets_a_spilled_user(self, setup, store):
         """A user who is not resident is forgotten all the same: the blob
         goes, and their next query finds no session to restore."""
         model, tok = setup
-        if sharded:
-            engine = ShardedPromptEngine(
-                model, tok, FrameworkConfig.preset("fast"), n_workers=1,
-                max_sessions=1, session_store=store)
-        else:
-            engine = make_engine(model, tok, max_sessions=1,
-                                 session_store=store)
+        engine = make_engine(model, tok, max_sessions=1, session_store=store)
         train(engine, 0)
         train(engine, 1)                           # evicts and spills user 0
         assert engine.active_users() == [1] and store.user_ids() == [0]
@@ -279,14 +270,6 @@ def flaky_store(request, tmp_path):
                         if request.param == "disk" else None)
 
 
-def one_slot_engine(model, tok, store, sharded):
-    if sharded:
-        return ShardedPromptEngine(
-            model, tok, FrameworkConfig.preset("fast"), n_workers=1,
-            max_sessions=1, session_store=store)
-    return make_engine(model, tok, max_sessions=1, session_store=store)
-
-
 # Everything a spill commits; a failed one must move none of it.
 SPILL_KEYS = CIM_KEYS + ("prefill_hits", "evicted_sessions",
                          "sessions_spilled", "spilled_bytes",
@@ -297,12 +280,10 @@ class TestFailedSpill:
     """Spill first, commit after: a ``put`` that raises costs the request
     that triggered it, never the victim's trained state."""
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_failed_eviction_keeps_the_victim(self, setup, flaky_store,
-                                              sharded):
+    def test_failed_eviction_keeps_the_victim(self, setup, flaky_store):
         model, tok = setup
         store, generation = flaky_store, greedy(tok)
-        engine = one_slot_engine(model, tok, store, sharded)
+        engine = make_engine(model, tok, max_sessions=1, session_store=store)
         queries = {u: stream_for(u, 12)[11].input_text for u in (0, 1)}
         train(engine, 0)
         train(engine, 1)                     # spills user 0
@@ -332,12 +313,10 @@ class TestFailedSpill:
             before["sessions_spilled"] + 2
         assert engine.answer(1, queries[1], generation) == expected
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_failed_drop_keeps_the_session(self, setup, flaky_store,
-                                           sharded):
+    def test_failed_drop_keeps_the_session(self, setup, flaky_store):
         model, tok = setup
         store, generation = flaky_store, greedy(tok)
-        engine = one_slot_engine(model, tok, store, sharded)
+        engine = make_engine(model, tok, max_sessions=1, session_store=store)
         query = stream_for(0, 12)[11].input_text
         train(engine, 0)
         expected = engine.answer(0, query, generation)
@@ -427,18 +406,10 @@ class TestQuarantine:
         truncated, wrong_geometry, missing_scale, invalid_config_value,
         unknown_config_key, library_entry_without_matrix,
         autoencoder_state_misshapen, counters_missing_a_key])
-    @pytest.mark.parametrize("n_workers", [None, 2])
-    def test_bad_blob_costs_one_retune(self, setup, flaky_store, n_workers,
-                                       damage):
+    def test_bad_blob_costs_one_retune(self, setup, flaky_store, damage):
         model, tok = setup
         store, generation = flaky_store, greedy(tok)
-        if n_workers:
-            engine = ShardedPromptEngine(
-                model, tok, FrameworkConfig.preset("fast"),
-                n_workers=n_workers, max_sessions=1, session_store=store)
-        else:
-            engine = make_engine(model, tok, max_sessions=1,
-                                 session_store=store)
+        engine = make_engine(model, tok, max_sessions=1, session_store=store)
         query = stream_for(0, 12)[11].input_text
         train(engine, 0)
         expected = engine.answer(0, query, generation)
@@ -479,6 +450,37 @@ class TestQuarantine:
         assert final["sessions_quarantined"] == 1
         engine.drop_session(0)                       # spills again, cleanly
         assert engine.answer(0, query, generation) == expected
+
+    def test_decode_loop_meets_the_blob_the_same_way(self, setup,
+                                                     flaky_store):
+        """``begin_query``, the gateway's entry, quarantines as ``answer``
+        does: a ``KeyError`` (the gateway's 404), nothing left pending."""
+        model, tok = setup
+        store, generation = flaky_store, greedy(tok)
+        engine = make_engine(model, tok, max_sessions=1, session_store=store)
+        request = QueryRequest(user_id=0,
+                               text=stream_for(0, 12)[11].input_text,
+                               generation=generation)
+        train(engine, 0)
+        engine.drop_session(0)
+        store.put(0, truncated(store.get(0)))
+        reads = len(store.get_sizes)
+
+        for _ in range(2):                   # read once, then unknown
+            with pytest.raises(KeyError, match="no session for user 0"):
+                engine.begin_query(request)
+        stats = engine.stats()
+        assert stats["sessions_quarantined"] == 1
+        assert stats["pending_generations"] == 0
+        assert len(store.get_sizes) == reads + 1
+        assert store.user_ids() == []
+
+        train(engine, 0)
+        pending = engine.begin_query(request)
+        while not pending.done:
+            engine.run_decode_round()
+        assert pending.response.answer == engine.answer(0, request.text,
+                                                        generation)
 
 
 class TestByteStats:
@@ -532,23 +534,6 @@ class TestByteStats:
         assert engine.stats()["resident_nvm_bytes"] == 5 * cells
         engine.answer(0, query, greedy(tok))
         assert engine.stats()["resident_nvm_bytes"] == 5 * cells
-
-    def test_sharded_totals_are_the_sum_of_workers(self, setup):
-        model, tok = setup
-        engine = ShardedPromptEngine(
-            model, tok, FrameworkConfig.preset("fast"), n_workers=2,
-            max_sessions=1, session_store=SessionStore())
-        for user_id in range(4):
-            train(engine, user_id)
-            engine.answer(user_id, stream_for(user_id, 12)[11].input_text,
-                          greedy(tok))
-        for user_id in range(4):
-            engine.session(user_id)
-        stats = engine.stats()
-        assert stats["spilled_bytes"] > 0 and stats["restored_bytes"] > 0
-        assert stats["resident_nvm_bytes"] > 0
-        for key in ("spilled_bytes", "restored_bytes", "resident_nvm_bytes"):
-            assert stats[key] == sum(w[key] for w in stats["workers"]), key
 
 
 class TestCounterMonotonicity:

@@ -1,10 +1,9 @@
 """Speculative decoding behind the serving stack.
 
-An engine (or sharded fleet) given a ``speculative`` decoder must serve
-byte-identical responses to one without it — speculation is invisible
-above the scheduler — while the new telemetry keys surface acceptance
-rate and tokens-per-forward through ``stats()`` and aggregate correctly
-across shards.
+An engine given a ``speculative`` decoder must serve byte-identical
+responses to one without it — speculation is invisible above the
+scheduler — while the new telemetry keys surface acceptance rate and
+tokens-per-forward through ``stats()``, declared in the stats manifest.
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.llm import (
     pretrain_lm,
 )
 from repro.serve import PromptServeEngine, QueryRequest, TuneRequest
-from repro.serve.sharded import ShardedPromptEngine
 from repro.serve.stats_manifest import STATS_MANIFEST
 
 SPEC_KEYS = ("decode_forwards", "spec_rounds", "draft_forwards",
@@ -50,17 +48,10 @@ def stream_for(user_id, count, seed=0):
     return dataset.generate(make_user(user_id, seed=0), count, seed=seed)
 
 
-def build_engine(setup, speculative=None, *, sharded=False):
+def build_engine(setup, speculative=None):
     model, tok, _ = setup
-    cls_kwargs = {"max_sessions": 4, "speculative": speculative}
-    if sharded:
-        engine = ShardedPromptEngine(model, tok,
-                                     FrameworkConfig.preset("fast"),
-                                     n_workers=2, **cls_kwargs)
-    else:
-        engine = PromptServeEngine(model, tok,
-                                   FrameworkConfig.preset("fast"),
-                                   **cls_kwargs)
+    engine = PromptServeEngine(model, tok, FrameworkConfig.preset("fast"),
+                               max_sessions=4, speculative=speculative)
     for user_id in (0, 1, 2):
         engine.submit(TuneRequest(
             user_id=user_id,
@@ -118,13 +109,6 @@ class TestServingEquivalence:
         assert engine.answer_batch(requests) == plain
         assert engine.stats()["draft_proposed_tokens"] == 0
 
-    def test_sharded_speculative_identical(self, setup):
-        _, tok, _ = setup
-        requests = greedy_requests(tok)
-        plain = build_engine(setup).answer_batch(requests)
-        fleet = build_engine(setup, make_spec(setup), sharded=True)
-        assert fleet.answer_batch(requests) == plain
-
 
 class TestSpeculativeStats:
     def test_stats_keys_present_and_consistent(self, setup):
@@ -149,8 +133,8 @@ class TestSpeculativeStats:
         assert stats["spec_rounds"] <= stats["decode_rounds"]
 
     def test_plain_engine_emits_spec_keys_as_zeros(self, setup):
-        """The keys exist (zeroed) without a decoder, so dashboards and
-        the sharded merge never branch on configuration."""
+        """The keys exist (zeroed) without a decoder, so dashboards never
+        branch on configuration."""
         _, tok, _ = setup
         engine = build_engine(setup)
         engine.answer_batch(greedy_requests(tok, use_eos=False))
@@ -166,16 +150,3 @@ class TestSpeculativeStats:
             "ratio", "draft_accepted_tokens", "draft_proposed_tokens")
         assert STATS_MANIFEST["tokens_per_forward"] == (
             "ratio", "decode_tokens", "decode_forwards")
-
-    def test_sharded_aggregation_recomputes_ratios(self, setup):
-        _, tok, _ = setup
-        fleet = build_engine(setup, make_spec(setup), sharded=True)
-        fleet.answer_batch(greedy_requests(tok, use_eos=False))
-        stats = fleet.stats()
-        workers = stats["workers"]
-        for key in ("draft_proposed_tokens", "draft_accepted_tokens",
-                    "decode_forwards", "spec_rounds"):
-            assert stats[key] == sum(worker[key] for worker in workers)
-        assert stats["draft_proposed_tokens"] > 0
-        assert stats["draft_acceptance_rate"] == pytest.approx(
-            stats["draft_accepted_tokens"] / stats["draft_proposed_tokens"])
