@@ -3,12 +3,12 @@
 The gateway deliberately avoids third-party web frameworks (the repo's
 only runtime dependency is numpy), so this module implements exactly the
 slice of HTTP/1.1 the serving edge needs: request-line + header parsing,
-``Content-Length`` bodies, keep-alive connection reuse, and JSON response
-serialization.  This is the server's half of the wire
-(:mod:`repro.gateway.server`); the blocking pooled client
-(:mod:`repro.gateway.client`) parses responses with stdlib
-``http.client``, so ``tests/gateway/test_http.py`` round-trips
-:func:`render_response` through that parser.
+``Content-Length`` bodies (a ``Transfer-Encoding`` body is answered
+501), keep-alive connection reuse, and JSON response serialization.
+This is the server's half of the wire (:mod:`repro.gateway.server`);
+the blocking pooled client (:mod:`repro.gateway.client`) parses
+responses with stdlib ``http.client``, so ``tests/gateway/test_http.py``
+round-trips :func:`render_response` through that parser.
 
 Limits are explicit and conservative: header block and body sizes are
 bounded (an edge box fronting an LLM should never buffer megabytes of
@@ -37,6 +37,7 @@ STATUS_REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -68,17 +69,29 @@ class HTTPError(Exception):
 
 @dataclass
 class HTTPRequest:
-    """One parsed request: method, split path, lowered headers, raw body."""
+    """One parsed request: method, split path, lowered headers, raw body
+    and the protocol version of its request line."""
 
     method: str
     path: str
     query: str = ""
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     @property
     def keep_alive(self) -> bool:
-        return self.headers.get("connection", "keep-alive") != "close"
+        """Whether the connection stays open after this request.
+
+        ``Connection`` is a comma-separated token list, compared without
+        case: ``close`` ends the connection; otherwise HTTP/1.1 keeps it
+        and HTTP/1.0 keeps it only for ``keep-alive``.
+        """
+        tokens = {token.strip().lower()
+                  for token in self.headers.get("connection", "").split(",")}
+        if "close" in tokens:
+            return False
+        return self.version != "HTTP/1.0" or "keep-alive" in tokens
 
     def json(self) -> dict:
         """The body decoded as a JSON object; HTTP 400 on anything else."""
@@ -105,8 +118,12 @@ def _parse_headers(lines: list[bytes]) -> dict[str, str]:
         name, sep, value = line.partition(b":")
         if not sep or not name.strip():
             raise HTTPError(400, f"malformed header line: {line[:60]!r}")
-        headers[name.strip().decode("latin-1").lower()] = \
-            value.strip().decode("latin-1")
+        key = name.strip().decode("latin-1").lower()
+        value = value.strip().decode("latin-1")
+        # Two framings of one body: which would the next hop believe?
+        if key == "content-length" and headers.get(key, value) != value:
+            raise HTTPError(400, "conflicting Content-Length headers")
+        headers[key] = value
     return headers
 
 
@@ -117,16 +134,16 @@ def _split_head(head: bytes) -> tuple[bytes, list[bytes]]:
 
 def _content_length(headers: dict[str, str]) -> int:
     value = headers.get("content-length", "0")
-    try:
-        length = int(value)
-    except ValueError:
-        raise HTTPError(400, f"invalid Content-Length: {value!r}") from None
-    if length < 0:
+    # ASCII digits only: int() would also take "+5", " 5" and "1_0".
+    if not (value.isascii() and value.isdigit()):
         raise HTTPError(400, f"invalid Content-Length: {value!r}")
-    if length > MAX_BODY_BYTES:
-        raise HTTPError(413, f"body of {length} bytes exceeds the "
+    # Compared as digits first: int() raises ValueError past 4300 digits.
+    digits = value.lstrip("0") or "0"
+    if (len(digits) > len(str(MAX_BODY_BYTES))
+            or int(digits) > MAX_BODY_BYTES):
+        raise HTTPError(413, f"body of {digits[:20]} bytes exceeds the "
                              f"{MAX_BODY_BYTES}-byte limit")
-    return length
+    return int(digits)
 
 
 async def _read_head(reader: asyncio.StreamReader) -> bytes | None:
@@ -158,6 +175,11 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
         raise HTTPError(400, f"unsupported protocol {version[:20]!r}")
     path, _, query = target.decode("latin-1").partition("?")
     headers = _parse_headers(header_lines)
+    if "transfer-encoding" in headers:
+        # Read as a bodiless request, its chunks would parse as the next
+        # request; the server closes the connection after an HTTPError.
+        raise HTTPError(501, "Transfer-Encoding is not supported; "
+                             "send a Content-Length body")
     body = b""
     length = _content_length(headers)
     if length:
@@ -166,7 +188,8 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
         except asyncio.IncompleteReadError:
             raise HTTPError(400, "connection closed mid-body") from None
     return HTTPRequest(method=method.decode("latin-1").upper(), path=path,
-                       query=query, headers=headers, body=body)
+                       query=query, headers=headers, body=body,
+                       version=version.decode("latin-1"))
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from .generation import (
     DecodeSequence,
     GenerationConfig,
     PrefillState,
+    check_prompt_room,
     decode_batch,
     decode_from,
     generate,
@@ -46,7 +47,8 @@ __all__ = [
     "Tokenizer", "PAD", "BOS", "EOS", "UNK", "SEP",
     "MultiHeadSelfAttention", "KVPrefix", "KVCache", "KVSlab", "KVBuffer",
     "LMConfig", "TinyCausalLM", "infer",
-    "GenerationConfig", "PrefillState", "generate", "prefill", "decode_from",
+    "GenerationConfig", "PrefillState", "check_prompt_room",
+    "generate", "prefill", "decode_from",
     "DecodeSequence", "DecodeScheduler", "DecodeRoundReport", "decode_batch",
     "PretrainConfig", "pretrain_lm",
     "quantize_array", "quantize_model_weights", "quantization_error",

@@ -6,7 +6,8 @@ conditioning mechanisms (soft-prompt embeddings and per-layer KV prefixes).
 
 Decoding is incremental and graph-free (:mod:`~repro.llm.infer`): the
 prompt (soft prompt included) is run through the model once
-(:func:`prefill`), and every subsequent token is a single-position forward
+(:func:`prefill`, which also runs equal-length prompts stacked in one
+forward), and every subsequent token is a single-position forward
 against the sequence's :class:`~repro.llm.kv_cache.KVBuffer` — the prefill
 cache copied once, at admission, into storage preallocated for the whole
 answer and appended to in place — O(T) per step instead of re-running the
@@ -44,7 +45,8 @@ from .kv_cache import KVBuffer, KVCache, KVSlab
 from .transformer import TinyCausalLM
 from ..utils import rng_from_seed
 
-__all__ = ["GenerationConfig", "PrefillState", "generate", "prefill",
+__all__ = ["GenerationConfig", "PrefillState", "check_prompt_room",
+           "generate", "prefill",
            "decode_from", "DecodeSequence", "DecodeScheduler",
            "DecodeRoundReport", "decode_batch"]
 
@@ -101,43 +103,64 @@ def _sample(logits: np.ndarray, temperature: float,
     return int(rng.choice(probs.size, p=probs))
 
 
+def check_prompt_room(model: TinyCausalLM, n_tokens: int,
+                      virtual_len: int = 0) -> None:
+    """Raise ``ValueError`` unless a prompt of ``n_tokens`` ids behind
+    ``virtual_len`` soft-prompt rows leaves room to generate: it must be
+    non-empty and not already fill the context window."""
+    if n_tokens == 0:
+        raise ValueError("prefill() needs at least one prompt token")
+    if n_tokens + virtual_len >= model.config.max_seq_len:
+        raise ValueError(
+            f"prompt of {n_tokens} tokens plus soft prompt of "
+            f"{virtual_len} rows leaves no room to generate within "
+            f"max_seq_len={model.config.max_seq_len}")
+
+
 def prefill(
     model: TinyCausalLM,
     token_ids: np.ndarray,
     *,
     soft_prompt: Tensor | np.ndarray | None = None,
     prefix_kv: list[KVPrefix] | None = None,
-) -> PrefillState:
-    """Run the prompt once with a KV cache and return the decode-ready state.
+) -> PrefillState | list[PrefillState]:
+    """Run prompts once with a KV cache and return the decode-ready state.
 
-    Graph-free (:func:`repro.llm.infer.extend`): bitwise the autograd
-    forward in eval mode, whatever mode ``model`` is in, and it writes no
-    module state.
+    ``token_ids`` is one prompt, 1-D, behind an optional ``(P, d_model)``
+    ``soft_prompt``; or ``G`` equal-length prompts stacked ``(G, T)``
+    behind ``(G, P, d_model)`` soft prompts, which run as one
+    :func:`~repro.llm.infer.extend` over the ``(G, P + T, d_model)``
+    stack and return a list of ``G`` states, each bitwise that prompt's
+    prefill alone (the stacking rule of :mod:`~repro.llm.infer`; one
+    prompt is the stack of one).  ``prefix_kv`` conditions every prompt.
+    Graph-free: bitwise the autograd forward in eval mode, whatever mode
+    ``model`` is in, and it writes no module state.
 
-    Raises ``ValueError`` when the prompt (plus soft-prompt rows) already
-    fills the context window — there would be no room to generate.
+    Raises ``ValueError`` (:func:`check_prompt_room`) for an empty prompt
+    or one that (plus soft-prompt rows) already fills the context window
+    — there would be no room to generate.
     """
-    token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-    if token_ids.size == 0:
-        raise ValueError("prefill() needs at least one prompt token")
-    x = infer.embed(model.token_embedding, token_ids)
-    virtual_len = 0
+    ids = np.asarray(token_ids, dtype=np.int64)
+    stacked = ids.ndim == 2
+    ids = ids.reshape(ids.shape[0] if stacked else 1, -1)
+    rows = None
     if soft_prompt is not None:
         rows = np.asarray(
             soft_prompt.data if isinstance(soft_prompt, Tensor)
             else soft_prompt, dtype=np.float32)
-        virtual_len = rows.shape[0]
-        x = np.concatenate([rows, x])
-    if x.shape[0] >= model.config.max_seq_len:
-        raise ValueError(
-            f"prompt of {token_ids.size} tokens plus soft prompt of "
-            f"{virtual_len} rows leaves no room to generate within "
-            f"max_seq_len={model.config.max_seq_len}")
-    hidden, cache = infer.extend(model, x[None], prefix_kv=prefix_kv)
-    logits = infer.logits(model, hidden)
-    return PrefillState(cache=cache, last_logits=logits[0, -1].copy(),
-                        n_tokens=int(token_ids.size), virtual_len=virtual_len,
-                        prefix_kv=prefix_kv)
+        rows = rows if stacked else rows[None]
+    virtual_len = 0 if rows is None else rows.shape[1]
+    check_prompt_room(model, ids.shape[1], virtual_len)
+    x = infer.embed(model.token_embedding, ids)
+    if rows is not None:
+        x = np.concatenate([rows, x], axis=1)
+    hidden, cache = infer.extend(model, x, prefix_kv=prefix_kv)
+    last = infer.logits(model, hidden)[:, -1]
+    states = [PrefillState(cache=own, last_logits=logits.copy(),
+                           n_tokens=ids.shape[1], virtual_len=virtual_len,
+                           prefix_kv=prefix_kv)
+              for own, logits in zip(cache.split(), last)]
+    return states if stacked else states[0]
 
 
 def decode_from(
@@ -454,14 +477,12 @@ class DecodeScheduler:
         spans = [[seq.generated[-1], *props]
                  for seq, props in zip(active, proposals)]
         caches = [seq.cache for seq in active]
-        groups = infer.length_groups(
-            [cache.prefix_len + cache.seq_len for cache in caches],
-            [len(span) for span in spans])
-        self.grouped_rows += sum(len(g) for g in groups.values() if len(g) > 1)
+        plan = infer.SpanPlan(caches, [len(span) for span in spans])
+        self.grouped_rows += plan.grouped_rows
         # decode_round is decode_span's every-span-is-one-token case under
         # the name the measurement spine traces plain rounds by.
         forward = self.model.decode_span if drafted else self.model.decode_round
-        logits = forward(spans, caches)
+        logits = forward(spans, caches, plan)
         # Every greedy row's token (the first index on ties, as per row).
         greedy = np.argmax(logits[:, -1], axis=-1).tolist()
         emitted = row = 0

@@ -31,12 +31,30 @@ The two forward shapes built on them:
   builds the same pairwise tree; scale, max shift, exp and divide are
   elementwise.  Rows of unequal length are never padded together: a key
   mask changes the length, hence the association order, of numpy's
-  reductions and drifts by ulps.
-* *extend* (:func:`extend`): one sequence, many positions, causal mask,
-  optional KV prefix and past cache — prefill and the draft model's
-  catch-up.  Bitwise the autograd attention over the same keys (the
+  reductions and drifts by ulps.  Which rows share a pass, and whether
+  their slots are one view, does not depend on the layer: a
+  :class:`SpanPlan` works it out once per forward for every layer.
+* *extend* (:func:`extend`): ``G`` sequences of ``T`` positions each,
+  stacked ``(G, T, d_model)``, causal mask, optional KV prefix and past
+  cache — prefill (``G`` equal-length prompts in one forward) and the
+  draft model's catch-up.  **The stacking rule**: each stacked sequence
+  is bitwise the same sequence run alone, and the same argument as the
+  grouping rule's carries it: every matmul over a stack — the affines'
+  ``(G, T, d) @ (d, n)`` included — hands BLAS one ``(T, ·)`` operand
+  per stacked item, the one the sequence alone would hand it; layer norm
+  and softmax reduce over the last axis, row by row; the rest is
+  elementwise.  Bitwise the autograd attention over the same keys (the
   cached step kept in ``tests/oracles/generation.py``).  It returns a new
   immutable :class:`~repro.llm.kv_cache.KVCache` and mutates nothing.
+
+Two fusions look like free speed and are not, because they change which
+kernel OpenBLAS picks and so the bits.  Measured at phi-2-sim's width
+(``d_model`` 56) over 2400 random round inputs, ``B`` = 1..8 (numpy 2.4,
+its bundled OpenBLAS): one ``(d, 3d)`` matmul for q, k and v instead of
+three ``(d, d)`` ones differed in all 2400; flattening a round's ``(B,
+1, d)`` affine input to ``(B, d)`` — one GEMM where there were ``B``
+one-row products — in 2100, every case with ``B`` > 1.  The
+bit-exactness contract rules both out.
 
 Both hold plain float32 ndarrays; only the trained KV prefixes arrive as
 ``Tensor`` pairs.
@@ -51,11 +69,11 @@ import numpy as np
 from ..ag import Embedding, QuantizedLinear
 from ..ag.functional import _GELU_COEFF, _SQRT_2_OVER_PI
 from .attention import KVPrefix
-from .kv_cache import KVArrays, KVCache
+from .kv_cache import KVArrays, KVBuffer, KVCache
 
 __all__ = ["NEG_INF", "embed", "layer_norm", "affine", "gelu", "softmax_",
            "mlp", "logits", "attention_scale", "length_groups",
-           "span_attention", "extend"]
+           "SpanPlan", "span_attention", "extend"]
 
 NEG_INF = np.float32(-1e9)
 
@@ -143,62 +161,79 @@ def length_groups(starts: Sequence[int],
     return groups
 
 
-def span_attention(
-    attn,
-    h: np.ndarray,
-    buffers: Sequence[KVArrays],
-    starts: Sequence[int],
-    spans: Sequence[int],
-    groups: dict[int, list[int]] | None = None,
-    slabs: Sequence[tuple[KVArrays, int]] | None = None,
-) -> np.ndarray:
-    """Attention for ``sum(spans)`` new positions of ``len(spans)`` sequences.
+class SpanPlan:
+    """How a span forward's rows attend, worked out once for all layers.
 
-    ``h`` is ``(sum(spans), 1, d_model)``: sequence ``s`` owns ``spans[s]``
-    contiguous rows and this layer's ``buffers[s]`` — its ``(keys,
-    values)`` arrays (:meth:`~repro.llm.kv_cache.KVBuffer.layer`), live in
-    rows ``[:starts[s]]`` — which are row ``slot`` of ``pair`` for
-    ``(pair, slot) = slabs[s]`` (its :class:`~repro.llm.kv_cache.KVSlab`
-    layer; by default the buffer itself, slot 0).  The span's keys/values
-    are written in place at rows ``starts[s] ..`` and row ``i`` of a span
-    attends over everything before it plus its span predecessors, one pass
-    per :func:`length_groups` entry (``groups``; computed when None).
-    Returns the attended rows; the caller owns the cursor (and has checked
-    that the span fits).
+    ``caches[s]`` (a :class:`~repro.llm.kv_cache.KVBuffer`) feeds
+    ``spans[s]`` contiguous rows, numbered in sequence order.  Every
+    :func:`length_groups` entry becomes one pass ``(at, index, rows,
+    seqs, slab, first)``: the attended length, the rows (``index`` is a
+    slice when they are contiguous, else the row list), the sequence each
+    row belongs to and — when those sequences sit in consecutive slots
+    ``first ..`` of one :class:`~repro.llm.kv_cache.KVSlab` — that slab,
+    else None (the pass gathers).  Nothing here depends on the layer, so
+    :func:`span_attention` reads one plan in every layer, and the
+    scheduler's ``grouped_rows`` count reads it too: rows that share a
+    pass with another row.
+    """
+
+    __slots__ = ("caches", "passes", "grouped_rows")
+
+    def __init__(self, caches: Sequence[KVBuffer], spans: Sequence[int]):
+        self.caches = caches
+        owner = [s for s, span in enumerate(spans) for _ in range(span)]
+        groups = length_groups(
+            [cache.prefix_len + cache.seq_len for cache in caches], spans)
+        self.passes = []
+        self.grouped_rows = 0
+        for at, rows in groups.items():
+            seqs = [owner[r] for r in rows]
+            slab, first = caches[seqs[0]].slab, caches[seqs[0]].slot
+            if not all(caches[s].slab is slab and caches[s].slot == first + i
+                       for i, s in enumerate(seqs)):
+                slab = None   # not consecutive slots of one slab: a gather
+            index = (slice(rows[0], rows[-1] + 1)
+                     if rows[-1] - rows[0] == len(rows) - 1 else rows)
+            self.passes.append((at, index, rows, seqs, slab, first))
+            if len(rows) > 1:
+                self.grouped_rows += len(rows)
+
+
+def span_attention(attn, h: np.ndarray, plan: SpanPlan,
+                   layer: int) -> np.ndarray:
+    """Attention for a span forward's new positions in layer ``layer``.
+
+    ``h`` is ``(rows, 1, d_model)``, rows as ``plan`` numbers them.  Every
+    row's key and value are written in place into its sequence's buffer
+    at position ``at - 1`` (the buffers' cursors are the caller's to
+    move), then each pass of ``plan`` attends its rows over their first
+    ``at`` keys: everything before the span plus their span predecessors.
+    Returns the attended rows.
     """
     q, k, v = _heads(attn, h)
-    for keys, values in buffers:
-        attn._check_kv(keys, values, "cache")
-    slabs = slabs or [(buffer, 0) for buffer in buffers]
-    owner = [s for s, span in enumerate(spans) for _ in range(span)]
-    passes = []
-    for at, rows in (groups or length_groups(starts, spans)).items():
-        seqs = [owner[r] for r in rows]
-        store, first = slabs[seqs[0]]
-        if not all(slabs[s][0] is store and slabs[s][1] == first + i
-                   for i, s in enumerate(seqs)):
-            store = None   # not consecutive slots of one slab: a gather
-        index = (slice(rows[0], rows[-1] + 1)
-                 if rows[-1] - rows[0] == len(rows) - 1 else rows)
-        passes.append((at, index, seqs, store, first))
-        # Every row of the group writes its key and value at ``at - 1``.
+    caches = plan.caches
+    for at, index, rows, seqs, slab, first in plan.passes:
         for which, new in enumerate((k, v)):
-            if store is not None:
-                store[which][first:first + len(rows), :, at - 1] = \
-                    new[index, :, 0]
+            if slab is not None:
+                slab.layers[layer][which][first:first + len(rows), :,
+                                          at - 1] = new[index, :, 0]
             else:
                 for row, s in zip(rows, seqs):
-                    buffers[s][which][0, :, at - 1] = new[row, :, 0]
+                    caches[s].layer(layer)[which][0, :, at - 1] = \
+                        new[row, :, 0]
+    scale = attention_scale(attn)
     contexts = np.empty(q.shape, dtype=np.float32)
-    for at, index, seqs, store, first in passes:
+    for at, index, rows, seqs, slab, first in plan.passes:
         # One view of consecutive slots, else a gather: per (row, head)
         # the same BLAS operand either way (the grouping rule).
         keys, values = (
-            store[which][first:first + len(seqs), :, :at] if store is not None
-            else np.concatenate([buffers[s][which][:, :, :at] for s in seqs])
+            slab.layers[layer][which][first:first + len(rows), :, :at]
+            if slab is not None
+            else np.concatenate([caches[s].layer(layer)[which][:, :, :at]
+                                 for s in seqs])
             for which in (0, 1))
         scores = np.matmul(q[index], keys.swapaxes(-1, -2))
-        scores *= attention_scale(attn)
+        scores *= scale
         contexts[index] = np.matmul(softmax_(scores), values)
     return _merge(attn, contexts)
 
@@ -218,8 +253,11 @@ def _causal_attention(attn, h: np.ndarray, past: KVArrays | None,
     if prefix is not None:
         attn._check_kv(prefix[0], prefix[1], "prefix")
         prefix_len = prefix[0].shape[2]
-        keys = np.concatenate([prefix[0].data, k], axis=2)
-        values = np.concatenate([prefix[1].data, v], axis=2)
+        # One trained prefix conditions every sequence of a stack.
+        keys, values = (
+            np.concatenate([np.broadcast_to(
+                trained.data, k.shape[:2] + trained.shape[2:]), new], axis=2)
+            for trained, new in zip(prefix, (k, v)))
     scores = np.matmul(q, keys.swapaxes(-1, -2)) * attention_scale(attn)
     if length > 1:   # a lone query sees every key
         np.copyto(scores, NEG_INF,
@@ -241,14 +279,17 @@ def extend(
     past: KVCache | None = None,
     prefix_kv: list[KVPrefix] | None = None,
 ) -> tuple[np.ndarray, KVCache]:
-    """Run one sequence's new positions through every block.
+    """Run ``G`` equal-length sequences' new positions through every block.
 
-    ``x`` is ``(1, T, d_model)`` input embeddings (token rows, soft-prompt
-    rows — anything, *without* positions) occupying positions
-    ``past.seq_len ..`` of the sequence; ``prefix_kv`` is one trained
-    (key, value) pair per layer.  Returns the final hidden states
-    ``(1, T, d_model)`` — feed the rows you need to :func:`logits` — and
-    the cache extended by the ``T`` positions.
+    ``x`` is ``(G, T, d_model)`` input embeddings (token rows, soft-prompt
+    rows — anything, *without* positions), one stacked row per sequence,
+    occupying positions ``past.seq_len ..`` of each; ``past`` (batch
+    ``G``) is their cache so far and ``prefix_kv`` one trained (key,
+    value) pair per layer, shared by all ``G``.  Returns the final hidden
+    states ``(G, T, d_model)`` — feed the rows you need to :func:`logits`
+    — and the cache extended by the ``T`` positions
+    (:meth:`~repro.llm.kv_cache.KVCache.split` gives each sequence its
+    own).  Each stacked sequence is bitwise the same sequence run alone.
     """
     blocks = model.blocks
     past_len = 0

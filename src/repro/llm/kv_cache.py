@@ -5,9 +5,10 @@ shaped ``(batch, heads, T, d_head)`` — nothing autograd ever consumes them,
 so there is no ``Tensor`` here.
 
 * :class:`KVCache` is the *shared, immutable* one: what :func:`prefill
-  <repro.llm.generation.prefill>` returns and the serving engine's prefill
-  LRU keeps.  Nothing ever writes to its arrays, so one prefill can seed
-  any number of decodes.  (The draft model's per-sequence cache is the same
+  <repro.llm.generation.prefill>` returns (a stacked prefill's batch
+  cache :meth:`~KVCache.split` into one per sequence) and the serving
+  engine's prefill LRU keeps.  Nothing ever writes to its arrays, so one
+  prefill can seed any number of decodes.  (The draft model's per-sequence cache is the same
   class: :func:`repro.llm.infer.extend` returns a new one per catch-up.)
 * :class:`KVBuffer` is the *private, preallocated* one: at admission each
   decoding sequence copies its prefill cache, once, into buffers sized for
@@ -68,6 +69,13 @@ class KVCache:
     def layer(self, index: int) -> KVArrays:
         """The cached ``(key, value)`` pair of one layer."""
         return self._layers[index]
+
+    def split(self) -> list[KVCache]:
+        """One single-sequence cache per batch row, each viewing its row
+        of this cache's arrays (C-contiguous, like the arrays)."""
+        return [KVCache([(k[row:row + 1], v[row:row + 1])
+                         for k, v in self._layers])
+                for row in range(self.batch_size)]
 
     def memory_bytes(self) -> int:
         """Approximate cache footprint (for serving telemetry)."""

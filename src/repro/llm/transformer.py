@@ -169,7 +169,8 @@ class TinyCausalLM(Module):
 
     # ------------------------------------------------------------------
     def decode_round(self, token_ids: np.ndarray,
-                     caches: Sequence[KVBuffer]) -> np.ndarray:
+                     caches: Sequence[KVBuffer],
+                     plan: infer.SpanPlan | None = None) -> np.ndarray:
         """Advance ``B`` independent sequences by one token in one forward.
 
         ``token_ids`` holds the newest token of each sequence, (B,) or
@@ -179,11 +180,12 @@ class TinyCausalLM(Module):
         answers token-identical to sequential ones.
         """
         ids = np.asarray(token_ids, dtype=np.int64).reshape(-1, 1)
-        return self.decode_span(ids, caches)
+        return self.decode_span(ids, caches, plan)
 
     # ------------------------------------------------------------------
     def decode_span(self, token_spans: Sequence[np.ndarray],
-                    caches: Sequence[KVBuffer]) -> np.ndarray:
+                    caches: Sequence[KVBuffer],
+                    plan: infer.SpanPlan | None = None) -> np.ndarray:
         """Advance ``B`` sequences by a ragged number of tokens each.
 
         The one batched inference forward, graph-free on the
@@ -205,6 +207,10 @@ class TinyCausalLM(Module):
                 ``len(token_spans[s])`` positions at its cursor.  The
                 caller discards a rejected suffix by assigning
                 ``caches[s].seq_len`` back.
+            plan: this forward's :class:`~repro.llm.infer.SpanPlan`,
+                ``SpanPlan(caches, [len(span) for span in token_spans])``
+                made before the call (a scheduler reads it too); made
+                here when None.
 
         Returns:
             The logits, (sum(spans), 1, vocab) — rows in sequence order,
@@ -236,6 +242,9 @@ class TinyCausalLM(Module):
                     f"a span of {span.size} from position {cache.seq_len} "
                     f"overruns a buffer of {cache.capacity} positions"
                 )
+        for cache in caches:
+            # Every layer of a buffer, and every block, has one geometry.
+            self.blocks[0].attn._check_kv(*cache.layer(0), "cache")
         span_lens = [span.size for span in spans]
         # Each new token sits at its own sequence's next position(s).
         positions = np.concatenate([
@@ -244,14 +253,11 @@ class TinyCausalLM(Module):
         ])
         x = (infer.embed(self.token_embedding, np.concatenate(spans)[:, None])
              + infer.embed(self.position_embedding, positions[:, None]))
-        starts = [cache.prefix_len + cache.seq_len for cache in caches]
-        groups = infer.length_groups(starts, span_lens)
+        if plan is None:
+            plan = infer.SpanPlan(caches, span_lens)
         for i, block in enumerate(self.blocks):
             x = infer.mlp(block, x + infer.span_attention(
-                block.attn, infer.layer_norm(x, block.ln1),
-                [cache.layer(i) for cache in caches], starts, span_lens,
-                groups, [(cache.slab.layers[i], cache.slot)
-                         for cache in caches]))
+                block.attn, infer.layer_norm(x, block.ln1), plan, i))
         for cache, span_len in zip(caches, span_lens):
             cache.seq_len += span_len
         return infer.logits(self, x)

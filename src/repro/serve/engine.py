@@ -32,7 +32,9 @@ user's query texts in one :meth:`~repro.retrieval.CiMSearchEngine
 .query_batch` call (a single batched in-memory GMM per scale against that
 user's crossbars; per-request telemetry and the analytic per-query cost
 estimate are snapshotted then, and the crossbar operation counters bill
-every query individually), and :meth:`PromptServeEngine.run_decode_round`
+every query individually), the batch's prefill misses then run together
+(one stacked forward per prompt length, bitwise the single prefills), and
+:meth:`PromptServeEngine.run_decode_round`
 advances *all* pending generations per round in a single batched forward —
 the shared base model is amortised across users instead of finishing each
 answer before starting the next.  Batching is invisible in the answers:
@@ -40,7 +42,8 @@ answer before starting the next.  Batching is invisible in the answers:
 token for token, because every sequence keeps a private compact KV cache,
 rng stream, and sampling config, and the batched forward is bit-exact per
 sequence.  Queries may also be admitted individually with
-:meth:`PromptServeEngine.begin_query` and driven by explicit rounds.
+:meth:`PromptServeEngine.begin_query` — the same admission with a batch
+of one — and driven by explicit rounds.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from typing import Iterator
 
 import numpy as np
 
@@ -61,6 +63,7 @@ from ..llm.generation import (
     DecodeRoundReport,
     DecodeScheduler,
     GenerationConfig,
+    PrefillState,
 )
 from ..llm.quantization import quantization_stats
 from ..llm.tokenizer import Tokenizer
@@ -73,7 +76,7 @@ from .api import (
     TuneResponse,
 )
 from .metrics import LatencyHistogram
-from .session import UserSession
+from .session import PrefillBatch, PrefillSlot, UserSession
 from .snapshot import SessionSnapshot, SnapshotError
 from .store import SessionStore
 
@@ -152,6 +155,8 @@ class PromptServeEngine:
         self.evicted_sessions = 0
         self.requests_served = 0
         self.admitted = 0   # queries that entered the decoder
+        self.prefill_forwards = 0   # stacked prefill forwards run
+        self.prefill_rows = 0       # prompts they prefilled (misses)
         self.rejected = 0   # begin_query calls bounced on max_pending
         self.sessions_created = 0    # fresh sessions (paid full tuning)
         self.sessions_spilled = 0    # snapshots written to the store
@@ -435,6 +440,11 @@ class PromptServeEngine:
                                     for s in self._sessions.values()),
                 "prefill_cache_bytes": sum(s.prefill_cache_bytes()
                                            for s in self._sessions.values()),
+                "prefill_forwards": self.prefill_forwards,
+                "prefill_rows": self.prefill_rows,
+                "prefill_rows_per_forward": (
+                    self.prefill_rows / self.prefill_forwards
+                    if self.prefill_forwards else 0.0),
                 "tunes_in_flight": sum(s.tunes_in_flight
                                        for s in self._sessions.values()),
                 "pending_generations": len(self._pending),
@@ -580,25 +590,15 @@ class PromptServeEngine:
 
     def _answer_batch_locked(
             self, requests: list[QueryRequest]) -> list[QueryResponse]:
-        order: OrderedDict[int, list[int]] = OrderedDict()
-        for position, request in enumerate(requests):
-            order.setdefault(request.user_id, []).append(position)
-        pendings: list[PendingQuery | None] = [None] * len(requests)
+        pendings: list[PendingQuery] = []
         try:
-            for user_id, positions in order.items():
-                admitted = self._admit(
-                    self._resident_session(user_id),
-                    [requests[position] for position in positions])
-                # One at a time, so a failure part-way leaves the earlier
-                # handles here for the drain below.
-                for position, pending in zip(positions, admitted):
-                    pendings[position] = pending
+            self._admit(requests, pendings)
         finally:
             # Even if a later user's admission fails (e.g. no resident
             # session), already-admitted queries are drained to completion
             # — as a loop of query() calls would have served the earlier
             # users before raising.
-            while any(p is not None and not p.done for p in pendings):
+            while any(not p.done for p in pendings):
                 self.run_decode_round()
         return [p.response for p in pendings]  # type: ignore[misc]
 
@@ -626,9 +626,9 @@ class PromptServeEngine:
                     and len(self._pending) >= self.max_pending):
                 self.rejected += 1
                 raise QueueFull(len(self._pending), self.max_pending)
-            session = self._resident_session(request.user_id)
-            (pending,) = self._admit(session, [request], deadline=deadline)
-            return pending
+            admitted: list[PendingQuery] = []
+            self._admit([request], admitted, deadline)
+            return admitted[0]
 
     def run_decode_round(self) -> DecodeRoundReport:
         """Advance every pending generation (one base forward per round).
@@ -656,52 +656,95 @@ class PromptServeEngine:
             return report
 
     # ------------------------------------------------------------------
-    def _admit(self, session: UserSession, requests: list[QueryRequest],
-               deadline: float | None = None) -> Iterator[PendingQuery]:
-        """Retrieve/restore/prefill one user's queries and admit them,
-        yielding each handle as it enters the decoder.
+    def _admit(self, requests: list[QueryRequest],
+               admitted: list[PendingQuery],
+               deadline: float | None = None) -> None:
+        """Retrieve/restore/prefill a batch of queries and admit them,
+        appending each handle to ``admitted`` in request order.
 
-        One :meth:`~repro.retrieval.CiMSearchEngine.query_batch` scores
-        every text against every scale's store; each request keeps its
-        own batch row, NVM read-back (on a prefill miss) and prefill
-        lookup, so the crossbar counters bill exactly what admitting the
-        requests one at a time would.  Retrieval telemetry and the
-        analytic cost are snapshotted now so the eventual response is
-        what it would have been served alone, even if the session is
-        evicted (or retrained) while the answer is in flight.  The
-        latency clock starts here, before retrieval and prefill.
+        First every query is resolved, user by user (in order of first
+        appearance): one :meth:`~repro.retrieval.CiMSearchEngine
+        .query_batch` scores all of a user's texts against every scale's
+        store, and each request keeps its own batch row, NVM read-back (on
+        a prefill miss) and prefill lookup, so the crossbar counters and
+        the prefill LRU end as admitting the requests one at a time would
+        leave them.  Then the prefill misses run together — one forward
+        per prompt length, equal lengths stacked
+        (:class:`~repro.serve.session.PrefillBatch`) — and last the
+        queries enter the decoder.  A request that fails to resolve (e.g.
+        an unknown user) stops the resolving: the requests resolved before
+        it are still admitted, then the error propagates.  Retrieval
+        telemetry and the analytic cost are snapshotted at resolution, so
+        the eventual response is what it would have been served alone,
+        even if the session is evicted (or retrained) while the answer is
+        in flight.  The latency clock starts here, before retrieval and
+        prefill.
         """
         admitted_at = time.perf_counter()
-        deployment = session.deployment()
-        scores = deployment.engine.query_batch(
-            [deployment.encode_query(request.text) for request in requests])
-        cost = _deployment_cost(deployment)
-        for request, row in zip(requests, scores):
-            text, index = request.text, int(np.argmax(row))
-            state = session.prefill_state(
-                text, index, lambda: deployment.restored_prompt(index))
-            pending = PendingQuery(request)
-            pending._session = session
-            pending._admitted_at = admitted_at
-            pending._retrieval = (index, tuple(float(s) for s in row),
-                                  deployment.engine.n_stored, cost)
-            prompt_ids = None
-            if self.speculative is not None:
-                # The draft model sees the raw query tokens (no soft
-                # prompt / KV prefix — base-model conditioning it cannot
-                # consume).  This only steers drafting; answers stay
-                # token-identical.
-                prompt_ids = np.asarray(self.tokenizer.encode(text),
-                                        dtype=np.int64)
-            pending._sequence = self._scheduler.admit(
-                state, request.generation or self.default_generation(),
-                deadline=deadline, prompt_ids=prompt_ids)
-            session.generations_in_flight += 1
-            self.admitted += 1
-            self._pending.append(pending)
-            if pending._sequence.finished:
-                self._finalize(pending)   # e.g. EOS on the very first sample
-            yield pending
+        order: OrderedDict[int, list[int]] = OrderedDict()
+        for position, request in enumerate(requests):
+            order.setdefault(request.user_id, []).append(position)
+        batch = PrefillBatch(self.model)
+        resolved: list[tuple[PendingQuery, PrefillSlot] | None] = \
+            [None] * len(requests)
+        try:
+            for user_id, positions in order.items():
+                session = self._resident_session(user_id)
+                deployment = session.deployment()
+                scores = deployment.engine.query_batch(
+                    [deployment.encode_query(requests[position].text)
+                     for position in positions])
+                cost = _deployment_cost(deployment)
+                for position, row in zip(positions, scores):
+                    request = requests[position]
+                    index = int(np.argmax(row))
+                    slot = session.prefill_state(
+                        request.text, index,
+                        lambda: deployment.restored_prompt(index), batch)
+                    pending = PendingQuery(request)
+                    pending._session = session
+                    pending._admitted_at = admitted_at
+                    pending._retrieval = (index, tuple(float(s) for s in row),
+                                          deployment.engine.n_stored, cost)
+                    resolved[position] = (pending, slot)
+        finally:
+            # What resolved before a failure is served all the same.
+            rows = len(batch)
+            try:
+                self.prefill_forwards += batch.run()
+            except BaseException:
+                # Nothing is admitted, and no LRU keeps a slot the failed
+                # forward never filled (the batch ran before anything
+                # else could read the LRUs).
+                for pending, _ in filter(None, resolved):
+                    cached = pending._session._prefill_states
+                    for key in [key for key, slot in cached.items()
+                                if slot.state is None]:
+                        del cached[key]
+                raise
+            self.prefill_rows += rows
+            for pending, slot in filter(None, resolved):
+                self._enter(pending, slot.state, deadline)
+                admitted.append(pending)
+
+    def _enter(self, pending: PendingQuery, state: PrefillState,
+               deadline: float | None) -> None:
+        """Admit one resolved query to the decoder."""
+        prompt_ids = None
+        if self.speculative is not None:
+            # The draft model sees the raw query tokens (no soft prompt /
+            # KV prefix — base-model conditioning it cannot consume).
+            # This only steers drafting; answers stay token-identical.
+            prompt_ids = np.asarray(
+                self.tokenizer.encode(pending.request.text), dtype=np.int64)
+        pending._sequence = self._scheduler.admit(
+            state, pending.request.generation or self.default_generation(),
+            deadline=deadline, prompt_ids=prompt_ids)
+        pending._session.generations_in_flight += 1
+        self.admitted += 1
+        self._pending.append(pending)
+        if pending._sequence.finished:
+            self._finalize(pending)   # e.g. EOS on the very first sample
 
     def _finalize(self, pending: PendingQuery) -> None:
         """Turn a retired generation into its response (exactly once)."""

@@ -21,12 +21,13 @@ tunes the same way, ``session.publish(*session.prepare(samples))``.
 :meth:`UserSession.deployment` still programs lazily a session that has
 none — one restored from a recipe snapshot, or serving an adopted library.
 
-The session also keeps a small LRU cache of decode-ready
-:class:`~repro.llm.generation.PrefillState`s keyed by ``(query text, OVT
-index)``: a repeated query (within a batch or across batches) pays the KV
-prefill once and every answer is produced by incremental decode steps
-against the cached state.  Publishing an epoch clears the cache along with
-the deployment, since a retrained library restores different soft prompts.
+The session also keeps a small LRU cache of decode-ready prefills
+(:class:`PrefillSlot` entries, filled by the engine's admission
+:class:`PrefillBatch`) keyed by ``(query text, OVT index)``: a repeated
+query (within a batch or across batches) pays the KV prefill once and
+every answer is produced by incremental decode steps against the cached
+state.  Publishing an epoch clears the cache along with the deployment,
+since a retrained library restores different soft prompts.
 """
 
 from __future__ import annotations
@@ -45,15 +46,73 @@ from ..core.framework import (
 )
 from ..data.lamp import Sample
 from ..nvm.crossbar import CrossbarStats
-from ..llm.generation import PrefillState, prefill
+from ..llm.generation import PrefillState, check_prompt_room, prefill
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
 
-__all__ = ["UserSession"]
+__all__ = ["UserSession", "PrefillSlot", "PrefillBatch"]
 
 # Per-session bound on cached prefill states (each holds per-layer KV
 # tensors, so the footprint is context-length x layers, not unbounded).
 _MAX_PREFILL_STATES = 32
+
+
+class PrefillSlot:
+    """A prefill-LRU entry: the prompt queued on a :class:`PrefillBatch`
+    until the batch runs, then its :class:`~repro.llm.generation
+    .PrefillState` (``state``; None before)."""
+
+    __slots__ = ("ids", "soft_prompt", "state")
+
+    def __init__(self, ids: np.ndarray, soft_prompt: np.ndarray):
+        self.ids = ids
+        self.soft_prompt = soft_prompt
+        self.state: PrefillState | None = None
+
+
+class PrefillBatch:
+    """The prefill misses of one admission, run together.
+
+    :meth:`run` stacks the prompts of equal shape and prefills each stack
+    with one :func:`~repro.llm.generation.prefill` — bitwise the prompts'
+    prefills one by one.  The engine's single-query admission is the
+    batch of one.
+    """
+
+    def __init__(self, model: TinyCausalLM):
+        self.model = model
+        self._slots: list[PrefillSlot] = []
+
+    def __len__(self) -> int:
+        """Prompts added and not yet run."""
+        return len(self._slots)
+
+    def add(self, ids: np.ndarray, soft_prompt: np.ndarray) -> PrefillSlot:
+        """Queue one prompt (1-D ids behind its (P, d_model) soft prompt);
+        raises ``ValueError``, queueing nothing, where :func:`prefill`
+        would refuse it."""
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        check_prompt_room(self.model, ids.size, len(soft_prompt))
+        slot = PrefillSlot(ids, soft_prompt)
+        self._slots.append(slot)
+        return slot
+
+    def run(self) -> int:
+        """Prefill every queued prompt into its slot; returns the number
+        of forwards run (one per distinct prompt shape).  A stack whose
+        forward raises leaves its slots' states None."""
+        stacks: dict[tuple[int, int], list[PrefillSlot]] = {}
+        for slot in self._slots:
+            stacks.setdefault((slot.ids.size, len(slot.soft_prompt)),
+                              []).append(slot)
+        self._slots = []
+        for stack in stacks.values():
+            states = prefill(
+                self.model, np.stack([slot.ids for slot in stack]),
+                soft_prompt=np.stack([slot.soft_prompt for slot in stack]))
+            for slot, state in zip(stack, states):
+                slot.state, slot.ids, slot.soft_prompt = state, None, None
+        return len(stacks)
 
 
 class UserSession:
@@ -66,7 +125,7 @@ class UserSession:
         self.config = config if config is not None else FrameworkConfig()
         self.pipeline = OVTTrainingPipeline(model, tokenizer, self.config)
         self._deployment: NVCiMDeployment | None = None
-        self._prefill_states: OrderedDict[tuple[str, int], PrefillState] = \
+        self._prefill_states: OrderedDict[tuple[str, int], PrefillSlot] = \
             OrderedDict()
         self.epochs_completed = 0
         self.queries_served = 0
@@ -186,29 +245,36 @@ class UserSession:
         text: str,
         ovt_index: int,
         restore_prompt: Callable[[], np.ndarray],
-    ) -> PrefillState:
-        """Decode-ready prefill of ``prompt + text``, cached per session.
+        batch: PrefillBatch,
+    ) -> PrefillSlot:
+        """The slot of the decode-ready prefill of ``prompt + text``,
+        cached per session.
 
-        ``restore_prompt`` is only invoked on a cache miss, so a repeated
-        query skips the NVM read-back and autoencoder decode entirely.  It
-        must restore the soft prompt for ``ovt_index`` from the *current*
-        deployment — the cache key assumes it, and publishing an epoch
-        (which changes what each index restores to) clears the cache.
+        A hit returns the cached slot — its state already there, or
+        arriving with ``batch`` when an earlier query of the same batch
+        missed on the same key.  A miss queues the prompt on ``batch``
+        (its state arrives when the batch runs) and caches the slot at
+        once, so the LRU's contents and order are what prefilling the
+        queries one by one would leave.  ``restore_prompt`` is only
+        invoked on a miss, so a repeated query skips the NVM read-back
+        and autoencoder decode entirely.  It must restore the soft prompt
+        for ``ovt_index`` from the *current* deployment — the cache key
+        assumes it, and publishing an epoch (which changes what each
+        index restores to) clears the cache.
         """
         key = (text, ovt_index)
-        state = self._prefill_states.get(key)
-        if state is not None:
+        slot = self._prefill_states.get(key)
+        if slot is not None:
             self._prefill_states.move_to_end(key)
             self.prefill_hits += 1
-            return state
-        ids = self.tokenizer.encode(text)
-        state = prefill(self.model, ids, soft_prompt=restore_prompt())
-        self._prefill_states[key] = state
+            return slot
+        slot = batch.add(self.tokenizer.encode(text), restore_prompt())
+        self._prefill_states[key] = slot
         while len(self._prefill_states) > _MAX_PREFILL_STATES:
             self._prefill_states.popitem(last=False)
-        return state
+        return slot
 
     def prefill_cache_bytes(self) -> int:
         """Approximate KV footprint of the cached prefill states."""
-        return sum(state.cache.memory_bytes()
-                   for state in self._prefill_states.values())
+        return sum(slot.state.cache.memory_bytes()
+                   for slot in self._prefill_states.values())

@@ -55,6 +55,12 @@ STATS_MANIFEST = {
     "stored_ovts": "additive",
     "prefill_hits": "additive",
     "prefill_cache_bytes": "additive",
+    # Prefill misses run stacked: one forward per prompt length of an
+    # admission batch (a batch of eight equal-length misses is one
+    # forward of eight rows).
+    "prefill_forwards": "additive",
+    "prefill_rows": "additive",
+    "prefill_rows_per_forward": ("ratio", "prefill_rows", "prefill_forwards"),
     # Gauge: tunes between prepare and publish on resident sessions (each
     # pins its session against LRU eviction until it publishes).
     "tunes_in_flight": "additive",

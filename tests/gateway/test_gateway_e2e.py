@@ -205,6 +205,38 @@ class TestCancellation:
         assert response.user_id == 1
 
 
+class TestFramingOnTheWire:
+    @staticmethod
+    def exchange(gateway, wire: bytes) -> bytes:
+        """Send ``wire`` and read until the server closes."""
+        import socket
+
+        raw = socket.create_connection(gateway.address, timeout=10.0)
+        try:
+            raw.sendall(wire)
+            received = b""
+            while chunk := raw.recv(65536):
+                received += chunk
+            return received
+        finally:
+            raw.close()
+
+    def test_chunked_body_is_501_and_never_a_second_request(self, gateway):
+        before = gateway.http_requests
+        received = self.exchange(
+            gateway, b"POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked"
+                     b"\r\n\r\n10\r\nGET /healthz HTTP/1.1\r\n\r\n")
+        assert received.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert received.count(b"HTTP/1.1 ") == 1   # the chunk went unread
+        assert b"Connection: close" in received
+        assert gateway.http_requests == before
+
+    def test_bare_http10_request_is_answered_then_closed(self, gateway):
+        received = self.exchange(gateway, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert received.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"Connection: close" in received
+
+
 class TestShutdown:
     def test_stop_with_an_idle_keep_alive_client_is_silent(self, engine,
                                                            caplog):

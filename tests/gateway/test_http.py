@@ -121,6 +121,99 @@ class TestMalformedRequests:
         assert info.value.status == 400
 
 
+class TestFraming:
+    """One body, one framing: anything the parser could read two ways
+    is refused instead of guessed at."""
+
+    def test_transfer_encoding_is_501(self):
+        # Read as a bodiless request, "5\r\nhello..." would parse next.
+        wire = (b"POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked"
+                b"\r\n\r\n5\r\nhello\r\n0\r\n\r\n")
+        with pytest.raises(HTTPError) as info:
+            parse_request(wire)
+        assert info.value.status == 501
+        response = parse_response(render_response(
+            501, info.value.body(), keep_alive=False))
+        assert (response.status, response.reason) == (501, "Not Implemented")
+        assert response.will_close
+
+    def test_transfer_encoding_beside_content_length_is_501(self):
+        wire = (b"POST / HTTP/1.1\r\nContent-Length: 5\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\nhello")
+        with pytest.raises(HTTPError) as info:
+            parse_request(wire)
+        assert info.value.status == 501
+
+    def test_conflicting_content_lengths_are_400(self):
+        wire = (b"POST / HTTP/1.1\r\nContent-Length: 2\r\n"
+                b"Content-Length: 5\r\n\r\nhello")
+        with pytest.raises(HTTPError) as info:
+            parse_request(wire)
+        assert info.value.status == 400
+        assert "conflicting" in info.value.message
+
+    def test_repeated_equal_content_length_is_one(self):
+        wire = (b"POST / HTTP/1.1\r\nContent-Length: 5\r\n"
+                b"content-length: 5\r\n\r\nhello")
+        assert parse_request(wire).body == b"hello"
+
+    @pytest.mark.parametrize("value", [b"+5", b"1_0", b"-0", b"5.0",
+                                       b"0x5", b"\xb2", b""])
+    def test_content_length_is_ascii_digits_only(self, value):
+        wire = b"POST / HTTP/1.1\r\nContent-Length: " + value + \
+            b"\r\n\r\nhello-----"
+        with pytest.raises(HTTPError) as info:
+            parse_request(wire)
+        assert info.value.status == 400
+
+    def test_leading_zeros_are_digits(self):
+        wire = b"POST / HTTP/1.1\r\nContent-Length: 005\r\n\r\nhello"
+        assert parse_request(wire).body == b"hello"
+        # More digits than int() converts, still within the header limit.
+        wire = (b"POST / HTTP/1.1\r\nContent-Length: " + b"0" * 5000
+                + b"5\r\n\r\nhello")
+        assert parse_request(wire).body == b"hello"
+
+    @pytest.mark.parametrize("value", [b"9" * 5000, b"0" * 5000 + b"9" * 8])
+    def test_a_length_too_long_for_int_is_too_large(self, value):
+        wire = b"POST / HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n"
+        with pytest.raises(HTTPError) as info:
+            parse_request(wire)
+        assert info.value.status == 413
+
+
+class TestKeepAlive:
+    @staticmethod
+    def request(version: bytes, connection: bytes | None):
+        header = (b"" if connection is None
+                  else b"Connection: " + connection + b"\r\n")
+        return parse_request(b"GET /healthz " + version + b"\r\n" + header
+                             + b"\r\n")
+
+    @pytest.mark.parametrize("connection", [b"close", b"Close", b"CLOSE",
+                                            b"keep-alive, close",
+                                            b"Upgrade ,  Close"])
+    def test_close_token_in_any_case_closes(self, connection):
+        assert not self.request(b"HTTP/1.1", connection).keep_alive
+        assert not self.request(b"HTTP/1.0", connection).keep_alive
+
+    @pytest.mark.parametrize("connection", [None, b"keep-alive",
+                                            b"Keep-Alive", b"upgrade"])
+    def test_http11_defaults_to_keep_alive(self, connection):
+        request = self.request(b"HTTP/1.1", connection)
+        assert request.version == "HTTP/1.1" and request.keep_alive
+
+    @pytest.mark.parametrize("connection", [None, b"upgrade", b""])
+    def test_http10_defaults_to_close(self, connection):
+        request = self.request(b"HTTP/1.0", connection)
+        assert request.version == "HTTP/1.0" and not request.keep_alive
+
+    @pytest.mark.parametrize("connection", [b"keep-alive", b"Keep-Alive",
+                                            b"foo, KEEP-ALIVE"])
+    def test_http10_keeps_alive_on_request(self, connection):
+        assert self.request(b"HTTP/1.0", connection).keep_alive
+
+
 class TestJSONBody:
     def test_missing_body_is_400(self):
         request = HTTPRequest(method="POST", path="/v1/query")

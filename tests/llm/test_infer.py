@@ -142,6 +142,77 @@ class TestEmbed:
         assert caches[0].seq_len == 2   # a refused span advances nothing
 
 
+class TestStackedPrefill:
+    """Equal-length prompts run as one ``(G, T, d)`` stack: each is
+    bitwise its own forward — the autograd oracle's — whatever else
+    shares the stack (the stacking rule)."""
+
+    @staticmethod
+    def prompts(model, count, length, soft_rows, seed):
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(1, model.config.vocab_size, size=(count, length))
+        soft = None if soft_rows is None else rng.normal(
+            size=(count, soft_rows, model.config.d_model)).astype(np.float32)
+        return ids, soft
+
+    def assert_stack_equals_oracle(self, model, ids, soft, prefix=None):
+        states = prefill(model, ids, soft_prompt=soft, prefix_kv=prefix)
+        assert isinstance(states, list) and len(states) == len(ids)
+        for g, state in enumerate(states):
+            embeddings = model.token_embedding(ids[g][None])
+            if soft is not None:
+                embeddings = ag.cat([Tensor(soft[g][None]), embeddings],
+                                    axis=1)
+            with no_grad():
+                logits, cache = forward_cached(model, embeddings=embeddings,
+                                               prefix_kv=prefix)
+            assert np.array_equal(state.last_logits, logits.data[0, -1])
+            assert (state.n_tokens, state.virtual_len) == (
+                ids.shape[1], 0 if soft is None else soft.shape[1])
+            assert state.prefix_kv is prefix
+            assert state.cache.batch_size == 1
+            for layer in range(model.config.n_layers):
+                for which in (0, 1):
+                    own = state.cache.layer(layer)[which]
+                    assert own.flags.c_contiguous
+                    assert np.array_equal(own, cache.layer(layer)[which])
+
+    @pytest.mark.parametrize("soft_rows", [None, 3])
+    @pytest.mark.parametrize("prefixed", [False, True])
+    def test_stacks_with_soft_prompts_and_prefixes(self, soft_rows,
+                                                   prefixed):
+        model = tiny_model(seed=3)
+        ids, soft = self.prompts(model, 5, 4, soft_rows, seed=14)
+        self.assert_stack_equals_oracle(
+            model, ids, soft, make_prefix(model, 3, 42) if prefixed else None)
+
+    def test_the_serving_shape_at_the_served_width(self):
+        """Eight prompts of 7 tokens behind 8 soft-prompt rows (every
+        spine batch) on phi-2-sim's geometry."""
+        tok = build_tokenizer()
+        model = build_model("phi-2-sim", tok.vocab_size)
+        self.assert_stack_equals_oracle(
+            model, *self.prompts(model, 8, 7, 8, seed=15))
+
+    def test_one_prompt_is_the_stack_of_one(self):
+        model = tiny_model(seed=3)
+        ids, soft = self.prompts(model, 1, 6, 2, seed=16)
+        alone = prefill(model, ids[0], soft_prompt=soft[0])
+        (stacked,) = prefill(model, ids, soft_prompt=soft)
+        assert np.array_equal(alone.last_logits, stacked.last_logits)
+        for layer in range(model.config.n_layers):
+            for which in (0, 1):
+                assert np.array_equal(alone.cache.layer(layer)[which],
+                                      stacked.cache.layer(layer)[which])
+
+    def test_a_stack_is_refused_like_one_prompt(self):
+        model = tiny_model(seed=3)
+        with pytest.raises(ValueError, match="no room to generate"):
+            prefill(model, np.ones((2, 64), dtype=np.int64))
+        with pytest.raises(ValueError, match="at least one prompt token"):
+            prefill(model, np.zeros((2, 0), dtype=np.int64))
+
+
 def autograd_steps(model, state, span):
     """Logits rows and cache of feeding ``span`` to the autograd oracle one
     token at a time (what one-token rounds compute)."""

@@ -95,12 +95,14 @@ class TestAttentionPastKV:
         np.testing.assert_allclose(step.data[0, 0], full[0, 4], atol=1e-5)
 
     def test_past_shape_validated(self):
-        attn = MultiHeadSelfAttention(8, 2)
-        h = RNG.normal(size=(1, 1, 8)).astype(np.float32)
-        bad = (np.zeros((1, 3, 2, 4), dtype=np.float32),
-               np.zeros((1, 3, 2, 4), dtype=np.float32))  # wrong head count
+        model = tiny_model()
+        bad = KVCache([(np.zeros((1, 3, 2, 4), dtype=np.float32),
+                        np.zeros((1, 3, 2, 4), dtype=np.float32))
+                       for _ in range(2)])   # wrong head count
+        buffer = KVBuffer(bad, 4)
         with pytest.raises(ValueError, match="cache shaped"):
-            infer.span_attention(attn, h, [bad], [0], [1])
+            model.decode_round(np.array([1]), [buffer])
+        assert buffer.seq_len == 2            # nothing written
 
     def test_causal_mask_with_past(self):
         mask = MultiHeadSelfAttention._causal_mask(1, 2, past_len=5)

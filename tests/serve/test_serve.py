@@ -5,13 +5,19 @@ import pytest
 
 from repro.core import FrameworkConfig, NVCiMPT, OVTTrainingPipeline
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
-from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
+from repro.llm import (
+    GenerationConfig,
+    PretrainConfig,
+    build_model,
+    pretrain_lm,
+)
 from repro.serve import (
     PromptServeEngine,
     QueryRequest,
     TuneRequest,
     UserSession,
 )
+from repro.serve.session import PrefillBatch
 from repro.tuning import TuningConfig
 from tests.oracles.generation import answer_sequential
 
@@ -319,9 +325,17 @@ class TestPrefillSharing:
             calls["n"] += 1
             return deployment.restored_prompt(0)
 
-        first = session.prefill_state("movie about robot tag", 0, restore)
-        second = session.prefill_state("movie about robot tag", 0, restore)
-        assert second is first
+        batch = PrefillBatch(model)
+        first = session.prefill_state("movie about robot tag", 0, restore,
+                                      batch)
+        second = session.prefill_state("movie about robot tag", 0, restore,
+                                       batch)
+        assert second is first and first.state is None
+        assert calls["n"] == 1 and len(batch) == 1
+        assert batch.run() == 1
+        later = session.prefill_state("movie about robot tag", 0, restore,
+                                      PrefillBatch(model))
+        assert later is first and later.state is not None
         assert calls["n"] == 1
 
     def test_prefill_hits_survive_eviction(self, setup):
