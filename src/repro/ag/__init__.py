@@ -5,20 +5,18 @@ tensors with recorded backward closures, module containers, common layers,
 activations/losses, and optimizers.
 """
 
-from .functional import (cross_entropy, gelu, mse_loss,
-                         sequence_cross_entropy, softmax)
-from .layers import (Dropout, Embedding, LayerNorm, Linear, QuantizedLinear,
+from .functional import gelu, mse_loss
+from .layers import (Embedding, LayerNorm, Linear, QuantizedLinear,
                      Sequential, quantize_groups)
 from .module import Module, Parameter, iter_modules
 from .optim import Adam, LinearWarmupDecay, SGD, clip_grad_norm
-from .tensor import Tensor, cat, is_grad_enabled, no_grad
+from .tensor import Tensor, is_grad_enabled, no_grad
 
 __all__ = [
-    "Tensor", "cat", "no_grad", "is_grad_enabled",
+    "Tensor", "no_grad", "is_grad_enabled",
     "Module", "Parameter", "iter_modules",
-    "Linear", "Embedding", "LayerNorm", "Dropout", "Sequential",
+    "Linear", "Embedding", "LayerNorm", "Sequential",
     "QuantizedLinear", "quantize_groups",
-    "softmax", "gelu", "cross_entropy",
-    "sequence_cross_entropy", "mse_loss",
+    "gelu", "mse_loss",
     "SGD", "Adam", "LinearWarmupDecay", "clip_grad_norm",
 ]

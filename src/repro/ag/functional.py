@@ -1,13 +1,13 @@
 """Differentiable functional operations built on :class:`~repro.ag.Tensor`.
 
-These cover the activations and losses the transformer substrate needs.
-``softmax``, ``gelu`` and the cross-entropy losses are fused primitives
-(one graph node, a hand-written backward) because they sit on the hot path
-of every prompt-tuning step; ``mse_loss`` is composed from tensor ops.
-The fused backwards are plain array functions (:func:`softmax_grad`,
-:func:`gelu_grad`, :func:`sequence_cross_entropy_arrays`), shared with the
-graph-free prompt gradient (:mod:`repro.llm.vjp`), so both compute the
-same bits.
+``gelu`` is a fused primitive (one graph node, a hand-written backward);
+``mse_loss`` is composed from tensor ops.  The other fused backwards are
+plain array functions — :func:`softmax_grad`, :func:`gelu_grad`, and the
+losses :func:`cross_entropy_arrays` / :func:`sequence_cross_entropy_arrays`
+that return their value with a gradient function — read by the
+hand-written backward of :mod:`repro.llm.vjp`; the graph wrappers around
+them, which the autograd transformer used, are the reference in
+``tests/oracles/graph.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["softmax", "gelu", "cross_entropy",
-           "sequence_cross_entropy", "mse_loss"]
+__all__ = ["gelu", "mse_loss", "softmax_grad", "gelu_grad",
+           "cross_entropy_arrays", "sequence_cross_entropy_arrays"]
 
 _SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
 _GELU_COEFF = np.float32(0.044715)
@@ -30,26 +30,6 @@ def softmax_grad(value: np.ndarray, grad: np.ndarray,
     """Input gradient of a softmax whose output is ``value``."""
     inner = (grad * value).sum(axis=axis, keepdims=True)
     return value * (grad - inner)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``.
-
-    Fused primitive (like :func:`cross_entropy`): attention calls this on
-    every layer of every forward, and the composed max/sub/exp/sum/div
-    version costs five graph nodes and five full-size temporaries per call.
-    """
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=axis, keepdims=True)
-    value = shifted
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        x._accumulate(softmax_grad(value, grad, axis))
-
-    return Tensor._make(value, (x,), backward)
 
 
 def gelu_grad(data: np.ndarray, tanh_inner: np.ndarray,
@@ -80,27 +60,23 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._make(value, (x,), backward)
 
 
-def cross_entropy(
-    logits: Tensor,
+def cross_entropy_arrays(
+    scores: np.ndarray,
     targets: np.ndarray,
     ignore_index: int | None = None,
-) -> Tensor:
-    """Mean token-level cross entropy.
+) -> tuple[np.float32, Callable[[float], np.ndarray]]:
+    """Mean token-level cross entropy of ``(N, V)`` unnormalised scores
+    against ``(N,)`` integer class ids; targets equal to ``ignore_index``
+    contribute no loss or gradient (prompt positions and padding).
 
-    Args:
-        logits: ``(N, V)`` unnormalised scores.
-        targets: ``(N,)`` integer class ids.
-        ignore_index: targets equal to this id contribute no loss/gradient
-            (used to mask prompt positions and padding).
-
-    Returns:
-        A scalar tensor.
+    Returns ``(loss, grad_fn)``: ``grad_fn(g)`` is the scores' gradient
+    when the loss's upstream gradient is ``g``.
     """
     targets = np.asarray(targets)
-    if logits.ndim != 2 or targets.ndim != 1 or logits.shape[0] != targets.shape[0]:
+    if scores.ndim != 2 or targets.ndim != 1 or scores.shape[0] != targets.shape[0]:
         raise ValueError(
             f"cross_entropy expects (N, V) logits and (N,) targets, got "
-            f"{logits.shape} and {targets.shape}"
+            f"{scores.shape} and {targets.shape}"
         )
     if ignore_index is not None:
         valid = targets != ignore_index
@@ -110,7 +86,6 @@ def cross_entropy(
     if count == 0:
         raise ValueError("cross_entropy received no valid targets")
 
-    scores = logits.data
     shifted = scores - scores.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1)) + scores.max(axis=1)
     safe_targets = np.where(valid, targets, 0)
@@ -118,46 +93,14 @@ def cross_entropy(
     losses = np.where(valid, logsumexp - picked, 0.0)
     value = np.float32(losses.sum() / count)
 
-    def backward(grad: np.ndarray) -> None:
-        if not logits.requires_grad:
-            return
+    def grad_fn(grad: float) -> np.ndarray:
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
         probs[np.arange(scores.shape[0]), safe_targets] -= 1.0
         probs[~valid] = 0.0
-        logits._accumulate(probs * (float(grad) / count))
+        return probs * (grad / count)
 
-    return Tensor._make(np.asarray(value), (logits,), backward)
-
-
-def sequence_cross_entropy(
-    logits: Tensor,
-    targets: np.ndarray,
-    ignore_index: int | None = None,
-) -> Tensor:
-    """Mean over sequences of each sequence's mean token cross entropy.
-
-    This is the batched-training loss: every sequence counts equally
-    regardless of how many supervised tokens it has, so the result equals
-    the mean of per-sample :func:`cross_entropy` losses over the same batch
-    (padded positions carry ``ignore_index``).
-
-    Args:
-        logits: ``(B, T, V)`` unnormalised scores.
-        targets: ``(B, T)`` integer class ids.
-        ignore_index: targets equal to this id contribute no loss/gradient.
-
-    Returns:
-        A scalar tensor.
-    """
-    value, grad_fn = sequence_cross_entropy_arrays(logits.data, targets,
-                                                   ignore_index)
-
-    def backward(grad: np.ndarray) -> None:
-        if logits.requires_grad:
-            logits._accumulate(grad_fn(float(grad)))
-
-    return Tensor._make(np.asarray(value), (logits,), backward)
+    return value, grad_fn
 
 
 def sequence_cross_entropy_arrays(
@@ -165,7 +108,13 @@ def sequence_cross_entropy_arrays(
     targets: np.ndarray,
     ignore_index: int | None = None,
 ) -> tuple[np.float32, Callable[[float], np.ndarray]]:
-    """:func:`sequence_cross_entropy` on a raw ``(B, T, V)`` score array.
+    """Mean over sequences of each sequence's mean token cross entropy.
+
+    The batched-training loss over ``(B, T, V)`` scores and ``(B, T)``
+    targets: every sequence counts equally regardless of how many
+    supervised tokens it has, so the result equals the mean of
+    per-sample :func:`cross_entropy_arrays` losses over the same batch
+    (padded positions carry ``ignore_index``).
 
     Returns ``(loss, grad_fn)``: ``grad_fn(g)`` is the scores' gradient
     when the loss's upstream gradient is ``g``.

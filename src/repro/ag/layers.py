@@ -8,7 +8,7 @@ from .module import Module, Parameter
 from .tensor import Tensor, _unbroadcast
 from ..utils import rng_from_seed
 
-__all__ = ["Linear", "Embedding", "LayerNorm", "Dropout", "Sequential",
+__all__ = ["Linear", "Embedding", "LayerNorm", "Sequential",
            "QuantizedLinear", "quantize_groups"]
 
 
@@ -269,7 +269,8 @@ class QuantizedLinear(Module):
 
 
 class Embedding(Module):
-    """Token-id to vector lookup with scatter-add gradients."""
+    """A token-id to vector table (the lookup is ``repro.llm.infer.embed``;
+    its gradient, a scatter-add by id, ``repro.llm.vjp.scatter_rows``)."""
 
     def __init__(self, num_embeddings: int, embedding_dim: int, *,
                  rng: np.random.Generator | None = None):
@@ -289,12 +290,10 @@ class Embedding(Module):
             )
         return indices
 
-    def forward(self, indices: np.ndarray) -> Tensor:
-        return self.weight[self.checked(indices)]
-
 
 class LayerNorm(Module):
-    """Layer normalisation over the last dimension."""
+    """Layer normalisation's parameters over the last dimension (the
+    arithmetic is ``repro.llm.infer.layer_norm``)."""
 
     def __init__(self, dim: int, *, eps: float = 1e-5):
         super().__init__()
@@ -302,31 +301,6 @@ class LayerNorm(Module):
         self.eps = eps
         self.weight = Parameter(np.ones(dim))
         self.bias = Parameter(np.zeros(dim))
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * (var + self.eps) ** -0.5
-        return normed * self.weight + self.bias
-
-
-class Dropout(Module):
-    """Inverted dropout; identity when ``p == 0`` or in eval mode."""
-
-    def __init__(self, p: float = 0.0, *, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng or rng_from_seed(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
-        return x * Tensor(mask)
 
 
 class Sequential(Module):

@@ -28,10 +28,6 @@ class Module:
     attribute walking, the same contract as ``torch.nn.Module``.
     """
 
-    def __init__(self):
-        self.training = True
-
-    # ------------------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
         for name, value in vars(self).items():
             full = f"{prefix}{name}"
@@ -57,18 +53,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.grad = None
-
-    def train(self) -> "Module":
-        self._set_training(True)
-        return self
-
-    def eval(self) -> "Module":
-        self._set_training(False)
-        return self
-
-    def _set_training(self, mode: bool) -> None:
-        for module in iter_modules(self):
-            module.training = mode
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:

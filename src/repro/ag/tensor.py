@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "cat", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 # Grad mode is per-thread: the serving engine decodes under no_grad() on
 # worker threads while training may run with gradients elsewhere.
@@ -325,65 +325,3 @@ class Tensor:
 
         return Tensor._make(self.data.transpose(axes), (self,), backward)
 
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.swapaxes(a, b))
-
-        return Tensor._make(self.data.swapaxes(a, b), (self,), backward)
-
-    def __getitem__(self, index) -> "Tensor":
-        value = self.data[index]
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
-
-        return Tensor._make(value, (self,), backward)
-
-    def broadcast_to(self, shape) -> "Tensor":
-        """Broadcast to ``shape``; gradients sum over the expanded axes.
-
-        This is how a single trained prompt (or KV prefix) is tiled across a
-        minibatch without copying parameters per sample.
-        """
-        shape = tuple(shape)
-        original = self.shape
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, original))
-
-        return Tensor._make(np.broadcast_to(self.data, shape), (self,), backward)
-
-    def masked_fill(self, mask: np.ndarray, value: float) -> "Tensor":
-        """Replace entries where ``mask`` is true with ``value`` (constant)."""
-        mask = np.asarray(mask, dtype=bool)
-        out_data = np.where(mask, np.float32(value), self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.where(mask, 0.0, grad))
-
-        return Tensor._make(out_data, (self,), backward)
-
-
-def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis``."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("cat() requires at least one tensor")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                slicer = [slice(None)] * grad.ndim
-                slicer[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(slicer)])
-
-    return Tensor._make(data, tensors, backward)

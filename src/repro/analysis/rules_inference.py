@@ -1,14 +1,13 @@
-"""The serving and tune paths stay graph-free: INF-001 and TUNE-001.
+"""The serving and training paths stay graph-free: INF-001 and TUNE-001.
 
 Serving runs on raw float32 ndarrays (:mod:`repro.llm.infer`): one decode
-loop, no autograd graph, no ``Module.training`` flips a concurrent thread
-could observe.  The autograd ``forward`` is the training graph and the
-cached autograd step is a test oracle (``tests/oracles/generation.py``).
-INF-001 keeps a second decode path from growing back: the first
-``Tensor(...)`` wrap or ``no_grad()`` block in the inference modules is
-how one would start.  TUNE-001 does the same for the tune epoch a
-``tune`` request runs: its autoencoder update and soft-prompt steps
-differentiate by hand, and their autograd references are test oracles.
+loop, no autograd graph.  The autograd forward and the cached autograd
+step are test oracles (``tests/oracles/``).  INF-001 keeps a second
+decode path from growing back: the first ``Tensor(...)`` wrap or
+``no_grad()`` block in the inference modules is how one would start.
+TUNE-001 does the same for training: the tune epoch a ``tune`` request
+runs, the prompt-tuning baselines and pretraining differentiate by hand
+(:mod:`repro.llm.vjp`), and their autograd references are test oracles.
 """
 
 from __future__ import annotations
@@ -41,19 +40,17 @@ def _walk_inference(node: ast.AST) -> Iterator[ast.AST]:
 
 @RULES.register("INF-001")
 class GraphFreeInference(Rule):
-    """No ``Tensor(...)``, ``no_grad``, ``.train()`` or ``past_kv=`` /
-    ``use_cache=`` on the inference path.
+    """No ``Tensor(...)``, ``no_grad`` or ``past_kv=`` / ``use_cache=`` on
+    the inference path.
 
     Covers ``llm/infer.py``, ``llm/kv_cache.py``, ``llm/generation.py``,
     ``llm/speculative.py`` (outside ``distill_draft``, which trains),
     ``serve/`` and ``gateway/``.  ``KVCache`` and ``KVBuffer`` hold
-    ndarrays and every token is decoded by the scheduler's span forward;
-    wrapping arrays in ``Tensor``, opening a ``no_grad()`` block,
-    restoring train mode after a temporary ``eval()``, or threading a
-    cache through the autograd ``forward`` are the four marks of a second
-    decode loop.
-    Trained KV prefixes arrive as ``Tensor`` pairs and may be *read*
-    (``.data``); ``eval()`` may be pinned once at construction.
+    ndarrays — trained KV prefixes and soft prompts too — and every token
+    is decoded by the scheduler's span forward; wrapping arrays in
+    ``Tensor``, opening a ``no_grad()`` block, or threading a cache
+    through an autograd forward are the three marks of a second decode
+    loop.
     """
 
     rule_id = "INF-001"
@@ -69,13 +66,8 @@ class GraphFreeInference(Rule):
         for node in _walk_inference(ctx.tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                if isinstance(func, ast.Attribute) and func.attr == "train":
-                    yield self.finding(
-                        ctx, node,
-                        ".train() on the inference path: a mode flip is "
-                        "visible to every thread sharing the model")
-                elif "Tensor" in (getattr(func, "id", None),
-                                  getattr(func, "attr", None)):
+                if "Tensor" in (getattr(func, "id", None),
+                                getattr(func, "attr", None)):
                     yield self.finding(
                         ctx, node,
                         "Tensor(...) constructed on the inference path; "
@@ -101,35 +93,39 @@ class GraphFreeInference(Rule):
                     "no graph to disable")
 
 
-_TUNE_FILES = ("repro/compression/autoencoder.py", "repro/tuning/vanilla.py",
+_TUNE_FILES = ("repro/compression/autoencoder.py",
                "repro/core/noise_training.py", "repro/core/framework.py",
-               "repro/llm/vjp.py")
+               "repro/llm/vjp.py", "repro/llm/pretrain.py",
+               "repro/eval/quantized.py")
+_TUNE_DIRS = ("tuning",)
 
 
 @RULES.register("TUNE-001")
 class GraphFreeTuning(Rule):
-    """No ``Tensor(...)`` and no ``.backward()`` on the tune path.
+    """No ``Tensor(...)`` and no ``.backward()`` where the repo trains.
 
-    Covers ``compression/autoencoder.py``, ``tuning/vanilla.py``,
-    ``core/noise_training.py``, ``core/framework.py`` and
-    ``llm/vjp.py``: the tune epoch a ``tune`` request runs beside the
-    decode rounds.  The autoencoder's ``fit`` and the soft-prompt step of
-    ``VanillaPromptTuner`` (which ``NoiseAwareTrainer`` wraps) run on raw
-    arrays with a hand-written backward that is bit-identical to the
-    autograd graph; the graph versions are test oracles
-    (``tests/oracles/autoencoder.py``, ``tests/oracles/tuning.py``).
-    Prefix tuning, P-tuning v2 and DEPT — baselines off the serving path
-    — still use the graph.
+    Covers every module under ``tuning/`` (the four prompt-tuning methods
+    and their loop), ``compression/autoencoder.py``,
+    ``core/noise_training.py``, ``core/framework.py``, ``llm/vjp.py``,
+    ``llm/pretrain.py`` (which ``distill_draft`` runs too) and
+    ``eval/quantized.py``.  The autoencoder's ``fit``, every prompt-tuning
+    step and every pretraining step run the serving forward on raw arrays
+    (``infer.extend`` with a tape) and a hand-written backward that is
+    bit-identical to the autograd graph; the graph versions are test
+    oracles (``tests/oracles/autoencoder.py``, ``tests/oracles/tuning.py``,
+    ``tests/oracles/training.py``), and so is the autograd transformer
+    (``tests/oracles/graph.py``).
     """
 
     rule_id = "TUNE-001"
-    title = "the tune path builds no autograd graph"
+    title = "training builds no autograd graph"
     default_hint = ("compute the loss and its gradient on raw ndarrays "
-                    "(repro.llm.vjp, OVTAutoencoder._train_step); an "
-                    "autograd reference belongs in tests/oracles/")
+                    "(infer.extend with a tape and repro.llm.vjp, "
+                    "OVTAutoencoder._train_step); an autograd reference "
+                    "belongs in tests/oracles/")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.rel not in _TUNE_FILES:
+        if not (ctx.rel in _TUNE_FILES or ctx.in_dir(*_TUNE_DIRS)):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -139,10 +135,10 @@ class GraphFreeTuning(Rule):
                             getattr(func, "attr", None)):
                 yield self.finding(
                     ctx, node,
-                    "Tensor(...) constructed on the tune path: a tune "
-                    "epoch runs on raw ndarrays")
+                    "Tensor(...) constructed on a training path: "
+                    "training runs on raw ndarrays")
             elif isinstance(func, ast.Attribute) and func.attr == "backward":
                 yield self.finding(
                     ctx, node,
-                    ".backward() on the tune path: gradients are "
+                    ".backward() on a training path: gradients are "
                     "written by hand, not replayed from a graph")

@@ -23,8 +23,9 @@ import copy
 
 import numpy as np
 
-from ..ag import Linear, iter_modules, no_grad
+from ..ag import Linear, iter_modules
 from ..core.framework import FrameworkConfig
+from ..llm import infer
 from ..llm.quantization import quantization_stats, quantize_model
 from ..llm.transformer import TinyCausalLM
 from .runner import TABLE1_METHODS, ExperimentContext, evaluate_method
@@ -49,18 +50,18 @@ def perplexity(model: TinyCausalLM, token_stream: np.ndarray, *,
             f"token stream too short for one {window}-token window")
     total_nll = 0.0
     total_tokens = 0
-    with no_grad():
-        for index in range(n_windows):
-            start = index * window
-            chunk = ids[start:start + window + 1]
-            logits = model.forward(chunk[:-1][None]).data[0]
-            # Log-softmax in float64 for a stable sum across windows.
-            logits = logits.astype(np.float64)
-            logits -= logits.max(axis=-1, keepdims=True)
-            log_probs = logits - np.log(
-                np.exp(logits).sum(axis=-1, keepdims=True))
-            total_nll -= log_probs[np.arange(window), chunk[1:]].sum()
-            total_tokens += window
+    for index in range(n_windows):
+        start = index * window
+        chunk = ids[start:start + window + 1]
+        hidden, _ = infer.extend(
+            model, infer.embed(model.token_embedding, chunk[:-1][None]))
+        # Log-softmax in float64 for a stable sum across windows.
+        logits = infer.logits(model, hidden)[0].astype(np.float64)
+        logits -= logits.max(axis=-1, keepdims=True)
+        log_probs = logits - np.log(
+            np.exp(logits).sum(axis=-1, keepdims=True))
+        total_nll -= log_probs[np.arange(window), chunk[1:]].sum()
+        total_tokens += window
     return float(np.exp(total_nll / total_tokens))
 
 

@@ -38,7 +38,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ag import Tensor
 from . import infer
 from .attention import KVPrefix
 from .kv_cache import KVBuffer, KVCache, KVSlab
@@ -121,7 +120,7 @@ def prefill(
     model: TinyCausalLM,
     token_ids: np.ndarray,
     *,
-    soft_prompt: Tensor | np.ndarray | None = None,
+    soft_prompt: np.ndarray | None = None,
     prefix_kv: list[KVPrefix] | None = None,
 ) -> PrefillState | list[PrefillState]:
     """Run prompts once with a KV cache and return the decode-ready state.
@@ -132,9 +131,9 @@ def prefill(
     :func:`~repro.llm.infer.extend` over the ``(G, P + T, d_model)``
     stack and return a list of ``G`` states, each bitwise that prompt's
     prefill alone (the stacking rule of :mod:`~repro.llm.infer`; one
-    prompt is the stack of one).  ``prefix_kv`` conditions every prompt.
-    Graph-free: bitwise the autograd forward in eval mode, whatever mode
-    ``model`` is in, and it writes no module state.
+    prompt is the stack of one).  ``prefix_kv`` (one ``(keys, values)``
+    ndarray pair per layer) conditions every prompt.  Graph-free: bitwise
+    the autograd forward, and it writes no module state.
 
     Raises ``ValueError`` (:func:`check_prompt_room`) for an empty prompt
     or one that (plus soft-prompt rows) already fills the context window
@@ -145,9 +144,7 @@ def prefill(
     ids = ids.reshape(ids.shape[0] if stacked else 1, -1)
     rows = None
     if soft_prompt is not None:
-        rows = np.asarray(
-            soft_prompt.data if isinstance(soft_prompt, Tensor)
-            else soft_prompt, dtype=np.float32)
+        rows = np.asarray(soft_prompt, dtype=np.float32)
         rows = rows if stacked else rows[None]
     virtual_len = 0 if rows is None else rows.shape[1]
     check_prompt_room(model, ids.shape[1], virtual_len)
@@ -182,7 +179,7 @@ def generate(
     token_ids: np.ndarray,
     config: GenerationConfig = GenerationConfig(),
     *,
-    soft_prompt: Tensor | np.ndarray | None = None,
+    soft_prompt: np.ndarray | None = None,
     prefix_kv: list[KVPrefix] | None = None,
 ) -> np.ndarray:
     """Generate a continuation of ``token_ids`` (1-D array of ids).
@@ -190,8 +187,8 @@ def generate(
     :func:`prefill` once, then :func:`decode_from` one position per round.
 
     Args:
-        model: the language model (dropout is the identity and no graph is
-            built, whatever mode it is in; no module state is written).
+        model: the language model (no graph is built and no module state
+            is written).
         token_ids: the user-input ids.
         config: sampling parameters.
         soft_prompt: optional (P, d_model) virtual-token matrix prepended to

@@ -1,20 +1,23 @@
-"""The graph-free inference core: one set of kernels, two forward shapes.
+"""The graph-free transformer core: one set of kernels, two forward shapes.
 
 Everything a query pays for on the CPU after tuning is inference over the
-frozen model, and inference never needs an autograd graph.  The kernels
-here work on raw float32 ndarrays and read weights from the live modules
-on every call (so distilling or quantizing a model afterwards Just Works);
-they never read ``Module.training`` — dropout is the identity — and never
-build a :class:`~repro.ag.Tensor` graph, so decoding writes no shared
-module state.
+frozen model, and inference never needs an autograd graph; training does
+not either.  The kernels here work on raw float32 ndarrays and read
+weights from the live modules on every call (so distilling or quantizing
+a model afterwards Just Works); they never build a
+:class:`~repro.ag.Tensor` graph, so decoding writes no shared module
+state.  Training runs the same forward: :func:`extend` (and
+:func:`logits`) given a ``tape`` list append what the hand-written
+backward (:mod:`repro.llm.vjp`) reads, so the block math is written once
+for prefill, the draft's catch-up and every trainer.
 
 **Bit-exactness contract** (stated once, pinned by ``tests/llm/
 test_infer.py``): each kernel runs the same numpy operation sequence as
-its ``repro.ag`` counterpart — :func:`layer_norm` as ``ag.LayerNorm``,
+its autograd counterpart — :func:`layer_norm` as ``ag.LayerNorm``,
 :func:`affine` as ``ag.Linear`` / ``ag.QuantizedLinear``, :func:`gelu` as
-``ag.gelu``, :func:`softmax_` as ``ag.softmax`` — on operands of the same
-shape and memory layout, so its output equals the autograd op's under
-``np.array_equal``.
+``ag.gelu``, :func:`softmax_` as the graph softmax of
+``tests/oracles/graph.py`` — on operands of the same shape and memory
+layout, so its output equals the autograd op's under ``np.array_equal``.
 
 The two forward shapes built on them:
 
@@ -36,8 +39,10 @@ The two forward shapes built on them:
   :class:`SpanPlan` works it out once per forward for every layer.
 * *extend* (:func:`extend`): ``G`` sequences of ``T`` positions each,
   stacked ``(G, T, d_model)``, causal mask, optional KV prefix and past
-  cache — prefill (``G`` equal-length prompts in one forward) and the
-  draft model's catch-up.  **The stacking rule**: each stacked sequence
+  cache — prefill (``G`` equal-length prompts in one forward), the
+  draft model's catch-up and, with a key padding mask and a tape, every
+  training step (a ragged minibatch right-padded to one stack).
+  **The stacking rule**: each stacked sequence
   is bitwise the same sequence run alone, and the same argument as the
   grouping rule's carries it: every matmul over a stack — the affines'
   ``(G, T, d) @ (d, n)`` included — hands BLAS one ``(T, ·)`` operand
@@ -56,8 +61,7 @@ three ``(d, d)`` ones differed in all 2400; flattening a round's ``(B,
 one-row products — in 2100, every case with ``B`` > 1.  The
 bit-exactness contract rules both out.
 
-Both hold plain float32 ndarrays; only the trained KV prefixes arrive as
-``Tensor`` pairs.
+Both hold plain float32 ndarrays, the trained KV prefixes included.
 """
 
 from __future__ import annotations
@@ -83,13 +87,18 @@ def embed(embedding: Embedding, ids: np.ndarray) -> np.ndarray:
     return embedding.weight.data[embedding.checked(ids)]
 
 
-def layer_norm(x: np.ndarray, layer) -> np.ndarray:
+def layer_norm(x: np.ndarray, layer, tape: list | None = None) -> np.ndarray:
     """:class:`ag.LayerNorm` over the last axis."""
     inv_n = np.float32(1.0 / x.shape[-1])
     centered = x - x.sum(axis=-1, keepdims=True) * inv_n
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    normed = centered * (1.0 / np.sqrt(var + np.float32(layer.eps)))
-    return normed * layer.weight.data + layer.bias.data
+    var_eps = ((centered * centered).sum(axis=-1, keepdims=True) * inv_n
+               + np.float32(layer.eps))
+    inv_std = 1.0 / np.sqrt(var_eps)
+    normed = centered * inv_std
+    out = normed * layer.weight.data + layer.bias.data
+    if tape is not None:
+        tape.append((centered, var_eps, inv_std, normed, out))
+    return out
 
 
 def affine(layer, x: np.ndarray) -> np.ndarray:
@@ -103,10 +112,13 @@ def affine(layer, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, tape: list | None = None) -> np.ndarray:
     """GPT-2 tanh-approximation GELU (:func:`ag.gelu`)."""
-    inner = _SQRT_2_OVER_PI * (x + _GELU_COEFF * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    tanh = np.tanh(_SQRT_2_OVER_PI * (x + _GELU_COEFF * (x * x * x)))
+    out = 0.5 * x * (1.0 + tanh)
+    if tape is not None:
+        tape.append((x, tanh, out))
+    return out
 
 
 def softmax_(scores: np.ndarray) -> np.ndarray:
@@ -117,15 +129,16 @@ def softmax_(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def mlp(block, x: np.ndarray) -> np.ndarray:
+def mlp(block, x: np.ndarray, tape: list | None = None) -> np.ndarray:
     """The block's residual feed-forward half: ``x + ff2(gelu(ff1(ln2 x)))``."""
-    return x + affine(block.ff2,
-                      gelu(affine(block.ff1, layer_norm(x, block.ln2))))
+    return x + affine(block.ff2, gelu(
+        affine(block.ff1, layer_norm(x, block.ln2, tape)), tape))
 
 
-def logits(model, hidden: np.ndarray) -> np.ndarray:
+def logits(model, hidden: np.ndarray,
+           tape: list | None = None) -> np.ndarray:
     """Final norm and lm_head over hidden states."""
-    return affine(model.lm_head, layer_norm(hidden, model.ln_final))
+    return affine(model.lm_head, layer_norm(hidden, model.ln_final, tape))
 
 
 def attention_scale(attn) -> np.float32:
@@ -141,10 +154,9 @@ def _heads(attn, h: np.ndarray) -> list[np.ndarray]:
 
 
 def _merge(attn, context: np.ndarray) -> np.ndarray:
-    """(B, H, T, d_head) contexts through the output projection."""
+    """(B, H, T, d_head) contexts as the output projection's (B, T, d) input."""
     batch, _, length, _ = context.shape
-    return affine(attn.out_proj, context.transpose(0, 2, 1, 3)
-                  .reshape(batch, length, attn.d_model))
+    return context.transpose(0, 2, 1, 3).reshape(batch, length, attn.d_model)
 
 
 def length_groups(starts: Sequence[int],
@@ -235,41 +247,41 @@ def span_attention(attn, h: np.ndarray, plan: SpanPlan,
         scores = np.matmul(q[index], keys.swapaxes(-1, -2))
         scores *= scale
         contexts[index] = np.matmul(softmax_(scores), values)
-    return _merge(attn, contexts)
+    return affine(attn.out_proj, _merge(attn, contexts))
 
 
 def _causal_attention(attn, h: np.ndarray, past: KVArrays | None,
-                      prefix: KVPrefix | None) -> tuple[np.ndarray, KVArrays]:
-    """``MultiHeadSelfAttention.forward`` on arrays, over a past cache."""
-    length = h.shape[1]
+                      prefix: KVPrefix | None, mask: np.ndarray | None,
+                      tape: list | None) -> tuple[np.ndarray, KVArrays]:
+    """Attention over a past cache and a prefix, ``mask`` (True = blocked)
+    applied to the scores."""
     q, k, v = _heads(attn, h)
-    past_len = prefix_len = 0
     if past is not None:
         attn._check_kv(past[0], past[1], "past")
-        past_len = past[0].shape[2]
         k = np.concatenate([past[0], k], axis=2)
         v = np.concatenate([past[1], v], axis=2)
     keys, values = k, v
     if prefix is not None:
         attn._check_kv(prefix[0], prefix[1], "prefix")
-        prefix_len = prefix[0].shape[2]
         # One trained prefix conditions every sequence of a stack.
         keys, values = (
             np.concatenate([np.broadcast_to(
-                trained.data, k.shape[:2] + trained.shape[2:]), new], axis=2)
+                trained, k.shape[:2] + trained.shape[2:]), new], axis=2)
             for trained, new in zip(prefix, (k, v)))
     scores = np.matmul(q, keys.swapaxes(-1, -2)) * attention_scale(attn)
-    if length > 1:   # a lone query sees every key
-        np.copyto(scores, NEG_INF,
-                  where=attn._causal_mask(length, prefix_len, past_len))
-    context = np.matmul(softmax_(scores), values)
-    # The attention above ran on forward's own (strided) views; the cache
-    # is handed on C-contiguous so that the autograd oracle's
+    if mask is not None:
+        np.copyto(scores, NEG_INF, where=mask)
+    weights = softmax_(scores)
+    merged = _merge(attn, np.matmul(weights, values))
+    if tape is not None:
+        tape.append((q, keys, values, weights, mask, merged))
+    # The attention above ran on the projections' own (strided) views;
+    # the cache is handed on C-contiguous so that the autograd oracle's
     # ``cat([past, new])`` (tests/oracles/generation.py) — which inherits
     # its inputs' memory order — and the span forward's ``KVBuffer``
     # present BLAS the same key layout.
-    return _merge(attn, context), (np.ascontiguousarray(k),
-                                   np.ascontiguousarray(v))
+    return affine(attn.out_proj, merged), (np.ascontiguousarray(k),
+                                           np.ascontiguousarray(v))
 
 
 def extend(
@@ -278,6 +290,8 @@ def extend(
     *,
     past: KVCache | None = None,
     prefix_kv: list[KVPrefix] | None = None,
+    key_padding_mask: np.ndarray | None = None,
+    tape: list | None = None,
 ) -> tuple[np.ndarray, KVCache]:
     """Run ``G`` equal-length sequences' new positions through every block.
 
@@ -290,6 +304,12 @@ def extend(
     — and the cache extended by the ``T`` positions
     (:meth:`~repro.llm.kv_cache.KVCache.split` gives each sequence its
     own).  Each stacked sequence is bitwise the same sequence run alone.
+
+    The training forward is this one.  ``key_padding_mask`` (``(G, T)``,
+    True at right-padded positions) hides padded keys from every query,
+    so a ragged minibatch runs as one stack; ``tape`` (a list) receives,
+    block by block, what :func:`repro.llm.vjp.backward` reads — then pass
+    it to :func:`logits` too.  No tape: nothing is recorded.
     """
     blocks = model.blocks
     past_len = 0
@@ -298,7 +318,7 @@ def extend(
             raise ValueError(
                 f"past has {past.n_layers} layers for {len(blocks)} blocks")
         past_len = past.seq_len
-    length = x.shape[1]
+    batch, length = x.shape[:2]
     if past_len + length > model.config.max_seq_len:
         raise ValueError(
             f"sequence of {past_len + length} exceeds "
@@ -306,14 +326,28 @@ def extend(
     if prefix_kv is not None and len(prefix_kv) != len(blocks):
         raise ValueError(
             f"prefix_kv has {len(prefix_kv)} entries for {len(blocks)} layers")
+    mask = None
+    if length > 1 or key_padding_mask is not None:   # a lone query sees all
+        prefix_len = 0 if prefix_kv is None else prefix_kv[0][0].shape[2]
+        mask = blocks[0].attn._causal_mask(length, prefix_len, past_len)
+        if key_padding_mask is not None:
+            padded = np.asarray(key_padding_mask, dtype=bool)
+            if padded.shape != (batch, length):
+                raise ValueError(
+                    f"key_padding_mask shaped {padded.shape} incompatible "
+                    f"with ({batch}, {length}) inputs")
+            # Prefix and past keys are never padding.
+            padded = np.concatenate([np.zeros(
+                (batch, prefix_len + past_len), dtype=bool), padded], axis=1)
+            mask = mask[None, None] | padded[:, None, None, :]
     x = x + embed(model.position_embedding,
                   np.arange(past_len, past_len + length))
     layers: list[KVArrays] = []
     for i, block in enumerate(blocks):
         attended, present = _causal_attention(
-            block.attn, layer_norm(x, block.ln1),
+            block.attn, layer_norm(x, block.ln1, tape),
             None if past is None else past.layer(i),
-            None if prefix_kv is None else prefix_kv[i])
+            None if prefix_kv is None else prefix_kv[i], mask, tape)
         layers.append(present)
-        x = mlp(block, x + attended)
+        x = mlp(block, x + attended, tape)
     return x, KVCache(layers)

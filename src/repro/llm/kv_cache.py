@@ -116,7 +116,7 @@ class KVBuffer:
     """One decoding sequence's private K/V storage, allocated once.
 
     Per layer, a ``(keys, values)`` pair shaped ``(1, heads, prefix_len +
-    capacity, d_head)``: ``prefix_kv`` (one trained ``Tensor`` pair per
+    capacity, d_head)``: ``prefix_kv`` (one trained ndarray pair per
     layer, or None) in rows ``[:prefix_len]``, then ``cache`` — copied, so
     the shared prefill cache stays untouched — then room up to
     ``capacity`` positions: views of row :attr:`slot` of :attr:`slab` (of
@@ -164,7 +164,7 @@ class KVBuffer:
                          for buf in store)
             for which, buf in enumerate(pair):
                 if prefix_kv is not None:
-                    prefix = prefix_kv[index][which].data
+                    prefix = prefix_kv[index][which]
                     if prefix.shape != (1, heads, self.prefix_len, d_head):
                         raise ValueError(
                             f"prefix shaped {prefix.shape} incompatible "

@@ -122,7 +122,6 @@ def load_pretrained_model(
         if spec.quantize_bits is not None:
             quantize_model_weights(model, bits=spec.quantize_bits)
         _PRETRAINED_CACHE[fingerprint] = model.state_dict()
-    model.eval()
     return model
 
 

@@ -340,8 +340,7 @@ class SpeculativeDecoder:
     it to ``DecodeScheduler(model, speculative=...)`` or
     ``PromptServeEngine(..., speculative=...)``.  One instance may be
     shared by many schedulers (several engines over one draft): the
-    draft model is pinned to eval mode here and only ever read
-    afterwards.
+    draft model is only ever read.
 
     Args:
         draft_model: the proposer; must share the base model's tokenizer
@@ -365,9 +364,6 @@ class SpeculativeDecoder:
         self.policy = CONFIDENCE_POLICIES[policy]
         self.threshold = float(threshold)
         self.policy_params = dict(policy_params or {})
-        # Pinned: advance() never toggles train/eval, so sharing one
-        # decoder across concurrently-stepping schedulers is safe.
-        draft_model.eval()
 
     # ------------------------------------------------------------------
     def advance(self, scheduler: DecodeScheduler,

@@ -1,22 +1,23 @@
 """Decoder-only transformer language model (the edge-LLM stand-in).
 
-``forward`` is the *training* graph: whole sequences in, an autograd graph
-out.  It exposes the two hooks the prompt-tuning methods rely on:
+:class:`TinyCausalLM` holds the weights; every forward runs graph-free
+on the kernels of :mod:`repro.llm.infer`, and training differentiates
+that forward by hand (:mod:`repro.llm.vjp`).  Two prompt-conditioning
+hooks reach every forward: pre-built input embeddings, which is how soft
+prompts are prepended (vanilla PT, DEPT), and per-layer key/value
+prefixes (prefix tuning, P-tuning v2).
 
-* ``forward(embeddings=...)`` — callers may pass pre-built input embeddings,
-  which is how soft prompts are prepended (vanilla PT, DEPT);
-* ``forward(prefix_kv=[...])`` — per-layer key/value prefixes (prefix
-  tuning, P-tuning v2).
-
-Inference does not run ``forward`` at all.  :meth:`TinyCausalLM.decode_span`
-advances *many independent sequences* by a ragged number of tokens each
-(:meth:`TinyCausalLM.decode_round` is its one-token-each case) on the
-graph-free kernels of :mod:`repro.llm.infer`.  Each sequence carries its
-own private, preallocated :class:`~repro.llm.kv_cache.KVBuffer` (ragged
-lengths, advanced in place) and position offset; the dense sublayers run
-as one stacked forward while attention follows the grouping rule of
+:meth:`TinyCausalLM.decode_span` advances *many independent sequences*
+by a ragged number of tokens each (:meth:`TinyCausalLM.decode_round` is
+its one-token-each case).  Each sequence carries its own private,
+preallocated :class:`~repro.llm.kv_cache.KVBuffer` (ragged lengths,
+advanced in place) and position offset; the dense sublayers run as one
+stacked forward while attention follows the grouping rule of
 :mod:`repro.llm.infer`, so every row of the returned logits is
-bit-identical to advancing that sequence alone.
+bit-identical to advancing that sequence alone.  Whole sequences —
+prefill, training — go through :func:`repro.llm.infer.extend`.  The
+autograd forward this replaced is the reference in
+``tests/oracles/graph.py``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ag import Embedding, Dropout, LayerNorm, Linear, Module, Tensor, gelu
+from ..ag import Embedding, LayerNorm, Linear, Module
 from . import infer
-from .attention import KVPrefix, MultiHeadSelfAttention
+from .attention import MultiHeadSelfAttention
 from .kv_cache import KVBuffer
 from ..utils import rng_from_seed
 
@@ -45,7 +46,6 @@ class LMConfig:
     n_layers: int = 3
     d_ff: int = 128
     max_seq_len: int = 256
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.vocab_size <= 0:
@@ -66,17 +66,6 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(config.d_model)
         self.ff1 = Linear(config.d_model, config.d_ff, rng=rng)
         self.ff2 = Linear(config.d_ff, config.d_model, rng=rng)
-        self.drop = Dropout(config.dropout, rng=rng)
-
-    def forward(
-        self,
-        x: Tensor,
-        prefix_kv: KVPrefix | None = None,
-        key_padding_mask: np.ndarray | None = None,
-    ) -> Tensor:
-        x = x + self.attn(self.ln1(x), prefix_kv=prefix_kv,
-                          key_padding_mask=key_padding_mask)
-        return x + self.drop(self.ff2(gelu(self.ff1(self.ln2(x)))))
 
 
 class TinyCausalLM(Module):
@@ -97,10 +86,6 @@ class TinyCausalLM(Module):
             param.requires_grad = False
 
     # ------------------------------------------------------------------
-    def embed(self, token_ids: np.ndarray) -> Tensor:
-        """Token embeddings without positions, shape (..., d_model)."""
-        return self.token_embedding(np.asarray(token_ids))
-
     def embed_text_vector(self, token_ids: np.ndarray) -> np.ndarray:
         """Mean-pooled embedding vector used for buffer/query embeddings.
 
@@ -112,60 +97,6 @@ class TinyCausalLM(Module):
         if ids.size == 0:
             raise ValueError("cannot embed an empty token sequence")
         return self.token_embedding.weight.data[ids].mean(axis=0).copy()
-
-    # ------------------------------------------------------------------
-    def forward(
-        self,
-        token_ids: np.ndarray | None = None,
-        *,
-        embeddings: Tensor | None = None,
-        prefix_kv: list[KVPrefix] | None = None,
-        key_padding_mask: np.ndarray | None = None,
-    ) -> Tensor:
-        """Return logits of shape (batch, T, vocab).
-
-        Exactly one of ``token_ids`` (batch, T) or ``embeddings``
-        (batch, T, d_model) must be given.  ``prefix_kv`` carries one
-        (key, value) pair per layer, or None.
-
-        ``key_padding_mask`` is a boolean (batch, T) array, True at
-        right-padded positions of a batched ragged input: padded keys get
-        zero attention weight in every layer, so real positions compute
-        exactly what they would in an unpadded per-sample forward.
-        """
-        if (token_ids is None) == (embeddings is None):
-            raise ValueError("pass exactly one of token_ids or embeddings")
-        if embeddings is None:
-            token_ids = np.asarray(token_ids)
-            if token_ids.ndim == 1:
-                token_ids = token_ids[None, :]
-            embeddings = self.token_embedding(token_ids)
-        batch, length, _ = embeddings.shape
-        if length > self.config.max_seq_len:
-            raise ValueError(
-                f"sequence of {length} exceeds "
-                f"max_seq_len={self.config.max_seq_len}"
-            )
-        if prefix_kv is not None and len(prefix_kv) != len(self.blocks):
-            raise ValueError(
-                f"prefix_kv has {len(prefix_kv)} entries for "
-                f"{len(self.blocks)} layers"
-            )
-        if key_padding_mask is not None:
-            key_padding_mask = np.asarray(key_padding_mask, dtype=bool)
-            if key_padding_mask.shape != (batch, length):
-                raise ValueError(
-                    f"key_padding_mask shaped {key_padding_mask.shape} "
-                    f"incompatible with ({batch}, {length}) inputs"
-                )
-        x = embeddings + self.position_embedding(np.arange(length))
-        for i, block in enumerate(self.blocks):
-            x = block(
-                x,
-                prefix_kv=None if prefix_kv is None else prefix_kv[i],
-                key_padding_mask=key_padding_mask,
-            )
-        return self.lm_head(self.ln_final(x))
 
     # ------------------------------------------------------------------
     def decode_round(self, token_ids: np.ndarray,
@@ -189,8 +120,7 @@ class TinyCausalLM(Module):
         """Advance ``B`` sequences by a ragged number of tokens each.
 
         The one batched inference forward, graph-free on the
-        :mod:`~repro.llm.infer` kernels (no autograd, dropout the
-        identity whatever ``self.training`` says).  As the verify forward
+        :mod:`~repro.llm.infer` kernels.  As the verify forward
         of speculative decoding, sequence ``s`` feeds ``token_spans[s]``
         (its last accepted token followed by the drafted continuation)
         and gets back one logits row per fed token.  Positions attend

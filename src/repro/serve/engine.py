@@ -137,9 +137,6 @@ class PromptServeEngine:
         # Served at the precision its owner converted it to (before any
         # engine held it); the resident-weight accounting feeds stats().
         self._quantization = quantization_stats(model)
-        # The base model is frozen shared state: pin it to eval mode once so
-        # decoding never has to flip module flags other threads could see.
-        model.eval()
         self.model = model
         self.tokenizer = tokenizer
         self.max_sessions = max_sessions

@@ -11,7 +11,7 @@ from .base import (
     make_target_vector,
 )
 from .dept import DEPTTuner
-from .prefix import PrefixTuner, kv_prefix_tensors, prefix_loss_for_batch
+from .prefix import PrefixTuner, prefix_loss_and_grad
 from .ptuning_v2 import PTuningV2Tuner
 from .trainer import train_prompt_parameters
 from .vanilla import (
@@ -26,6 +26,6 @@ __all__ = [
     "build_training_batch",
     "VanillaPromptTuner", "PrefixTuner", "DEPTTuner", "PTuningV2Tuner",
     "initial_prompt_matrix", "prompt_loss_and_grad",
-    "prefix_loss_for_batch", "kv_prefix_tensors",
+    "prefix_loss_and_grad",
     "train_prompt_parameters", "generate_with_artifact",
 ]

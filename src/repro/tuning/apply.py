@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import copy
 
-from ..ag import Tensor
+from ..ag import Parameter
 from ..llm.generation import GenerationConfig, generate
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
 from .base import PromptArtifact
-from .prefix import kv_prefix_tensors
 
 __all__ = ["generate_with_artifact"]
 
@@ -35,8 +34,7 @@ def generate_with_artifact(
     if artifact is not None:
         if artifact.soft_prompt is not None:
             soft_prompt = artifact.soft_prompt.matrix
-        if artifact.prefix_kv is not None:
-            prefix_kv = kv_prefix_tensors(artifact.prefix_kv)
+        prefix_kv = artifact.prefix_kv
         delta = artifact.embedding_delta
         if delta is not None:
             table = model.token_embedding.weight.data
@@ -44,7 +42,7 @@ def generate_with_artifact(
                 raise ValueError(f"embedding delta {delta.shape} does not "
                                  f"match table {table.shape}")
             embedding = copy.copy(model.token_embedding)
-            embedding.weight = Tensor(table + delta)
+            embedding.weight = Parameter(table + delta)
             model = copy.copy(model)
             model.token_embedding = embedding
     out_ids = generate(model, ids, config, soft_prompt=soft_prompt,

@@ -3,16 +3,25 @@
 Trains per-layer key/value prefixes that every token may attend to.  The
 keys/values are reparameterised through a small MLP during training (as in
 the original paper) and flattened to raw KV matrices in the artifact.
+
+Each step runs graph-free: :func:`prefix_loss_and_grad` takes the loss and
+every layer's prefix gradient from :func:`repro.llm.vjp.sequence_vjp`, and
+the step pulls them back through the MLP by hand — bit-identical to
+differentiating the autograd graph (``tests/oracles/training.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..ag import Parameter, Tensor, gelu, sequence_cross_entropy
+from ..ag import Parameter
+from ..ag.functional import gelu_grad
 from ..data.lamp import Sample
+from ..llm import infer
+from ..llm.attention import KVPrefix
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
+from ..llm.vjp import sequence_vjp
 from .base import (
     IGNORE_INDEX,
     PromptArtifact,
@@ -22,32 +31,26 @@ from .base import (
 from .trainer import train_prompt_parameters
 from ..utils import rng_from_seed
 
-__all__ = ["PrefixTuner", "prefix_loss_for_batch", "kv_prefix_tensors"]
+__all__ = ["PrefixTuner", "prefix_loss_and_grad", "HIDDEN_DIM"]
+
+HIDDEN_DIM = 32   # width of the reparameterisation MLP
 
 
-def kv_prefix_tensors(raw: list[tuple[np.ndarray, np.ndarray]]):
-    """Convert stored numpy KV prefixes to the tensors the model expects."""
-    return [(Tensor(k), Tensor(v)) for k, v in raw]
-
-
-def prefix_loss_for_batch(model: TinyCausalLM,
-                          prefix_kv: list[tuple[Tensor, Tensor]],
-                          samples: list[Sample], tokenizer: Tokenizer,
-                          ) -> Tensor:
-    """Mean per-sample LM loss of a minibatch under per-layer KV prefixes.
+def prefix_loss_and_grad(model: TinyCausalLM, prefix_kv: list[KVPrefix],
+                         samples: list[Sample], tokenizer: Tokenizer,
+                         ) -> tuple[np.float32, list[KVPrefix]]:
+    """Mean per-sample LM loss of a minibatch under per-layer KV prefixes,
+    and its gradient with respect to every layer's ``(keys, values)``.
 
     One padded forward with the (batch-1) prefixes broadcast across the
     minibatch.
     """
     batch = build_training_batch(samples, tokenizer, prompt_len=0)
-    size = batch.batch_size
-    tiled = [(k.broadcast_to((size,) + k.shape[1:]),
-              v.broadcast_to((size,) + v.shape[1:]))
-             for k, v in prefix_kv]
-    logits = model(batch.input_ids, prefix_kv=tiled,
-                   key_padding_mask=batch.key_padding_mask)
-    return sequence_cross_entropy(logits, batch.targets,
-                                  ignore_index=IGNORE_INDEX)
+    loss, _, prefix_grads = sequence_vjp(
+        model, infer.embed(model.token_embedding, batch.input_ids),
+        batch.key_padding_mask, batch.targets, IGNORE_INDEX,
+        prefix_kv=prefix_kv)
+    return loss, prefix_grads
 
 
 class PrefixTuner:
@@ -56,12 +59,10 @@ class PrefixTuner:
     method_name = "prefix-tuning"
 
     def __init__(self, model: TinyCausalLM, tokenizer: Tokenizer,
-                 config: TuningConfig = TuningConfig(),
-                 *, hidden_dim: int = 32):
+                 config: TuningConfig = TuningConfig()):
         self.model = model
         self.tokenizer = tokenizer
         self.config = config
-        self.hidden_dim = hidden_dim
 
     def fit(self, samples: list[Sample]) -> PromptArtifact:
         cfg = self.model.config
@@ -72,30 +73,39 @@ class PrefixTuner:
 
         # Reparameterisation: prefix embedding -> MLP -> all layers' KV.
         out_dim = n_layers * 2 * n_heads * d_head
-        embed = Parameter(rng.normal(0.0, 0.5, (p, self.hidden_dim)))
-        w1 = Parameter(rng.normal(0.0, 0.2, (self.hidden_dim, self.hidden_dim)))
-        w2 = Parameter(rng.normal(0.0, 0.2, (self.hidden_dim, out_dim)))
+        split = (p, n_layers, 2, n_heads, d_head)
+        embed = Parameter(rng.normal(0.0, 0.5, (p, HIDDEN_DIM)))
+        w1 = Parameter(rng.normal(0.0, 0.2, (HIDDEN_DIM, HIDDEN_DIM)))
+        w2 = Parameter(rng.normal(0.0, 0.2, (HIDDEN_DIM, out_dim)))
         params = [embed, w1, w2]
 
-        def materialise() -> list[tuple[Tensor, Tensor]]:
-            hidden = gelu(embed @ w1)
-            flat = hidden @ w2  # (p, out_dim)
-            per_layer = flat.reshape(p, n_layers, 2, n_heads, d_head)
-            prefixes = []
-            for layer in range(n_layers):
-                block = per_layer[:, layer]  # (p, 2, heads, d_head)
-                keys = block[:, 0].transpose(1, 0, 2).reshape(1, n_heads, p, d_head)
-                values = block[:, 1].transpose(1, 0, 2).reshape(1, n_heads, p, d_head)
-                prefixes.append((keys, values))
-            return prefixes
+        def materialise(tape: list | None = None) -> list[KVPrefix]:
+            hidden = infer.gelu(np.matmul(embed.data, w1.data), tape)
+            per_layer = np.matmul(hidden, w2.data).reshape(split)
+            return [tuple(per_layer[:, layer, which].transpose(1, 0, 2)
+                          .reshape(1, n_heads, p, d_head) for which in (0, 1))
+                    for layer in range(n_layers)]
 
         def step(batch: list[Sample]) -> float:
-            loss = prefix_loss_for_batch(self.model, materialise(), batch,
-                                         self.tokenizer)
-            loss.backward()
-            return float(loss.data)
+            tape: list = []
+            loss, prefix_grads = prefix_loss_and_grad(
+                self.model, materialise(tape), batch, self.tokenizer)
+            pre, tanh, hidden = tape.pop()
+            # Each layer's prefix rows land back in the MLP's output as
+            # the graph's slicing backward puts them: into zeros.
+            flat_grad = np.zeros(split, dtype=np.float32)
+            for layer, pair in enumerate(prefix_grads):
+                for which, grad in enumerate(pair):
+                    flat_grad[:, layer, which] += grad.reshape(
+                        n_heads, p, d_head).transpose(1, 0, 2)
+            flat_grad = flat_grad.reshape(p, out_dim)
+            pre_grad = gelu_grad(pre, tanh, np.matmul(
+                flat_grad, w2.data.swapaxes(-1, -2)))
+            w2.grad = np.matmul(hidden.swapaxes(-1, -2), flat_grad)
+            embed.grad = np.matmul(pre_grad, w1.data.swapaxes(-1, -2))
+            w1.grad = np.matmul(embed.data.swapaxes(-1, -2), pre_grad)
+            return float(loss)
 
         train_prompt_parameters(params, step, samples, self.config)
-        final = materialise()
-        raw = [(k.data.copy(), v.data.copy()) for k, v in final]
+        raw = [(k.copy(), v.copy()) for k, v in materialise()]
         return PromptArtifact(prefix_kv=raw, method=self.method_name)

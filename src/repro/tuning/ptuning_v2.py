@@ -3,18 +3,24 @@
 Deep prompts: a trainable prompt matrix per layer, projected through that
 layer's frozen key/value projections at forward time (no reparameterisation
 network — the defining difference from prefix tuning).
+
+Each step runs graph-free: the prefix gradients of
+:func:`~repro.tuning.prefix.prefix_loss_and_grad` are pulled back through
+the frozen projections (:func:`repro.llm.vjp.affine_grad`), bit-identical
+to differentiating the autograd graph (``tests/oracles/training.py``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..ag import Parameter, Tensor
+from ..ag import Parameter
 from ..data.lamp import Sample
+from ..llm import infer
+from ..llm.attention import KVPrefix
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
+from ..llm.vjp import affine_grad
 from .base import PromptArtifact, TuningConfig
-from .prefix import prefix_loss_for_batch
+from .prefix import prefix_loss_and_grad
 from .trainer import train_prompt_parameters
 from ..utils import rng_from_seed
 
@@ -32,38 +38,38 @@ class PTuningV2Tuner:
         self.tokenizer = tokenizer
         self.config = config
 
-    def _project(self, prompts: list[Parameter]) -> list[tuple[Tensor, Tensor]]:
+    def _project(self, prompts: list[Parameter]) -> list[KVPrefix]:
         """Run each layer's prompt through its frozen K/V projections."""
         cfg = self.model.config
         n_heads = cfg.n_heads
         d_head = cfg.d_model // n_heads
         p = self.config.n_virtual_tokens
-        prefixes = []
-        for prompt, block in zip(prompts, self.model.blocks):
-            batched = prompt.reshape(1, p, cfg.d_model)
-            keys = block.attn.k_proj(batched)
-            values = block.attn.v_proj(batched)
-            keys = keys.reshape(1, p, n_heads, d_head).transpose(0, 2, 1, 3)
-            values = values.reshape(1, p, n_heads, d_head).transpose(0, 2, 1, 3)
-            prefixes.append((keys, values))
-        return prefixes
+        return [tuple(infer.affine(proj, prompt.data.reshape(1, p, cfg.d_model))
+                      .reshape(1, p, n_heads, d_head).transpose(0, 2, 1, 3)
+                      for proj in (block.attn.k_proj, block.attn.v_proj))
+                for prompt, block in zip(prompts, self.model.blocks)]
 
     def fit(self, samples: list[Sample]) -> PromptArtifact:
         cfg = self.model.config
+        p = self.config.n_virtual_tokens
         rng = rng_from_seed(self.config.seed)
-        prompts = [
-            Parameter(rng.normal(0.0, 0.02,
-                                 (self.config.n_virtual_tokens, cfg.d_model)))
-            for _ in range(cfg.n_layers)
-        ]
+        prompts = [Parameter(rng.normal(0.0, 0.02, (p, cfg.d_model)))
+                   for _ in range(cfg.n_layers)]
 
         def step(batch: list[Sample]) -> float:
-            loss = prefix_loss_for_batch(self.model, self._project(prompts),
-                                         batch, self.tokenizer)
-            loss.backward()
-            return float(loss.data)
+            loss, prefix_grads = prefix_loss_and_grad(
+                self.model, self._project(prompts), batch, self.tokenizer)
+            for prompt, block, pair in zip(prompts, self.model.blocks,
+                                           prefix_grads):
+                key_term, value_term = (
+                    affine_grad(proj, grad.transpose(0, 2, 1, 3)
+                                .reshape(1, p, cfg.d_model))
+                    for proj, grad in zip(
+                        (block.attn.k_proj, block.attn.v_proj), pair))
+                key_term += value_term
+                prompt.grad = key_term.reshape(p, cfg.d_model)
+            return float(loss)
 
         train_prompt_parameters(prompts, step, samples, self.config)
-        final = self._project(prompts)
-        raw = [(k.data.copy(), v.data.copy()) for k, v in final]
+        raw = [(k.copy(), v.copy()) for k, v in self._project(prompts)]
         return PromptArtifact(prefix_kv=raw, method=self.method_name)

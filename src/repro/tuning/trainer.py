@@ -4,9 +4,9 @@ All four methods share this loop: Adam + linear warmup/decay over the
 trainable prompt parameters only.  The base model is built frozen, so a
 tune changes nothing on it and concurrent tunes need no coordination.
 Each method supplies the step: given a minibatch it returns the loss and
-leaves the gradients on its parameters — vanilla prompt tuning (and the
-noise-aware trainer wrapping it) graph-free, prefix tuning, P-tuning v2
-and DEPT by calling ``.backward()`` on their autograd loss.
+leaves the gradients on its parameters, written by hand from the
+graph-free backward of :mod:`repro.llm.vjp` — no method builds an
+autograd graph.
 """
 
 from __future__ import annotations

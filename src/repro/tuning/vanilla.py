@@ -15,6 +15,7 @@ import numpy as np
 
 from ..ag import Parameter
 from ..data.lamp import Sample
+from ..llm import infer
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
 from ..llm.vjp import soft_prompt_vjp
@@ -63,9 +64,10 @@ def prompt_loss_and_grad(model: TinyCausalLM, prompt: np.ndarray,
     """
     batch = build_training_batch(samples, tokenizer,
                                  prompt_len=prompt.shape[0])
-    return soft_prompt_vjp(model, prompt, batch.input_ids,
-                           batch.key_padding_mask, batch.targets,
-                           IGNORE_INDEX)
+    loss, grad, _ = soft_prompt_vjp(
+        model, prompt, infer.embed(model.token_embedding, batch.input_ids),
+        batch.key_padding_mask, batch.targets, IGNORE_INDEX)
+    return loss, grad
 
 
 class VanillaPromptTuner:

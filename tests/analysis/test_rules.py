@@ -384,33 +384,29 @@ class TestInf001:
         report = run_tree(tmp_path, {"llm/generation.py": """\
             from ..ag import Tensor, no_grad
             def decode(model, ids, cache, use_cache=True):
-                model.eval()
                 with no_grad():
                     out = model(ids, past_kv=cache)
-                model.train()
                 return Tensor(out)
         """}, ["INF-001"])
-        assert rules_of(report) == ["INF-001"] * 6
-        # import, parameter, no_grad(), past_kv=, .train(), Tensor(...)
-        assert [f.line for f in report.findings] == [1, 2, 4, 5, 6, 7]
+        assert rules_of(report) == ["INF-001"] * 5
+        # import, parameter, no_grad(), past_kv=, Tensor(...)
+        assert [f.line for f in report.findings] == [1, 2, 3, 4, 5]
 
-    def test_true_negative_reads_pins_and_training_code(self, tmp_path):
+    def test_true_negative_arrays_and_training_code(self, tmp_path):
         report = run_tree(tmp_path, {
-            # reading a trained prefix and pinning eval() once are fine
+            # ndarray prefixes and prompts are read as they are
             "serve/engine.py": """\
-                from ..ag import Tensor
+                import numpy as np
                 def rows(model, prompt):
-                    model.eval()
-                    return prompt.data if isinstance(prompt, Tensor) else prompt
+                    return np.asarray(prompt, dtype=np.float32)
             """,
             # distill_draft trains: exempt inside an inference module
             "llm/speculative.py": """\
                 from ..ag import Tensor
                 def distill_draft(draft, stream):
-                    draft.train()
                     return draft(Tensor(stream))
             """,
-            # the training graph is out of scope altogether
+            # modules off the inference path are out of scope
             "llm/transformer.py": """\
                 from ..ag import Tensor, no_grad
                 def forward(x):
@@ -455,20 +451,48 @@ class TestTune001:
             ("repro/tuning/vanilla.py", 3),
             ("repro/tuning/vanilla.py", 3)]
 
-    def test_true_negative_baselines_and_array_code(self, tmp_path):
+    def test_true_positive_baselines_pretraining_and_quality(self, tmp_path):
+        """Every module under tuning/, pretraining (which distillation
+        runs) and the perplexity harness are training paths too."""
         report = run_tree(tmp_path, {
-            # the graph baselines are off the serving path
             "tuning/prefix.py": """\
-                from ..ag import Tensor
                 def step(loss):
                     loss.backward()
-                    return Tensor(0.0)
             """,
+            "tuning/some_new_method.py": """\
+                from ..ag import Tensor
+                def step(prompt):
+                    return Tensor(prompt)
+            """,
+            "llm/pretrain.py": """\
+                def step(model, ids, targets):
+                    loss = model.loss(ids, targets)
+                    loss.backward()
+            """,
+            "eval/quantized.py": """\
+                def perplexity(model, ids):
+                    model.forward(ids).backward()
+            """,
+        }, ["TUNE-001"])
+        assert sorted((f.file, f.line) for f in report.findings) == [
+            ("repro/eval/quantized.py", 2),
+            ("repro/llm/pretrain.py", 3),
+            ("repro/tuning/prefix.py", 2),
+            ("repro/tuning/some_new_method.py", 3)]
+
+    def test_true_negative_array_code_and_other_modules(self, tmp_path):
+        report = run_tree(tmp_path, {
             # reading a Tensor and writing .grad by hand are fine
             "core/noise_training.py": """\
                 def step(prompt, grad):
                     prompt.grad = grad
                     return prompt.data
+            """,
+            # the rule covers training, not every module of llm/
+            "llm/registry.py": """\
+                from ..ag import Tensor
+                def wrap(x):
+                    return Tensor(x).backward()
             """,
         }, ["TUNE-001"])
         assert report.findings == []

@@ -3,10 +3,29 @@
 import numpy as np
 import pytest
 
+from repro.ag import no_grad
 from repro.core import FrameworkConfig
 from repro.eval.quantized import perplexity, quantization_quality
 from repro.eval.runner import TABLE1_METHODS, ExperimentContext
-from repro.llm import quantization_stats
+from repro.llm import build_model, quantization_stats, quantize_model
+from tests.oracles.graph import forward
+
+
+def graph_perplexity(model, token_stream, window, max_windows):
+    """``perplexity`` as it was, over the autograd forward."""
+    ids = np.asarray(token_stream, dtype=np.int64).reshape(-1)
+    n_windows = min(max_windows, (ids.size - 1) // window)
+    total_nll = 0.0
+    with no_grad():
+        for index in range(n_windows):
+            chunk = ids[index * window:index * window + window + 1]
+            logits = forward(model, chunk[:-1][None]).data[0]
+            logits = logits.astype(np.float64)
+            logits -= logits.max(axis=-1, keepdims=True)
+            log_probs = logits - np.log(
+                np.exp(logits).sum(axis=-1, keepdims=True))
+            total_nll -= log_probs[np.arange(window), chunk[1:]].sum()
+    return float(np.exp(total_nll / (n_windows * window)))
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +49,16 @@ class TestPerplexity:
         untrained = perplexity(random_model, ctx.corpus,
                                window=32, max_windows=4)
         assert trained < untrained
+
+    @pytest.mark.parametrize("mode", [None, "int8"], ids=["float", "int8"])
+    def test_equals_the_graph_forward(self, ctx, mode):
+        """Graph-free (``infer.extend`` + ``infer.logits``), bit for bit."""
+        model = build_model("phi-2-sim", ctx.tokenizer.vocab_size)
+        model.load_state_dict(ctx.model("phi-2-sim").state_dict())
+        if mode is not None:
+            quantize_model(model, mode)
+        assert perplexity(model, ctx.corpus, window=32, max_windows=4) == \
+            graph_perplexity(model, ctx.corpus, 32, 4)
 
     def test_short_stream_rejected(self, ctx):
         with pytest.raises(ValueError):

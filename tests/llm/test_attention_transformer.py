@@ -1,11 +1,19 @@
-"""Tests for attention (incl. KV prefixes) and the transformer LM."""
+"""Tests for attention (incl. KV prefixes) and the transformer LM.
+
+The attention semantics (causality, prefixes, padding) are pinned on the
+autograd reference (``tests/oracles/graph.py``), which the graph-free
+forward equals bitwise (``tests/llm/test_infer.py``).
+"""
 
 import numpy as np
 import pytest
 
 from repro.ag import Tensor
+from repro.llm import infer
 from repro.llm.attention import MultiHeadSelfAttention
 from repro.llm.transformer import LMConfig, TinyCausalLM
+from tests.oracles.graph import attention, embed, forward
+
 
 RNG = np.random.default_rng(3)
 
@@ -20,7 +28,7 @@ def tiny_config(**overrides):
 class TestAttention:
     def test_output_shape(self):
         attn = MultiHeadSelfAttention(16, 4)
-        out = attn(Tensor(RNG.normal(size=(2, 5, 16))))
+        out = attention(attn, Tensor(RNG.normal(size=(2, 5, 16))))
         assert out.shape == (2, 5, 16)
 
     def test_rejects_bad_head_split(self):
@@ -31,20 +39,20 @@ class TestAttention:
         """Changing a future token must not affect earlier outputs."""
         attn = MultiHeadSelfAttention(8, 2, rng=np.random.default_rng(1))
         x = RNG.normal(size=(1, 6, 8)).astype(np.float32)
-        base = attn(Tensor(x)).data.copy()
+        base = attention(attn, Tensor(x)).data.copy()
         x2 = x.copy()
         x2[0, 5] += 10.0
-        changed = attn(Tensor(x2)).data
+        changed = attention(attn, Tensor(x2)).data
         np.testing.assert_allclose(changed[0, :5], base[0, :5], atol=1e-5)
         assert not np.allclose(changed[0, 5], base[0, 5])
 
     def test_prefix_attended_by_all_positions(self):
         attn = MultiHeadSelfAttention(8, 2, rng=np.random.default_rng(2))
         x = Tensor(RNG.normal(size=(1, 4, 8)))
-        base = attn(x).data.copy()
+        base = attention(attn, x).data.copy()
         pk = Tensor(RNG.normal(size=(1, 2, 3, 4)))
         pv = Tensor(RNG.normal(size=(1, 2, 3, 4)) * 5.0)
-        out = attn(x, prefix_kv=(pk, pv)).data
+        out = attention(attn, x, prefix_kv=(pk, pv)).data
         # Every position (including position 0) shifts due to the prefix.
         for t in range(4):
             assert not np.allclose(out[0, t], base[0, t])
@@ -54,7 +62,7 @@ class TestAttention:
         x = Tensor(RNG.normal(size=(1, 4, 8)))
         bad_k = Tensor(RNG.normal(size=(1, 3, 3, 4)))  # wrong head count
         with pytest.raises(ValueError):
-            attn(x, prefix_kv=(bad_k, bad_k))
+            attention(attn, x, prefix_kv=(bad_k, bad_k))
 
     def test_prefix_kv_shape_mismatch(self):
         attn = MultiHeadSelfAttention(8, 2)
@@ -62,7 +70,7 @@ class TestAttention:
         pk = Tensor(RNG.normal(size=(1, 2, 3, 4)))
         pv = Tensor(RNG.normal(size=(1, 2, 2, 4)))
         with pytest.raises(ValueError):
-            attn(x, prefix_kv=(pk, pv))
+            attention(attn, x, prefix_kv=(pk, pv))
 
     def test_causal_mask_structure(self):
         mask = MultiHeadSelfAttention._causal_mask(3, 2)
@@ -76,9 +84,9 @@ class TestAttention:
         shorter unpadded forward would."""
         attn = MultiHeadSelfAttention(8, 2, rng=np.random.default_rng(4))
         x = RNG.normal(size=(1, 5, 8)).astype(np.float32)
-        short = attn(Tensor(x[:, :3])).data
+        short = attention(attn, Tensor(x[:, :3])).data
         mask = np.array([[False, False, False, True, True]])
-        padded = attn(Tensor(x), key_padding_mask=mask).data
+        padded = attention(attn, Tensor(x), key_padding_mask=mask).data
         np.testing.assert_allclose(padded[0, :3], short[0], atol=1e-6)
 
     def test_key_padding_mask_composes_with_prefix(self):
@@ -86,9 +94,9 @@ class TestAttention:
         prefix = (Tensor(RNG.normal(size=(1, 2, 3, 4))),
                   Tensor(RNG.normal(size=(1, 2, 3, 4))))
         x = RNG.normal(size=(1, 6, 8)).astype(np.float32)
-        short = attn(Tensor(x[:, :4]), prefix_kv=prefix).data
+        short = attention(attn, Tensor(x[:, :4]), prefix_kv=prefix).data
         mask = np.array([[False] * 4 + [True] * 2])
-        padded = attn(Tensor(x), prefix_kv=prefix,
+        padded = attention(attn, Tensor(x), prefix_kv=prefix,
                       key_padding_mask=mask).data
         np.testing.assert_allclose(padded[0, :4], short[0], atol=1e-6)
 
@@ -96,9 +104,9 @@ class TestAttention:
         attn = MultiHeadSelfAttention(8, 2)
         x = Tensor(RNG.normal(size=(2, 4, 8)))
         with pytest.raises(ValueError):
-            attn(x, key_padding_mask=np.zeros((2, 3), dtype=bool))
+            attention(attn, x, key_padding_mask=np.zeros((2, 3), dtype=bool))
         with pytest.raises(ValueError):
-            attn(x, key_padding_mask=np.zeros((1, 4), dtype=bool))
+            attention(attn, x, key_padding_mask=np.zeros((1, 4), dtype=bool))
 
 
 class TestLMConfig:
@@ -114,49 +122,51 @@ class TestLMConfig:
 class TestTinyCausalLM:
     def test_logits_shape(self):
         model = TinyCausalLM(tiny_config(), seed=0)
-        logits = model(np.array([[1, 2, 3]]))
+        logits = forward(model, np.array([[1, 2, 3]]))
         assert logits.shape == (1, 3, 23)
 
     def test_1d_input_promoted(self):
         model = TinyCausalLM(tiny_config(), seed=0)
-        assert model(np.array([1, 2])).shape == (1, 2, 23)
+        assert forward(model, np.array([1, 2])).shape == (1, 2, 23)
 
     def test_exactly_one_input_required(self):
         model = TinyCausalLM(tiny_config(), seed=0)
         with pytest.raises(ValueError):
-            model()
+            forward(model)
         with pytest.raises(ValueError):
-            model(np.array([[1]]), embeddings=Tensor(np.zeros((1, 1, 16))))
+            forward(model, np.array([[1]]),
+                    embeddings=Tensor(np.zeros((1, 1, 16))))
 
     def test_embeddings_path_matches_token_path(self):
         model = TinyCausalLM(tiny_config(), seed=0)
         ids = np.array([[4, 9, 2]])
-        via_tokens = model(ids).data
-        via_embeddings = model(embeddings=model.embed(ids)).data
+        via_tokens = forward(model, ids).data
+        via_embeddings = forward(model, embeddings=embed(model, ids)).data
         np.testing.assert_allclose(via_tokens, via_embeddings, atol=1e-5)
 
     def test_sequence_length_limit(self):
         model = TinyCausalLM(tiny_config(max_seq_len=4), seed=0)
-        with pytest.raises(ValueError):
-            model(np.ones((1, 5), dtype=np.int64))
+        with pytest.raises(ValueError, match="max_seq_len"):
+            infer.extend(model, np.zeros((1, 5, 16), dtype=np.float32))
 
     def test_prefix_kv_count_checked(self):
         model = TinyCausalLM(tiny_config(), seed=0)
-        prefix = [(Tensor(np.zeros((1, 2, 2, 8))), Tensor(np.zeros((1, 2, 2, 8))))]
-        with pytest.raises(ValueError):
-            model(np.array([[1]]), prefix_kv=prefix)  # 1 prefix, 2 layers
+        prefix = [(np.zeros((1, 2, 2, 8), dtype=np.float32),) * 2]
+        with pytest.raises(ValueError, match="prefix_kv"):
+            infer.extend(model, np.zeros((1, 1, 16), dtype=np.float32),
+                         prefix_kv=prefix)  # 1 prefix, 2 layers
 
     def test_deterministic_for_seed(self):
         a = TinyCausalLM(tiny_config(), seed=7)
         b = TinyCausalLM(tiny_config(), seed=7)
         ids = np.array([[3, 1, 4]])
-        np.testing.assert_allclose(a(ids).data, b(ids).data)
+        np.testing.assert_allclose(forward(a, ids).data, forward(b, ids).data)
 
     def test_different_seeds_differ(self):
         a = TinyCausalLM(tiny_config(), seed=1)
         b = TinyCausalLM(tiny_config(), seed=2)
         ids = np.array([[3, 1, 4]])
-        assert not np.allclose(a(ids).data, b(ids).data)
+        assert not np.allclose(forward(a, ids).data, forward(b, ids).data)
 
     def test_embed_text_vector(self):
         model = TinyCausalLM(tiny_config(), seed=0)

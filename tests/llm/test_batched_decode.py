@@ -11,7 +11,6 @@ admitted or retired while other sequences are mid-flight.
 import numpy as np
 import pytest
 
-from repro.ag import Tensor
 from repro.llm import (
     DecodeScheduler,
     GenerationConfig,
@@ -35,8 +34,8 @@ def make_prefix(model, length=3, seed=4):
     rng = np.random.default_rng(seed)
     heads = model.config.n_heads
     d_head = model.config.d_model // heads
-    return [(Tensor(rng.normal(size=(1, heads, length, d_head))),
-             Tensor(rng.normal(size=(1, heads, length, d_head))))
+    return [tuple(rng.normal(size=(1, heads, length, d_head))
+                  .astype(np.float32) for _ in range(2))
             for _ in range(model.config.n_layers)]
 
 
@@ -319,13 +318,3 @@ class TestSchedulerTelemetry:
         assert (report.tokens_emitted, report.n_active,
                 report.n_retired) == (0, 0, 0)
         assert scheduler.rounds == 0
-
-    def test_model_mode_restored_after_round(self):
-        model = tiny_model()
-        model.train()
-        states = ragged_states(model, [4])
-        scheduler = DecodeScheduler(model)
-        scheduler.admit(states[0], GenerationConfig(max_new_tokens=3,
-                                                    temperature=0.0))
-        scheduler.run()
-        assert model.training

@@ -77,12 +77,6 @@ class TestGeneration:
         with pytest.raises(ValueError):
             GenerationConfig(temperature=-1.0)
 
-    def test_training_mode_restored(self):
-        model = tiny_model()
-        model.train()
-        generate(model, np.array([1]), GenerationConfig(max_new_tokens=1))
-        assert model.training
-
     def test_sampling_large_vocab_stays_normalized(self):
         """Probabilities are normalized in float64: float32 sums can miss
         rng.choice's sum-to-1 tolerance on large vocabularies."""
@@ -113,13 +107,6 @@ class TestPretrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PretrainConfig(steps=0)
-
-    def test_model_left_in_eval_mode(self):
-        model = tiny_model()
-        pretrain_lm(model, np.arange(200) % 19,
-                    PretrainConfig(steps=2, batch_size=2, seq_len=8))
-        assert not model.training
-
 
 class TestQuantization:
     def test_values_on_grid(self):

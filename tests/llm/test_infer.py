@@ -5,7 +5,7 @@ Each kernel must equal its ``repro.ag`` counterpart under
 byte-identity matrices (batched == sequential, speculative == greedy) are
 built on it; and the two forwards built on the kernels must equal the
 autograd forward (over a cache: ``tests/oracles/generation.py``) while
-building no graph and ignoring train/eval mode.
+building no graph.
 """
 
 import numpy as np
@@ -23,23 +23,23 @@ from repro.llm import (
     SpeculativeDecoder,
     TinyCausalLM,
     build_model,
-    decode_from,
     generate,
     infer,
     prefill,
 )
 from repro.llm.transformer import LMConfig
 from repro.serve import PromptServeEngine, QueryRequest, TuneRequest
+from tests.oracles import graph
 from tests.oracles.generation import forward_cached
 
 VOCAB = 23
 LAYOUTS = {"rows": (5, 1, 16), "sequence": (1, 7, 16)}
 
 
-def tiny_model(seed=0, dropout=0.0):
+def tiny_model(seed=0):
     return TinyCausalLM(LMConfig(vocab_size=VOCAB, d_model=16, n_heads=2,
-                                 n_layers=2, d_ff=24, max_seq_len=64,
-                                 dropout=dropout), seed=seed).eval()
+                                 n_layers=2, d_ff=24, max_seq_len=64),
+                        seed=seed)
 
 
 def tiny_engine():
@@ -66,8 +66,8 @@ def make_prefix(model, length=3, seed=4):
     rng = np.random.default_rng(seed)
     heads = model.config.n_heads
     d_head = model.config.d_model // heads
-    return [(Tensor(rng.normal(size=(1, heads, length, d_head))),
-             Tensor(rng.normal(size=(1, heads, length, d_head))))
+    return [tuple(rng.normal(size=(1, heads, length, d_head))
+                  .astype(np.float32) for _ in range(2))
             for _ in range(model.config.n_layers)]
 
 
@@ -81,7 +81,7 @@ class TestKernelsEqualAutogradOps:
         layer.bias.data[:] = rng.normal(0.0, 0.3, 16)
         x = activations(layout) * 3.0 + 1.0
         assert np.array_equal(infer.layer_norm(x, layer),
-                              layer(Tensor(x)).data)
+                              graph.layer_norm(layer, Tensor(x)).data)
 
     @pytest.mark.parametrize("bits", [None, 8, 4])
     @pytest.mark.parametrize("bias", [True, False])
@@ -101,7 +101,7 @@ class TestKernelsEqualAutogradOps:
 
     def test_softmax_overwrites_with_ag_softmax(self, layout):
         scores = activations(layout, seed=6) * 5.0
-        expected = ag.softmax(Tensor(scores), axis=-1).data
+        expected = graph.softmax(Tensor(scores), axis=-1).data
         out = infer.softmax_(scores)
         assert out is scores
         assert np.array_equal(out, expected)
@@ -112,8 +112,10 @@ class TestKernelsEqualAutogradOps:
         x = activations(layout, seed=8)
         with no_grad():
             t = Tensor(x)
-            expected = t + block.ff2(ag.gelu(block.ff1(block.ln2(t))))
-            expected_logits = model.lm_head(model.ln_final(t))
+            expected = t + block.ff2(ag.gelu(block.ff1(
+                graph.layer_norm(block.ln2, t))))
+            expected_logits = model.lm_head(graph.layer_norm(model.ln_final,
+                                                             t))
         assert np.array_equal(infer.mlp(block, x), expected.data)
         assert np.array_equal(infer.logits(model, x), expected_logits.data)
 
@@ -122,7 +124,8 @@ class TestEmbed:
     def test_equals_embedding_forward(self):
         table = ag.Embedding(VOCAB, 16, rng=np.random.default_rng(0))
         ids = np.array([[0, 5], [VOCAB - 1, 2]])
-        assert np.array_equal(infer.embed(table, ids), table(ids).data)
+        assert np.array_equal(infer.embed(table, ids),
+                              graph.embedding(table, ids).data)
 
     @pytest.mark.parametrize("bad", [-1, VOCAB])
     def test_out_of_range_ids_raise_instead_of_wrapping(self, bad):
@@ -159,10 +162,10 @@ class TestStackedPrefill:
         states = prefill(model, ids, soft_prompt=soft, prefix_kv=prefix)
         assert isinstance(states, list) and len(states) == len(ids)
         for g, state in enumerate(states):
-            embeddings = model.token_embedding(ids[g][None])
+            embeddings = graph.embed(model, ids[g][None])
             if soft is not None:
-                embeddings = ag.cat([Tensor(soft[g][None]), embeddings],
-                                    axis=1)
+                embeddings = graph.cat([Tensor(soft[g][None]), embeddings],
+                                       axis=1)
             with no_grad():
                 logits, cache = forward_cached(model, embeddings=embeddings,
                                                prefix_kv=prefix)
@@ -368,7 +371,7 @@ class TestSpanForward:
         assert cache.layer(0)[0] is keys
         assert (cache.prefix_len, cache.seq_len) == (3, 4)
         assert keys.shape[2] == 3 + 4
-        assert np.array_equal(keys[:, :, :3], prefix[0][0].data)
+        assert np.array_equal(keys[:, :, :3], prefix[0][0])
 
     def test_a_span_that_overruns_its_buffer_is_refused(self):
         model = tiny_model()
@@ -396,19 +399,17 @@ class TestExtendForward:
                 logits, cache = forward_cached(model, ids[None, :],
                                                prefix_kv=prefix)
             else:
-                full = ag.cat([Tensor(soft[None]), model.embed(ids[None, :])],
-                              axis=1)
+                full = graph.cat([Tensor(soft[None]),
+                                  graph.embed(model, ids[None, :])], axis=1)
                 logits, cache = forward_cached(model, embeddings=full,
                                                prefix_kv=prefix)
-        for soft_prompt in (soft, None if soft is None else Tensor(soft)):
-            state = prefill(model, ids, soft_prompt=soft_prompt,
-                            prefix_kv=prefix)
-            assert np.array_equal(state.last_logits, logits.data[0, -1])
-            assert state.seq_len == cache.seq_len
-            for layer in range(model.config.n_layers):
-                for which in (0, 1):
-                    assert np.array_equal(state.cache.layer(layer)[which],
-                                          cache.layer(layer)[which])
+        state = prefill(model, ids, soft_prompt=soft, prefix_kv=prefix)
+        assert np.array_equal(state.last_logits, logits.data[0, -1])
+        assert state.seq_len == cache.seq_len
+        for layer in range(model.config.n_layers):
+            for which in (0, 1):
+                assert np.array_equal(state.cache.layer(layer)[which],
+                                      cache.layer(layer)[which])
 
     def test_extend_over_a_past_cache_equals_autograd_forward(self):
         model = tiny_model(seed=3)
@@ -465,32 +466,3 @@ class TestGraphFree:
             assert scheduler.decode_round().tokens_emitted == tokens
         assert engine.query(request).answer
         assert made == {"_make": 0, "__init__": 0}
-
-    def test_train_mode_with_dropout_decodes_the_eval_tokens(
-            self, monkeypatch):
-        """Decoding ignores ``Module.training`` instead of flipping it —
-        a flip would be visible to every thread sharing the model."""
-        model = tiny_model(seed=6, dropout=0.5)
-        ids = np.array([2, 9, 4, 4, 1])
-        config = GenerationConfig(max_new_tokens=12, temperature=0.0)
-
-        def scheduled():
-            scheduler = DecodeScheduler(model)
-            sequence = scheduler.admit(prefill(model, ids), config)
-            scheduler.run()
-            return sequence.token_ids()
-
-        decoders = (scheduled,
-                    lambda: decode_from(model, prefill(model, ids), config),
-                    lambda: generate(model, ids, config))
-        expected = scheduled()
-        model.train()
-
-        def refuse(self):
-            raise AssertionError("decoding toggled Module.training")
-
-        monkeypatch.setattr(ag.Module, "eval", refuse)
-        monkeypatch.setattr(ag.Module, "train", refuse)
-        for decode in decoders:
-            assert np.array_equal(decode(), expected)
-        assert model.training   # and the mode is left as found

@@ -10,7 +10,6 @@ is pinned here: no round allocates (a), capacity is exact at the edges
 import numpy as np
 import pytest
 
-from repro.ag import Tensor
 from repro.llm import (
     DecodeScheduler,
     GenerationConfig,
@@ -40,7 +39,8 @@ def make_prefix(model, length=3, seed=4):
     rng = np.random.default_rng(seed)
     shape = (1, model.config.n_heads, length,
              model.config.d_model // model.config.n_heads)
-    return [(Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=shape)))
+    return [tuple(rng.normal(size=shape).astype(np.float32)
+                  for _ in range(2))
             for _ in range(model.config.n_layers)]
 
 

@@ -30,6 +30,7 @@ from tests.oracles.generation import (
     forward_cached,
     generate_uncached,
 )
+from tests.oracles.graph import attention, forward
 
 RNG = np.random.default_rng(9)
 
@@ -49,8 +50,8 @@ def make_prefix(model, length=3, seed=4):
     rng = np.random.default_rng(seed)
     heads = model.config.n_heads
     d_head = model.config.d_model // heads
-    return [(Tensor(rng.normal(size=(1, heads, length, d_head))),
-             Tensor(rng.normal(size=(1, heads, length, d_head))))
+    return [tuple(rng.normal(size=(1, heads, length, d_head))
+                  .astype(np.float32) for _ in range(2))
             for _ in range(model.config.n_layers)]
 
 
@@ -64,7 +65,7 @@ class TestAttentionPastKV:
     def test_incremental_matches_full_last_position(self):
         attn = MultiHeadSelfAttention(8, 2, rng=np.random.default_rng(1))
         x = Tensor(RNG.normal(size=(1, 6, 8)))
-        full = attn(x).data
+        full = attention(attn, x).data
         first = Tensor(x.data[:, :5])
         _, past = attention_cached(attn, first)
         step_out, new = attention_cached(attn, Tensor(x.data[:, 5:6]),
@@ -87,7 +88,7 @@ class TestAttentionPastKV:
         x = Tensor(RNG.normal(size=(1, 5, 8)))
         prefix = (Tensor(RNG.normal(size=(1, 2, 3, 4))),
                   Tensor(RNG.normal(size=(1, 2, 3, 4))))
-        full = attn(x, prefix_kv=prefix).data
+        full = attention(attn, x, prefix_kv=prefix).data
         _, past = attention_cached(attn, Tensor(x.data[:, :4]),
                                    prefix_kv=prefix)
         step, _ = attention_cached(attn, Tensor(x.data[:, 4:5]),
@@ -252,7 +253,7 @@ class TestModelPastKV:
     def test_incremental_logits_match_full(self):
         model = tiny_model()
         ids = np.array([[3, 7, 1, 4, 9]])
-        full = model(ids).data
+        full = forward(model, ids).data
         _, cache = forward_cached(model, ids[:, :3])
         for t in (3, 4):
             logits, cache = forward_cached(model, ids[:, t:t + 1], past=cache)
@@ -400,11 +401,3 @@ class TestPrefillDecodeAPI:
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
             prefill(tiny_model(), np.array([], dtype=np.int64))
-
-    def test_training_mode_restored(self):
-        model = tiny_model()
-        model.train()
-        state = prefill(model, np.array([1, 2]))
-        assert model.training
-        decode_from(model, state, GenerationConfig(max_new_tokens=2))
-        assert model.training

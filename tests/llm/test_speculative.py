@@ -335,22 +335,6 @@ class TestCounters:
         # One token absorbed at admission per sequence; the rest in rounds.
         assert scheduler.tokens_emitted == (8 * 3) - 3
 
-    def test_draft_model_pinned_to_eval(self):
-        draft = tiny_draft()
-        draft.train()
-        SpeculativeDecoder(draft)
-        assert not draft.training
-
-    def test_base_model_mode_restored(self):
-        model, draft = tiny_base(seed=22), tiny_draft(seed=23)
-        model.train()
-        states, prompts = ragged_states(model, [4])
-        configs = [GenerationConfig(max_new_tokens=5, temperature=0.0)]
-        spec = SpeculativeDecoder(draft, max_draft=3, threshold=0.0)
-        run_speculative(model, states, prompts, configs, spec)
-        assert model.training
-
-
 class TestTruncate:
     """Rolling rejected speculation back.  Nothing is called ``truncate``
     any more: the verify forward writes every fed row into the sequence's

@@ -4,35 +4,23 @@ Two independent references the production decode loop (the scheduler's
 span forward) is token-identical to, both on ``repro.ag`` ops only:
 
 * :func:`generate_uncached` — the pre-KV-cache loop: re-runs the whole
-  sequence through ``model.forward`` for every token.
+  sequence through the autograd forward (``tests/oracles/graph.py``)
+  for every token.
 * :func:`decode_sequential` — the cached autograd step, one token at a
   time (what ``decode_from`` was): :func:`forward_cached` is the
-  training forward extended to attend over a :class:`KVCache`, the
+  autograd forward extended to attend over a :class:`KVCache`, the
   hook ``forward(past_kv=, use_cache=True)`` used to be.
 """
 
-import contextlib
-
 import numpy as np
 
-from repro.ag import Tensor, cat, gelu, no_grad, softmax
+from repro.ag import Tensor, gelu, no_grad
 from repro.llm.generation import _sample, prefill
 from repro.llm.kv_cache import KVCache
 from repro.utils import rng_from_seed
-
-
-@contextlib.contextmanager
-def _eval_no_grad(model):
-    """The autograd forward as inference: eval mode, no graph, mode restored."""
-    was_training = model.training
-    if was_training:
-        model.eval()
-    try:
-        with no_grad():
-            yield
-    finally:
-        if was_training:
-            model.train()
+from tests.oracles.graph import (as_tensors, cat, embed, embedding, forward,
+                                 layer_norm, masked_fill, softmax, split_heads,
+                                 swapaxes)
 
 
 def generate_uncached(model, token_ids, config, *, soft_prompt=None,
@@ -45,7 +33,7 @@ def generate_uncached(model, token_ids, config, *, soft_prompt=None,
         raise ValueError("prompt leaves no room to generate")
     rng = rng_from_seed(config.seed)
     generated: list[int] = []
-    with _eval_no_grad(model):
+    with no_grad():
         ids = token_ids.copy()
         for _ in range(config.max_new_tokens):
             if ids.size >= budget:
@@ -62,31 +50,31 @@ def generate_uncached(model, token_ids, config, *, soft_prompt=None,
 def _full_forward(model, ids, soft_prompt, prefix_kv) -> np.ndarray:
     """Logits of the final position, with optional prompt conditioning."""
     if soft_prompt is None:
-        logits = model(ids[None, :], prefix_kv=prefix_kv)
+        logits = forward(model, ids[None, :], prefix_kv=prefix_kv)
     else:
         full = _embed_with_soft_prompt(model, ids, soft_prompt)
-        logits = model(embeddings=full, prefix_kv=prefix_kv)
+        logits = forward(model, embeddings=full, prefix_kv=prefix_kv)
     return logits.data[0, -1]
 
 
 def _embed_with_soft_prompt(model, ids, soft_prompt) -> Tensor:
     """(1, P+T, d_model) embeddings: soft-prompt rows then token embeddings."""
     prompt = soft_prompt if isinstance(soft_prompt, Tensor) else Tensor(soft_prompt)
-    token_emb = model.embed(ids[None, :])
+    token_emb = embed(model, ids[None, :])
     return cat([prompt.reshape(1, *prompt.shape), token_emb], axis=1)
 
 
 def attention_cached(attn, x, *, prefix_kv=None, past=None):
-    """``attn.forward(x, prefix_kv)`` with queries at positions
+    """The autograd attention with queries at positions
     ``T_past ..`` attending over the cached ``past`` (keys, values) too.
 
     Returns the output and the ``(keys, values)`` arrays extended by this
     call's positions (prefix excluded — it is re-attached every call).
     """
     batch, length, _ = x.shape
-    q = attn._split_heads(attn.q_proj(x), batch, length)
-    k = attn._split_heads(attn.k_proj(x), batch, length)
-    v = attn._split_heads(attn.v_proj(x), batch, length)
+    q = split_heads(attn, attn.q_proj(x), batch, length)
+    k = split_heads(attn, attn.k_proj(x), batch, length)
+    v = split_heads(attn, attn.v_proj(x), batch, length)
     past_len = prefix_len = 0
     if past is not None:
         attn._check_kv(past[0], past[1], "past")
@@ -98,9 +86,9 @@ def attention_cached(attn, x, *, prefix_kv=None, past=None):
         prefix_len = prefix_kv[0].shape[2]
         k = cat([prefix_kv[0], k], axis=2)
         v = cat([prefix_kv[1], v], axis=2)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(attn.d_head))
-    scores = scores.masked_fill(
-        attn._causal_mask(length, prefix_len, past_len), -1e9)
+    scores = (q @ swapaxes(k, -1, -2)) * (1.0 / np.sqrt(attn.d_head))
+    scores = masked_fill(
+        scores, attn._causal_mask(length, prefix_len, past_len), -1e9)
     context = softmax(scores, axis=-1) @ v
     merged = context.transpose(0, 2, 1, 3).reshape(batch, length, attn.d_model)
     return attn.out_proj(merged), present
@@ -108,23 +96,24 @@ def attention_cached(attn, x, *, prefix_kv=None, past=None):
 
 def forward_cached(model, token_ids=None, *, embeddings=None, prefix_kv=None,
                    past=None):
-    """``model.forward`` over positions ``past.seq_len ..``; returns
+    """The autograd forward over positions ``past.seq_len ..``; returns
     ``(logits Tensor, KVCache extended by the new positions)``."""
     if embeddings is None:
-        embeddings = model.token_embedding(np.asarray(token_ids))
+        embeddings = embed(model, token_ids)
+    prefix_kv = as_tensors(prefix_kv)
     past_len = 0 if past is None else past.seq_len
     positions = np.arange(past_len, past_len + embeddings.shape[1])
-    x = embeddings + model.position_embedding(positions)
+    x = embeddings + embedding(model.position_embedding, positions)
     layers = []
     for i, block in enumerate(model.blocks):
         attended, present = attention_cached(
-            block.attn, block.ln1(x),
+            block.attn, layer_norm(block.ln1, x),
             prefix_kv=None if prefix_kv is None else prefix_kv[i],
             past=None if past is None else past.layer(i))
         layers.append(present)
         x = x + attended
-        x = x + block.drop(block.ff2(gelu(block.ff1(block.ln2(x)))))
-    return model.lm_head(model.ln_final(x)), KVCache(layers)
+        x = x + block.ff2(gelu(block.ff1(layer_norm(block.ln2, x))))
+    return model.lm_head(layer_norm(model.ln_final, x)), KVCache(layers)
 
 
 def decode_sequential(model, state, config):
@@ -135,7 +124,7 @@ def decode_sequential(model, state, config):
     logits = state.last_logits
     cache = state.cache
     generated: list[int] = []
-    with _eval_no_grad(model):
+    with no_grad():
         for _ in range(config.max_new_tokens):
             if total >= budget:
                 break

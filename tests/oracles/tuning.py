@@ -1,8 +1,9 @@
 """Prompt-tuning references: the autograd graph and the per-sample mean.
 
 ``prompt_loss_for_batch`` is the soft-prompt loss as an ``ag.Tensor``
-graph — what vanilla prompt tuning differentiated before its step went
-graph-free (``repro.llm.vjp``) — and ``fit_graph`` is
+graph over ``tests/oracles/graph.py``'s forward — what vanilla prompt
+tuning differentiated before its step went graph-free
+(``repro.llm.vjp``) — and ``fit_graph`` is
 ``VanillaPromptTuner.fit`` on it, so the graph-free step can be compared
 with it bit for bit.
 
@@ -13,10 +14,12 @@ what a padded minibatch forward must reproduce (loss and gradients).
 
 import numpy as np
 
-from repro.ag import Parameter, Tensor, cat, sequence_cross_entropy
+from repro.ag import Parameter, Tensor
 from repro.tuning import (IGNORE_INDEX, build_training_batch,
                           initial_prompt_matrix, train_prompt_parameters)
 from repro.utils import rng_from_seed
+from tests.oracles.graph import (broadcast_to, cat, embed, forward,
+                                 sequence_cross_entropy)
 
 
 def prompt_loss_for_batch(model, prompt: Tensor, samples, tokenizer) -> Tensor:
@@ -24,13 +27,13 @@ def prompt_loss_for_batch(model, prompt: Tensor, samples, tokenizer) -> Tensor:
     n_tokens, d_model = prompt.shape
     batch = build_training_batch(samples, tokenizer, prompt_len=n_tokens)
     size = batch.batch_size
-    token_emb = model.embed(batch.input_ids)
+    token_emb = embed(model, batch.input_ids)
     prompt_rows = prompt.reshape(1, n_tokens, d_model)
-    embeddings = cat([prompt_rows.broadcast_to((size, n_tokens, d_model)),
+    embeddings = cat([broadcast_to(prompt_rows, (size, n_tokens, d_model)),
                       token_emb], axis=1)
     mask = np.concatenate([np.zeros((size, n_tokens), dtype=bool),
                            batch.key_padding_mask], axis=1)
-    logits = model(embeddings=embeddings, key_padding_mask=mask)
+    logits = forward(model, embeddings=embeddings, key_padding_mask=mask)
     return sequence_cross_entropy(logits, batch.targets,
                                   ignore_index=IGNORE_INDEX)
 

@@ -5,17 +5,19 @@ The matrix: {vanilla soft prompt, noise-aware} x {uniform, ragged lengths}
 x {with/without prefix-KV}, checking both loss values and prompt-parameter
 gradients, plus the padding-mask semantics the equivalence rests on
 (padded keys get zero attention weight; padded positions contribute no
-loss or gradient).
+loss or gradient).  The soft-prompt rows run through the autograd graph;
+the prefix and padding rows through the production, graph-free forward
+(``repro.llm.infer.extend``) and backward (``repro.llm.vjp``).
 """
 
 import numpy as np
 import pytest
 
-from repro.ag import Parameter, Tensor, softmax
+from repro.ag import Parameter, Tensor
 from repro.core.noise_training import NoiseInjectionConfig, NoiseInjector
 from repro.data import build_tokenizer, make_dataset, make_user
-from repro.llm import build_model
-from repro.llm.attention import MultiHeadSelfAttention
+from repro.llm import LMConfig, TinyCausalLM, build_model, infer
+from repro.llm.vjp import soft_prompt_vjp
 from repro.tuning import (
     DEPTTuner,
     IGNORE_INDEX,
@@ -25,7 +27,7 @@ from repro.tuning import (
     build_training_ids,
     initial_prompt_matrix,
     make_target_vector,
-    prefix_loss_for_batch,
+    prefix_loss_and_grad,
 )
 from repro.tuning import dept, vanilla
 from tests.oracles.tuning import (prompt_loss_for_batch, singleton_mean,
@@ -59,8 +61,8 @@ def _prefixes(model, n_tokens=4, seed=3):
     d_head = cfg.d_model // cfg.n_heads
     rng = np.random.default_rng(seed)
     return [
-        (Parameter(rng.normal(0.0, 0.2, (1, cfg.n_heads, n_tokens, d_head))),
-         Parameter(rng.normal(0.0, 0.2, (1, cfg.n_heads, n_tokens, d_head))))
+        tuple(rng.normal(0.0, 0.2, (1, cfg.n_heads, n_tokens, d_head))
+              .astype(np.float32) for _ in range(2))
         for _ in range(cfg.n_layers)
     ]
 
@@ -94,21 +96,18 @@ class TestLossAndGradientEquivalence:
     def test_with_prefix_kv(self, setup, lengths):
         model, tok, uniform, ragged = setup
         samples = uniform if lengths == "uniform" else ragged
-        results = []
-        for batched in (False, True):
-            prefixes = _prefixes(model)
-            def loss_fn(batch):
-                return prefix_loss_for_batch(model, prefixes, batch, tok)
-            loss = (loss_fn(samples) if batched
-                    else singleton_mean(loss_fn, samples))
-            loss.backward()
-            results.append((float(loss.data),
-                            [p.grad.copy() for kv in prefixes
-                             for p in kv]))
-        (loss_ref, grads_ref), (loss_bat, grads_bat) = results
-        assert abs(loss_ref - loss_bat) <= LOSS_TOL
-        for ref, bat in zip(grads_ref, grads_bat):
-            np.testing.assert_allclose(bat, ref, atol=GRAD_TOL)
+        prefixes = _prefixes(model)
+        loss_bat, grads_bat = prefix_loss_and_grad(model, prefixes, samples,
+                                                   tok)
+        alone = [prefix_loss_and_grad(model, prefixes, [sample], tok)
+                 for sample in samples]
+        loss_ref = sum(float(loss) for loss, _ in alone) / len(samples)
+        assert abs(loss_ref - float(loss_bat)) <= LOSS_TOL
+        for layer, pair in enumerate(grads_bat):
+            for which, bat in enumerate(pair):
+                ref = sum(grads[layer][which] for _, grads in alone)
+                np.testing.assert_allclose(bat, ref / len(samples),
+                                           atol=GRAD_TOL)
 
     def test_full_training_run_equivalence(self, setup, monkeypatch):
         """End to end: batched and reference training walk the same
@@ -145,19 +144,19 @@ class TestLossAndGradientEquivalence:
 
 class TestPaddingMaskSemantics:
     def test_padded_keys_get_zero_attention_weight(self):
-        attn = MultiHeadSelfAttention(16, 2, rng=np.random.default_rng(1))
-        x = Tensor(np.random.default_rng(2).normal(size=(2, 6, 16)))
+        model = TinyCausalLM(LMConfig(vocab_size=23, d_model=16, n_heads=2,
+                                      n_layers=1, d_ff=24), seed=1)
+        x = np.random.default_rng(2).normal(size=(2, 6, 16)).astype(
+            np.float32)
         mask = np.zeros((2, 6), dtype=bool)
         mask[0, 4:] = True
         mask[1, 3:] = True
-        # Recompute the attention weights exactly as forward() does.
-        batch, length, _ = x.shape
-        q = attn._split_heads(attn.q_proj(x), batch, length)
-        k = attn._split_heads(attn.k_proj(x), batch, length)
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(attn.d_head))
-        full = (attn._causal_mask(length, 0)[None, None]
-                | mask[:, None, None, :])
-        weights = softmax(scores.masked_fill(full, -1e9), axis=-1).data
+        # The attention weights the training forward records: the tape
+        # holds ln1's record, then the attention's (q, keys, values,
+        # weights, mask, merged).
+        tape = []
+        infer.extend(model, x, key_padding_mask=mask, tape=tape)
+        weights = tape[1][3]
         assert np.all(weights[0, :, :, 4:] == 0.0)
         assert np.all(weights[1, :, :, 3:] == 0.0)
         sums = weights.sum(axis=-1)
@@ -168,12 +167,18 @@ class TestPaddingMaskSemantics:
         per-sample unpadded forward, regardless of the pad filler id."""
         model, tok, _, ragged = setup
         batch = build_training_batch(ragged, tok)
-        logits = model(batch.input_ids,
-                       key_padding_mask=batch.key_padding_mask).data
+
+        def logits(ids, mask=None):
+            hidden, _ = infer.extend(
+                model, infer.embed(model.token_embedding, ids),
+                key_padding_mask=mask)
+            return infer.logits(model, hidden)
+
+        padded = logits(batch.input_ids, batch.key_padding_mask)
         for i, sample in enumerate(ragged):
             t = int(batch.lengths[i])
-            alone = model(batch.input_ids[i, :t][None, :]).data[0]
-            np.testing.assert_allclose(logits[i, :t], alone, atol=1e-5)
+            alone = logits(batch.input_ids[i, :t][None, :])[0]
+            np.testing.assert_allclose(padded[i, :t], alone, atol=1e-5)
 
     def test_loss_invariant_to_pad_filler_id(self, setup):
         model, tok, _, ragged = setup
@@ -183,22 +188,11 @@ class TestPaddingMaskSemantics:
             batch = build_training_batch(ragged, tok, prompt_len=8)
             ids = np.where(batch.key_padding_mask, filler,
                            batch.input_ids)
-            prompt = Parameter(init.copy())
-            size, n_tokens = batch.batch_size, 8
-            emb = model.embed(ids)
-            rows = prompt.reshape(1, n_tokens, model.config.d_model)
-            from repro.ag import cat, sequence_cross_entropy
-            full = cat([rows.broadcast_to(
-                (size, n_tokens, model.config.d_model)), emb], axis=1)
-            mask = np.concatenate(
-                [np.zeros((size, n_tokens), dtype=bool),
-                 batch.key_padding_mask], axis=1)
-            loss = sequence_cross_entropy(
-                model(embeddings=full, key_padding_mask=mask),
-                batch.targets, ignore_index=IGNORE_INDEX)
-            loss.backward()
-            losses.append(float(loss.data))
-            grads.append(prompt.grad.copy())
+            loss, grad, _ = soft_prompt_vjp(
+                model, init, infer.embed(model.token_embedding, ids),
+                batch.key_padding_mask, batch.targets, IGNORE_INDEX)
+            losses.append(float(loss))
+            grads.append(grad)
         assert losses[0] == pytest.approx(losses[1], abs=1e-6)
         np.testing.assert_allclose(grads[0], grads[1], atol=1e-6)
 
@@ -214,9 +208,10 @@ class TestPaddingMaskSemantics:
     def test_mask_shape_validated(self, setup):
         model, tok, _, ragged = setup
         batch = build_training_batch(ragged, tok)
-        with pytest.raises(ValueError):
-            model(batch.input_ids,
-                  key_padding_mask=batch.key_padding_mask[:, :-1])
+        with pytest.raises(ValueError, match="key_padding_mask"):
+            infer.extend(model, infer.embed(model.token_embedding,
+                                            batch.input_ids),
+                         key_padding_mask=batch.key_padding_mask[:, :-1])
 
 
 class TestBuildTrainingBatch:

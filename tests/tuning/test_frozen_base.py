@@ -70,7 +70,6 @@ class TestPretrainIsTheOneWriter:
                    for name in before)
         assert trainable(model) == []
         assert all(p.grad is None for p in model.parameters())
-        assert not model.training
 
     def test_refreezes_when_it_raises(self, tok):
         model = build_model("phi-2-sim", tok.vocab_size)
@@ -78,14 +77,13 @@ class TestPretrainIsTheOneWriter:
         with pytest.raises(ValueError, match="too short"):
             pretrain_lm(model, np.arange(8), STEPS)   # no 32-token window
         assert trainable(model) == []
-        assert not model.training
         for name, value in model.state_dict().items():
             assert np.array_equal(value, before[name]), name
 
 
 class TestOverlappingTunes:
     def test_threaded_tunes_match_solo_runs(self, tok, corpus, monkeypatch):
-        """A prefix tune and a DEPT tune (both differentiate the graph)
+        """A prefix tune and a DEPT tune (both write gradients by hand)
         step in lockstep on two threads over one model: each lands on the
         artifact it reaches alone, and the model is left as it was."""
         model = build_model("phi-2-sim", tok.vocab_size)

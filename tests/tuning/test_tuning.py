@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
-from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
+from repro.llm import (GenerationConfig, PretrainConfig, build_model,
+                       prefill, pretrain_lm)
 from repro.tuning import (
     DEPTTuner,
     IGNORE_INDEX,
@@ -18,6 +19,7 @@ from repro.tuning import (
     generate_with_artifact,
     make_target_vector,
 )
+from repro.tuning.dept import RANK
 
 CFG = TuningConfig(steps=12, lr=0.05, seed=0)
 
@@ -167,10 +169,23 @@ class TestOtherTuners:
         assert artifact.embedding_delta.shape == (
             model.config.vocab_size, model.config.d_model)
 
-    def test_dept_rank_validation(self, setup):
-        model, tok, _ = setup
-        with pytest.raises(ValueError):
+    def test_dept_rank_is_a_constant(self, setup):
+        """No ``rank=`` to mis-set: the embedding delta has rank ``RANK``."""
+        model, tok, samples = setup
+        with pytest.raises(TypeError):
             DEPTTuner(model, tok, CFG, rank=0)
+        delta = DEPTTuner(model, tok, CFG).fit(samples[:2]).embedding_delta
+        assert np.linalg.matrix_rank(delta) == RANK
+
+    def test_prefix_width_is_a_constant(self, setup):
+        """``hidden_dim=0`` used to train an all-zero prefix without a
+        word; the reparameterisation width is now ``HIDDEN_DIM``."""
+        model, tok, samples = setup
+        with pytest.raises(TypeError):
+            PrefixTuner(model, tok, CFG, hidden_dim=0)
+        artifact = PrefixTuner(model, tok, CFG).fit(samples[:2])
+        assert all(np.abs(half).max() > 0
+                   for pair in artifact.prefix_kv for half in pair)
 
 
 class TestArtifactApplication:
@@ -182,15 +197,12 @@ class TestArtifactApplication:
         assert isinstance(text, str)
 
     def test_soft_prompt_affects_next_token_distribution(self, setup):
-        from repro.ag import Tensor, cat, no_grad
         model, tok, samples = setup
         ids = tok.encode(samples[0].input_text)
-        with no_grad():
-            base = model(ids[None, :]).data[0, -1]
-            prompt = Tensor(np.random.default_rng(0).normal(
-                0, 3.0, (1, 8, model.config.d_model)))
-            full = cat([prompt, model.embed(ids[None, :])], axis=1)
-            prompted = model(embeddings=full).data[0, -1]
+        base = prefill(model, ids).last_logits
+        prompt = np.random.default_rng(0).normal(
+            0, 3.0, (8, model.config.d_model)).astype(np.float32)
+        prompted = prefill(model, ids, soft_prompt=prompt).last_logits
         assert not np.allclose(base, prompted, atol=1e-3)
 
     def test_dept_answer_without_writing_the_shared_table(
