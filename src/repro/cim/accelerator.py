@@ -17,8 +17,8 @@ all cost what ``n_slices x d x n`` cells cost.
 :meth:`CiMMatrix.matmat` evaluates a whole batch of queries with one GEMM
 per row tile over the stored cells plus one vectorized ADC quantization —
 the serving engine's batched-retrieval hot path.  Every tile draws
-programming noise from its own spawned generator, so the grid of
-standalone crossbars the equivalence tests build
+programming noise from its own spawned stream (a packed state row in the
+bank), so the grid of standalone crossbars the equivalence tests build
 (``tests/oracles/per_tile_cim.py``) programs to *bit-identical*
 conductances.
 
@@ -355,6 +355,10 @@ class CiMMatrix:
         self.sigma = float(snap["sigma"])
         self.subarray_rows = int(snap["subarray_rows"])
         self.subarray_cols = int(snap["subarray_cols"])
+        if self.subarray_rows <= 0 or self.subarray_cols <= 0:
+            raise ValueError(
+                f"snapshot subarrays are {self.subarray_rows}x"
+                f"{self.subarray_cols}; rows and cols must be positive")
         self.mitigation = mitigation or NullMitigation()
         if self.mitigation.name != snap["mitigation"]:
             raise ValueError(

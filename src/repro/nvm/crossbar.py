@@ -9,12 +9,13 @@ matrix product with ADC quantization at the occupied columns.  The
 conductances live once, in the layout the product reads — the tiles of
 one row tile side by side — so a whole batch of inputs evaluates with one
 GEMM per row tile over the stored cells themselves, plus one vectorized
-ADC quantization.  Each tile draws its programming noise from an
-independently spawned generator, so a bank programs to exactly the same
-conductances as the equivalent standalone crossbar objects would
-(``tests/oracles/crossbar.py``), and independently of tile iteration
-order.  :class:`TileView` exposes one
-tile of a bank by index (state, counters, re-pulse).
+ADC quantization.  Each tile draws its programming noise from its own
+independently spawned stream, kept as data — one packed PCG64 state row
+per tile in one ``uint64`` array — so a bank programs to exactly the
+same conductances as the equivalent standalone crossbar objects would
+(``tests/oracles/crossbar.py``), independently of tile iteration order,
+and ships its streams in a snapshot as one array.  :class:`TileView`
+exposes one tile of a bank by index (state, counters, re-pulse).
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .device_models import NVMDevice
-from ..utils import rng_from_seed
+from ..utils import (
+    checked_states,
+    load_state,
+    pack_state,
+    seeded_states,
+    state_generator,
+)
 
 __all__ = ["CrossbarStats", "TileBank", "TileView", "SNAPSHOT_VERSION"]
 
@@ -81,26 +88,6 @@ class CrossbarStats:
         return cls(**{key: int(value) for key, value in data.items()})
 
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    """A generator's bit-generator state as a plain (codec-safe) dict."""
-    state = rng.bit_generator.state
-    return {"name": state["bit_generator"], "state": state}
-
-
-def _checked_rng_state(rng: np.random.Generator, snap: dict) -> dict:
-    """The bit-generator state ``snap`` holds, if ``rng`` can take it."""
-    state = snap["state"]
-    if state["bit_generator"] != type(rng.bit_generator).__name__:
-        raise ValueError(
-            f"snapshot holds a {state['bit_generator']} generator state "
-            f"but the target uses {type(rng.bit_generator).__name__}")
-    return state
-
-
-def _restore_rng_state(rng: np.random.Generator, snap: dict) -> None:
-    rng.bit_generator.state = _checked_rng_state(rng, snap)
-
-
 class TileBank:
     """``n_tiles`` crossbar subarrays operated as one array.
 
@@ -130,11 +117,15 @@ class TileBank:
     state as views.
 
     Counters are per-tile ``(n_tiles,)`` vectors.  Every tile owns an
-    independently spawned ``rng`` (see
-    :func:`repro.utils.spawn_generators`): its noise draws match a
-    standalone crossbar given the same generator
-    (``tests/oracles/crossbar.py``) bit for bit and do not depend on what
-    other tiles drew first.
+    independent PCG64 stream — the ``rngs`` it was built with (spawned,
+    see :func:`repro.utils.spawn_generators`; default ``rng_from_seed(t)``
+    for tile ``t``) — held as data: row ``t`` of one ``(n_tiles,
+    STATE_WORDS)`` ``uint64`` array (:func:`repro.utils.pack_state`).  A
+    pulse loads a tile's row into a generator, draws, and packs the
+    advanced state back, so its noise matches a standalone crossbar given
+    the same generator (``tests/oracles/crossbar.py``) bit for bit and
+    does not depend on what other tiles drew first; the passed generators
+    themselves are never advanced.
 
     Cell width is ``np.min_scalar_type(device.n_levels - 1)`` (``uint8``
     up to 256 levels), in memory and therefore in a snapshot.  numpy
@@ -161,9 +152,7 @@ class TileBank:
             raise ValueError("adc_bits must be in [2, 16]")
         if sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if rngs is None:
-            rngs = [rng_from_seed(i) for i in range(n_tiles)]
-        if len(rngs) != n_tiles:
+        if rngs is not None and len(rngs) != n_tiles:
             raise ValueError(f"need {n_tiles} per-tile generators, "
                              f"got {len(rngs)}")
         shape = np.asarray((n_tiles * rows, cols) if shape is None else shape)
@@ -189,7 +178,8 @@ class TileBank:
         self.shape = (d, n)
         self.extent = np.stack([np.minimum(rows, d - rows * row_tile),
                                 np.minimum(cols, n - cols * col_tile)], axis=1)
-        self._rngs = list(rngs)
+        self._rng_states = (seeded_states(n_tiles) if rngs is None
+                            else np.stack([pack_state(rng) for rng in rngs]))
         # Tile t is columns [col0, col1) of its row tile's arrays.
         col0 = plane * n + col_tile * cols
         self._span = list(zip(row_tile.tolist(), col0.tolist(),
@@ -242,18 +232,20 @@ class TileBank:
         """Write fresh noisy conductances for ``tiles`` at ``levels``.
 
         ``levels`` holds each tile's level block at any integer width.
-        Every block is range-checked before any generator is advanced;
-        then one tile at a time is widened once (``astype(np.intp)``, which
+        Every block is range-checked before any state is advanced; then
+        one tile at a time is widened once (``astype(np.intp)``, which
         indexes both tables), given its per-cell sigma and pulsed, so the
         transients are one tile's, not the bank's.  Each tile's
-        standard-normal variates come from its own generator and ``ideal +
-        noise`` lands straight in the tile's cells (only where its mask is
-        set, when ``masks`` is given), so results are identical to
-        programming standalone crossbars.
+        standard-normal variates come from its own stream — its state row
+        loaded into one scratch generator, packed back after the draw —
+        and ``ideal + noise`` lands straight in the tile's cells (only
+        where its mask is set, when ``masks`` is given), so results are
+        identical to programming standalone crossbars.
         """
         for block in levels:
             self.device.check_levels(block)
         ideal = self.device.level_values()
+        rng = state_generator()
         for i, tile in enumerate(tiles):
             block = levels[i].astype(np.intp, copy=False)
             used_rows, used_cols = block.shape
@@ -266,9 +258,11 @@ class TileBank:
             # reads "unresolved at this scale" instead of flipping a pass.
             # (The corner is copied out so the whole-tile draw is freed
             # before the next tile makes its own.)
-            draws = self._rngs[tile].normal(
+            state = self._rng_states[tile]
+            draws = load_state(rng, state).normal(
                 0.0, 1.0, size=(self.rows, self.cols)
             )[:used_rows, :used_cols].astype(np.float32)
+            pack_state(rng, out=state)
             np.add(ideal[block],
                    draws * self.device.sigma_for_levels(block, self.sigma),
                    out=self._tile(self._cells, tile),
@@ -451,7 +445,8 @@ class TileBank:
 
         The occupied conductances and target levels flat in tile order
         with the ``extent`` that gives them their shape, per-tile
-        counters and every tile generator's state: enough to
+        counters and the tiles' packed generator states (``rng_states``,
+        one array): enough to
         :meth:`restore` the bank bit-identically with no reprogramming
         (and no write-pulse billing); tile order, so the row-tile layout
         does not leak into it.
@@ -475,7 +470,7 @@ class TileBank:
             "programmed": self._programmed,
             "target_levels": self._flat(self._levels),
             "conductance": self._flat(self._cells),
-            "rngs": [_rng_state(rng) for rng in self._rngs],
+            "rng_states": self._rng_states.copy(),
         }
 
     def restore(self, snap: dict) -> None:
@@ -483,14 +478,17 @@ class TileBank:
 
         Every key :meth:`snapshot` writes is required except ``extent``
         (absent: a whole-tile snapshot of an earlier build, see
-        :meth:`_regrouped`).  Everything is checked against the geometry
-        it claims — an extent that is not this bank's, a cell array of
-        the wrong shape, a level that is not an integer in the device's
-        range, a counter vector that is not ``(n_tiles,)``, a generator
-        list of another length or kind is a ``ValueError`` — and nothing
-        is adopted before everything passed.  Levels may arrive at any
-        integer width (older builds wrote ``int64``) and are stored at
-        cell width.
+        :meth:`_regrouped`) and ``rng_states``, for which a snapshot of
+        an earlier build carries ``rngs``, one PCG64 state dict per tile.
+        Everything is checked against the geometry it claims — an extent
+        that is not this bank's, a cell array of the wrong shape, a level
+        that is not an integer in the device's range, a counter vector
+        that is not ``(n_tiles,)``, generator states that are not
+        ``n_tiles`` PCG64 states (:func:`repro.utils.checked_states`) is
+        a ``ValueError`` — and nothing is adopted before everything
+        passed; no generator is built.  Levels may arrive at any integer
+        width (older builds wrote ``int64``) and are stored at cell
+        width.
         """
         version = snap.get("version")
         if version != SNAPSHOT_VERSION:
@@ -532,14 +530,11 @@ class TileBank:
         levels = self._regrouped(snap, "target_levels",
                                  self._levels[0].dtype)
         cells = self._regrouped(snap, "conductance", np.float32)
-        rngs, programmed = snap["rngs"], bool(snap["programmed"])
-        if len(rngs) != self.n_tiles:
-            raise ValueError(f"snapshot holds {len(rngs)} generator "
-                             f"states for {self.n_tiles} tiles")
-        states = [_checked_rng_state(rng, state)
-                  for rng, state in zip(self._rngs, rngs)]
-        for rng, state in zip(self._rngs, states):
-            rng.bit_generator.state = state
+        legacy = "rng_states" not in snap and "rngs" in snap
+        states = checked_states(snap["rngs"] if legacy else snap["rng_states"],
+                                self.n_tiles)
+        programmed = bool(snap["programmed"])
+        self._rng_states = states
         for name, vector in counters.items():
             setattr(self, name, vector)
         self._levels = levels

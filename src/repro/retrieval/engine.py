@@ -23,9 +23,16 @@ from typing import Sequence
 import numpy as np
 
 from ..cim.accelerator import CiMMatrix, MitigationHooks
-from ..nvm.crossbar import CrossbarStats, _restore_rng_state, _rng_state
+from ..nvm.crossbar import CrossbarStats
 from ..nvm.device_models import NVMDevice
-from ..utils import Registry, rng_from_seed, spawn_generators
+from ..utils import (
+    Registry,
+    checked_states,
+    load_state,
+    pack_state,
+    rng_from_seed,
+    spawn_generators,
+)
 from .pooling import multi_scale_vectors
 
 __all__ = ["SearchConfig", "SSA_CONFIG", "MIPS_CONFIG", "CiMSearchEngine",
@@ -303,8 +310,10 @@ class CiMSearchEngine:
         The per-scale store snapshots (a :class:`CiMMatrix`'s
         conductances, counters and generator states under ``"stores"``;
         an :class:`IdealStore`'s matrix under ``"digital"``) plus this
-        engine's own generator — everything :meth:`from_snapshot` needs
-        to rebuild the stores bit-identically without reprogramming.
+        engine's own generator as one packed state row (``rng_state``,
+        see :func:`repro.utils.pack_state`) — everything
+        :meth:`from_snapshot` needs to rebuild the stores bit-identically
+        without reprogramming.
         """
         self._require_built()
         return {
@@ -315,7 +324,7 @@ class CiMSearchEngine:
             "sigma": self.sigma,
             "norms": {str(scale): norms.copy()
                       for scale, norms in self._norms.items()},
-            "rng": _rng_state(self._rng),
+            "rng_state": pack_state(self._rng),
             "stores" if self.on_cim else "digital": {
                 str(scale): store.snapshot()
                 for scale, store in self._stores.items()},
@@ -358,10 +367,13 @@ class CiMSearchEngine:
 
         No crossbar is programmed: every scale store comes back through
         its class's ``from_snapshot``, counters and generator states
-        included.  A section whose parts disagree (see
-        :meth:`_check_snapshot`), or a store that is not ``(rows_s,
-        count)`` — ``pad_length // s`` pooled tokens of one code width —
-        is a ``ValueError`` here rather than an error on every query.
+        included, and ``rng`` (the engine's generator, as the caller
+        derives it) is set to the packed ``rng_state`` — or to the
+        ``rng`` state dict an earlier build wrote.  A section whose parts
+        disagree (see :meth:`_check_snapshot`), a state that is not one
+        PCG64 state, or a store that is not ``(rows_s, count)`` —
+        ``pad_length // s`` pooled tokens of one code width — is a
+        ``ValueError`` here rather than an error on every query.
         """
         self = cls(device, sigma=float(snap["sigma"]), config=config,
                    mitigation=mitigation, on_cim=bool(snap["on_cim"]),
@@ -369,6 +381,10 @@ class CiMSearchEngine:
         store_class, key = ((CiMMatrix, "stores") if self.on_cim
                             else (IdealStore, "digital"))
         self._check_snapshot(snap, key)
+        legacy = "rng_state" not in snap and "rng" in snap
+        rng_state = checked_states(
+            [snap["rng"]] if legacy else np.asarray(snap["rng_state"])[None],
+            1)[0]
         count = int(snap["count"])
         stores = {int(scale): store_class.from_snapshot(
                       store, device, mitigation=self.mitigation)
@@ -385,5 +401,5 @@ class CiMSearchEngine:
         self._norms = {int(scale): np.array(norms, dtype=np.float32)
                        for scale, norms in snap["norms"].items()}
         self._stores = stores
-        _restore_rng_state(self._rng, snap["rng"])
+        load_state(self._rng, rng_state)
         return self

@@ -9,11 +9,14 @@ dict keys are sorted, integers use their minimal two's-complement width,
 and arrays serialize their raw C-contiguous bytes, so encoding the same
 value always produces the same blob (the golden-fixture tests pin this).
 
-Supported values: ``None``, ``bool``, ``int`` (arbitrary precision, for
-PCG64 generator states), ``float``, ``str``, ``bytes``, ``list``/``tuple``
+Supported values: ``None``, ``bool``, ``int`` (arbitrary precision:
+blobs of builds before packed generator states carry 128-bit PCG64
+states as ints), ``float``, ``str``, ``bytes``, ``list``/``tuple``
 (decoded as ``list``), ``dict`` with ``str`` keys, and numeric/bool
 ``numpy.ndarray``.  ``pickle`` is deliberately not involved: decoding a
-snapshot never executes anything.
+snapshot never executes anything, and a blob that does not decode —
+truncated, bit-flipped, hostile — raises :class:`CodecError` and nothing
+else.
 
 Each byte moves once.  The encoder collects the pieces of the encoding —
 an array contributes a view of its own memory — and joins them in one
@@ -27,6 +30,7 @@ aligned copy — so restored state never aliases, or pins, its blob.
 from __future__ import annotations
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -55,6 +59,9 @@ _F64 = struct.Struct("<d")
 # Array dtypes a snapshot may carry.  Object/str arrays are rejected so a
 # decoded blob can never smuggle arbitrary Python objects.
 _ARRAY_KINDS = frozenset("biuf")
+# The dtype strings the encoder writes (``dtype.str`` of those kinds):
+# a decoded one is matched against this before numpy parses it.
+_DTYPE_STR = re.compile(rb"[<>|][biuf][0-9]{1,2}")
 
 
 def _encode_into(parts: list, value) -> None:
@@ -133,6 +140,22 @@ def _take_length(view: memoryview, offset: int) -> tuple[int, int]:
     return _LEN.unpack(raw)[0], offset
 
 
+def _text(payload: memoryview) -> str:
+    try:
+        return str(payload, "utf-8")
+    except UnicodeDecodeError as error:
+        raise CodecError(f"string is not UTF-8: {error}") from error
+
+
+def _dtype(raw: memoryview) -> np.dtype:
+    if _DTYPE_STR.fullmatch(raw) is None:
+        raise CodecError(f"refusing to decode array of dtype {bytes(raw)!r}")
+    try:
+        return np.dtype(str(raw, "ascii"))
+    except TypeError as error:
+        raise CodecError(f"unknown array dtype {bytes(raw)!r}") from error
+
+
 def _decode_at(view: memoryview, offset: int) -> tuple[object, int]:
     raw, offset = _take(view, offset, 1)
     tag = bytes(raw)
@@ -152,7 +175,7 @@ def _decode_at(view: memoryview, offset: int) -> tuple[object, int]:
     if tag == _TAG_STR:
         length, offset = _take_length(view, offset)
         payload, offset = _take(view, offset, length)
-        return str(payload, "utf-8"), offset
+        return _text(payload), offset
     if tag == _TAG_BYTES:
         length, offset = _take_length(view, offset)
         payload, offset = _take(view, offset, length)
@@ -160,9 +183,7 @@ def _decode_at(view: memoryview, offset: int) -> tuple[object, int]:
     if tag == _TAG_ARRAY:
         width, offset = _take(view, offset, 1)
         dtype_str, offset = _take(view, offset, width[0])
-        dtype = np.dtype(str(dtype_str, "ascii"))
-        if dtype.kind not in _ARRAY_KINDS:
-            raise CodecError(f"refusing to decode array of dtype {dtype}")
+        dtype = _dtype(dtype_str)
         ndim, offset = _take(view, offset, 1)
         shape = []
         for _ in range(ndim[0]):
@@ -173,7 +194,10 @@ def _decode_at(view: memoryview, offset: int) -> tuple[object, int]:
         if length != math.prod(shape) * dtype.itemsize:
             raise CodecError("array payload does not match its shape")
         # A view over the blob (read-only: the memoryview is), not a copy.
-        return np.frombuffer(payload, dtype=dtype).reshape(shape), offset
+        try:
+            return np.frombuffer(payload, dtype=dtype).reshape(shape), offset
+        except ValueError as error:     # numpy's rank or size limits
+            raise CodecError(f"array shape {shape}: {error}") from error
     if tag == _TAG_LIST:
         count, offset = _take_length(view, offset)
         items = []
@@ -201,7 +225,10 @@ def decode_value(blob) -> object:
     ``memoryview``).  Arrays in the result are read-only views over it.
     """
     view = memoryview(blob).toreadonly().cast("B")
-    value, offset = _decode_at(view, 0)
+    try:
+        value, offset = _decode_at(view, 0)
+    except RecursionError as error:
+        raise CodecError("snapshot blob nests too deeply") from error
     if offset != len(view):
         raise CodecError(
             f"{len(view) - offset} trailing bytes after the encoded value")

@@ -199,6 +199,9 @@ class SessionSnapshot:
         except KeyError as error:
             raise SnapshotError(
                 f"snapshot body is missing field {error}") from error
+        except (TypeError, ValueError) as error:
+            raise SnapshotError(
+                f"snapshot body has a malformed field: {error}") from error
 
     # ------------------------------------------------------------------
     # Restore
@@ -227,7 +230,11 @@ class SessionSnapshot:
             return self._rebuild(model, tokenizer)
         except SnapshotError:
             raise
-        except (KeyError, ValueError, TypeError) as error:
+        except (LookupError, ValueError, TypeError, AttributeError,
+                ArithmeticError) as error:
+            # A section missing, of the wrong type or length, or holding
+            # numbers that make no sense (what one flipped byte can leave
+            # of a blob that still decodes).
             raise SnapshotError(
                 f"snapshot state does not restore: {error!r}") from error
 

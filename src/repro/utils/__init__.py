@@ -3,7 +3,19 @@ primitive every pluggable axis (models, devices, mitigations, retrieval
 strategies) is built on."""
 
 from .registry import Registry
-from .rng import derive_rng, rng_from_seed, spawn_generators, spawn_seeds
+from .rng import (
+    STATE_WORDS,
+    checked_states,
+    derive_rng,
+    load_state,
+    pack_state,
+    rng_from_seed,
+    seeded_states,
+    spawn_generators,
+    spawn_seeds,
+    state_generator,
+)
 
 __all__ = ["rng_from_seed", "derive_rng", "spawn_seeds",
-           "spawn_generators", "Registry"]
+           "spawn_generators", "STATE_WORDS", "pack_state", "load_state",
+           "state_generator", "seeded_states", "checked_states", "Registry"]

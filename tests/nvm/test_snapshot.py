@@ -9,12 +9,30 @@ from repro.cim import CiMMatrix
 from repro.nvm import NVM_DEVICES, NVMDevice, get_device, register_device
 from repro.nvm.crossbar import CrossbarStats, TileBank
 from repro.serve.codec import decode_value, encode_value
+from repro.utils import STATE_WORDS
 from tests.oracles.crossbar import whole_tiles
+from tests.oracles.legacy_rngs import dict_form
 
 
 def roundtrip(snap):
     """Push a snapshot through the binary codec, as spill/restore does."""
     return decode_value(encode_value(snap))
+
+
+def _legacy(snap):
+    """Swap a bank snapshot's packed states for an earlier build's
+    per-tile state dicts, in place."""
+    snap.update(dict_form({"rng_states": snap.pop("rng_states")}))
+    return snap
+
+
+def _set_word(column, value, tile=-1):
+    """Edit one word of one tile's packed state row (a snapshot edit)."""
+    def edit(snap):
+        states = snap["rng_states"].copy()
+        states[tile, column] = value
+        snap["rng_states"] = states
+    return edit
 
 
 class TestCrossbarStats:
@@ -60,8 +78,54 @@ class TestTileBankSnapshot:
         other.reprogram_cells(masks)
         assert np.array_equal(whole_tiles(other), whole_tiles(bank))
 
-    @pytest.mark.parametrize("key", ["conductance", "target_levels", "rngs",
-                                     "programmed", "counters"])
+    def test_generator_states_travel_as_one_packed_array(self):
+        snap = self.make_bank().snapshot()
+        assert "rngs" not in snap
+        states = snap["rng_states"]
+        assert states.dtype == np.uint64
+        assert states.shape == (3, STATE_WORDS)
+
+    def test_spilled_bank_draws_like_one_that_never_left(self):
+        """Through the codec and back, then several re-pulses of some
+        cells of some tiles: every draw equals the resident bank's."""
+        bank = self.make_bank()
+        other = self.make_bank(seed=77)
+        other.restore(decode_value(encode_value(bank.snapshot())))
+        rng = np.random.default_rng(4)
+        for tiles in ([0, 1, 2], [2], [1, 2], [0]):
+            masks = [rng.random((bank.rows, bank.cols)) < 0.4
+                     for _ in tiles]
+            bank.reprogram_cells(masks, tiles=tiles)
+            other.reprogram_cells(masks, tiles=tiles)
+            assert np.array_equal(whole_tiles(other), whole_tiles(bank))
+        assert encode_value(other.snapshot()) == encode_value(bank.snapshot())
+
+    def test_old_form_rngs_restore_bit_for_bit(self):
+        """What an earlier build wrote — one PCG64 state dict per tile
+        under ``rngs`` — restores to the same bank, which then writes
+        packed states and draws what the original draws."""
+        bank = self.make_bank()
+        old = dict_form(bank.snapshot())
+        assert "rng_states" not in old and len(old["rngs"]) == 3
+        other = self.make_bank(seed=77)
+        other.restore(roundtrip(old))
+        assert encode_value(other.snapshot()) == encode_value(bank.snapshot())
+        masks = np.ones((bank.n_tiles, bank.rows, bank.cols), dtype=bool)
+        bank.reprogram_cells(masks)
+        other.reprogram_cells(masks)
+        assert np.array_equal(whole_tiles(other), whole_tiles(bank))
+
+    def test_passed_generators_are_packed_not_advanced(self):
+        """The bank keeps its streams as data: the generators it was
+        built with are read once and never drawn from."""
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        states = [rng.bit_generator.state for rng in rngs]
+        bank = TileBank(get_device("NVM-2"), 3, rows=8, cols=6, rngs=rngs)
+        bank.program(np.zeros((3, 8, 6), dtype=np.uint8))
+        assert [rng.bit_generator.state for rng in rngs] == states
+
+    @pytest.mark.parametrize("key", ["conductance", "target_levels",
+                                     "rng_states", "programmed", "counters"])
     def test_restore_requires_every_state_key(self, key):
         """One reader form: there is no counters-only (or any other
         partial) snapshot a bank accepts."""
@@ -100,10 +164,26 @@ class TestTileBankSnapshot:
             extent=snap["extent"] - 1),
         # ... and without one the arrays must be whole-tile stacks.
         "extent-absent-flat-arrays": lambda snap: snap.pop("extent"),
-        "rngs-length": lambda snap: snap.update(rngs=snap["rngs"][:1]),
-        # Found at the last tile: the first two must not have been set.
-        "rng-kind-at-last-tile": lambda snap: snap["rngs"][-1].update(
+        # Packed generator states: one uint64 row of six words a tile.
+        "rng_states-dtype": lambda snap: snap.update(
+            rng_states=snap["rng_states"].astype(np.int64)),
+        "rng_states-shape": lambda snap: snap.update(
+            rng_states=snap["rng_states"][:, :-1]),
+        "rng_states-rows": lambda snap: snap.update(
+            rng_states=snap["rng_states"][:1]),
+        "rng_states-flat": lambda snap: snap.update(
+            rng_states=snap["rng_states"].reshape(-1)),
+        # Words no PCG64 state holds, at the last tile only.
+        "rng_states-flag": _set_word(4, 2),
+        "rng_states-buffered-value": _set_word(5, 1 << 32),
+        "rng_states-even-increment": _set_word(3, 2),
+        # An earlier build's per-tile state dicts, damaged.
+        "rngs-length": lambda snap: _legacy(snap).update(
+            rngs=snap["rngs"][:1]),
+        "rng-kind-at-last-tile": lambda snap: _legacy(snap)["rngs"][-1].update(
             state=dict(snap["rngs"][-1]["state"], bit_generator="MT19937")),
+        "rng-state-over-128-bits": lambda snap: _legacy(snap)["rngs"][-1][
+            "state"]["state"].update(inc=1 << 128),
         "counter-shape": lambda snap: snap["counters"].update(
             mvm_ops=snap["counters"]["mvm_ops"][:1]),
     }
@@ -263,6 +343,22 @@ class TestCiMMatrixSnapshot:
         assert after.write_pulses == before.write_pulses
         assert after.cells_programmed == before.cells_programmed
 
+    def test_from_snapshot_builds_no_generator(self, monkeypatch):
+        """Restore adopts the packed states as data: once one bank of a
+        size has been built, restoring builds or seeds no generator."""
+        matrix = self.make_matrix()
+        snap = roundtrip(matrix.snapshot())
+        CiMMatrix.from_snapshot(snap, get_device("NVM-3"))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("restore built a generator")
+        with monkeypatch.context() as patch:
+            for name in ("default_rng", "Generator", "PCG64"):
+                patch.setattr(np.random, name, boom)
+            rebuilt = CiMMatrix.from_snapshot(snap, get_device("NVM-3"))
+        assert encode_value(rebuilt.snapshot()) == \
+            encode_value(matrix.snapshot())
+
     def test_mitigation_calibration_travels(self):
         from repro.mitigation import make_mitigation
         matrix = self.make_matrix(mitigation=make_mitigation("cxdnn"))
@@ -294,6 +390,14 @@ class TestCiMMatrixSnapshot:
         snap["ints"] = snap["ints"][:, :4]
         with pytest.raises(ValueError, match="codewords"):
             CiMMatrix.from_snapshot(roundtrip(snap), get_device("NVM-3"))
+
+    @pytest.mark.parametrize("key", ["subarray_rows", "subarray_cols"])
+    def test_empty_subarrays_refused(self, key):
+        """Found by fuzzing a blob: zero-wide subarrays divided by zero
+        (an error the session restore did not turn into SnapshotError)."""
+        snap = dict(self.make_matrix().snapshot(), **{key: 0})
+        with pytest.raises(ValueError, match="must be positive"):
+            CiMMatrix.from_snapshot(snap, get_device("NVM-3"))
 
     def test_per_tile_snapshot_refused(self):
         """v1 writers could record ``vectorized: False``; that layout is

@@ -16,6 +16,9 @@ from repro.retrieval import (
     pad_rows,
     wmsdp_reference,
 )
+from repro.serve.codec import decode_value, encode_value
+from repro.utils import STATE_WORDS
+from tests.oracles.legacy_rngs import dict_form
 from tests.oracles.per_tile_cim import per_tile_stores
 
 RNG = np.random.default_rng(31)
@@ -240,6 +243,34 @@ class TestCiMSearchEngine:
         query = self._ovts(1)[0]
         assert np.array_equal(rebuilt.query(query), engine.query(query))
 
+
+    def test_old_form_rng_dicts_restore_bit_for_bit(self):
+        """An earlier build's engine snapshot — its own generator under
+        ``rng`` and each bank's under ``rngs``, as PCG64 state dicts —
+        rebuilds the engine this build snapshots as packed rows."""
+        engine = self._engine(sigma=0.1)
+        engine.build(self._ovts(3))
+        snap = engine.snapshot()
+        assert snap["rng_state"].dtype == np.uint64
+        assert snap["rng_state"].shape == (STATE_WORDS,)
+        old = decode_value(encode_value(dict_form(snap)))
+        assert "rng_state" not in old and old["rng"]["name"] == "PCG64"
+        rebuilt = CiMSearchEngine.from_snapshot(old, get_device("NVM-3"))
+        assert encode_value(rebuilt.snapshot()) == encode_value(snap)
+        query = self._ovts(1)[0]
+        assert np.array_equal(rebuilt.query(query), engine.query(query))
+
+    @pytest.mark.parametrize("state", [
+        np.zeros(STATE_WORDS, dtype=np.int64),       # not uint64
+        np.zeros(STATE_WORDS - 1, dtype=np.uint64),  # a word short
+        np.zeros(STATE_WORDS, dtype=np.uint64),      # an even increment
+    ])
+    def test_malformed_rng_state_refused(self, state):
+        engine = self._engine(sigma=0.1)
+        engine.build(self._ovts(2))
+        snap = dict(engine.snapshot(), rng_state=state)
+        with pytest.raises(ValueError, match="generator states"):
+            CiMSearchEngine.from_snapshot(snap, get_device("NVM-3"))
 
 class TestBatchedQueries:
     def _ovts(self, n=6, rows=8, dim=12):

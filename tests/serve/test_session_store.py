@@ -15,6 +15,7 @@ from repro.serve import (
     SessionStore,
     TuneRequest,
 )
+from repro.serve.codec import encode_value
 
 CIM_KEYS = ("cim_mvm_ops", "cim_adc_conversions", "cim_cell_reads",
             "cim_write_pulses")
@@ -340,6 +341,21 @@ def truncated(blob):
     return blob[:len(blob) // 2]
 
 
+# One flipped byte in the blob's bytes, where the codec used to let a
+# numpy / unicode error out unwrapped: the engine caught only
+# SnapshotError, so every query of the user failed on the blob.
+def unknown_array_dtype(blob):
+    """The first array's ``<f4`` dtype string flipped to ``<z4``."""
+    at = blob.index(b"a\x03<f4") + 3
+    return blob[:at] + b"z" + blob[at + 1:]
+
+
+def string_not_utf8(blob):
+    """The ``mode`` value's first byte flipped to a non-UTF-8 byte."""
+    at = blob.index(b"mode" + encode_value("raw")[:-3]) + 13
+    return blob[:at] + b"\xff" + blob[at + 1:]
+
+
 def wrong_geometry(blob):
     """What a build with other subarrays wrote: every array intact, the
     banks not this deployment's."""
@@ -398,14 +414,23 @@ def counters_missing_a_key(snap):
     del snap.counters["queries_served"]
 
 
+@edited
+def calibration_not_a_mapping(snap):
+    """A one-byte flip of a dict tag to a bytes tag can still decode."""
+    store = next(iter(snap.deployment["engine"]["stores"].values()))
+    store["calibration"] = b"\x00"
+
+
 class TestQuarantine:
     """A blob that does not restore costs one re-tune, not every later
     query: it is moved aside, counted, and the user becomes unknown."""
 
     @pytest.mark.parametrize("damage", [
-        truncated, wrong_geometry, missing_scale, invalid_config_value,
+        truncated, unknown_array_dtype, string_not_utf8, wrong_geometry,
+        missing_scale, invalid_config_value,
         unknown_config_key, library_entry_without_matrix,
-        autoencoder_state_misshapen, counters_missing_a_key])
+        autoencoder_state_misshapen, counters_missing_a_key,
+        calibration_not_a_mapping])
     def test_bad_blob_costs_one_retune(self, setup, flaky_store, damage):
         model, tok = setup
         store, generation = flaky_store, greedy(tok)

@@ -32,6 +32,7 @@ from repro.serve.codec import CodecError, decode_value, encode_value
 from repro.serve.snapshot import MAGIC, SCHEMA_VERSION
 from tests.oracles.crossbar import whole_tiles
 from tests.oracles.generation import session_answer_sequential
+from tests.oracles.legacy_rngs import dict_form
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_session_v1.nvpt"
 GOLDEN_USER = 7
@@ -94,7 +95,7 @@ class TestCodec:
         assert decode_value(encode_value((1, 2))) == [1, 2]
 
     def test_big_ints_roundtrip(self):
-        # PCG64 generator states are 128-bit integers.
+        # Earlier builds wrote PCG64 generator states as 128-bit ints.
         for value in (1 << 127, -(1 << 200), (1 << 128) - 1):
             assert decode_value(encode_value(value)) == value
 
@@ -140,6 +141,40 @@ class TestCodec:
             decode_value(blob[:-1])
         with pytest.raises(CodecError, match="tag"):
             decode_value(b"Z")
+
+    # One flipped byte used to escape as a numpy or unicode error, which
+    # SessionSnapshot.from_bytes passed on unwrapped and the engine, which
+    # quarantines on SnapshotError only, met on every query of the user.
+    @pytest.mark.parametrize("dtype", [b"<z4", b"\xff<f", b"<f3", b"<U4",
+                                       b"|O8", b"<f4,", b"f4"])
+    def test_unknown_array_dtype_is_a_codec_error(self, dtype):
+        blob = bytearray(encode_value(np.zeros(2, dtype=np.float32)))
+        assert blob[2:5] == b"<f4"
+        blob[1:5] = bytes([len(dtype)]) + dtype
+        with pytest.raises(CodecError, match="dtype"):
+            decode_value(bytes(blob))
+
+    def test_non_utf8_text_is_a_codec_error(self):
+        for value in ("key", {"key": 1}):
+            blob = bytearray(encode_value(value))
+            blob[blob.index(b"key")] = 0xFF
+            with pytest.raises(CodecError, match="UTF-8"):
+                decode_value(bytes(blob))
+
+    def test_arrays_past_numpy_limits_are_codec_errors(self):
+        """A zero-size payload can claim any dims; numpy refuses ones
+        past its rank or size limits with ValueError."""
+        header = b"a\x03<f4"
+        too_big = header + b"\x02" + struct.pack("<QQQ", 0, 1 << 62, 0)
+        too_many = header + b"\x41" + struct.pack("<Q", 0) * 66
+        for blob in (too_big, too_many):
+            with pytest.raises(CodecError, match="shape"):
+                decode_value(blob)
+
+    def test_deep_nesting_is_a_codec_error(self):
+        blob = (b"l" + struct.pack("<Q", 1)) * 100_000 + b"N"
+        with pytest.raises(CodecError, match="deeply"):
+            decode_value(blob)
 
 
 class TestSessionRoundTrip:
@@ -214,8 +249,8 @@ class TestSessionRoundTrip:
         assert (restored.cim_stats().write_pulses
                 == session.cim_stats().write_pulses + one_programming)
 
-    @pytest.mark.parametrize("key", ["conductance", "target_levels", "rngs",
-                                     "ints"])
+    @pytest.mark.parametrize("key", ["conductance", "target_levels",
+                                     "rng_states", "ints"])
     def test_raw_blob_missing_state_never_builds_a_session(
             self, setup, trained_session, key):
         model, tok = setup
@@ -237,8 +272,8 @@ class TestSessionRoundTrip:
             target_levels=store["bank"]["target_levels"][:-4]),
         "target_levels-range": lambda store: store["bank"].update(
             target_levels=store["bank"]["target_levels"] + 9),
-        "rngs": lambda store: store["bank"].update(
-            rngs=store["bank"]["rngs"][:1]),
+        "rng_states": lambda store: store["bank"].update(
+            rng_states=store["bank"]["rng_states"][:1]),
         "counters": lambda store: store["bank"]["counters"].update(
             mvm_ops=store["bank"]["counters"]["mvm_ops"][:1]),
         "ints": lambda store: store.update(ints=store["ints"][:-1]),
@@ -352,9 +387,24 @@ class TestBlobMovesOnce:
                   _body(blob)["deployment"]["engine"]["stores"].values()]
         assert levels and all(a.dtype.str == "|u1" for a in levels)
 
+    def test_blob_is_a_few_hundred_nodes(self, trained_session):
+        """Each node (a value or a dict key) is one Python call to code.
+        Generator states travel as one packed array per bank and one row
+        for the engine, not as 33 nested PCG64 dicts of 128-bit ints
+        (564 of the 948 nodes a blob had while they did)."""
+        session, *_ = trained_session
+        body = _body(SessionSnapshot.capture(session, mode="raw").to_bytes())
+        assert _nodes(body) < 400
+        ints = [value for value in _leaves(body) if type(value) is int]
+        assert max(ints) < 1 << 63
+        banks = [store["bank"] for store in
+                 body["deployment"]["engine"]["stores"].values()]
+        assert sum(len(bank["rng_states"]) for bank in banks) == 32
+        assert body["deployment"]["engine"]["rng_state"].dtype == np.uint64
+
     def test_encode_copies_once_and_decode_copies_nothing(
             self, trained_session):
-        """A blob is ~940 small nodes around ~215 KB of arrays, so the
+        """A blob is ~390 small nodes around ~215 KB of arrays, so the
         nodes' own pieces and objects outweigh the bytes; they are
         measured on a twin with every array emptied and subtracted."""
         session, *_ = trained_session
@@ -469,6 +519,27 @@ class TestBlobMovesOnce:
             assert not np.array_equal(whole_tiles(mine), before)
             assert np.array_equal(whole_tiles(mine), whole_tiles(theirs))
 
+    def test_old_form_generator_states_restore_identically(
+            self, setup, trained_session):
+        """The blob an earlier build wrote for the same session: every
+        generator state a PCG64 state dict (a bank's per tile under
+        ``rngs``, the search engine's under ``rng``).  It restores to the
+        same deployment — which snapshots packed states again — and
+        answers identically."""
+        model, tok = setup
+        session, query, generation, answer = trained_session
+        snap = SessionSnapshot.capture(session, mode="raw")
+        snap.deployment = dict_form(snap.deployment)
+        old_blob = snap.to_bytes()
+        assert b"rng_state" not in old_blob and b"rngs" in old_blob
+        restored = SessionSnapshot.from_bytes(old_blob).build_session(
+            model, tok)
+        assert restored.cim_stats() == session.cim_stats()
+        assert encode_value(restored._deployment.snapshot()) == \
+            encode_value(session._deployment.snapshot())
+        assert session_answer_sequential(restored, query,
+                                         generation) == answer
+
     def test_wide_levels_from_an_older_build_restore_identically(
             self, setup, trained_session):
         """Fixture-free cross-version check: the bytes the previous build
@@ -575,6 +646,9 @@ class TestGoldenFixture:
         assert total[0] == "total"
         assert int(total[1].replace(",", "")) == GOLDEN_PATH.stat().st_size
         assert "library.ovts[0].matrix" in done.stdout
+        nodes = [line.split()[1] for line in done.stdout.splitlines()
+                 if line.split()[0] == "nodes"]
+        assert nodes == [f"{_nodes(_body(GOLDEN_PATH.read_bytes())):,}"]
 
     def test_golden_header_pins_schema_v1(self):
         blob = GOLDEN_PATH.read_bytes()
@@ -625,6 +699,24 @@ class TestGoldenFixture:
 
 def _body(blob):
     return decode_value(blob[len(MAGIC) + 2:])
+
+
+def _nodes(value):
+    """How many values and dict keys the codec codes for ``value``."""
+    if isinstance(value, dict):
+        return 1 + sum(1 + _nodes(item) for item in value.values())
+    if isinstance(value, list):
+        return 1 + sum(_nodes(item) for item in value)
+    return 1
+
+
+def _leaves(value):
+    """Every non-container value inside a decoded snapshot body."""
+    if isinstance(value, (dict, list)):
+        for item in (value.values() if isinstance(value, dict) else value):
+            yield from _leaves(item)
+    else:
+        yield value
 
 
 def _keys(value):

@@ -7,9 +7,11 @@ Decodes one serialized session snapshot — the file at PATH, or with
 ``--fresh`` the raw blob of one ``fast``-preset session tuned, queried
 (so it is deployed) and captured in this process — and prints one row per
 array (dotted path, dtype, shape, payload bytes, share of the blob) and
-one per top-level section (its whole encoding), then the total.  The
-section sizes are re-encoded, so the total equals the blob's length only
-if the blob is in canonical form; exits 1 when it does not.
+one per top-level section (its whole encoding), then the blob's codec
+``nodes`` (every value and every dict key: what encoding and decoding
+spend one Python call on each) and the total.  The section sizes are
+re-encoded, so the total equals the blob's length only if the blob is in
+canonical form; exits 1 when it does not.
 """
 
 from __future__ import annotations
@@ -56,6 +58,15 @@ def arrays(value, path=""):
             yield from arrays(item, f"{path}[{index}]")
 
 
+def codec_nodes(value) -> int:
+    """How many values and dict keys the codec codes for ``value``."""
+    if isinstance(value, dict):
+        return 1 + sum(1 + codec_nodes(item) for item in value.values())
+    if isinstance(value, list):
+        return 1 + sum(codec_nodes(item) for item in value)
+    return 1
+
+
 def report(blob: bytes) -> int:
     body = vars(SessionSnapshot.from_bytes(blob))   # field name -> section
     rows = [(path, array.dtype.str, "x".join(map(str, array.shape)) or "-",
@@ -65,11 +76,13 @@ def report(blob: bytes) -> int:
                 for key, value in body.items()]
     total = _FRAME + sum(size for *_, size in sections)
     width = max(len(row[0]) for row in rows + sections)
-    for path, dtype, shape, size in (
-            rows + sections + [("(framing)", "", "", _FRAME),
-                               ("total", "", "", total)]):
+    for path, dtype, shape, size in rows + sections + [
+            ("(framing)", "", "", _FRAME)]:
         print(f"{path:<{width}}  {dtype:<7}  {shape:<14}  {size:>10,}  "
               f"{size / len(blob):6.1%}")
+    print(f"{'nodes':<{width}}  {'':<7}  {'':<14}  {codec_nodes(body):>10,}")
+    print(f"{'total':<{width}}  {'':<7}  {'':<14}  {total:>10,}  "
+          f"{total / len(blob):6.1%}")
     if total != len(blob):
         print(f"MISMATCH: sections add up to {total:,} B, the blob is "
               f"{len(blob):,} B")
