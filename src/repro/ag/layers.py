@@ -25,6 +25,21 @@ class Linear(Module):
         self.weight = Parameter(rng.uniform(-scale, scale, (in_features, out_features)))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
+    @classmethod
+    def empty(cls, in_features: int, out_features: int, *,
+              bias: bool = True) -> "Linear":
+        """A layer of this shape whose parameters hold uninitialised
+        float32 memory (``np.empty``), not drawn weights: for a caller
+        that loads a state dict into it next."""
+        layer = cls.__new__(cls)
+        layer.in_features = in_features
+        layer.out_features = out_features
+        layer.weight = Parameter(np.empty((in_features, out_features),
+                                          dtype=np.float32))
+        layer.bias = (Parameter(np.empty(out_features, dtype=np.float32))
+                      if bias else None)
+        return layer
+
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight
         if self.bias is not None:

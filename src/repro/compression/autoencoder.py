@@ -89,6 +89,28 @@ class OVTAutoencoder(Module):
         self.dec2 = Linear(config.hidden_dim, config.input_dim, rng=rng)
         self._trained = False
 
+    @classmethod
+    def from_state_dict(cls, config: AutoencoderConfig,
+                        state: dict[str, np.ndarray], *,
+                        trained: bool) -> OVTAutoencoder:
+        """An autoencoder of ``config``'s architecture holding ``state``
+        (what :meth:`state_dict` returns), built without drawing initial
+        weights.
+
+        ``state`` is checked as :meth:`load_state_dict` checks it — a
+        missing or unexpected key is a ``KeyError``, a wrong shape a
+        ``ValueError`` — and each parameter is one owned float32 copy.
+        """
+        self = cls.__new__(cls)
+        self.config = config
+        self.enc1 = Linear.empty(config.input_dim, config.hidden_dim)
+        self.enc2 = Linear.empty(config.hidden_dim, config.code_dim)
+        self.dec1 = Linear.empty(config.code_dim, config.hidden_dim)
+        self.dec2 = Linear.empty(config.hidden_dim, config.input_dim)
+        self.load_state_dict(state)
+        self._trained = trained
+        return self
+
     # ------------------------------------------------------------------
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """Encode (n, input_dim) rows to (n, code_dim) codes."""

@@ -119,6 +119,11 @@ class FrameworkConfig:
             return self.search
         return RETRIEVAL_REGISTRY[self.retrieval]
 
+    def autoencoder_config(self, input_dim: int) -> AutoencoderConfig:
+        """The user's autoencoder over ``input_dim``-wide (model) rows."""
+        return AutoencoderConfig(input_dim=input_dim, code_dim=self.code_dim,
+                                 seed=self.seed)
+
     def noise_config(self) -> NoiseInjectionConfig:
         f1, f2, f3, f4 = self.noise_factors
         return NoiseInjectionConfig(sigma=self.sigma, f1=f1, f2=f2, f3=f3,
@@ -213,17 +218,19 @@ class OVTTrainingPipeline:
     """Training mode: stream -> buffer -> RS -> (noise-aware) PT -> library."""
 
     def __init__(self, model: TinyCausalLM, tokenizer: Tokenizer,
-                 config: FrameworkConfig | None = None):
+                 config: FrameworkConfig | None = None,
+                 library: OVTLibrary | None = None):
+        """``library`` is the library to start from (a restored one); by
+        default an empty one with a freshly initialised autoencoder."""
         config = config if config is not None else FrameworkConfig()
         self.model = model
         self.tokenizer = tokenizer
         self.config = config
         self.buffer = DataBuffer(config.buffer_capacity)
-        self.library = OVTLibrary(
+        self.library = library if library is not None else OVTLibrary(
             ovts=[],
-            autoencoder=OVTAutoencoder(AutoencoderConfig(
-                input_dim=model.config.d_model, code_dim=config.code_dim,
-                seed=config.seed)),
+            autoencoder=OVTAutoencoder(
+                config.autoencoder_config(model.config.d_model)),
             noise_aware=config.noise_aware,
         )
         self._epochs_completed = 0
@@ -411,8 +418,6 @@ class NVCiMDeployment:
             get_device(config.device_name),
             config=config.search_config(),
             mitigation=mitigation,
-            rng=derive_rng(config.seed, "deployment", config.device_name,
-                           config.mitigation, config.retrieval),
         )
         return self
 

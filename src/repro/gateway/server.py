@@ -390,10 +390,14 @@ class PromptGateway:
         value = payload.get("deadline_ms")
         if value is None:
             return None
+        # json.loads reads NaN and Infinity: a deadline that is never
+        # reached would switch the SLO off, so both are refused like a
+        # negative one — as is an integer past the largest float.
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or value <= 0:
-            raise ValidationError("deadline_ms",
-                                  "'deadline_ms' must be a positive number")
+                or not 0 < value <= sys.float_info.max:
+            raise ValidationError(
+                "deadline_ms", "'deadline_ms' must be a positive, finite "
+                               "number")
         return float(value) / 1e3
 
     def _completer(self, future: asyncio.Future):

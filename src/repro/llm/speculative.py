@@ -1,4 +1,4 @@
-"""Speculative draft-verify decoding (ROADMAP item 1).
+"""Speculative draft-verify decoding (ROADMAP item 9).
 
 The continuous-batching round advances every sequence by exactly one
 token per base-model forward.  Speculative decoding breaks that coupling:

@@ -6,16 +6,17 @@ holding data in an occupied corner and erased elsewhere: occupied cells
 are programmed to discrete conductance levels with device-dependent
 Gaussian variation and read back either cell-wise or through an analog
 matrix product with ADC quantization at the occupied columns.  The
-conductances live once, in the layout the product reads — the tiles of
-one row tile side by side — so a whole batch of inputs evaluates with one
-GEMM per row tile over the stored cells themselves, plus one vectorized
-ADC quantization.  Each tile draws its programming noise from its own
-independently spawned stream, kept as data — one packed PCG64 state row
-per tile in one ``uint64`` array — so a bank programs to exactly the
-same conductances as the equivalent standalone crossbar objects would
-(``tests/oracles/crossbar.py``), independently of tile iteration order,
-and ships its streams in a snapshot as one array.  :class:`TileView`
-exposes one tile of a bank by index (state, counters, re-pulse).
+conductances live once, in the layout the product reads — the planes
+side by side, each row tile a band of rows — so a whole batch of inputs
+evaluates with one GEMM per row tile over the stored cells themselves,
+plus one vectorized ADC quantization.  Each tile draws its programming
+noise from its own independently spawned stream, kept as data — one
+packed PCG64 state row per tile in one ``uint64`` array — so a bank
+programs to exactly the same conductances as the equivalent standalone
+crossbar objects would (``tests/oracles/crossbar.py``), independently of
+tile iteration order, and ships its streams in a snapshot as one array.
+:class:`TileView` exposes one tile of a bank by index (state, counters,
+re-pulse).
 """
 
 from __future__ import annotations
@@ -88,6 +89,14 @@ class CrossbarStats:
         return cls(**{key: int(value) for key, value in data.items()})
 
 
+def _runs(size: int, tile: int) -> list[tuple[int, int, int]]:
+    """``(first tile, tiles, used)`` for the whole ``tile``-long tiles
+    along ``size`` and for the last, partial one (each if there is one)."""
+    whole, rest = divmod(size, tile)
+    return [run for run in ((0, whole, tile), (whole, 1, rest))
+            if run[1] and run[2]]
+
+
 class TileBank:
     """``n_tiles`` crossbar subarrays operated as one array.
 
@@ -105,16 +114,16 @@ class TileBank:
     billed, held or snapshotted, and addressing one is a ``ValueError``.
 
     Every occupied cell is held once, in the layout the matrix product
-    reads.  A tile's input chunk is its row tile; the tiles of one row
-    tile (a *group*) live side by side in one ``(used_rows, n_planes *
-    n)`` float32 array, tile ``(plane, row_tile, col_tile)`` at columns
-    ``plane * n + col_tile * cols`` — so the stored conductances *are*
-    the GEMM operand, as on the array being simulated; target levels
-    live in the same layout at cell width.  Per-tile data crosses the API
-    as one ``(used_rows, used_cols)`` block per tile (``program`` levels,
-    ``reprogram_cells`` masks, ``read_cells`` results; for whole tiles a
-    stacked array is such a sequence); :meth:`tile` reads one tile's
-    state as views.
+    reads.  A tile's input chunk is its row tile; the planes live side
+    by side in one ``(d, n_planes * n)`` float32 array, tile ``(plane,
+    row_tile, col_tile)`` at rows ``row_tile * rows`` and columns
+    ``plane * n + col_tile * cols`` — so each row tile's band of rows
+    *is* its GEMM operand, as on the array being simulated; target
+    levels live in the same layout at cell width.  Per-tile data crosses
+    the API as one ``(used_rows, used_cols)`` block per tile
+    (``program`` levels, ``reprogram_cells`` masks, ``read_cells``
+    results; for whole tiles a stacked array is such a sequence);
+    :meth:`tile` reads one tile's state as views.
 
     Counters are per-tile ``(n_tiles,)`` vectors.  Every tile owns an
     independent PCG64 stream — the ``rngs`` it was built with (spawned,
@@ -180,16 +189,13 @@ class TileBank:
                                 np.minimum(cols, n - cols * col_tile)], axis=1)
         self._rng_states = (seeded_states(n_tiles) if rngs is None
                             else np.stack([pack_state(rng) for rng in rngs]))
-        # Tile t is columns [col0, col1) of its row tile's arrays.
+        # Tile t is columns [col0, col1) of its row tile's rows.
         col0 = plane * n + col_tile * cols
         self._span = list(zip(row_tile.tolist(), col0.tolist(),
                               (col0 + self.extent[:, 1]).tolist()))
-        self._cells = [np.zeros((min(rows, d - rows * r), n_planes * n),
-                                dtype=np.float32) for r in range(grid[0])]
-        self._levels = [
-            np.zeros(group.shape,
-                     dtype=np.min_scalar_type(device.n_levels - 1))
-            for group in self._cells]
+        self._cells = np.zeros((d, n_planes * n), dtype=np.float32)
+        self._levels = np.zeros(
+            self._cells.shape, dtype=np.min_scalar_type(device.n_levels - 1))
         self._programmed = False
         # Per-tile counters; aggregate_stats() sums them vectorially.
         self.cells_programmed = np.zeros(n_tiles, dtype=np.int64)
@@ -199,11 +205,12 @@ class TileBank:
         self.cell_reads = np.zeros(n_tiles, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def _tile(self, groups: list[np.ndarray], index: int) -> np.ndarray:
-        """One tile's ``(used_rows, used_cols)`` block of a per-group
-        array list (``_cells`` / ``_levels``): a view."""
-        group, col0, col1 = self._span[index]
-        return groups[group][:, col0:col1]
+    def _tile(self, cells: np.ndarray, index: int) -> np.ndarray:
+        """One tile's ``(used_rows, used_cols)`` block of a cell array
+        (``_cells`` / ``_levels``): a view."""
+        row_tile, col0, col1 = self._span[index]
+        row0 = row_tile * self.rows
+        return cells[row0:row0 + self.rows, col0:col1]
 
     def tile(self, index: int) -> "TileView":
         """One tile of the bank: state, counters and re-pulse by index."""
@@ -254,7 +261,7 @@ class TileBank:
             # earlier build programmed.  Drawing `size=levels[i].shape`
             # instead ("draw what you occupy") re-rolls every conductance,
             # `answers_sha256` and the scorecard; it waits for ROADMAP
-            # item 7's paired per-deployment verdicts, so that a re-roll
+            # item 1's paired per-deployment verdicts, so that a re-roll
             # reads "unresolved at this scale" instead of flipping a pass.
             # (The corner is copied out so the whole-tile draw is freed
             # before the next tile makes its own.)
@@ -353,8 +360,8 @@ class TileBank:
         grouped = self.matmat_grouped(chunks, quantize_output=quantize_output)
         out = np.zeros((self.n_tiles, grouped[0].shape[0], self.cols),
                        dtype=grouped[0].dtype)
-        for tile, (group, col0, col1) in enumerate(self._span):
-            out[tile, :, :col1 - col0] = grouped[group][:, col0:col1]
+        for tile, (row_tile, col0, col1) in enumerate(self._span):
+            out[tile, :, :col1 - col0] = grouped[row_tile][:, col0:col1]
         return out
 
     def matmat_grouped(self, chunks: np.ndarray, *,
@@ -370,10 +377,11 @@ class TileBank:
         """
         self._require_programmed()
         chunks = np.asarray(chunks, dtype=np.float32)
-        if (chunks.ndim != 3 or chunks.shape[0] != len(self._cells)
+        n_chunks = -(-self.shape[0] // self.rows)
+        if (chunks.ndim != 3 or chunks.shape[0] != n_chunks
                 or chunks.shape[2] != self.rows):
             raise ValueError(
-                f"expected (n_chunks={len(self._cells)}, batch, "
+                f"expected (n_chunks={n_chunks}, batch, "
                 f"rows={self.rows}) inputs, got {chunks.shape}")
         if quantize_output:
             # One ADC step per (row tile, query): the full scale
@@ -382,8 +390,9 @@ class TileBank:
             full_scale = np.where(full_scale == 0.0, 1.0, full_scale)
             steps = 2.0 * full_scale / (2 ** self.adc_bits - 1)
         out = []
-        for g, (chunk, cells) in enumerate(zip(chunks, self._cells)):
+        for g, chunk in enumerate(chunks):
             # The stored cells are the operand: (used_rows, n_planes * n).
+            cells = self._cells[g * self.rows:(g + 1) * self.rows]
             currents = chunk[:, :len(cells)] @ cells
             if quantize_output:
                 step = steps[g][:, None]
@@ -412,33 +421,63 @@ class TileBank:
     # ------------------------------------------------------------------
     # Durable state
     # ------------------------------------------------------------------
-    def _flat(self, groups: list[np.ndarray]) -> np.ndarray:
-        """The occupied cells of a per-group array list, flat in tile
-        order (each tile row-major): one gathered copy."""
-        return np.concatenate([groups[group][:, col0:col1].ravel()
-                               for group, col0, col1 in self._span])
+    def _bands(self, flat: np.ndarray, cells: np.ndarray):
+        """``(flat block, cell block)`` view pairs covering every occupied
+        cell, one per band of like tiles — the whole row tiles or the
+        last, partial one, by the whole column tiles or the last, partial
+        one — each ``(n_planes, row tiles, column tiles, used_rows,
+        used_cols)``: every plane and every tile of the band at once.
 
-    def _regrouped(self, snap: dict, key: str, dtype) -> list[np.ndarray]:
-        """A snapshot's cell array as new per-group arrays the bank owns:
-        flat in tile order, or — no ``extent``, what every build before
-        the occupied extent wrote — an ``(n_tiles, rows, cols)`` stack of
-        which only each tile's occupied corner is kept."""
+        In tile order plane ``p`` starts at ``p * d * n``, row tile ``r``
+        at ``r * rows * n`` of its plane and column tile ``c`` at ``c *
+        cols * used_rows`` of its row tile, so a band is one strided view
+        of the flat array, as it is of the cells (rows ``r * rows``,
+        columns ``p * n + c * cols``)."""
+        d, n = self.shape
+        planes = flat.reshape(-1, d * n)
+        by_plane = cells.reshape(d, -1, n)
+        for r0, n_rows, used_rows in _runs(d, self.rows):
+            row0, row1 = r0 * self.rows, r0 * self.rows + n_rows * used_rows
+            flat_rows = planes[:, row0 * n:row1 * n].reshape(
+                -1, n_rows, used_rows * n)
+            cell_rows = by_plane[row0:row1].reshape(n_rows, used_rows, -1, n)
+            for c0, n_cols, used_cols in _runs(n, self.cols):
+                col0, col1 = c0 * self.cols, c0 * self.cols + n_cols * used_cols
+                yield (flat_rows[:, :, col0 * used_rows:col1 * used_rows]
+                       .reshape(-1, n_rows, n_cols, used_rows, used_cols),
+                       cell_rows[..., col0:col1]
+                       .reshape(n_rows, used_rows, -1, n_cols, used_cols)
+                       .transpose(2, 0, 3, 1, 4))
+
+    def _flat(self, cells: np.ndarray) -> np.ndarray:
+        """The occupied cells of a cell array, flat in tile order (each
+        tile row-major): one copy a band, at most four."""
+        flat = np.empty(cells.size, dtype=cells.dtype)
+        for block, band in self._bands(flat, cells):
+            block[...] = band
+        return flat
+
+    def _regrouped(self, snap: dict, key: str, dtype) -> np.ndarray:
+        """A snapshot's cell array as a new cell array the bank owns:
+        flat in tile order (one copy a band, at most four), or — no
+        ``extent``, what every build before the occupied extent wrote —
+        an ``(n_tiles, rows, cols)`` stack of which only each tile's
+        occupied corner is kept."""
         array, whole_tiles = np.asarray(snap[key]), "extent" not in snap
-        ends = self.extent.prod(axis=1).cumsum()
         shape = ((self.n_tiles, self.rows, self.cols) if whole_tiles
-                 else (int(ends[-1]),))
+                 else (self._cells.size,))
         if array.shape != shape:
             raise ValueError(
                 f"snapshot {key} has shape {array.shape}, not {shape}")
-        groups = [np.empty(group.shape, dtype=dtype) for group in self._cells]
-        if not whole_tiles:
-            array = np.split(array, ends[:-1])
-        for (group, col0, col1), (used_rows, used_cols), block in zip(
-                self._span, self.extent.tolist(), array):
-            groups[group][:, col0:col1] = (
-                block[:used_rows, :used_cols] if whole_tiles
-                else block.reshape(used_rows, used_cols))
-        return groups
+        cells = np.empty(self._cells.shape, dtype=dtype)
+        if whole_tiles:
+            for tile, (used_rows, used_cols), block in zip(
+                    range(self.n_tiles), self.extent.tolist(), array):
+                self._tile(cells, tile)[...] = block[:used_rows, :used_cols]
+        else:
+            for block, band in self._bands(array, cells):
+                band[...] = block
+        return cells
 
     def snapshot(self) -> dict:
         """Versioned capture of the bank's durable state.
@@ -527,8 +566,7 @@ class TileBank:
             raise ValueError(
                 f"snapshot target_levels ({levels.dtype}) are not integers "
                 f"in the device's [0, {self.device.n_levels}) level range")
-        levels = self._regrouped(snap, "target_levels",
-                                 self._levels[0].dtype)
+        levels = self._regrouped(snap, "target_levels", self._levels.dtype)
         cells = self._regrouped(snap, "conductance", np.float32)
         legacy = "rng_states" not in snap and "rngs" in snap
         states = checked_states(snap["rngs"] if legacy else snap["rng_states"],
@@ -545,8 +583,7 @@ class TileBank:
     def nbytes(self) -> int:
         """Resident bytes of the bank's cell state: each occupied cell's
         conductance (float32) and target level, held once."""
-        return sum(cells.nbytes + levels.nbytes
-                   for cells, levels in zip(self._cells, self._levels))
+        return self._cells.nbytes + self._levels.nbytes
 
 
 class TileView:

@@ -32,6 +32,7 @@ from ..utils import (
     pack_state,
     rng_from_seed,
     spawn_generators,
+    state_generator,
 )
 from .pooling import multi_scale_vectors
 
@@ -361,15 +362,17 @@ class CiMSearchEngine:
         *,
         config: SearchConfig = SSA_CONFIG,
         mitigation: MitigationHooks | None = None,
-        rng: np.random.Generator | None = None,
     ) -> "CiMSearchEngine":
         """Rebuild a store from a :meth:`snapshot`, bit-identically.
 
         No crossbar is programmed: every scale store comes back through
         its class's ``from_snapshot``, counters and generator states
-        included, and ``rng`` (the engine's generator, as the caller
-        derives it) is set to the packed ``rng_state`` — or to the
-        ``rng`` state dict an earlier build wrote.  A section whose parts
+        included, and the engine's generator is a
+        :func:`~repro.utils.state_generator` set to the packed
+        ``rng_state`` — or to the ``rng`` state dict an earlier build
+        wrote — so nothing is seeded only to be overwritten (like a
+        bank's, it carries a state, not a seed sequence to spawn from: a
+        re-deploy builds a new engine).  A section whose parts
         disagree (see :meth:`_check_snapshot`), a state that is not one
         PCG64 state, or a store that is not ``(rows_s, count)`` —
         ``pad_length // s`` pooled tokens of one code width — is a
@@ -377,7 +380,7 @@ class CiMSearchEngine:
         """
         self = cls(device, sigma=float(snap["sigma"]), config=config,
                    mitigation=mitigation, on_cim=bool(snap["on_cim"]),
-                   rng=rng)
+                   rng=state_generator())
         store_class, key = ((CiMMatrix, "stores") if self.on_cim
                             else (IdealStore, "digital"))
         self._check_snapshot(snap, key)

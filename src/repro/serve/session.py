@@ -120,10 +120,14 @@ class UserSession:
 
     def __init__(self, user_id: int, model: TinyCausalLM,
                  tokenizer: Tokenizer,
-                 config: FrameworkConfig | None = None):
+                 config: FrameworkConfig | None = None,
+                 library: OVTLibrary | None = None):
+        """``library`` is what the session starts serving (a restored
+        library, handed to its pipeline); by default an empty one."""
         self.user_id = user_id
         self.config = config if config is not None else FrameworkConfig()
-        self.pipeline = OVTTrainingPipeline(model, tokenizer, self.config)
+        self.pipeline = OVTTrainingPipeline(model, tokenizer, self.config,
+                                            library)
         self._deployment: NVCiMDeployment | None = None
         self._prefill_states: OrderedDict[tuple[str, int], PrefillSlot] = \
             OrderedDict()

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.framework import FrameworkConfig, NVCiMDeployment
+from ..compression import OVTAutoencoder
+from ..core.framework import FrameworkConfig, NVCiMDeployment, OVTLibrary
 from ..data.lamp import Sample
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
@@ -241,23 +242,23 @@ class SessionSnapshot:
     def _rebuild(self, model: TinyCausalLM,
                  tokenizer: Tokenizer) -> UserSession:
         config = self._framework_config()
-        session = UserSession(self.user_id, model, tokenizer, config)
-
-        # Library: token matrices verbatim, autoencoder weights re-seated
-        # into the pipeline's (architecture-identical) fresh instance.
-        library = session.library
-        library.ovts.extend(
-            VirtualTokens(
-                np.array(entry["matrix"], dtype=np.float32),
-                source=(_sample_from(entry["source"])
-                        if entry["source"] is not None else None),
-                domain=entry["domain"])
-            for entry in self.library["ovts"])
-        library.autoencoder.load_state_dict(
-            self.library["autoencoder_state"])
-        library.autoencoder._trained = bool(
-            self.library["autoencoder_trained"])
-        library.noise_aware = bool(self.library["noise_aware"])
+        # Library: token matrices verbatim, the autoencoder built straight
+        # from its weights (no initial weights drawn to be overwritten),
+        # each array one owned float32 copy; the session starts with it.
+        library = OVTLibrary(
+            ovts=[VirtualTokens(
+                      np.array(entry["matrix"], dtype=np.float32),
+                      source=(_sample_from(entry["source"])
+                              if entry["source"] is not None else None),
+                      domain=entry["domain"])
+                  for entry in self.library["ovts"]],
+            autoencoder=OVTAutoencoder.from_state_dict(
+                config.autoencoder_config(model.config.d_model),
+                self.library["autoencoder_state"],
+                trained=bool(self.library["autoencoder_trained"])),
+            noise_aware=bool(self.library["noise_aware"]))
+        session = UserSession(self.user_id, model, tokenizer, config,
+                              library)
 
         # Buffer: samples travel; embeddings are recomputed (embedding a
         # text through the frozen model is deterministic).

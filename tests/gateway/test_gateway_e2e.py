@@ -21,6 +21,7 @@ from repro.gateway import (
     PromptGateway,
     RetryPolicy,
 )
+from repro.gateway.validation import ValidationError
 from repro.llm import GenerationConfig
 from repro.serve import QueryRequest
 
@@ -173,6 +174,38 @@ class TestDeadlines:
                             {"user_id": 0, "text": "x", "deadline_ms": -5})
         assert info.value.status == 400
         assert info.value.field == "deadline_ms"
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"), 0, -5, 10 ** 400, True,
+        "100"], ids=["nan", "inf", "-inf", "zero", "negative",
+                     "int-past-float", "bool", "string"])
+    def test_parse_deadline_refuses_what_no_clock_reaches(self, gateway,
+                                                          value):
+        """NaN and Infinity are JSON to ``json.loads``; a NaN deadline
+        compares false with every clock reading, so it would never time
+        out — each is a 400 on ``deadline_ms``, like a negative one."""
+        with pytest.raises(ValidationError) as info:
+            gateway._parse_deadline({"deadline_ms": value})
+        assert info.value.status == 400
+        assert info.value.field == "deadline_ms"
+
+    def test_parse_deadline_reads_milliseconds(self, gateway):
+        assert gateway._parse_deadline({}) is None
+        assert gateway._parse_deadline({"deadline_ms": 250}) == 0.25
+        assert gateway._parse_deadline({"deadline_ms": 1.5}) == 0.0015
+
+    @pytest.mark.parametrize("literal", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_finite_deadline_on_the_wire_is_400(self, gateway, literal):
+        before = gateway.accepted
+        body = b'{"user_id": 0, "text": "x", "deadline_ms": ' + literal + b"}"
+        received = TestFramingOnTheWire.exchange(
+            gateway, b"POST /v1/query HTTP/1.1\r\nHost: localhost\r\n"
+                     b"Connection: close\r\nContent-Type: application/json"
+                     b"\r\nContent-Length: " + str(len(body)).encode()
+                     + b"\r\n\r\n" + body)
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert b'"field": "deadline_ms"' in received
+        assert gateway.accepted == before      # never queued
 
     def test_generous_deadline_completes_normally(self, client, setup):
         _, tok = setup

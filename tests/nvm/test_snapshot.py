@@ -272,7 +272,7 @@ class TestTileBankSnapshot:
         other = self.make_bank(seed=77)
         other.restore(decode_value(blob))
         raw = np.frombuffer(blob, dtype=np.uint8)
-        for array in (*other._cells, *other._levels,
+        for array in (other._cells, other._levels,
                       other.mvm_ops, other.write_pulses):
             assert not np.shares_memory(array, raw)
             assert array.flags.writeable and array.flags.aligned

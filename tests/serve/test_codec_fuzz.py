@@ -8,6 +8,12 @@ whatever ``from_bytes`` accepted returns or raises ``SnapshotError``:
 the one error ``PromptServeEngine`` quarantines a blob for, instead of
 failing every later query of its user.
 
+And the codec is the reference walk (``tests/oracles/codec.py``) made
+fast: for every kind of value it accepts it writes the reference's
+bytes, and on valid encodings, truncations and byte flips it decodes an
+equal value exactly when the reference does and raises ``CodecError``
+exactly when the reference does.
+
 The examples are derandomized, so the suite is repeatable; raise
 ``max_examples`` and drop ``derandomize`` locally for a longer campaign.
 """
@@ -26,8 +32,9 @@ from repro.serve import (
     SnapshotError,
     TuneRequest,
 )
-from repro.serve.codec import CodecError, decode_value
+from repro.serve.codec import CodecError, decode_value, encode_value
 from repro.serve.snapshot import MAGIC, SCHEMA_VERSION
+from tests.oracles.codec import decode_reference, encode_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -125,3 +132,143 @@ def test_one_changed_byte_restores_or_is_refused(deployed, data):
         SessionSnapshot.from_bytes(changed).build_session(model, tok)
     except SnapshotError:
         pass
+
+
+# ----------------------------------------------------------------------
+# The codec against the reference walk
+# ----------------------------------------------------------------------
+class Key(str):
+    """A ``str`` subclass: the encoder's exact-type path must hand it to
+    the ``isinstance`` checks, as a value and as a dict key."""
+
+
+DTYPES = st.sampled_from(["?", "u1", "<u2", "<i4", ">i4", "<i8", ">u8",
+                          "<f2", "<f4", ">f8"])
+
+
+@st.composite
+def arrays(draw):
+    """Arrays of every allowed kind and byte order: 0-d, 0-size, and
+    non-contiguous (transposed or strided) ones among them."""
+    dtype = np.dtype(draw(DTYPES))
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    size = int(np.prod(shape)) * dtype.itemsize
+    array = np.frombuffer(draw(st.binary(min_size=size, max_size=size)),
+                          dtype=dtype).reshape(shape)
+    layout = draw(st.sampled_from(["c", "transposed", "strided"]))
+    if layout == "transposed":
+        return array.T
+    if layout == "strided" and array.ndim:
+        return array[::2]
+    return array
+
+
+NUMPY_SCALARS = (
+    st.booleans().map(np.bool_)
+    | st.integers(-2 ** 7, 2 ** 7 - 1).map(np.int8)
+    | st.integers(0, 2 ** 16 - 1).map(np.uint16)
+    | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+    | st.integers(0, 2 ** 64 - 1).map(np.uint64)
+    | st.floats(width=32).map(np.float32)
+    | st.floats().map(np.float64))
+
+LEAVES = (
+    st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200)
+    | st.floats() | st.text(max_size=8) | st.text(max_size=4).map(Key)
+    | st.binary(max_size=8) | st.binary(max_size=8).map(bytearray)
+    | NUMPY_SCALARS | arrays())
+
+VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4) | st.text(max_size=4).map(Key),
+                      children, max_size=4),
+    max_leaves=16)
+
+
+def decodes_alike(blob) -> bool:
+    """Decode ``blob`` with the codec and with the reference: both raise
+    ``CodecError``, or both return values of one canonical encoding
+    (which pins every type, dtype, shape and bit).  Whether they decoded."""
+    try:
+        expected = decode_reference(blob)
+    except CodecError:
+        with pytest.raises(CodecError):
+            decode_value(blob)
+        return False
+    decoded = decode_value(blob)
+    assert encode_reference(decoded) == encode_reference(expected)
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=VALUES)
+def test_a_value_encodes_and_decodes_as_the_reference_walk_does(value):
+    blob = encode_value(value)
+    assert blob == encode_reference(value)
+    assert decodes_alike(blob)
+
+
+@pytest.mark.parametrize("value", [
+    {1: 0}, {1: 0, "a": 0}, {None: 0}, {b"key": 0}, {0}, object(),
+    np.array(["text"]), np.array([None], dtype=object), [np.array([1j])],
+], ids=["int-key", "mixed-keys", "none-key", "bytes-key", "set", "object",
+        "str-array", "object-array", "complex-array"])
+def test_what_the_reference_refuses_is_refused(value):
+    for encode in (encode_value, encode_reference):
+        with pytest.raises(CodecError):
+            encode(value)
+
+
+def _n(count: int) -> bytes:
+    return count.to_bytes(8, "little")
+
+
+@pytest.mark.parametrize("blob", [
+    b"d" + _n(1) + b"i\x01\x05" + b"s" + _n(1) + b"v",
+    b"d" + _n(1) + b"N" + b"s" + _n(1) + b"v",
+    b"d" + _n(1) + b"b" + _n(1) + b"k" + b"N",
+    b"d" + _n(1) + b"l" + _n(0) + b"N",
+    b"d" + _n(1) + b"s\x01\x00",
+    b"d" + _n(2) + b"s" + _n(1) + b"k" + b"N",
+    b"s" + _n(1) + b"\xff",
+    b"a\x03|O8\x01" + _n(1) + _n(8) + bytes(8),
+    b"a\x03<f3\x01" + _n(1) + _n(3) + bytes(3),
+    b"a\x03<i4\x01" + _n(2) + _n(4) + bytes(4),
+    b"a\x03<i4\x02" + _n(2 ** 62) + _n(0) + _n(0),
+    b"i\x02\x01",
+    b"x",
+    b"N" + b"N",
+], ids=["int-key", "none-key", "bytes-key", "list-key", "key-cut-short",
+        "entry-missing", "not-utf8", "object-dtype", "unknown-dtype",
+        "payload-short", "shape-past-numpy", "int-cut-short", "unknown-tag",
+        "trailing-bytes"])
+def test_a_hostile_blob_is_refused_as_the_reference_refuses_it(blob):
+    assert not decodes_alike(blob)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(value=VALUES, data=st.data())
+def test_a_damaged_encoding_decodes_as_the_reference_decodes_it(value,
+                                                               data):
+    """Cut short, it is refused by both; one byte changed, both decode it
+    to one value or both refuse it."""
+    blob = encode_value(value)
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    assert not decodes_alike(blob[:cut])
+    at = data.draw(st.integers(0, len(blob) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+    decodes_alike(blob[:at] + bytes([byte]) + blob[at + 1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_deployed_blob_flipped_decodes_as_the_reference_decodes_it(
+        deployed, data):
+    *_, blob, skeleton = deployed
+    body = blob[len(HEADER):]
+    at = data.draw(st.sampled_from(skeleton).filter(
+        lambda i: i >= len(HEADER))) - len(HEADER)
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != body[at]))
+    decodes_alike(body[:at] + bytes([byte]) + body[at + 1:])

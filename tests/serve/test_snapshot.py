@@ -490,7 +490,7 @@ class TestBlobMovesOnce:
         owned += list(restored._deployment.engine._norms.values())
         for matrix in restored._deployment.engine._stores.values():
             bank = matrix.bank
-            owned += [*bank._cells, *bank._levels, bank.mvm_ops,
+            owned += [bank._cells, bank._levels, bank.mvm_ops,
                       bank.write_pulses, matrix._ints]
         for array in owned:
             assert not np.shares_memory(array, raw)

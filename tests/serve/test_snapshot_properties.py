@@ -84,8 +84,8 @@ class TestCodecProperties:
     @settings(max_examples=200, deadline=None)
     @given(value=VALUES)
     def test_encoding_is_the_reference_encoding(self, value):
-        """The one-copy join writes, byte for byte, what the obvious
-        bytearray encoder (``tests/oracles/codec.py``) writes."""
+        """The codec writes, byte for byte, what the reference walk
+        (``tests/oracles/codec.py``) writes."""
         assert encode_value(value) == encode_reference(value)
 
     @settings(max_examples=200, deadline=None)

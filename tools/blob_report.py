@@ -1,22 +1,28 @@
 """Where do the bytes of a session blob go?
 
     python tools/blob_report.py PATH.nvpt
-    python tools/blob_report.py --fresh
+    python tools/blob_report.py --fresh [--timing]
 
 Decodes one serialized session snapshot — the file at PATH, or with
 ``--fresh`` the raw blob of one ``fast``-preset session tuned, queried
 (so it is deployed) and captured in this process — and prints one row per
 array (dotted path, dtype, shape, payload bytes, share of the blob) and
 one per top-level section (its whole encoding), then the blob's codec
-``nodes`` (every value and every dict key: what encoding and decoding
-spend one Python call on each) and the total.  The section sizes are
-re-encoded, so the total equals the blob's length only if the blob is in
-canonical form; exits 1 when it does not.
+``nodes`` (every value and every dict key the codec walks) and the
+total.  The section sizes are re-encoded, so the total equals the blob's
+length only if the blob is in canonical form; exits 1 when it does not.
+
+``--timing`` (with ``--fresh``) then prints the warm median of 200 calls
+of each durable stage a spill and a restore run on that session: capture,
+``to_bytes``, ``from_bytes`` and ``build_session``.  Wall-clock on the
+host it runs on — compare two trees on one host, never across hosts.
 """
 
 from __future__ import annotations
 
+import statistics
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -29,8 +35,8 @@ from repro.serve.snapshot import MAGIC, SessionSnapshot  # noqa: E402
 _FRAME = len(MAGIC) + 2 + 1 + 8     # magic, schema, dict tag, entry count
 
 
-def fresh_blob() -> bytes:
-    """The verify skill's fast driving recipe, captured raw."""
+def fresh_session():
+    """The verify skill's fast driving recipe: one deployed session."""
     from repro import (FrameworkConfig, PromptServeEngine, TuneRequest,
                        build_corpus, build_model, build_tokenizer,
                        make_dataset, make_user)
@@ -43,7 +49,30 @@ def fresh_blob() -> bytes:
     samples = make_dataset("LaMP-2").generate(make_user(0, seed=0), 10, seed=0)
     engine.submit(TuneRequest(user_id=0, samples=tuple(samples)))
     engine.answer(0, samples[-1].input_text)
-    return SessionSnapshot.capture(engine.session(0), mode="raw").to_bytes()
+    return engine.session(0)
+
+
+def stage_timings(session, calls: int = 200) -> None:
+    """Print the warm median of ``calls`` calls of each durable stage."""
+    snap = SessionSnapshot.capture(session, mode="raw")
+    blob = snap.to_bytes()
+    restored = SessionSnapshot.from_bytes(blob)
+    stages = (
+        ("capture", lambda: SessionSnapshot.capture(session, mode="raw")),
+        ("to_bytes", snap.to_bytes),
+        ("from_bytes", lambda: SessionSnapshot.from_bytes(blob)),
+        ("build_session",
+         lambda: restored.build_session(session.model, session.tokenizer)),
+    )
+    print(f"stage timings: warm median of {calls} calls")
+    for name, call in stages:
+        call()
+        times = []
+        for _ in range(calls):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        print(f"  {name:<14} {statistics.median(times) * 1e3:8.3f} ms")
 
 
 def arrays(value, path=""):
@@ -89,8 +118,18 @@ def report(blob: bytes) -> int:
     return int(total != len(blob))
 
 
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
+def main(argv: list[str]) -> int:
+    if argv not in (["--fresh"], ["--fresh", "--timing"]) and (
+            len(argv) != 1 or argv[0].startswith("--")):
         sys.exit(__doc__)
-    sys.exit(report(fresh_blob() if sys.argv[1] == "--fresh"
-                    else Path(sys.argv[1]).read_bytes()))
+    if argv[0] != "--fresh":
+        return report(Path(argv[0]).read_bytes())
+    session = fresh_session()
+    status = report(SessionSnapshot.capture(session, mode="raw").to_bytes())
+    if "--timing" in argv:
+        stage_timings(session)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
