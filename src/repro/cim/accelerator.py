@@ -278,10 +278,8 @@ class CiMMatrix:
     # ------------------------------------------------------------------
     # Durable state
     # ------------------------------------------------------------------
-    SNAPSHOT_VERSION = 1
-
     def snapshot(self) -> dict:
-        """Versioned capture of the stored matrix's durable state.
+        """Capture of the stored matrix's durable state.
 
         Everything :meth:`from_snapshot` needs to rebuild this matrix
         bit-identically *without* reprogramming: the int16 codewords, the
@@ -289,7 +287,6 @@ class CiMMatrix:
         snapshot), and the mitigation's calibration.
         """
         return {
-            "version": self.SNAPSHOT_VERSION,
             "shape": [int(d) for d in self.shape],
             "subarray_rows": self.subarray_rows,
             "subarray_cols": self.subarray_cols,
@@ -311,7 +308,10 @@ class CiMMatrix:
         calibration all come from the snapshot; every key
         :meth:`snapshot` writes is required.
         """
-        self._check_snapshot(snap)
+        if tuple(snap["shape"]) != tuple(self.shape):
+            raise ValueError(
+                f"snapshot shape {tuple(snap['shape'])} does not match "
+                f"stored matrix {self.shape}")
         ints = np.array(snap["ints"], dtype=np.int16)
         if ints.shape != tuple(self.shape):
             raise ValueError(
@@ -322,21 +322,6 @@ class CiMMatrix:
         self._ints = ints
         self.calibration = {key: np.array(value)
                             for key, value in snap["calibration"].items()}
-
-    def _check_snapshot(self, snap: dict) -> None:
-        if snap.get("version") != self.SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported CiMMatrix snapshot version "
-                f"{snap.get('version')!r}")
-        # Version-1 writers recorded a layout flag; only the TileBank
-        # layout (flag absent or True) was ever deployed and is readable.
-        if not snap.get("vectorized", True):
-            raise ValueError("per-tile (vectorized=False) CiMMatrix "
-                             "snapshots are no longer readable")
-        if tuple(snap["shape"]) != tuple(self.shape):
-            raise ValueError(
-                f"snapshot shape {tuple(snap['shape'])} does not match "
-                f"stored matrix {self.shape}")
 
     @classmethod
     def from_snapshot(cls, snap: dict, device: NVMDevice, *,

@@ -366,30 +366,17 @@ class NVCiMDeployment:
     # ------------------------------------------------------------------
     # Durable state
     # ------------------------------------------------------------------
-    SNAPSHOT_VERSION = 1
-
     def snapshot(self) -> dict:
-        """Versioned capture of the deployment's durable NVM state.
+        """Capture of the deployment's durable NVM state.
 
         The per-scale crossbar stores travel in full — conductances,
         counters, generator states — so :meth:`from_snapshot` brings the
         deployment back bit-identically without one programming pulse.
         """
         return {
-            "version": self.SNAPSHOT_VERSION,
             "scales": [float(s) for s in self._scales],
             "engine": self.engine.snapshot(),
         }
-
-    def _check_snapshot(self, snap: dict) -> None:
-        if snap.get("version") != self.SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported NVCiMDeployment snapshot version "
-                f"{snap.get('version')!r}")
-        if len(snap["scales"]) != len(self.library.ovts):
-            raise ValueError(
-                f"snapshot holds {len(snap['scales'])} OVTs, library has "
-                f"{len(self.library.ovts)}")
 
     @classmethod
     def from_snapshot(cls, model: TinyCausalLM, tokenizer: Tokenizer,
@@ -409,8 +396,11 @@ class NVCiMDeployment:
         self.tokenizer = tokenizer
         self.library = library
         self.config = config
-        self._scales = [float(s) for s in snap.get("scales", ())]
-        self._check_snapshot(snap)
+        self._scales = [float(s) for s in snap["scales"]]
+        if len(self._scales) != len(library.ovts):
+            raise ValueError(
+                f"snapshot holds {len(self._scales)} OVTs, library has "
+                f"{len(library.ovts)}")
         mitigation = (make_mitigation(config.mitigation)
                       if config.mitigation != "none" else None)
         self.engine = CiMSearchEngine.from_snapshot(

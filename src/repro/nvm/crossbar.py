@@ -35,11 +35,7 @@ from ..utils import (
     state_generator,
 )
 
-__all__ = ["CrossbarStats", "TileBank", "TileView", "SNAPSHOT_VERSION"]
-
-# Version of the dict TileBank.snapshot() produces; restore() refuses
-# anything else.
-SNAPSHOT_VERSION = 1
+__all__ = ["CrossbarStats", "TileBank", "TileView"]
 
 
 @dataclass
@@ -457,30 +453,21 @@ class TileBank:
             block[...] = band
         return flat
 
-    def _regrouped(self, snap: dict, key: str, dtype) -> np.ndarray:
-        """A snapshot's cell array as a new cell array the bank owns:
-        flat in tile order (one copy a band, at most four), or — no
-        ``extent``, what every build before the occupied extent wrote —
-        an ``(n_tiles, rows, cols)`` stack of which only each tile's
-        occupied corner is kept."""
-        array, whole_tiles = np.asarray(snap[key]), "extent" not in snap
-        shape = ((self.n_tiles, self.rows, self.cols) if whole_tiles
-                 else (self._cells.size,))
-        if array.shape != shape:
+    def _regrouped(self, array: np.ndarray, key: str, dtype) -> np.ndarray:
+        """A snapshot's cell array — flat in tile order, of the bank's own
+        ``dtype`` for it — as a new cell array the bank owns: one copy a
+        band, at most four."""
+        if array.dtype != dtype or array.shape != (self._cells.size,):
             raise ValueError(
-                f"snapshot {key} has shape {array.shape}, not {shape}")
+                f"snapshot {key} is {array.dtype} {array.shape}, not "
+                f"{np.dtype(dtype)} ({self._cells.size},)")
         cells = np.empty(self._cells.shape, dtype=dtype)
-        if whole_tiles:
-            for tile, (used_rows, used_cols), block in zip(
-                    range(self.n_tiles), self.extent.tolist(), array):
-                self._tile(cells, tile)[...] = block[:used_rows, :used_cols]
-        else:
-            for block, band in self._bands(array, cells):
-                band[...] = block
+        for block, band in self._bands(array, cells):
+            band[...] = block
         return cells
 
     def snapshot(self) -> dict:
-        """Versioned capture of the bank's durable state.
+        """Capture of the bank's durable state.
 
         The occupied conductances and target levels flat in tile order
         with the ``extent`` that gives them their shape, per-tile
@@ -491,7 +478,6 @@ class TileBank:
         does not leak into it.
         """
         return {
-            "version": SNAPSHOT_VERSION,
             "kind": "tile_bank",
             "n_tiles": self.n_tiles,
             "rows": self.rows,
@@ -515,33 +501,22 @@ class TileBank:
     def restore(self, snap: dict) -> None:
         """Apply a :meth:`snapshot`; geometry must match exactly.
 
-        Every key :meth:`snapshot` writes is required except ``extent``
-        (absent: a whole-tile snapshot of an earlier build, see
-        :meth:`_regrouped`) and ``rng_states``, for which a snapshot of
-        an earlier build carries ``rngs``, one PCG64 state dict per tile.
-        Everything is checked against the geometry it claims — an extent
-        that is not this bank's, a cell array of the wrong shape, a level
-        that is not an integer in the device's range, a counter vector
-        that is not ``(n_tiles,)``, generator states that are not
+        Every key :meth:`snapshot` writes is required, and everything is
+        checked against the geometry it claims — an extent that is not
+        this bank's, a cell array of the wrong shape or not of the
+        bank's own dtype, a level outside the device's range, a counter
+        vector that is not ``(n_tiles,)``, generator states that are not
         ``n_tiles`` PCG64 states (:func:`repro.utils.checked_states`) is
         a ``ValueError`` — and nothing is adopted before everything
-        passed; no generator is built.  Levels may arrive at any integer
-        width (older builds wrote ``int64``) and are stored at cell
-        width.
+        passed; no generator is built.
         """
-        version = snap.get("version")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported tile bank snapshot version {version!r} "
-                f"(this build reads version {SNAPSHOT_VERSION})")
         geometry = (snap["n_tiles"], snap["rows"], snap["cols"])
         shape = (self.n_tiles, self.rows, self.cols)
         if geometry != shape:
             raise ValueError(
                 f"snapshot geometry {geometry} does not match this "
                 f"{shape} bank")
-        if "extent" in snap and not np.array_equal(snap["extent"],
-                                                   self.extent):
+        if not np.array_equal(snap["extent"], self.extent):
             raise ValueError(
                 f"snapshot extent {np.asarray(snap['extent']).tolist()} is "
                 f"not this bank's {self.extent.tolist()}")
@@ -557,20 +532,16 @@ class TileBank:
                     f"snapshot counter {name!r} has shape {vector.shape}, "
                     f"not ({self.n_tiles},)")
             counters[name] = vector
-        levels = np.asarray(snap["target_levels"])
-        # Checked at the width they arrived in: narrowing first would
-        # wrap an out-of-range level into a valid one.
-        if levels.dtype.kind not in "iu" or \
-                levels.min(initial=0) < 0 or \
-                levels.max(initial=0) >= self.device.n_levels:
+        flat = np.asarray(snap["target_levels"])
+        levels = self._regrouped(flat, "target_levels", self._levels.dtype)
+        # The cell dtype holds levels the device does not have.
+        if flat.max(initial=0) >= self.device.n_levels:
             raise ValueError(
-                f"snapshot target_levels ({levels.dtype}) are not integers "
-                f"in the device's [0, {self.device.n_levels}) level range")
-        levels = self._regrouped(snap, "target_levels", self._levels.dtype)
-        cells = self._regrouped(snap, "conductance", np.float32)
-        legacy = "rng_states" not in snap and "rngs" in snap
-        states = checked_states(snap["rngs"] if legacy else snap["rng_states"],
-                                self.n_tiles)
+                f"snapshot target_levels are not in the device's "
+                f"[0, {self.device.n_levels}) level range")
+        cells = self._regrouped(np.asarray(snap["conductance"]),
+                                "conductance", np.float32)
+        states = checked_states(snap["rng_states"], self.n_tiles)
         programmed = bool(snap["programmed"])
         self._rng_states = states
         for name, vector in counters.items():

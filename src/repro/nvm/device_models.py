@@ -42,7 +42,7 @@ class NVMDevice:
     name: str            # experiment alias, e.g. "NVM-3"
     device: str          # physical device, e.g. "FeFET3"
     kind: str            # "RRAM" or "FeFET"
-    level_sigmas: tuple[float, ...]  # per-level variation at sigma=0.1
+    level_sigmas: tuple[float, ...]  # per-level variation at REFERENCE_SIGMA
 
     def __post_init__(self):
         if len(self.level_sigmas) < 2:
@@ -72,7 +72,8 @@ class NVMDevice:
         """Per-cell standard deviation for cells programmed to ``levels``.
 
         ``sigma`` is the global device-variation setting; Table II numbers
-        are scaled linearly from their reference point at 0.1.
+        are scaled linearly from their reference point at
+        ``REFERENCE_SIGMA`` (0.01).
         """
         if sigma < 0:
             raise ValueError("sigma must be non-negative")

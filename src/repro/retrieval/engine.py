@@ -303,10 +303,8 @@ class CiMSearchEngine:
     # ------------------------------------------------------------------
     # Durable state
     # ------------------------------------------------------------------
-    SNAPSHOT_VERSION = 1
-
     def snapshot(self) -> dict:
-        """Versioned capture of the built store's durable state.
+        """Capture of the built store's durable state.
 
         The per-scale store snapshots (a :class:`CiMMatrix`'s
         conductances, counters and generator states under ``"stores"``;
@@ -318,7 +316,6 @@ class CiMSearchEngine:
         """
         self._require_built()
         return {
-            "version": self.SNAPSHOT_VERSION,
             "count": self._count,
             "row_counts": list(self._row_counts),
             "on_cim": self.on_cim,
@@ -332,14 +329,10 @@ class CiMSearchEngine:
         }
 
     def _check_snapshot(self, snap: dict, key: str) -> None:
-        """Refuse another version, or parts that disagree about what the
-        engine holds: per-scale sections (``key``'s stores, ``norms``)
-        that are not exactly ``config.scales``, or ``row_counts`` / norms
-        that are not ``count`` long."""
-        if snap.get("version") != self.SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported CiMSearchEngine snapshot version "
-                f"{snap.get('version')!r}")
+        """Refuse parts that disagree about what the engine holds:
+        per-scale sections (``key``'s stores, ``norms``) that are not
+        exactly ``config.scales``, or ``row_counts`` / norms that are not
+        ``count`` long."""
         scales = sorted(self.config.scales)
         for part in (key, "norms"):
             held = sorted(int(scale) for scale in snap[part])
@@ -369,8 +362,7 @@ class CiMSearchEngine:
         its class's ``from_snapshot``, counters and generator states
         included, and the engine's generator is a
         :func:`~repro.utils.state_generator` set to the packed
-        ``rng_state`` — or to the ``rng`` state dict an earlier build
-        wrote — so nothing is seeded only to be overwritten (like a
+        ``rng_state``, so nothing is seeded only to be overwritten (like a
         bank's, it carries a state, not a seed sequence to spawn from: a
         re-deploy builds a new engine).  A section whose parts
         disagree (see :meth:`_check_snapshot`), a state that is not one
@@ -384,10 +376,7 @@ class CiMSearchEngine:
         store_class, key = ((CiMMatrix, "stores") if self.on_cim
                             else (IdealStore, "digital"))
         self._check_snapshot(snap, key)
-        legacy = "rng_state" not in snap and "rng" in snap
-        rng_state = checked_states(
-            [snap["rng"]] if legacy else np.asarray(snap["rng_state"])[None],
-            1)[0]
+        rng_state = checked_states(np.asarray(snap["rng_state"])[None], 1)[0]
         count = int(snap["count"])
         stores = {int(scale): store_class.from_snapshot(
                       store, device, mitigation=self.mitigation)

@@ -9,9 +9,9 @@ dict keys are sorted, integers use their minimal two's-complement width,
 and arrays serialize their raw C-contiguous bytes, so encoding the same
 value always produces the same blob (the golden-fixture tests pin this).
 
-Supported values: ``None``, ``bool``, ``int`` (arbitrary precision:
-blobs of builds before packed generator states carry 128-bit PCG64
-states as ints), ``float``, ``str``, ``bytes``, ``list``/``tuple``
+Supported values: ``None``, ``bool``, ``int`` (arbitrary precision,
+minimal width: the codec is a general value format, not one sized to
+what a snapshot holds today), ``float``, ``str``, ``bytes``, ``list``/``tuple``
 (decoded as ``list``), ``dict`` with ``str`` keys, and numeric/bool
 ``numpy.ndarray``.  ``pickle`` is deliberately not involved: decoding a
 snapshot never executes anything, and a blob that does not decode —

@@ -268,9 +268,9 @@ class PromptServeEngine:
         """Rebuild a spilled user from the store; None when unknown.
 
         A blob that does not restore (truncated, corrupt, another
-        geometry or build) is quarantined and the user becomes unknown:
-        this query fails like any untuned user's, the next tune starts a
-        fresh session, no later query meets the blob again.  What the
+        geometry, build or user) is quarantined and the user becomes
+        unknown: this query fails like any untuned user's, the next tune
+        starts a fresh session, no later query meets the blob again.  What the
         spill banked stays banked — those requests were served.
         """
         if self.session_store is None:
@@ -279,8 +279,11 @@ class PromptServeEngine:
         if blob is None:
             return None
         try:
-            session = SessionSnapshot.from_bytes(blob).build_session(
-                self.model, self.tokenizer)
+            snap = SessionSnapshot.from_bytes(blob)
+            if snap.user_id != user_id:
+                raise SnapshotError(f"user {user_id}'s blob holds user "
+                                    f"{snap.user_id}'s session")
+            session = snap.build_session(self.model, self.tokenizer)
         except SnapshotError:
             self.session_store.quarantine(user_id)
             self.sessions_quarantined += 1

@@ -6,10 +6,13 @@ for free: the trained OVT library (token matrices plus the user's
 autoencoder weights), the observed-sample buffer, cumulative serving
 counters, and — optionally — the NVM deployment state.  Captured
 snapshots serialize to a stdlib-only tagged binary format
-(:mod:`repro.serve.codec`) with a magic header and schema version, so a
-session can leave memory (LRU eviction, process restart, another worker)
-and come back answering byte-identically, without re-running one tuner
-step.
+(:mod:`repro.serve.codec`) behind a header — magic, schema version and
+a CRC32 of the body — so a session can leave memory (LRU eviction,
+process restart, another worker) and come back answering
+byte-identically, without re-running one tuner step.  A blob is read in
+exactly the form this build writes: another version, a body that fails
+its checksum, or a section that does not rebuild is a
+:class:`SnapshotError`, and the engine quarantines it.
 
 Two capture modes trade size against restore cost, and both restore
 through the same path (the engines spill ``raw``; ``recipe`` is how an
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +56,19 @@ from ..tuning import VirtualTokens
 from .codec import CodecError, decode_value, encode_parts
 from .session import UserSession
 
-__all__ = ["SessionSnapshot", "SnapshotError", "SCHEMA_VERSION", "MAGIC"]
+__all__ = ["SessionSnapshot", "SnapshotError", "SCHEMA_VERSION", "MAGIC",
+           "HEADER", "HEADER_SIZE"]
 
 # Bumped whenever the payload layout changes incompatibly; from_bytes
 # refuses blobs from other versions (the golden-fixture test pins this).
-SCHEMA_VERSION = 1
+# The blob's one version: no section inside it carries its own.
+SCHEMA_VERSION = 2
 
 MAGIC = b"NVPTSNAP"
 
-_HEADER = struct.Struct("<H")
+# After the magic: the schema version, then the CRC32 of the body.
+HEADER = struct.Struct("<HI")
+HEADER_SIZE = len(MAGIC) + HEADER.size
 
 
 class SnapshotError(ValueError):
@@ -145,7 +153,8 @@ class SessionSnapshot:
     # Serialization
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Serialize to the versioned binary form (magic + schema + body)."""
+        """Serialize to the binary form: magic, schema version, the
+        body's CRC32, body."""
         payload = {
             "user_id": self.user_id,
             "mode": self.mode,
@@ -157,30 +166,40 @@ class SessionSnapshot:
             "prefill_keys": self.prefill_keys,
             "deployment": self.deployment,
         }
+        parts = encode_parts(payload)
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
         # One join: header and body pieces are copied into the blob once.
-        return b"".join([MAGIC, _HEADER.pack(SCHEMA_VERSION),
-                         *encode_parts(payload)])
+        return b"".join([MAGIC, HEADER.pack(SCHEMA_VERSION, crc), *parts])
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SessionSnapshot":
-        """Parse a serialized snapshot; refuses foreign or future blobs.
+        """Parse a serialized snapshot.
 
-        The arrays of the returned snapshot are read-only views over
-        ``blob`` (see :mod:`repro.serve.codec`); :meth:`build_session`
-        copies each into memory the session owns.
+        Refuses, in this order, a bad magic, another schema version and
+        a body whose CRC32 is not the header's — each a
+        :class:`SnapshotError` — and only then decodes.  The arrays of
+        the returned snapshot are read-only views over ``blob`` (see
+        :mod:`repro.serve.codec`); :meth:`build_session` copies each
+        into memory the session owns.
         """
-        if len(blob) < len(MAGIC) + _HEADER.size:
+        if len(blob) < HEADER_SIZE:
             raise SnapshotError("blob too short to be a session snapshot")
         if blob[:len(MAGIC)] != MAGIC:
             raise SnapshotError("not a session snapshot (bad magic)")
-        (version,) = _HEADER.unpack_from(blob, len(MAGIC))
+        # The version leads the header in every schema, so a blob of
+        # another one is named by its own version here.
+        version, crc = HEADER.unpack_from(blob, len(MAGIC))
         if version != SCHEMA_VERSION:
             raise SnapshotError(
                 f"snapshot schema version {version} is not supported "
                 f"(this build reads version {SCHEMA_VERSION})")
+        body = memoryview(blob)[HEADER_SIZE:]
+        if zlib.crc32(body) != crc:
+            raise SnapshotError("snapshot body fails its CRC32 check")
         try:
-            payload = decode_value(
-                memoryview(blob)[len(MAGIC) + _HEADER.size:])
+            payload = decode_value(body)
         except CodecError as error:
             raise SnapshotError(f"corrupt snapshot body: {error}") from error
         if not isinstance(payload, dict):
@@ -241,7 +260,7 @@ class SessionSnapshot:
 
     def _rebuild(self, model: TinyCausalLM,
                  tokenizer: Tokenizer) -> UserSession:
-        config = self._framework_config()
+        config = FrameworkConfig.from_dict(self.config)
         # Library: token matrices verbatim, the autoencoder built straight
         # from its weights (no initial weights drawn to be overwritten),
         # each array one owned float32 copy; the session starts with it.
@@ -281,26 +300,7 @@ class SessionSnapshot:
             if self.mode != "raw":
                 raise SnapshotError(
                     f"a {self.mode!r} snapshot carries a deployment "
-                    f"section (counters only, from an older build); those "
-                    f"are no longer readable")
+                    f"section; only a 'raw' one does")
             session._deployment = NVCiMDeployment.from_snapshot(
                 model, tokenizer, library, config, self.deployment)
         return session
-
-    def _framework_config(self) -> FrameworkConfig:
-        """The captured config, minus the switches retired since v1 blobs
-        were first written (``vectorized``, ``tuning.batched``): each only
-        ever held one deployable value, so they are dropped here rather
-        than by a schema bump, as are the base model's (never the
-        session's) precision keys.  The per-tile layout is refused."""
-        data = dict(self.config)
-        if not data.pop("vectorized", True):
-            raise SnapshotError("per-tile (vectorized=False) snapshots are "
-                                "no longer readable")
-        data.pop("base_quantization", None)
-        data.pop("quantization_group_size", None)
-        if isinstance(data.get("tuning"), dict):
-            data["tuning"] = {key: value
-                              for key, value in data["tuning"].items()
-                              if key != "batched"}
-        return FrameworkConfig.from_dict(data)

@@ -8,7 +8,11 @@ with two backends behind one API:
   but not the process.
 * **disk** — one ``session_<user>.nvpt`` file per user under
   ``directory``; writes go through a temp file and ``os.replace`` so a
-  crash mid-spill never leaves a truncated snapshot behind.
+  process crash mid-spill never leaves a truncated snapshot behind.
+  ``put`` does not ``fsync``, so after a power loss a torn file is
+  possible; the blob's CRC32 refuses it on restore
+  (:meth:`~repro.serve.snapshot.SessionSnapshot.from_bytes`) and the
+  engine quarantines it.
 
 The store works on bytes, not sessions: callers
 (:class:`~repro.serve.engine.PromptServeEngine` eviction, operators
@@ -57,8 +61,8 @@ class SessionStore:
         if self._directory is None:
             self._memory[user_id] = bytes(blob)
             return
-        # Atomic publish: a reader (or a crash) sees the old blob or the
-        # new one, never a partial write.
+        # Atomic publish: a reader (or a process crash) sees the old blob
+        # or the new one, never a partial write.
         fd, tmp_name = tempfile.mkstemp(dir=self._directory,
                                         prefix=f"{_PREFIX}{user_id}.",
                                         suffix=".tmp")

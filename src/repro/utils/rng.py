@@ -139,28 +139,10 @@ def checked_states(states, count: int) -> np.ndarray:
     """``count`` packed generator states as a new ``(count, STATE_WORDS)``
     ``uint64`` array, or ``ValueError``.
 
-    ``states`` is a packed array, or the list of ``{"name", "state"}``
-    dicts (numpy's PCG64 state dict under ``"state"``) that builds
-    before packed states wrote; either is checked whole — dtype, shape,
-    kind, a flag that is 0 or 1, a buffered value below 2**32, an odd
-    increment — before the caller adopts any of it.
+    ``states`` is checked whole — dtype, shape, a flag that is 0 or 1,
+    a buffered value below 2**32, an odd increment — before the caller
+    adopts any of it.
     """
-    if isinstance(states, list):
-        rows = []
-        for entry in states:
-            state = entry["state"]
-            if state["bit_generator"] != "PCG64":
-                raise ValueError(
-                    f"snapshot holds a {state['bit_generator']} generator "
-                    f"state; only PCG64 states restore")
-            value, inc = state["state"]["state"], state["state"]["inc"]
-            words = (value, inc, state["has_uint32"], state["uinteger"])
-            if not all(type(word) is int and 0 <= word < bound for word, bound
-                       in zip(words, (1 << 128, 1 << 128, 1 << 64, 1 << 64))):
-                raise ValueError(f"malformed PCG64 state {state!r}")
-            rows.append((value >> 64, value & _MASK64, inc >> 64,
-                         inc & _MASK64, *words[2:]))
-        states = np.array(rows, dtype=np.uint64).reshape(-1, STATE_WORDS)
     if not isinstance(states, np.ndarray) or states.dtype != np.uint64:
         raise ValueError(f"packed generator states must be a uint64 array, "
                          f"got {getattr(states, 'dtype', type(states))}")

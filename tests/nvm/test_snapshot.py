@@ -19,13 +19,6 @@ def roundtrip(snap):
     return decode_value(encode_value(snap))
 
 
-def _legacy(snap):
-    """Swap a bank snapshot's packed states for an earlier build's
-    per-tile state dicts, in place."""
-    snap.update(dict_form({"rng_states": snap.pop("rng_states")}))
-    return snap
-
-
 def _set_word(column, value, tile=-1):
     """Edit one word of one tile's packed state row (a snapshot edit)."""
     def edit(snap):
@@ -100,20 +93,18 @@ class TestTileBankSnapshot:
             assert np.array_equal(whole_tiles(other), whole_tiles(bank))
         assert encode_value(other.snapshot()) == encode_value(bank.snapshot())
 
-    def test_old_form_rngs_restore_bit_for_bit(self):
+    def test_old_form_rngs_are_refused(self):
         """What an earlier build wrote — one PCG64 state dict per tile
-        under ``rngs`` — restores to the same bank, which then writes
-        packed states and draws what the original draws."""
+        under ``rngs`` — is not read: the bank refuses it for want of
+        ``rng_states`` and adopts nothing."""
         bank = self.make_bank()
         old = dict_form(bank.snapshot())
         assert "rng_states" not in old and len(old["rngs"]) == 3
         other = self.make_bank(seed=77)
-        other.restore(roundtrip(old))
-        assert encode_value(other.snapshot()) == encode_value(bank.snapshot())
-        masks = np.ones((bank.n_tiles, bank.rows, bank.cols), dtype=bool)
-        bank.reprogram_cells(masks)
-        other.reprogram_cells(masks)
-        assert np.array_equal(whole_tiles(other), whole_tiles(bank))
+        before = encode_value(other.snapshot())
+        with pytest.raises(KeyError, match="rng_states"):
+            other.restore(roundtrip(old))
+        assert encode_value(other.snapshot()) == before
 
     def test_passed_generators_are_packed_not_advanced(self):
         """The bank keeps its streams as data: the generators it was
@@ -125,7 +116,8 @@ class TestTileBankSnapshot:
         assert [rng.bit_generator.state for rng in rngs] == states
 
     @pytest.mark.parametrize("key", ["conductance", "target_levels",
-                                     "rng_states", "programmed", "counters"])
+                                     "rng_states", "programmed", "counters",
+                                     "extent"])
     def test_restore_requires_every_state_key(self, key):
         """One reader form: there is no counters-only (or any other
         partial) snapshot a bank accepts."""
@@ -148,22 +140,23 @@ class TestTileBankSnapshot:
         # The occupied cells travel flat in tile order: 3 * 8 * 6 of them.
         "conductance-shape": lambda snap: snap.update(
             conductance=snap["conductance"][:-4]),
+        "conductance-float64": lambda snap: snap.update(
+            conductance=snap["conductance"].astype(np.float64)),
         "levels-shape": lambda snap: snap.update(
             target_levels=snap["target_levels"][:-4]),
         "levels-float": lambda snap: snap.update(
             target_levels=snap["target_levels"].astype(np.float32)),
+        # At cell width, a level the device does not have.
         "levels-above-range": lambda snap: snap.update(
-            target_levels=np.full(3 * 8 * 6, 9)),
+            target_levels=np.full(3 * 8 * 6, 9, dtype=np.uint8)),
         "levels-negative": lambda snap: snap.update(
             target_levels=np.full(3 * 8 * 6, -1)),
-        # 257 narrows to a valid 1 in uint8: the check must come first.
+        # Not narrowed: 257 would wrap to a valid 1 in uint8.
         "levels-would-wrap": lambda snap: snap.update(
             target_levels=np.full(3 * 8 * 6, 257)),
-        # Flat arrays mean nothing under another bank's extent ...
+        # Flat arrays mean nothing under another bank's extent.
         "extent-of-another-bank": lambda snap: snap.update(
             extent=snap["extent"] - 1),
-        # ... and without one the arrays must be whole-tile stacks.
-        "extent-absent-flat-arrays": lambda snap: snap.pop("extent"),
         # Packed generator states: one uint64 row of six words a tile.
         "rng_states-dtype": lambda snap: snap.update(
             rng_states=snap["rng_states"].astype(np.int64)),
@@ -177,13 +170,6 @@ class TestTileBankSnapshot:
         "rng_states-flag": _set_word(4, 2),
         "rng_states-buffered-value": _set_word(5, 1 << 32),
         "rng_states-even-increment": _set_word(3, 2),
-        # An earlier build's per-tile state dicts, damaged.
-        "rngs-length": lambda snap: _legacy(snap).update(
-            rngs=snap["rngs"][:1]),
-        "rng-kind-at-last-tile": lambda snap: _legacy(snap)["rngs"][-1].update(
-            state=dict(snap["rngs"][-1]["state"], bit_generator="MT19937")),
-        "rng-state-over-128-bits": lambda snap: _legacy(snap)["rngs"][-1][
-            "state"]["state"].update(inc=1 << 128),
         "counter-shape": lambda snap: snap["counters"].update(
             mvm_ops=snap["counters"]["mvm_ops"][:1]),
     }
@@ -251,18 +237,19 @@ class TestTileBankSnapshot:
         assert matmat[0] < 0.05 and abs(matmat[1]) < 0.05
         assert restore[0] < 1.5 and abs(restore[1]) < 0.05
 
-    def test_wide_levels_restore_narrow(self):
-        """The bytes an older build wrote: ``int64`` levels.  They are
-        range-checked wide, stored narrow, and nothing else differs."""
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.int8])
+    def test_levels_at_another_width_are_refused(self, dtype):
+        """The bytes older builds wrote had ``int64`` levels.  Levels
+        restore only at the bank's own cell width: in range or not, any
+        other integer width is refused and nothing is adopted."""
         bank = self.make_bank()
         snap = bank.snapshot()
-        snap["target_levels"] = snap["target_levels"].astype(np.int64)
+        snap["target_levels"] = snap["target_levels"].astype(dtype)
         other = self.make_bank(seed=77)
-        other.restore(roundtrip(snap))
-        levels = whole_tiles(other, "target_levels")
-        assert levels.dtype == np.uint8
-        assert np.array_equal(levels, whole_tiles(bank, "target_levels"))
-        assert encode_value(other.snapshot()) == encode_value(bank.snapshot())
+        before = encode_value(other.snapshot())
+        with pytest.raises(ValueError, match="target_levels"):
+            other.restore(roundtrip(snap))
+        assert encode_value(other.snapshot()) == before
 
     def test_restored_arrays_are_owned(self):
         """Decoded arrays are read-only views over the blob; the bank
@@ -399,14 +386,10 @@ class TestCiMMatrixSnapshot:
         with pytest.raises(ValueError, match="must be positive"):
             CiMMatrix.from_snapshot(snap, get_device("NVM-3"))
 
-    def test_per_tile_snapshot_refused(self):
-        """v1 writers could record ``vectorized: False``; that layout is
-        gone, and its snapshots are refused by name, not by KeyError."""
-        matrix = self.make_matrix()
-        snap = dict(matrix.snapshot(), vectorized=False)
-        with pytest.raises(ValueError, match="per-tile"):
-            CiMMatrix.from_snapshot(snap, get_device("NVM-3"))
-        with pytest.raises(ValueError, match="per-tile"):
-            matrix.restore(snap)
-        matrix.restore(dict(matrix.snapshot(), vectorized=True))  # v1 form
-        assert "vectorized" not in matrix.snapshot()
+    def test_snapshot_carries_no_version_or_layout_flag(self):
+        """The session blob's header holds the one schema version; no
+        section of a stored matrix carries its own, nor the ``vectorized``
+        layout flag schema-1 writers recorded."""
+        snap = self.make_matrix().snapshot()
+        for section in (snap, snap["bank"]):
+            assert not {"version", "vectorized"} & set(section)

@@ -141,9 +141,11 @@ class TestExtentIsTheOccupiedCorner:
 SHAPE = (9, 5)
 
 
-class TestWholeTileSnapshots:
-    """What every build before the occupied extent wrote: whole-tile
-    ``(n_tiles, rows, cols)`` stacks and no ``extent``."""
+class TestRaggedSnapshots:
+    """A snapshot's cells travel flat in tile order beside the ``extent``
+    that shapes them; the whole-tile ``(n_tiles, rows, cols)`` stacks
+    without an ``extent`` that builds before the occupied extent wrote
+    are refused."""
 
     def make(self, seed=3):
         device = get_device("NVM-3")
@@ -170,17 +172,13 @@ class TestWholeTileSnapshots:
             old[key] = stack
         return old
 
-    def test_old_snapshot_restores_to_the_identical_bank(self):
-        """The occupied corner is kept; what sat in the padding (zeros in
-        every blob a build wrote, junk here) is dropped."""
+    def test_snapshot_restores_to_the_identical_bank(self):
         bank = self.make()
         assert bank.extent.tolist() == [[6, 4], [6, 1], [3, 4], [3, 1]]
         chunks = np.ones((2, 1, 6), dtype=np.float32)
         bank.matmat(chunks)
-        old = self.as_whole_tiles(bank, bank.snapshot(), junk_level=3,
-                                  junk_cell=7.0)
         twin = self.make(seed=9)
-        twin.restore(decode_value(encode_value(old)))
+        twin.restore(decode_value(encode_value(bank.snapshot())))
         assert encode_value(twin.snapshot()) == encode_value(bank.snapshot())
         assert np.array_equal(twin.matmat(chunks), bank.matmat(chunks))
         # Later re-pulses included: the generators came along.
@@ -189,18 +187,31 @@ class TestWholeTileSnapshots:
         twin.reprogram_cells(masks)
         assert encode_value(twin.snapshot()) == encode_value(bank.snapshot())
 
+    @pytest.mark.parametrize("whole_tiles", [True, False])
+    def test_a_snapshot_without_an_extent_is_refused(self, whole_tiles):
+        """Whole-tile stacks (what builds before the occupied extent
+        wrote) or flat arrays: without an ``extent`` neither restores."""
+        bank = self.make()
+        snap = bank.snapshot()
+        old = (self.as_whole_tiles(bank, snap, junk_level=3, junk_cell=7.0)
+               if whole_tiles else {k: v for k, v in snap.items()
+                                    if k != "extent"})
+        twin = self.make(seed=9)
+        before = encode_value(twin.snapshot())
+        with pytest.raises(KeyError, match="extent"):
+            twin.restore(decode_value(encode_value(old)))
+        assert encode_value(twin.snapshot()) == before
+
     MALFORMED = {
         "extent-of-another-bank": lambda bank, snap: snap.update(
             extent=snap["extent"][::-1].copy()),
-        "flat-arrays-without-an-extent": lambda bank, snap:
-            snap.pop("extent"),
         "whole-tile-arrays-with-an-extent": lambda bank, snap: snap.update(
-            TestWholeTileSnapshots.as_whole_tiles(
+            TestRaggedSnapshots.as_whole_tiles(
                 bank, snap, junk_level=0, junk_cell=0.0),
             extent=snap["extent"]),
         "corner-level-out-of-range": lambda bank, snap: snap.update(
             target_levels=np.where(np.arange(snap["target_levels"].size) == 0,
-                                   9, snap["target_levels"])),
+                                   np.uint8(9), snap["target_levels"])),
     }
 
     @pytest.mark.parametrize("field", sorted(MALFORMED))
@@ -217,7 +228,7 @@ class TestWholeTileSnapshots:
 
 class TestErasedCells:
     def make(self):
-        return TestWholeTileSnapshots().make()
+        return TestRaggedSnapshots().make()
 
     def test_addressing_an_erased_cell_is_refused_and_changes_nothing(self):
         bank = self.make()

@@ -3,10 +3,10 @@
 Earlier builds wrote every generator's state as numpy's PCG64 state dict,
 wrapped as ``{"name": "PCG64", "state": <bit_generator.state>}``: a tile
 bank's under ``"rngs"`` (one per tile), a search engine's under
-``"rng"``.  This build writes packed ``uint64`` rows instead
-(``"rng_states"`` / ``"rng_state"``) and still reads the dicts;
-:func:`dict_form` turns a snapshot of this build into the older form, so
-tests can restore what an earlier build wrote.
+``"rng"``.  This build writes and reads only packed ``uint64`` rows
+(``"rng_states"`` / ``"rng_state"``); :func:`dict_form` turns a snapshot
+of this build into the older form, so tests can check that what an
+earlier build wrote is refused.
 """
 
 from repro.utils import load_state, state_generator

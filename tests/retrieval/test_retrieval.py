@@ -244,10 +244,10 @@ class TestCiMSearchEngine:
         assert np.array_equal(rebuilt.query(query), engine.query(query))
 
 
-    def test_old_form_rng_dicts_restore_bit_for_bit(self):
+    def test_old_form_rng_dicts_are_refused(self):
         """An earlier build's engine snapshot — its own generator under
         ``rng`` and each bank's under ``rngs``, as PCG64 state dicts —
-        rebuilds the engine this build snapshots as packed rows."""
+        is not read: this build restores only packed rows."""
         engine = self._engine(sigma=0.1)
         engine.build(self._ovts(3))
         snap = engine.snapshot()
@@ -255,10 +255,12 @@ class TestCiMSearchEngine:
         assert snap["rng_state"].shape == (STATE_WORDS,)
         old = decode_value(encode_value(dict_form(snap)))
         assert "rng_state" not in old and old["rng"]["name"] == "PCG64"
-        rebuilt = CiMSearchEngine.from_snapshot(old, get_device("NVM-3"))
-        assert encode_value(rebuilt.snapshot()) == encode_value(snap)
-        query = self._ovts(1)[0]
-        assert np.array_equal(rebuilt.query(query), engine.query(query))
+        with pytest.raises(KeyError, match="rng_state"):
+            CiMSearchEngine.from_snapshot(old, get_device("NVM-3"))
+        # The bank dicts alone are refused too, behind a packed engine row.
+        old["rng_state"] = snap["rng_state"]
+        with pytest.raises(KeyError, match="rng_states"):
+            CiMSearchEngine.from_snapshot(old, get_device("NVM-3"))
 
     @pytest.mark.parametrize("state", [
         np.zeros(STATE_WORDS, dtype=np.int64),       # not uint64

@@ -6,7 +6,11 @@ that blob with one byte changed — :func:`decode_value` returns or raises
 :class:`SnapshotError`, and :meth:`SessionSnapshot.build_session` of
 whatever ``from_bytes`` accepted returns or raises ``SnapshotError``:
 the one error ``PromptServeEngine`` quarantines a blob for, instead of
-failing every later query of its user.
+failing every later query of its user.  A changed byte anywhere in a
+blob, header and array payloads included, fails the blob's CRC32 in
+``from_bytes``; so that damage which still decodes keeps reaching
+``build_session``, the restore fuzzing re-seals the changed body under a
+checksum that matches.
 
 And the codec is the reference walk (``tests/oracles/codec.py``) made
 fast: for every kind of value it accepts it writes the reference's
@@ -33,14 +37,13 @@ from repro.serve import (
     TuneRequest,
 )
 from repro.serve.codec import CodecError, decode_value, encode_value
-from repro.serve.snapshot import MAGIC, SCHEMA_VERSION
+from repro.serve.snapshot import HEADER_SIZE
 from tests.oracles.codec import decode_reference, encode_reference
+from tests.serve.sealing import sealed
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 given, settings = hypothesis.given, hypothesis.settings
-
-HEADER = MAGIC + SCHEMA_VERSION.to_bytes(2, "little")
 
 
 def _flipped(value):
@@ -61,7 +64,9 @@ def deployed():
     """A deployed ``fast`` session's raw blob — cells, levels, packed
     generator states, autoencoder — on an untrained model (its layout is
     a trained one's), plus the offsets of every byte that is *not* array
-    payload: the tags, lengths, keys and scalars a flip can misparse."""
+    payload: the tags, lengths, keys and scalars a flip can misparse (and
+    the header's magic and version, but not its CRC32, which covers the
+    arrays too)."""
     tok = build_tokenizer()
     model = build_model("phi-2-sim", tok.vocab_size)
     engine = PromptServeEngine(model, tok, FrameworkConfig.preset("fast"))
@@ -80,7 +85,7 @@ def deployed():
 
 def test_the_fuzzed_blob_carries_packed_generator_states(deployed):
     _, _, blob, skeleton = deployed
-    body = decode_value(blob[len(HEADER):])
+    body = decode_value(blob[HEADER_SIZE:])
     banks = [store["bank"] for store in
              body["deployment"]["engine"]["stores"].values()]
     assert banks and all(bank["rng_states"].dtype == np.uint64
@@ -101,7 +106,7 @@ def test_decode_value_raises_only_codec_errors(data):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(body=st.binary(max_size=512))
 def test_from_bytes_raises_only_snapshot_errors(body):
-    for blob in (body, HEADER + body):
+    for blob in (body, sealed(body)):
         try:
             SessionSnapshot.from_bytes(blob)
         except SnapshotError:
@@ -119,17 +124,36 @@ def test_a_truncated_blob_is_refused(deployed, data):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_one_changed_byte_restores_or_is_refused(deployed, data):
-    model, tok, blob, skeleton = deployed
-    at = data.draw(st.sampled_from(skeleton) | st.integers(0, len(blob) - 1))
+def test_one_changed_byte_is_refused_by_its_checksum(deployed, data):
+    """Header, skeleton or array payload: one byte changed and left
+    unsealed, the blob never decodes."""
+    *_, blob, skeleton = deployed
+    at = data.draw(st.integers(0, HEADER_SIZE - 1)
+                   | st.sampled_from(skeleton)
+                   | st.integers(0, len(blob) - 1))
     byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
-    changed = blob[:at] + bytes([byte]) + blob[at + 1:]
+    with pytest.raises(SnapshotError):
+        SessionSnapshot.from_bytes(blob[:at] + bytes([byte]) + blob[at + 1:])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_changed_byte_restores_or_is_refused(deployed, data):
+    """The same damage to the body, re-sealed: what still decodes
+    restores or is refused, never raises anything else."""
+    model, tok, blob, skeleton = deployed
+    body = blob[HEADER_SIZE:]
+    at = data.draw(st.sampled_from(skeleton).filter(
+        lambda i: i >= HEADER_SIZE) | st.integers(HEADER_SIZE, len(blob) - 1)
+    ) - HEADER_SIZE
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != body[at]))
+    changed = body[:at] + bytes([byte]) + body[at + 1:]
     try:
-        decode_value(changed[len(HEADER):])
+        decode_value(changed)
     except CodecError:
         pass
     try:
-        SessionSnapshot.from_bytes(changed).build_session(model, tok)
+        SessionSnapshot.from_bytes(sealed(changed)).build_session(model, tok)
     except SnapshotError:
         pass
 
@@ -267,8 +291,8 @@ def test_a_damaged_encoding_decodes_as_the_reference_decodes_it(value,
 def test_the_deployed_blob_flipped_decodes_as_the_reference_decodes_it(
         deployed, data):
     *_, blob, skeleton = deployed
-    body = blob[len(HEADER):]
+    body = blob[HEADER_SIZE:]
     at = data.draw(st.sampled_from(skeleton).filter(
-        lambda i: i >= len(HEADER))) - len(HEADER)
+        lambda i: i >= HEADER_SIZE)) - HEADER_SIZE
     byte = data.draw(st.integers(0, 255).filter(lambda b: b != body[at]))
     decodes_alike(body[:at] + bytes([byte]) + body[at + 1:])

@@ -156,10 +156,11 @@ class TestEnginesNeverConvert:
 class TestRetiredConfigKeys:
     """Builds before the switch moved to the model's owner wrote
     ``base_quantization`` and ``quantization_group_size`` into every
-    session's config; those blobs restore here and answer the same."""
+    session's config.  Those keys are unknown config keys now: a blob
+    carrying them is quarantined and its user re-tunes."""
 
     @pytest.mark.parametrize("retired", [None, "int8"])
-    def test_blob_with_retired_keys_restores(self, setup, retired):
+    def test_blob_with_retired_keys_is_quarantined(self, setup, retired):
         model, tok = setup
         generation = GenerationConfig(max_new_tokens=4, temperature=0.0,
                                       eos_id=tok.eos_id)
@@ -167,7 +168,6 @@ class TestRetiredConfigKeys:
         engine = PromptServeEngine(copy.deepcopy(model), tok, fast())
         engine.submit(tunes[0])
         query = queries[0].text
-        expected = engine.answer(0, query, generation)
         snap = SessionSnapshot.capture(engine.session(0), mode="raw")
         snap.config.update(base_quantization=retired,
                            quantization_group_size=32)
@@ -179,11 +179,12 @@ class TestRetiredConfigKeys:
         store.put(5, blob)
         fresh = PromptServeEngine(engine.model, tok, fast(),
                                   session_store=store)
-        assert fresh.answer(5, query, generation) == expected
+        with pytest.raises(KeyError, match="no session for user 5"):
+            fresh.answer(5, query, generation)
         stats = fresh.stats()
-        assert stats["sessions_restored"] == 1
-        assert stats["sessions_quarantined"] == 0
-        assert fresh.session(5).config == engine.session(0).config
+        assert stats["sessions_restored"] == 0
+        assert stats["sessions_quarantined"] == 1
+        assert 5 not in store
 
     @pytest.mark.parametrize("key", ["base_quantization",
                                      "quantization_group_size"])

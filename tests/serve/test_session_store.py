@@ -16,6 +16,8 @@ from repro.serve import (
     TuneRequest,
 )
 from repro.serve.codec import encode_value
+from repro.serve.snapshot import HEADER_SIZE
+from tests.serve.sealing import sealed
 
 CIM_KEYS = ("cim_mvm_ops", "cim_adc_conversions", "cim_cell_reads",
             "cim_write_pulses")
@@ -338,22 +340,32 @@ class TestFailedSpill:
 
 
 def truncated(blob):
+    """A torn write: the checksum refuses it."""
     return blob[:len(blob) // 2]
 
 
-# One flipped byte in the blob's bytes, where the codec used to let a
+def conductance_byte_changed(blob):
+    """One byte of a bank's conductance payload changed: it decodes, and
+    without the checksum the session answered from another matrix."""
+    at = blob.index(b"conductance") + 4096
+    return blob[:at] + bytes([blob[at] ^ 0x40]) + blob[at + 1:]
+
+
+# One flipped byte in the body, re-sealed, where the codec used to let a
 # numpy / unicode error out unwrapped: the engine caught only
 # SnapshotError, so every query of the user failed on the blob.
 def unknown_array_dtype(blob):
     """The first array's ``<f4`` dtype string flipped to ``<z4``."""
-    at = blob.index(b"a\x03<f4") + 3
-    return blob[:at] + b"z" + blob[at + 1:]
+    body = blob[HEADER_SIZE:]
+    at = body.index(b"a\x03<f4") + 3
+    return sealed(body[:at] + b"z" + body[at + 1:])
 
 
 def string_not_utf8(blob):
     """The ``mode`` value's first byte flipped to a non-UTF-8 byte."""
-    at = blob.index(b"mode" + encode_value("raw")[:-3]) + 13
-    return blob[:at] + b"\xff" + blob[at + 1:]
+    body = blob[HEADER_SIZE:]
+    at = body.index(b"mode" + encode_value("raw")[:-3]) + 13
+    return sealed(body[:at] + b"\xff" + body[at + 1:])
 
 
 def wrong_geometry(blob):
@@ -426,7 +438,8 @@ class TestQuarantine:
     query: it is moved aside, counted, and the user becomes unknown."""
 
     @pytest.mark.parametrize("damage", [
-        truncated, unknown_array_dtype, string_not_utf8, wrong_geometry,
+        truncated, conductance_byte_changed, unknown_array_dtype,
+        string_not_utf8, wrong_geometry,
         missing_scale, invalid_config_value,
         unknown_config_key, library_entry_without_matrix,
         autoencoder_state_misshapen, counters_missing_a_key,
@@ -474,6 +487,30 @@ class TestQuarantine:
         assert final["sessions_created"] == before["sessions_created"] + 1
         assert final["sessions_quarantined"] == 1
         engine.drop_session(0)                       # spills again, cleanly
+        assert engine.answer(0, query, generation) == expected
+
+    def test_another_users_blob_is_quarantined(self, setup, flaky_store):
+        """User 0's intact blob stored under user 1's key restores nothing:
+        it is quarantined, user 1 stays unknown, and user 0's own blob is
+        untouched."""
+        model, tok = setup
+        store, generation = flaky_store, greedy(tok)
+        engine = make_engine(model, tok, max_sessions=1, session_store=store)
+        query = stream_for(0, 12)[11].input_text
+        train(engine, 0)
+        expected = engine.answer(0, query, generation)
+        engine.drop_session(0)
+        blob = store.get(0)
+        store.put(1, blob)
+
+        with pytest.raises(KeyError, match="no session for user 1"):
+            engine.answer(1, query, generation)
+        assert not engine.has_session(1)
+        assert engine.stats()["sessions_quarantined"] == 1
+        assert store.user_ids() == [0] and store.get(0) == blob
+        if store.directory is not None:
+            assert (store.directory / "session_1.nvpt.quarantined"
+                    ).read_bytes() == blob
         assert engine.answer(0, query, generation) == expected
 
     def test_decode_loop_meets_the_blob_the_same_way(self, setup,

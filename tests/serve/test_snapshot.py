@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -29,13 +30,22 @@ from repro.serve import (
     TuneRequest,
 )
 from repro.serve.codec import CodecError, decode_value, encode_value
-from repro.serve.snapshot import MAGIC, SCHEMA_VERSION
+from repro.serve.snapshot import HEADER, HEADER_SIZE, MAGIC, SCHEMA_VERSION
 from tests.oracles.crossbar import whole_tiles
 from tests.oracles.generation import session_answer_sequential
 from tests.oracles.legacy_rngs import dict_form
+from tests.serve.sealing import sealed
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_session_v1.nvpt"
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN_PATH = DATA / "golden_session_v2.nvpt"
+# Schema 1's fixture, kept as a blob this build refuses.
+GOLDEN_V1_PATH = DATA / "golden_session_v1.nvpt"
 GOLDEN_USER = 7
+
+# Retired config switches -> (the config section holding them, a value).
+RETIRED_KEYS = {"vectorized": (None, True), "batched": ("tuning", True),
+                "base_quantization": (None, "int8"),
+                "quantization_group_size": (None, 32)}
 
 
 def build_stack():
@@ -95,7 +105,7 @@ class TestCodec:
         assert decode_value(encode_value((1, 2))) == [1, 2]
 
     def test_big_ints_roundtrip(self):
-        # Earlier builds wrote PCG64 generator states as 128-bit ints.
+        # Arbitrary precision: the codec is not sized to today's values.
         for value in (1 << 127, -(1 << 200), (1 << 128) - 1):
             assert decode_value(encode_value(value)) == value
 
@@ -519,35 +529,27 @@ class TestBlobMovesOnce:
             assert not np.array_equal(whole_tiles(mine), before)
             assert np.array_equal(whole_tiles(mine), whole_tiles(theirs))
 
-    def test_old_form_generator_states_restore_identically(
+    def test_old_form_generator_states_are_refused(
             self, setup, trained_session):
         """The blob an earlier build wrote for the same session: every
         generator state a PCG64 state dict (a bank's per tile under
-        ``rngs``, the search engine's under ``rng``).  It restores to the
-        same deployment — which snapshots packed states again — and
-        answers identically."""
+        ``rngs``, the search engine's under ``rng``).  Sealed under this
+        schema's header it decodes, and its deployment is refused."""
         model, tok = setup
-        session, query, generation, answer = trained_session
+        session, *_ = trained_session
         snap = SessionSnapshot.capture(session, mode="raw")
         snap.deployment = dict_form(snap.deployment)
         old_blob = snap.to_bytes()
         assert b"rng_state" not in old_blob and b"rngs" in old_blob
-        restored = SessionSnapshot.from_bytes(old_blob).build_session(
-            model, tok)
-        assert restored.cim_stats() == session.cim_stats()
-        assert encode_value(restored._deployment.snapshot()) == \
-            encode_value(session._deployment.snapshot())
-        assert session_answer_sequential(restored, query,
-                                         generation) == answer
+        with pytest.raises(SnapshotError, match="rng_state"):
+            SessionSnapshot.from_bytes(old_blob).build_session(model, tok)
 
-    def test_wide_levels_from_an_older_build_restore_identically(
+    def test_wide_levels_from_an_older_build_are_refused(
             self, setup, trained_session):
-        """Fixture-free cross-version check: the bytes the previous build
-        wrote differ from ours only in ``int64`` levels.  Arrays are
-        self-describing, so they restore — narrow — with identical
-        state and answers, and no schema bump."""
+        """The bytes the previous build wrote differ from ours only in
+        ``int64`` levels; levels restore only at cell width."""
         model, tok = setup
-        session, query, generation, answer = trained_session
+        session, *_ = trained_session
         snap = SessionSnapshot.capture(session, mode="raw")
         for store in snap.deployment["engine"]["stores"].values():
             bank = store["bank"]
@@ -556,18 +558,8 @@ class TestBlobMovesOnce:
         new_blob = SessionSnapshot.capture(session, mode="raw").to_bytes()
         # 7 more bytes for each of the 21,504 occupied cells.
         assert len(old_blob) - len(new_blob) >= 7 * 21_504
-
-        restored = SessionSnapshot.from_bytes(old_blob).build_session(
-            model, tok)
-        for mine, theirs in zip(_banks(restored), _banks(session)):
-            levels = whole_tiles(mine, "target_levels")
-            assert levels.dtype == whole_tiles(theirs, "target_levels").dtype
-            assert np.array_equal(levels, whole_tiles(theirs, "target_levels"))
-            assert np.array_equal(whole_tiles(mine), whole_tiles(theirs))
-        assert encode_value(restored._deployment.snapshot()) == \
-            encode_value(session._deployment.snapshot())
-        assert session_answer_sequential(restored, query,
-                                         generation) == answer
+        with pytest.raises(SnapshotError, match="target_levels"):
+            SessionSnapshot.from_bytes(old_blob).build_session(model, tok)
 
 
 class TestSnapshotValidation:
@@ -582,16 +574,30 @@ class TestSnapshotValidation:
     def test_rejects_future_schema_version(self, trained_session):
         session, *_ = trained_session
         blob = SessionSnapshot.capture(session, mode="recipe").to_bytes()
-        future = MAGIC + struct.pack("<H", SCHEMA_VERSION + 1) \
-            + blob[len(MAGIC) + 2:]
-        with pytest.raises(SnapshotError, match="version"):
+        _, crc = HEADER.unpack_from(blob, len(MAGIC))
+        future = MAGIC + HEADER.pack(SCHEMA_VERSION + 1, crc) \
+            + blob[HEADER_SIZE:]
+        with pytest.raises(SnapshotError, match="version 3"):
             SessionSnapshot.from_bytes(future)
 
+    def test_rejects_a_body_that_fails_its_checksum(self, trained_session):
+        """Cut short or with one byte changed, the body no longer matches
+        the header's CRC32: refused before anything is decoded."""
+        session, *_ = trained_session
+        blob = SessionSnapshot.capture(session, mode="recipe").to_bytes()
+        middle = (HEADER_SIZE + len(blob)) // 2
+        for damaged in (blob[:-3],
+                        blob[:middle] + bytes([blob[middle] ^ 1])
+                        + blob[middle + 1:]):
+            with pytest.raises(SnapshotError, match="CRC32"):
+                SessionSnapshot.from_bytes(damaged)
+
     def test_rejects_corrupt_body(self, trained_session):
+        """Behind a checksum that matches, a body that does not decode."""
         session, *_ = trained_session
         blob = SessionSnapshot.capture(session, mode="recipe").to_bytes()
         with pytest.raises(SnapshotError, match="corrupt"):
-            SessionSnapshot.from_bytes(blob[:-3])
+            SessionSnapshot.from_bytes(sealed(blob[HEADER_SIZE:-3]))
 
     def test_rejects_model_fingerprint_mismatch(self, setup,
                                                 trained_session):
@@ -610,7 +616,7 @@ class TestSnapshotValidation:
 
 
 class TestGoldenFixture:
-    """Pin the on-disk format: schema v1 blobs must stay readable.
+    """Pin the on-disk format: schema v2 blobs must stay readable.
 
     If these fail after an *intentional* format change, bump
     ``SCHEMA_VERSION`` and regenerate via ``python tests/serve/test_snapshot.py``.
@@ -650,55 +656,84 @@ class TestGoldenFixture:
                  if line.split()[0] == "nodes"]
         assert nodes == [f"{_nodes(_body(GOLDEN_PATH.read_bytes())):,}"]
 
-    def test_golden_header_pins_schema_v1(self):
+    def test_golden_header_pins_schema_v2(self):
+        """Magic, version 2, then the CRC32 of everything after it."""
         blob = GOLDEN_PATH.read_bytes()
+        assert HEADER_SIZE == len(MAGIC) + 6
         assert blob[:len(MAGIC)] == MAGIC
-        assert struct.unpack_from("<H", blob, len(MAGIC))[0] == 1
-
+        assert HEADER.unpack_from(blob, len(MAGIC)) == (
+            2, zlib.crc32(blob[HEADER_SIZE:]))
 
     def test_this_build_writes_no_retired_keys(self, trained_session):
         """``vectorized`` / ``batched`` each only ever held one deployable
-        value; writers stopped emitting them without a schema bump.
-        ``base_quantization`` / ``quantization_group_size`` described the
-        engine's base model, not the session, and went the same way."""
+        value, and ``base_quantization`` / ``quantization_group_size``
+        described the engine's base model, not the session; no section
+        carries a ``version`` of its own: the header's is the blob's."""
         session, *_ = trained_session
-        retired = {"vectorized", "batched"}
         for mode in ("raw", "recipe"):
             blob = SessionSnapshot.capture(session, mode=mode).to_bytes()
-            assert not (retired | {"base_quantization",
-                                   "quantization_group_size"}
-                        ) & set(_keys(_body(blob)))
-        # ...while the v1 fixture carries both: the reader strips them.
-        assert retired <= set(_keys(_body(GOLDEN_PATH.read_bytes())))
+            assert not ({*RETIRED_KEYS, "version"}
+                        & set(_keys(_body(blob))))
 
-    def test_per_tile_v1_config_refused(self, setup):
+    @pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+    def test_retired_config_keys_refused(self, setup, key):
+        """A retired switch in a blob's config is an unknown config key:
+        the build refuses it rather than dropping it."""
         model, tok = setup
         snap = SessionSnapshot.from_bytes(GOLDEN_PATH.read_bytes())
-        snap.config["vectorized"] = False
+        section, value = RETIRED_KEYS[key]
+        (snap.config[section] if section else snap.config)[key] = value
         edited = SessionSnapshot.from_bytes(snap.to_bytes())
-        with pytest.raises(SnapshotError, match="per-tile"):
+        with pytest.raises(SnapshotError, match=key):
             edited.build_session(model, tok)
 
-    @pytest.mark.parametrize("mode", ["raw", "recipe"])
-    def test_per_tile_v1_store_refused(self, setup, trained_session, mode):
-        """The golden session is undeployed, so the CiMMatrix half edits a
-        fresh capture into the form a v1 per-tile writer produced.  This
-        build's recipes carry no deployment section at all; one that does
-        (counters only — an older build's) is refused for that alone."""
+    def test_recipe_with_a_deployment_section_refused(self, setup,
+                                                      trained_session):
+        """This build's recipes carry no deployment section at all; one
+        that does is refused for that alone."""
         model, tok = setup
         session, *_ = trained_session
         snap = SessionSnapshot.capture(session, mode="raw")
-        snap.mode = mode
-        for store in snap.deployment["engine"]["stores"].values():
-            store["vectorized"] = False
+        snap.mode = "recipe"
         edited = SessionSnapshot.from_bytes(snap.to_bytes())
-        reason = "per-tile" if mode == "raw" else "deployment section"
-        with pytest.raises(SnapshotError, match=reason):
+        with pytest.raises(SnapshotError, match="deployment section"):
             edited.build_session(model, tok)
 
 
+class TestSchemaOneFixture:
+    """Schema 1's golden blob: refused by version, quarantined by the
+    engine, and costing its user one re-tune."""
+
+    def test_v1_fixture_is_refused_by_version(self):
+        with pytest.raises(SnapshotError, match="version 1 is not"):
+            SessionSnapshot.from_bytes(GOLDEN_V1_PATH.read_bytes())
+
+    def test_engine_quarantines_the_v1_fixture(self, setup, tmp_path):
+        model, tok = setup
+        store = SessionStore(tmp_path)
+        store.put(GOLDEN_USER, GOLDEN_V1_PATH.read_bytes())
+        engine = PromptServeEngine(model, tok, FrameworkConfig.preset("fast"),
+                                   session_store=store)
+        generation = GenerationConfig(max_new_tokens=4, temperature=0.0,
+                                      eos_id=tok.eos_id)
+        query = stream_for(GOLDEN_USER, 10)[9].input_text
+        with pytest.raises(KeyError):
+            engine.answer(GOLDEN_USER, query, generation)
+        assert engine.sessions_quarantined == 1
+        assert store.get(GOLDEN_USER) is None
+        assert (tmp_path / f"session_{GOLDEN_USER}.nvpt.quarantined"
+                ).read_bytes() == GOLDEN_V1_PATH.read_bytes()
+        # The re-tune: a fresh session answers as the v2 fixture does.
+        engine.submit(TuneRequest(user_id=GOLDEN_USER,
+                                  samples=tuple(stream_for(GOLDEN_USER, 10))))
+        restored = SessionSnapshot.from_bytes(
+            GOLDEN_PATH.read_bytes()).build_session(model, tok)
+        assert engine.answer(GOLDEN_USER, query, generation) == \
+            session_answer_sequential(restored, query, generation)
+
+
 def _body(blob):
-    return decode_value(blob[len(MAGIC) + 2:])
+    return decode_value(blob[HEADER_SIZE:])
 
 
 def _nodes(value):

@@ -30,9 +30,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from repro.serve.codec import encode_value  # noqa: E402
-from repro.serve.snapshot import MAGIC, SessionSnapshot  # noqa: E402
+from repro.serve.snapshot import HEADER_SIZE, SessionSnapshot  # noqa: E402
 
-_FRAME = len(MAGIC) + 2 + 1 + 8     # magic, schema, dict tag, entry count
+_FRAME = HEADER_SIZE + 1 + 8     # header, then the body's dict tag and count
 
 
 def fresh_session():
