@@ -15,14 +15,7 @@ analyzes.
 """
 
 from .base import RULES, FileContext, Rule
-from .engine import (
-    DEFAULT_BASELINE,
-    Report,
-    Suppression,
-    load_baseline,
-    run_analysis,
-    save_baseline,
-)
+from .engine import Report, Suppression, run_analysis
 from .findings import Finding
 
 # Importing the rule modules is what registers them.
@@ -42,7 +35,4 @@ __all__ = [
     "Report",
     "Suppression",
     "run_analysis",
-    "load_baseline",
-    "save_baseline",
-    "DEFAULT_BASELINE",
 ]

@@ -1,14 +1,11 @@
 """CLI: ``python -m repro.analysis``.
 
 Exit status is the contract CI relies on: 0 when the tree is clean
-(no new findings, every suppression reasoned and load-bearing, no stale
-baseline entries), 1 otherwise.
+(no findings, every suppression reasoned and load-bearing), 1 otherwise.
 
     python -m repro.analysis                     # text report
     python -m repro.analysis --format json       # machine-readable
     python -m repro.analysis --output out.json   # also write the JSON
-    python -m repro.analysis --baseline update   # re-absorb today's
-                                                 # findings into baseline
     python -m repro.analysis --catalog           # docs/analysis.md source
 """
 
@@ -36,14 +33,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="report format on stdout")
     parser.add_argument("--output", type=Path, default=None,
                         help="also write the JSON report to this path")
-    parser.add_argument("--baseline", choices=("check", "update"),
-                        default="check",
-                        help="'update' rewrites baseline.json with "
-                             "today's findings instead of failing on them")
-    parser.add_argument("--baseline-file", type=Path,
-                        default=_engine.DEFAULT_BASELINE,
-                        help="baseline JSON path (default: the checked-in "
-                             "analysis/baseline.json)")
     parser.add_argument("--catalog", action="store_true",
                         help="print the markdown rule catalog (the source "
                              "of docs/analysis.md) and exit")
@@ -54,16 +43,7 @@ def main(argv: list[str] | None = None) -> int:
         print(render_catalog(), end="")
         return 0
 
-    baseline = _engine.load_baseline(args.baseline_file)
-    report = _engine.run_analysis(args.root, baseline=baseline)
-
-    if args.baseline == "update":
-        absorbed = report.baselined + report.findings
-        _engine.save_baseline(args.baseline_file, absorbed)
-        print(f"baseline updated: {len(absorbed)} entr(ies) -> "
-              f"{args.baseline_file}")
-        return 0
-
+    report = _engine.run_analysis(args.root)
     if args.fmt == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:

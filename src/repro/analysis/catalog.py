@@ -30,12 +30,11 @@ snapshot completeness, codec safety, stats aggregation.  Run it with:
 ```bash
 PYTHONPATH=src python -m repro.analysis                   # text report
 PYTHONPATH=src python -m repro.analysis --format json     # machine-readable
-PYTHONPATH=src python -m repro.analysis --baseline update # absorb findings
 PYTHONPATH=src python -m repro.analysis --catalog         # this document
 ```
 
-Exit status 0 means clean: no new findings, every suppression reasoned
-and load-bearing, no stale baseline entries.
+Exit status 0 means clean: no findings, every suppression reasoned and
+load-bearing.
 """
 
 _FOOTER = """\
@@ -52,13 +51,12 @@ without a reason fails as `SUP-001`, and a suppression that no longer
 matches any finding fails as `SUP-002`, so waivers cannot outlive the
 code they excused.
 
-## Baseline workflow
+## Accepting a finding
 
-`analysis/baseline.json` holds known findings so a new rule can land
-before the tree is clean.  Baselined findings don't fail CI, but entries
-whose file/line no longer exists are *stale* and do — the baseline only
-burns down.  After fixing a finding, re-run with `--baseline update`
-(or hand-delete the entry).
+There is one way: an inline `# repro: noqa[RULE-ID] <reason>` on the
+offending line, next to the code it excuses, saying why the waiver is
+sound.  There is no baseline file of known findings; a new rule lands
+with the tree clean under it.
 
 ## Adding a rule
 

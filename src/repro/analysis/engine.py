@@ -1,26 +1,18 @@
-"""The analysis engine: walk, check, suppress, baseline, report.
+"""The analysis engine: walk, check, suppress, report.
 
 One pass over every ``*.py`` under the package root parses each file
 once and hands the shared :class:`~repro.analysis.base.FileContext` to
-every registered rule.  Raw findings then flow through two filters:
-
-1. **Suppressions** — an inline ``# repro: noqa[RULE-ID] <reason>`` on
-   the offending line waives that rule there.  The reason is mandatory
-   (SUP-001 fires without one) and a suppression that no longer matches
-   any finding is itself an error (SUP-002), so waivers cannot outlive
-   the code they excused.
-2. **Baseline** — a checked-in JSON of known findings
-   (``analysis/baseline.json``) lets a new rule land before the tree is
-   clean.  Baselined findings do not fail the run, but a baseline entry
-   whose file or line no longer exists is *stale* and fails CI: the
-   baseline may only burn down.
+every registered rule.  Raw findings then meet the one way to accept
+one: an inline ``# repro: noqa[RULE-ID] <reason>`` on the offending line
+waives that rule there.  The reason is mandatory (SUP-001 fires without
+one) and a suppression that no longer matches any finding is itself an
+error (SUP-002), so waivers cannot outlive the code they excused.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -30,16 +22,11 @@ from .base import RULES, FileContext
 from .findings import Finding
 
 __all__ = ["Suppression", "Report", "run_analysis", "iter_contexts",
-           "parse_suppressions", "load_baseline", "save_baseline",
-           "stale_entries", "DEFAULT_BASELINE"]
+           "parse_suppressions"]
 
 # Inline waiver:  # repro: noqa[RULE-ID] reason for waiving it here
 _SUPPRESSION_RE = re.compile(
     r"#\s*repro:\s*noqa\[([A-Z]+-\d{3})\]\s*(.*?)\s*$")
-
-# The checked-in baseline ships next to the engine so `python -m
-# repro.analysis` needs no configuration to find it.
-DEFAULT_BASELINE = Path(__file__).with_name("baseline.json")
 
 
 @dataclass
@@ -92,48 +79,6 @@ def iter_contexts(root: Path) -> list[FileContext]:
     return contexts
 
 
-def resolve_rel(root: Path, rel: str) -> Path:
-    """On-disk path for a ``repro/...`` finding path (root-name prefixed)."""
-    parts = Path(rel).parts
-    if parts and parts[0] == root.name:
-        parts = parts[1:]
-    return root.joinpath(*parts)
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def load_baseline(path: Path) -> list[Finding]:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return []
-    return [Finding.from_dict(entry) for entry in data]
-
-
-def save_baseline(path: Path, findings: list[Finding]) -> None:
-    payload = [f.to_dict() for f in sorted(findings)]
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def stale_entries(baseline: list[Finding], root: Path) -> list[Finding]:
-    """Baseline entries whose file vanished or line is past EOF."""
-    stale = []
-    n_lines: dict[str, int] = {}
-    for entry in baseline:
-        if entry.file not in n_lines:
-            try:
-                n_lines[entry.file] = len(resolve_rel(root, entry.file)
-                                          .read_text(encoding="utf-8")
-                                          .splitlines())
-            except OSError:
-                n_lines[entry.file] = -1
-        count = n_lines[entry.file]
-        if count < 0 or entry.line > count:
-            stale.append(entry)
-    return stale
-
-
 # ----------------------------------------------------------------------
 # Report
 # ----------------------------------------------------------------------
@@ -143,14 +88,12 @@ class Report:
 
     findings: list[Finding] = field(default_factory=list)    # fail the run
     suppressed: list[tuple[Finding, str]] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     rules_run: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return not self.findings and not self.stale_baseline
+        return not self.findings
 
     def to_dict(self) -> dict:
         return {
@@ -160,23 +103,15 @@ class Report:
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [{**f.to_dict(), "reason": reason}
                            for f, reason in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "stale_baseline": [f.to_dict() for f in self.stale_baseline],
         }
 
     def render_text(self) -> str:
         lines = []
         for finding in self.findings:
             lines.append(finding.render())
-        for entry in self.stale_baseline:
-            lines.append(f"{entry.location()}: BASELINE: stale entry for "
-                         f"{entry.rule} — the file/line no longer exists; "
-                         f"remove it from baseline.json")
         lines.append(
             f"{len(self.findings)} finding(s), "
             f"{len(self.suppressed)} suppressed, "
-            f"{len(self.baselined)} baselined "
-            f"({len(self.stale_baseline)} stale), "
             f"{self.files_checked} file(s), "
             f"{len(self.rules_run)} rule(s)")
         return "\n".join(lines)
@@ -186,15 +121,10 @@ class Report:
 # The run
 # ----------------------------------------------------------------------
 def run_analysis(root: Path | None = None, *,
-                 baseline: list[Finding] | None = None,
                  rules: dict | None = None) -> Report:
-    """Check every file under ``root`` with every registered rule.
-
-    ``baseline`` defaults to empty (pass ``load_baseline(...)`` for the
-    CI behaviour); ``rules`` defaults to the full :data:`RULES` registry.
-    """
+    """Check every file under ``root`` with every registered rule
+    (``rules`` defaults to the full :data:`RULES` registry)."""
     root = (root or default_root()).resolve()
-    baseline = baseline or []
     rule_classes = dict(rules if rules is not None else RULES)
     instances = {rule_id: cls() for rule_id, cls in sorted(
         rule_classes.items())}
@@ -210,8 +140,8 @@ def run_analysis(root: Path | None = None, *,
     report = Report(files_checked=len(contexts),
                     rules_run=tuple(instances))
 
-    # 1. Suppressions waive same-file/line/rule findings (and must be
-    #    both reasoned and load-bearing).
+    # Suppressions waive same-file/line/rule findings (and must be both
+    # reasoned and load-bearing).
     by_key = {(s.file, s.line, s.rule): s for s in suppressions}
     kept: list[Finding] = []
     for finding in raw:
@@ -235,13 +165,5 @@ def run_analysis(root: Path | None = None, *,
                         f"the code it excused is gone — delete it",
                 hint="remove the stale # repro: noqa comment"))
 
-    # 2. Baseline absorbs known findings; stale entries are themselves
-    #    failures so the baseline only ever shrinks.
-    baseline_keys = {entry.key() for entry in baseline}
-    for finding in sorted(kept):
-        if finding.key() in baseline_keys:
-            report.baselined.append(finding)
-        else:
-            report.findings.append(finding)
-    report.stale_baseline = stale_entries(baseline, root)
+    report.findings = sorted(kept)
     return report

@@ -3,8 +3,8 @@
 A :class:`Finding` is one rule violation at one source location.  It is
 deliberately a plain value — JSON-serializable, orderable, hashable on
 its location key — because everything downstream (the text/JSON
-formatters, the suppression matcher, the checked-in baseline) works on
-findings as data, not on rule internals.
+formatters, the suppression matcher) works on findings as data, not on
+rule internals.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class Finding:
         return f"{self.file}:{self.line}"
 
     def key(self) -> tuple[str, int, str]:
-        """Identity used by suppressions and the baseline."""
+        """Identity used by suppressions."""
         return (self.file, self.line, self.rule)
 
     def to_dict(self) -> dict:
@@ -39,13 +39,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(file=str(data["file"]), line=int(data["line"]),
-                   rule=str(data["rule"]),
-                   message=str(data.get("message", "")),
-                   hint=str(data.get("hint", "")))
 
     def render(self) -> str:
         text = f"{self.location()}: {self.rule}: {self.message}"

@@ -2,21 +2,29 @@
 
 The paper reports NeuroSim-derived numbers for the crossbar array plus
 peripheral circuits at the 22nm node, compared against a Jetson Orin CPU.
-We reproduce that with an analytic model: per-subarray read latency/energy
-constants for RRAM and FeFET (NeuroSim-magnitude values), an ADC budget,
-and a CPU + DRAM cost model for the software baseline.  Absolute numbers
-are order-of-magnitude; the *ratios* (the figure's message: ~up to 120x
+We reproduce that with per-subarray read latency/energy constants for
+RRAM and FeFET (NeuroSim-magnitude values), an ADC budget, and a CPU +
+DRAM cost model for the software baseline.  One price covers both uses:
+:meth:`CiMCostModel.mvm_cost` bills the tiles a store occupies — the
+extents the crossbar itself lays out (:func:`repro.nvm.tile_extents`) —
+so a served answer is priced from its deployment's banks and Fig. 5
+from a paper-scale library laid out by the same rule.  Absolute numbers are
+order-of-magnitude; the *ratios* (the figure's message: ~up to 120x
 latency and ~60x energy advantage) are what the model is calibrated to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
+from ..nvm.crossbar import tile_extents
+
 __all__ = ["CiMCostModel", "CpuCostModel", "RetrievalCostReport",
-           "retrieval_cost", "CIM_TECH", "CPU_JETSON_ORIN"]
+           "cim_cost", "cpu_cost", "retrieval_cost", "CIM_TECH",
+           "CPU_JETSON_ORIN"]
 
 
 @dataclass(frozen=True)
@@ -32,24 +40,34 @@ class CiMCostModel:
     parallel_subarrays: int = 32     # bank-level parallelism
     periphery_energy_pj: float = 1200.0  # buffers/interconnect per tile op
 
-    def mvm_latency_ns(self, n_subarrays: int, rows: int = 384,
-                       cols: int = 128) -> float:
-        """Latency of one GMM step over ``n_subarrays`` tiles."""
-        if n_subarrays <= 0:
-            raise ValueError("n_subarrays must be positive")
-        adc_serial = cols / self.adcs_per_subarray
-        per_tile = self.array_read_latency_ns + adc_serial * self.adc_time_ns
-        waves = int(np.ceil(n_subarrays / self.parallel_subarrays))
-        return per_tile * waves
+    def mvm_cost(self, extent: np.ndarray) -> tuple[float, float]:
+        """``(latency_ns, energy_pj)`` of one MVM over the tiles whose
+        occupied corners are ``extent`` (``(n_tiles, 2)``, bank order —
+        :func:`repro.nvm.tile_extents`).
 
-    def mvm_energy_pj(self, n_subarrays: int, rows: int = 384,
-                      cols: int = 128) -> float:
-        """Energy of one GMM step over ``n_subarrays`` tiles."""
-        cells = rows * cols
-        per_tile = (cells * self.cell_read_energy_fj * 1e-3
-                    + cols * self.adc_energy_pj
-                    + self.periphery_energy_pj)
-        return per_tile * n_subarrays
+        A tile reads its rows at once and converts its used columns
+        ``adcs_per_subarray`` at a time; tiles run in waves of
+        ``parallel_subarrays`` in bank order, each wave as long as its
+        slowest tile.  Energy bills every occupied cell read, every
+        conversion and each tile's periphery: exactly what
+        :meth:`repro.nvm.TileBank.matmat_grouped` counts (one MVM per
+        tile, ``used_cols`` conversions), so erased cells cost nothing.
+        """
+        extent = np.asarray(extent, dtype=np.int64)
+        if extent.ndim != 2 or extent.shape[1] != 2 or not len(extent):
+            raise ValueError(f"extent must be (n_tiles, 2) with at least "
+                             f"one tile, got {extent.shape}")
+        used_rows, used_cols = extent.T
+        per_tile = (self.array_read_latency_ns
+                    + -(-used_cols // self.adcs_per_subarray)
+                    * self.adc_time_ns)
+        waves = np.maximum.reduceat(
+            per_tile, np.arange(0, len(per_tile), self.parallel_subarrays))
+        energy = (float((used_rows * used_cols).sum())
+                  * self.cell_read_energy_fj * 1e-3
+                  + float(used_cols.sum()) * self.adc_energy_pj
+                  + len(extent) * self.periphery_energy_pj)
+        return float(waves.sum()), energy
 
 
 @dataclass(frozen=True)
@@ -96,20 +114,15 @@ CPU_JETSON_ORIN = CpuCostModel(name="JetsonOrinCPU",
 
 @dataclass(frozen=True)
 class RetrievalCostReport:
-    """Cost of retrieving among ``n_ovts`` candidates.
-
-    ``latency_ns``/``energy_pj`` are totals for ``n_queries`` retrievals;
-    the default batch of one keeps the report per-query, which is what the
-    serving telemetry attaches to each answer.  Batching amortises host
-    dispatch, not the analog physics: every query still activates every
-    tile once per scale, so totals scale linearly with the batch width.
-    """
+    """Cost of one retrieval among ``n_ovts`` candidates: what the serving
+    telemetry attaches to each answer.  A batch of queries costs that
+    many retrievals — every query still activates every tile once per
+    scale — so there is no batch form."""
 
     backend: str
     n_ovts: int
     latency_ns: float
     energy_pj: float
-    n_queries: int = 1
 
     @property
     def latency_s(self) -> float:
@@ -119,65 +132,53 @@ class RetrievalCostReport:
     def energy_j(self) -> float:
         return self.energy_pj * 1e-12
 
-    def per_query(self) -> "RetrievalCostReport":
-        """The same cost normalised to a single retrieval."""
-        if self.n_queries == 1:
-            return self
-        return RetrievalCostReport(
-            backend=self.backend,
-            n_ovts=self.n_ovts,
-            latency_ns=self.latency_ns / self.n_queries,
-            energy_pj=self.energy_pj / self.n_queries,
-            n_queries=1,
-        )
+
+def cim_cost(backend: str, n_ovts: int,
+             extents: Iterable[np.ndarray]) -> RetrievalCostReport:
+    """One retrieval on ``backend`` ("RRAM" or "FeFET"): one MVM over
+    each store's tiles (one ``extent`` array per scale store)."""
+    tech = CIM_TECH[backend]
+    latency = energy = 0.0
+    for extent in extents:
+        store_latency, store_energy = tech.mvm_cost(extent)
+        latency += store_latency
+        energy += store_energy
+    return RetrievalCostReport(backend, n_ovts, latency, energy)
 
 
-def _search_geometry(n_ovts: int, code_rows: int, n_slices: int,
-                     rows: int = 384, cols: int = 128) -> int:
-    """Subarrays needed to hold the scaled-search matrices for all OVTs."""
-    row_tiles = int(np.ceil(code_rows / rows)) * n_slices
-    col_tiles = int(np.ceil(n_ovts / cols))
-    return row_tiles * col_tiles
+def cpu_cost(n_ovts: int,
+             shapes: Iterable[tuple[int, int]]) -> RetrievalCostReport:
+    """One retrieval in software: a ``(d, n)`` matvec per scale store,
+    streaming every stored int16 value from DRAM."""
+    macs = float(sum(d * n for d, n in shapes))
+    bytes_moved = macs * 2.0
+    return RetrievalCostReport("CPU", n_ovts,
+                               CPU_JETSON_ORIN.latency_ns(macs, bytes_moved),
+                               CPU_JETSON_ORIN.energy_pj(macs, bytes_moved))
 
 
-def retrieval_cost(
-    backend: str,
-    n_ovts: int,
-    *,
-    code_rows: int = 768,          # 16 tokens x 48 dims (scale-1 vectors)
-    n_slices: int = 8,             # int16 on 2-bit cells
-    scales: tuple[int, ...] = (1, 2, 4),
-    bytes_per_ovt: float = 1536.0,  # 16 x 48 x int16
-    n_queries: int = 1,
-) -> RetrievalCostReport:
-    """Cost of scaled-search queries over ``n_ovts`` stored OVTs.
+# The paper-scale library Fig. 5 prices: an OVT is 16 tokens x 48 code
+# dims (768 scale-1 rows), stored as int16 on 2-bit cells (8 bit slices)
+# and searched at scales 1, 2 and 4.
+PAPER_CODE_ROWS = 768
+PAPER_SLICES = 8
+PAPER_SCALES = (1, 2, 4)
 
-    ``backend`` is "RRAM", "FeFET" or "CPU".  ``n_queries`` prices a
-    batch: the analog (or CPU) work per query is unchanged — a batched
-    GMM still performs one MVM per tile per query — so totals scale
-    linearly and :meth:`RetrievalCostReport.per_query` recovers the
-    single-query figures the serving telemetry reports.
+
+def retrieval_cost(backend: str, n_ovts: int) -> RetrievalCostReport:
+    """Cost of one scaled-search query over ``n_ovts`` paper-scale OVTs.
+
+    ``backend`` is "RRAM", "FeFET" or "CPU".  The stores are laid out by
+    the crossbar's own rule (:func:`repro.nvm.tile_extents`) and priced
+    by :func:`cim_cost` / :func:`cpu_cost`, as a served deployment's are.
     """
     if n_ovts <= 0:
         raise ValueError("n_ovts must be positive")
-    if n_queries <= 0:
-        raise ValueError("n_queries must be positive")
+    shapes = [(PAPER_CODE_ROWS // scale, n_ovts) for scale in PAPER_SCALES]
     if backend in CIM_TECH:
-        tech = CIM_TECH[backend]
-        latency = 0.0
-        energy = 0.0
-        for scale in scales:
-            tiles = _search_geometry(n_ovts, code_rows // scale, n_slices)
-            latency += tech.mvm_latency_ns(tiles)
-            energy += tech.mvm_energy_pj(tiles)
-        return RetrievalCostReport(backend, n_ovts, latency * n_queries,
-                                   energy * n_queries, n_queries)
+        return cim_cost(backend, n_ovts,
+                        [tile_extents(shape, PAPER_SLICES)
+                         for shape in shapes])
     if backend == "CPU":
-        values_per_ovt = sum(code_rows // s for s in scales)
-        macs = float(n_ovts) * values_per_ovt
-        bytes_moved = macs * 2.0  # int16 stream of every scaled copy
-        latency = CPU_JETSON_ORIN.latency_ns(macs, bytes_moved)
-        energy = CPU_JETSON_ORIN.energy_pj(macs, bytes_moved)
-        return RetrievalCostReport(backend, n_ovts, latency * n_queries,
-                                   energy * n_queries, n_queries)
+        return cpu_cost(n_ovts, shapes)
     raise ValueError(f"unknown backend {backend!r}; use RRAM, FeFET or CPU")

@@ -21,9 +21,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
+from ..cim.energy import RetrievalCostReport
 from ..compression import AutoencoderConfig, OVTAutoencoder
 from ..data.buffer import DataBuffer
 from ..data.lamp import Sample
@@ -362,6 +364,13 @@ class NVCiMDeployment:
         codes = self.engine.restore(index)
         return self.library.autoencoder.decode_matrix(codes,
                                                       self._scales[index])
+
+    @cached_property
+    def query_cost(self) -> RetrievalCostReport:
+        """The priced cost of one retrieval (:meth:`CiMSearchEngine
+        .query_cost`), worked out once: the stores keep their tiles for
+        the deployment's life."""
+        return self.engine.query_cost()
 
     # ------------------------------------------------------------------
     # Durable state

@@ -34,7 +34,6 @@ from .registry import (
     register_model,
 )
 from .speculative import (
-    CONFIDENCE_POLICIES,
     SpeculativeDecoder,
     build_draft_model,
     distill_draft,
@@ -56,6 +55,6 @@ __all__ = [
     "EdgeModelSpec", "MODEL_REGISTRY", "available_models",
     "build_model", "load_pretrained_model", "clear_model_cache",
     "register_model",
-    "CONFIDENCE_POLICIES", "SpeculativeDecoder", "draft_spec",
+    "SpeculativeDecoder", "draft_spec",
     "build_draft_model", "distill_draft",
 ]

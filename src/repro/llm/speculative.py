@@ -24,15 +24,14 @@ what token is emitted.  Sampled sequences (``temperature > 0``) and
 sequences admitted without ``prompt_ids`` fall back to a plain
 single-token row inside the same round, private rng streams untouched.
 
-Confidence policies
--------------------
-How many tokens to draft is a per-sequence, per-step decision made by a
-*confidence policy* — a function of the draft model's logits registered
-in :data:`CONFIDENCE_POLICIES` (max-prob, entropy, temperature-scaled,
-top-k aggregate, after CECOFramework's F1/F2 confidence strategies).
-Drafting continues while the policy's confidence stays at or above the
-decoder's threshold, up to ``max_draft`` and the sequence's remaining
-token budget.
+Confidence
+----------
+How many tokens to draft is a per-sequence, per-step decision: drafting
+continues while the draft model's max-prob confidence — the probability
+of its argmax token (CECOFramework's F1) — stays at or above the
+decoder's ``threshold``, up to ``max_draft`` and the sequence's remaining
+token budget.  ``threshold=0`` drafts to the cap every round; a
+threshold above any confidence the draft reaches drafts nothing.
 
 Cache accounting
 ----------------
@@ -67,7 +66,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..utils import Registry
 from . import infer
 from .generation import (DecodeRoundReport, DecodeScheduler, DecodeSequence,
                          GenerationConfig, generate)
@@ -77,68 +75,19 @@ from .registry import (EdgeModelSpec, MODEL_REGISTRY, build_model,
                        register_model)
 from .transformer import TinyCausalLM
 
-__all__ = ["CONFIDENCE_POLICIES", "SpeculativeDecoder", "draft_spec",
-           "build_draft_model", "distill_draft", "max_prob_confidence",
-           "entropy_confidence", "temperature_confidence",
-           "top_k_confidence"]
+__all__ = ["SpeculativeDecoder", "draft_spec", "build_draft_model",
+           "distill_draft", "max_prob_confidence"]
 
 
 # ----------------------------------------------------------------------
-# Confidence policies
+# Confidence
 # ----------------------------------------------------------------------
-CONFIDENCE_POLICIES: Registry = Registry("confidence policy")
-
-
-def _softmax64(logits: np.ndarray) -> np.ndarray:
-    """Probabilities in float64 (confidence is a heuristic, not a hot path)."""
-    probs = np.exp(np.subtract(logits, logits.max(), dtype=np.float64))
-    probs /= probs.sum()
-    return probs
-
-
-@CONFIDENCE_POLICIES.register("max-prob")
-def max_prob_confidence(logits: np.ndarray, **_params) -> float:
+def max_prob_confidence(logits: np.ndarray) -> float:
     """Probability mass on the argmax token (CECO F1)."""
     # The leader's shifted logit is exactly 0, so its probability is 1/Z:
     # no need to normalise the whole distribution on the per-token path.
     return 1.0 / float(np.exp(np.subtract(logits, logits.max(),
                                           dtype=np.float64)).sum())
-
-
-@CONFIDENCE_POLICIES.register("entropy")
-def entropy_confidence(logits: np.ndarray, **_params) -> float:
-    """1 - normalized entropy: 1.0 for a one-hot, 0.0 for uniform."""
-    probs = _softmax64(logits)
-    nonzero = probs[probs > 0.0]
-    entropy = float(-(nonzero * np.log(nonzero)).sum())
-    return 1.0 - entropy / float(np.log(probs.size))
-
-
-@CONFIDENCE_POLICIES.register("temperature")
-def temperature_confidence(logits: np.ndarray, *, temperature: float = 2.0,
-                           **_params) -> float:
-    """Max probability after temperature flattening — a harsher max-prob.
-
-    Dividing logits by ``temperature > 1`` flattens the distribution, so
-    only sharply peaked draft distributions keep a high max; near-ties
-    are punished harder than raw max-prob punishes them.
-    """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    return float(_softmax64(logits / np.float64(temperature)).max())
-
-
-@CONFIDENCE_POLICIES.register("top-k")
-def top_k_confidence(logits: np.ndarray, *, k: int = 4, **_params) -> float:
-    """Aggregate probability mass of the ``k`` most likely tokens.
-
-    High when the distribution concentrates on a few candidates (CECO
-    F2's TOP_K_AGG): more forgiving than max-prob of a near-tie among
-    the leaders.  ``k=1`` is exactly max-prob.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return float(np.sort(_softmax64(logits))[-int(k):].sum())
 
 
 # ----------------------------------------------------------------------
@@ -346,24 +295,17 @@ class SpeculativeDecoder:
         draft_model: the proposer; must share the base model's tokenizer
             (same vocabulary) — see :func:`build_draft_model`.
         max_draft: hard ceiling on proposed tokens per sequence per round.
-        policy: name in :data:`CONFIDENCE_POLICIES`; decides, from the
-            draft logits, whether to keep drafting.
-        threshold: drafting continues while confidence >= threshold.
-        policy_params: extra keyword arguments for the policy (e.g.
-            ``{"temperature": 3.0}`` or ``{"k": 8}``).
+        threshold: drafting continues while the draft's max-prob
+            confidence (:func:`max_prob_confidence`) >= threshold.
     """
 
     def __init__(self, draft_model: TinyCausalLM, *, max_draft: int = 4,
-                 policy: str = "max-prob", threshold: float = 0.5,
-                 policy_params: dict | None = None):
+                 threshold: float = 0.5):
         if max_draft < 1:
             raise ValueError("max_draft must be >= 1")
         self.draft_model = draft_model
         self.max_draft = int(max_draft)
-        self.policy_name = policy
-        self.policy = CONFIDENCE_POLICIES[policy]
         self.threshold = float(threshold)
-        self.policy_params = dict(policy_params or {})
 
     # ------------------------------------------------------------------
     def advance(self, scheduler: DecodeScheduler,
@@ -461,8 +403,7 @@ class SpeculativeDecoder:
             # seq.draft_len intentionally still lags: the buffers are
             # authoritative until advance() commits.
 
-        # Draft loop: propose greedily while the confidence policy
-        # holds, advancing all still-drafting rows together.  Every
+        # Draft loop: propose greedily while the confidence holds, advancing all still-drafting rows together.  Every
         # proposed token is also fed (even the last one, whose logits go
         # unused): that keeps ``fed == len(proposals)``, so the next
         # round's catch-up is the single bonus/repair token again.
@@ -471,8 +412,7 @@ class SpeculativeDecoder:
             drafting = [
                 state for state in drafting
                 if len(proposals[state.index]) < state.cap
-                and self.policy(state.logits,
-                                **self.policy_params) >= self.threshold]
+                and max_prob_confidence(state.logits) >= self.threshold]
             if not drafting:
                 break
             tokens = np.argmax([state.logits for state in drafting], axis=-1)

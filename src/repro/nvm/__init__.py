@@ -1,6 +1,6 @@
 """NVM device models, quantization and crossbar-array simulation."""
 
-from .crossbar import CrossbarStats, TileBank, TileView
+from .crossbar import CrossbarStats, TileBank, TileView, tile_extents
 from .device_models import (
     NVM_DEVICES,
     register_device,
@@ -21,5 +21,5 @@ __all__ = [
     "register_device",
     "REFERENCE_SIGMA",
     "Int16Codec", "slice_to_digits", "digits_to_values", "slice_weights",
-    "CrossbarStats", "TileBank", "TileView",
+    "CrossbarStats", "TileBank", "TileView", "tile_extents",
 ]

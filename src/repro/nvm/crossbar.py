@@ -35,7 +35,7 @@ from ..utils import (
     state_generator,
 )
 
-__all__ = ["CrossbarStats", "TileBank", "TileView"]
+__all__ = ["CrossbarStats", "TileBank", "TileView", "tile_extents"]
 
 
 @dataclass
@@ -83,6 +83,25 @@ class CrossbarStats:
     @classmethod
     def from_dict(cls, data: dict) -> "CrossbarStats":
         return cls(**{key: int(value) for key, value in data.items()})
+
+
+def tile_extents(shape: tuple[int, int], n_planes: int = 1, *,
+                 rows: int = 384, cols: int = 128) -> np.ndarray:
+    """The occupied corner ``(used_rows, used_cols)`` of every tile that
+    ``n_planes`` ``(d, n)`` matrices cut on a ``rows x cols`` grid
+    occupy, tile ``(plane, row_tile, col_tile)`` in C order: whole tiles
+    except along the last row tile and the last column tile.
+
+    The one geometry rule: a :class:`TileBank` takes its ``extent`` from
+    it, and the cost model (:mod:`repro.cim.energy`) prices a library of
+    any size from it without allocating a cell.
+    """
+    d, n = shape
+    used_rows = np.minimum(rows, d - rows * np.arange(-(-d // rows)))
+    used_cols = np.minimum(cols, n - cols * np.arange(-(-n // cols)))
+    plane = np.stack(np.broadcast_arrays(used_rows[:, None],
+                                         used_cols[None, :]), axis=-1)
+    return np.tile(plane.reshape(-1, 2), (n_planes, 1))
 
 
 def _runs(size: int, tile: int) -> list[tuple[int, int, int]]:
@@ -181,8 +200,7 @@ class TileBank:
         self.sigma = sigma
         self.adc_bits = adc_bits
         self.shape = (d, n)
-        self.extent = np.stack([np.minimum(rows, d - rows * row_tile),
-                                np.minimum(cols, n - cols * col_tile)], axis=1)
+        self.extent = tile_extents(self.shape, n_planes, rows=rows, cols=cols)
         self._rng_states = (seeded_states(n_tiles) if rngs is None
                             else np.stack([pack_state(rng) for rng in rngs]))
         # Tile t is columns [col0, col1) of its row tile's rows.

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cim.accelerator import CiMMatrix, MitigationHooks
+from ..cim.energy import RetrievalCostReport, cim_cost, cpu_cost
 from ..nvm.crossbar import CrossbarStats
 from ..nvm.device_models import NVMDevice
 from ..utils import (
@@ -290,6 +291,17 @@ class CiMSearchEngine:
         for store in self._stores.values():
             total.add(store.aggregate_stats())
         return total
+
+    def query_cost(self) -> RetrievalCostReport:
+        """What one query costs: one MVM over every tile of every scale
+        store's bank, priced for the device's technology — or, for
+        digital stores, their matvecs on the CPU model."""
+        self._require_built()
+        stores = self._stores.values()
+        if self.on_cim:
+            return cim_cost(self.device.kind, self._count,
+                            [store.bank.extent for store in stores])
+        return cpu_cost(self._count, [store.shape for store in stores])
 
     def nvm_bytes(self) -> int:
         """Resident bytes of every scale store's tile bank (see

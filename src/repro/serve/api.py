@@ -75,8 +75,8 @@ class QueryResponse:
     scores: tuple[float, ...] = ()     # WMSDP similarity per stored OVT
     n_ovts: int = 0                    # library size at answer time
     backend: str = ""                  # "RRAM" / "FeFET" on CiM, else "CPU"
-    latency_ns: float = 0.0            # analytic retrieval latency estimate
-    energy_pj: float = 0.0             # analytic retrieval energy estimate
+    latency_ns: float = 0.0            # simulated search latency: the
+    energy_pj: float = 0.0             # deployment's banks, priced once
     request_id: str = ""
 
     @property

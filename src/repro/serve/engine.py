@@ -6,7 +6,8 @@ per-user :class:`~repro.serve.session.UserSession`s, mirroring an edge
 deployment where the NVM banks can hold only so many users' OVT libraries
 at once.  Training data and queries arrive as typed request objects
 (:mod:`repro.serve.api`); answers carry retrieval telemetry, including the
-analytic CiM latency/energy estimate from :mod:`repro.cim.energy`.
+simulated latency/energy of the retrieval: the tiles the deployment's
+banks occupy, priced by :mod:`repro.cim.energy`.
 
 Batched entry points (:meth:`PromptServeEngine.submit_batch`,
 :meth:`PromptServeEngine.answer_batch`) group requests by user, so one
@@ -30,8 +31,8 @@ is ``answer_batch`` of one — is admitted to one
 :class:`~repro.llm.generation.DecodeScheduler`: admission scores all of a
 user's query texts in one :meth:`~repro.retrieval.CiMSearchEngine
 .query_batch` call (a single batched in-memory GMM per scale against that
-user's crossbars; per-request telemetry and the analytic per-query cost
-estimate are snapshotted then, and the crossbar operation counters bill
+user's crossbars; per-request telemetry and the deployment's priced
+per-query cost are snapshotted then, and the crossbar operation counters bill
 every query individually), the batch's prefill misses then run together
 (one stacked forward per prompt length, bitwise the single prefills), and
 :meth:`PromptServeEngine.run_decode_round`
@@ -55,9 +56,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..cim.energy import RetrievalCostReport, retrieval_cost
 from ..nvm.crossbar import CrossbarStats
-from ..core.framework import FrameworkConfig, NVCiMDeployment, OVTLibrary
+from ..core.framework import FrameworkConfig, OVTLibrary
 from ..data.lamp import Sample
 from ..llm.generation import (
     DecodeRoundReport,
@@ -98,26 +98,6 @@ class QueueFull(RuntimeError):
             f"(max_pending={max_pending})")
         self.queue_depth = queue_depth
         self.max_pending = max_pending
-
-# int16 words are bit-sliced into one digit per cell.
-_WORD_BITS = 16
-
-
-def _deployment_cost(deployment: NVCiMDeployment) -> RetrievalCostReport:
-    """Analytic cost of one retrieval over this deployment's store."""
-    config = deployment.config
-    search = config.search_config()
-    device = deployment.engine.device
-    backend = device.kind if config.on_cim else "CPU"
-    code_rows = search.pad_length * config.code_dim
-    return retrieval_cost(
-        backend,
-        deployment.engine.n_stored,
-        code_rows=code_rows,
-        n_slices=_WORD_BITS // device.bits_per_cell,
-        scales=search.scales,
-        bytes_per_ovt=code_rows * 2.0,
-    )
 
 
 class PromptServeEngine:
@@ -448,7 +428,6 @@ class PromptServeEngine:
                 "tunes_in_flight": sum(s.tunes_in_flight
                                        for s in self._sessions.values()),
                 "pending_generations": len(self._pending),
-                "queue_depth": len(self._pending),
                 "max_pending": self.max_pending,
                 "admitted": self.admitted,
                 "rejected": self.rejected,
@@ -674,7 +653,7 @@ class PromptServeEngine:
         queries enter the decoder.  A request that fails to resolve (e.g.
         an unknown user) stops the resolving: the requests resolved before
         it are still admitted, then the error propagates.  Retrieval
-        telemetry and the analytic cost are snapshotted at resolution, so
+        telemetry and the priced cost are snapshotted at resolution, so
         the eventual response is what it would have been served alone,
         even if the session is evicted (or retrained) while the answer is
         in flight.  The latency clock starts here, before retrieval and
@@ -694,7 +673,7 @@ class PromptServeEngine:
                 scores = deployment.engine.query_batch(
                     [deployment.encode_query(requests[position].text)
                      for position in positions])
-                cost = _deployment_cost(deployment)
+                cost = deployment.query_cost
                 for position, row in zip(positions, scores):
                     request = requests[position]
                     index = int(np.argmax(row))

@@ -65,7 +65,6 @@ STATS_MANIFEST = {
     # pins its session against LRU eviction until it publishes).
     "tunes_in_flight": "additive",
     "pending_generations": "additive",
-    "queue_depth": "additive",
     "max_pending": "capacity",
     "admitted": "additive",
     "rejected": "additive",

@@ -1,4 +1,4 @@
-"""Engine behaviour: suppressions, baseline burn-down, CLI contract."""
+"""Engine behaviour: suppressions, CLI contract."""
 
 import json
 import os
@@ -8,12 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis import (
-    Finding,
-    load_baseline,
-    run_analysis,
-    save_baseline,
-)
+from repro.analysis import run_analysis
 from repro.analysis.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -79,67 +74,21 @@ def test_suppression_only_matches_its_rule(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def test_baseline_absorbs_known_findings(tmp_path):
-    root = write_tree(tmp_path, {"llm/bad.py": BAD_RNG})
-    first = run_analysis(root)
-    assert len(first.findings) == 1 and not first.ok
-    second = run_analysis(root, baseline=first.findings)
-    assert second.findings == []
-    assert len(second.baselined) == 1
-    assert second.ok
-
-
-def test_baseline_round_trip(tmp_path):
-    path = tmp_path / "baseline.json"
-    findings = [Finding(file="repro/a.py", line=3, rule="RNG-001",
-                        message="m", hint="h")]
-    save_baseline(path, findings)
-    assert load_baseline(path) == findings
-
-
-def test_stale_baseline_entry_fails_the_run(tmp_path):
-    root = write_tree(tmp_path, {"llm/short.py": "x = 1\n"})
-    stale_file = Finding(file="repro/llm/gone.py", line=1,
-                         rule="RNG-001", message="")
-    stale_line = Finding(file="repro/llm/short.py", line=99,
-                         rule="RNG-001", message="")
-    report = run_analysis(root, baseline=[stale_file, stale_line])
-    assert len(report.stale_baseline) == 2
-    assert not report.ok
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def test_cli_json_format_and_exit_codes(tmp_path, capsys):
     root = write_tree(tmp_path, {"llm/bad.py": BAD_RNG})
-    code = main(["--root", str(root), "--format", "json",
-                 "--baseline-file", str(tmp_path / "baseline.json")])
+    code = main(["--root", str(root), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["ok"] is False
     assert payload["findings"][0]["rule"] == "RNG-001"
 
 
-def test_cli_baseline_update_then_clean(tmp_path, capsys):
-    root = write_tree(tmp_path, {"llm/bad.py": BAD_RNG})
-    baseline = tmp_path / "baseline.json"
-    assert main(["--root", str(root), "--baseline", "update",
-                 "--baseline-file", str(baseline)]) == 0
-    capsys.readouterr()
-    assert main(["--root", str(root),
-                 "--baseline-file", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
-
-
 def test_cli_output_file(tmp_path, capsys):
     root = write_tree(tmp_path, {"llm/fine.py": "x = 1\n"})
     out_path = tmp_path / "findings.json"
-    code = main(["--root", str(root), "--output", str(out_path),
-                 "--baseline-file", str(tmp_path / "baseline.json")])
+    code = main(["--root", str(root), "--output", str(out_path)])
     capsys.readouterr()
     assert code == 0
     assert json.loads(out_path.read_text())["ok"] is True

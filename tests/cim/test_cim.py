@@ -118,22 +118,6 @@ class TestRetrievalCost:
         assert report.latency_s == pytest.approx(report.latency_ns * 1e-9)
         assert report.energy_j == pytest.approx(report.energy_pj * 1e-12)
 
-    def test_batched_cost_scales_linearly(self):
-        for backend in ("RRAM", "CPU"):
-            one = retrieval_cost(backend, 1000)
-            batch = retrieval_cost(backend, 1000, n_queries=8)
-            assert batch.n_queries == 8
-            assert batch.latency_ns == pytest.approx(8 * one.latency_ns)
-            assert batch.energy_pj == pytest.approx(8 * one.energy_pj)
-            per = batch.per_query()
-            assert per.n_queries == 1
-            assert per.latency_ns == pytest.approx(one.latency_ns)
-            assert per.energy_pj == pytest.approx(one.energy_pj)
-
-    def test_batched_cost_validation(self):
-        with pytest.raises(ValueError):
-            retrieval_cost("RRAM", 100, n_queries=0)
-
     def test_tech_table_has_both_nvms(self):
         assert set(CIM_TECH) == {"RRAM", "FeFET"}
         assert CPU_JETSON_ORIN.name == "JetsonOrinCPU"

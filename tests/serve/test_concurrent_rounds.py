@@ -148,7 +148,7 @@ class TestConcurrentAdmissionAndRounds:
             try:
                 while not stop.is_set():
                     stats = engine.stats()
-                    assert stats["queue_depth"] >= 0
+                    assert stats["pending_generations"] >= 0
                     sample = next(extras, None)
                     if sample is not None:
                         engine.observe(0, sample)
@@ -221,7 +221,7 @@ class TestAdmissionBound:
         assert len(admitted) == 4
         assert len(rejected) == 8
         stats = engine.stats()
-        assert stats["queue_depth"] == 4
+        assert stats["pending_generations"] == 4
         assert stats["admitted"] == 4
         assert stats["rejected"] == 8
         drive_until_done(engine, admitted)

@@ -1,8 +1,11 @@
 """Tests for the multi-user serving layer."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.cim import CIM_TECH, cpu_cost
 from repro.core import FrameworkConfig, NVCiMPT, OVTTrainingPipeline
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import (
@@ -17,6 +20,7 @@ from repro.serve import (
     TuneRequest,
     UserSession,
 )
+from repro.retrieval import CiMSearchEngine
 from repro.serve.session import PrefillBatch
 from repro.tuning import TuningConfig
 from tests.oracles.generation import answer_sequential
@@ -261,6 +265,39 @@ class TestBatching:
         assert response.latency_us == pytest.approx(response.latency_ns / 1e3)
         assert response.text == text
 
+    def test_telemetry_is_the_price_of_the_deployments_banks(
+            self, trained_engine, setup):
+        """An answer's latency and energy bill the tiles its deployment's
+        banks occupy, and the conversions and MVMs its retrieval moved:
+        nothing of an erased cell."""
+        _, tok = setup
+        deployment = trained_engine.session(0).deployment()
+        banks = [store.bank for store in deployment.engine._stores.values()]
+        before = deployment.engine.aggregate_stats()
+        response = trained_engine.query(QueryRequest(
+            user_id=0, text=stream_for(0, 1)[0].input_text,
+            generation=fast_generation(tok)))
+        after = deployment.engine.aggregate_stats()
+        tech = CIM_TECH[response.backend]
+        cells = sum(int(bank.extent.prod(axis=1).sum()) for bank in banks)
+        assert response.energy_pj == pytest.approx(
+            cells * tech.cell_read_energy_fj * 1e-3
+            + (after.adc_conversions - before.adc_conversions)
+            * tech.adc_energy_pj
+            + (after.mvm_ops - before.mvm_ops) * tech.periphery_energy_pj)
+        waves = tech.parallel_subarrays
+        latency = 0.0
+        for bank in banks:
+            per_tile = [tech.array_read_latency_ns
+                        + math.ceil(used_cols / tech.adcs_per_subarray)
+                        * tech.adc_time_ns
+                        for _, used_cols in bank.extent]
+            latency += sum(max(per_tile[i:i + waves])
+                           for i in range(0, len(per_tile), waves))
+        assert response.latency_ns == pytest.approx(latency)
+        # Priced once per deployment, not per admission.
+        assert deployment.query_cost is deployment.query_cost
+
     def test_digital_mode_reports_cpu_backend(self, setup):
         model, tok = setup
         engine = PromptServeEngine(model, tok, fast_config(on_cim=False),
@@ -271,6 +308,38 @@ class TestBatching:
             user_id=0, text=stream_for(0, 1)[0].input_text,
             generation=fast_generation(tok)))
         assert response.backend == "CPU"
+        # Priced from its ideal stores' own shapes on the CPU model.
+        deployment = engine.session(0).deployment()
+        shapes = [store.shape
+                  for store in deployment.engine._stores.values()]
+        price = cpu_cost(deployment.engine.n_stored, shapes)
+        assert response.energy_pj == price.energy_pj
+        assert response.latency_ns == price.latency_ns
+
+    def test_a_deployment_is_priced_once_not_per_admission(
+            self, setup, monkeypatch):
+        model, tok = setup
+        priced = []
+        query_cost = CiMSearchEngine.query_cost
+
+        def counting(engine):
+            priced.append(engine)
+            return query_cost(engine)
+
+        monkeypatch.setattr(CiMSearchEngine, "query_cost", counting)
+        engine = PromptServeEngine(model, tok, fast_config(), max_sessions=2)
+        engine.submit(TuneRequest(user_id=0,
+                                  samples=tuple(stream_for(0, 10))))
+        texts = [sample.input_text for sample in stream_for(0, 3, seed=5)]
+        generation = fast_generation(tok)
+        first = engine.query(QueryRequest(user_id=0, text=texts[0],
+                                          generation=generation))
+        batch = engine.answer_batch([
+            QueryRequest(user_id=0, text=text, generation=generation)
+            for text in texts])
+        assert len(priced) == 1
+        assert {(r.energy_pj, r.latency_ns) for r in batch} \
+            == {(first.energy_pj, first.latency_ns)}
 
 
 class TestPrefillSharing:
