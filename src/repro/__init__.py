@@ -23,13 +23,15 @@ is the pooled retrying client.
 :class:`OVTTrainingPipeline` / :class:`NVCiMDeployment`, the
 model/dataset/device zoos, prompt-tuning methods and cost models.
 
-Every pluggable axis is a string-keyed registry
-(:class:`repro.utils.Registry`): models (``register_model``), NVM devices
-(``register_device``), noise mitigations (``register_mitigation``) and
-retrieval strategies (``register_retrieval``).  Configurations are plain
-data: :meth:`FrameworkConfig.to_dict` / :meth:`FrameworkConfig.from_dict`
-round-trip through JSON, and :meth:`FrameworkConfig.preset` names the
-paper's experiment settings (``"table1"``, ``"table4"``, ...).
+The paper's evaluation grid is closed: its three models, five NVM
+devices, mitigation baselines and retrieval strategies are plain
+name-keyed tables, each read through one lookup whose error lists
+the valid names (``build_model``, ``get_device``, and
+``FrameworkConfig(mitigation=..., retrieval=...)``).  Configurations are
+plain data: :meth:`FrameworkConfig.to_dict` /
+:meth:`FrameworkConfig.from_dict` round-trip through JSON, and
+:meth:`FrameworkConfig.preset` names the paper's main setting
+(``"table1"``) and a small smoke setting (``"fast"``).
 """
 
 from .core import (
@@ -61,11 +63,8 @@ from .llm import (
     build_model,
     generate,
     load_pretrained_model,
-    register_model,
 )
-from .mitigation import available_mitigations, register_mitigation
-from .nvm import available_devices, get_device, register_device
-from .retrieval import register_retrieval
+from .nvm import available_devices, get_device
 from .serve import (
     PromptServeEngine,
     QueryRequest,
@@ -77,7 +76,6 @@ from .serve import (
     TuneResponse,
     UserSession,
 )
-from .utils import Registry
 
 __version__ = "0.2.0"
 
@@ -96,10 +94,8 @@ __all__ = [
     "make_user", "make_users", "DataBuffer",
     # Models and generation
     "build_model", "load_pretrained_model", "available_models",
-    "register_model", "generate", "GenerationConfig",
-    # Registries
-    "Registry", "get_device", "available_devices", "register_device",
-    "available_mitigations", "register_mitigation",
-    "register_retrieval",
+    "generate", "GenerationConfig",
+    # Devices
+    "get_device", "available_devices",
     "__version__",
 ]

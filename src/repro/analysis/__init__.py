@@ -9,23 +9,21 @@ autograd graph, and the layers sharing the base model never write it.
 This package checks them structurally, with pure stdlib ``ast`` — run
 ``python -m repro.analysis`` (see ``__main__``).
 
-Importing the package registers the built-in rules in :data:`RULES`;
-importing :mod:`repro.analysis` never imports (or executes) the code it
-analyzes.
+:data:`RULES` is the table of the built-in rules, keyed by each rule's
+own ``rule_id``; importing :mod:`repro.analysis` never imports (or
+executes) the code it analyzes.
 """
 
-from .base import RULES, FileContext, Rule
+from .base import FileContext, Rule
 from .engine import Report, Suppression, run_analysis
 from .findings import Finding
-
-# Importing the rule modules is what registers them.
-from . import rules_rng  # noqa: F401  (registration side effect)
-from . import rules_lock  # noqa: F401
-from . import rules_snapshot  # noqa: F401
-from . import rules_security  # noqa: F401
-from . import rules_stats  # noqa: F401
-from . import rules_inference  # noqa: F401
-from . import rules_model  # noqa: F401
+from .rules_inference import GraphFreeInference, GraphFreeTuning
+from .rules_lock import TrainingUnderLock, UnlockedPublicMutation
+from .rules_model import ReadOnlyBaseModel
+from .rules_rng import NumpyRandomOutsideUtils, WallClockInDeterministicPath
+from .rules_security import NoCodeExecution
+from .rules_snapshot import SnapshotCompleteness
+from .rules_stats import UndeclaredStatKey
 
 __all__ = [
     "RULES",
@@ -36,3 +34,10 @@ __all__ = [
     "Suppression",
     "run_analysis",
 ]
+
+# rule id -> Rule subclass; the engine instantiates each once per run.
+RULES: dict[str, type[Rule]] = {rule.rule_id: rule for rule in (
+    NumpyRandomOutsideUtils, WallClockInDeterministicPath,
+    UnlockedPublicMutation, TrainingUnderLock, SnapshotCompleteness,
+    NoCodeExecution, UndeclaredStatKey, GraphFreeInference, GraphFreeTuning,
+    ReadOnlyBaseModel)}

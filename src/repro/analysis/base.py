@@ -1,17 +1,16 @@
-"""The rule framework: file context, rule protocol, rule registry.
+"""The rule framework: file context and rule protocol.
 
-Rules are small classes registered in :data:`RULES` (the same
-:class:`repro.utils.Registry` primitive the model/device/mitigation zoos
-use), keyed by rule id.  The engine parses each file under ``src/repro/``
+Rules are small classes listed in :data:`repro.analysis.RULES`, keyed by
+their own ``rule_id``.  The engine parses each file under ``src/repro/``
 exactly once and hands every rule the same :class:`FileContext`; a rule
 yields :class:`~repro.analysis.findings.Finding`s for the invariants it
 enforces.  Everything here is pure stdlib ``ast`` — a rule never imports
 the module it inspects, so the linter cannot be broken by (or have side
 effects on) the code under analysis.
 
-Adding a rule:
+Adding a rule: write the class in a ``rules_*`` module and add it to
+the ``RULES`` table in ``repro/analysis/__init__.py``:
 
-    @RULES.register("XYZ-001")
     class MyRule(Rule):
         rule_id = "XYZ-001"
         title = "one-line invariant statement"
@@ -29,11 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from ..utils import Registry
 from .findings import Finding
 
-__all__ = ["FileContext", "Rule", "RULES", "attribute_chain",
-           "self_attribute_target"]
+__all__ = ["FileContext", "Rule", "attribute_chain", "self_attribute_target"]
 
 
 @dataclass
@@ -70,19 +67,6 @@ class Rule:
         return Finding(file=ctx.rel, line=getattr(node, "lineno", 1),
                        rule=self.rule_id, message=message,
                        hint=self.default_hint if hint is None else hint)
-
-
-def _validate_rule(name: str, rule: type) -> None:
-    if not (isinstance(rule, type) and issubclass(rule, Rule)):
-        raise TypeError(f"rule {name!r} must be a Rule subclass")
-    if rule.rule_id != name:
-        raise ValueError(f"rule {name!r} declares rule_id {rule.rule_id!r}")
-
-
-# Rule zoo: id -> Rule subclass.  The engine instantiates each rule once
-# per run; plugins register new invariants the same decorator way the
-# device/mitigation registries accept new entries.
-RULES: Registry[type] = Registry("lint rule", validate=_validate_rule)
 
 
 # ----------------------------------------------------------------------

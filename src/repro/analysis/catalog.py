@@ -1,8 +1,8 @@
 """Render the rule zoo as a markdown catalog (``--catalog``).
 
 ``docs/analysis.md`` is generated from this module so the documented
-rule set can never drift from the registered one: each entry is built
-from the live :data:`~repro.analysis.base.RULES` registry — rule id,
+rule set can never drift from the one that runs: each entry is built
+from the live :data:`~repro.analysis.RULES` table — rule id,
 one-line title, the rule class's own docstring, and its default fix
 hint.  ``tests/test_docs.py`` regenerates the catalog and fails when the
 committed file differs.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 
-from .base import RULES
+from . import RULES
 
 __all__ = ["render_catalog"]
 
@@ -49,7 +49,8 @@ jitter = np.random.default_rng(0)  # repro: noqa[RNG-001] plot jitter only
 — and the engine itself enforces two meta-invariants: a suppression
 without a reason fails as `SUP-001`, and a suppression that no longer
 matches any finding fails as `SUP-002`, so waivers cannot outlive the
-code they excused.
+code they excused.  A suppression naming no rule in the table fails as
+`SUP-002` too, and its message lists the rule ids.
 
 ## Accepting a finding
 
@@ -60,19 +61,18 @@ with the tree clean under it.
 
 ## Adding a rule
 
-Subclass `repro.analysis.Rule`, register it with
-`@RULES.register("XYZ-001")` (the same `Registry` the device/model zoos
-use), yield `Finding`s from `check(ctx)`, and add its true-positive /
+Subclass `repro.analysis.Rule` with its own `rule_id`, yield
+`Finding`s from `check(ctx)`, add the class to the `RULES` table in
+`repro/analysis/__init__.py`, and add its true-positive /
 true-negative / suppressed fixtures in `tests/analysis/test_rules.py`.
-Once registered, the rule appears in this catalog automatically.
+A rule in that table appears in this catalog automatically.
 """
 
 
 def render_catalog() -> str:
-    """The markdown rule catalog, one section per registered rule."""
+    """The markdown rule catalog, one section per rule."""
     parts = [_HEADER]
-    for rule_id in RULES.names():
-        rule = RULES[rule_id]
+    for rule_id, rule in sorted(RULES.items()):
         parts.append(f"## {rule_id} — {rule.title}")
         doc = inspect.getdoc(rule)
         if doc:

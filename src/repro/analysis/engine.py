@@ -2,7 +2,7 @@
 
 One pass over every ``*.py`` under the package root parses each file
 once and hands the shared :class:`~repro.analysis.base.FileContext` to
-every registered rule.  Raw findings then meet the one way to accept
+every rule.  Raw findings then meet the one way to accept
 one: an inline ``# repro: noqa[RULE-ID] <reason>`` on the offending line
 waives that rule there.  The reason is mandatory (SUP-001 fires without
 one) and a suppression that no longer matches any finding is itself an
@@ -18,7 +18,7 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .base import RULES, FileContext
+from .base import FileContext
 from .findings import Finding
 
 __all__ = ["Suppression", "Report", "run_analysis", "iter_contexts",
@@ -122,12 +122,12 @@ class Report:
 # ----------------------------------------------------------------------
 def run_analysis(root: Path | None = None, *,
                  rules: dict | None = None) -> Report:
-    """Check every file under ``root`` with every registered rule
-    (``rules`` defaults to the full :data:`RULES` registry)."""
+    """Check every file under ``root`` with every rule in ``rules``
+    (default: the full :data:`repro.analysis.RULES` table)."""
+    from . import RULES  # built by the package after it imports this module
+    rules = RULES if rules is None else rules
     root = (root or default_root()).resolve()
-    rule_classes = dict(rules if rules is not None else RULES)
-    instances = {rule_id: cls() for rule_id, cls in sorted(
-        rule_classes.items())}
+    instances = {rule_id: cls() for rule_id, cls in sorted(rules.items())}
 
     raw: list[Finding] = []
     suppressions: list[Suppression] = []
@@ -161,8 +161,11 @@ def run_analysis(root: Path | None = None, *,
         if not sup.used:
             kept.append(Finding(
                 file=sup.file, line=sup.line, rule="SUP-002",
-                message=f"suppression of {sup.rule} matches no finding; "
-                        f"the code it excused is gone — delete it",
+                message=(f"suppression of {sup.rule} matches no finding; "
+                         f"the code it excused is gone — delete it"
+                         if sup.rule in RULES else
+                         f"suppression of unknown rule {sup.rule}; "
+                         f"rules: {sorted(RULES)}"),
                 hint="remove the stale # repro: noqa comment"))
 
     report.findings = sorted(kept)

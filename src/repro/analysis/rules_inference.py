@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .base import RULES, FileContext, Rule
+from .base import FileContext, Rule
 from .findings import Finding
 
 __all__ = ["GraphFreeInference", "GraphFreeTuning"]
@@ -38,7 +38,6 @@ def _walk_inference(node: ast.AST) -> Iterator[ast.AST]:
         yield from _walk_inference(child)
 
 
-@RULES.register("INF-001")
 class GraphFreeInference(Rule):
     """No ``Tensor(...)``, ``no_grad`` or ``past_kv=`` / ``use_cache=`` on
     the inference path.
@@ -100,7 +99,6 @@ _TUNE_FILES = ("repro/compression/autoencoder.py",
 _TUNE_DIRS = ("tuning",)
 
 
-@RULES.register("TUNE-001")
 class GraphFreeTuning(Rule):
     """No ``Tensor(...)`` and no ``.backward()`` where the repo trains.
 

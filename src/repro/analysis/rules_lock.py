@@ -16,8 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .base import (RULES, FileContext, Rule, attribute_chain,
-                   self_attribute_target)
+from .base import FileContext, Rule, attribute_chain, self_attribute_target
 from .findings import Finding
 
 __all__ = ["UnlockedPublicMutation", "TrainingUnderLock"]
@@ -80,7 +79,6 @@ def _enters_lock(method: ast.FunctionDef) -> bool:
     return False
 
 
-@RULES.register("LOCK-001")
 class UnlockedPublicMutation(Rule):
     """Public methods of lock-owning classes must mutate under the lock."""
 
@@ -149,7 +147,6 @@ def _trains(call: ast.Call) -> bool:
                                for word in ("session", "pipeline"))
 
 
-@RULES.register("LOCK-002")
 class TrainingUnderLock(Rule):
     """No training inside ``with self._lock:``.
 

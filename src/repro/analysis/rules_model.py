@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .base import RULES, FileContext, Rule
+from .base import FileContext, Rule
 from .findings import Finding
 
 __all__ = ["ReadOnlyBaseModel"]
@@ -13,7 +13,6 @@ __all__ = ["ReadOnlyBaseModel"]
 _CONVERTERS = {"quantize_model", "quantize_model_weights"}
 
 
-@RULES.register("MODEL-001")
 class ReadOnlyBaseModel(Rule):
     """No model conversion, ``requires_grad`` write or weight swap under
     ``serve/``, ``gateway/``, ``core/`` and ``tuning/``.

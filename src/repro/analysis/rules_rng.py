@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .base import RULES, FileContext, Rule, attribute_chain
+from .base import FileContext, Rule, attribute_chain
 from .findings import Finding
 
 __all__ = ["NumpyRandomOutsideUtils", "WallClockInDeterministicPath"]
@@ -36,7 +36,6 @@ _CLOCK_CALLS = {
 }
 
 
-@RULES.register("RNG-001")
 class NumpyRandomOutsideUtils(Rule):
     """No ``np.random.*`` calls outside ``repro/utils/``.
 
@@ -86,7 +85,6 @@ class NumpyRandomOutsideUtils(Rule):
                     f"seed hierarchy")
 
 
-@RULES.register("RNG-002")
 class WallClockInDeterministicPath(Rule):
     """No ``random`` module, ``time.time`` or ``datetime.now`` in
     deterministic paths.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .base import RULES, FileContext, Rule, attribute_chain
+from .base import FileContext, Rule, attribute_chain
 from .findings import Finding
 
 __all__ = ["NoCodeExecution"]
@@ -23,7 +23,6 @@ _BANNED_MODULES = {"pickle", "cPickle", "marshal", "shelve", "dill"}
 _BANNED_BUILTINS = {"eval", "exec", "compile"}
 
 
-@RULES.register("SEC-001")
 class NoCodeExecution(Rule):
     """No pickle/marshal imports, no eval/exec/compile calls.
 

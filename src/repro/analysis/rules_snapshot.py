@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .base import RULES, FileContext, Rule
+from .base import FileContext, Rule
 from .findings import Finding
 
 __all__ = ["SnapshotCompleteness", "SNAPSHOT_METHODS"]
@@ -85,7 +85,6 @@ def _excluded(cls: ast.ClassDef) -> set[str]:
     return set()
 
 
-@RULES.register("SNAP-001")
 class SnapshotCompleteness(Rule):
     """``__init__`` state must travel through snapshot/restore."""
 

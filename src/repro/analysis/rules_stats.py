@@ -20,7 +20,7 @@ import ast
 from pathlib import Path
 from typing import Iterator
 
-from .base import RULES, FileContext, Rule
+from .base import FileContext, Rule
 from .findings import Finding
 
 __all__ = ["UndeclaredStatKey", "load_manifest"]
@@ -76,7 +76,6 @@ def _emitted_keys(stats: ast.FunctionDef) -> dict[str, int]:
     return keys
 
 
-@RULES.register("STATS-001")
 class UndeclaredStatKey(Rule):
     """Every engine stats() key must be declared in the stats manifest."""
 

@@ -48,7 +48,7 @@ class MitigationHooks:
 
     Every hook defaults to doing nothing, so this class itself is no
     mitigation — store and read raw, the paper's \"No-Miti\" — and is
-    registered as ``"none"`` (:data:`NullMitigation`).  A baseline
+    named ``"none"`` (:data:`NullMitigation`).  A baseline
     subclasses it and overrides only the hooks it implements.
     """
 

@@ -124,14 +124,6 @@ class RetrievalCostReport:
     latency_ns: float
     energy_pj: float
 
-    @property
-    def latency_s(self) -> float:
-        return self.latency_ns * 1e-9
-
-    @property
-    def energy_j(self) -> float:
-        return self.energy_pj * 1e-12
-
 
 def cim_cost(backend: str, n_ovts: int,
              extents: Iterable[np.ndarray]) -> RetrievalCostReport:

@@ -44,24 +44,12 @@ __all__ = ["FrameworkConfig", "OVTLibrary", "OVTTrainingPipeline",
            "NVCiMDeployment", "NVCiMPT"]
 
 
-# Named configurations (JSON-style dicts, resolved by ``from_dict``) for the
-# paper's experiment settings plus common development variants.
+# Named configurations (JSON-style dicts, resolved by ``from_dict``).
 _PRESETS: dict[str, dict] = {
-    # Paper main grid: buffer 25, FeFET3, sigma 0.1, SSA + noise-aware PT.
+    # Paper main grid: buffer 25, FeFET3, sigma 0.1, SSA + noise-aware PT;
+    # Tables III and IV override the buffer or sigma of this cell.
     "table1": {"buffer_capacity": 25, "device_name": "NVM-3", "sigma": 0.1,
                "retrieval": "ssa", "mitigation": "none", "noise_aware": True},
-    # Buffer-size sweep base (Table III): same cell, buffer overridden per run.
-    "table3": {"buffer_capacity": 25, "device_name": "NVM-3", "sigma": 0.1,
-               "retrieval": "ssa", "noise_aware": True},
-    # Device-variation sweep base (Table IV): sigma overridden per run.
-    "table4": {"buffer_capacity": 25, "device_name": "NVM-3", "sigma": 0.1,
-               "retrieval": "ssa", "noise_aware": True},
-    # The paper's NVP*(MIPS) ablation: plain max-inner-product retrieval.
-    "mips-baseline": {"buffer_capacity": 25, "device_name": "NVM-3",
-                      "sigma": 0.1, "retrieval": "mips"},
-    # Ideal digital store: no CiM noise anywhere in the retrieval path.
-    "digital": {"buffer_capacity": 25, "device_name": "NVM-3", "sigma": 0.1,
-                "on_cim": False},
     # Small-scale smoke configuration for demos and tests.
     "fast": {"buffer_capacity": 10, "device_name": "NVM-3", "sigma": 0.1,
              "tuning": {"steps": 6, "lr": 0.05}},
@@ -107,14 +95,12 @@ class FrameworkConfig:
     def __post_init__(self):
         if self.buffer_capacity <= 0:
             raise ValueError("buffer_capacity must be positive")
-        if self.retrieval not in RETRIEVAL_REGISTRY:
-            raise ValueError(
-                f"retrieval must be one of {RETRIEVAL_REGISTRY.names()}, "
-                f"got {self.retrieval!r}")
-        if self.mitigation not in MITIGATION_REGISTRY:
-            raise ValueError(
-                f"mitigation must be one of {MITIGATION_REGISTRY.names()}, "
-                f"got {self.mitigation!r}")
+        for axis, table in (("retrieval", RETRIEVAL_REGISTRY),
+                            ("mitigation", MITIGATION_REGISTRY)):
+            name = getattr(self, axis)
+            if name not in table:
+                raise ValueError(f"{axis} must be one of {sorted(table)}, "
+                                 f"got {name!r}")
 
     def search_config(self) -> SearchConfig:
         if self.search is not None:
@@ -175,18 +161,10 @@ class FrameworkConfig:
         Keyword overrides are applied on top of the preset, so
         ``preset("table1", device_name="NVM-5")`` is one Table I cell.
         """
-        try:
-            base = dict(_PRESETS[name])
-        except KeyError:
+        if name not in _PRESETS:
             raise KeyError(f"unknown preset {name!r}; "
-                           f"available: {cls.available_presets()}") from None
-        base.update(overrides)
-        return cls.from_dict(base)
-
-    @classmethod
-    def available_presets(cls) -> list[str]:
-        """Names accepted by :meth:`preset`."""
-        return sorted(_PRESETS)
+                           f"available: {sorted(_PRESETS)}")
+        return cls.from_dict({**_PRESETS[name], **overrides})
 
 
 @dataclass
@@ -354,10 +332,6 @@ class NVCiMDeployment:
         rows = self.model.token_embedding.weight.data[ids]
         codes, _ = self.library.autoencoder.encode_matrix(rows)
         return codes
-
-    def retrieve(self, input_text: str) -> int:
-        """Index of the OVT the scaled search picks for this input."""
-        return self.engine.retrieve(self.encode_query(input_text))
 
     def restored_prompt(self, index: int) -> np.ndarray:
         """Read an OVT back from NVM and decode it to model space."""

@@ -31,7 +31,6 @@ from .registry import (
     build_model,
     clear_model_cache,
     load_pretrained_model,
-    register_model,
 )
 from .speculative import (
     SpeculativeDecoder,
@@ -54,7 +53,6 @@ __all__ = [
     "QUANTIZATION_BITS", "quantize_model", "quantization_stats",
     "EdgeModelSpec", "MODEL_REGISTRY", "available_models",
     "build_model", "load_pretrained_model", "clear_model_cache",
-    "register_model",
     "SpeculativeDecoder", "draft_spec",
     "build_draft_model", "distill_draft",
 ]

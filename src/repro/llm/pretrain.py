@@ -1,7 +1,7 @@
 """Causal language-model pretraining on the synthetic corpus.
 
 The paper uses off-the-shelf pretrained checkpoints (Gemma-2B, Phi-2,
-Mistral-7B-GPTQ).  Here each registry model is pretrained briefly on the
+Mistral-7B-GPTQ).  Here each zoo model is pretrained briefly on the
 synthetic corpus so that prompt tuning has real signal to exploit: the base
 model learns the corpus grammar and the context -> label co-occurrence
 statistics that the LaMP-style tasks are built from.

@@ -12,7 +12,7 @@ Two execution modes share that grid:
 
 - :func:`quantize_model_weights` is fake-quant: weights are snapped to the
   grid but stay float32, so the model runs the unmodified dense GEMMs.
-  The registry uses this to make ``mistral-7b-gptq-sim`` behave like a
+  The model zoo uses this to make ``mistral-7b-gptq-sim`` behave like a
   GPTQ checkpoint numerically.
 - :func:`quantize_model` is the real weight-quantized inference path: it
   replaces every dense sublayer :class:`~repro.ag.Linear` with a

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..utils import Registry
 from .pretrain import PretrainConfig, pretrain_lm
 from .quantization import quantize_model_weights
 from .transformer import LMConfig, TinyCausalLM
 
 __all__ = ["EdgeModelSpec", "MODEL_REGISTRY", "available_models",
-           "build_model", "load_pretrained_model", "clear_model_cache",
-           "register_model"]
+           "model_spec", "build_model", "load_pretrained_model",
+           "clear_model_cache"]
 
 
 @dataclass(frozen=True)
@@ -40,16 +39,16 @@ class EdgeModelSpec:
                         n_heads=self.n_heads, n_layers=self.n_layers,
                         d_ff=self.d_ff, max_seq_len=max_seq_len)
 
+    def build(self, vocab_size: int, *, seed: int | None = None,
+              max_seq_len: int = 256) -> TinyCausalLM:
+        """An un-pretrained model of this spec (seeded by ``base_seed``
+        unless ``seed`` is given)."""
+        return TinyCausalLM(self.lm_config(vocab_size, max_seq_len),
+                            seed=self.base_seed if seed is None else seed)
 
-def _validate_model(name: str, spec: EdgeModelSpec) -> None:
-    if not isinstance(spec, EdgeModelSpec):
-        raise TypeError(f"model {name!r} must be an EdgeModelSpec")
 
-
-# Model zoo (a Registry, so new architectures plug in at runtime).
-MODEL_REGISTRY: Registry[EdgeModelSpec] = Registry("model",
-                                                   validate=_validate_model)
-for _spec in (
+# The paper's three edge LLMs, by stand-in name.
+MODEL_REGISTRY: dict[str, EdgeModelSpec] = {spec.name: spec for spec in (
     EdgeModelSpec(
         name="gemma-2b-sim", paper_model="Gemma-2B",
         d_model=64, n_heads=4, n_layers=3, d_ff=160, base_seed=101,
@@ -63,14 +62,7 @@ for _spec in (
         name="phi-2-sim", paper_model="Phi-2",
         d_model=56, n_heads=4, n_layers=3, d_ff=144, base_seed=303,
     ),
-):
-    MODEL_REGISTRY.register(_spec.name, _spec)
-del _spec
-
-
-def register_model(spec: EdgeModelSpec, *, overwrite: bool = False) -> EdgeModelSpec:
-    """Add an architecture to the zoo under its spec name."""
-    return MODEL_REGISTRY.register(spec.name, spec, overwrite=overwrite)
+)}
 
 # Cache of pretrained weights keyed by (model name, corpus fingerprint,
 # seed, steps); stores state dicts so callers always get a fresh object.
@@ -82,17 +74,21 @@ def available_models() -> list[str]:
     return sorted(MODEL_REGISTRY)
 
 
-def build_model(name: str, vocab_size: int, *, seed: int | None = None,
-                max_seq_len: int = 256) -> TinyCausalLM:
-    """Instantiate an un-pretrained model from the registry."""
+def model_spec(name: str) -> EdgeModelSpec:
+    """The spec of a zoo model, by name."""
     try:
-        spec = MODEL_REGISTRY[name]
+        return MODEL_REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown model {name!r}; available: {available_models()}"
         ) from None
-    model_seed = spec.base_seed if seed is None else seed
-    return TinyCausalLM(spec.lm_config(vocab_size, max_seq_len), seed=model_seed)
+
+
+def build_model(name: str, vocab_size: int, *, seed: int | None = None,
+                max_seq_len: int = 256) -> TinyCausalLM:
+    """Instantiate an un-pretrained zoo model."""
+    return model_spec(name).build(vocab_size, seed=seed,
+                                  max_seq_len=max_seq_len)
 
 
 def load_pretrained_model(
@@ -104,12 +100,12 @@ def load_pretrained_model(
     pretrain: PretrainConfig | None = None,
     max_seq_len: int = 256,
 ) -> TinyCausalLM:
-    """Build, pretrain (memoised) and optionally quantize a registry model.
+    """Build, pretrain (memoised) and optionally quantize a zoo model.
 
     Pretraining the same (model, corpus, seed) twice reuses cached weights,
     which keeps the large experiment grids affordable.
     """
-    spec = MODEL_REGISTRY[name]  # KeyError surfaces the same as build_model
+    spec = model_spec(name)
     config = pretrain or PretrainConfig(seed=seed)
     token_stream = np.asarray(token_stream, dtype=np.int64).reshape(-1)
     fingerprint = (name, vocab_size, max_seq_len, int(token_stream[:64].sum()),

@@ -71,8 +71,7 @@ from .generation import (DecodeRoundReport, DecodeScheduler, DecodeSequence,
                          GenerationConfig, generate)
 from .kv_cache import KVCache
 from .pretrain import PretrainConfig, pretrain_lm
-from .registry import (EdgeModelSpec, MODEL_REGISTRY, build_model,
-                       register_model)
+from .registry import EdgeModelSpec, model_spec
 from .transformer import TinyCausalLM
 
 __all__ = ["SpeculativeDecoder", "draft_spec", "build_draft_model",
@@ -118,16 +117,10 @@ def draft_spec(base: EdgeModelSpec) -> EdgeModelSpec:
 def build_draft_model(base_name: str, vocab_size: int, *,
                       seed: int | None = None,
                       max_seq_len: int = 256) -> TinyCausalLM:
-    """Build (and register) the draft companion of a registry model.
-
-    The derived spec is registered as ``"{base_name}-draft"`` so the rest
-    of the zoo machinery (``available_models``, ``load_pretrained_model``)
-    sees it like any other architecture; re-building refreshes the entry.
-    """
-    spec = draft_spec(MODEL_REGISTRY[base_name])
-    register_model(spec, overwrite=True)
-    return build_model(spec.name, vocab_size, seed=seed,
-                       max_seq_len=max_seq_len)
+    """Build the draft companion of a zoo model from its
+    :func:`draft_spec`; the zoo itself is left as it is."""
+    return draft_spec(model_spec(base_name)).build(
+        vocab_size, seed=seed, max_seq_len=max_seq_len)
 
 
 def distill_draft(

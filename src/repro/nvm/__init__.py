@@ -3,7 +3,6 @@
 from .crossbar import CrossbarStats, TileBank, TileView, tile_extents
 from .device_models import (
     NVM_DEVICES,
-    register_device,
     REFERENCE_SIGMA,
     NVMDevice,
     available_devices,
@@ -18,7 +17,6 @@ from .quantize import (
 
 __all__ = [
     "NVMDevice", "NVM_DEVICES", "get_device", "available_devices",
-    "register_device",
     "REFERENCE_SIGMA",
     "Int16Codec", "slice_to_digits", "digits_to_values", "slice_weights",
     "CrossbarStats", "TileBank", "TileView", "tile_extents",

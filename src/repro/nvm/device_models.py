@@ -26,10 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..utils import Registry
-
 __all__ = ["NVMDevice", "NVM_DEVICES", "get_device", "available_devices",
-           "register_device", "REFERENCE_SIGMA"]
+           "REFERENCE_SIGMA"]
 
 # Table II values are interpreted as measured at this reference variation.
 REFERENCE_SIGMA = 0.01
@@ -91,22 +89,9 @@ class NVMDevice:
             )
         return levels
 
-    def program_noise(self, levels: np.ndarray, sigma: float,
-                      rng: np.random.Generator) -> np.ndarray:
-        """Sample additive conductance noise for cells at ``levels``."""
-        stds = self.sigma_for_levels(levels, sigma)
-        return rng.normal(0.0, 1.0, size=levels.shape).astype(np.float32) * stds
 
-
-def _validate_device(name: str, device: NVMDevice) -> None:
-    if not isinstance(device, NVMDevice):
-        raise TypeError(f"device {name!r} must be an NVMDevice")
-
-
-# Device zoo (a Registry, so new memory technologies plug in at runtime).
-NVM_DEVICES: Registry[NVMDevice] = Registry("NVM device",
-                                            validate=_validate_device)
-for _device in (
+# The five devices of Table II, by experiment alias.
+NVM_DEVICES: dict[str, NVMDevice] = {device.name: device for device in (
     NVMDevice("NVM-1", "RRAM1", "RRAM",
               (0.0100, 0.0100)),
     NVMDevice("NVM-2", "FeFET2", "FeFET",
@@ -117,19 +102,12 @@ for _device in (
               (0.0038, 0.0151, 0.0151, 0.0038)),
     NVMDevice("NVM-5", "FeFET6", "FeFET",
               (0.0026, 0.0155, 0.0155, 0.0026)),
-):
-    NVM_DEVICES.register(_device.name, _device)
-del _device
-
-
-def register_device(device: NVMDevice, *, overwrite: bool = False) -> NVMDevice:
-    """Add a device to the zoo under its experiment alias."""
-    return NVM_DEVICES.register(device.name, device, overwrite=overwrite)
+)}
 
 
 def available_devices() -> list[str]:
     """Experiment aliases accepted by :func:`get_device`."""
-    return NVM_DEVICES.names()
+    return sorted(NVM_DEVICES)
 
 
 def get_device(name: str) -> NVMDevice:

@@ -11,8 +11,9 @@ single-scale, weight-1 case (a plain max-inner-product search).
 
 Queries batch end to end: :meth:`CiMSearchEngine.query_batch` scores every
 pending query against every scale with one :meth:`CiMMatrix.matmat` per
-scale, and :meth:`CiMSearchEngine.query` is the batch-of-one case of the
-same path, so batched and sequential scores agree.
+scale, and a query scores the same alone as in any batch.  The strategy
+is a name in :data:`RETRIEVAL_REGISTRY`, selected with
+``FrameworkConfig(retrieval=...)``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from ..cim.energy import RetrievalCostReport, cim_cost, cpu_cost
 from ..nvm.crossbar import CrossbarStats
 from ..nvm.device_models import NVMDevice
 from ..utils import (
-    Registry,
     checked_states,
     load_state,
     pack_state,
@@ -38,7 +38,7 @@ from ..utils import (
 from .pooling import multi_scale_vectors
 
 __all__ = ["SearchConfig", "SSA_CONFIG", "MIPS_CONFIG", "CiMSearchEngine",
-           "wmsdp_reference", "RETRIEVAL_REGISTRY", "register_retrieval"]
+           "RETRIEVAL_REGISTRY"]
 
 
 @dataclass(frozen=True)
@@ -67,49 +67,12 @@ class SearchConfig:
 
 SSA_CONFIG = SearchConfig(scales=(1, 2, 4), weights=(1.0, 0.8, 0.6))
 MIPS_CONFIG = SearchConfig(scales=(1,), weights=(1.0,))
-
-
-def _validate_retrieval(name: str, config: SearchConfig) -> None:
-    if not isinstance(config, SearchConfig):
-        raise TypeError(f"retrieval {name!r} must map to a SearchConfig")
-
-
-# Retrieval strategy zoo: a name selects the SearchConfig the framework's
-# CiMSearchEngine runs with.  ``FrameworkConfig(retrieval=...)`` accepts any
-# registered name, so new scale/weight schemes plug in without code changes:
-#
-#     register_retrieval("ssa-fine", SearchConfig(scales=(1, 2, 4, 8),
-#                                                 weights=(1.0, .8, .6, .4),
-#                                                 pad_length=16))
-RETRIEVAL_REGISTRY: Registry[SearchConfig] = Registry(
-    "retrieval strategy", validate=_validate_retrieval)
-RETRIEVAL_REGISTRY.register("ssa", SSA_CONFIG)
-RETRIEVAL_REGISTRY.register("mips", MIPS_CONFIG)
-
-
-def register_retrieval(name: str, config: SearchConfig | None = None, *,
-                       overwrite: bool = False):
-    """Register a retrieval strategy (name -> :class:`SearchConfig`)."""
-    return RETRIEVAL_REGISTRY.register(name, config, overwrite=overwrite)
+RETRIEVAL_REGISTRY = {"ssa": SSA_CONFIG, "mips": MIPS_CONFIG}
 
 
 def _unit(vector: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vector))
     return vector if norm == 0.0 else vector / norm
-
-
-def wmsdp_reference(query: np.ndarray, candidate: np.ndarray,
-                    config: SearchConfig = SSA_CONFIG) -> float:
-    """Noise-free WMSDP between two token matrices (digital reference)."""
-    q_vectors = multi_scale_vectors(query, config.scales, config.pad_length)
-    c_vectors = multi_scale_vectors(candidate, config.scales, config.pad_length)
-    total = 0.0
-    for scale, weight in zip(config.scales, config.weights):
-        q, c = q_vectors[scale], c_vectors[scale]
-        if config.normalize_scales:
-            q, c = _unit(q), _unit(c)
-        total += weight * float(q @ c)
-    return total / sum(config.weights)
 
 
 class IdealStore:
@@ -225,21 +188,13 @@ class CiMSearchEngine:
                 mitigation=self.mitigation, rng=next(store_rngs),
             ) if self.on_cim else IdealStore(stacked)
 
-    def query(self, encoded_query: np.ndarray) -> np.ndarray:
-        """WMSDP similarity of the query against every stored OVT.
-
-        The batch-of-one case of :meth:`query_batch`, so a query scores
-        identically whether it arrives alone or in a batch.
-        """
-        return self.query_batch([encoded_query])[0]
-
     def query_batch(self, encoded_queries: Sequence[np.ndarray]) -> np.ndarray:
         """Scores of many queries at once, shape (batch, n_stored).
 
         All queries are pooled, stacked per scale and scored against each
         scale's store with a single :meth:`CiMMatrix.matmat` — one batched
         in-memory GMM per scale instead of ``batch x scales`` matvecs.
-        Row ``i`` equals ``query(encoded_queries[i])``.
+        Row ``i`` is what ``encoded_queries[i]`` scores alone.
         """
         self._require_built()
         if len(encoded_queries) == 0:
@@ -255,10 +210,6 @@ class CiMSearchEngine:
             similarity = self._stores[scale].matmat(np.stack(rows))
             total += weight * similarity.astype(np.float64)
         return (total / sum(self.config.weights)).astype(np.float32)
-
-    def retrieve(self, encoded_query: np.ndarray) -> int:
-        """Index of the best-matching stored OVT."""
-        return int(np.argmax(self.query(encoded_query)))
 
     def restore(self, index: int) -> np.ndarray:
         """Read OVT ``index`` back from NVM (noisy), (tokens, code_dim).

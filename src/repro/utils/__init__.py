@@ -1,8 +1,5 @@
-"""Shared utilities: deterministic RNG management and the registry
-primitive every pluggable axis (models, devices, mitigations, retrieval
-strategies) is built on."""
+"""Shared utilities: deterministic RNG management."""
 
-from .registry import Registry
 from .rng import (
     STATE_WORDS,
     checked_states,
@@ -18,4 +15,4 @@ from .rng import (
 
 __all__ = ["rng_from_seed", "derive_rng", "spawn_seeds",
            "spawn_generators", "STATE_WORDS", "pack_state", "load_state",
-           "state_generator", "seeded_states", "checked_states", "Registry"]
+           "state_generator", "seeded_states", "checked_states"]

@@ -3,8 +3,6 @@ and suppressed case, each run against a tiny on-disk tree."""
 
 import textwrap
 
-import pytest
-
 from repro.analysis import RULES, run_analysis
 
 
@@ -603,21 +601,10 @@ class TestModel001:
 
 
 # ----------------------------------------------------------------------
-# Registry plumbing
+# The rule table
 # ----------------------------------------------------------------------
 def test_all_shipped_rules_registered():
-    assert set(RULES.names()) >= {"RNG-001", "RNG-002", "LOCK-001",
-                                  "LOCK-002", "SNAP-001", "SEC-001",
-                                  "STATS-001", "INF-001", "TUNE-001",
-                                  "MODEL-001"}
-
-
-
-def test_registry_rejects_mismatched_rule_id():
-    from repro.analysis import Rule
-
-    class Bogus(Rule):
-        rule_id = "XXX-999"
-
-    with pytest.raises(ValueError):
-        RULES.register("YYY-111", Bogus)
+    assert sorted(RULES) == ["INF-001", "LOCK-001", "LOCK-002", "MODEL-001",
+                             "RNG-001", "RNG-002", "SEC-001", "SNAP-001",
+                             "STATS-001", "TUNE-001"]
+    assert all(rule.rule_id == rule_id for rule_id, rule in RULES.items())

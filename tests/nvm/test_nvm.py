@@ -6,6 +6,7 @@ import pytest
 from repro.nvm import (
     Int16Codec,
     REFERENCE_SIGMA,
+    TileBank,
     available_devices,
     digits_to_values,
     get_device,
@@ -71,10 +72,13 @@ class TestDeviceModels:
             assert s[1] > s[0] and s[2] > s[3]
 
     def test_program_noise_statistics(self):
+        """The programming draw production makes: a bank written at one
+        level holds that level plus Table II's sigma scaled by ``sigma``."""
         device = get_device("NVM-3")
-        levels = np.full(20000, 1)
-        noise = device.program_noise(levels, sigma=0.1,
-                                     rng=np.random.default_rng(0))
+        bank = TileBank(device, 1, rows=200, cols=100, sigma=0.1,
+                        rngs=[np.random.default_rng(0)])
+        bank.program([np.full((200, 100), 1)])
+        noise = bank.tile(0).conductance - device.level_values()[1]
         expected = 0.0146 * (0.1 / REFERENCE_SIGMA)
         assert abs(noise.std() - expected) < 0.01 * expected * 5
         assert abs(noise.mean()) < expected / 50

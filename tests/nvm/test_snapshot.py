@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cim import CiMMatrix
-from repro.nvm import NVM_DEVICES, NVMDevice, get_device, register_device
+from repro.nvm import NVMDevice, get_device
 from repro.nvm.crossbar import CrossbarStats, TileBank
 from repro.serve.codec import decode_value, encode_value
 from repro.utils import STATE_WORDS
@@ -276,12 +276,7 @@ class TestTileBankSnapshot:
         assert encode_value(bank.snapshot()) == before
 
     def test_512_level_device_uses_uint16(self):
-        register_device(
-            NVMDevice("NVM-512", "Test512", "RRAM", (0.01,) * 512))
-        try:
-            device = get_device("NVM-512")
-        finally:
-            NVM_DEVICES.unregister("NVM-512")
+        device = NVMDevice("NVM-512", "Test512", "RRAM", (0.01,) * 512)
         rngs = [np.random.default_rng(i) for i in range(2)]
         bank = TileBank(device, 2, rows=8, cols=6, sigma=0.1, rngs=rngs)
         levels = np.random.default_rng(1).integers(0, 512, (2, 8, 6))

@@ -21,6 +21,7 @@ from repro.utils import rng_from_seed
 from tests.oracles.graph import (as_tensors, cat, embed, embedding, forward,
                                  layer_norm, masked_fill, softmax, split_heads,
                                  swapaxes)
+from tests.oracles.retrieval import retrieve
 
 
 def generate_uncached(model, token_ids, config, *, soft_prompt=None,
@@ -146,7 +147,7 @@ def session_answer_sequential(session, text, generation) -> str:
     retrieve, restore, prefill, then :func:`decode_sequential` — no
     engine, no scheduler, no prefill LRU, nothing on any engine's books."""
     deployment = session.deployment()
-    prompt = deployment.restored_prompt(deployment.retrieve(text))
+    prompt = deployment.restored_prompt(retrieve(deployment, text))
     state = prefill(session.model, session.tokenizer.encode(text),
                     soft_prompt=prompt)
     return session.tokenizer.decode(

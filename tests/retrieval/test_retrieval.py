@@ -14,12 +14,12 @@ from repro.retrieval import (
     avg_pool_rows,
     multi_scale_vectors,
     pad_rows,
-    wmsdp_reference,
 )
 from repro.serve.codec import decode_value, encode_value
 from repro.utils import STATE_WORDS
 from tests.oracles.legacy_rngs import dict_form
 from tests.oracles.per_tile_cim import per_tile_stores
+from tests.oracles.retrieval import best_match, query_scores, wmsdp_reference
 
 RNG = np.random.default_rng(31)
 
@@ -125,14 +125,14 @@ class TestCiMSearchEngine:
         engine = self._engine(sigma=0.0)
         engine.build(ovts)
         for i, ovt in enumerate(ovts):
-            assert engine.retrieve(ovt) == i
+            assert best_match(engine, ovt) == i
 
     def test_digital_store_matches_reference(self):
         ovts = self._ovts(4)
         engine = self._engine(on_cim=False)
         engine.build(ovts)
         query = RNG.normal(size=(10, 12)).astype(np.float32)
-        scores = engine.query(query)
+        scores = query_scores(engine, query)
         expected = [wmsdp_reference(query, o) for o in ovts]
         np.testing.assert_allclose(scores, expected, rtol=1e-4, atol=1e-5)
 
@@ -143,8 +143,8 @@ class TestCiMSearchEngine:
         digital = self._engine(on_cim=False)
         digital.build(ovts)
         query = RNG.normal(size=(9, 12)).astype(np.float32)
-        np.testing.assert_allclose(on_cim.query(query), digital.query(query),
-                                   atol=0.02)
+        np.testing.assert_allclose(query_scores(on_cim, query),
+                                   query_scores(digital, query), atol=0.02)
 
     def test_restore_roundtrip_without_noise(self):
         ovts = self._ovts(3)
@@ -196,7 +196,7 @@ class TestCiMSearchEngine:
                 target = trial % len(ovts)
                 query = ovts[target] + probe_rng.normal(
                     0, 0.4, ovts[target].shape).astype(np.float32)
-                hits[name] += engine.retrieve(query) == target
+                hits[name] += best_match(engine, query) == target
         assert hits["ssa"] >= hits["mips"]
 
     def test_empty_build_rejected(self):
@@ -205,7 +205,7 @@ class TestCiMSearchEngine:
 
     def test_query_before_build_rejected(self):
         with pytest.raises(RuntimeError):
-            self._engine().query(np.zeros((4, 12)))
+            query_scores(self._engine(), np.zeros((4, 12)))
 
     def test_restore_index_checked(self):
         engine = self._engine(sigma=0.0)
@@ -219,7 +219,7 @@ class TestCiMSearchEngine:
         fresh = self._ovts(2)
         engine.build(fresh)
         assert engine.n_stored == 2
-        assert engine.retrieve(fresh[1]) == 1
+        assert best_match(engine, fresh[1]) == 1
 
     @pytest.mark.parametrize("on_cim", [True, False])
     def test_snapshot_parts_must_agree(self, on_cim):
@@ -241,7 +241,8 @@ class TestCiMSearchEngine:
         rebuilt = CiMSearchEngine.from_snapshot(engine.snapshot(),
                                                 get_device("NVM-3"))
         query = self._ovts(1)[0]
-        assert np.array_equal(rebuilt.query(query), engine.query(query))
+        assert np.array_equal(query_scores(rebuilt, query),
+                              query_scores(engine, query))
 
 
     def test_old_form_rng_dicts_are_refused(self):
@@ -300,11 +301,11 @@ class TestBatchedQueries:
         self._build(engine, self._ovts(), vectorized)
         queries = self._queries()
         batched = engine.query_batch(queries)
-        sequential = np.stack([engine.query(q) for q in queries])
+        sequential = np.stack([query_scores(engine, q) for q in queries])
         np.testing.assert_allclose(batched, sequential,
                                    rtol=1e-5, atol=1e-6)
         assert np.argmax(batched, axis=1).tolist() == \
-            [engine.retrieve(q) for q in queries]
+            [best_match(engine, q) for q in queries]
 
     def test_batched_scores_bitwise_stable_on_cim(self):
         """Batch width must not change a query's score (the serve layer
@@ -314,7 +315,7 @@ class TestBatchedQueries:
         queries = self._queries(4)
         batched = engine.query_batch(queries)
         for i, q in enumerate(queries):
-            np.testing.assert_array_equal(batched[i], engine.query(q))
+            np.testing.assert_array_equal(batched[i], query_scores(engine, q))
 
     def test_retrieve_batch_breaks_ties_like_sequential(self):
         """Duplicate OVTs score exact ties on the digital store; argmax
@@ -324,7 +325,7 @@ class TestBatchedQueries:
         engine.build([ovt.copy(), ovt.copy(), ovt.copy()])
         queries = [ovt, ovt + 0.1, ovt * 2.0]
         assert np.argmax(engine.query_batch(queries), axis=1).tolist() == \
-            [engine.retrieve(q) for q in queries] == [0, 0, 0]
+            [best_match(engine, q) for q in queries] == [0, 0, 0]
 
     def test_empty_batch_rejected(self):
         engine = self._engine()

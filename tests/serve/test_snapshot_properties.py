@@ -26,6 +26,7 @@ from repro.serve.codec import decode_value, encode_value
 from tests.oracles.codec import encode_reference
 from tests.oracles.crossbar import whole_tiles
 from tests.oracles.generation import session_answer_sequential
+from tests.oracles.retrieval import query_scores
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -171,12 +172,13 @@ class TestSearchEngineProperties:
         engine.build([rng.normal(size=(rng.integers(2, 6), 8))
                       .astype(np.float32) for _ in range(n_ovts)])
         query = rng.normal(size=(3, 8)).astype(np.float32)
-        engine.query(query)
+        query_scores(engine, query)
 
         rebuilt = CiMSearchEngine.from_snapshot(
             codec_roundtrip(engine.snapshot()), device, config=config)
         assert rebuilt.aggregate_stats() == engine.aggregate_stats()
-        assert np.array_equal(rebuilt.query(query), engine.query(query))
+        assert np.array_equal(query_scores(rebuilt, query),
+                              query_scores(engine, query))
 
     @settings(max_examples=10, deadline=None)
     @given(sigma=SIGMAS, n_ovts=st.integers(1, 3),
@@ -191,7 +193,8 @@ class TestSearchEngineProperties:
         query = rng.normal(size=(3, 8)).astype(np.float32)
         rebuilt = CiMSearchEngine.from_snapshot(
             codec_roundtrip(engine.snapshot()), device)
-        assert np.array_equal(rebuilt.query(query), engine.query(query))
+        assert np.array_equal(query_scores(rebuilt, query),
+                              query_scores(engine, query))
 
 
 @pytest.fixture(scope="module")
