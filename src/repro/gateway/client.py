@@ -1,16 +1,23 @@
 """A blocking gateway client: connection pooling, timeouts, retries.
 
-The client side of the serving edge.  Built on stdlib ``http.client``
-(keep-alive HTTP/1.1 connections) with:
+The client side of the serving edge, on the wire layer the server uses
+(:mod:`repro.gateway.http`): each request leaves as the one buffer
+:func:`~repro.gateway.http.render_request` builds, in one ``sendall``
+on a keep-alive socket with ``TCP_NODELAY`` set, and each response is
+read back by :func:`~repro.gateway.http.read_response`, whose status-line,
+header and ``Content-Length`` framing is the parser the server reads
+requests with.  Around that:
 
 * **Connection pooling** — completed keep-alive connections return to a
-  bounded pool; concurrent callers (the load generator drives this from
-  a thread pool) each check one out, so steady-state traffic performs no
-  TCP handshakes.
+  bounded pool (a ``Connection: close`` answer closes its socket);
+  concurrent callers (the load generator drives this from a thread
+  pool) each check one out, so steady-state traffic performs no TCP
+  handshakes.
 * **Timeouts** — one socket timeout bounds connect/send/receive.
 * **Retry with jittered exponential backoff** — 429/503 responses (the
   gateway's backpressure signals) honour ``Retry-After`` and retry up to
-  a budget; transport errors retry only when re-sending is safe
+  a budget; transport errors (a refused or reset socket, a timeout, a
+  truncated or malformed response) retry only when re-sending is safe
   (queries are repeatable, tune submissions are not — a half-sent tune
   must surface, not silently double-train).
 
@@ -21,7 +28,6 @@ structured body (including the ``field`` of a 400 validation failure);
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import threading
@@ -35,6 +41,7 @@ from ..data.lamp import Sample
 from ..llm.generation import GenerationConfig
 from ..serve import QueryResponse, TuneResponse
 from ..utils import rng_from_seed
+from .http import HTTPError, read_response, render_request
 from .server import query_response_from_dict
 from .validation import generation_to_dict
 
@@ -105,7 +112,7 @@ class GatewayClient:
         # stream (e.g. one spawned per client by the load harness).
         self._rng = rng if rng is not None else rng_from_seed(
             0 if seed is None else seed)
-        self._pool: list[http.client.HTTPConnection] = []
+        self._pool: list[socket.socket] = []
         self._lock = threading.Lock()
         self.retries = 0          # total retry sleeps taken
         self.requests_sent = 0
@@ -113,14 +120,18 @@ class GatewayClient:
     # ------------------------------------------------------------------
     # Pool
     # ------------------------------------------------------------------
-    def _checkout(self) -> http.client.HTTPConnection:
+    def _checkout(self) -> socket.socket:
         with self._lock:
             if self._pool:
                 return self._pool.pop()
-        return http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout_s)
+        connection = socket.create_connection((self.host, self.port),
+                                              timeout=self.timeout_s)
+        # A request is one small write: send it now, not after the ACK
+        # of the last one (Nagle).
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return connection
 
-    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+    def _checkin(self, connection: socket.socket) -> None:
         with self._lock:
             if len(self._pool) < self.pool_size:
                 self._pool.append(connection)
@@ -144,35 +155,26 @@ class GatewayClient:
     # ------------------------------------------------------------------
     def _once(self, method: str, path: str, payload: dict | None,
               ) -> tuple[int, dict, float | None]:
+        wire = render_request(method, path, payload,
+                              host=f"{self.host}:{self.port}")
         connection = self._checkout()
         try:
-            body = (json.dumps(payload).encode("utf-8")
-                    if payload is not None else None)
-            headers = {"Content-Type": "application/json"} if body else {}
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            data = response.read()
-            retry_after = None
-            header = response.getheader("Retry-After")
-            if header is not None:
-                try:
-                    retry_after = max(0.0, float(header))
-                except ValueError:
-                    pass
-            try:
-                decoded = json.loads(data) if data else {}
-            except json.JSONDecodeError:
-                decoded = {}
-            if not isinstance(decoded, dict):
-                decoded = {}
-            if response.will_close:
-                connection.close()
-            else:
-                self._checkin(connection)
-            return response.status, decoded, retry_after
+            connection.sendall(wire)
+            response = read_response(connection)
         except BaseException:
             connection.close()
             raise
+        if response.keep_alive:
+            self._checkin(connection)
+        else:
+            connection.close()
+        try:
+            decoded = json.loads(response.body) if response.body else {}
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            decoded = {}
+        if not isinstance(decoded, dict):
+            decoded = {}
+        return response.status, decoded, response.retry_after
 
     def _request(self, method: str, path: str, payload: dict | None = None,
                  *, retry_transport: bool = True) -> dict:
@@ -184,8 +186,7 @@ class GatewayClient:
                 self.requests_sent += 1
                 status, decoded, retry_after = self._once(method, path,
                                                           payload)
-            except (ConnectionError, socket.timeout, TimeoutError,
-                    http.client.HTTPException, OSError) as error:
+            except (OSError, HTTPError) as error:
                 last_error = error
                 if not retry_transport:
                     raise GatewayError(

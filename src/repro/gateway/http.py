@@ -1,14 +1,18 @@
-"""A minimal HTTP/1.1 wire implementation over asyncio streams.
+"""A minimal HTTP/1.1 wire implementation, both ends of it.
 
 The gateway deliberately avoids third-party web frameworks (the repo's
 only runtime dependency is numpy), so this module implements exactly the
-slice of HTTP/1.1 the serving edge needs: request-line + header parsing,
-``Content-Length`` bodies (a ``Transfer-Encoding`` body is answered
-501), keep-alive connection reuse, and JSON response serialization.
-This is the server's half of the wire (:mod:`repro.gateway.server`);
-the blocking pooled client (:mod:`repro.gateway.client`) parses
-responses with stdlib ``http.client``, so ``tests/gateway/test_http.py``
-round-trips :func:`render_response` through that parser.
+slice of HTTP/1.1 the serving edge needs: start-line + header parsing,
+``Content-Length`` bodies (a ``Transfer-Encoding`` body is refused:
+answered 501 by the server), keep-alive connection reuse, and JSON
+serialization.  Each message is rendered as one buffer, so it leaves in
+one write, and both ends frame a message head with one parser
+(``_frame``): the server reads requests off asyncio streams
+(:func:`read_request`, :mod:`repro.gateway.server`), the blocking pooled
+client (:mod:`repro.gateway.client`) reads responses off its sockets
+(:func:`read_response`).  ``tests/gateway/test_http.py`` round-trips
+:func:`render_response` through both that reader and stdlib
+``http.client``, the independent oracle.
 
 Limits are explicit and conservative: header block and body sizes are
 bounded (an edge box fronting an LLM should never buffer megabytes of
@@ -20,10 +24,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 from dataclasses import dataclass, field
 
-__all__ = ["HTTPError", "HTTPRequest", "read_request", "render_request",
-           "render_response", "STATUS_REASONS"]
+__all__ = ["HTTPError", "HTTPRequest", "HTTPResponse", "read_request",
+           "read_response", "render_request", "render_response",
+           "STATUS_REASONS"]
 
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -48,7 +54,9 @@ class HTTPError(Exception):
 
     ``field`` names the offending request field for validation failures
     (the structured-400 contract); ``retry_after`` becomes a
-    ``Retry-After`` header (the 429 backpressure contract).
+    ``Retry-After`` header (the 429 backpressure contract).  Raised by
+    :func:`read_response`, the status is moot: the client treats it as a
+    transport failure.
     """
 
     def __init__(self, status: int, message: str, *,
@@ -81,17 +89,8 @@ class HTTPRequest:
 
     @property
     def keep_alive(self) -> bool:
-        """Whether the connection stays open after this request.
-
-        ``Connection`` is a comma-separated token list, compared without
-        case: ``close`` ends the connection; otherwise HTTP/1.1 keeps it
-        and HTTP/1.0 keeps it only for ``keep-alive``.
-        """
-        tokens = {token.strip().lower()
-                  for token in self.headers.get("connection", "").split(",")}
-        if "close" in tokens:
-            return False
-        return self.version != "HTTP/1.0" or "keep-alive" in tokens
+        """Whether the connection stays open after this request."""
+        return _keep_alive(self.version, self.headers)
 
     def json(self) -> dict:
         """The body decoded as a JSON object; HTTP 400 on anything else."""
@@ -107,6 +106,45 @@ class HTTPRequest:
             raise HTTPError(400, "request body must be a JSON object",
                             field="body")
         return payload
+
+
+@dataclass
+class HTTPResponse:
+    """One parsed response: status, lowered headers, raw body and the
+    protocol version of its status line."""
+
+    status: int
+    headers: dict[str, str] = field(default_factory=dict)
+    body: bytes = b""
+    version: str = "HTTP/1.1"
+
+    @property
+    def keep_alive(self) -> bool:
+        """Whether the connection may carry the next request."""
+        return _keep_alive(self.version, self.headers)
+
+    @property
+    def retry_after(self) -> float | None:
+        """The ``Retry-After`` hint in seconds (never negative), or None
+        when it is absent or not a number."""
+        value = self.headers.get("retry-after")
+        if value is None:
+            return None
+        try:
+            return max(0.0, float(value))
+        except ValueError:
+            return None
+
+
+def _keep_alive(version: str, headers: dict[str, str]) -> bool:
+    """``Connection`` is a comma-separated token list, compared without
+    case: ``close`` ends the connection; otherwise HTTP/1.1 keeps it and
+    HTTP/1.0 keeps it only for ``keep-alive``."""
+    tokens = {token.strip().lower()
+              for token in headers.get("connection", "").split(",")}
+    if "close" in tokens:
+        return False
+    return version != "HTTP/1.0" or "keep-alive" in tokens
 
 
 # ----------------------------------------------------------------------
@@ -127,9 +165,18 @@ def _parse_headers(lines: list[bytes]) -> dict[str, str]:
     return headers
 
 
-def _split_head(head: bytes) -> tuple[bytes, list[bytes]]:
+def _frame(head: bytes) -> tuple[bytes, dict[str, str], int]:
+    """A message head (without its blank line) as its start line, its
+    headers and the length of the body that follows: the one parser of
+    both ends."""
     lines = head.split(b"\r\n")
-    return lines[0], [line for line in lines[1:] if line]
+    headers = _parse_headers([line for line in lines[1:] if line])
+    if "transfer-encoding" in headers:
+        # Read as a bodiless message, its chunks would parse as the next
+        # one; the server closes the connection after an HTTPError.
+        raise HTTPError(501, "Transfer-Encoding is not supported; "
+                             "send a Content-Length body")
+    return lines[0], headers, _content_length(headers)
 
 
 def _content_length(headers: dict[str, str]) -> int:
@@ -166,7 +213,7 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
     head = await _read_head(reader)
     if head is None:
         return None
-    request_line, header_lines = _split_head(head)
+    request_line, headers, length = _frame(head)
     parts = request_line.split()
     if len(parts) != 3:
         raise HTTPError(400, f"malformed request line: {request_line[:60]!r}")
@@ -174,14 +221,7 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
     if not version.startswith(b"HTTP/1."):
         raise HTTPError(400, f"unsupported protocol {version[:20]!r}")
     path, _, query = target.decode("latin-1").partition("?")
-    headers = _parse_headers(header_lines)
-    if "transfer-encoding" in headers:
-        # Read as a bodiless request, its chunks would parse as the next
-        # request; the server closes the connection after an HTTPError.
-        raise HTTPError(501, "Transfer-Encoding is not supported; "
-                             "send a Content-Length body")
     body = b""
-    length = _content_length(headers)
     if length:
         try:
             body = await reader.readexactly(length)
@@ -190,6 +230,50 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
     return HTTPRequest(method=method.decode("latin-1").upper(), path=path,
                        query=query, headers=headers, body=body,
                        version=version.decode("latin-1"))
+
+
+def read_response(sock: socket.socket) -> HTTPResponse:
+    """Read one response off a blocking socket (the client's half).
+
+    The head is framed by the parser requests go through; the body is
+    exactly ``Content-Length`` bytes.  A peer that closes before the
+    response is whole, a malformed status line or head, and bytes past
+    the body (nothing was asked for them) raise :class:`HTTPError`; a
+    socket timeout raises ``TimeoutError``.
+    """
+    data = bytearray()
+    end = -1
+    while end < 0:
+        if len(data) > MAX_HEADER_BYTES:
+            raise HTTPError(413, "response header block too large")
+        chunk = sock.recv(MAX_HEADER_BYTES)
+        if not chunk:
+            raise HTTPError(400, "connection closed mid-response" if data
+                            else "connection closed before the response")
+        # The blank line may straddle the last chunk and this one.
+        start = max(0, len(data) - 3)
+        data += chunk
+        end = data.find(b"\r\n\r\n", start)
+    if end > MAX_HEADER_BYTES:
+        raise HTTPError(413, "response header block too large")
+    status_line, headers, length = _frame(bytes(data[:end]))
+    parts = status_line.split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith(b"HTTP/1.") \
+            or len(parts[1]) != 3 or not parts[1].isdigit():
+        raise HTTPError(400, f"malformed status line: {status_line[:60]!r}")
+    missing = end + 4 + length - len(data)
+    while missing > 0:
+        chunk = sock.recv(missing)
+        if not chunk:
+            raise HTTPError(400, "connection closed mid-body")
+        data += chunk
+        missing -= len(chunk)
+    if missing < 0:
+        raise HTTPError(400, f"{-missing} unsolicited bytes past the "
+                             f"response body")
+    return HTTPResponse(status=int(parts[1]), headers=headers,
+                        body=bytes(data[end + 4:]),
+                        version=parts[0].decode("latin-1"))
 
 
 # ----------------------------------------------------------------------

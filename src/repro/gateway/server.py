@@ -105,6 +105,46 @@ class QueuedQuery:
     complete: Callable | None = field(default=None, repr=False)
 
 
+def _then_check(method: Callable) -> Callable:
+    """``method``, then the reader's check for a watched answer."""
+    def checked(self: "_WatchedReader", *args) -> None:
+        method(self, *args)
+        self._check()
+    return checked
+
+
+class _WatchedReader(asyncio.StreamReader):
+    """A connection's stream reader that watches for input unread.
+
+    While a query is in flight its client sends nothing (the gateway does
+    not pipeline), so any input — a byte, EOF or a transport error — means
+    the client is gone.  :meth:`watch` fails the query's answer future
+    with ``ConnectionResetError`` when input arrives, or at once if some
+    is already waiting, without a read, a task or a wakeup of its own.
+    """
+
+    _answer: asyncio.Future | None = None
+
+    def watch(self, answer: asyncio.Future | None) -> None:
+        """Watch for input on behalf of ``answer``; None stops watching."""
+        self._answer = answer
+        self._check()
+
+    def _check(self) -> None:
+        # StreamReader's own state: bytes buffered, EOF seen, error set.
+        if self._answer is None or not (self._buffer or self._eof
+                                        or self._exception is not None):
+            return
+        answer, self._answer = self._answer, None
+        if not answer.done():
+            answer.set_exception(ConnectionResetError(
+                "client disconnected mid-query"))
+
+    feed_data = _then_check(asyncio.StreamReader.feed_data)
+    feed_eof = _then_check(asyncio.StreamReader.feed_eof)
+    set_exception = _then_check(asyncio.StreamReader.set_exception)
+
+
 def _background_priority() -> None:
     """Lower the calling thread to the lowest CPU priority (nice 19).
 
@@ -267,8 +307,10 @@ class PromptGateway:
     async def _serve(self, ready: threading.Event) -> None:
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+        server = await self._loop.create_server(
+            lambda: asyncio.StreamReaderProtocol(_WatchedReader(),
+                                                 self._handle_connection),
+            self.config.host, self.config.port)
         self.address = server.sockets[0].getsockname()[:2]
         ready.set()
         async with server:
@@ -284,7 +326,7 @@ class PromptGateway:
             if handlers:
                 await asyncio.wait(handlers, timeout=5.0)
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
+    async def _handle_connection(self, reader: _WatchedReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while not self._stop.is_set():
@@ -317,7 +359,7 @@ class PromptGateway:
                 await writer.wait_closed()
 
     async def _dispatch(self, request: HTTPRequest,
-                        reader: asyncio.StreamReader,
+                        reader: _WatchedReader,
                         ) -> tuple[int, dict, dict | None]:
         try:
             route = (request.method, request.path)
@@ -359,7 +401,7 @@ class PromptGateway:
 
     # -- query ---------------------------------------------------------
     async def _handle_query(self, request: HTTPRequest,
-                            reader: asyncio.StreamReader,
+                            reader: _WatchedReader,
                             ) -> tuple[int, dict, dict | None]:
         payload = request.json()
         deadline_s = self._parse_deadline(payload)
@@ -416,36 +458,28 @@ class PromptGateway:
 
     async def _await_answer(self, queued: QueuedQuery,
                             future: asyncio.Future,
-                            reader: asyncio.StreamReader,
+                            reader: _WatchedReader,
                             ) -> tuple[int, dict, dict | None]:
         """Wait for the worker's answer, watching for client disconnect.
 
-        The watch reads one byte: HTTP/1.1 keep-alive clients never send
-        a second request before this response, so bytes here mean either
-        EOF (disconnect) or pipelining, which the gateway does not
-        support — both cancel the in-flight generation and free its
-        batch slot within one round.
+        HTTP/1.1 keep-alive clients never send a second request before
+        this response, so input meanwhile means either EOF (disconnect)
+        or pipelining, which the gateway does not support — both cancel
+        the in-flight generation and free its batch slot within one
+        round.  The watch is the connection's reader failing the answer's
+        future: no second task, no ``asyncio.wait``.
         """
-        answer_task = asyncio.ensure_future(future)
-        watch_task = asyncio.ensure_future(reader.read(1))
+        reader.watch(future)
         try:
-            done, _ = await asyncio.wait(
-                {answer_task, watch_task},
-                return_when=asyncio.FIRST_COMPLETED)
-            if answer_task in done:
-                return answer_task.result()
+            return await future
+        except ConnectionResetError:
             # Peer vanished (or tried to pipeline) mid-generation.
             queued.cancelled = True
             self.disconnects += 1
             self._work.set()
-            raise ConnectionResetError("client disconnected mid-query")
+            raise
         finally:
-            for task in (answer_task, watch_task):
-                if not task.done():
-                    task.cancel()
-                    with contextlib.suppress(asyncio.CancelledError,
-                                             Exception):
-                        await task
+            reader.watch(None)
 
     def _retry_after_hint(self) -> float:
         if self.config.retry_after_s is not None:

@@ -8,6 +8,7 @@ genuinely different frozen base models.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,10 @@ MODEL_REGISTRY: dict[str, EdgeModelSpec] = {spec.name: spec for spec in (
     ),
 )}
 
-# Cache of pretrained weights keyed by (model name, corpus fingerprint,
-# seed, steps); stores state dicts so callers always get a fresh object.
+# Cache of pretrained weights keyed by everything the weights depend on:
+# model name, vocabulary size, context length, the whole (frozen)
+# PretrainConfig and a digest of the whole token stream.  Stores state
+# dicts so callers always get a fresh object.
 _PRETRAINED_CACHE: dict[tuple, dict[str, np.ndarray]] = {}
 
 
@@ -102,14 +105,16 @@ def load_pretrained_model(
 ) -> TinyCausalLM:
     """Build, pretrain (memoised) and optionally quantize a zoo model.
 
-    Pretraining the same (model, corpus, seed) twice reuses cached weights,
-    which keeps the large experiment grids affordable.
+    Pretraining the same model on the same corpus under an equal
+    :class:`PretrainConfig` (``seed`` only builds the default one) twice
+    reuses cached weights, which keeps the large experiment grids
+    affordable.
     """
     spec = model_spec(name)
     config = pretrain or PretrainConfig(seed=seed)
     token_stream = np.asarray(token_stream, dtype=np.int64).reshape(-1)
-    fingerprint = (name, vocab_size, max_seq_len, int(token_stream[:64].sum()),
-                   token_stream.size, seed, config.steps, config.lr)
+    fingerprint = (name, vocab_size, max_seq_len, config,
+                   hashlib.sha256(token_stream.tobytes()).digest())
     model = build_model(name, vocab_size, max_seq_len=max_seq_len)
     if fingerprint in _PRETRAINED_CACHE:
         model.load_state_dict(_PRETRAINED_CACHE[fingerprint])

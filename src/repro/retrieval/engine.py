@@ -155,8 +155,14 @@ class CiMSearchEngine:
         """Program the scaled copies of every OVT into crossbars.
 
         ``encoded_ovts`` are (tokens, code_dim) matrices in the autoencoder
-        space.  Re-building reprograms all arrays (new noise draw), exactly
-        like rewriting the NVM.
+        space.  Re-building reprograms all arrays, exactly like rewriting
+        the NVM.  The noise is a new draw only when *this* engine is
+        rebuilt (each build spawns the next children of its generator).
+        A new engine built from an equal generator — as every
+        :class:`~repro.core.NVCiMDeployment` under one config is, for any
+        user and after any re-tune — programs each tile from the same
+        state, so a cell whose level and tile position are unchanged
+        keeps its conductance bit for bit.
         """
         if not encoded_ovts:
             raise ValueError("need at least one OVT to build the store")

@@ -13,6 +13,7 @@ from repro.core import (
 from repro.compression import AutoencoderConfig, OVTAutoencoder
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
+from repro.nvm import TileBank
 from repro.serve import PromptServeEngine
 from repro.tuning import TuningConfig, VirtualTokens
 from tests.oracles.generation import session_answer_sequential
@@ -161,6 +162,79 @@ class TestDeployment:
                                      fast_config(mitigation="cxdnn"))
         engine_matrix = deployment.engine._stores[1]
         assert "column_gain" in engine_matrix.calibration
+
+
+class TestProgrammingNoiseStreams:
+    """Every deployment under one config programs each tile from the same
+    generator state: the search engine's stream is derived from
+    ``(config.seed, "deployment", device, mitigation, retrieval)`` alone,
+    not from the user or the re-tune.  So a re-deploy is not a fresh
+    noise draw.  Pinned as it is; independent per-deployment streams
+    would be a declared re-baseline (ROADMAP items 1 and 3)."""
+
+    @staticmethod
+    def programmed(setup, library, monkeypatch):
+        """The deployment of ``library`` and, per scale store, the packed
+        generator states its bank was programmed from."""
+        model, tok = setup
+        states = []
+        program = TileBank.program
+
+        def recording(bank, levels):
+            states.append(bank._rng_states.copy())
+            program(bank, levels)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TileBank, "program", recording)
+            deployment = NVCiMDeployment(model, tok, library, fast_config())
+        return deployment, states
+
+    @staticmethod
+    def library(setup, user_id, epochs=1):
+        model, tok = setup
+        pipeline = OVTTrainingPipeline(model, tok, fast_config())
+        libraries = []
+        for epoch in range(epochs):
+            pipeline.run(stream_for(user_id, 10, seed=epoch))
+            libraries.append(pipeline.library)
+        return libraries
+
+    def test_two_users_program_every_tile_from_equal_states(
+            self, setup, monkeypatch):
+        (first,) = self.library(setup, 0)
+        (second,) = self.library(setup, 1)
+        _, states_0 = self.programmed(setup, first, monkeypatch)
+        _, states_1 = self.programmed(setup, second, monkeypatch)
+        assert len(states_0) == len(states_1) == 3   # SSA's scales 1, 2, 4
+        for store_0, store_1 in zip(states_0, states_1):
+            tiles = min(len(store_0), len(store_1))
+            assert np.array_equal(store_0[:tiles], store_1[:tiles])
+        # The stores differ from each other: one stream per scale store.
+        assert not np.array_equal(states_0[0][:1], states_0[1][:1])
+
+    def test_a_redeploy_keeps_every_unchanged_cell_bit_for_bit(
+            self, setup, monkeypatch):
+        before, after = self.library(setup, 0, epochs=2)
+        assert len(after.ovts) > len(before.ovts)
+        old, _ = self.programmed(setup, before, monkeypatch)
+        new, _ = self.programmed(setup, after, monkeypatch)
+        kept = moved = 0
+        for scale, old_store in old.engine._stores.items():
+            old_bank = old_store.bank
+            new_bank = new.engine._stores[scale].bank
+            for index in range(min(old_bank.n_tiles, new_bank.n_tiles)):
+                old_tile, new_tile = old_bank.tile(index), new_bank.tile(index)
+                rows, cols = np.minimum(old_tile.conductance.shape,
+                                        new_tile.conductance.shape)
+                same = (old_tile.target_levels[:rows, :cols]
+                        == new_tile.target_levels[:rows, :cols])
+                old_cells = old_tile.conductance[:rows, :cols]
+                new_cells = new_tile.conductance[:rows, :cols]
+                assert np.array_equal(old_cells[same], new_cells[same])
+                assert not (old_cells[~same] == new_cells[~same]).any()
+                kept += int(same.sum())
+                moved += int((~same).sum())
+        assert kept and moved   # neither side of the claim is vacuous
 
 
 class TestFacade:

@@ -4,13 +4,16 @@
 admission is FIFO, each way ``begin_query`` can fail has its status, and
 queued entries past their deadline leave with a 504 before admission:
 ``PromptGateway._admit`` / ``_drop_dead_queued`` are driven directly
-against a stub engine, no threads started.
+against a stub engine, no threads started.  A connection's disconnect
+watch fires on any input, and only once.
 """
+
+import asyncio
 
 import pytest
 
 from repro.gateway import GatewayConfig, PromptGateway
-from repro.gateway.server import QueuedQuery
+from repro.gateway.server import QueuedQuery, _WatchedReader
 from repro.serve import QueryRequest, QueueFull, SnapshotError
 
 
@@ -179,3 +182,70 @@ class TestQueuedDeadlines:
         replies = enqueue(gateway, [7])
         gateway._drop_dead_queued(now=1e12)
         assert replies[7] == [] and len(gateway._queue) == 1
+
+
+class TestDisconnectWatch:
+    """``_WatchedReader.watch``: EOF, any byte or a transport error fails
+    the watched answer with ``ConnectionResetError``; nothing else does."""
+
+    @staticmethod
+    def watched(arrange, act=None):
+        """The watched answer after ``arrange(reader)``, ``watch`` and
+        ``act(reader)``: "gone", "pending" or what it was resolved to."""
+        async def go():
+            reader = _WatchedReader()
+            answer = asyncio.get_running_loop().create_future()
+            arrange(reader)
+            reader.watch(answer)
+            if act is not None:
+                act(reader, answer)
+            if not answer.done():
+                return "pending"
+            if isinstance(answer.exception(), ConnectionResetError):
+                return "gone"
+            return answer.result()
+        return asyncio.run(go())
+
+    @pytest.mark.parametrize("act", [
+        lambda r, a: r.feed_data(b"x"),
+        lambda r, a: r.feed_eof(),
+        lambda r, a: r.set_exception(ConnectionResetError()),
+        lambda r, a: (r.feed_data(b"x"), r.feed_data(b"y"), r.feed_eof()),
+    ], ids=["byte", "eof", "error", "three"])
+    def test_input_while_watching_fails_the_answer(self, act):
+        assert self.watched(lambda r: None, act) == "gone"
+
+    @pytest.mark.parametrize("arrange", [
+        lambda r: r.feed_data(b"pipelined"),
+        lambda r: r.feed_eof(),
+        lambda r: r.set_exception(ConnectionResetError()),
+    ], ids=["buffered", "eof", "error"])
+    def test_input_already_there_fails_it_at_once(self, arrange):
+        assert self.watched(arrange) == "gone"
+
+    def test_no_input_and_empty_data_leave_it_pending(self):
+        assert self.watched(lambda r: None,
+                            lambda r, a: r.feed_data(b"")) == "pending"
+
+    def test_an_answer_that_came_first_stands(self):
+        def act(reader, answer):
+            answer.set_result("answered")
+            reader.feed_eof()
+        assert self.watched(lambda r: None, act) == "answered"
+
+    def test_unwatched_input_touches_nothing(self):
+        def act(reader, answer):
+            reader.watch(None)
+            reader.feed_data(b"next request")
+            reader.feed_eof()
+        assert self.watched(lambda r: None, act) == "pending"
+
+    def test_a_consumed_request_is_not_input(self):
+        async def go():
+            reader = _WatchedReader()
+            reader.feed_data(b"one request")
+            await reader.readexactly(len(b"one request"))
+            answer = asyncio.get_running_loop().create_future()
+            reader.watch(answer)
+            return answer.done()
+        assert asyncio.run(go()) is False

@@ -238,6 +238,56 @@ class TestCancellation:
         assert response.user_id == 1
 
 
+    def test_a_pipelined_byte_cancels_like_a_disconnect(self, gateway,
+                                                        client, setup):
+        import socket
+
+        from repro.gateway.http import render_request
+
+        _, tok = setup
+        before = gateway.disconnects
+        wire = render_request(
+            "POST", "/v1/query",
+            {"user_id": 0, "text": "a question with company",
+             "generation": {"max_new_tokens": 64, "temperature": 0.0}})
+        with socket.create_connection(gateway.address, timeout=10.0) as raw:
+            raw.sendall(wire + b"G")   # one byte of a next request
+            assert raw.recv(65536) == b""   # closed without an answer
+        assert wait_until(lambda: gateway.disconnects == before + 1)
+        response = client.query(1, "still here",
+                                generation=fast_generation(tok, n=2))
+        assert response.user_id == 1
+
+    def test_the_query_path_runs_no_watch_task_and_no_wait(
+            self, gateway, client, setup, monkeypatch):
+        """The watch is a callback on the connection's reader: a query
+        and a disconnect both pass with ``asyncio.wait`` and task
+        creation refused (either would answer 500 through the
+        catch-all)."""
+        import asyncio
+        import socket
+
+        from repro.gateway.http import render_request
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the query path made a task or a wait")
+
+        for name in ("wait", "ensure_future", "create_task"):
+            monkeypatch.setattr(asyncio, name, refused)
+        _, tok = setup
+        response = client.query(0, "watched by a callback",
+                                generation=fast_generation(tok, n=3))
+        assert response.user_id == 0
+        before = gateway.disconnects
+        raw = socket.create_connection(gateway.address)
+        raw.sendall(render_request(
+            "POST", "/v1/query",
+            {"user_id": 1, "text": "gone before the answer",
+             "generation": {"max_new_tokens": 64, "temperature": 0.0}}))
+        raw.close()
+        assert wait_until(lambda: gateway.disconnects == before + 1)
+
+
 class TestFramingOnTheWire:
     @staticmethod
     def exchange(gateway, wire: bytes) -> bytes:

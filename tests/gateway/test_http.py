@@ -2,24 +2,30 @@
 
 The contract under test is the round-trip: whatever ``render_request``
 emits, ``read_request`` must parse back exactly, and whatever
-``render_response`` emits, stdlib ``http.client`` — the parser
-``GatewayClient`` reads responses with — must too; every malformed request
-must surface as an :class:`HTTPError` with the right status, never a raw
-exception.
+``render_response`` emits, ``read_response`` — the reader
+``GatewayClient`` parses responses with — must too, and so must stdlib
+``http.client``, the independent oracle of the rendering; every
+malformed request or response must surface as an :class:`HTTPError`
+(a malformed request with the right status), never a raw exception.
 """
 
 import asyncio
+import contextlib
 import http.client
 import io
 import json
+import socket
+import threading
 
 import pytest
 
 from repro.gateway.http import (
     MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
     HTTPError,
     HTTPRequest,
     read_request,
+    read_response,
     render_request,
     render_response,
 )
@@ -52,6 +58,28 @@ def parse_response(data: bytes) -> http.client.HTTPResponse:
     response = http.client.HTTPResponse(_Wire(data))
     response.begin()
     return response
+
+
+def read_back(data: bytes, *, then_close: bool = True):
+    """``data`` as the client's reader sees it arrive on a socket (the
+    peer closes after sending it unless told not to)."""
+    ours, peer = socket.socketpair()
+    ours.settimeout(5.0)
+
+    def send():
+        with contextlib.suppress(OSError):   # the reader may give up first
+            peer.sendall(data)
+            if then_close:
+                peer.shutdown(socket.SHUT_WR)
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    try:
+        return read_response(ours)
+    finally:
+        ours.close()
+        sender.join(timeout=5.0)
+        peer.close()
 
 
 class TestRequestRoundTrip:
@@ -262,3 +290,72 @@ class TestResponseRoundTrip:
         body = error.body()
         assert body == {"error": "bad field", "status": 400,
                         "field": "user_id"}
+
+
+class TestResponseRoundTripThroughTheClientReader:
+    """The same round-trips through ``read_response``, which frames a
+    response head with the parser requests go through."""
+
+    def test_json_payload(self):
+        response = read_back(render_response(200, {"answer": "ok"}),
+                             then_close=False)   # Content-Length frames it
+        assert (response.status, response.version) == (200, "HTTP/1.1")
+        assert json.loads(response.body) == {"answer": "ok"}
+        assert response.headers["content-type"] == "application/json"
+        assert response.keep_alive
+
+    def test_bytes_payload(self):
+        response = read_back(render_response(200, b"\x00\xff" * 40000))
+        assert response.body == b"\x00\xff" * 40000
+
+    def test_retry_after_header(self):
+        wire = render_response(429, {"error": "full"},
+                               extra_headers={"Retry-After": "1.50"})
+        response = read_back(wire)
+        assert response.status == 429
+        assert response.retry_after == pytest.approx(1.5)
+
+    def test_no_retry_after(self):
+        assert read_back(render_response(200, {})).retry_after is None
+
+    def test_close_flag(self):
+        wire = render_response(400, {"error": "x"}, keep_alive=False)
+        assert not read_back(wire).keep_alive
+
+    def test_501_answer_closes(self):
+        error = HTTPError(501, "no chunks")
+        response = read_back(render_response(501, error.body(),
+                                             keep_alive=False))
+        assert response.status == 501 and not response.keep_alive
+        assert json.loads(response.body) == error.body()
+
+    def test_head_split_across_reads(self):
+        wire = render_response(200, {"answer": "ok"})
+        ours, peer = socket.socketpair()
+        with ours, peer:
+            ours.settimeout(5.0)
+            cut = wire.index(b"\r\n\r\n") + 2   # mid blank line
+            peer.sendall(wire[:cut])
+            later = threading.Timer(0.05, peer.sendall, (wire[cut:],))
+            later.start()
+            response = read_response(ours)
+            later.join()
+        assert json.loads(response.body) == {"answer": "ok"}
+
+    @pytest.mark.parametrize("wire", [
+        b"",                                             # closed first
+        b"HTTP/1.1 200 OK\r\nContent-Le",                 # mid head
+        b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{}",  # mid body
+        b"HTTP/1.1 OK\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 20 OK\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 +20 OK\r\nContent-Length: 0\r\n\r\n",
+        b"ICY 200 OK\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}extra",
+        b"HTTP/1.1 200 OK\r\nX: " + b"a" * (MAX_HEADER_BYTES + 1),
+    ])
+    def test_a_malformed_response_is_an_http_error(self, wire):
+        with pytest.raises(HTTPError):
+            read_back(wire)

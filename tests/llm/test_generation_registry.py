@@ -172,6 +172,62 @@ class TestRegistry:
                                    m2.lm_head.weight.data)
         clear_model_cache()
 
+    @staticmethod
+    def weights(model):
+        return model.state_dict()
+
+    @staticmethod
+    def same(a, b):
+        return a.keys() == b.keys() and all(np.array_equal(a[k], b[k])
+                                            for k in a)
+
+    @pytest.mark.parametrize("first, second", [
+        ({"seed": 5}, {"seed": 7}),
+        ({"batch_size": 8}, {"batch_size": 2}),
+    ], ids=["seed", "batch_size"])
+    def test_pretrained_cache_tells_configs_apart(self, first, second):
+        """A config that differs in any field trains its own weights;
+        it never gets the cached weights of another."""
+        stream = np.arange(3000) % 19
+        config = {"steps": 2, "seq_len": 8}
+        clear_model_cache()
+        try:
+            earlier = load_pretrained_model(
+                "phi-2-sim", stream, 19,
+                pretrain=PretrainConfig(**config, **first))
+            served = load_pretrained_model(
+                "phi-2-sim", stream, 19,
+                pretrain=PretrainConfig(**config, **second))
+            clear_model_cache()
+            fresh = load_pretrained_model(
+                "phi-2-sim", stream, 19,
+                pretrain=PretrainConfig(**config, **second))
+        finally:
+            clear_model_cache()
+        assert self.same(self.weights(served), self.weights(fresh))
+        assert not self.same(self.weights(served), self.weights(earlier))
+
+    def test_pretrained_cache_tells_corpora_apart(self):
+        """Two corpora of one size whose first 64 tokens agree are two
+        corpora."""
+        first = np.arange(3000) % 19
+        second = first.copy()
+        second[64:] = (np.arange(64, 3000) * 7) % 19
+        config = PretrainConfig(steps=2, seq_len=8)
+        clear_model_cache()
+        try:
+            earlier = load_pretrained_model("phi-2-sim", first, 19,
+                                            pretrain=config)
+            served = load_pretrained_model("phi-2-sim", second, 19,
+                                           pretrain=config)
+            clear_model_cache()
+            fresh = load_pretrained_model("phi-2-sim", second, 19,
+                                          pretrain=config)
+        finally:
+            clear_model_cache()
+        assert self.same(self.weights(served), self.weights(fresh))
+        assert not self.same(self.weights(served), self.weights(earlier))
+
     def test_gptq_model_weights_quantized(self):
         clear_model_cache()
         stream = np.arange(3000) % 19
