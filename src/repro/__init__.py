@@ -69,7 +69,6 @@ from .serve import (
     PromptServeEngine,
     QueryRequest,
     QueryResponse,
-    QueueFull,
     SessionSnapshot,
     SessionStore,
     TuneRequest,
@@ -81,7 +80,7 @@ __version__ = "0.2.0"
 
 __all__ = [
     # Serving layer
-    "PromptServeEngine", "UserSession", "QueueFull",
+    "PromptServeEngine", "UserSession",
     "SessionSnapshot", "SessionStore",
     "TuneRequest", "TuneResponse", "QueryRequest", "QueryResponse",
     # Serving edge

@@ -256,9 +256,10 @@ class QuantizedLinear(Module):
     def dequantized_weight(self) -> np.ndarray:
         """The full float32 (in_features, out_features) weight matrix.
 
-        Bit-identical to ``quantize_array`` applied to the original dense
-        weight.  Test/debug only: this materializes exactly what the
-        fused kernel exists to avoid.
+        Each group's codes times its scale, the grid values
+        :func:`~repro.llm.quantize_model_weights` writes into a dense
+        model.  Outside that fake-quant conversion, test/debug only: this
+        materializes exactly what the fused kernel exists to avoid.
         """
         if self.bits == 8:
             codes = self.qweight.T.astype(np.float32)

@@ -89,7 +89,6 @@ class FrameworkConfig:
     k_selection: KSelectionConfig = field(default_factory=KSelectionConfig)
     noise_factors: tuple[float, float, float, float] = (1.0, 1.6, 1.6, 1.0)
     search: SearchConfig | None = None    # derived from `retrieval` if None
-    on_cim: bool = True                   # False = ideal digital store
     seed: int = 0
 
     def __post_init__(self):
@@ -313,7 +312,6 @@ class NVCiMDeployment:
             sigma=config.sigma,
             config=config.search_config(),
             mitigation=mitigation,
-            on_cim=config.on_cim,
             rng=derive_rng(config.seed, "deployment", config.device_name,
                            config.mitigation, config.retrieval),
         )

@@ -24,11 +24,11 @@ Architecture — four kinds of thread around one engine:
 * **Executor threads** — stats requests run the engine's (internally
   locked) ``stats`` off the event loop, between decode rounds.
 
-Backpressure is two-layered by design: the gateway's queue bounds
-*accepted-but-unadmitted* work (HTTP 429 with a ``Retry-After`` hint
-derived from observed service time), while the engine's own
-``max_pending`` bounds decoder occupancy — queued queries cross from
-one to the other in arrival order as slots free.
+Backpressure is the gateway's alone: ``GatewayConfig.max_queue`` bounds
+*accepted-but-unadmitted* work (beyond it, HTTP 429 with a
+``Retry-After`` hint derived from observed service time), and
+``max_batch`` bounds decoder occupancy — queued queries cross from the
+queue into the decoder in arrival order as slots free.
 
 Cancellation: a client that disconnects while its query is queued or
 decoding frees its slot within one round (the generation retires with
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..serve import (PromptServeEngine, QueryRequest, QueryResponse,
-                     QueueFull, SnapshotError)
+                     SnapshotError)
 from .http import HTTPError, HTTPRequest, read_request, render_response
 from .validation import (
     ValidationError,
@@ -443,14 +443,14 @@ class PromptGateway:
         return float(value) / 1e3
 
     def _completer(self, future: asyncio.Future):
-        """A thread-safe resolver the worker calls with the final triple."""
+        """A thread-safe resolver the worker calls with the final status
+        and payload."""
         loop = self._loop
 
-        def resolve(status: int, payload: dict,
-                    extra: dict | None = None) -> None:
+        def resolve(status: int, payload: dict) -> None:
             def _set() -> None:
                 if not future.done():
-                    future.set_result((status, payload, extra))
+                    future.set_result((status, payload, None))
             with contextlib.suppress(RuntimeError):   # loop already closed
                 loop.call_soon_threadsafe(_set)
 
@@ -606,11 +606,6 @@ class PromptGateway:
                                       "user_id": queued.request.user_id,
                                       "request_id":
                                           queued.request.request_id})
-            except QueueFull:
-                queued.complete(429, {"error": "engine at capacity",
-                                      "status": 429},
-                                {"Retry-After":
-                                     f"{self._retry_after_hint():.2f}"})
             except Exception as error:
                 if (isinstance(error, ValueError)
                         and not isinstance(error, SnapshotError)):

@@ -18,9 +18,7 @@ from .kv_cache import KVBuffer, KVCache, KVSlab
 from .pretrain import PretrainConfig, pretrain_lm
 from .quantization import (
     QUANTIZATION_BITS,
-    quantization_error,
     quantization_stats,
-    quantize_array,
     quantize_model,
     quantize_model_weights,
 )
@@ -49,8 +47,8 @@ __all__ = [
     "generate", "prefill", "decode_from",
     "DecodeSequence", "DecodeScheduler", "DecodeRoundReport", "decode_batch",
     "PretrainConfig", "pretrain_lm",
-    "quantize_array", "quantize_model_weights", "quantization_error",
-    "QUANTIZATION_BITS", "quantize_model", "quantization_stats",
+    "quantize_model_weights", "QUANTIZATION_BITS", "quantize_model",
+    "quantization_stats",
     "EdgeModelSpec", "MODEL_REGISTRY", "available_models",
     "build_model", "load_pretrained_model", "clear_model_cache",
     "SpeculativeDecoder", "draft_spec",

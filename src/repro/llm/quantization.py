@@ -8,12 +8,15 @@ per-group round-to-nearest, the same numeric format GPTQ emits (GPTQ's
 Hessian-based rounding order only changes *which* values round up, not the
 format).
 
-Two execution modes share that grid:
+Two execution modes share one quantizer,
+:class:`~repro.ag.QuantizedLinear` (int8 or packed int4):
 
-- :func:`quantize_model_weights` is fake-quant: weights are snapped to the
-  grid but stay float32, so the model runs the unmodified dense GEMMs.
-  The model zoo uses this to make ``mistral-7b-gptq-sim`` behave like a
-  GPTQ checkpoint numerically.
+- :func:`quantize_model_weights` is fake-quant: each weight is replaced by
+  its layer's dequantized grid values but stays float32, so the model
+  runs the unmodified dense GEMMs.  The model zoo uses this to make
+  ``mistral-7b-gptq-sim`` behave like a GPTQ checkpoint numerically; at
+  its shapes the dense GEMM is several times faster than the packed int4
+  kernel.
 - :func:`quantize_model` is the real weight-quantized inference path: it
   replaces every dense sublayer :class:`~repro.ag.Linear` with a
   :class:`~repro.ag.QuantizedLinear` storing packed int8/int4 codes plus
@@ -24,16 +27,12 @@ Two execution modes share that grid:
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..ag import Linear, Module, QuantizedLinear, iter_modules, quantize_groups
+from ..ag import Linear, Module, QuantizedLinear, iter_modules
 
 __all__ = [
     "QUANTIZATION_BITS",
-    "quantize_array",
     "quantize_model_weights",
     "quantize_model",
-    "quantization_error",
     "quantization_stats",
 ]
 
@@ -41,26 +40,14 @@ __all__ = [
 QUANTIZATION_BITS = {"int8": 8, "int4": 4}
 
 
-def quantize_array(weights: np.ndarray, bits: int = 4,
-                   group_size: int = 32) -> np.ndarray:
-    """Symmetric per-group quantization of a 2-D weight matrix.
-
-    Groups run along the input dimension (rows), each with its own scale,
-    mirroring GPTQ's per-group scales.
-
-    Returns the dequantized float32 array (values on the quantized grid).
-    """
-    weights = np.asarray(weights, dtype=np.float32)
-    codes, scales = quantize_groups(weights, bits, group_size)
-    row_scales = np.repeat(scales, group_size)[:weights.shape[0]]
-    return codes.astype(np.float32) * row_scales[:, None]
-
-
 def quantize_model_weights(model: Module, bits: int = 4,
                            group_size: int = 32) -> int:
     """Snap every Linear weight of ``model`` to the quantized grid, in place.
 
-    Fake-quant: the weights stay float32 and the dense GEMMs keep running.
+    Fake-quant: each weight becomes
+    ``QuantizedLinear.from_linear(layer, ...).dequantized_weight()``, so it
+    stays float32 and the dense GEMMs keep running.  ``bits`` is one of
+    the packed widths, 4 or 8 (anything else is a ``ValueError``).
     Embeddings and LayerNorm affine parameters stay full precision, the
     convention GPTQ checkpoints follow.  Shared (tied) submodules are
     visited once, so their weights are not double-quantized.  Returns the
@@ -69,8 +56,9 @@ def quantize_model_weights(model: Module, bits: int = 4,
     count = 0
     for module in iter_modules(model):
         if isinstance(module, Linear):
-            module.weight.data = quantize_array(module.weight.data, bits,
-                                                group_size)
+            module.weight.data = QuantizedLinear.from_linear(
+                module, bits=bits, group_size=group_size,
+            ).dequantized_weight()
             count += 1
     return count
 
@@ -134,13 +122,6 @@ def quantize_model(model: Module, mode: str, group_size: int = 32) -> int:
                     if replaced is not None:
                         value[key] = replaced
     return len(replacements)
-
-
-def quantization_error(weights: np.ndarray, bits: int = 4,
-                       group_size: int = 32) -> float:
-    """RMS error introduced by quantizing ``weights``."""
-    quantized = quantize_array(weights, bits, group_size)
-    return float(np.sqrt(np.mean((quantized - weights) ** 2)))
 
 
 def quantization_stats(model: Module) -> dict[str, int]:

@@ -7,7 +7,11 @@ The Weighted Multi-Scale Dot Product (Eq. 5) is
     WMSDP(e, p) = sum_i w_i * (Pool_i(e) . Pool_i(p)) / sum_i w_i
 
 with scales {1, 2, 4} and weights {1.0, 0.8, 0.6}; MIPS is the degenerate
-single-scale, weight-1 case (a plain max-inner-product search).
+single-scale, weight-1 case.  With ``SearchConfig.normalize_scales``
+(the default, and every production config) each scale's pooled query and
+stored column are unit vectors, so each term is a per-scale cosine: SSA
+scores a weighted mean of cosines and MIPS the scale-1 cosine, not a raw
+inner product.
 
 Queries batch end to end: :meth:`CiMSearchEngine.query_batch` scores every
 pending query against every scale with one :meth:`CiMMatrix.matmat` per
@@ -24,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cim.accelerator import CiMMatrix, MitigationHooks
-from ..cim.energy import RetrievalCostReport, cim_cost, cpu_cost
+from ..cim.energy import RetrievalCostReport, cim_cost
 from ..nvm.crossbar import CrossbarStats
 from ..nvm.device_models import NVMDevice
 from ..utils import (
@@ -75,50 +79,11 @@ def _unit(vector: np.ndarray) -> np.ndarray:
     return vector if norm == 0.0 else vector / norm
 
 
-class IdealStore:
-    """The ``on_cim=False`` store: the matrix held digitally and read
-    noise-free, behind the part of the :class:`CiMMatrix` surface the
-    search engine uses.  It bills no operation and holds no NVM bytes."""
-
-    nbytes = 0
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    def matmat(self, queries: np.ndarray) -> np.ndarray:
-        # Per-row gemv keeps the digital baseline bit-identical to
-        # sequential queries regardless of the batch width.
-        return np.stack([row @ self.values for row in queries])
-
-    def read_columns(self, col0: int, col1: int) -> np.ndarray:
-        return self.values[:, col0:col1]
-
-    def aggregate_stats(self) -> CrossbarStats:
-        return CrossbarStats()
-
-    def snapshot(self) -> np.ndarray:
-        return self.values.copy()
-
-    @classmethod
-    def from_snapshot(cls, snap: np.ndarray, device: NVMDevice, *,
-                      mitigation: MitigationHooks | None = None,
-                      ) -> "IdealStore":
-        """The :meth:`CiMMatrix.from_snapshot` signature; a digital store
-        has no device or mitigation to apply."""
-        return cls(np.array(snap, dtype=np.float32))
-
-
 class CiMSearchEngine:
     """Stores encoded OVTs on NVM and retrieves by WMSDP / MIPS.
 
-    Each scale's ``(rows, n_ovts)`` matrix is one *store*: a
-    :class:`CiMMatrix`, or with ``on_cim=False`` an :class:`IdealStore`
-    with the same interface — ``on_cim`` picks the class and the
-    snapshot key, and nothing else.
+    Each scale's ``(rows, n_ovts)`` matrix is one *store*, a
+    :class:`CiMMatrix`.
     """
 
     # The device model is configuration: restore targets an engine
@@ -132,16 +97,14 @@ class CiMSearchEngine:
         sigma: float = 0.1,
         config: SearchConfig = SSA_CONFIG,
         mitigation: MitigationHooks | None = None,
-        on_cim: bool = True,
         rng: np.random.Generator | None = None,
     ):
         self.device = device
         self.sigma = sigma
         self.config = config
         self.mitigation = mitigation
-        self.on_cim = on_cim
         self._rng = rng or rng_from_seed(0)
-        self._stores: dict[int, CiMMatrix | IdealStore] = {}
+        self._stores: dict[int, CiMMatrix] = {}
         self._norms: dict[int, np.ndarray] = {}
         self._row_counts: list[int] = []
         self._count = 0
@@ -192,7 +155,7 @@ class CiMSearchEngine:
                 stacked, self.device, sigma=self.sigma,
                 adc_bits=self.config.adc_bits,
                 mitigation=self.mitigation, rng=next(store_rngs),
-            ) if self.on_cim else IdealStore(stacked)
+            )
 
     def query_batch(self, encoded_queries: Sequence[np.ndarray]) -> np.ndarray:
         """Scores of many queries at once, shape (batch, n_stored).
@@ -241,8 +204,7 @@ class CiMSearchEngine:
         """Operation counters summed over every scale's store.
 
         Each store sums its bank's counter vectors, so this is cheap
-        enough for per-request serving telemetry.  Digital stores report
-        all-zero counters.
+        enough for per-request serving telemetry.
         """
         total = CrossbarStats()
         for store in self._stores.values():
@@ -251,18 +213,14 @@ class CiMSearchEngine:
 
     def query_cost(self) -> RetrievalCostReport:
         """What one query costs: one MVM over every tile of every scale
-        store's bank, priced for the device's technology — or, for
-        digital stores, their matvecs on the CPU model."""
+        store's bank, priced for the device's technology."""
         self._require_built()
-        stores = self._stores.values()
-        if self.on_cim:
-            return cim_cost(self.device.kind, self._count,
-                            [store.bank.extent for store in stores])
-        return cpu_cost(self._count, [store.shape for store in stores])
+        return cim_cost(self.device.kind, self._count,
+                        [store.bank.extent for store in self._stores.values()])
 
     def nvm_bytes(self) -> int:
         """Resident bytes of every scale store's tile bank (see
-        :attr:`TileBank.nbytes`); a digital store holds none."""
+        :attr:`TileBank.nbytes`)."""
         return sum(store.nbytes for store in self._stores.values())
 
     def _require_built(self) -> None:
@@ -275,11 +233,10 @@ class CiMSearchEngine:
     def snapshot(self) -> dict:
         """Capture of the built store's durable state.
 
-        The per-scale store snapshots (a :class:`CiMMatrix`'s
-        conductances, counters and generator states under ``"stores"``;
-        an :class:`IdealStore`'s matrix under ``"digital"``) plus this
-        engine's own generator as one packed state row (``rng_state``,
-        see :func:`repro.utils.pack_state`) — everything
+        The per-scale store snapshots (each :class:`CiMMatrix`'s
+        conductances, counters and generator states under ``"stores"``)
+        plus this engine's own generator as one packed state row
+        (``rng_state``, see :func:`repro.utils.pack_state`) — everything
         :meth:`from_snapshot` needs to rebuild the stores bit-identically
         without reprogramming.
         """
@@ -287,23 +244,22 @@ class CiMSearchEngine:
         return {
             "count": self._count,
             "row_counts": list(self._row_counts),
-            "on_cim": self.on_cim,
             "sigma": self.sigma,
             "norms": {str(scale): norms.copy()
                       for scale, norms in self._norms.items()},
             "rng_state": pack_state(self._rng),
-            "stores" if self.on_cim else "digital": {
+            "stores": {
                 str(scale): store.snapshot()
                 for scale, store in self._stores.items()},
         }
 
-    def _check_snapshot(self, snap: dict, key: str) -> None:
+    def _check_snapshot(self, snap: dict) -> None:
         """Refuse parts that disagree about what the engine holds:
-        per-scale sections (``key``'s stores, ``norms``) that are not
+        per-scale sections (``stores``, ``norms``) that are not
         exactly ``config.scales``, or ``row_counts`` / norms that are not
         ``count`` long."""
         scales = sorted(self.config.scales)
-        for part in (key, "norms"):
+        for part in ("stores", "norms"):
             held = sorted(int(scale) for scale in snap[part])
             if held != scales:
                 raise ValueError(f"snapshot {part} cover scales {held}, "
@@ -328,7 +284,7 @@ class CiMSearchEngine:
         """Rebuild a store from a :meth:`snapshot`, bit-identically.
 
         No crossbar is programmed: every scale store comes back through
-        its class's ``from_snapshot``, counters and generator states
+        :meth:`CiMMatrix.from_snapshot`, counters and generator states
         included, and the engine's generator is a
         :func:`~repro.utils.state_generator` set to the packed
         ``rng_state``, so nothing is seeded only to be overwritten (like a
@@ -340,16 +296,13 @@ class CiMSearchEngine:
         ``ValueError`` here rather than an error on every query.
         """
         self = cls(device, sigma=float(snap["sigma"]), config=config,
-                   mitigation=mitigation, on_cim=bool(snap["on_cim"]),
-                   rng=state_generator())
-        store_class, key = ((CiMMatrix, "stores") if self.on_cim
-                            else (IdealStore, "digital"))
-        self._check_snapshot(snap, key)
+                   mitigation=mitigation, rng=state_generator())
+        self._check_snapshot(snap)
         rng_state = checked_states(np.asarray(snap["rng_state"])[None], 1)[0]
         count = int(snap["count"])
-        stores = {int(scale): store_class.from_snapshot(
+        stores = {int(scale): CiMMatrix.from_snapshot(
                       store, device, mitigation=self.mitigation)
-                  for scale, store in snap[key].items()}
+                  for scale, store in snap["stores"].items()}
         first = min(stores)
         code_dim = stores[first].shape[0] * first // config.pad_length
         for scale, store in stores.items():

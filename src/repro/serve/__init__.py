@@ -36,14 +36,14 @@ from .api import (
     TuneRequest,
     TuneResponse,
 )
-from .engine import PromptServeEngine, QueueFull
+from .engine import PromptServeEngine
 from .metrics import LatencyHistogram
 from .session import UserSession
 from .snapshot import SessionSnapshot, SnapshotError
 from .store import SessionStore
 
 __all__ = [
-    "PromptServeEngine", "QueueFull", "UserSession", "LatencyHistogram",
+    "PromptServeEngine", "UserSession", "LatencyHistogram",
     "TuneRequest", "TuneResponse", "QueryRequest", "QueryResponse",
     "PendingQuery", "SessionSnapshot", "SnapshotError", "SessionStore",
 ]

@@ -74,7 +74,7 @@ class QueryResponse:
     ovt_index: int                     # which stored OVT was retrieved
     scores: tuple[float, ...] = ()     # WMSDP similarity per stored OVT
     n_ovts: int = 0                    # library size at answer time
-    backend: str = ""                  # "RRAM" / "FeFET" on CiM, else "CPU"
+    backend: str = ""                  # the device's CiM tech: RRAM / FeFET
     latency_ns: float = 0.0            # simulated search latency: the
     energy_pj: float = 0.0             # deployment's banks, priced once
     request_id: str = ""

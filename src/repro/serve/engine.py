@@ -80,24 +80,7 @@ from .session import PrefillBatch, PrefillSlot, UserSession
 from .snapshot import SessionSnapshot, SnapshotError
 from .store import SessionStore
 
-__all__ = ["PromptServeEngine", "QueueFull"]
-
-
-class QueueFull(RuntimeError):
-    """Raised by :meth:`PromptServeEngine.begin_query` when the engine's
-    bounded pending-generation queue is at capacity.
-
-    The serving layer's backpressure signal: the HTTP gateway maps it to
-    ``429 Too Many Requests`` with a ``Retry-After`` hint instead of
-    letting latency grow without bound.
-    """
-
-    def __init__(self, queue_depth: int, max_pending: int):
-        super().__init__(
-            f"engine at capacity: {queue_depth} pending generations "
-            f"(max_pending={max_pending})")
-        self.queue_depth = queue_depth
-        self.max_pending = max_pending
+__all__ = ["PromptServeEngine"]
 
 
 class PromptServeEngine:
@@ -106,13 +89,10 @@ class PromptServeEngine:
     def __init__(self, model: TinyCausalLM, tokenizer: Tokenizer,
                  config: FrameworkConfig | None = None, *,
                  max_sessions: int = 8,
-                 max_pending: int | None = None,
                  session_store: SessionStore | None = None,
                  speculative=None):
         if max_sessions <= 0:
             raise ValueError("max_sessions must be positive")
-        if max_pending is not None and max_pending <= 0:
-            raise ValueError("max_pending must be positive (or None)")
         self.config = config if config is not None else FrameworkConfig()
         # Served at the precision its owner converted it to (before any
         # engine held it); the resident-weight accounting feeds stats().
@@ -120,10 +100,6 @@ class PromptServeEngine:
         self.model = model
         self.tokenizer = tokenizer
         self.max_sessions = max_sessions
-        # Bounded admission for begin_query: None serves every caller (the
-        # in-process default), an integer is the backpressure point the
-        # gateway leans on.
-        self.max_pending = max_pending
         # Durable session storage: when present, LRU eviction spills each
         # session's (raw) snapshot here and session lookups transparently
         # restore spilled users instead of losing their trained state.
@@ -134,7 +110,6 @@ class PromptServeEngine:
         self.admitted = 0   # queries that entered the decoder
         self.prefill_forwards = 0   # stacked prefill forwards run
         self.prefill_rows = 0       # prompts they prefilled (misses)
-        self.rejected = 0   # begin_query calls bounced on max_pending
         self.sessions_created = 0    # fresh sessions (paid full tuning)
         self.sessions_spilled = 0    # snapshots written to the store
         self.sessions_restored = 0   # sessions rebuilt from the store
@@ -428,9 +403,7 @@ class PromptServeEngine:
                 "tunes_in_flight": sum(s.tunes_in_flight
                                        for s in self._sessions.values()),
                 "pending_generations": len(self._pending),
-                "max_pending": self.max_pending,
                 "admitted": self.admitted,
-                "rejected": self.rejected,
                 "latency_ms": self._latency.summary(),
                 "decode_rounds": rounds,
                 "decode_tokens": scheduler.tokens_emitted,
@@ -595,16 +568,8 @@ class PromptServeEngine:
         ``deadline`` (a ``time.monotonic()`` timestamp) retires the
         generation with the tokens produced so far once a round starts
         past it — the per-request latency SLO hook.
-
-        Raises :class:`QueueFull` when the engine was built with
-        ``max_pending`` and that many generations are already in flight;
-        the caller should shed load (the gateway answers 429).
         """
         with self._lock:
-            if (self.max_pending is not None
-                    and len(self._pending) >= self.max_pending):
-                self.rejected += 1
-                raise QueueFull(len(self._pending), self.max_pending)
             admitted: list[PendingQuery] = []
             self._admit([request], admitted, deadline)
             return admitted[0]

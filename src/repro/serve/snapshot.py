@@ -62,7 +62,7 @@ __all__ = ["SessionSnapshot", "SnapshotError", "SCHEMA_VERSION", "MAGIC",
 # Bumped whenever the payload layout changes incompatibly; from_bytes
 # refuses blobs from other versions (the golden-fixture test pins this).
 # The blob's one version: no section inside it carries its own.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 MAGIC = b"NVPTSNAP"
 

@@ -15,7 +15,7 @@ Kinds:
 
 - ``"additive"``    — a count or a gauge: totals and differences of it
   mean something.
-- ``"capacity"``    — a configured bound; ``None`` means unbounded.
+- ``"capacity"``    — a configured bound.
 - ``"histogram"``   — a :class:`~repro.serve.metrics.LatencyHistogram`
   summary (count, percentiles, mean, max): read, never added up.
 - ``("ratio", numerator_key, denominator_key)`` — derived from two
@@ -33,7 +33,7 @@ __all__ = ["STATS_MANIFEST"]
 STATS_MANIFEST = {
     # -- session lifecycle ------------------------------------------------
     "active_sessions": "additive",
-    "max_sessions": "additive",
+    "max_sessions": "capacity",
     "evicted_sessions": "additive",
     "sessions_created": "additive",
     "sessions_spilled": "additive",
@@ -65,9 +65,7 @@ STATS_MANIFEST = {
     # pins its session against LRU eviction until it publishes).
     "tunes_in_flight": "additive",
     "pending_generations": "additive",
-    "max_pending": "capacity",
     "admitted": "additive",
-    "rejected": "additive",
     "latency_ms": "histogram",
     # -- decode telemetry -------------------------------------------------
     "decode_rounds": "additive",

@@ -145,15 +145,17 @@ class TestDeployment:
                                              eos_id=tok.eos_id))
         assert isinstance(out, str)
 
-    def test_digital_mode_restore_is_exact_in_code_space(self, setup):
+    def test_noise_free_restore_is_exact_in_code_space(self, setup):
+        """At sigma 0 the crossbars hand back every OVT's codes up to the
+        conductance quantization, well inside 1e-4."""
         model, tok = setup
-        library = self._library(setup)
+        library = self._library(setup, sigma=0.0)
         deployment = NVCiMDeployment(model, tok, library,
-                                     fast_config(on_cim=False))
-        codes, scale = library.autoencoder.encode_matrix(
-            library.ovts[0].matrix)
-        restored_codes = deployment.engine.restore(0)
-        np.testing.assert_allclose(restored_codes, codes, atol=1e-4)
+                                     fast_config(sigma=0.0))
+        for index, ovt in enumerate(library.ovts):
+            codes, _ = library.autoencoder.encode_matrix(ovt.matrix)
+            np.testing.assert_allclose(deployment.engine.restore(index),
+                                       codes, atol=1e-4)
 
     def test_mitigation_wired_through(self, setup):
         model, tok = setup

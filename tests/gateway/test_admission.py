@@ -14,7 +14,7 @@ import pytest
 
 from repro.gateway import GatewayConfig, PromptGateway
 from repro.gateway.server import QueuedQuery, _WatchedReader
-from repro.serve import QueryRequest, QueueFull, SnapshotError
+from repro.serve import QueryRequest, SnapshotError
 
 
 class TestGatewayConfig:
@@ -35,6 +35,14 @@ class TestGatewayConfig:
         config = GatewayConfig(retry_after_s=0.0, default_deadline_s=None,
                                idle_wait_s=1e-3)
         assert config.retry_after_s == 0.0
+
+    def test_a_fixed_retry_after_is_the_429_hint(self):
+        """The queue-full 429 is the one 429; its ``Retry-After`` is the
+        configured value when there is one, whatever the backlog."""
+        gateway = PromptGateway(RecordingEngine(),
+                                GatewayConfig(retry_after_s=1.5))
+        enqueue(gateway, [0, 1, 2])
+        assert gateway._retry_after_hint() == 1.5
 
 
 class RecordingEngine:
@@ -126,12 +134,6 @@ class TestAdmissionFailures:
         assert [q.request.user_id for q, _ in gateway._admitted] == [1]
         (reply,) = replies[0]
         return gateway, reply
-
-    def test_engine_at_capacity_is_a_429_with_retry_after(self):
-        gateway, (status, payload, headers) = self.admit(
-            QueueFull(4, 4), GatewayConfig(retry_after_s=1.5))
-        assert status == 429 and payload["status"] == 429
-        assert headers == {"Retry-After": "1.50"}
 
     def test_unservable_text_is_a_400(self):
         gateway, (status, payload) = self.admit(

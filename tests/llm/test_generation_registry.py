@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.ag import Linear
 from repro.llm import (
     GenerationConfig,
     MODEL_REGISTRY,
@@ -14,8 +15,6 @@ from repro.llm import (
     generate,
     load_pretrained_model,
     pretrain_lm,
-    quantization_error,
-    quantize_array,
     quantize_model_weights,
 )
 from repro.llm.transformer import LMConfig
@@ -110,27 +109,35 @@ class TestPretrain:
 
 class TestQuantization:
     def test_values_on_grid(self):
-        w = RNG.normal(size=(32, 8)).astype(np.float32)
-        q = quantize_array(w, bits=4, group_size=16)
+        layer = Linear(32, 8)
+        layer.weight.data = RNG.normal(size=(32, 8)).astype(np.float32)
+        quantize_model_weights(layer, bits=4, group_size=16)
+        q = layer.weight.data
         # Each group's values form at most 16 distinct levels.
         for start in (0, 16):
             assert len(np.unique(q[start:start + 16])) <= 16
 
     def test_error_drops_with_more_bits(self):
         w = RNG.normal(size=(64, 16)).astype(np.float32)
-        assert quantization_error(w, bits=8) < quantization_error(w, bits=2)
+        errors = []
+        for bits in (4, 8):
+            layer = Linear(64, 16)
+            layer.weight.data = w.copy()
+            quantize_model_weights(layer, bits=bits)
+            errors.append(np.sqrt(np.mean((layer.weight.data - w) ** 2)))
+        assert errors[1] < errors[0]
 
     def test_zero_matrix_stays_zero(self):
-        q = quantize_array(np.zeros((8, 4)), bits=4, group_size=8)
-        np.testing.assert_allclose(q, 0.0)
+        layer = Linear(8, 4)
+        layer.weight.data = np.zeros((8, 4), dtype=np.float32)
+        quantize_model_weights(layer, bits=4, group_size=8)
+        np.testing.assert_allclose(layer.weight.data, 0.0)
 
-    def test_parameter_validation(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"bits": 1}, {"bits": 2}, {"bits": 4, "group_size": 0}])
+    def test_parameter_validation(self, kwargs):
         with pytest.raises(ValueError):
-            quantize_array(np.zeros((4, 4)), bits=1)
-        with pytest.raises(ValueError):
-            quantize_array(np.zeros((4, 4)), bits=4, group_size=0)
-        with pytest.raises(ValueError):
-            quantize_array(np.zeros(4), bits=4)
+            quantize_model_weights(tiny_model(), **kwargs)
 
     def test_quantize_model_touches_all_linears(self):
         model = tiny_model()
@@ -141,7 +148,7 @@ class TestQuantization:
     def test_embeddings_not_quantized(self):
         model = tiny_model()
         before = model.token_embedding.weight.data.copy()
-        quantize_model_weights(model, bits=2)
+        quantize_model_weights(model, bits=4)
         np.testing.assert_allclose(model.token_embedding.weight.data, before)
 
 

@@ -18,9 +18,7 @@ from repro.llm import (
     QUANTIZATION_BITS,
     TinyCausalLM,
     infer,
-    quantization_error,
     quantization_stats,
-    quantize_array,
     quantize_model,
     quantize_model_weights,
 )
@@ -52,18 +50,26 @@ def reference_quantize_array(weights, bits=4, group_size=32):
     return out
 
 
-class TestQuantizeArrayVectorized:
+def fake_quant(weights, bits=4, group_size=32):
+    """``weights`` as :func:`quantize_model_weights` leaves a Linear's."""
+    linear = Linear(*weights.shape)
+    linear.weight.data = np.asarray(weights, dtype=np.float32)
+    quantize_model_weights(linear, bits=bits, group_size=group_size)
+    return linear.weight.data
+
+
+class TestFakeQuant:
     @pytest.mark.parametrize("rows,cols,group_size,bits", [
         (64, 32, 32, 4),      # exact multiple
         (70, 16, 32, 8),      # ragged tail
-        (33, 7, 16, 2),       # ragged tail, extreme bits
+        (33, 7, 16, 8),       # one-row tail
         (5, 3, 8, 4),         # single partial group
-        (96, 48, 31, 6),      # group size not a power of two
+        (96, 48, 31, 4),      # group size not a power of two
         (1, 1, 32, 4),        # degenerate
     ])
     def test_bit_identical_to_loop(self, rows, cols, group_size, bits):
         weights = RNG.normal(size=(rows, cols)).astype(np.float32)
-        fast = quantize_array(weights, bits, group_size)
+        fast = fake_quant(weights, bits, group_size)
         slow = reference_quantize_array(weights, bits, group_size)
         assert fast.dtype == np.float32
         assert (fast == slow).all()
@@ -71,7 +77,7 @@ class TestQuantizeArrayVectorized:
     def test_all_zero_group_stays_zero(self):
         weights = RNG.normal(size=(64, 8)).astype(np.float32)
         weights[:32] = 0.0
-        out = quantize_array(weights, 4, 32)
+        out = fake_quant(weights, 4, 32)
         assert (out[:32] == 0.0).all()
         assert (out == reference_quantize_array(weights, 4, 32)).all()
 
@@ -95,19 +101,26 @@ class TestQuantizeArrayVectorized:
 
     def test_error_monotone_in_bits(self):
         weights = RNG.normal(size=(96, 40)).astype(np.float32)
-        errors = [quantization_error(weights, bits) for bits in (2, 4, 6, 8)]
-        assert errors == sorted(errors, reverse=True)
+        int4, int8 = (np.sqrt(np.mean((fake_quant(weights, bits) - weights)
+                                      ** 2)) for bits in (4, 8))
+        assert int4 > int8 > 0.0
 
     def test_validation(self):
         weights = RNG.normal(size=(8, 4)).astype(np.float32)
         with pytest.raises(ValueError):
-            quantize_array(weights, bits=1)
+            quantize_groups(weights, bits=1)
         with pytest.raises(ValueError):
-            quantize_array(weights, bits=9)
+            quantize_groups(weights, bits=9)
         with pytest.raises(ValueError):
-            quantize_array(weights, group_size=0)
+            quantize_groups(weights, group_size=0)
         with pytest.raises(ValueError):
-            quantize_array(weights.reshape(-1))
+            quantize_groups(weights.reshape(-1))
+
+    @pytest.mark.parametrize("bits", [2, 6])
+    def test_only_the_packed_widths(self, bits):
+        """Fake-quant goes through ``QuantizedLinear``: 4 or 8 bits."""
+        with pytest.raises(ValueError, match="bits 4 or 8"):
+            fake_quant(RNG.normal(size=(8, 4)), bits)
 
 
 class TestQuantizedLinearKernel:
@@ -126,11 +139,11 @@ class TestQuantizedLinearKernel:
         assert float(np.abs(fused - reference).max()) <= 2e-4 * scale
 
     @pytest.mark.parametrize("bits", [8, 4])
-    def test_dequantized_weight_matches_quantize_array(self, bits):
+    def test_dequantized_weight_matches_reference_loop(self, bits):
         linear = Linear(80, 40)
         linear.weight.data = RNG.normal(size=(80, 40)).astype(np.float32)
         layer = QuantizedLinear.from_linear(linear, bits=bits, group_size=32)
-        expected = quantize_array(linear.weight.data, bits, 32)
+        expected = reference_quantize_array(linear.weight.data, bits, 32)
         assert (layer.dequantized_weight() == expected).all()
 
     def test_int4_pack_round_trip(self):
@@ -239,7 +252,7 @@ class TestModelConversion:
 
         holder = Holder()
         holder.shared.weight.data = RNG.normal(size=(8, 8)).astype(np.float32)
-        once = quantize_array(holder.shared.weight.data, 4, 4)
+        once = reference_quantize_array(holder.shared.weight.data, 4, 4)
         count = quantize_model_weights(holder, bits=4, group_size=4)
         assert count == 2      # shared visited once, dict head found
         # visited once: the weight sits on the 4-bit grid of the *original*

@@ -115,9 +115,9 @@ class TestCiMSearchEngine:
         return [RNG.normal(size=(rows, dim)).astype(np.float32)
                 for _ in range(n)]
 
-    def _engine(self, sigma=0.0, config=SSA_CONFIG, on_cim=True, seed=0):
+    def _engine(self, sigma=0.0, config=SSA_CONFIG, seed=0):
         return CiMSearchEngine(get_device("NVM-3"), sigma=sigma,
-                               config=config, on_cim=on_cim,
+                               config=config,
                                rng=np.random.default_rng(seed))
 
     def test_retrieves_self_without_noise(self):
@@ -127,24 +127,32 @@ class TestCiMSearchEngine:
         for i, ovt in enumerate(ovts):
             assert best_match(engine, ovt) == i
 
-    def test_digital_store_matches_reference(self):
-        ovts = self._ovts(4)
-        engine = self._engine(on_cim=False)
-        engine.build(ovts)
-        query = RNG.normal(size=(10, 12)).astype(np.float32)
-        scores = query_scores(engine, query)
-        expected = [wmsdp_reference(query, o) for o in ovts]
-        np.testing.assert_allclose(scores, expected, rtol=1e-4, atol=1e-5)
-
     def test_cim_scores_close_to_digital_without_noise(self):
+        """Noise-free crossbars score what the digital WMSDP reference
+        scores, up to the ADC and conductance quantization."""
         ovts = self._ovts(4)
-        on_cim = self._engine(sigma=0.0)
-        on_cim.build(ovts)
-        digital = self._engine(on_cim=False)
-        digital.build(ovts)
+        engine = self._engine(sigma=0.0)
+        engine.build(ovts)
         query = RNG.normal(size=(9, 12)).astype(np.float32)
-        np.testing.assert_allclose(query_scores(on_cim, query),
-                                   query_scores(digital, query), atol=0.02)
+        np.testing.assert_allclose(
+            query_scores(engine, query),
+            [wmsdp_reference(query, ovt) for ovt in ovts], atol=0.02)
+
+    @pytest.mark.parametrize("config", [SSA_CONFIG, MIPS_CONFIG],
+                             ids=["ssa", "mips"])
+    def test_scores_are_per_scale_cosines(self, config):
+        """With ``normalize_scales`` each scale's pooled query and stored
+        column are unit vectors: rescaling the query or any stored OVT
+        leaves every score where it was, for SSA and MIPS alike."""
+        ovts = self._ovts(4)
+        plain = self._engine(sigma=0.0, config=config)
+        plain.build(ovts)
+        scaled = self._engine(sigma=0.0, config=config)
+        scaled.build([ovt * factor
+                      for ovt, factor in zip(ovts, (0.2, 1.0, 5.0, 40.0))])
+        query = RNG.normal(size=(9, 12)).astype(np.float32)
+        np.testing.assert_allclose(query_scores(scaled, query * 7.0),
+                                   query_scores(plain, query), atol=1e-6)
 
     def test_restore_roundtrip_without_noise(self):
         ovts = self._ovts(3)
@@ -221,21 +229,19 @@ class TestCiMSearchEngine:
         assert engine.n_stored == 2
         assert best_match(engine, fresh[1]) == 1
 
-    @pytest.mark.parametrize("on_cim", [True, False])
-    def test_snapshot_parts_must_agree(self, on_cim):
-        """Either store class: a snapshot whose stores are one OVT wider
-        than ``count`` says, or that lost a scale, is refused at restore
-        — not by every later query."""
-        engine = self._engine(sigma=0.1, on_cim=on_cim)
+    def test_snapshot_parts_must_agree(self):
+        """A snapshot whose stores are one OVT wider than ``count`` says,
+        or that lost a scale, is refused at restore — not by every later
+        query."""
+        engine = self._engine(sigma=0.1)
         engine.build(self._ovts(3))
-        key = "stores" if on_cim else "digital"
         narrow = engine.snapshot()
         narrow.update(count=2, row_counts=narrow["row_counts"][:2],
                       norms={s: n[:2] for s, n in narrow["norms"].items()})
         missing = engine.snapshot()
-        del missing[key]["2"]
+        del missing["stores"]["2"]
         for snap, reason in ((narrow, r"\(192, 3\) matrix, not \(192, 2\)"),
-                             (missing, f"{key} cover scales")):
+                             (missing, "stores cover scales")):
             with pytest.raises(ValueError, match=reason):
                 CiMSearchEngine.from_snapshot(snap, get_device("NVM-3"))
         rebuilt = CiMSearchEngine.from_snapshot(engine.snapshot(),
@@ -280,9 +286,9 @@ class TestBatchedQueries:
         return [RNG.normal(size=(rows, dim)).astype(np.float32)
                 for _ in range(n)]
 
-    def _engine(self, sigma=0.0, config=SSA_CONFIG, on_cim=True, seed=0):
+    def _engine(self, sigma=0.0, config=SSA_CONFIG, seed=0):
         return CiMSearchEngine(get_device("NVM-3"), sigma=sigma,
-                               config=config, on_cim=on_cim,
+                               config=config,
                                rng=np.random.default_rng(seed))
 
     def _build(self, engine, ovts, vectorized=True):
@@ -294,10 +300,9 @@ class TestBatchedQueries:
         return [RNG.normal(size=(rows, 12)).astype(np.float32)
                 for rows in range(6, 6 + n)]
 
-    @pytest.mark.parametrize("on_cim", [True, False])
     @pytest.mark.parametrize("vectorized", [True, False])
-    def test_batch_matches_sequential(self, on_cim, vectorized):
-        engine = self._engine(sigma=0.1, on_cim=on_cim)
+    def test_batch_matches_sequential(self, vectorized):
+        engine = self._engine(sigma=0.1)
         self._build(engine, self._ovts(), vectorized)
         queries = self._queries()
         batched = engine.query_batch(queries)
@@ -318,10 +323,10 @@ class TestBatchedQueries:
             np.testing.assert_array_equal(batched[i], query_scores(engine, q))
 
     def test_retrieve_batch_breaks_ties_like_sequential(self):
-        """Duplicate OVTs score exact ties on the digital store; argmax
+        """Duplicate OVTs score exact ties on noise-free crossbars; argmax
         must resolve them identically in both paths."""
         ovt = RNG.normal(size=(8, 12)).astype(np.float32)
-        engine = self._engine(on_cim=False)
+        engine = self._engine(sigma=0.0)
         engine.build([ovt.copy(), ovt.copy(), ovt.copy()])
         queries = [ovt, ovt + 0.1, ovt * 2.0]
         assert np.argmax(engine.query_batch(queries), axis=1).tolist() == \

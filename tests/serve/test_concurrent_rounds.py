@@ -5,7 +5,7 @@ thread while HTTP handlers call ``submit``/``stats``/``drop_session``
 from others, so the engine's lock must make arbitrary interleavings of
 its entry points equivalent to *some* sequential order — admissions land
 in batch slots exactly once, eviction mid-round cannot corrupt another
-user's answer, and the admission bound holds under racing producers.
+user's answer, and racing producers' admissions are each counted once.
 """
 
 import threading
@@ -15,7 +15,7 @@ import pytest
 from repro.core import FrameworkConfig
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
-from repro.serve import PromptServeEngine, QueryRequest, QueueFull, TuneRequest
+from repro.serve import PromptServeEngine, QueryRequest, TuneRequest
 
 
 @pytest.fixture(scope="module")
@@ -167,32 +167,32 @@ class TestConcurrentAdmissionAndRounds:
                    for handle in handles)
 
 
-class TestAdmissionBound:
-    def test_begin_query_rejects_beyond_max_pending(self, setup):
-        _, tok = setup
-        engine = build_engine(setup, user_ids=(0,), max_pending=2)
-        requests = requests_for(tok, user_ids=(0,), per_user=3)
-        first = engine.begin_query(requests[0])
-        second = engine.begin_query(requests[1])
-        with pytest.raises(QueueFull) as info:
-            engine.begin_query(requests[2])
-        assert "2" in str(info.value)
-        stats = engine.stats()
-        assert stats["rejected"] == 1
-        assert stats["admitted"] == 2
-        assert stats["max_pending"] == 2
-        drive_until_done(engine, [first, second])
-        # Slots freed: the rejected request is admissible now.
-        third = engine.begin_query(requests[2])
-        drive_until_done(engine, [third])
-        assert engine.stats()["admitted"] == 3
+class TestAdmissionCounts:
+    """The engine bounds no admission (the gateway's ``max_batch`` and
+    ``max_queue`` do): every ``begin_query`` is admitted, and
+    ``pending_generations`` is exactly the generations in flight."""
 
-    def test_racing_producers_never_exceed_the_bound(self, setup):
+    def test_pending_generations_is_exact(self, setup):
         _, tok = setup
-        engine = build_engine(setup, max_pending=4)
+        engine = build_engine(setup, user_ids=(0,))
+        requests = requests_for(tok, user_ids=(0,), per_user=3)
+        handles = []
+        for count, request in enumerate(requests, start=1):
+            handles.append(engine.begin_query(request))
+            stats = engine.stats()
+            assert stats["pending_generations"] == count
+            assert stats["admitted"] == count
+        drive_until_done(engine, handles[:2])
+        engine.cancel_query(handles[2])
+        stats = engine.stats()
+        assert stats["pending_generations"] == 0
+        assert stats["admitted"] == 3
+
+    def test_racing_producers_are_all_admitted(self, setup):
+        _, tok = setup
+        engine = build_engine(setup)
         requests = requests_for(tok, per_user=4)
         admitted = []
-        rejected = []
         lock = threading.Lock()
         start = threading.Barrier(3)
 
@@ -201,14 +201,9 @@ class TestAdmissionBound:
             for request in requests:
                 if request.user_id != user_id:
                     continue
-                try:
-                    handle = engine.begin_query(request)
-                except QueueFull as error:
-                    with lock:
-                        rejected.append(error)
-                else:
-                    with lock:
-                        admitted.append(handle)
+                handle = engine.begin_query(request)
+                with lock:
+                    admitted.append(handle)
 
         threads = [threading.Thread(target=producer, args=(uid,))
                    for uid in (0, 1, 2)]
@@ -216,15 +211,18 @@ class TestAdmissionBound:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
-        # Nothing drains the queue while the producers race, so exactly
-        # max_pending admissions can land no matter the interleaving.
-        assert len(admitted) == 4
-        assert len(rejected) == 8
+        # Nothing drains the decoder while the producers race, so every
+        # admission is still pending, each counted once.
+        assert len(admitted) == len(requests) == 12
         stats = engine.stats()
-        assert stats["pending_generations"] == 4
-        assert stats["admitted"] == 4
-        assert stats["rejected"] == 8
+        assert stats["pending_generations"] == 12
+        assert stats["admitted"] == 12
         drive_until_done(engine, admitted)
+        assert engine.stats()["pending_generations"] == 0
+        by_id = {handle.request.request_id: handle.response.answer
+                 for handle in admitted}
+        assert by_id == {request.request_id: engine.query(request).answer
+                         for request in requests}
 
 
 class TestCancellation:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cim import CIM_TECH, cpu_cost
+from repro.cim import CIM_TECH
 from repro.core import FrameworkConfig, NVCiMPT, OVTTrainingPipeline
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import (
@@ -298,24 +298,6 @@ class TestBatching:
         # Priced once per deployment, not per admission.
         assert deployment.query_cost is deployment.query_cost
 
-    def test_digital_mode_reports_cpu_backend(self, setup):
-        model, tok = setup
-        engine = PromptServeEngine(model, tok, fast_config(on_cim=False),
-                                   max_sessions=2)
-        engine.submit(TuneRequest(user_id=0,
-                                  samples=tuple(stream_for(0, 10))))
-        response = engine.query(QueryRequest(
-            user_id=0, text=stream_for(0, 1)[0].input_text,
-            generation=fast_generation(tok)))
-        assert response.backend == "CPU"
-        # Priced from its ideal stores' own shapes on the CPU model.
-        deployment = engine.session(0).deployment()
-        shapes = [store.shape
-                  for store in deployment.engine._stores.values()]
-        price = cpu_cost(deployment.engine.n_stored, shapes)
-        assert response.energy_pj == price.energy_pj
-        assert response.latency_ns == price.latency_ns
-
     def test_a_deployment_is_priced_once_not_per_admission(
             self, setup, monkeypatch):
         model, tok = setup
@@ -499,7 +481,7 @@ class TestConfigSurface:
             code_dim=32, tuning=TuningConfig(steps=7, lr=0.01),
             noise_factors=(1.0, 2.0, 2.0, 1.0),
             search=SearchConfig(scales=(1, 2), weights=(1.0, 0.5)),
-            on_cim=False, seed=3)
+            seed=3)
         assert FrameworkConfig.from_dict(config.to_dict()) == config
 
     def test_to_dict_is_json_compatible(self):

@@ -37,15 +37,17 @@ from tests.oracles.legacy_rngs import dict_form
 from tests.serve.sealing import sealed
 
 DATA = pathlib.Path(__file__).parent / "data"
-GOLDEN_PATH = DATA / "golden_session_v2.nvpt"
-# Schema 1's fixture, kept as a blob this build refuses.
+GOLDEN_PATH = DATA / "golden_session_v3.nvpt"
+# Earlier schemas' fixtures, kept as blobs this build refuses.
 GOLDEN_V1_PATH = DATA / "golden_session_v1.nvpt"
+GOLDEN_V2_PATH = DATA / "golden_session_v2.nvpt"
 GOLDEN_USER = 7
 
 # Retired config switches -> (the config section holding them, a value).
 RETIRED_KEYS = {"vectorized": (None, True), "batched": ("tuning", True),
                 "base_quantization": (None, "int8"),
-                "quantization_group_size": (None, 32)}
+                "quantization_group_size": (None, 32),
+                "on_cim": (None, True)}
 
 
 def build_stack():
@@ -577,7 +579,8 @@ class TestSnapshotValidation:
         _, crc = HEADER.unpack_from(blob, len(MAGIC))
         future = MAGIC + HEADER.pack(SCHEMA_VERSION + 1, crc) \
             + blob[HEADER_SIZE:]
-        with pytest.raises(SnapshotError, match="version 3"):
+        with pytest.raises(SnapshotError,
+                           match=f"version {SCHEMA_VERSION + 1} is not"):
             SessionSnapshot.from_bytes(future)
 
     def test_rejects_a_body_that_fails_its_checksum(self, trained_session):
@@ -616,7 +619,7 @@ class TestSnapshotValidation:
 
 
 class TestGoldenFixture:
-    """Pin the on-disk format: schema v2 blobs must stay readable.
+    """Pin the on-disk format: schema v3 blobs must stay readable.
 
     If these fail after an *intentional* format change, bump
     ``SCHEMA_VERSION`` and regenerate via ``python tests/serve/test_snapshot.py``.
@@ -656,18 +659,20 @@ class TestGoldenFixture:
                  if line.split()[0] == "nodes"]
         assert nodes == [f"{_nodes(_body(GOLDEN_PATH.read_bytes())):,}"]
 
-    def test_golden_header_pins_schema_v2(self):
-        """Magic, version 2, then the CRC32 of everything after it."""
+    def test_golden_header_pins_schema_v3(self):
+        """Magic, version 3, then the CRC32 of everything after it."""
         blob = GOLDEN_PATH.read_bytes()
         assert HEADER_SIZE == len(MAGIC) + 6
         assert blob[:len(MAGIC)] == MAGIC
         assert HEADER.unpack_from(blob, len(MAGIC)) == (
-            2, zlib.crc32(blob[HEADER_SIZE:]))
+            3, zlib.crc32(blob[HEADER_SIZE:]))
 
     def test_this_build_writes_no_retired_keys(self, trained_session):
         """``vectorized`` / ``batched`` each only ever held one deployable
-        value, and ``base_quantization`` / ``quantization_group_size``
-        described the engine's base model, not the session; no section
+        value, ``base_quantization`` / ``quantization_group_size``
+        described the engine's base model, not the session, and
+        ``on_cim`` chose a digital store every deployment is now
+        without (nor does a deployment section carry it); no section
         carries a ``version`` of its own: the header's is the blob's."""
         session, *_ = trained_session
         for mode in ("raw", "recipe"):
@@ -709,27 +714,46 @@ class TestSchemaOneFixture:
             SessionSnapshot.from_bytes(GOLDEN_V1_PATH.read_bytes())
 
     def test_engine_quarantines_the_v1_fixture(self, setup, tmp_path):
-        model, tok = setup
-        store = SessionStore(tmp_path)
-        store.put(GOLDEN_USER, GOLDEN_V1_PATH.read_bytes())
-        engine = PromptServeEngine(model, tok, FrameworkConfig.preset("fast"),
-                                   session_store=store)
-        generation = GenerationConfig(max_new_tokens=4, temperature=0.0,
-                                      eos_id=tok.eos_id)
-        query = stream_for(GOLDEN_USER, 10)[9].input_text
-        with pytest.raises(KeyError):
-            engine.answer(GOLDEN_USER, query, generation)
-        assert engine.sessions_quarantined == 1
-        assert store.get(GOLDEN_USER) is None
-        assert (tmp_path / f"session_{GOLDEN_USER}.nvpt.quarantined"
-                ).read_bytes() == GOLDEN_V1_PATH.read_bytes()
-        # The re-tune: a fresh session answers as the v2 fixture does.
-        engine.submit(TuneRequest(user_id=GOLDEN_USER,
-                                  samples=tuple(stream_for(GOLDEN_USER, 10))))
-        restored = SessionSnapshot.from_bytes(
-            GOLDEN_PATH.read_bytes()).build_session(model, tok)
-        assert engine.answer(GOLDEN_USER, query, generation) == \
-            session_answer_sequential(restored, query, generation)
+        _assert_quarantined(setup, tmp_path, GOLDEN_V1_PATH)
+
+
+class TestSchemaTwoFixture:
+    """Schema 2's golden blob, whose config still carries ``on_cim``:
+    refused by its version before anything is decoded, quarantined, and
+    costing its user one re-tune."""
+
+    def test_v2_fixture_is_refused_by_version(self):
+        with pytest.raises(SnapshotError, match="version 2 is not"):
+            SessionSnapshot.from_bytes(GOLDEN_V2_PATH.read_bytes())
+
+    def test_engine_quarantines_the_v2_fixture(self, setup, tmp_path):
+        _assert_quarantined(setup, tmp_path, GOLDEN_V2_PATH)
+
+
+def _assert_quarantined(setup, tmp_path, path):
+    """An engine whose store holds ``path`` for the golden user moves it
+    aside, knows no such user, and answers as the v3 fixture does once
+    the user re-tunes."""
+    model, tok = setup
+    store = SessionStore(tmp_path)
+    store.put(GOLDEN_USER, path.read_bytes())
+    engine = PromptServeEngine(model, tok, FrameworkConfig.preset("fast"),
+                               session_store=store)
+    generation = GenerationConfig(max_new_tokens=4, temperature=0.0,
+                                  eos_id=tok.eos_id)
+    query = stream_for(GOLDEN_USER, 10)[9].input_text
+    with pytest.raises(KeyError):
+        engine.answer(GOLDEN_USER, query, generation)
+    assert engine.sessions_quarantined == 1
+    assert store.get(GOLDEN_USER) is None
+    assert (tmp_path / f"session_{GOLDEN_USER}.nvpt.quarantined"
+            ).read_bytes() == path.read_bytes()
+    engine.submit(TuneRequest(user_id=GOLDEN_USER,
+                              samples=tuple(stream_for(GOLDEN_USER, 10))))
+    restored = SessionSnapshot.from_bytes(
+        GOLDEN_PATH.read_bytes()).build_session(model, tok)
+    assert engine.answer(GOLDEN_USER, query, generation) == \
+        session_answer_sequential(restored, query, generation)
 
 
 def _body(blob):

@@ -180,22 +180,6 @@ class TestSearchEngineProperties:
         assert np.array_equal(query_scores(rebuilt, query),
                               query_scores(engine, query))
 
-    @settings(max_examples=10, deadline=None)
-    @given(sigma=SIGMAS, n_ovts=st.integers(1, 3),
-           seed=st.integers(0, 2**32 - 1))
-    def test_digital_store_roundtrip(self, sigma, n_ovts, seed):
-        device = get_device("NVM-1")
-        rng = np.random.default_rng(seed)
-        engine = CiMSearchEngine(device, sigma=sigma, on_cim=False,
-                                 rng=np.random.default_rng(seed + 1))
-        engine.build([rng.normal(size=(3, 8)).astype(np.float32)
-                      for _ in range(n_ovts)])
-        query = rng.normal(size=(3, 8)).astype(np.float32)
-        rebuilt = CiMSearchEngine.from_snapshot(
-            codec_roundtrip(engine.snapshot()), device)
-        assert np.array_equal(query_scores(rebuilt, query),
-                              query_scores(engine, query))
-
 
 @pytest.fixture(scope="module")
 def setup():

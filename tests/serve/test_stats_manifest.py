@@ -3,8 +3,8 @@
 The STATS-001 lint rule checks the manifest against the source without
 running it; these tests read the numbers.  One engine carries every
 source of telemetry at once — an int8 base model, a speculative draft, a
-one-slot session store that spills and restores, a ``max_pending`` bound
-— and each declared key is checked against what its kind promises:
+one-slot session store that spills and restores — and each declared key
+is checked against what its kind promises:
 
 - ``additive``: a non-negative integer;
 - ``capacity``: the bound the engine was built with;
@@ -39,7 +39,6 @@ from repro.serve import (
 from repro.serve.stats_manifest import STATS_MANIFEST
 
 USERS = (0, 1)
-MAX_PENDING = 16
 
 
 def int8(model):
@@ -60,7 +59,7 @@ def served():
     store = SessionStore()
     engine = PromptServeEngine(
         int8(model), tok, FrameworkConfig.preset("fast"), max_sessions=1,
-        session_store=store, max_pending=MAX_PENDING,
+        session_store=store,
         speculative=SpeculativeDecoder(int8(draft), max_draft=3,
                                        threshold=0.0))
     dataset = make_dataset("LaMP-2")
@@ -109,7 +108,7 @@ def test_key_reads_as_its_kind(served, key):
         assert isinstance(value, int) and not isinstance(value, bool)
         assert value >= 0
     elif kind == "capacity":
-        assert value == getattr(engine, key) == MAX_PENDING
+        assert value == getattr(engine, key)
     elif kind == "histogram":
         assert set(value) == {"count", "p50_ms", "p99_ms", "mean_ms",
                               "max_ms"}
