@@ -52,15 +52,17 @@ def quantize_groups(weights: np.ndarray, bits: int = 4,
     """Symmetric per-group round-to-nearest quantization of a 2-D matrix.
 
     Groups run along the input dimension (rows), each with one float32
-    scale — GPTQ's per-group format.  Returns ``(codes, scales)`` where
+    scale — GPTQ's per-group format.  ``bits`` is 4 or 8, the widths
+    :class:`QuantizedLinear` packs; any other fails before any work.
+    Returns ``(codes, scales)`` where
     ``codes`` is int8 of ``weights``'s shape holding the grid indices in
     ``[-(2**(bits-1) - 1), 2**(bits-1) - 1]`` and ``scales`` is float32
     of shape ``(n_groups,)``.  ``codes * scale`` reproduces, bit for bit,
     what the historical per-group Python loop computed; an all-zero group
     gets scale 0.0 and zero codes.
     """
-    if bits < 2 or bits > 8:
-        raise ValueError(f"bits must be in [2, 8], got {bits}")
+    if bits not in (4, 8):
+        raise ValueError(f"quantize_groups supports bits 4 or 8, got {bits}")
     if group_size <= 0:
         raise ValueError("group_size must be positive")
     weights = np.asarray(weights, dtype=np.float32)

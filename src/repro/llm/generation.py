@@ -254,7 +254,9 @@ class DecodeSequence:
         # ``context_ids()``.
         self.draft_cache: KVCache | None = None
         self.draft_len = 0
-        self._rng = rng_from_seed(config.seed)
+        # Only sampling reads a generator; greedy sequences build none.
+        self._rng = (rng_from_seed(config.seed) if config.temperature > 0.0
+                     else None)
         self._total = state.n_tokens
         self._budget = budget
 

@@ -95,14 +95,16 @@ class PendingQuery:
     :meth:`~repro.serve.PromptServeEngine.run_decode_round` advances it by
     at most one token.  Once the generation retires, :attr:`response`
     holds the same :class:`QueryResponse` the query would have got served
-    alone.  The handle is self-contained — retrieval telemetry is
-    snapshotted at admission and the decode state lives in the underlying
-    sequence — so evicting the owning session mid-flight can neither
-    corrupt this query nor any other in the batch.
+    alone; a query whose prefill slot already holds the answer for its
+    config is done at admission.  The handle is self-contained —
+    retrieval telemetry is snapshotted at admission and the decode state
+    lives in the underlying sequence — so evicting the owning session
+    mid-flight can neither corrupt this query nor any other in the batch.
     """
 
     __slots__ = ("request", "response", "cancelled",
-                 "_sequence", "_session", "_retrieval", "_admitted_at")
+                 "_sequence", "_session", "_slot", "_retrieval",
+                 "_admitted_at")
 
     def __init__(self, request: QueryRequest):
         self.request = request

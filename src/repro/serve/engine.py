@@ -20,15 +20,25 @@ answers are byte-identical to sequential ones — and the crossbar counters
 (the energy model's input) move by the same amount either way.
 
 Generation runs through the incremental decode path: each session keeps an
-LRU of decode-ready prefill states keyed by ``(text, OVT index)``, so
-repeated queries — within one ``answer_batch`` or across calls — share one
-KV prefill and every token is a single-position forward.  Incremental
-decoding emits exactly the tokens the full-reforward loop would, so this
-changes latency, not answers.
+LRU of prefill slots keyed by ``(text, OVT index)``, so repeated queries —
+within one ``answer_batch`` or across calls — share one KV prefill and
+every token is a single-position forward.  Incremental decoding emits
+exactly the tokens the full-reforward loop would, so this changes latency,
+not answers.  A slot goes *queued* (its prompt waits on the admission's
+prefill batch) → *prefilled* (it holds the KV state) → *answered*: the
+first generation from it that ends on EOS or a limit leaves its tokens
+on the slot, per :class:`~repro.llm.generation.GenerationConfig`, and
+the slot lets go of the KV.  Decoding one state under one config is
+deterministic, so a later query on the slot under that config is
+finished at admission with those tokens and never joins the scheduler;
+under another config the slot is prefilled again (a miss).  The CiM
+search still runs for every query — the retrieved index is half the
+key — so retrieval telemetry and crossbar counters are per query.
 
 There is one serving path.  Every query — :meth:`PromptServeEngine.query`
 is ``answer_batch`` of one — is admitted to one
-:class:`~repro.llm.generation.DecodeScheduler`: admission scores all of a
+:class:`~repro.llm.generation.DecodeScheduler` (or, an answer hit,
+finished by that admission): admission scores all of a
 user's query texts in one :meth:`~repro.retrieval.CiMSearchEngine
 .query_batch` call (a single batched in-memory GMM per scale against that
 user's crossbars; per-request telemetry and the deployment's priced
@@ -107,7 +117,8 @@ class PromptServeEngine:
         self._sessions: OrderedDict[int, UserSession] = OrderedDict()
         self.evicted_sessions = 0
         self.requests_served = 0
-        self.admitted = 0   # queries that entered the decoder
+        self.admitted = 0   # queries admitted (decoded or answer hits)
+        self.answer_hits = 0   # queries answered from a slot's kept answer
         self.prefill_forwards = 0   # stacked prefill forwards run
         self.prefill_rows = 0       # prompts they prefilled (misses)
         self.sessions_created = 0    # fresh sessions (paid full tuning)
@@ -404,6 +415,7 @@ class PromptServeEngine:
                                        for s in self._sessions.values()),
                 "pending_generations": len(self._pending),
                 "admitted": self.admitted,
+                "answer_hits": self.answer_hits,
                 "latency_ms": self._latency.summary(),
                 "decode_rounds": rounds,
                 "decode_tokens": scheduler.tokens_emitted,
@@ -621,16 +633,18 @@ class PromptServeEngine:
         telemetry and the priced cost are snapshotted at resolution, so
         the eventual response is what it would have been served alone,
         even if the session is evicted (or retrained) while the answer is
-        in flight.  The latency clock starts here, before retrieval and
-        prefill.
+        in flight.  A query whose slot holds the answer for its config is
+        finished as it enters, without decoding.  The latency clock
+        starts here, before retrieval and prefill.
         """
         admitted_at = time.perf_counter()
+        default = self.default_generation()
         order: OrderedDict[int, list[int]] = OrderedDict()
         for position, request in enumerate(requests):
             order.setdefault(request.user_id, []).append(position)
         batch = PrefillBatch(self.model)
-        resolved: list[tuple[PendingQuery, PrefillSlot] | None] = \
-            [None] * len(requests)
+        resolved: list[tuple[PendingQuery, PrefillSlot,
+                             GenerationConfig] | None] = [None] * len(requests)
         try:
             for user_id, positions in order.items():
                 session = self._resident_session(user_id)
@@ -641,39 +655,59 @@ class PromptServeEngine:
                 cost = deployment.query_cost
                 for position, row in zip(positions, scores):
                     request = requests[position]
+                    generation = request.generation or default
                     index = int(np.argmax(row))
                     slot = session.prefill_state(
                         request.text, index,
-                        lambda: deployment.restored_prompt(index), batch)
+                        lambda: deployment.restored_prompt(index), batch,
+                        generation)
                     pending = PendingQuery(request)
                     pending._session = session
+                    pending._slot = slot
                     pending._admitted_at = admitted_at
                     pending._retrieval = (index, tuple(float(s) for s in row),
                                           deployment.engine.n_stored, cost)
-                    resolved[position] = (pending, slot)
+                    resolved[position] = (pending, slot, generation)
         finally:
             # What resolved before a failure is served all the same.
             rows = len(batch)
             try:
                 self.prefill_forwards += batch.run()
             except BaseException:
-                # Nothing is admitted, and no LRU keeps a slot the failed
-                # forward never filled (the batch ran before anything
-                # else could read the LRUs).
-                for pending, _ in filter(None, resolved):
+                # Nothing is admitted, and no LRU keeps a slot queued on
+                # the failed batch (the batch ran before anything else
+                # could read the LRUs).
+                for pending, _, _ in filter(None, resolved):
                     cached = pending._session._prefill_states
                     for key in [key for key, slot in cached.items()
-                                if slot.state is None]:
+                                if slot.queued]:
                         del cached[key]
                 raise
             self.prefill_rows += rows
-            for pending, slot in filter(None, resolved):
-                self._enter(pending, slot.state, deadline)
+            # Each query's state is read before any enters: one that
+            # finishes as it enters lets go of its slot's KV, which a
+            # later query of the batch under another config decodes from.
+            entries = [(pending, slot.state, generation)
+                       for pending, slot, generation
+                       in filter(None, resolved)]
+            for pending, state, generation in entries:
+                self._enter(pending, state, generation, deadline)
                 admitted.append(pending)
 
-    def _enter(self, pending: PendingQuery, state: PrefillState,
+    def _enter(self, pending: PendingQuery, state: PrefillState | None,
+               generation: GenerationConfig,
                deadline: float | None) -> None:
-        """Admit one resolved query to the decoder."""
+        """Admit one resolved query to the decoder, or finish it at once
+        from its slot's kept answer."""
+        pending._session.generations_in_flight += 1
+        self.admitted += 1
+        self._pending.append(pending)
+        answer = pending._slot.answers.get(generation)
+        if answer is not None:
+            pending._sequence = answer
+            self.answer_hits += 1
+            self._finalize(pending)
+            return
         prompt_ids = None
         if self.speculative is not None:
             # The draft model sees the raw query tokens (no soft prompt /
@@ -682,24 +716,23 @@ class PromptServeEngine:
             prompt_ids = np.asarray(
                 self.tokenizer.encode(pending.request.text), dtype=np.int64)
         pending._sequence = self._scheduler.admit(
-            state, pending.request.generation or self.default_generation(),
-            deadline=deadline, prompt_ids=prompt_ids)
-        pending._session.generations_in_flight += 1
-        self.admitted += 1
-        self._pending.append(pending)
+            state, generation, deadline=deadline, prompt_ids=prompt_ids)
         if pending._sequence.finished:
             self._finalize(pending)   # e.g. EOS on the very first sample
 
     def _finalize(self, pending: PendingQuery) -> None:
-        """Turn a retired generation into its response (exactly once)."""
+        """Turn a retired generation into its response (exactly once),
+        leaving its answer on the query's prefill slot."""
         request = pending.request
-        if pending._sequence.finish_reason in ("cancelled", "deadline"):
+        sequence = pending._sequence
+        if sequence.finish_reason in ("cancelled", "deadline"):
             pending.cancelled = True
+        pending._slot.keep(sequence)
         index, scores, n_ovts, cost = pending._retrieval
         pending.response = QueryResponse(
             user_id=request.user_id,
             text=request.text,
-            answer=self.tokenizer.decode(pending._sequence.token_ids()),
+            answer=self.tokenizer.decode(sequence.token_ids()),
             ovt_index=index,
             scores=scores,
             n_ovts=n_ovts,

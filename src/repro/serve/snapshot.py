@@ -30,10 +30,11 @@ operator archives a user without their crossbar state):
   re-programming is *billed*: NVM write energy and endurance are the
   paper's own cost model.
 
-The prefill KV cache is deliberately *not* serialized: prefill is
-deterministic, so a restored session recomputes any state it needs and
-still produces byte-identical greedy answers — only the ``prefill_hits``
-telemetry starts cold.  The snapshot records the cache keys as metadata
+The prefill slots — their KV and the answers they keep — are
+deliberately *not* serialized: prefill and decoding are deterministic,
+so a restored session recomputes any state it needs and still produces
+byte-identical answers — only the ``prefill_hits`` telemetry starts
+cold.  The snapshot records the cache keys as metadata
 so stores can report what was dropped.
 """
 
@@ -167,10 +168,10 @@ class SessionSnapshot:
             "deployment": self.deployment,
         }
         parts = encode_parts(payload)
-        crc = 0
-        for part in parts:
-            crc = zlib.crc32(part, crc)
-        # One join: header and body pieces are copied into the blob once.
+        # One crc32 call over a joined copy of the body: several times
+        # faster than a call per part, and the copy is gone before the
+        # blob is built, so the body is held once at a time.
+        crc = zlib.crc32(b"".join(parts))
         return b"".join([MAGIC, HEADER.pack(SCHEMA_VERSION, crc), *parts])
 
     @classmethod

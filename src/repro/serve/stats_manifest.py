@@ -54,6 +54,8 @@ STATS_MANIFEST = {
     "requests_served": "additive",
     "stored_ovts": "additive",
     "prefill_hits": "additive",
+    # Gauge: KV held by prefill slots waiting for their answer (an
+    # answered slot lets go of its KV and keeps the answer's tokens).
     "prefill_cache_bytes": "additive",
     # Prefill misses run stacked: one forward per prompt length of an
     # admission batch (a batch of eight equal-length misses is one
@@ -66,6 +68,9 @@ STATS_MANIFEST = {
     "tunes_in_flight": "additive",
     "pending_generations": "additive",
     "admitted": "additive",
+    # Queries finished at admission from their prefill slot's kept answer
+    # (each also a prefill hit); they never enter the decoder.
+    "answer_hits": "additive",
     "latency_ms": "histogram",
     # -- decode telemetry -------------------------------------------------
     "decode_rounds": "additive",

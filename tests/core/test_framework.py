@@ -275,7 +275,10 @@ class TestFacade:
             stats = system.engine.stats()
             assert stats["requests_served"] == served + 1
         assert stats["admitted"] == stats["latency_ms"]["count"] == 2
-        assert stats["prefill_hits"] == 1     # the repeat reused the prefill
+        # The first answer let go of the slot's KV; the second config
+        # prefills again.
+        assert stats["prefill_hits"] == stats["answer_hits"] == 0
+        assert stats["prefill_rows"] == 2
 
     def test_deployment_rebuilt_after_new_epoch(self, setup):
         model, tok = setup

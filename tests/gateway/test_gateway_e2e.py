@@ -8,6 +8,7 @@ misses (504 with the partial answer), client-disconnect cancellation,
 and trace replay against the running server.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -24,6 +25,7 @@ from repro.gateway import (
 from repro.gateway.validation import ValidationError
 from repro.llm import GenerationConfig
 from repro.serve import QueryRequest
+from tests.oracles.generation import answer_sequential
 
 from .conftest import stream_for
 from .traffic import TraceConfig, build_trace, replay
@@ -63,6 +65,22 @@ class TestRoundTrips:
                     request_id=f"u{user_id}-q{i}")
                 direct = engine.query(request)
                 assert over_http == direct   # every field, exactly
+
+    def test_repeat_is_answered_from_the_prefill_slot(self, engine, client):
+        """The repeat is finished at admission from the first answer's
+        tokens: byte-identical to the decoded answer and the oracle."""
+        generation = GenerationConfig(max_new_tokens=5, temperature=0.0)
+        text = stream_for(1, 1, seed=77)[0].input_text
+        first = client.query(1, text, generation=generation,
+                             request_id="rep-1")
+        hits = engine.stats()["answer_hits"]
+        second = client.query(1, text, generation=generation,
+                              request_id="rep-2")
+        assert engine.stats()["answer_hits"] == hits + 1
+        assert second == dataclasses.replace(first, request_id="rep-2")
+        oracle = answer_sequential(engine, QueryRequest(
+            user_id=1, text=text, generation=generation))
+        assert second.answer.encode() == oracle.encode()
 
     def test_tune_then_query_round_trip(self, engine, client, setup):
         _, tok = setup

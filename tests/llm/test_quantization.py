@@ -91,7 +91,7 @@ class TestFakeQuant:
 
     def test_grid_error_bounded_by_half_scale(self):
         weights = RNG.normal(size=(128, 24)).astype(np.float32)
-        for bits in (2, 4, 8):
+        for bits in (4, 8):
             codes, scales = quantize_groups(weights, bits, 32)
             deq = codes.astype(np.float32) * np.repeat(scales, 32)[:, None]
             for g in range(4):
@@ -121,6 +121,13 @@ class TestFakeQuant:
         """Fake-quant goes through ``QuantizedLinear``: 4 or 8 bits."""
         with pytest.raises(ValueError, match="bits 4 or 8"):
             fake_quant(RNG.normal(size=(8, 4)), bits)
+
+    @pytest.mark.parametrize("bits", [2, 6])
+    def test_grid_refuses_an_unpackable_width(self, bits):
+        """``quantize_groups`` refuses a width no layer packs before it
+        quantizes anything."""
+        with pytest.raises(ValueError, match="bits 4 or 8"):
+            quantize_groups(RNG.normal(size=(8, 4)), bits)
 
 
 class TestQuantizedLinearKernel:

@@ -236,7 +236,10 @@ class TestCancellation:
         sample = next(iter(stream_for(0, 1, seed=42)))
         request = QueryRequest(user_id=0, text=sample.input_text,
                                generation=generation, request_id="cancel-0")
-        full = engine.query(request)
+        # The full answer from an engine of its own: served here first,
+        # it would leave its answer on the prefill slot, and the query
+        # below would be done at admission with nothing left to cancel.
+        full = build_engine(setup, user_ids=(0,)).query(request)
         pending = engine.begin_query(request)
         engine.run_decode_round()
         engine.run_decode_round()

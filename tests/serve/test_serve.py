@@ -331,14 +331,23 @@ class TestPrefillSharing:
         engine.submit(TuneRequest(user_id=0,
                                   samples=tuple(stream_for(0, 10))))
         text = stream_for(0, 1)[0].input_text
-        generation = fast_generation(tok)
+        # No EOS: three tokens, so the answer is still in flight after
+        # admission.
+        generation = GenerationConfig(max_new_tokens=3, temperature=0.0)
         request = QueryRequest(user_id=0, text=text, generation=generation)
-        first = engine.query(request)
+        pending = engine.begin_query(request)
         assert engine.stats()["prefill_hits"] == 0
-        second = engine.query(request)
-        assert engine.stats()["prefill_hits"] == 1
-        assert second.answer == first.answer
+        # The slot holds its KV while the answer is in flight and lets
+        # go of it once the answer lands.
+        assert not pending.done
         assert engine.stats()["prefill_cache_bytes"] > 0
+        while not pending.done:
+            engine.run_decode_round()
+        assert engine.stats()["prefill_cache_bytes"] == 0
+        second = engine.query(request)
+        stats = engine.stats()
+        assert (stats["prefill_hits"], stats["answer_hits"]) == (1, 1)
+        assert second.answer == pending.response.answer
 
     def test_batch_shares_prefill_and_matches_sequential(self, setup):
         model, tok = setup
