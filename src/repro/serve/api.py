@@ -95,8 +95,8 @@ class PendingQuery:
     :meth:`~repro.serve.PromptServeEngine.run_decode_round` advances it by
     at most one token.  Once the generation retires, :attr:`response`
     holds the same :class:`QueryResponse` the query would have got served
-    alone; a query whose prefill slot already holds the answer for its
-    config is done at admission.  The handle is self-contained —
+    alone; one whose prefill slot already holds an answer decoded under
+    its config is done at admission.  The handle is self-contained —
     retrieval telemetry is snapshotted at admission and the decode state
     lives in the underlying sequence — so evicting the owning session
     mid-flight can neither corrupt this query nor any other in the batch.

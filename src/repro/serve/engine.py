@@ -24,21 +24,30 @@ LRU of prefill slots keyed by ``(text, OVT index)``, so repeated queries —
 within one ``answer_batch`` or across calls — share one KV prefill and
 every token is a single-position forward.  Incremental decoding emits
 exactly the tokens the full-reforward loop would, so this changes latency,
-not answers.  A slot goes *queued* (its prompt waits on the admission's
-prefill batch) → *prefilled* (it holds the KV state) → *answered*: the
-first generation from it that ends on EOS or a limit leaves its tokens
-on the slot, per :class:`~repro.llm.generation.GenerationConfig`, and
-the slot lets go of the KV.  Decoding one state under one config is
-deterministic, so a later query on the slot under that config is
-finished at admission with those tokens and never joins the scheduler;
-under another config the slot is prefilled again (a miss).  The CiM
-search still runs for every query — the retrieved index is half the
-key — so retrieval telemetry and crossbar counters are per query.
+not answers.
+
+A query admitted by :meth:`PromptServeEngine.begin_query` — the serving
+path the gateway drives — also reuses a finished answer.  Its slot goes
+*queued* (the prompt waits on the admission's prefill batch) →
+*prefilled* (it holds the KV state) → *answered*: the first such
+generation from it that ends on EOS or a limit leaves its tokens, and
+the :class:`~repro.llm.generation.GenerationConfig` they were decoded
+under, on the slot, which lets go of the KV.  Decoding one state under
+one config is deterministic, so a later ``begin_query`` on the slot
+under that config (an *answer hit*) is finished at admission with those
+tokens and never joins the scheduler; one under another config takes a
+fresh slot in its place (a miss).  The blocking calls,
+:meth:`PromptServeEngine.query` and ``answer_batch``, neither take nor
+keep an answer: they decode every query, so they are the one-at-a-time
+and batched reference decodes a served answer is checked against (an
+answered slot is a miss for them).  The CiM search still runs for every
+query — the retrieved index is half the key — so retrieval telemetry
+and crossbar counters are per query.
 
 There is one serving path.  Every query — :meth:`PromptServeEngine.query`
-is ``answer_batch`` of one — is admitted to one
-:class:`~repro.llm.generation.DecodeScheduler` (or, an answer hit,
-finished by that admission): admission scores all of a
+is ``answer_batch`` of one, ``begin_query`` the same admission of one —
+is admitted to one :class:`~repro.llm.generation.DecodeScheduler` (or,
+an answer hit, finished by that admission): admission scores all of a
 user's query texts in one :meth:`~repro.retrieval.CiMSearchEngine
 .query_batch` call (a single batched in-memory GMM per scale against that
 user's crossbars; per-request telemetry and the deployment's priced
@@ -547,7 +556,9 @@ class PromptServeEngine:
         answers advance one token per round through a single forward over
         the shared model — the multi-user throughput path.  Responses are
         token-identical to issuing the same requests one at a time through
-        :meth:`query`.
+        :meth:`query`.  Like :meth:`query`, it decodes every answer: it
+        neither takes nor keeps the answer a prefill slot holds for
+        :meth:`begin_query`.
         """
         with self._lock:
             return self._answer_batch_locked(requests)
@@ -573,7 +584,10 @@ class PromptServeEngine:
         The retrieval happens now (so telemetry is snapshotted against the
         current deployment) and the first token is sampled from the
         prefill logits; the answer then advances one token per
-        :meth:`run_decode_round` until it retires.  The returned handle's
+        :meth:`run_decode_round` until it retires.  A query whose prefill
+        slot holds an answer decoded under its config is done at once,
+        with that answer; the first answer from a slot that ends on EOS or
+        a limit is kept on it.  Either way the returned handle's
         ``response`` is token-identical to what :meth:`query` would have
         produced.
 
@@ -583,7 +597,7 @@ class PromptServeEngine:
         """
         with self._lock:
             admitted: list[PendingQuery] = []
-            self._admit([request], admitted, deadline)
+            self._admit([request], admitted, deadline, answers=True)
             return admitted[0]
 
     def run_decode_round(self) -> DecodeRoundReport:
@@ -614,7 +628,8 @@ class PromptServeEngine:
     # ------------------------------------------------------------------
     def _admit(self, requests: list[QueryRequest],
                admitted: list[PendingQuery],
-               deadline: float | None = None) -> None:
+               deadline: float | None = None, *,
+               answers: bool = False) -> None:
         """Retrieve/restore/prefill a batch of queries and admit them,
         appending each handle to ``admitted`` in request order.
 
@@ -633,9 +648,11 @@ class PromptServeEngine:
         telemetry and the priced cost are snapshotted at resolution, so
         the eventual response is what it would have been served alone,
         even if the session is evicted (or retrained) while the answer is
-        in flight.  A query whose slot holds the answer for its config is
-        finished as it enters, without decoding.  The latency clock
-        starts here, before retrieval and prefill.
+        in flight.  With ``answers`` (:meth:`begin_query`'s admission of
+        one), a query whose slot holds an answer decoded under its config
+        is finished as it enters, without decoding, and a decoded answer
+        is kept on its slot.  The latency clock starts here, before
+        retrieval and prefill.
         """
         admitted_at = time.perf_counter()
         default = self.default_generation()
@@ -660,10 +677,10 @@ class PromptServeEngine:
                     slot = session.prefill_state(
                         request.text, index,
                         lambda: deployment.restored_prompt(index), batch,
-                        generation)
+                        generation if answers else None)
                     pending = PendingQuery(request)
                     pending._session = session
-                    pending._slot = slot
+                    pending._slot = slot if answers else None
                     pending._admitted_at = admitted_at
                     pending._retrieval = (index, tuple(float(s) for s in row),
                                           deployment.engine.n_stored, cost)
@@ -674,35 +691,31 @@ class PromptServeEngine:
             try:
                 self.prefill_forwards += batch.run()
             except BaseException:
-                # Nothing is admitted, and no LRU keeps a slot queued on
-                # the failed batch (the batch ran before anything else
-                # could read the LRUs).
+                # Nothing is admitted, and no LRU keeps a slot still
+                # queued on the failed batch (the batch ran before
+                # anything else could read the LRUs); an answered slot,
+                # which holds no state either, stays.
                 for pending, _, _ in filter(None, resolved):
                     cached = pending._session._prefill_states
                     for key in [key for key, slot in cached.items()
-                                if slot.queued]:
+                                if slot.ids is not None]:
                         del cached[key]
                 raise
             self.prefill_rows += rows
-            # Each query's state is read before any enters: one that
-            # finishes as it enters lets go of its slot's KV, which a
-            # later query of the batch under another config decodes from.
-            entries = [(pending, slot.state, generation)
-                       for pending, slot, generation
-                       in filter(None, resolved)]
-            for pending, state, generation in entries:
-                self._enter(pending, state, generation, deadline)
+            for pending, slot, generation in filter(None, resolved):
+                self._enter(pending, slot.state, generation, deadline)
                 admitted.append(pending)
 
     def _enter(self, pending: PendingQuery, state: PrefillState | None,
                generation: GenerationConfig,
                deadline: float | None) -> None:
         """Admit one resolved query to the decoder, or finish it at once
-        from its slot's kept answer."""
+        from the answer its slot keeps (an answered slot is a hit only
+        for a query under the answer's config)."""
         pending._session.generations_in_flight += 1
         self.admitted += 1
         self._pending.append(pending)
-        answer = pending._slot.answers.get(generation)
+        answer = pending._slot.answer if pending._slot is not None else None
         if answer is not None:
             pending._sequence = answer
             self.answer_hits += 1
@@ -722,12 +735,13 @@ class PromptServeEngine:
 
     def _finalize(self, pending: PendingQuery) -> None:
         """Turn a retired generation into its response (exactly once),
-        leaving its answer on the query's prefill slot."""
+        leaving its answer on the prefill slot of a :meth:`begin_query`."""
         request = pending.request
         sequence = pending._sequence
         if sequence.finish_reason in ("cancelled", "deadline"):
             pending.cancelled = True
-        pending._slot.keep(sequence)
+        if pending._slot is not None:
+            pending._slot.keep(sequence)
         index, scores, n_ovts, cost = pending._retrieval
         pending.response = QueryResponse(
             user_id=request.user_id,

@@ -26,14 +26,15 @@ The session also keeps a small LRU cache of decode-ready prefills
 :class:`PrefillBatch`) keyed by ``(query text, OVT index)``: a repeated
 query (within a batch or across batches) pays the KV prefill once.  A
 slot is *queued* on a batch, then *prefilled* (it holds the KV state
-decodes start from), then *answered*: the first answer that completes
-from it is kept per :class:`~repro.llm.generation.GenerationConfig` and
-the KV state is let go, since decoding the same state under the same
-config is deterministic (greedy, or sampled from the config's seed).  A
-repeat under a kept config is answered without decoding; one under
-another config queues the slot again.  Publishing an epoch clears the
-cache along with the deployment, since a retrained library restores
-different soft prompts.
+decodes start from), then — on the engine's serving path,
+``begin_query`` — *answered*: it keeps the first answer that completes
+from it, with the :class:`~repro.llm.generation.GenerationConfig` it was
+decoded under, and lets go of the KV state, since decoding the same
+state under the same config is deterministic (greedy, or sampled from
+the config's seed).  A repeat under that config is answered without
+decoding; one under another config, or from a call that always decodes,
+takes a fresh slot in its place.  Publishing an epoch clears the cache along with the
+deployment, since a retrained library restores different soft prompts.
 """
 
 from __future__ import annotations
@@ -66,15 +67,13 @@ __all__ = ["UserSession", "PrefillSlot", "PrefillBatch", "SlotAnswer"]
 # Per-session bound on cached prefill states (each holds per-layer KV
 # tensors, so the footprint is context-length x layers, not unbounded).
 _MAX_PREFILL_STATES = 32
-# Per-slot bound on kept answers: one per config, the oldest let go first.
-_MAX_SLOT_ANSWERS = 4
 # How a generation may end for its answer to be kept: the ones a decode
 # of the same state under the same config always reaches.
 _KEPT_REASONS = ("eos", "length", "context")
 
 
 class SlotAnswer:
-    """A finished answer a :class:`PrefillSlot` keeps for one config.
+    """The answer a :class:`PrefillSlot` keeps.
 
     Reads as the retired sequence it came from (``config``,
     ``finish_reason``, ``token_ids()``), so the engine finalises a query
@@ -96,50 +95,35 @@ class SlotAnswer:
 class PrefillSlot:
     """A prefill-LRU entry, in one of three states.
 
-    *Queued*: the prompt (``ids``, ``soft_prompt``) waits on a
-    :class:`PrefillBatch`.  *Prefilled*: the batch ran and ``state``
+    *Queued*: the prompt (``ids``, ``soft_prompt``; None once run) waits
+    on a :class:`PrefillBatch`.  *Prefilled*: the batch ran and ``state``
     holds the :class:`~repro.llm.generation.PrefillState`.  *Answered*:
-    ``answers`` holds the first answer completed per config
-    (:meth:`keep`) and ``state`` is let go; queueing the slot again (a
-    config it holds no answer for) keeps its answers.
+    ``answer`` holds the first answer completed from the slot
+    (:meth:`keep`) and ``state`` is let go.
     """
 
-    __slots__ = ("ids", "soft_prompt", "state", "answers")
+    __slots__ = ("ids", "soft_prompt", "state", "answer")
 
-    def __init__(self):
-        self.ids: np.ndarray | None = None
-        self.soft_prompt: np.ndarray | None = None
+    def __init__(self, ids: np.ndarray, soft_prompt: np.ndarray):
+        self.ids: np.ndarray | None = ids
+        self.soft_prompt: np.ndarray | None = soft_prompt
         self.state: PrefillState | None = None
-        self.answers: dict[GenerationConfig, SlotAnswer] = {}
-
-    @property
-    def queued(self) -> bool:
-        """Whether the prompt waits on a batch that has not filled it."""
-        return self.ids is not None
-
-    def serves(self, generation: GenerationConfig | None) -> bool:
-        """Whether a query under ``generation`` needs no prefill: the slot
-        is queued, holds its state, or holds that config's answer."""
-        return (self.queued or self.state is not None
-                or generation in self.answers)
+        self.answer: SlotAnswer | None = None
 
     def keep(self, sequence) -> None:
         """Keep a retired generation's answer and let go of the KV state.
 
         ``sequence`` is a retired :class:`~repro.llm.generation
         .DecodeSequence` (or the :class:`SlotAnswer` a query was answered
-        from, which changes nothing).  Only an answer that ended on EOS
-        or a limit is kept — one cut by a deadline or a cancel is a
-        prefix of what the config decodes to — and only the first per
-        config.
+        from, which changes nothing).  Only the first answer is kept, and
+        only one that ended on EOS or a limit: one cut by a deadline or a
+        cancel is a prefix of what the config decodes to.
         """
-        if (sequence.finish_reason not in _KEPT_REASONS
-                or sequence.config in self.answers):
+        if (self.answer is not None
+                or sequence.finish_reason not in _KEPT_REASONS):
             return
-        if len(self.answers) >= _MAX_SLOT_ANSWERS:
-            del self.answers[next(iter(self.answers))]
-        self.answers[sequence.config] = SlotAnswer(
-            sequence.config, sequence.token_ids(), sequence.finish_reason)
+        self.answer = SlotAnswer(sequence.config, sequence.token_ids(),
+                                 sequence.finish_reason)
         self.state = None
 
 
@@ -160,16 +144,13 @@ class PrefillBatch:
         """Prompts added and not yet run."""
         return len(self._slots)
 
-    def add(self, ids: np.ndarray, soft_prompt: np.ndarray,
-            slot: PrefillSlot | None = None) -> PrefillSlot:
-        """Queue one prompt (1-D ids behind its (P, d_model) soft prompt)
-        on ``slot`` (a new one by default) and return the slot; raises
-        ``ValueError``, queueing nothing, where :func:`prefill` would
-        refuse it."""
+    def add(self, ids: np.ndarray, soft_prompt: np.ndarray) -> PrefillSlot:
+        """Queue one prompt (1-D ids behind its (P, d_model) soft prompt);
+        raises ``ValueError``, queueing nothing, where :func:`prefill`
+        would refuse it."""
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         check_prompt_room(self.model, ids.size, len(soft_prompt))
-        slot = slot if slot is not None else PrefillSlot()
-        slot.ids, slot.soft_prompt = ids, soft_prompt
+        slot = PrefillSlot(ids, soft_prompt)
         self._slots.append(slot)
         return slot
 
@@ -177,7 +158,7 @@ class PrefillBatch:
         """Prefill every queued prompt into its slot; returns the number
         of forwards run (one per distinct prompt shape).  A stack whose
         forward raises leaves its slots, and those of the stacks after
-        it, :attr:`~PrefillSlot.queued`."""
+        it, queued (``ids`` set)."""
         stacks: dict[tuple[int, int], list[PrefillSlot]] = {}
         for slot in self._slots:
             stacks.setdefault((slot.ids.size, len(slot.soft_prompt)),
@@ -327,34 +308,35 @@ class UserSession:
         ovt_index: int,
         restore_prompt: Callable[[], np.ndarray],
         batch: PrefillBatch,
-        generation: GenerationConfig | None = None,
+        generation: GenerationConfig | None,
     ) -> PrefillSlot:
         """The slot of the decode-ready prefill of ``prompt + text``,
         cached per session.
 
         A hit returns the cached slot — its state already there, arriving
         with ``batch`` when an earlier query of the same batch missed on
-        the same key, or let go once the slot holds the answer for
-        ``generation`` (the config the query decodes under).  A miss
-        queues the prompt on ``batch`` (its state arrives when the batch
-        runs) and caches the slot at once, so the LRU's contents and
-        order are what prefilling the queries one by one would leave; an
-        answered slot missed under another config is queued again and
-        keeps its answers.  ``restore_prompt`` is only invoked on a miss,
-        so a repeated query skips the NVM read-back and autoencoder
-        decode entirely.  It must restore the soft prompt for
-        ``ovt_index`` from the *current* deployment — the cache key
-        assumes it, and publishing an epoch (which changes what each
-        index restores to) clears the cache.
+        the same key, or let go because the slot holds an answer decoded
+        under ``generation``.  ``generation`` is the config of a query
+        that may take the slot's answer, None for one that decodes in any
+        case.  A miss queues the prompt on ``batch`` (its state arrives
+        when the batch runs) and caches the slot at once, so the LRU's
+        contents and order are what prefilling the queries one by one
+        would leave; the fresh slot replaces an answered one, dropping
+        its answer.  ``restore_prompt`` is only invoked on a miss, so a
+        repeated query skips the NVM read-back and autoencoder decode
+        entirely.  It must restore the soft prompt for ``ovt_index`` from
+        the *current* deployment — the cache key assumes it, and
+        publishing an epoch (which changes what each index restores to)
+        clears the cache.
         """
         key = (text, ovt_index)
         slot = self._prefill_states.get(key)
         if slot is not None:
             self._prefill_states.move_to_end(key)
-            if slot.serves(generation):
+            if slot.answer is None or slot.answer.config == generation:
                 self.prefill_hits += 1
                 return slot
-        slot = batch.add(self.tokenizer.encode(text), restore_prompt(), slot)
+        slot = batch.add(self.tokenizer.encode(text), restore_prompt())
         self._prefill_states[key] = slot
         while len(self._prefill_states) > _MAX_PREFILL_STATES:
             self._prefill_states.popitem(last=False)
@@ -362,8 +344,8 @@ class UserSession:
 
     def prefill_cache_bytes(self) -> int:
         """Approximate KV footprint of the cached prefill states: the
-        slots prefilled and waiting for an answer (an answered slot has
-        let go of its KV)."""
+        prefilled slots, not yet answered (an answered slot has let go
+        of its KV)."""
         return sum(slot.state.cache.memory_bytes()
                    for slot in self._prefill_states.values()
                    if slot.state is not None)

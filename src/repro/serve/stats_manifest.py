@@ -54,8 +54,9 @@ STATS_MANIFEST = {
     "requests_served": "additive",
     "stored_ovts": "additive",
     "prefill_hits": "additive",
-    # Gauge: KV held by prefill slots waiting for their answer (an
-    # answered slot lets go of its KV and keeps the answer's tokens).
+    # Gauge: KV held by prefilled slots, those waiting for their answer
+    # (an answered slot lets go of its KV and keeps the answer's tokens;
+    # a slot only query/answer_batch used keeps its KV and no answer).
     "prefill_cache_bytes": "additive",
     # Prefill misses run stacked: one forward per prompt length of an
     # admission batch (a batch of eight equal-length misses is one

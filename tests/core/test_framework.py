@@ -275,10 +275,10 @@ class TestFacade:
             stats = system.engine.stats()
             assert stats["requests_served"] == served + 1
         assert stats["admitted"] == stats["latency_ms"]["count"] == 2
-        # The first answer let go of the slot's KV; the second config
-        # prefills again.
-        assert stats["prefill_hits"] == stats["answer_hits"] == 0
-        assert stats["prefill_rows"] == 2
+        # The facade's query keeps no answer on the slot, so the second
+        # config decodes from the first one's prefill.
+        assert stats["prefill_hits"] == stats["prefill_rows"] == 1
+        assert stats["answer_hits"] == 0
 
     def test_deployment_rebuilt_after_new_epoch(self, setup):
         model, tok = setup

@@ -63,7 +63,13 @@ class TestRoundTrips:
                 over_http = client.query(
                     user_id, sample.input_text, generation=generation,
                     request_id=f"u{user_id}-q{i}")
+                # query never takes the answer the HTTP query left on the
+                # slot: it prefills again and decodes alone.
+                before = engine.stats()
                 direct = engine.query(request)
+                after = engine.stats()
+                assert after["answer_hits"] == before["answer_hits"]
+                assert after["prefill_rows"] == before["prefill_rows"] + 1
                 assert over_http == direct   # every field, exactly
 
     def test_repeat_is_answered_from_the_prefill_slot(self, engine, client):

@@ -1,12 +1,14 @@
-"""A repeated query is answered from its prefill slot.
+"""A repeated ``begin_query`` is answered from its prefill slot.
 
-The first answer that completes from a prefill slot under a
-``GenerationConfig`` stays on the slot, and the slot lets go of its KV;
-a repeat under that config is finished at admission with those tokens.
-The contract: such an answer equals a decoded one byte for byte, every
+The first answer that completes from a prefill slot through
+``begin_query`` stays on the slot with its ``GenerationConfig``, and the
+slot lets go of its KV; a repeat under that config is finished at
+admission with those tokens.  The contract: such an answer equals a
+decoded one byte for byte; the blocking calls (``query``,
+``answer_batch``) neither take nor keep an answer, so they decode; every
 invalidation of the prefill cache (publish, adopt, evict and restore)
-clears the answers with it, an answer cut short (deadline, cancel) is
-never kept, another config prefills again, and ``answer_hits <=
+clears the answers with it; an answer cut short (deadline, cancel) is
+never kept; another config takes a fresh slot; and ``answer_hits <=
 prefill_hits <= requests_served`` all stay monotone.
 """
 
@@ -63,6 +65,14 @@ def request(user_id=0, generation=GREEDY, request_id="", index=0):
                         generation=generation, request_id=request_id)
 
 
+def serve(engine, request):
+    """The serving path: admit with ``begin_query``, drive the rounds."""
+    pending = engine.begin_query(request)
+    while not pending.done:
+        engine.run_decode_round()
+    return pending.response
+
+
 def counts(engine):
     stats = engine.stats()
     return {key: stats[key] for key in ("answer_hits", "prefill_hits",
@@ -73,33 +83,47 @@ def counts(engine):
 class TestRepeatEqualsDecode:
     @pytest.mark.parametrize("generation", [GREEDY, SAMPLED],
                              ids=["greedy", "sampled"])
-    def test_query(self, setup, generation):
+    def test_begin_query(self, setup, generation):
         engine = build_engine(setup)
-        first = engine.query(request(generation=generation, request_id="a"))
+        first = serve(engine, request(generation=generation, request_id="a"))
         before = counts(engine)
-        second = engine.query(request(generation=generation, request_id="b"))
+        second = engine.begin_query(request(generation=generation,
+                                            request_id="b"))
         after = counts(engine)
+        assert second.done and not second.cancelled
+        assert second.finish_reason == "length"
         assert after["answer_hits"] == before["answer_hits"] + 1
         assert after["decode_rounds"] == before["decode_rounds"]
-        assert second.request_id == "b"
-        assert second == dataclasses.replace(first, request_id="b")
-        oracle = answer_sequential(engine, request(generation=generation))
-        assert second.answer.encode() == first.answer.encode() \
-            == oracle.encode()
-
-    def test_begin_query_plus_rounds(self, setup):
-        engine = build_engine(setup)
-        first = engine.begin_query(request())
-        while not first.done:
-            engine.run_decode_round()
-        rounds = engine.stats()["decode_rounds"]
-        second = engine.begin_query(request())
-        assert second.done and not second.cancelled
-        assert second.finish_reason == first.finish_reason == "length"
-        assert second.response == first.response
-        assert engine.stats()["decode_rounds"] == rounds
         assert engine.stats()["pending_generations"] == 0
         assert engine.session(0).generations_in_flight == 0
+        assert second.response == dataclasses.replace(first, request_id="b")
+        # The reference decodes alone: a miss on the answered slot.
+        reference = engine.query(request(generation=generation,
+                                         request_id="b"))
+        assert counts(engine)["answer_hits"] == after["answer_hits"]
+        assert counts(engine)["prefill_rows"] == after["prefill_rows"] + 1
+        assert reference == second.response
+        oracle = answer_sequential(engine, request(generation=generation))
+        assert second.response.answer.encode() == first.answer.encode() \
+            == oracle.encode()
+
+    def test_blocking_calls_decode_every_repeat(self, setup):
+        engine = build_engine(setup)
+        first = engine.query(request())
+        before = counts(engine)
+        assert engine.query(request()) == first
+        after = counts(engine)
+        # query keeps no answer: the slot kept its KV, and the repeat
+        # decoded from it.
+        assert after["answer_hits"] == 0
+        assert after["prefill_hits"] == before["prefill_hits"] + 1
+        assert after["decode_rounds"] > before["decode_rounds"]
+        assert engine.answer_batch([request()]) == [first]
+        assert counts(engine)["answer_hits"] == 0
+        # The serving path decodes from the same slot and keeps its answer.
+        assert serve(engine, request()) == first
+        assert engine.begin_query(request()).response == first
+        assert counts(engine)["answer_hits"] == 1
 
     def test_answer_batch_holding_duplicates(self, setup):
         requests = [request(request_id="d0"), request(1, request_id="o"),
@@ -107,20 +131,25 @@ class TestRepeatEqualsDecode:
         engine, fresh = build_engine(setup), build_engine(setup)
         batched = engine.answer_batch(requests)
         assert batched == [fresh.query(r) for r in requests]
-        # Served again, every query is finished at admission.
-        hits = engine.stats()["answer_hits"]
+        rounds = counts(engine)["decode_rounds"]
         assert engine.answer_batch(requests) == batched
-        assert engine.stats()["answer_hits"] == hits + len(requests)
+        assert counts(engine)["decode_rounds"] > rounds
+        assert counts(engine)["answer_hits"] == 0
+        # Served through begin_query, the first of a pair decodes and
+        # every repeat is finished at admission.
+        served = [serve(engine, r) for r in requests]
+        assert served == batched
+        assert counts(engine)["answer_hits"] == 2
 
 
 class TestInvalidation:
     def test_publish_clears_the_answers(self, setup):
         engine = build_engine(setup)
-        engine.query(request())
+        serve(engine, request())
         engine.submit(TuneRequest(user_id=0,
                                   samples=samples_for(0, seed=7)))
         before = counts(engine)
-        answer = engine.query(request()).answer
+        answer = serve(engine, request()).answer
         after = counts(engine)
         assert after["answer_hits"] == before["answer_hits"]
         assert after["prefill_rows"] == before["prefill_rows"] + 1
@@ -128,10 +157,10 @@ class TestInvalidation:
 
     def test_adopt_clears_the_answers(self, setup):
         engine = build_engine(setup)
-        engine.query(request())
+        serve(engine, request())
         engine.load_session(0, engine.session(1).library)
         before = counts(engine)
-        answer = engine.query(request()).answer
+        answer = serve(engine, request()).answer
         after = counts(engine)
         assert after["answer_hits"] == before["answer_hits"]
         assert after["prefill_rows"] == before["prefill_rows"] + 1
@@ -139,10 +168,10 @@ class TestInvalidation:
 
     def test_evict_then_restore_clears_the_answers(self, setup):
         engine = build_engine(setup, session_store=SessionStore())
-        first = engine.query(request())
+        first = serve(engine, request())
         assert engine.drop_session(0)            # spilled to the store
         before = counts(engine)
-        again = engine.query(request())
+        again = serve(engine, request())
         after = counts(engine)
         assert engine.stats()["sessions_restored"] == 1
         assert after["answer_hits"] == before["answer_hits"]
@@ -157,7 +186,7 @@ class TestCutAnswersAreNotKept:
                                      deadline=time.monotonic() - 1.0)
         engine.run_decode_round()
         assert pending.finish_reason == "deadline"
-        answer = engine.query(request()).answer
+        answer = serve(engine, request()).answer
         stats = engine.stats()
         assert (stats["answer_hits"], stats["prefill_hits"]) == (0, 1)
         assert answer == build_engine(setup).query(request()).answer
@@ -168,7 +197,7 @@ class TestCutAnswersAreNotKept:
         engine.run_decode_round()
         assert engine.cancel_query(pending)
         assert pending.finish_reason == "cancelled"
-        answer = engine.query(request()).answer
+        answer = serve(engine, request()).answer
         stats = engine.stats()
         assert (stats["answer_hits"], stats["prefill_hits"]) == (0, 1)
         assert answer == build_engine(setup).query(request()).answer
@@ -176,37 +205,26 @@ class TestCutAnswersAreNotKept:
 
 
 class TestConfigs:
-    def test_another_config_prefills_again(self, setup):
+    def test_another_config_takes_a_fresh_slot(self, setup):
         engine = build_engine(setup)
-        greedy = engine.query(request(generation=GREEDY))
-        sampled = engine.query(request(generation=SAMPLED))
+        greedy = serve(engine, request(generation=GREEDY))
+        sampled = serve(engine, request(generation=SAMPLED))
         stats = engine.stats()
         assert (stats["prefill_hits"], stats["prefill_rows"]) == (0, 2)
-        # The slot keeps both answers.
-        assert engine.query(request(generation=GREEDY)) == greedy
-        assert engine.query(request(generation=SAMPLED)) == sampled
+        assert len(engine.session(0)._prefill_states) == 1
+        assert serve(engine, request(generation=SAMPLED)) == sampled
+        assert engine.stats()["answer_hits"] == 1
+        # The fresh slot dropped the greedy answer: greedy prefills again.
+        assert serve(engine, request(generation=GREEDY)) == greedy
         stats = engine.stats()
-        assert (stats["answer_hits"], stats["prefill_hits"]) == (2, 2)
-
-    def test_a_slot_keeps_the_last_four_configs(self, setup):
-        engine = build_engine(setup)
-        configs = [dataclasses.replace(SAMPLED, seed=seed)
-                   for seed in range(5)]
-        for generation in configs:
-            engine.query(request(generation=generation))
-        hits = engine.stats()["answer_hits"]
-        for generation in configs[1:]:
-            engine.query(request(generation=generation))
-        assert engine.stats()["answer_hits"] == hits + 4
-        engine.query(request(generation=configs[0]))   # dropped first
-        assert engine.stats()["answer_hits"] == hits + 4
+        assert (stats["answer_hits"], stats["prefill_rows"]) == (1, 3)
 
     def test_the_paper_default_is_one_config(self, setup):
         """``generation=None`` decodes under the engine's default, and a
         repeat under it is an answer hit."""
         engine = build_engine(setup)
-        first = engine.query(request(generation=None))
-        assert engine.query(request(generation=None)) == first
+        first = serve(engine, request(generation=None))
+        assert serve(engine, request(generation=None)) == first
         assert engine.stats()["answer_hits"] == 1
 
     def test_a_failed_prefill_keeps_answered_slots(self, setup,
@@ -214,19 +232,19 @@ class TestConfigs:
         """The clean-up after a failed prefill forward drops the slots
         queued on the batch, not an answered slot that holds no KV."""
         engine = build_engine(setup)
-        kept = engine.query(request())
+        kept = serve(engine, request())
 
         def fails(*args, **kwargs):
             raise MemoryError("no room for the stack")
 
         monkeypatch.setattr(session_module, "prefill", fails)
         with pytest.raises(MemoryError):
-            engine.answer_batch([request(), request(index=1)])
+            engine.begin_query(request(index=1))
         monkeypatch.undo()
         lru = engine.session(0)._prefill_states
         assert [text for text, _ in lru] == [text_for(0)]
         hits = engine.stats()["answer_hits"]
-        assert engine.query(request()) == kept
+        assert engine.begin_query(request()).response == kept
         assert engine.stats()["answer_hits"] == hits + 1
 
 
@@ -234,18 +252,21 @@ def test_hit_counters_are_ordered_and_monotone(setup):
     engine = build_engine(setup, max_sessions=1,
                           session_store=SessionStore())
     steps = [
+        lambda: serve(engine, request(1)),
+        lambda: serve(engine, request(1)),
         lambda: engine.query(request(1)),
-        lambda: engine.query(request(1)),
-        lambda: engine.query(request(0)),           # evicts user 1
+        lambda: serve(engine, request(0)),          # evicts user 1
         lambda: engine.answer_batch([request(0), request(0, SAMPLED),
                                      request(0)]),
-        lambda: engine.query(request(1)),           # restores user 1
-        lambda: engine.query(request(1)),
+        lambda: serve(engine, request(0, SAMPLED)),
+        lambda: serve(engine, request(1)),          # restores user 1
+        lambda: serve(engine, request(1)),
         lambda: engine.submit(TuneRequest(user_id=1,
                                           samples=samples_for(1, seed=7))),
-        lambda: engine.query(request(1)),
+        lambda: serve(engine, request(1)),
+        lambda: serve(engine, request(1)),
         lambda: engine.drop_session(1, spill=False),
-        lambda: engine.query(request(0, SAMPLED)),
+        lambda: serve(engine, request(0, SAMPLED)),
     ]
     previous = counts(engine)
     for step in steps:

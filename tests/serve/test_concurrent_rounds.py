@@ -73,7 +73,10 @@ class TestConcurrentAdmissionAndRounds:
         _, tok = setup
         engine = build_engine(setup)
         requests = requests_for(tok)
-        reference = [engine.query(request) for request in requests]
+        # The reference from an engine of its own: the threaded queries
+        # share no prefill slot with it, so each one decodes.
+        reference_engine = build_engine(setup)
+        reference = [reference_engine.query(request) for request in requests]
 
         handles = [None] * len(requests)
         start = threading.Barrier(4)
@@ -104,15 +107,25 @@ class TestConcurrentAdmissionAndRounds:
             rounds.join(timeout=60)
         assert all(handle is not None for handle in handles)
         assert [handle.response for handle in handles] == reference
+        stats = engine.stats()
+        assert stats["answer_hits"] == 0
+        # Every query prefilled its own slot and decoded in rounds.
+        assert stats["prefill_rows"] == len(requests)
+        assert stats["decode_rounds"] > 0
 
     def test_eviction_mid_round_under_load(self, setup):
         _, tok = setup
         engine = build_engine(setup)
         requests = requests_for(tok)
         survivors = [r for r in requests if r.user_id != 1]
-        reference = {r.request_id: engine.query(r) for r in survivors}
+        # The reference from an engine of its own, so that the survivors
+        # decode here, in rounds shared with the evicted user's queries.
+        reference_engine = build_engine(setup)
+        reference = {r.request_id: reference_engine.query(r)
+                     for r in survivors}
 
         handles = [engine.begin_query(r) for r in requests]
+        assert not any(handle.done for handle in handles)
         engine.run_decode_round()          # everyone produces a token
         start = threading.Barrier(2)
         evicted = []
@@ -133,6 +146,7 @@ class TestConcurrentAdmissionAndRounds:
             else:
                 assert not handle.cancelled
                 assert handle.response == reference[request.request_id]
+        assert engine.stats()["answer_hits"] == 0
 
     def test_concurrent_stats_and_observes_during_rounds(self, setup):
         _, tok = setup
@@ -236,9 +250,8 @@ class TestCancellation:
         sample = next(iter(stream_for(0, 1, seed=42)))
         request = QueryRequest(user_id=0, text=sample.input_text,
                                generation=generation, request_id="cancel-0")
-        # The full answer from an engine of its own: served here first,
-        # it would leave its answer on the prefill slot, and the query
-        # below would be done at admission with nothing left to cancel.
+        # The full answer from an engine of its own, so that the query
+        # below shares no prefill slot with it and decodes.
         full = build_engine(setup, user_ids=(0,)).query(request)
         pending = engine.begin_query(request)
         engine.run_decode_round()

@@ -344,10 +344,11 @@ class TestPrefillSharing:
         while not pending.done:
             engine.run_decode_round()
         assert engine.stats()["prefill_cache_bytes"] == 0
-        second = engine.query(request)
+        second = engine.begin_query(request)
+        assert second.done
         stats = engine.stats()
         assert (stats["prefill_hits"], stats["answer_hits"]) == (1, 1)
-        assert second.answer == pending.response.answer
+        assert second.response.answer == pending.response.answer
 
     def test_batch_shares_prefill_and_matches_sequential(self, setup):
         model, tok = setup
@@ -387,14 +388,14 @@ class TestPrefillSharing:
 
         batch = PrefillBatch(model)
         first = session.prefill_state("movie about robot tag", 0, restore,
-                                      batch)
+                                      batch, None)
         second = session.prefill_state("movie about robot tag", 0, restore,
-                                       batch)
+                                       batch, None)
         assert second is first and first.state is None
         assert calls["n"] == 1 and len(batch) == 1
         assert batch.run() == 1
         later = session.prefill_state("movie about robot tag", 0, restore,
-                                      PrefillBatch(model))
+                                      PrefillBatch(model), None)
         assert later is first and later.state is not None
         assert calls["n"] == 1
 
