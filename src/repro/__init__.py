@@ -11,7 +11,7 @@ its NVM deployment.  Training data arrives as
 batches via ``submit_batch`` / ``answer_batch``), and every
 :class:`QueryResponse` carries retrieval telemetry: the selected OVT, the
 per-OVT similarity scores, and analytic CiM latency/energy estimates.
-:class:`NVCiMPT` remains as the single-user facade over the same engine.
+One user is an engine with one session (``max_sessions=1``).
 
 **Serving edge** (:mod:`repro.gateway`) — the network front.  A
 :class:`PromptGateway` exposes the engine over HTTP (pure stdlib asyncio)
@@ -37,7 +37,6 @@ plain data: :meth:`FrameworkConfig.to_dict` /
 from .core import (
     FrameworkConfig,
     NVCiMDeployment,
-    NVCiMPT,
     NoiseAwareTrainer,
     NoiseInjectionConfig,
     OVTLibrary,
@@ -86,7 +85,7 @@ __all__ = [
     # Serving edge
     "PromptGateway", "GatewayConfig", "GatewayClient",
     # Framework
-    "NVCiMPT", "FrameworkConfig", "OVTLibrary", "OVTTrainingPipeline",
+    "FrameworkConfig", "OVTLibrary", "OVTTrainingPipeline",
     "NVCiMDeployment", "NoiseAwareTrainer", "NoiseInjectionConfig",
     # Data
     "build_tokenizer", "build_corpus", "make_dataset", "available_datasets",

@@ -8,8 +8,8 @@ from .module import Module, Parameter
 from .tensor import Tensor, _unbroadcast
 from ..utils import rng_from_seed
 
-__all__ = ["Linear", "Embedding", "LayerNorm", "Sequential",
-           "QuantizedLinear", "quantize_groups"]
+__all__ = ["Linear", "Embedding", "LayerNorm", "QuantizedLinear",
+           "quantize_groups"]
 
 
 class Linear(Module):
@@ -320,15 +320,3 @@ class LayerNorm(Module):
         self.weight = Parameter(np.ones(dim))
         self.bias = Parameter(np.zeros(dim))
 
-
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.layers = list(modules)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x

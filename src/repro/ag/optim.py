@@ -1,8 +1,7 @@
 """Optimizers and learning-rate schedules for prompt tuning.
 
 The paper tunes virtual tokens with Adam at lr=1e-4 plus a scheduler; both
-are provided here, together with plain SGD (used in unit tests) and global
-gradient-norm clipping.
+are provided here, together with global gradient-norm clipping.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["SGD", "Adam", "LinearWarmupDecay", "clip_grad_norm"]
+__all__ = ["Adam", "LinearWarmupDecay", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: list[Tensor], max_norm: float) -> float:
@@ -30,56 +29,27 @@ def clip_grad_norm(parameters: list[Tensor], max_norm: float) -> float:
     return total
 
 
-class _Optimizer:
-    def __init__(self, parameters: list[Tensor], lr: float):
+class Adam:
+    """Adam (Kingma & Ba) with optional decoupled weight decay."""
+
+    def __init__(self, parameters, lr: float = 1e-4, betas: tuple[float, float] = (0.9, 0.999),
+                 eps: float = 1e-8, weight_decay: float = 0.0):
         self.parameters = [p for p in parameters if p.requires_grad]
         if not self.parameters:
             raise ValueError("optimizer received no trainable parameters")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.grad = None
-
-    def step(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class SGD(_Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters, lr: float = 1e-2, momentum: float = 0.0):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += param.grad
-                update = velocity
-            else:
-                update = param.grad
-            param.data -= self.lr * update
-
-
-class Adam(_Optimizer):
-    """Adam (Kingma & Ba) with optional decoupled weight decay."""
-
-    def __init__(self, parameters, lr: float = 1e-4, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.grad = None
 
     def step(self) -> None:
         self._step_count += 1
@@ -113,7 +83,7 @@ class LinearWarmupDecay:
     ``total_steps``.
     """
 
-    def __init__(self, optimizer: _Optimizer, warmup_steps: int, total_steps: int,
+    def __init__(self, optimizer: Adam, warmup_steps: int, total_steps: int,
                  final_factor: float = 0.0):
         if total_steps <= 0:
             raise ValueError("total_steps must be positive")

@@ -94,8 +94,7 @@ class GraphFreeInference(Rule):
 
 _TUNE_FILES = ("repro/compression/autoencoder.py",
                "repro/core/noise_training.py", "repro/core/framework.py",
-               "repro/llm/vjp.py", "repro/llm/pretrain.py",
-               "repro/eval/quantized.py")
+               "repro/llm/vjp.py", "repro/llm/pretrain.py")
 _TUNE_DIRS = ("tuning",)
 
 
@@ -104,12 +103,12 @@ class GraphFreeTuning(Rule):
 
     Covers every module under ``tuning/`` (the four prompt-tuning methods
     and their loop), ``compression/autoencoder.py``,
-    ``core/noise_training.py``, ``core/framework.py``, ``llm/vjp.py``,
-    ``llm/pretrain.py`` (which ``distill_draft`` runs too) and
-    ``eval/quantized.py``.  The autoencoder's ``fit``, every prompt-tuning
-    step and every pretraining step run the serving forward on raw arrays
-    (``infer.extend`` with a tape) and a hand-written backward that is
-    bit-identical to the autograd graph; the graph versions are test
+    ``core/noise_training.py``, ``core/framework.py``, ``llm/vjp.py`` and
+    ``llm/pretrain.py`` (which ``distill_draft`` runs too).  The
+    autoencoder's ``fit``, every prompt-tuning step and every pretraining
+    step run the serving forward on raw arrays (``infer.extend`` with a
+    tape) and a hand-written backward that is bit-identical to the
+    autograd graph; the graph versions are test
     oracles (``tests/oracles/autoencoder.py``, ``tests/oracles/tuning.py``,
     ``tests/oracles/training.py``), and so is the autograd transformer
     (``tests/oracles/graph.py``).

@@ -179,16 +179,6 @@ class CiMMatrix:
     # ------------------------------------------------------------------
     # Compute
     # ------------------------------------------------------------------
-    def matvec(self, x: np.ndarray, *,
-               quantize_output: bool = True) -> np.ndarray:
-        """In-memory ``x @ W`` with device noise; returns float (n,).
-
-        :meth:`matmat` with a batch of one, so single and batched queries
-        share one code path (and one set of counter semantics).
-        """
-        x = np.asarray(x, dtype=np.float32).reshape(1, -1)
-        return self.matmat(x, quantize_output=quantize_output)[0]
-
     def matmat(self, queries: np.ndarray, *,
                quantize_output: bool = True) -> np.ndarray:
         """Batched in-memory product ``X @ W`` for ``X`` of shape (B, d).

@@ -126,11 +126,6 @@ class OVTAutoencoder(Module):
             )
         return _affine(self.dec2, np.tanh(_affine(self.dec1, codes)))
 
-    def reconstruction_error(self, rows: np.ndarray) -> float:
-        """RMS reconstruction error on ``rows``."""
-        decoded = self.decode(self.encode(rows))
-        return float(np.sqrt(np.mean((decoded - rows) ** 2)))
-
     # ------------------------------------------------------------------
     # Matrix-level API with digital scale metadata.  Virtual tokens drift
     # to magnitudes far above the embedding rows the autoencoder trains

@@ -3,7 +3,6 @@
 from .framework import (
     FrameworkConfig,
     NVCiMDeployment,
-    NVCiMPT,
     OVTLibrary,
     OVTTrainingPipeline,
 )
@@ -22,5 +21,5 @@ __all__ = [
     "KSelectionConfig", "SelectionResult",
     "NoiseInjectionConfig", "NoiseInjector", "NoiseAwareTrainer",
     "FrameworkConfig", "OVTLibrary", "OVTTrainingPipeline",
-    "NVCiMDeployment", "NVCiMPT",
+    "NVCiMDeployment",
 ]

@@ -13,7 +13,7 @@ Two phases, mirroring the paper's training and inference modes:
   -> decode.  Prepending the restored prompt and generating is the
   serving engine's one decode loop (:mod:`repro.serve.engine`).
 
-:class:`NVCiMPT` is the convenience facade combining both.
+:class:`repro.serve.PromptServeEngine` runs both, one session per user.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from ..cim.energy import RetrievalCostReport
 from ..compression import AutoencoderConfig, OVTAutoencoder
 from ..data.buffer import DataBuffer
 from ..data.lamp import Sample
-from ..llm.generation import GenerationConfig
 from ..llm.tokenizer import Tokenizer
 from ..llm.transformer import TinyCausalLM
 from ..mitigation import MITIGATION_REGISTRY, make_mitigation
@@ -41,7 +40,7 @@ from .noise_training import NoiseAwareTrainer, NoiseInjectionConfig
 from .selection import KSelectionConfig, select_representatives
 
 __all__ = ["FrameworkConfig", "OVTLibrary", "OVTTrainingPipeline",
-           "NVCiMDeployment", "NVCiMPT"]
+           "NVCiMDeployment"]
 
 
 # Named configurations (JSON-style dicts, resolved by ``from_dict``).
@@ -392,41 +391,3 @@ class NVCiMDeployment:
         )
         return self
 
-
-class NVCiMPT:
-    """Facade: continuous learning plus NVM-backed inference.
-
-    Since the serving redesign this is a thin single-user wrapper over
-    :class:`repro.serve.PromptServeEngine` — the engine generalises the
-    same observe/answer loop to many users; this class keeps the original
-    one-user API (and its exact behavior) for existing callers.
-    """
-
-    _FACADE_USER = 0
-
-    def __init__(self, model: TinyCausalLM, tokenizer: Tokenizer,
-                 config: FrameworkConfig | None = None):
-        from ..serve.engine import PromptServeEngine  # circular at import time
-        self.model = model
-        self.tokenizer = tokenizer
-        self.config = config if config is not None else FrameworkConfig()
-        self.engine = PromptServeEngine(model, tokenizer, self.config,
-                                        max_sessions=1)
-        self._session = self.engine.session(self._FACADE_USER)
-
-    @property
-    def pipeline(self) -> OVTTrainingPipeline:
-        return self._session.pipeline
-
-    @property
-    def library(self) -> OVTLibrary:
-        return self._session.library
-
-    def observe(self, sample: Sample) -> None:
-        """Training mode: absorb one user interaction."""
-        self.engine.observe(self._FACADE_USER, sample)
-
-    def answer(self, input_text: str,
-               generation: GenerationConfig | None = None) -> str:
-        """Inference mode: answer with the best stored OVT."""
-        return self.engine.answer(self._FACADE_USER, input_text, generation)

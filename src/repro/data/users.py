@@ -31,16 +31,6 @@ class UserProfile:
         if self.rating_bias not in (-1, 0, 1):
             raise ValueError("rating_bias must be -1, 0 or +1")
 
-    def prefers(self, topic: str) -> bool:
-        return topic in self.preferred_topics
-
-    def preference_rank(self, topic: str) -> int:
-        """Lower is more preferred; unpreferred topics rank last."""
-        try:
-            return self.preferred_topics.index(topic)
-        except ValueError:
-            return len(self.preferred_topics)
-
 
 def make_user(user_id: int, *, seed: int = 0, n_topics: int = 3) -> UserProfile:
     """Deterministically synthesise user ``user_id``'s profile."""

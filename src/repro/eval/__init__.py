@@ -1,7 +1,5 @@
 """Metrics and experiment-running utilities."""
 
 from .metrics import Rouge1Score, classification_accuracy, rouge1, score_output
-from .quantized import perplexity, quantization_quality
 
-__all__ = ["rouge1", "Rouge1Score", "classification_accuracy", "score_output",
-           "perplexity", "quantization_quality"]
+__all__ = ["rouge1", "Rouge1Score", "classification_accuracy", "score_output"]

@@ -10,7 +10,6 @@ from .device_models import (
 )
 from .quantize import (
     Int16Codec,
-    digits_to_values,
     slice_to_digits,
     slice_weights,
 )
@@ -18,6 +17,6 @@ from .quantize import (
 __all__ = [
     "NVMDevice", "NVM_DEVICES", "get_device", "available_devices",
     "REFERENCE_SIGMA",
-    "Int16Codec", "slice_to_digits", "digits_to_values", "slice_weights",
+    "Int16Codec", "slice_to_digits", "slice_weights",
     "CrossbarStats", "TileBank", "TileView", "tile_extents",
 ]

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Int16Codec", "slice_to_digits", "digits_to_values",
-           "slice_weights"]
+__all__ = ["Int16Codec", "slice_to_digits", "slice_weights"]
 
 _INT16_MIN, _INT16_MAX = -32768, 32767
 _OFFSET = 32768  # excess-32768 representation keeps digits unsigned
@@ -55,21 +54,6 @@ def slice_weights(bits_per_cell: int, n_slices: int) -> np.ndarray:
         raise ValueError("n_slices must be positive")
     base = float(2 ** bits_per_cell)
     return base ** np.arange(n_slices, dtype=np.float64)
-
-
-def digits_to_values(digits: np.ndarray, bits_per_cell: int) -> np.ndarray:
-    """Recompose (possibly noisy, real-valued) digits into signed values.
-
-    Accepts float digits so analog read noise propagates with the correct
-    positional weight.
-    """
-    base = 2 ** bits_per_cell
-    n_slices = digits.shape[0]
-    if n_slices * bits_per_cell != 16:
-        raise ValueError("digit count does not add up to 16 bits")
-    weights = base ** np.arange(n_slices, dtype=np.float64)
-    total = np.tensordot(weights, digits.astype(np.float64), axes=(0, 0))
-    return total - _OFFSET
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,10 @@ The Weighted Multi-Scale Dot Product (Eq. 5) is
     WMSDP(e, p) = sum_i w_i * (Pool_i(e) . Pool_i(p)) / sum_i w_i
 
 with scales {1, 2, 4} and weights {1.0, 0.8, 0.6}; MIPS is the degenerate
-single-scale, weight-1 case.  With ``SearchConfig.normalize_scales``
-(the default, and every production config) each scale's pooled query and
-stored column are unit vectors, so each term is a per-scale cosine: SSA
-scores a weighted mean of cosines and MIPS the scale-1 cosine, not a raw
-inner product.
+single-scale, weight-1 case.  Each scale's pooled query and stored
+column are unit vectors, so each term is a per-scale cosine: SSA scores
+a weighted mean of cosines and MIPS the scale-1 cosine, not a raw inner
+product.
 
 Queries batch end to end: :meth:`CiMSearchEngine.query_batch` scores every
 pending query against every scale with one :meth:`CiMMatrix.matmat` per
@@ -53,7 +52,6 @@ class SearchConfig:
     weights: tuple[float, ...] = (1.0, 0.8, 0.6)
     pad_length: int = 16
     adc_bits: int = 8
-    normalize_scales: bool = True
 
     def __post_init__(self):
         if len(self.scales) != len(self.weights):
@@ -145,7 +143,7 @@ class CiMSearchEngine:
                 vector = multi_scale_vectors(m, (scale,),
                                              self.config.pad_length)[scale]
                 norm = float(np.linalg.norm(vector))
-                if self.config.normalize_scales and norm > 0:
+                if norm > 0:
                     vector = vector / norm
                 columns.append(vector)
                 norms.append(norm if norm > 0 else 1.0)
@@ -173,9 +171,7 @@ class CiMSearchEngine:
                   for q in encoded_queries]
         total = np.zeros((len(pooled), self._count), dtype=np.float64)
         for scale, weight in zip(self.config.scales, self.config.weights):
-            rows = [vectors[scale] for vectors in pooled]
-            if self.config.normalize_scales:
-                rows = [_unit(row) for row in rows]
+            rows = [_unit(vectors[scale]) for vectors in pooled]
             similarity = self._stores[scale].matmat(np.stack(rows))
             total += weight * similarity.astype(np.float64)
         return (total / sum(self.config.weights)).astype(np.float32)
@@ -193,9 +189,8 @@ class CiMSearchEngine:
         if 1 not in self.config.scales:
             raise RuntimeError("restore requires the scale-1 store")
         column = self._stores[1].read_columns(index, index + 1)[:, 0]
-        if self.config.normalize_scales:
-            # Stored columns are unit vectors; the norm travels digitally.
-            column = column * self._norms[1][index]
+        # Stored columns are unit vectors; the norm travels digitally.
+        column = column * self._norms[1][index]
         code_dim = column.size // self.config.pad_length
         full = column.reshape(self.config.pad_length, code_dim)
         return full[:self._row_counts[index]].copy()

@@ -77,7 +77,6 @@ import numpy as np
 
 from ..nvm.crossbar import CrossbarStats
 from ..core.framework import FrameworkConfig, OVTLibrary
-from ..data.lamp import Sample
 from ..llm.generation import (
     DecodeRoundReport,
     DecodeScheduler,
@@ -461,11 +460,6 @@ class PromptServeEngine:
     # ------------------------------------------------------------------
     # Training mode
     # ------------------------------------------------------------------
-    def observe(self, user_id: int, sample: Sample) -> bool:
-        """Absorb one interaction; True when it triggered a training epoch."""
-        return self.submit(TuneRequest(user_id=user_id,
-                                       samples=(sample,))).epochs_fired > 0
-
     def submit(self, request: TuneRequest) -> TuneResponse:
         """Absorb one user's batch of interactions.
 
@@ -527,12 +521,6 @@ class PromptServeEngine:
         """Paper inference settings, bound to this tokenizer's EOS."""
         return GenerationConfig(max_new_tokens=100, temperature=0.1,
                                 eos_id=self.tokenizer.eos_id)
-
-    def answer(self, user_id: int, text: str,
-               generation: GenerationConfig | None = None) -> str:
-        """Convenience single-query path returning just the text."""
-        return self.query(QueryRequest(user_id=user_id, text=text,
-                                       generation=generation)).answer
 
     def query(self, request: QueryRequest) -> QueryResponse:
         """Serve one query through the full retrieve/restore/generate path:

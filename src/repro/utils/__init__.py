@@ -9,10 +9,9 @@ from .rng import (
     rng_from_seed,
     seeded_states,
     spawn_generators,
-    spawn_seeds,
     state_generator,
 )
 
-__all__ = ["rng_from_seed", "derive_rng", "spawn_seeds",
-           "spawn_generators", "STATE_WORDS", "pack_state", "load_state",
-           "state_generator", "seeded_states", "checked_states"]
+__all__ = ["rng_from_seed", "derive_rng", "spawn_generators", "STATE_WORDS",
+           "pack_state", "load_state", "state_generator", "seeded_states",
+           "checked_states"]

@@ -20,9 +20,9 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["rng_from_seed", "derive_rng", "spawn_seeds", "spawn_generators",
-           "STATE_WORDS", "pack_state", "load_state", "state_generator",
-           "seeded_states", "checked_states"]
+__all__ = ["rng_from_seed", "derive_rng", "spawn_generators", "STATE_WORDS",
+           "pack_state", "load_state", "state_generator", "seeded_states",
+           "checked_states"]
 
 # A packed PCG64 state: the 128-bit state and increment as (hi, lo)
 # 64-bit words, then the buffered-uint32 flag and value.
@@ -53,12 +53,6 @@ def derive_rng(seed: int, *labels: str | int) -> np.random.Generator:
         digest.update(str(label).encode())
     child = int.from_bytes(digest.digest()[:8], "little")
     return np.random.default_rng(child)
-
-
-def spawn_seeds(seed: int, count: int, *labels: str | int) -> list[int]:
-    """Derive ``count`` independent integer seeds below 2**31."""
-    rng = derive_rng(seed, *labels, "spawn")
-    return [int(s) for s in rng.integers(0, 2**31 - 1, size=count)]
 
 
 def spawn_generators(rng: np.random.Generator,

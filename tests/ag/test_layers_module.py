@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ag import (
-    Embedding, LayerNorm, Linear, Module, Parameter, Sequential, Tensor,
+    Embedding, LayerNorm, Linear, Module, Parameter, Tensor,
 )
 from tests.ag.gradcheck import check_gradient
 from tests.oracles.graph import embedding, layer_norm
@@ -131,14 +131,3 @@ class TestLayerNorm:
         out = layer_norm(ln, Tensor(RNG.normal(size=(2, 4)))).data
         np.testing.assert_allclose(out.mean(axis=-1), np.ones(2), atol=1e-4)
 
-
-class TestSequential:
-    def test_applies_in_order(self):
-        seq = Sequential(Linear(4, 8, rng=np.random.default_rng(0)),
-                         Linear(8, 8, rng=np.random.default_rng(2)),
-                         Linear(8, 2, rng=np.random.default_rng(1)))
-        assert seq(Tensor(RNG.normal(size=(3, 4)))).shape == (3, 2)
-
-    def test_parameters_discovered(self):
-        seq = Sequential(Linear(2, 2), Linear(2, 2))
-        assert len(seq.parameters()) == 4

@@ -449,9 +449,9 @@ class TestTune001:
             ("repro/tuning/vanilla.py", 3),
             ("repro/tuning/vanilla.py", 3)]
 
-    def test_true_positive_baselines_pretraining_and_quality(self, tmp_path):
-        """Every module under tuning/, pretraining (which distillation
-        runs) and the perplexity harness are training paths too."""
+    def test_true_positive_baselines_and_pretraining(self, tmp_path):
+        """Every module under tuning/ and pretraining (which distillation
+        runs) are training paths too."""
         report = run_tree(tmp_path, {
             "tuning/prefix.py": """\
                 def step(loss):
@@ -467,13 +467,8 @@ class TestTune001:
                     loss = model.loss(ids, targets)
                     loss.backward()
             """,
-            "eval/quantized.py": """\
-                def perplexity(model, ids):
-                    model.forward(ids).backward()
-            """,
         }, ["TUNE-001"])
         assert sorted((f.file, f.line) for f in report.findings) == [
-            ("repro/eval/quantized.py", 2),
             ("repro/llm/pretrain.py", 3),
             ("repro/tuning/prefix.py", 2),
             ("repro/tuning/some_new_method.py", 3)]

@@ -26,7 +26,7 @@ class TestCiMMatrix:
         w = RNG.normal(size=(20, 7)).astype(np.float32)
         matrix = make_matrix(w, sigma=0.0)
         x = RNG.normal(size=20).astype(np.float32)
-        out = matrix.matvec(x, quantize_output=False)
+        out = matrix.matmat(x[None], quantize_output=False)[0]
         np.testing.assert_allclose(out, x @ w, rtol=1e-3, atol=1e-3)
 
     def test_noise_free_read_matches_input(self):
@@ -53,7 +53,7 @@ class TestCiMMatrix:
         # 2 row tiles x 2 col tiles x 8 slices
         assert matrix.n_subarrays == 2 * 2 * 8
         x = RNG.normal(size=500).astype(np.float32)
-        out = matrix.matvec(x, quantize_output=False)
+        out = matrix.matmat(x[None], quantize_output=False)[0]
         np.testing.assert_allclose(out, x @ w, rtol=1e-3, atol=5e-3)
 
     def test_binary_device_uses_16_slices(self):
@@ -68,7 +68,7 @@ class TestCiMMatrix:
     def test_input_length_checked(self):
         matrix = make_matrix(np.zeros((8, 3), dtype=np.float32))
         with pytest.raises(ValueError):
-            matrix.matvec(np.ones(9))
+            matrix.matmat(np.ones((1, 9)))
 
     def test_deterministic_for_seed(self):
         w = RNG.normal(size=(16, 4)).astype(np.float32)
@@ -78,7 +78,7 @@ class TestCiMMatrix:
 
     def test_aggregate_stats(self):
         matrix = make_matrix(RNG.normal(size=(16, 4)).astype(np.float32))
-        matrix.matvec(np.ones(16))
+        matrix.matmat(np.ones((1, 16)))
         stats = matrix.aggregate_stats()
         # One tile per slice, each as big as the matrix: occupied cells
         # are programmed and converted, the rest of the 384x128 is erased.

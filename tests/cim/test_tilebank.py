@@ -2,7 +2,7 @@
 
 ``CiMMatrix`` must program bit-identical conductances (per tile,
 independent of iteration order), read back identically, evaluate
-matvec/matmat within float tolerance, and keep every operation counter in
+matmat within float tolerance, and keep every operation counter in
 lockstep with ``tests/oracles/per_tile_cim.py`` across devices, variation
 levels, ADC resolutions and non-divisible tile geometries.  Both sides are
 as big as their data: a tile that the matrix only partly covers holds,
@@ -47,8 +47,8 @@ def make_pair(values, *, device="NVM-3", sigma=0.1, adc_bits=8, seed=7,
 
 def run_workload(matrix, x, batch, columns=(1, 3)):
     """A fixed mixed workload whose counters must match across layouts."""
-    matrix.matvec(x)
-    matrix.matvec(x, quantize_output=False)
+    matrix.matmat(x[None])
+    matrix.matmat(x[None], quantize_output=False)
     matrix.matmat(batch)
     matrix.read_matrix()
     matrix.read_columns(*columns)
@@ -74,11 +74,11 @@ class TestEquivalenceMatrix:
         # Noisy read-backs agree exactly; compute agrees to float tolerance.
         np.testing.assert_array_equal(ref.read_matrix(), vec.read_matrix())
         x = RNG.normal(size=shape[0]).astype(np.float32)
-        np.testing.assert_allclose(ref.matvec(x), vec.matvec(x),
+        np.testing.assert_allclose(ref.matmat(x[None]), vec.matmat(x[None]),
                                    rtol=1e-3, atol=1e-3)
         np.testing.assert_allclose(
-            ref.matvec(x, quantize_output=False),
-            vec.matvec(x, quantize_output=False), rtol=1e-3, atol=1e-3)
+            ref.matmat(x[None], quantize_output=False),
+            vec.matmat(x[None], quantize_output=False), rtol=1e-3, atol=1e-3)
         batch = RNG.normal(size=(3, shape[0])).astype(np.float32)
         np.testing.assert_allclose(ref.matmat(batch), vec.matmat(batch),
                                    rtol=1e-3, atol=1e-3)
@@ -137,7 +137,8 @@ class TestEquivalenceMatrix:
         batch = RNG.normal(size=(6, 50)).astype(np.float32)
         out = vec.matmat(batch)
         for i in range(6):
-            np.testing.assert_array_equal(out[i], vec.matvec(batch[i]))
+            np.testing.assert_array_equal(out[i:i + 1],
+                                          vec.matmat(batch[i:i + 1]))
 
 
 class TestMitigationEquivalence:
@@ -149,7 +150,7 @@ class TestMitigationEquivalence:
         np.testing.assert_array_equal(ref.read_columns(2, 5),
                                       vec.read_columns(2, 5))
         x = RNG.normal(size=50).astype(np.float32)
-        np.testing.assert_allclose(ref.matvec(x), vec.matvec(x),
+        np.testing.assert_allclose(ref.matmat(x[None]), vec.matmat(x[None]),
                                    rtol=1e-3, atol=1e-3)
         assert ref.aggregate_stats() == vec.aggregate_stats()
 
@@ -173,7 +174,8 @@ class TestMitigationEquivalence:
             batch = RNG.normal(size=(3, 50)).astype(np.float32)
             out = vec.matmat(batch)
             for i in range(3):
-                np.testing.assert_array_equal(out[i], vec.matvec(batch[i]))
+                np.testing.assert_array_equal(out[i:i + 1],
+                                              vec.matmat(batch[i:i + 1]))
 
 
 class TestColumnRangeRead:

@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     FrameworkConfig,
     NVCiMDeployment,
-    NVCiMPT,
     OVTLibrary,
     OVTTrainingPipeline,
 )
@@ -16,6 +15,7 @@ from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
 from repro.nvm import TileBank
 from repro.serve import PromptServeEngine
 from repro.tuning import TuningConfig, VirtualTokens
+from tests.engine_calls import answer_text, tune_one
 from tests.oracles.generation import session_answer_sequential
 from tests.oracles.retrieval import retrieve
 
@@ -139,10 +139,10 @@ class TestDeployment:
         library = self._library(setup)
         engine = PromptServeEngine(model, tok, fast_config())
         engine.load_session(0, library)
-        out = engine.answer(0, stream_for(0, 1)[0].input_text,
-                            GenerationConfig(max_new_tokens=3,
-                                             temperature=0.0,
-                                             eos_id=tok.eos_id))
+        out = answer_text(engine, 0, stream_for(0, 1)[0].input_text,
+                          GenerationConfig(max_new_tokens=3,
+                                           temperature=0.0,
+                                           eos_id=tok.eos_id))
         assert isinstance(out, str)
 
     def test_noise_free_restore_is_exact_in_code_space(self, setup):
@@ -239,61 +239,68 @@ class TestProgrammingNoiseStreams:
         assert kept and moved   # neither side of the claim is vacuous
 
 
-class TestFacade:
-    def test_observe_then_answer(self, setup):
+class TestOneSessionEngine:
+    """One user is a ``PromptServeEngine`` with one session, fed one
+    sample at a time."""
+
+    @staticmethod
+    def _engine(setup):
         model, tok = setup
-        system = NVCiMPT(model, tok, fast_config())
+        engine = PromptServeEngine(model, tok, fast_config(), max_sessions=1)
+        return engine, engine.session(0)
+
+    def test_observe_then_answer(self, setup):
+        _, tok = setup
+        engine, _ = self._engine(setup)
         with pytest.raises(RuntimeError):
-            system.answer("movie about robot space tag")
+            answer_text(engine, 0, "movie about robot space tag")
         for sample in stream_for(0, 10):
-            system.observe(sample)
-        out = system.answer(stream_for(0, 1)[0].input_text,
-                            GenerationConfig(max_new_tokens=3,
-                                             temperature=0.0,
-                                             eos_id=tok.eos_id))
+            tune_one(engine, 0, sample)
+        out = answer_text(engine, 0, stream_for(0, 1)[0].input_text,
+                          GenerationConfig(max_new_tokens=3,
+                                           temperature=0.0,
+                                           eos_id=tok.eos_id))
         assert isinstance(out, str)
 
     def test_answer_is_served_by_the_engine(self, setup):
-        """The facade wraps a one-session engine and must not bypass it:
-        same bytes as the engine-less oracle
+        """Same bytes as the engine-less oracle
         (``tests/oracles/generation.py``), and the query is on the
         engine's books."""
-        model, tok = setup
-        system = NVCiMPT(model, tok, fast_config())
+        _, tok = setup
+        engine, session = self._engine(setup)
         for sample in stream_for(0, 10):
-            system.observe(sample)
+            tune_one(engine, 0, sample)
         text = stream_for(0, 1)[0].input_text
         for generation in (GenerationConfig(max_new_tokens=6,
                                             temperature=0.0,
                                             eos_id=tok.eos_id),
                            None):                    # the paper defaults
-            served = system.engine.stats()["requests_served"]
-            out = system.answer(text, generation)
+            served = engine.stats()["requests_served"]
+            out = answer_text(engine, 0, text, generation)
             assert out.encode() == session_answer_sequential(
-                system._session, text,
-                generation or system.engine.default_generation()).encode()
-            stats = system.engine.stats()
+                session, text,
+                generation or engine.default_generation()).encode()
+            stats = engine.stats()
             assert stats["requests_served"] == served + 1
         assert stats["admitted"] == stats["latency_ms"]["count"] == 2
-        # The facade's query keeps no answer on the slot, so the second
-        # config decodes from the first one's prefill.
+        # ``query`` keeps no answer on the slot, so the second config
+        # decodes from the first one's prefill.
         assert stats["prefill_hits"] == stats["prefill_rows"] == 1
         assert stats["answer_hits"] == 0
 
     def test_deployment_rebuilt_after_new_epoch(self, setup):
-        model, tok = setup
-        system = NVCiMPT(model, tok, fast_config())
+        engine, session = self._engine(setup)
         for sample in stream_for(0, 10):
-            system.observe(sample)
-        system.answer(stream_for(0, 1)[0].input_text,
-                      GenerationConfig(max_new_tokens=1))
-        first = system._session._deployment
+            tune_one(engine, 0, sample)
+        answer_text(engine, 0, stream_for(0, 1)[0].input_text,
+                    GenerationConfig(max_new_tokens=1))
+        first = session._deployment
         for sample in stream_for(0, 10, seed=2):
-            system.observe(sample)
+            tune_one(engine, 0, sample)
         # Re-programmed when the epoch published, not by the next query.
-        rebuilt = system._session._deployment
+        rebuilt = session._deployment
         assert rebuilt is not None and rebuilt is not first
-        assert rebuilt.library is system.library
-        system.answer(stream_for(0, 1)[0].input_text,
-                      GenerationConfig(max_new_tokens=1))
-        assert system._session._deployment is rebuilt
+        assert rebuilt.library is session.library
+        answer_text(engine, 0, stream_for(0, 1)[0].input_text,
+                    GenerationConfig(max_new_tokens=1))
+        assert session._deployment is rebuilt

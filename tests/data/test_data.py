@@ -52,12 +52,6 @@ class TestUsers:
             assert len(user.preferred_topics) == 3
             assert len(user.style_words) == 2
 
-    def test_preference_rank(self):
-        user = make_user(0, seed=0)
-        first = user.preferred_topics[0]
-        assert user.preference_rank(first) == 0
-        assert user.preference_rank("nonexistent") == 3
-
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             UserProfile(0, (), 0, ("wow", "hmm"))

@@ -16,6 +16,7 @@ from repro.eval.runner import ExperimentContext, TABLE1_METHODS, evaluate_method
 from repro.llm.generation import generate
 from repro.serve import PromptServeEngine
 from repro.tuning import TuningConfig
+from tests.engine_calls import answer_text
 from tests.oracles.retrieval import retrieve
 
 
@@ -78,7 +79,7 @@ class TestEndToEnd:
         engine.load_session(0, library)
         framework, zero_shot = [], []
         for query in task.queries:
-            out = engine.answer(0, query.input_text, generation)
+            out = answer_text(engine, 0, query.input_text, generation)
             framework.append(score_output("accuracy", out, query.target_text))
             base = ctx.tokenizer.decode(
                 generate(model, ctx.tokenizer.encode(query.input_text),
@@ -136,8 +137,8 @@ class TestEndToEnd:
         engine = PromptServeEngine(ctx.model("phi-2-sim"), ctx.tokenizer,
                                    config)
         engine.load_session(0, library)
-        out = engine.answer(0, task.queries[0].input_text,
-                            ctx.generation_config())
+        out = answer_text(engine, 0, task.queries[0].input_text,
+                          ctx.generation_config())
         assert isinstance(out, str) and out
 
 

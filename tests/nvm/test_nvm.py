@@ -8,14 +8,22 @@ from repro.nvm import (
     REFERENCE_SIGMA,
     TileBank,
     available_devices,
-    digits_to_values,
     get_device,
     slice_to_digits,
+    slice_weights,
 )
 
 from tests.oracles.crossbar import CrossbarArray
 
 RNG = np.random.default_rng(17)
+
+
+def recompose(digits, bits):
+    """Signed values from LSB-first digits: production's shift-add
+    weights, less the excess-32768 offset."""
+    weights = slice_weights(bits, digits.shape[0])
+    return np.tensordot(weights, digits.astype(np.float64),
+                        axes=(0, 0)) - 32768
 
 
 class TestDeviceModels:
@@ -89,7 +97,7 @@ class TestBitSlicing:
         ints = RNG.integers(-32768, 32768, size=(10, 7)).astype(np.int64)
         for bits in (1, 2, 4, 8):
             digits = slice_to_digits(ints, bits)
-            back = digits_to_values(digits, bits)
+            back = recompose(digits, bits)
             np.testing.assert_array_equal(back, ints)
 
     def test_digit_range(self):
@@ -110,8 +118,8 @@ class TestBitSlicing:
         lsb[0] += 0.5
         msb = digits.copy()
         msb[7] += 0.5
-        lsb_shift = digits_to_values(lsb, 2)[0]
-        msb_shift = digits_to_values(msb, 2)[0]
+        lsb_shift = recompose(lsb, 2)[0]
+        msb_shift = recompose(msb, 2)[0]
         assert msb_shift == pytest.approx(lsb_shift * 4 ** 7)
 
 

@@ -306,12 +306,13 @@ class TestCiMMatrixSnapshot:
     def test_from_snapshot_is_bit_identical(self, through_codec):
         matrix = self.make_matrix()
         query = np.random.default_rng(2).normal(size=20).astype(np.float32)
-        matrix.matvec(query)
+        matrix.matmat(query[None])
         snap = matrix.snapshot()
         rebuilt = CiMMatrix.from_snapshot(
             roundtrip(snap) if through_codec else snap, get_device("NVM-3"))
         assert rebuilt.aggregate_stats() == matrix.aggregate_stats()
-        assert np.array_equal(rebuilt.matvec(query), matrix.matvec(query))
+        assert np.array_equal(rebuilt.matmat(query[None]),
+                              matrix.matmat(query[None]))
         assert np.array_equal(rebuilt.read_matrix(), matrix.read_matrix())
 
     @pytest.mark.parametrize("through_codec", [True, False])
@@ -349,7 +350,8 @@ class TestCiMMatrixSnapshot:
             roundtrip(matrix.snapshot()), get_device("NVM-3"),
             mitigation=make_mitigation("cxdnn"))
         query = np.random.default_rng(2).normal(size=20).astype(np.float32)
-        assert np.array_equal(rebuilt.matvec(query), matrix.matvec(query))
+        assert np.array_equal(rebuilt.matmat(query[None]),
+                              matrix.matmat(query[None]))
 
     def test_from_snapshot_requires_matching_mitigation(self):
         matrix = self.make_matrix()

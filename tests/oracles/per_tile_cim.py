@@ -97,9 +97,6 @@ class PerTileCiMMatrix:
     def ideal_matrix(self):
         return self.codec.decode(self._ints)
 
-    def matvec(self, x, **kwargs):
-        return self.matmat(np.asarray(x).reshape(1, -1), **kwargs)[0]
-
     def matmat(self, queries, *, quantize_output=True):
         """One query, one tile, one small matvec at a time."""
         outputs = np.stack([self._mvm(np.asarray(x, dtype=np.float32),

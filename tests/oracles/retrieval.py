@@ -39,8 +39,6 @@ def wmsdp_reference(query: np.ndarray, candidate: np.ndarray,
     c_vectors = multi_scale_vectors(candidate, config.scales, config.pad_length)
     total = 0.0
     for scale, weight in zip(config.scales, config.weights):
-        q, c = q_vectors[scale], c_vectors[scale]
-        if config.normalize_scales:
-            q, c = _unit(q), _unit(c)
+        q, c = _unit(q_vectors[scale]), _unit(c_vectors[scale])
         total += weight * float(q @ c)
     return total / sum(config.weights)

@@ -93,13 +93,13 @@ class TestWMSDPReference:
         m = RNG.normal(size=(8, 6)).astype(np.float32)
         assert wmsdp_reference(m, m) == pytest.approx(1.0, abs=1e-5)
 
-    def test_mips_equals_plain_inner_product(self):
-        config = SearchConfig(scales=(1,), weights=(1.0,),
-                              normalize_scales=False)
-        a = RNG.normal(size=(16, 4)).astype(np.float32)
-        b = RNG.normal(size=(16, 4)).astype(np.float32)
-        expected = float(a.reshape(-1) @ b.reshape(-1))
-        assert wmsdp_reference(a, b, config) == pytest.approx(expected, rel=1e-5)
+    def test_mips_equals_cosine_of_flattened_matrices(self):
+        config = SearchConfig(scales=(1,), weights=(1.0,))
+        a = RNG.normal(size=(16, 4)).astype(np.float32).reshape(-1)
+        b = RNG.normal(size=(16, 4)).astype(np.float32).reshape(-1)
+        expected = float(a @ b) / float(np.linalg.norm(a) * np.linalg.norm(b))
+        assert wmsdp_reference(a.reshape(16, 4), b.reshape(16, 4),
+                               config) == pytest.approx(expected, rel=1e-5)
 
     def test_weights_influence_score(self):
         a = RNG.normal(size=(16, 4)).astype(np.float32)
@@ -141,8 +141,8 @@ class TestCiMSearchEngine:
     @pytest.mark.parametrize("config", [SSA_CONFIG, MIPS_CONFIG],
                              ids=["ssa", "mips"])
     def test_scores_are_per_scale_cosines(self, config):
-        """With ``normalize_scales`` each scale's pooled query and stored
-        column are unit vectors: rescaling the query or any stored OVT
+        """Each scale's pooled query and stored column are unit
+        vectors: rescaling the query or any stored OVT
         leaves every score where it was, for SSA and MIPS alike."""
         ovts = self._ovts(4)
         plain = self._engine(sigma=0.0, config=config)

@@ -38,6 +38,7 @@ from repro.serve import (
 )
 from repro.serve.codec import CodecError, decode_value, encode_value
 from repro.serve.snapshot import HEADER_SIZE
+from tests.engine_calls import answer_text
 from tests.oracles.codec import decode_reference, encode_reference
 from tests.serve.sealing import sealed
 
@@ -73,7 +74,7 @@ def deployed():
     samples = make_dataset("LaMP-2").generate(make_user(0, seed=0), 10,
                                               seed=0)
     engine.submit(TuneRequest(user_id=0, samples=tuple(samples)))
-    engine.answer(0, samples[-1].input_text)
+    answer_text(engine, 0, samples[-1].input_text)
     snap = SessionSnapshot.capture(engine.session(0), mode="raw")
     blob = snap.to_bytes()
     twin = dataclasses.replace(snap, library=_flipped(snap.library),

@@ -16,6 +16,7 @@ from repro.core import FrameworkConfig
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
 from repro.serve import PromptServeEngine, QueryRequest, TuneRequest
+from tests.engine_calls import tune_one
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +166,7 @@ class TestConcurrentAdmissionAndRounds:
                     assert stats["pending_generations"] >= 0
                     sample = next(extras, None)
                     if sample is not None:
-                        engine.observe(0, sample)
+                        tune_one(engine, 0, sample)
             except Exception as error:      # pragma: no cover
                 errors.append(error)
 

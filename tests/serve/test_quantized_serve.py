@@ -31,6 +31,7 @@ from repro.serve import (
     TuneRequest,
 )
 from repro.serve.stats_manifest import STATS_MANIFEST
+from tests.engine_calls import answer_text
 
 USERS = (0, 1, 2)
 QUANT_KEYS = ("quantized_layers", "weight_bytes", "weight_bytes_saved")
@@ -180,7 +181,7 @@ class TestRetiredConfigKeys:
         fresh = PromptServeEngine(engine.model, tok, fast(),
                                   session_store=store)
         with pytest.raises(KeyError, match="no session for user 5"):
-            fresh.answer(5, query, generation)
+            answer_text(fresh, 5, query, generation)
         stats = fresh.stats()
         assert stats["sessions_restored"] == 0
         assert stats["sessions_quarantined"] == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cim import CIM_TECH
-from repro.core import FrameworkConfig, NVCiMPT, OVTTrainingPipeline
+from repro.core import FrameworkConfig, OVTTrainingPipeline
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import (
     GenerationConfig,
@@ -23,6 +23,7 @@ from repro.serve import (
 from repro.retrieval import CiMSearchEngine
 from repro.serve.session import PrefillBatch
 from repro.tuning import TuningConfig
+from tests.engine_calls import answer_text, tune_one
 from tests.oracles.generation import answer_sequential
 
 
@@ -126,25 +127,26 @@ class TestMultiUserServing:
             # The reported index is the argmax of the reported scores.
             assert response.ovt_index == int(np.argmax(response.scores))
 
-    def test_matches_single_user_facade(self, setup):
-        """The engine must answer exactly like the single-user NVCiMPT
-        facade trained on the same stream (no cross-user leakage)."""
+    def test_matches_a_one_session_engine(self, setup):
+        """The engine must answer exactly like a one-session engine that
+        absorbed the same stream one sample at a time (no cross-user
+        leakage)."""
         model, tok = setup
         stream = stream_for(5, 10, seed=5)
         query = stream_for(5, 1, seed=123)[0].input_text
         generation = fast_generation(tok)
 
-        facade = NVCiMPT(model, tok, fast_config())
+        single = PromptServeEngine(model, tok, fast_config(), max_sessions=1)
         for sample in stream:
-            facade.observe(sample)
+            tune_one(single, 5, sample)
 
         engine = PromptServeEngine(model, tok, fast_config(), max_sessions=4)
         # Another user's data lives alongside and must not interfere.
         engine.submit(TuneRequest(user_id=9,
                                   samples=tuple(stream_for(9, 10, seed=9))))
         engine.submit(TuneRequest(user_id=5, samples=tuple(stream)))
-        assert engine.answer(5, query, generation) == \
-            facade.answer(query, generation)
+        assert answer_text(engine, 5, query, generation) == \
+            answer_text(single, 5, query, generation)
 
 
 class TestLRUEviction:

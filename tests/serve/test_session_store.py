@@ -17,6 +17,7 @@ from repro.serve import (
 )
 from repro.serve.codec import encode_value
 from repro.serve.snapshot import HEADER_SIZE
+from tests.engine_calls import answer_text
 from tests.serve.sealing import sealed
 
 CIM_KEYS = ("cim_mvm_ops", "cim_adc_conversions", "cim_cell_reads",
@@ -192,8 +193,8 @@ class TestEngineSpillRestore:
         for user_id in (0, 1, 2):
             train(engine, user_id)
         assert (tmp_path / "spool" / "session_0.nvpt").exists()
-        answer = engine.answer(0, stream_for(0, 12)[11].input_text,
-                               greedy(tok))
+        answer = answer_text(engine, 0, stream_for(0, 12)[11].input_text,
+                             greedy(tok))
         assert isinstance(answer, str) and answer
 
     def test_another_engine_adopts_spilled_session(self, setup):
@@ -207,8 +208,8 @@ class TestEngineSpillRestore:
 
         second = make_engine(model, tok, session_store=store)
         query = stream_for(0, 12)[11].input_text
-        assert second.answer(0, query, greedy(tok)) == \
-            first.answer(0, query, greedy(tok))
+        assert answer_text(second, 0, query, greedy(tok)) == \
+            answer_text(first, 0, query, greedy(tok))
         assert second.stats()["sessions_restored"] == 1
         assert second.stats()["sessions_created"] == 0
 
@@ -237,7 +238,8 @@ class TestEngineSpillRestore:
         assert 0 not in store and store.user_ids() == []
         assert engine.drop_session(0, spill=False) is False   # nothing left
         with pytest.raises(KeyError, match="no session for user 0"):
-            engine.answer(0, stream_for(0, 1)[0].input_text, greedy(tok))
+            answer_text(engine, 0, stream_for(0, 1)[0].input_text,
+                        greedy(tok))
         stats = engine.stats()
         assert stats["sessions_restored"] == 0
         assert stats["cim_write_pulses"] == banked  # what they cost stays
@@ -290,12 +292,12 @@ class TestFailedSpill:
         queries = {u: stream_for(u, 12)[11].input_text for u in (0, 1)}
         train(engine, 0)
         train(engine, 1)                     # spills user 0
-        expected = engine.answer(1, queries[1], generation)
+        expected = answer_text(engine, 1, queries[1], generation)
         before = engine.stats()
 
         store.fail_next_put = True
         with pytest.raises(OSError, match="No space left"):
-            engine.answer(0, queries[0], generation)   # restores 0, evicts 1
+            answer_text(engine, 0, queries[0], generation)  # restores 0, evicts 1
 
         # The victim is still resident (over capacity by one), nothing
         # was banked or counted, and it answers as it did.
@@ -305,7 +307,7 @@ class TestFailedSpill:
         for key in SPILL_KEYS:
             assert after[key] == before[key], key
         assert after["sessions_restored"] == before["sessions_restored"] + 1
-        assert engine.answer(1, queries[1], generation) == expected
+        assert answer_text(engine, 1, queries[1], generation) == expected
 
         # The store is healthy again: the next eviction spills normally,
         # down to capacity, and both users come back from their blobs.
@@ -314,7 +316,7 @@ class TestFailedSpill:
         assert store.user_ids() == [0, 1]
         assert engine.stats()["sessions_spilled"] == \
             before["sessions_spilled"] + 2
-        assert engine.answer(1, queries[1], generation) == expected
+        assert answer_text(engine, 1, queries[1], generation) == expected
 
     def test_failed_drop_keeps_the_session(self, setup, flaky_store):
         model, tok = setup
@@ -322,7 +324,7 @@ class TestFailedSpill:
         engine = make_engine(model, tok, max_sessions=1, session_store=store)
         query = stream_for(0, 12)[11].input_text
         train(engine, 0)
-        expected = engine.answer(0, query, generation)
+        expected = answer_text(engine, 0, query, generation)
         before = engine.stats()
 
         store.fail_next_put = True
@@ -332,11 +334,11 @@ class TestFailedSpill:
         after = engine.stats()
         for key in SPILL_KEYS:
             assert after[key] == before[key], key
-        assert engine.answer(0, query, generation) == expected
+        assert answer_text(engine, 0, query, generation) == expected
 
         assert engine.drop_session(0) is True          # healthy again
         assert not engine.has_session(0) and store.user_ids() == [0]
-        assert engine.answer(0, query, generation) == expected
+        assert answer_text(engine, 0, query, generation) == expected
 
 
 def truncated(blob):
@@ -450,7 +452,7 @@ class TestQuarantine:
         engine = make_engine(model, tok, max_sessions=1, session_store=store)
         query = stream_for(0, 12)[11].input_text
         train(engine, 0)
-        expected = engine.answer(0, query, generation)
+        expected = answer_text(engine, 0, query, generation)
         engine.drop_session(0)                       # spilled, deployed
         store.put(0, damage(store.get(0)))
         reads, before = len(store.get_sizes), engine.stats()
@@ -464,7 +466,7 @@ class TestQuarantine:
 
         # The first query meets the blob: unknown user, as if never tuned.
         with pytest.raises(KeyError, match="no session for user 0"):
-            engine.answer(0, query, generation)
+            answer_text(engine, 0, query, generation)
         after = monotone(before)
         assert after["sessions_quarantined"] == 1
         assert after["sessions_restored"] == before["sessions_restored"]
@@ -476,18 +478,18 @@ class TestQuarantine:
 
         # The second does not: nothing left to read, same answer.
         with pytest.raises(KeyError, match="no session for user 0"):
-            engine.answer(0, query, generation)
+            answer_text(engine, 0, query, generation)
         assert len(store.get_sizes) == reads + 1
         assert monotone(after)["sessions_quarantined"] == 1
 
         # A tune starts a fresh session, and it serves.
         train(engine, 0)
-        assert engine.answer(0, query, generation) == expected
+        assert answer_text(engine, 0, query, generation) == expected
         final = monotone(after)
         assert final["sessions_created"] == before["sessions_created"] + 1
         assert final["sessions_quarantined"] == 1
         engine.drop_session(0)                       # spills again, cleanly
-        assert engine.answer(0, query, generation) == expected
+        assert answer_text(engine, 0, query, generation) == expected
 
     def test_another_users_blob_is_quarantined(self, setup, flaky_store):
         """User 0's intact blob stored under user 1's key restores nothing:
@@ -498,20 +500,20 @@ class TestQuarantine:
         engine = make_engine(model, tok, max_sessions=1, session_store=store)
         query = stream_for(0, 12)[11].input_text
         train(engine, 0)
-        expected = engine.answer(0, query, generation)
+        expected = answer_text(engine, 0, query, generation)
         engine.drop_session(0)
         blob = store.get(0)
         store.put(1, blob)
 
         with pytest.raises(KeyError, match="no session for user 1"):
-            engine.answer(1, query, generation)
+            answer_text(engine, 1, query, generation)
         assert not engine.has_session(1)
         assert engine.stats()["sessions_quarantined"] == 1
         assert store.user_ids() == [0] and store.get(0) == blob
         if store.directory is not None:
             assert (store.directory / "session_1.nvpt.quarantined"
                     ).read_bytes() == blob
-        assert engine.answer(0, query, generation) == expected
+        assert answer_text(engine, 0, query, generation) == expected
 
     def test_decode_loop_meets_the_blob_the_same_way(self, setup,
                                                      flaky_store):
@@ -541,8 +543,8 @@ class TestQuarantine:
         pending = engine.begin_query(request)
         while not pending.done:
             engine.run_decode_round()
-        assert pending.response.answer == engine.answer(0, request.text,
-                                                        generation)
+        assert pending.response.answer == answer_text(
+            engine, 0, request.text, generation)
 
 
 class TestByteStats:
@@ -587,14 +589,14 @@ class TestByteStats:
         assert cells == 8 * (768 + 384 + 192) * 2 == 21_504
         assert sum(matrix.n_subarrays for matrix in stores) == 32
         assert engine.stats()["resident_nvm_bytes"] == 5 * cells == 107_520
-        engine.answer(0, query, greedy(tok))
+        answer_text(engine, 0, query, greedy(tok))
         assert engine.stats()["resident_nvm_bytes"] == 5 * cells
 
         engine.drop_session(0)               # spill ...
         assert engine.stats()["resident_nvm_bytes"] == 0
         engine.session(0)                    # ... and restore
         assert engine.stats()["resident_nvm_bytes"] == 5 * cells
-        engine.answer(0, query, greedy(tok))
+        answer_text(engine, 0, query, greedy(tok))
         assert engine.stats()["resident_nvm_bytes"] == 5 * cells
 
 
@@ -627,8 +629,8 @@ class TestCounterMonotonicity:
             if not engine.has_session(user_id) and \
                     engine.session_store.get(user_id) is None:
                 train(engine, user_id)
-            engine.answer(user_id, stream_for(user_id, 12)[11].input_text,
-                          generation)
+            answer_text(engine, user_id,
+                        stream_for(user_id, 12)[11].input_text, generation)
             current = engine.stats()
             if previous is not None:
                 for key in CIM_KEYS + ("prefill_hits", "requests_served"):

@@ -31,6 +31,7 @@ from repro.serve import (
 )
 from repro.serve.codec import CodecError, decode_value, encode_value
 from repro.serve.snapshot import HEADER, HEADER_SIZE, MAGIC, SCHEMA_VERSION
+from tests.engine_calls import answer_text
 from tests.oracles.crossbar import whole_tiles
 from tests.oracles.generation import session_answer_sequential
 from tests.oracles.legacy_rngs import dict_form
@@ -210,7 +211,7 @@ class TestSessionRoundTrip:
         store.put(session.user_id, blob)
         engine = PromptServeEngine(model, tok, FrameworkConfig.preset("fast"),
                                    session_store=store)
-        assert engine.answer(session.user_id, query, generation) == answer
+        assert answer_text(engine, session.user_id, query, generation) == answer
         assert engine.stats()["sessions_restored"] == 1
         restored = engine.session(session.user_id)
         assert restored.queries_served == session.queries_served + 1
@@ -462,7 +463,7 @@ class TestBlobMovesOnce:
         assert not fresh.is_deployed
         steps = {
             "deploy": fresh.deployment,
-            "query": lambda: engine.answer(0, query, generation),
+            "query": lambda: answer_text(engine, 0, query, generation),
             "spill": lambda: SessionSnapshot.capture(
                 fresh, mode="raw").to_bytes(),
         }
@@ -638,7 +639,7 @@ class TestGoldenFixture:
                                       eos_id=tok.eos_id)
         query = stream_for(GOLDEN_USER, 10)[9].input_text
         assert session_answer_sequential(restored, query, generation) == \
-            engine.answer(GOLDEN_USER, query, generation)
+            answer_text(engine, GOLDEN_USER, query, generation)
 
     def test_golden_reencodes_byte_identically(self):
         blob = GOLDEN_PATH.read_bytes()
@@ -743,7 +744,7 @@ def _assert_quarantined(setup, tmp_path, path):
                                   eos_id=tok.eos_id)
     query = stream_for(GOLDEN_USER, 10)[9].input_text
     with pytest.raises(KeyError):
-        engine.answer(GOLDEN_USER, query, generation)
+        answer_text(engine, GOLDEN_USER, query, generation)
     assert engine.sessions_quarantined == 1
     assert store.get(GOLDEN_USER) is None
     assert (tmp_path / f"session_{GOLDEN_USER}.nvpt.quarantined"
@@ -752,7 +753,7 @@ def _assert_quarantined(setup, tmp_path, path):
                               samples=tuple(stream_for(GOLDEN_USER, 10))))
     restored = SessionSnapshot.from_bytes(
         GOLDEN_PATH.read_bytes()).build_session(model, tok)
-    assert engine.answer(GOLDEN_USER, query, generation) == \
+    assert answer_text(engine, GOLDEN_USER, query, generation) == \
         session_answer_sequential(restored, query, generation)
 
 

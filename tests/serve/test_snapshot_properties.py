@@ -129,12 +129,13 @@ class TestCiMMatrixProperties:
                            adc_bits=adc_bits,
                            rng=np.random.default_rng(seed + 1))
         query = rng.normal(size=12).astype(np.float32)
-        matrix.matvec(query)
+        matrix.matmat(query[None])
 
         rebuilt = CiMMatrix.from_snapshot(codec_roundtrip(matrix.snapshot()),
                                           device)
         assert rebuilt.aggregate_stats() == matrix.aggregate_stats()
-        assert np.array_equal(rebuilt.matvec(query), matrix.matvec(query))
+        assert np.array_equal(rebuilt.matmat(query[None]),
+                              matrix.matmat(query[None]))
         assert np.array_equal(rebuilt.read_matrix(), matrix.read_matrix())
 
     @settings(max_examples=15, deadline=None)

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.core import FrameworkConfig, NVCiMPT, OVTTrainingPipeline
+from repro.core import FrameworkConfig, OVTTrainingPipeline
 from repro.data import build_corpus, build_tokenizer, make_dataset, make_user
 from repro.llm import GenerationConfig, PretrainConfig, build_model, pretrain_lm
 from repro.serve import (
@@ -24,6 +24,7 @@ from repro.serve import (
     TuneRequest,
     UserSession,
 )
+from tests.engine_calls import tune_one
 
 from .tune_gate import Background, EpochGate
 
@@ -277,20 +278,19 @@ class TestOneTunePath:
                 UserSession, name,
                 lambda self, *a, _f=original, _n=name: (calls.append(_n),
                                                         _f(self, *a))[1])
-        fired = [engine.observe(0, sample)
+        fired = [tune_one(engine, 0, sample)
                  for sample in tune(0, 0).samples]
         assert fired == [False] * 9 + [True]
         assert calls == ["prepare", "publish"] * 10
         assert engine.session(0).is_deployed
 
-    def test_facade_deploys_when_the_epoch_publishes(self, setup):
+    def test_one_session_engine_deploys_when_the_epoch_publishes(self, setup):
         model, tok = setup
-        system = NVCiMPT(model, tok, fast_config())
+        engine = PromptServeEngine(model, tok, fast_config(), max_sessions=1)
         for sample in tune(0, 0).samples:
-            system.observe(sample)
-        session = system._session
-        assert session.is_deployed
-        assert system.engine.stats()["cim_write_pulses"] > 0
+            tune_one(engine, 0, sample)
+        assert engine.session(0).is_deployed
+        assert engine.stats()["cim_write_pulses"] > 0
 
     def test_epoch_leaves_the_published_library_untouched(self, setup):
         """An epoch builds a new library; the one a deployment serves is

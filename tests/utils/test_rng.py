@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils import derive_rng, rng_from_seed, spawn_seeds
+from repro.utils import derive_rng, rng_from_seed
 
 
 class TestDeriveRng:
@@ -27,15 +27,7 @@ class TestDeriveRng:
         assert not np.allclose(a, b)
 
 
-class TestSpawnSeeds:
-    def test_count_and_range(self):
-        seeds = spawn_seeds(0, 10, "workers")
-        assert len(seeds) == 10
-        assert all(0 <= s < 2**31 for s in seeds)
-
-    def test_deterministic(self):
-        assert spawn_seeds(5, 4, "x") == spawn_seeds(5, 4, "x")
-
+class TestRngFromSeed:
     def test_rng_from_seed(self):
         np.testing.assert_array_equal(rng_from_seed(3).normal(size=3),
                                       rng_from_seed(3).normal(size=3))

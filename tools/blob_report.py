@@ -37,9 +37,9 @@ _FRAME = HEADER_SIZE + 1 + 8     # header, then the body's dict tag and count
 
 def fresh_session():
     """The verify skill's fast driving recipe: one deployed session."""
-    from repro import (FrameworkConfig, PromptServeEngine, TuneRequest,
-                       build_corpus, build_model, build_tokenizer,
-                       make_dataset, make_user)
+    from repro import (FrameworkConfig, PromptServeEngine, QueryRequest,
+                       TuneRequest, build_corpus, build_model,
+                       build_tokenizer, make_dataset, make_user)
     from repro.llm import PretrainConfig, pretrain_lm
     tok = build_tokenizer()
     model = build_model("phi-2-sim", tok.vocab_size)
@@ -48,7 +48,7 @@ def fresh_session():
     engine = PromptServeEngine(model, tok, FrameworkConfig.preset("fast"))
     samples = make_dataset("LaMP-2").generate(make_user(0, seed=0), 10, seed=0)
     engine.submit(TuneRequest(user_id=0, samples=tuple(samples)))
-    engine.answer(0, samples[-1].input_text)
+    engine.query(QueryRequest(user_id=0, text=samples[-1].input_text))
     return engine.session(0)
 
 
