@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nvm.crossbar import CrossbarStats, TileBank, TileView
+from ..nvm.crossbar import CrossbarStats, TileBank
 from ..nvm.device_models import NVMDevice
 from ..nvm.quantize import Int16Codec, slice_to_digits, slice_weights
 from ..utils import rng_from_seed, spawn_generators
 
-__all__ = ["CiMMatrix", "MitigationHooks", "NullMitigation"]
+__all__ = ["CiMMatrix", "MitigationHooks"]
 
 _OFFSET = 32768  # excess code used by the int16 bit-slicing
 
@@ -48,8 +48,8 @@ class MitigationHooks:
 
     Every hook defaults to doing nothing, so this class itself is no
     mitigation — store and read raw, the paper's \"No-Miti\" — and is
-    named ``"none"`` (:data:`NullMitigation`).  A baseline
-    subclasses it and overrides only the hooks it implements.
+    named ``"none"``.  A baseline subclasses it and overrides only the
+    hooks it implements.
     """
 
     name = "none"
@@ -70,9 +70,6 @@ class MitigationHooks:
                              col0: int, col1: int) -> np.ndarray:
         """Correct a column-range read-back (columns ``[col0, col1)``)."""
         return values
-
-
-NullMitigation = MitigationHooks
 
 
 class CiMMatrix:
@@ -98,7 +95,7 @@ class CiMMatrix:
         self.sigma = sigma
         self.subarray_rows = rows
         self.subarray_cols = cols
-        self.mitigation = mitigation or NullMitigation()
+        self.mitigation = mitigation or MitigationHooks()
 
         prepared = self.mitigation.prepare_values(values)
         self.shape = prepared.shape
@@ -154,13 +151,6 @@ class CiMMatrix:
                              f"[0, {self.n_slices})")
         start = slice_index * per_slice
         return np.arange(start, start + per_slice)
-
-    def iter_tiles_with_slice(self):
-        """Yield (slice_index, :class:`TileView`) pairs; slice 0 holds the
-        LSB digits."""
-        per_slice = self.n_row_tiles * self.n_col_tiles
-        for flat in range(self.n_subarrays):
-            yield flat // per_slice, TileView(self.bank, flat)
 
     def aggregate_stats(self) -> CrossbarStats:
         """Operation counters summed over every tile.
@@ -334,7 +324,7 @@ class CiMMatrix:
             raise ValueError(
                 f"snapshot subarrays are {self.subarray_rows}x"
                 f"{self.subarray_cols}; rows and cols must be positive")
-        self.mitigation = mitigation or NullMitigation()
+        self.mitigation = mitigation or MitigationHooks()
         if self.mitigation.name != snap["mitigation"]:
             raise ValueError(
                 f"snapshot was captured with mitigation "

@@ -118,10 +118,6 @@ class FrameworkConfig:
     # ------------------------------------------------------------------
     # Serialization and presets (the serve layer's config surface).
     # ------------------------------------------------------------------
-    def replace(self, **overrides) -> FrameworkConfig:
-        """A copy of this config with the given fields replaced."""
-        return replace(self, **overrides)
-
     def to_dict(self) -> dict:
         """JSON-compatible dict; inverse of :meth:`from_dict`."""
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}

@@ -163,27 +163,22 @@ def evaluate_method(
     config: FrameworkConfig,
     *,
     user_ids: tuple[int, ...] = (0, 1, 2),
-    model: TinyCausalLM | None = None,
 ) -> float:
     """Mean score of ``method`` over the given users (one table cell).
 
-    Evaluation runs through the serving layer: one engine per cell, each
-    user's memoised library loaded into a session and the cell's queries
-    served as one batch (so per-user crossbar programming is amortised).
-    ``model`` (default: the context's float ``model_name``) is the base
-    model served.  Everything is seeded, so a float cell is scored once
-    per context: tables that share a cell (Table I's main column is a row
-    of Tables III/IV and the baseline arm of every ablation) share its
-    score.  A cell served on a caller's model is not memoised.
+    Evaluation runs through the serving layer: one engine per cell over
+    the context's ``model_name``, each user's memoised library loaded
+    into a session and the cell's queries served as one batch (so
+    per-user crossbar programming is amortised).  Everything is seeded,
+    so a cell is scored once per context: tables that share a cell
+    (Table I's main column is a row of Tables III/IV and the baseline arm
+    of every ablation) share its score.
     """
     base = method.apply(config)
     key = (model_name, dataset_name, base, user_ids)
-    memoise = model is None
-    if memoise:
-        if key in context._scores:
-            return context._scores[key]
-        model = context.model(model_name)
-    engine = PromptServeEngine(model, context.tokenizer,
+    if key in context._scores:
+        return context._scores[key]
+    engine = PromptServeEngine(context.model(model_name), context.tokenizer,
                                base, max_sessions=max(len(user_ids), 1))
     generation = context.generation_config()
     requests: list[QueryRequest] = []
@@ -200,10 +195,8 @@ def evaluate_method(
     responses = engine.answer_batch(requests)
     scores = [score_output(metric, response.answer, target)
               for response, (metric, target) in zip(responses, expected)]
-    score = float(np.mean(scores))
-    if memoise:
-        context._scores[key] = score
-    return score
+    context._scores[key] = float(np.mean(scores))
+    return context._scores[key]
 
 
 def evaluate_artifact(

@@ -61,6 +61,8 @@ from .validation import (
 __all__ = ["GatewayConfig", "PromptGateway", "query_response_to_dict",
            "query_response_from_dict"]
 
+IDLE_WAIT_S = 0.02   # worker sleep when nothing is pending
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -70,22 +72,12 @@ class GatewayConfig:
     port: int = 0                 # 0 = bind an ephemeral port
     max_queue: int = 64           # accepted-but-unadmitted bound (429 beyond)
     max_batch: int = 8            # decode-batch slots the worker keeps full
-    default_deadline_s: float | None = None   # SLO when the request has none
-    retry_after_s: float | None = None   # fixed 429 hint; None = estimated
-    idle_wait_s: float = 0.02     # worker sleep when nothing is pending
 
     def __post_init__(self):
         if self.max_queue <= 0:
             raise ValueError("max_queue must be positive")
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if self.default_deadline_s is not None \
-                and self.default_deadline_s <= 0:
-            raise ValueError("default_deadline_s must be positive or None")
-        if self.retry_after_s is not None and self.retry_after_s < 0:
-            raise ValueError("retry_after_s must be non-negative or None")
-        if self.idle_wait_s <= 0:
-            raise ValueError("idle_wait_s must be positive")
 
 
 @dataclass
@@ -407,11 +399,7 @@ class PromptGateway:
         deadline_s = self._parse_deadline(payload)
         query = parse_query_request(payload)
         now = time.monotonic()
-        deadline = None
-        if deadline_s is not None:
-            deadline = now + deadline_s
-        elif self.config.default_deadline_s is not None:
-            deadline = now + self.config.default_deadline_s
+        deadline = None if deadline_s is None else now + deadline_s
         with self._qlock:
             if self._stop.is_set():
                 raise HTTPError(503, "gateway shutting down")
@@ -482,8 +470,6 @@ class PromptGateway:
             reader.watch(None)
 
     def _retry_after_hint(self) -> float:
-        if self.config.retry_after_s is not None:
-            return self.config.retry_after_s
         service = self._service_ewma_s if self._service_ewma_s else 0.5
         backlog = len(self._queue) + len(self._admitted)
         return round(
@@ -543,7 +529,7 @@ class PromptGateway:
                 self._shed_admitted(error)
                 busy = True
             if not busy:
-                self._work.wait(timeout=self.config.idle_wait_s)
+                self._work.wait(timeout=IDLE_WAIT_S)
                 self._work.clear()
         self._shed_all()
 

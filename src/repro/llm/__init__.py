@@ -9,7 +9,6 @@ from .generation import (
     GenerationConfig,
     PrefillState,
     check_prompt_room,
-    decode_batch,
     decode_from,
     generate,
     prefill,
@@ -45,7 +44,7 @@ __all__ = [
     "LMConfig", "TinyCausalLM", "infer",
     "GenerationConfig", "PrefillState", "check_prompt_room",
     "generate", "prefill", "decode_from",
-    "DecodeSequence", "DecodeScheduler", "DecodeRoundReport", "decode_batch",
+    "DecodeSequence", "DecodeScheduler", "DecodeRoundReport",
     "PretrainConfig", "pretrain_lm",
     "quantize_model_weights", "QUANTIZATION_BITS", "quantize_model",
     "quantization_stats",

@@ -47,7 +47,7 @@ from ..utils import rng_from_seed
 __all__ = ["GenerationConfig", "PrefillState", "check_prompt_room",
            "generate", "prefill",
            "decode_from", "DecodeSequence", "DecodeScheduler",
-           "DecodeRoundReport", "decode_batch"]
+           "DecodeRoundReport"]
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,15 @@ def decode_from(
 ) -> np.ndarray:
     """Sample a continuation from a :class:`PrefillState`.
 
-    The scheduler with a batch of one (:func:`decode_batch`): the KV prefix
-    recorded at prefill time conditions every round, and the state itself
-    is left untouched (decode again for another sample).
+    The one state, admitted to a :class:`DecodeScheduler` of its own and
+    run until it retires: the KV prefix recorded at prefill time
+    conditions every round, and the state itself is left untouched
+    (decode again for another sample).
     """
-    return decode_batch(model, [state], config)[0]
+    scheduler = DecodeScheduler(model)
+    sequence = scheduler.admit(state, config)
+    scheduler.run()
+    return sequence.token_ids()
 
 
 def generate(
@@ -523,32 +527,3 @@ class DecodeScheduler:
         """Round until every admitted sequence has retired."""
         while self._active:
             self.decode_round()
-
-
-def decode_batch(
-    model: TinyCausalLM,
-    states: Sequence[PrefillState],
-    configs: GenerationConfig | Sequence[GenerationConfig] | None = None,
-) -> list[np.ndarray]:
-    """Decode many prefilled sequences together via continuous batching.
-
-    ``configs`` may be one config for all states or one per state.  The
-    result order matches ``states``, and each entry is token-identical to
-    decoding that state on its own (:func:`decode_from`).
-    """
-    states = list(states)
-    if configs is None:
-        configs = [GenerationConfig()] * len(states)
-    elif isinstance(configs, GenerationConfig):
-        configs = [configs] * len(states)
-    else:
-        configs = list(configs)
-    if len(configs) != len(states):
-        raise ValueError(
-            f"{len(configs)} configs for {len(states)} states"
-        )
-    scheduler = DecodeScheduler(model)
-    sequences = [scheduler.admit(state, config)
-                 for state, config in zip(states, configs)]
-    scheduler.run()
-    return [sequence.token_ids() for sequence in sequences]

@@ -6,18 +6,17 @@ only the hooks it implements; the base class itself is ``"none"``.
 :data:`MITIGATION_REGISTRY`.
 """
 
-from ..cim.accelerator import NullMitigation
+from ..cim.accelerator import MitigationHooks
 from .correctnet import CorrectNetMitigation
 from .cxdnn import CxDNNCompensation
 from .swv import SelectiveWriteVerify
 
 __all__ = ["SelectiveWriteVerify", "CxDNNCompensation",
-           "CorrectNetMitigation", "NullMitigation", "make_mitigation",
-           "MITIGATION_REGISTRY"]
+           "CorrectNetMitigation", "make_mitigation", "MITIGATION_REGISTRY"]
 
 # Each scheme under its own ``name``.
 MITIGATION_REGISTRY = {cls.name: cls for cls in (
-    NullMitigation, SelectiveWriteVerify, CxDNNCompensation,
+    MitigationHooks, SelectiveWriteVerify, CxDNNCompensation,
     CorrectNetMitigation)}
 
 

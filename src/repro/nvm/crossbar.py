@@ -15,8 +15,8 @@ packed PCG64 state row per tile in one ``uint64`` array — so a bank
 programs to exactly the same conductances as the equivalent standalone
 crossbar objects would (``tests/oracles/crossbar.py``), independently of
 tile iteration order, and ships its streams in a snapshot as one array.
-:class:`TileView` exposes one tile of a bank by index (state, counters,
-re-pulse).
+:class:`TileView` exposes one tile of a bank by index (target levels,
+cell reads, re-pulse).
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class TileBank:
         return cells[row0:row0 + self.rows, col0:col1]
 
     def tile(self, index: int) -> "TileView":
-        """One tile of the bank: state, counters and re-pulse by index."""
+        """One tile of the bank: target levels, reads and re-pulse."""
         return TileView(self, index)
 
     def _blocks(self, blocks, tiles: Sequence[int], dtype,
@@ -576,15 +576,13 @@ class TileBank:
 
 
 class TileView:
-    """One tile of a :class:`TileBank`: its state and counters by index.
+    """One tile of a :class:`TileBank` by index: what selective
+    write-verify reads and re-pulses.
 
-    What ``CiMMatrix.iter_tiles_with_slice()`` yields: ``conductance``,
-    ``target_levels`` (the occupied corner, as views), ``stats``, cell
-    reads and re-pulsing — the surface of a standalone crossbar as big as
-    the tile's data, so a bank can be compared tile by tile with the
-    grid-of-crossbars oracle (``tests/oracles/per_tile_cim.py``).
-    Mutations go through the bank so its state and counters stay
-    authoritative.
+    ``target_levels`` (the occupied corner, as a view), cell reads and
+    re-pulsing — the verify loop of a standalone crossbar as big as the
+    tile's data.  Mutations go through the bank so its state and counters
+    stay authoritative.
     """
 
     def __init__(self, bank: TileBank, index: int):
@@ -594,25 +592,8 @@ class TileView:
         self.index = index
 
     @property
-    def conductance(self) -> np.ndarray:
-        """The tile's occupied cells, ``(used_rows, used_cols)``: a view."""
-        return self.bank._tile(self.bank._cells, self.index)
-
-    @property
     def target_levels(self) -> np.ndarray:
         return self.bank._tile(self.bank._levels, self.index)
-
-    @property
-    def stats(self) -> CrossbarStats:
-        """A snapshot of this tile's counters."""
-        bank, i = self.bank, self.index
-        return CrossbarStats(
-            cells_programmed=int(bank.cells_programmed[i]),
-            write_pulses=int(bank.write_pulses[i]),
-            mvm_ops=int(bank.mvm_ops[i]),
-            adc_conversions=int(bank.adc_conversions[i]),
-            cell_reads=int(bank.cell_reads[i]),
-        )
 
     def read_cells(self) -> np.ndarray:
         return self.bank.read_cells(tiles=[self.index])[0]

@@ -20,14 +20,14 @@ from ..utils import rng_from_seed
 
 __all__ = ["train_prompt_parameters"]
 
+BATCH_SIZE = 8   # samples per step (all of them when there are fewer)
+
 
 def train_prompt_parameters(
     parameters: Sequence[Parameter],
     step_fn: Callable[[list[Sample]], float],
     samples: list[Sample],
     config: TuningConfig,
-    *,
-    batch_size: int = 8,
 ) -> list[float]:
     """Optimise ``parameters`` over ``samples``.
 
@@ -47,10 +47,10 @@ def train_prompt_parameters(
     )
     history: list[float] = []
     for _ in range(config.steps):
-        if len(samples) <= batch_size:
+        if len(samples) <= BATCH_SIZE:
             batch = samples
         else:
-            picks = rng.choice(len(samples), size=batch_size, replace=False)
+            picks = rng.choice(len(samples), size=BATCH_SIZE, replace=False)
             batch = [samples[i] for i in picks]
         optimizer.zero_grad()
         loss = step_fn(batch)

@@ -15,7 +15,8 @@ import pytest
 from repro.cim import CiMMatrix
 from repro.mitigation import SelectiveWriteVerify, make_mitigation
 from repro.nvm import TileBank, get_device
-from tests.oracles.per_tile_cim import PerTileCiMMatrix
+from tests.oracles.per_tile_cim import (PerTileCiMMatrix, tile_conductance,
+                                       tile_stats, tiles_with_slice)
 
 RNG = np.random.default_rng(57)
 
@@ -65,12 +66,12 @@ class TestEquivalenceMatrix:
                              adc_bits=adc_bits)
         # Programmed conductances are bit-identical, tile for tile.
         for (s_ref, t_ref), (s_vec, t_vec) in zip(
-                ref.iter_tiles_with_slice(), vec.iter_tiles_with_slice()):
+                ref.iter_tiles_with_slice(), tiles_with_slice(vec)):
             assert s_ref == s_vec
             np.testing.assert_array_equal(t_ref.conductance,
-                                          t_vec.conductance)
+                                          tile_conductance(vec.bank, t_vec))
             np.testing.assert_array_equal(t_ref.target_levels,
-                                          t_vec.target_levels)
+                                          vec.bank.tile(t_vec).target_levels)
         # Noisy read-backs agree exactly; compute agrees to float tolerance.
         np.testing.assert_array_equal(ref.read_matrix(), vec.read_matrix())
         x = RNG.normal(size=shape[0]).astype(np.float32)
@@ -100,10 +101,10 @@ class TestEquivalenceMatrix:
         ref, vec = make_pair(w, sigma=0.1, rows=384, cols=128,
                              mitigation_name=mitigation_name)
         for (_, t_ref), (_, t_vec) in zip(ref.iter_tiles_with_slice(),
-                                          vec.iter_tiles_with_slice()):
-            assert t_vec.conductance.shape == (min(shape[0], 384), 2)
-            np.testing.assert_array_equal(t_ref.conductance,
-                                          t_vec.conductance)
+                                          tiles_with_slice(vec)):
+            cells = tile_conductance(vec.bank, t_vec)
+            assert cells.shape == (min(shape[0], 384), 2)
+            np.testing.assert_array_equal(t_ref.conductance, cells)
         x = RNG.normal(size=shape[0]).astype(np.float32)
         batch = RNG.normal(size=(4, shape[0])).astype(np.float32)
         run_workload(ref, x, batch, columns=(1, 2))
@@ -279,15 +280,15 @@ class TestTileBank:
         bank.program(levels)
         view = bank.tile(2)
         np.testing.assert_array_equal(view.target_levels, levels[2])
-        assert view.stats.cells_programmed == 8 * 4
-        before = view.conductance.copy()
+        assert tile_stats(bank, 2).cells_programmed == 8 * 4
+        before = tile_conductance(bank, 2).copy()
         mask = np.zeros((8, 4), dtype=bool)
         mask[0] = True
         view.reprogram_cells(mask)
-        after = view.conductance
+        after = tile_conductance(bank, 2)
         assert not np.allclose(after[0], before[0])
         np.testing.assert_allclose(after[1:], before[1:])
-        assert view.stats.write_pulses == 8 * 4 + 4
+        assert tile_stats(bank, 2).write_pulses == 8 * 4 + 4
 
     def test_matmat_counts_and_shapes(self):
         bank = self._bank()

@@ -17,6 +17,7 @@ from repro.serve import PromptServeEngine
 from repro.tuning import TuningConfig, VirtualTokens
 from tests.engine_calls import answer_text, tune_one
 from tests.oracles.generation import session_answer_sequential
+from tests.oracles.per_tile_cim import tile_conductance
 from tests.oracles.retrieval import retrieve
 
 
@@ -225,13 +226,13 @@ class TestProgrammingNoiseStreams:
             old_bank = old_store.bank
             new_bank = new.engine._stores[scale].bank
             for index in range(min(old_bank.n_tiles, new_bank.n_tiles)):
-                old_tile, new_tile = old_bank.tile(index), new_bank.tile(index)
-                rows, cols = np.minimum(old_tile.conductance.shape,
-                                        new_tile.conductance.shape)
-                same = (old_tile.target_levels[:rows, :cols]
-                        == new_tile.target_levels[:rows, :cols])
-                old_cells = old_tile.conductance[:rows, :cols]
-                new_cells = new_tile.conductance[:rows, :cols]
+                old_all = tile_conductance(old_bank, index)
+                new_all = tile_conductance(new_bank, index)
+                rows, cols = np.minimum(old_all.shape, new_all.shape)
+                same = (old_bank.tile(index).target_levels[:rows, :cols]
+                        == new_bank.tile(index).target_levels[:rows, :cols])
+                old_cells = old_all[:rows, :cols]
+                new_cells = new_all[:rows, :cols]
                 assert np.array_equal(old_cells[same], new_cells[same])
                 assert not (old_cells[~same] == new_cells[~same]).any()
                 kept += int(same.sum())

@@ -24,9 +24,11 @@ import pytest
 
 from repro.ag import Linear, iter_modules, no_grad
 from repro.core import FrameworkConfig
+from repro.eval.metrics import score_output
 from repro.eval.runner import TABLE1_METHODS, ExperimentContext, evaluate_method
 from repro.llm import build_model, infer, quantization_stats, quantize_model
 from repro.llm.transformer import TinyCausalLM
+from repro.serve import PromptServeEngine, QueryRequest
 from tests.oracles.graph import forward
 
 
@@ -62,6 +64,33 @@ def perplexity(model: TinyCausalLM, token_stream: np.ndarray, *,
     return float(np.exp(total_nll / total_tokens))
 
 
+def served_accuracy(context: ExperimentContext, model: TinyCausalLM,
+                    model_name: str, dataset_name: str,
+                    config: FrameworkConfig,
+                    user_ids: tuple[int, ...]) -> float:
+    """One cell of :func:`~repro.eval.runner.evaluate_method` served on
+    ``model`` instead of the context's float ``model_name``: the same
+    memoised libraries and queries, one engine, one batch."""
+    engine = PromptServeEngine(model, context.tokenizer, config,
+                               max_sessions=len(user_ids))
+    generation = context.generation_config()
+    requests, expected = [], []
+    for user_id in user_ids:
+        task = context.user_task(dataset_name, user_id,
+                                 config.buffer_capacity)
+        engine.load_session(user_id, context.library(
+            model_name, dataset_name, user_id, config))
+        for query in task.queries:
+            requests.append(QueryRequest(user_id=user_id,
+                                         text=query.input_text,
+                                         generation=generation))
+            expected.append((task.dataset.metric, query.target_text))
+    responses = engine.answer_batch(requests)
+    return float(np.mean([score_output(metric, response.answer, target)
+                          for response, (metric, target)
+                          in zip(responses, expected)]))
+
+
 def quantization_quality(
     context: ExperimentContext,
     model_name: str = "phi-2-sim",
@@ -81,10 +110,11 @@ def quantization_quality(
     (point over float — above 1.0 means worse), and the byte footprint
     from :func:`repro.llm.quantization.quantization_stats`.
 
-    Accuracy is :func:`~repro.eval.runner.evaluate_method` on the
-    NVCiM-PT column: libraries are tuned against the context's memoised
-    float model, and each point converts one ``deepcopy`` of it that
-    serves the point's accuracy and scores its perplexity, so the shared
+    Accuracy is the NVCiM-PT column: the float reference is
+    :func:`~repro.eval.runner.evaluate_method`, whose libraries are tuned
+    against the context's memoised float model, and each point converts
+    one ``deepcopy`` of it that serves the same libraries
+    (:func:`served_accuracy`) and scores its perplexity, so the shared
     float model — and the libraries tuned against it — are never
     touched.
     """
@@ -102,8 +132,8 @@ def quantization_quality(
     for mode, group_size in points:
         arm = copy.deepcopy(float_model)
         quantize_model(arm, mode, group_size)
-        accuracy = evaluate_method(context, model_name, dataset_name, method,
-                                   base_config, user_ids=user_ids, model=arm)
+        accuracy = served_accuracy(context, arm, model_name, dataset_name,
+                                   method.apply(base_config), user_ids)
         ppl = perplexity(arm, context.corpus,
                          window=ppl_window, max_windows=ppl_windows)
         stats = quantization_stats(arm)
@@ -210,11 +240,12 @@ class TestQuantizationQuality:
         assert int8["perplexity_ratio"] <= 1.05
 
     def test_quantized_arms_never_hit_the_float_memo(self, ctx, monkeypatch):
-        """The float and quantized arms share one cell key (same method,
-        config, users); only the served model differs.  A memo hit across
-        them would report the float score as the arm's, a silent 0.0
-        delta.  Seed the float cell with a score no 3-query cell can
-        reach and check that no arm reads it, or writes the memo."""
+        """The float and quantized arms share one cell (same method,
+        config, users); only the served model differs, and only the float
+        arm is a memoised cell.  An arm that read the memo would report
+        the float score as its own, a silent 0.0 delta.  Seed the float
+        cell with a score no 3-query cell can reach and check that no arm
+        reads it, or writes the memo."""
         sentinel = 0.123
         method = next(m for m in TABLE1_METHODS if m.name == "NVCiM-PT")
         key = ("phi-2-sim", "LaMP-1",

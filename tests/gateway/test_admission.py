@@ -1,6 +1,7 @@
 """The gateway's own decisions, without sockets or a model.
 
-``GatewayConfig`` refuses values that would break the worker, round
+``GatewayConfig`` refuses values that would break the worker, the
+queue-full 429's ``Retry-After`` is the service-time estimate, round
 admission is FIFO, each way ``begin_query`` can fail has its status, and
 queued entries past their deadline leave with a 504 before admission:
 ``PromptGateway._admit`` / ``_drop_dead_queued`` are driven directly
@@ -9,10 +10,11 @@ watch fires on any input, and only once.
 """
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
-from repro.gateway import GatewayConfig, PromptGateway
+from repro.gateway import GatewayConfig, PromptGateway, server
 from repro.gateway.server import QueuedQuery, _WatchedReader
 from repro.serve import QueryRequest, SnapshotError
 
@@ -21,28 +23,38 @@ class TestGatewayConfig:
     @pytest.mark.parametrize("field, value", [
         ("max_queue", 0),
         ("max_batch", 0),
-        ("idle_wait_s", 0.0),            # Event.wait(0): a busy spin
-        ("idle_wait_s", -0.5),
-        ("default_deadline_s", 0.0),     # every deadline-free query 504s
-        ("default_deadline_s", -1.0),
-        ("retry_after_s", -0.1),         # a negative Retry-After header
     ])
     def test_rejects_values_that_break_the_gateway(self, field, value):
         with pytest.raises(ValueError, match=field):
             GatewayConfig(**{field: value})
 
-    def test_accepts_the_edges_that_work(self):
-        config = GatewayConfig(retry_after_s=0.0, default_deadline_s=None,
-                               idle_wait_s=1e-3)
-        assert config.retry_after_s == 0.0
-
-    def test_a_fixed_retry_after_is_the_429_hint(self):
+    def test_the_429_hint_is_the_service_estimate(self, monkeypatch):
         """The queue-full 429 is the one 429; its ``Retry-After`` is the
-        configured value when there is one, whatever the backlog."""
-        gateway = PromptGateway(RecordingEngine(),
-                                GatewayConfig(retry_after_s=1.5))
+        time ``max_batch`` slots take to drain the backlog (queued plus
+        admitted, at least one): 0.5 s per query before any answer, then
+        the EWMA (weight 0.2) of observed service times — floored at
+        0.05 s, rounded to 2 dp."""
+        gateway = PromptGateway(RecordingEngine(), GatewayConfig(max_batch=8))
+        assert gateway._retry_after_hint() == 0.06       # 0.5 x 1 / 8
         enqueue(gateway, [0, 1, 2])
-        assert gateway._retry_after_hint() == 1.5
+        assert gateway._retry_after_hint() == 0.19       # 0.5 x 3 / 8
+        gateway._admitted = [None] * 5
+        assert gateway._retry_after_hint() == 0.5        # 0.5 x 8 / 8
+        narrow = PromptGateway(RecordingEngine(), GatewayConfig(max_batch=16))
+        assert narrow._retry_after_hint() == 0.05        # floor, not 0.03
+
+        clock = {"now": 0.0}
+        monkeypatch.setattr(server, "time", SimpleNamespace(
+            monotonic=lambda: clock["now"]))
+        for service, ewma in ((1.0, 1.0), (2.0, 1.2), (0.2, 1.0)):
+            clock["now"] = service        # every query enqueued at 0.0
+            gateway._observe_service(gateway._queue[0])
+            assert gateway._service_ewma_s == pytest.approx(ewma)
+            assert gateway._retry_after_hint() == round(ewma, 2)   # 8 / 8
+        clock["now"] = 0.01
+        for _ in range(40):
+            gateway._observe_service(gateway._queue[0])
+        assert gateway._retry_after_hint() == 0.05        # floor again
 
 
 class RecordingEngine:

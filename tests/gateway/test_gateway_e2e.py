@@ -407,7 +407,7 @@ class TestBackpressure:
         # A stalled gateway that un-stalls after the first rejection:
         # the client's backoff loop should land the request on attempt 2+.
         gateway = PromptGateway(engine, GatewayConfig(
-            port=0, max_queue=1, max_batch=2, retry_after_s=0.05))
+            port=0, max_queue=1, max_batch=2))
         gateway._tick = lambda: False
         gateway.start()
         try:

@@ -15,11 +15,11 @@ from repro.llm import (
     DecodeScheduler,
     GenerationConfig,
     TinyCausalLM,
-    decode_batch,
     prefill,
 )
 from repro.llm.transformer import LMConfig
-from tests.oracles.generation import decode_sequential, forward_cached
+from tests.oracles.generation import (decode_batch, decode_sequential,
+                                      forward_cached)
 
 RNG = np.random.default_rng(21)
 

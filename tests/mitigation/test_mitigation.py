@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cim import CiMMatrix, NullMitigation
+from repro.cim import CiMMatrix, MitigationHooks
 from repro.mitigation import (
     MITIGATION_REGISTRY,
     CorrectNetMitigation,
@@ -12,6 +12,7 @@ from repro.mitigation import (
     make_mitigation,
 )
 from repro.nvm import get_device
+from tests.oracles.per_tile_cim import tile_stats, tiles_with_slice
 
 RNG = np.random.default_rng(41)
 
@@ -64,9 +65,9 @@ class TestSelectiveWriteVerify:
     def test_only_msb_slices_touched(self):
         w = RNG.normal(size=(16, 4)).astype(np.float32)
         matrix = stored(w, SelectiveWriteVerify(verify_slices=2))
-        for slice_index, tile in matrix.iter_tiles_with_slice():
+        for slice_index, tile in tiles_with_slice(matrix):
             if slice_index < 6:  # LSB slices: initial program pulses only
-                assert tile.stats.write_pulses == 16 * 4   # occupied cells
+                assert tile_stats(matrix.bank, tile).write_pulses == 16 * 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -133,9 +134,9 @@ class TestCorrectNet:
                 type("M", (), {"calibration": {}})(), np.ones(3))
 
 
-class TestNullMitigation:
+class TestMitigationHooks:
     def test_identity_everywhere(self):
-        null = NullMitigation()
+        null = MitigationHooks()
         values = RNG.normal(size=(4, 4))
         np.testing.assert_array_equal(null.prepare_values(values), values)
         np.testing.assert_array_equal(null.correct_output(None, values), values)

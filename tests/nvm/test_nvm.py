@@ -14,6 +14,7 @@ from repro.nvm import (
 )
 
 from tests.oracles.crossbar import CrossbarArray
+from tests.oracles.per_tile_cim import tile_conductance
 
 RNG = np.random.default_rng(17)
 
@@ -86,7 +87,7 @@ class TestDeviceModels:
         bank = TileBank(device, 1, rows=200, cols=100, sigma=0.1,
                         rngs=[np.random.default_rng(0)])
         bank.program([np.full((200, 100), 1)])
-        noise = bank.tile(0).conductance - device.level_values()[1]
+        noise = tile_conductance(bank, 0) - device.level_values()[1]
         expected = 0.0146 * (0.1 / REFERENCE_SIGMA)
         assert abs(noise.std() - expected) < 0.01 * expected * 5
         assert abs(noise.mean()) < expected / 50

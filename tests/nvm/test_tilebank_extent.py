@@ -15,6 +15,7 @@ from repro.nvm import TileBank, available_devices, get_device
 from repro.serve.codec import decode_value, encode_value
 from tests.nvm.test_tilebank_grouping import grids
 from tests.oracles.crossbar import whole_tiles
+from tests.oracles.per_tile_cim import tile_conductance
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -77,7 +78,7 @@ class TestExtentIsTheOccupiedCorner:
             assert np.array_equal(whole_tiles(small, "target_levels"),
                                   whole_tiles(whole, "target_levels"))
             for index, corner in enumerate(extent):
-                assert small.tile(index).conductance.shape == tuple(corner)
+                assert tile_conductance(small, index).shape == tuple(corner)
 
         same_corner()
         assert small.nbytes == occupied.sum() * 5

@@ -2,7 +2,7 @@
 
 A bank cut on a grid holds each row tile's tiles side by side, the GEMM
 operand of the chunk they share.  Given the same generators and levels,
-everything read in tile order — ``bank.tile(i)``, ``read_cells``, a
+everything read in tile order — a tile's cells, ``read_cells``, a
 re-pulse, the snapshot — is *exactly* what the default bank (one row of
 whole tiles, one chunk per tile, the layout every earlier build had)
 produces, and only the GEMM's operand shape differs.
@@ -14,6 +14,7 @@ import pytest
 from repro.nvm import TileBank, available_devices, get_device
 from repro.serve.codec import encode_value
 from tests.oracles.crossbar import whole_tiles
+from tests.oracles.per_tile_cim import tile_conductance
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -92,8 +93,8 @@ class TestGroupingIsDataMovement:
         col1 = data.draw(st.integers(col0 + 1, cols))
         assert encode_value(grouped.read_cells(tiles, col0, col1)) == \
             encode_value(identity.read_cells(tiles, col0, col1))
-        assert grouped.tile(int(tiles[0])).conductance.tobytes() == \
-            identity.tile(int(tiles[0])).conductance.tobytes()
+        assert tile_conductance(grouped, int(tiles[0])).tobytes() == \
+            tile_conductance(identity, int(tiles[0])).tobytes()
 
         # A masked re-pulse of those tiles (an empty mask draws nothing).
         masks = rng.random((len(tiles), rows, cols)) < 0.5

@@ -143,10 +143,11 @@ def whole_tiles(bank, blocks="conductance") -> np.ndarray:
     """A ``TileBank``'s tiles as one ``(n_tiles, rows, cols)`` stack, zero
     outside each tile's occupied corner — what a bank of whole subarrays
     would hold.  ``blocks`` is one block per tile, or the name of the
-    ``TileView`` attribute to read from ``bank.tile(i)``
-    (``"conductance"`` / ``"target_levels"``)."""
+    bank's cell array to cut them from (``"conductance"`` /
+    ``"target_levels"``)."""
     if isinstance(blocks, str):
-        blocks = [getattr(bank.tile(i), blocks) for i in range(bank.n_tiles)]
+        cells = {"conductance": bank._cells, "target_levels": bank._levels}
+        blocks = [bank._tile(cells[blocks], i) for i in range(bank.n_tiles)]
     blocks = [np.asarray(block) for block in blocks]
     stack = np.zeros((bank.n_tiles, bank.rows, bank.cols),
                      dtype=blocks[0].dtype)

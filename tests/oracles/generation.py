@@ -10,11 +10,16 @@ span forward) is token-identical to, both on ``repro.ag`` ops only:
   time (what ``decode_from`` was): :func:`forward_cached` is the
   autograd forward extended to attend over a :class:`KVCache`, the
   hook ``forward(past_kv=, use_cache=True)`` used to be.
+
+:func:`decode_batch` is not an oracle but the production side of the
+comparison for many states at once: every state admitted to one
+``DecodeScheduler``.
 """
 
 import numpy as np
 
 from repro.ag import Tensor, gelu, no_grad
+from repro.llm import DecodeScheduler, GenerationConfig
 from repro.llm.generation import _sample, prefill
 from repro.llm.kv_cache import KVCache
 from repro.utils import rng_from_seed
@@ -159,3 +164,19 @@ def answer_sequential(engine, request) -> str:
     return session_answer_sequential(
         engine.session(request.user_id), request.text,
         request.generation or engine.default_generation())
+
+
+def decode_batch(model, states, configs):
+    """Decode ``states`` together in one ``DecodeScheduler``, each with
+    its config (``configs`` is one per state, or one for all); the ids
+    in ``states`` order.  A config list of the wrong length is refused,
+    so no state silently goes undecoded."""
+    if isinstance(configs, GenerationConfig):
+        configs = [configs] * len(states)
+    if len(configs) != len(states):
+        raise ValueError(f"{len(configs)} configs for {len(states)} states")
+    scheduler = DecodeScheduler(model)
+    sequences = [scheduler.admit(state, config)
+                 for state, config in zip(states, configs)]
+    scheduler.run()
+    return [sequence.token_ids() for sequence in sequences]

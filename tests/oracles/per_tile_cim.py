@@ -7,6 +7,11 @@ unpadded block of the digit plane that falls on it, evaluated one small
 matvec at a time.  Same per-tile streams and the same occupied extents
 means bit-identical conductances, tile for tile; outputs agree to float
 tolerance and counters exactly.
+
+The production side of the tile-by-tile comparison reads a bank by
+``(bank, index)``: :func:`tile_conductance`, :func:`tile_stats` and
+:func:`tiles_with_slice` (a ``CiMMatrix``'s flat tile indices with their
+bit slice, in the oracle's ``iter_tiles_with_slice`` order).
 """
 
 from contextlib import contextmanager
@@ -14,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.cim import NullMitigation
+from repro.cim import MitigationHooks
 from repro.mitigation import SelectiveWriteVerify
 from repro.nvm import (CrossbarStats, Int16Codec, slice_to_digits,
                        slice_weights)
@@ -31,7 +36,7 @@ class PerTileCiMMatrix:
                  adc_bits=8, mitigation=None, rng=None):
         self.device = device
         self.subarray_rows, self.subarray_cols = rows, cols
-        self.mitigation = mitigation or NullMitigation()
+        self.mitigation = mitigation or MitigationHooks()
         prepared = self.mitigation.prepare_values(
             np.asarray(values, dtype=np.float32))
         self.shape = d, n = prepared.shape
@@ -142,6 +147,29 @@ class PerTileCiMMatrix:
                     value[r * rows:r * rows + len(digits),
                           out0:out0 + hi - lo] += digits * weights[s]
         return self.codec.decode(value - _OFFSET)
+
+
+def tile_conductance(bank, index):
+    """Tile ``index``'s occupied cells, ``(used_rows, used_cols)``: a view."""
+    return bank._tile(bank._cells, index)
+
+
+def tile_stats(bank, index) -> CrossbarStats:
+    """A snapshot of tile ``index``'s counters."""
+    return CrossbarStats(
+        cells_programmed=int(bank.cells_programmed[index]),
+        write_pulses=int(bank.write_pulses[index]),
+        mvm_ops=int(bank.mvm_ops[index]),
+        adc_conversions=int(bank.adc_conversions[index]),
+        cell_reads=int(bank.cell_reads[index]),
+    )
+
+
+def tiles_with_slice(matrix):
+    """``(slice_index, flat bank index)`` of every tile of a
+    ``CiMMatrix``; slice 0 holds the LSB digits."""
+    per_slice = matrix.n_row_tiles * matrix.n_col_tiles
+    return [(flat // per_slice, flat) for flat in range(matrix.n_subarrays)]
 
 
 @contextmanager
