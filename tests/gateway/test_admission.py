@@ -10,6 +10,7 @@ watch fires on any input, and only once.
 """
 
 import asyncio
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -21,12 +22,31 @@ from repro.serve import QueryRequest, SnapshotError
 
 class TestGatewayConfig:
     @pytest.mark.parametrize("field, value", [
-        ("max_queue", 0),
-        ("max_batch", 0),
+        ("max_queue", 0),                # every query 429s
+        ("max_queue", -1),
+        ("max_batch", 0),                # nothing is ever admitted
+        ("max_batch", -1),
     ])
     def test_rejects_values_that_break_the_gateway(self, field, value):
         with pytest.raises(ValueError, match=field):
             GatewayConfig(**{field: value})
+
+    def test_accepts_the_edges_that_work(self):
+        """One queue place and one decode slot still serve: the first
+        query is admitted and the next waits its turn."""
+        config = GatewayConfig(max_queue=1, max_batch=1)
+        engine = RecordingEngine()
+        gateway = PromptGateway(engine, config)
+        enqueue(gateway, [0, 1])
+        assert gateway._admit() == 1
+        assert engine.begun == [0]
+        assert [q.request.user_id for q in gateway._queue] == [1]
+
+    def test_holds_only_the_deployment_fields(self):
+        """The 429 hint, the idle wait and deadlines are not settings."""
+        assert [f.name for f in fields(GatewayConfig)] == \
+            ["host", "port", "max_queue", "max_batch"]
+        assert server.IDLE_WAIT_S == 0.02
 
     def test_the_429_hint_is_the_service_estimate(self, monkeypatch):
         """The queue-full 429 is the one 429; its ``Retry-After`` is the

@@ -143,3 +143,11 @@ class TestMitigationHooks:
         np.testing.assert_array_equal(
             null.correct_read_columns(None, values, 0, 4), values)
         assert null.post_program(None) is None
+
+    def test_are_the_default_and_the_none_entry(self):
+        """A matrix stored without a mitigation gets the no-op hooks, the
+        class that ``"none"`` names."""
+        matrix = stored(RNG.normal(size=(8, 4)).astype(np.float32), None)
+        assert type(matrix.mitigation) is MitigationHooks
+        assert MITIGATION_REGISTRY["none"] is MitigationHooks
+        assert make_mitigation("none").name == matrix.mitigation.name

@@ -18,8 +18,11 @@ from repro.tuning import (
     build_training_ids,
     generate_with_artifact,
     make_target_vector,
+    train_prompt_parameters,
 )
+from repro.ag import Parameter
 from repro.tuning.dept import RANK
+from repro.tuning.trainer import BATCH_SIZE
 
 CFG = TuningConfig(steps=12, lr=0.05, seed=0)
 
@@ -68,6 +71,38 @@ class TestSequencePlumbing:
             TuningConfig(steps=0)
         with pytest.raises(ValueError):
             TuningConfig(anchor_weight=-1.0)
+
+
+class TestTrainingLoop:
+    """``train_prompt_parameters`` steps on minibatches of ``BATCH_SIZE``
+    (8) samples, or on all of them when there are no more than that."""
+
+    @staticmethod
+    def batches_seen(samples, steps=5):
+        weight = Parameter(np.zeros(3, dtype=np.float32))
+        seen = []
+
+        def step(batch):
+            seen.append(list(batch))
+            weight.grad = np.ones(3, dtype=np.float32)
+            return 1.0
+        history = train_prompt_parameters(
+            [weight], step, samples, TuningConfig(steps=steps, seed=0))
+        assert history == [1.0] * steps
+        return seen
+
+    def test_minibatch_is_eight_distinct_samples(self):
+        samples = list(range(20))
+        seen = self.batches_seen(samples)
+        assert BATCH_SIZE == 8
+        for batch in seen:
+            assert len(batch) == len(set(batch)) == BATCH_SIZE
+            assert set(batch) <= set(samples)
+        assert len({tuple(batch) for batch in seen}) > 1   # redrawn per step
+
+    def test_few_samples_train_on_all_of_them(self):
+        samples = list(range(BATCH_SIZE))
+        assert self.batches_seen(samples) == [samples] * 5
 
 
 class TestVanillaPromptTuner:
