@@ -15,8 +15,15 @@ digit plane that falls on it, nothing is zero-padded to subarray size,
 and programming, the product, the ADC, read-back, billing and snapshots
 all cost what ``n_slices x d x n`` cells cost.
 :meth:`CiMMatrix.matmat` evaluates a whole batch of queries with one GEMM
-per row tile over the stored cells plus one vectorized ADC quantization —
-the serving engine's batched-retrieval hot path.  Every tile draws
+per row tile over the stored cells plus one vectorized ADC quantization,
+then one shift-add product — the serving engine's batched-retrieval hot
+path; :meth:`CiMMatrix.read_columns` reads every bit plane's columns as
+one view (:meth:`TileBank.read_plane_columns`) and adds the planes in
+slice order — the restore path.  What depends only on the store (the
+slice weights, whether a query needs padding to the last row tile) is
+derived when the matrix is built or rebuilt from a snapshot, not per
+call; ``tests/oracles/cim_path.py`` is the long-hand path both are held
+to bit for bit.  Every tile draws
 programming noise from its own spawned stream (a packed state row in the
 bank), so the grid of standalone crossbars the equivalence tests build
 (``tests/oracles/per_tile_cim.py``) programs to *bit-identical*
@@ -76,6 +83,12 @@ class CiMMatrix:
     """A (d, n) float matrix stored bit-sliced on NVM crossbars, occupying
     ``n_slices * d * n`` cells of its ``n_subarrays`` subarrays."""
 
+    # Derived from the shape, the subarrays and the device whenever the
+    # matrix is built or rebuilt from a snapshot (`_derive`), not state:
+    # the shift-add and read-back slice weights, and the width a query is
+    # zero-padded to when `d` is not a whole number of subarray rows.
+    _SNAPSHOT_EXCLUDED = ("_shift_add", "_read_weights", "_padded_width")
+
     def __init__(
         self,
         values: np.ndarray,
@@ -104,9 +117,7 @@ class CiMMatrix:
         digits = slice_to_digits(self._ints, device.bits_per_cell)
         self.n_slices = digits.shape[0]
         self._adc_bits = adc_bits
-        d, n = self.shape
-        self.n_row_tiles = -(-d // rows)
-        self.n_col_tiles = -(-n // cols)
+        self._derive()
         # Calibration data some mitigations fill in during post_program.
         self.calibration: dict[str, np.ndarray] = {}
         # One spawned generator per tile, derived hierarchically (matrix ->
@@ -131,6 +142,18 @@ class CiMMatrix:
     # ------------------------------------------------------------------
     # Programming and geometry
     # ------------------------------------------------------------------
+    def _derive(self) -> None:
+        """The tile grid and what every product and read re-uses, from
+        the shape, the subarrays and the device."""
+        d, n = self.shape
+        rows = self.subarray_rows
+        self.n_row_tiles = -(-d // rows)
+        self.n_col_tiles = -(-n // self.subarray_cols)
+        weights = slice_weights(self.device.bits_per_cell, self.n_slices)
+        self._read_weights = weights.reshape(-1, 1)
+        self._shift_add = (weights * (self.device.n_levels - 1)).reshape(-1, 1)
+        self._padded_width = self.n_row_tiles * rows if d % rows else 0
+
     def _new_bank(self, rngs: list[np.random.Generator] | None = None,
                   ) -> TileBank:
         """A bank as big as the matrix: one plane per bit slice."""
@@ -169,15 +192,15 @@ class CiMMatrix:
     # ------------------------------------------------------------------
     # Compute
     # ------------------------------------------------------------------
-    def matmat(self, queries: np.ndarray, *,
-               quantize_output: bool = True) -> np.ndarray:
+    def matmat(self, queries: np.ndarray) -> np.ndarray:
         """Batched in-memory product ``X @ W`` for ``X`` of shape (B, d).
 
-        The whole batch is evaluated against every tile with one batched
-        matmul and one vectorized ADC pass.  Per-query physics is
-        unchanged: each query still bills one MVM per tile and one
-        conversion per occupied column of it, so energy counters scale
-        with the batch width exactly as B sequential queries would.
+        The whole batch is evaluated against every tile with one GEMM per
+        row tile and one vectorized ADC pass, then shift-added digitally
+        with one product.  Per-query physics is unchanged: each query
+        still bills one MVM per tile and one conversion per occupied
+        column of it, so energy counters scale with the batch width
+        exactly as B sequential queries would.
         """
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim != 2:
@@ -189,25 +212,24 @@ class CiMMatrix:
         if queries.shape[0] == 0:
             raise ValueError("matmat needs at least one query")
         batch = queries.shape[0]
-        n_rt, rows = self.n_row_tiles, self.subarray_rows
-        n_slices = self.n_slices
-        # Row chunks, zero-padded to the tile grid: (n_rt, B, rows).
-        chunks = np.zeros((batch, n_rt * rows), dtype=np.float32)
-        chunks[:, :d] = queries
-        chunks = np.ascontiguousarray(
-            chunks.reshape(batch, n_rt, rows).transpose(1, 0, 2))
-        # One GEMM + one vectorized ADC pass per row-tile group; a group's
-        # result blocks its occupied columns per (slice, col_tile) in flat
-        # order, so it is (batch, n_slices * n) with nothing to crop.
-        grouped = self.bank.matmat_grouped(chunks,
-                                           quantize_output=quantize_output)
-        # Shift-add: sum row-tile planes, weight the slices.
-        planes = grouped[0].reshape(batch, n_slices, n).astype(np.float64)
+        chunks = queries
+        if self._padded_width:
+            # The ADC's full scale is summed over a row tile's whole
+            # input, so the short last row tile's is zero-padded.
+            chunks = np.zeros((batch, self._padded_width), dtype=np.float32)
+            chunks[:, :d] = queries
+        # Row chunks (n_rt, B, rows), a view: row tile g's GEMM reads
+        # every query's columns [g * rows, (g + 1) * rows).
+        grouped = self.bank.matmat_grouped(chunks.reshape(
+            batch, self.n_row_tiles, self.subarray_rows).transpose(1, 0, 2))
+        # Shift-add: sum the row tiles, then weight the slices — a
+        # (batch * n, n_slices) x (n_slices, 1) product.
+        planes = grouped[0].astype(np.float64)
         for part in grouped[1:]:
-            planes += part.reshape(batch, n_slices, n)
-        weights = slice_weights(self.device.bits_per_cell, n_slices)
-        weights = weights * (self.device.n_levels - 1)
-        total = np.tensordot(planes, weights, axes=(1, 0))
+            planes += part
+        planes = planes.reshape(batch, self.n_slices, n).transpose(0, 2, 1)
+        total = np.dot(planes.reshape(-1, self.n_slices),
+                       self._shift_add).reshape(batch, n)
         total -= _OFFSET * queries.sum(axis=1, dtype=np.float64)[:, None]
         outputs = (total * self.codec.scale).astype(np.float32)
         return self.mitigation.correct_output(self, outputs)
@@ -234,20 +256,12 @@ class CiMMatrix:
             self, self._read(col0, col1), col0, col1)
 
     def _read(self, col0: int, col1: int) -> np.ndarray:
-        rows, cols = self.subarray_rows, self.subarray_cols
-        value = np.zeros((self.shape[0], col1 - col0), dtype=np.float64)
-        weights = slice_weights(self.device.bits_per_cell, self.n_slices)
-        for ct in range(col0 // cols, (col1 - 1) // cols + 1):
-            lo, hi = max(col0 - ct * cols, 0), min(col1 - ct * cols, cols)
-            out0 = ct * cols + lo - col0
-            # Flat bank index is (slice * n_rt + row_tile) * n_ct + ct.
-            tiles = (np.arange(self.n_slices * self.n_row_tiles)
-                     * self.n_col_tiles + ct)
-            blocks = self.bank.read_cells(tiles=tiles, col0=lo, col1=hi)
-            for index, digits in enumerate(blocks):
-                s, rt = divmod(index, self.n_row_tiles)
-                value[rt * rows:rt * rows + len(digits),
-                      out0:out0 + hi - lo] += digits * weights[s]
+        # Every bit plane's columns at once, (d, n_slices, width), added
+        # in slice order.
+        planes = self.bank.read_plane_columns(col0, col1) * self._read_weights
+        value = planes[:, 0].copy()
+        for s in range(1, self.n_slices):
+            value += planes[:, s]
         value -= _OFFSET
         return self.codec.decode(value)
 
@@ -332,9 +346,7 @@ class CiMMatrix:
         self.shape = tuple(int(d) for d in snap["shape"])
         self.n_slices = int(snap["n_slices"])
         self._adc_bits = int(snap["adc_bits"])
-        d, n = self.shape
-        self.n_row_tiles = -(-d // self.subarray_rows)
-        self.n_col_tiles = -(-n // self.subarray_cols)
+        self._derive()
         self.bank = self._new_bank()
         self.restore(snap)
         return self

@@ -11,10 +11,11 @@ Architecture — four kinds of thread around one engine:
 * **Worker thread** — the decode driver.  It owns the serving hot loop:
   each tick it expires queued requests past their deadline, admits the
   oldest queued queries into the free decode-batch slots (strict arrival
-  order) through ``engine.begin_query``, runs one
-  ``engine.run_decode_round`` (every in-flight answer advances one token
-  in a single batched forward), and resolves the futures of retired
-  generations back into the event loop.
+  order) through ``engine.begin_query``, resolves the futures of queries
+  already finished (answered at admission) back into the event loop,
+  runs one ``engine.run_decode_round`` (every in-flight answer advances
+  one token in a single batched forward), and resolves the generations
+  it retired.
 * **The tune thread** (``gateway-tune``) — tune requests run
   ``engine.submit`` here, one at a time, at the lowest CPU priority the
   OS offers (nice 19 on Linux, where niceness is per thread).  A tune
@@ -550,8 +551,11 @@ class PromptGateway:
         self._drop_dead_queued(now)
         admitted_now = self._admit()
         self._cancel_disconnected()
-        progressed = self._drive_round()
+        # A query answered at admission replies before the round, not
+        # after another user's token.
         resolved = self._resolve_finished()
+        progressed = self._drive_round()
+        resolved += self._resolve_finished()
         return bool(admitted_now or progressed or resolved)
 
     def _drop_dead_queued(self, now: float) -> None:

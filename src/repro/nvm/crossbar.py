@@ -97,11 +97,11 @@ def tile_extents(shape: tuple[int, int], n_planes: int = 1, *,
     any size from it without allocating a cell.
     """
     d, n = shape
-    used_rows = np.minimum(rows, d - rows * np.arange(-(-d // rows)))
-    used_cols = np.minimum(cols, n - cols * np.arange(-(-n // cols)))
-    plane = np.stack(np.broadcast_arrays(used_rows[:, None],
-                                         used_cols[None, :]), axis=-1)
-    return np.tile(plane.reshape(-1, 2), (n_planes, 1))
+    grid = (-(-d // rows), -(-n // cols))
+    extent = np.empty((n_planes, *grid, 2), dtype=np.intp)
+    extent[..., 0] = np.minimum(rows, d - rows * np.arange(grid[0]))[:, None]
+    extent[..., 1] = np.minimum(cols, n - cols * np.arange(grid[1]))
+    return extent.reshape(-1, 2)
 
 
 def _runs(size: int, tile: int) -> list[tuple[int, int, int]]:
@@ -158,11 +158,13 @@ class TileBank:
     (``levels.astype(np.intp)``) and indexes with that.
     """
 
-    # `device` is configuration; `shape` and `_span` are geometry, derived
-    # at construction, not state.  `extent` is derived too but shipped —
+    # `device` is configuration; `shape`, `_span`, `_row_bands`,
+    # `_plane_cols` and `_conversions` are geometry, derived at
+    # construction, not state.  `extent` is derived too but shipped —
     # a snapshot's flat arrays mean nothing without it — and `restore`
     # refuses another bank's.
-    _SNAPSHOT_EXCLUDED = ("device", "shape", "_span")
+    _SNAPSHOT_EXCLUDED = ("device", "shape", "_span", "_row_bands",
+                          "_plane_cols", "_conversions")
 
     def __init__(self, device: NVMDevice, n_tiles: int, *, rows: int = 384,
                  cols: int = 128, sigma: float = 0.1, adc_bits: int = 8,
@@ -207,6 +209,14 @@ class TileBank:
         col0 = plane * n + col_tile * cols
         self._span = list(zip(row_tile.tolist(), col0.tolist(),
                               (col0 + self.extent[:, 1]).tolist()))
+        # What every product and read re-uses: each row tile's band of
+        # cell rows (its GEMM operand), each tile's columns within its
+        # plane, and what one query converts per tile.
+        self._row_bands = [slice(r * rows, (r + 1) * rows)
+                           for r in range(grid[0])]
+        self._plane_cols = (col_tile * cols,
+                            col_tile * cols + self.extent[:, 1])
+        self._conversions = self.extent[:, 1].copy()
         self._cells = np.zeros((d, n_planes * n), dtype=np.float32)
         self._levels = np.zeros(
             self._cells.shape, dtype=np.min_scalar_type(device.n_levels - 1))
@@ -357,66 +367,82 @@ class TileBank:
         self.cell_reads[list(tiles)] += [block.size for block in blocks]
         return blocks
 
-    def matmat(self, chunks: np.ndarray, *,
-               quantize_output: bool = True) -> np.ndarray:
+    def read_plane_columns(self, col0: int, col1: int) -> np.ndarray:
+        """Cell-wise readout of columns ``[col0, col1)`` of every plane,
+        in level units: ``(d, n_planes, col1 - col0)``, one strided view
+        of the cells scaled once.
+
+        ``cell_reads`` bills each tile the occupied cells it holds of
+        those columns.
+        """
+        self._require_programmed()
+        d, n = self.shape
+        if not 0 <= col0 < col1 <= n:
+            raise ValueError(f"column range [{col0}, {col1}) outside "
+                             f"[0, {n})")
+        first, end = self._plane_cols
+        width = np.minimum(end, col1) - np.maximum(first, col0)
+        self.cell_reads += self.extent[:, 0] * np.maximum(width, 0)
+        gain = self.device.n_levels - 1
+        return self._cells.reshape(d, -1, n)[:, :, col0:col1] * gain
+
+    def matmat(self, chunks: np.ndarray) -> np.ndarray:
         """Batched analog MVM for every tile at once.
 
         ``chunks`` has shape ``(n_row_tiles, batch, rows)`` — each row
         tile's input chunk for each query in the batch (one per tile for
         the default ``shape``).  Returns per-tile column currents
         ``(n_tiles, batch, cols)`` (exactly 0 in unoccupied columns)
-        computed with one GEMM per row tile, optionally
-        pushed through one vectorized ADC quantization (per-tile,
-        per-query full scale, as the SAR ADC columns would).  Counters
-        scale with the batch width: each tile bills ``batch`` MVMs and
-        ``batch * used_cols`` conversions.
+        computed with one GEMM per row tile, pushed through one
+        vectorized ADC quantization (per-tile, per-query full scale, as
+        the SAR ADC columns would).  Counters scale with the batch
+        width: each tile bills ``batch`` MVMs and ``batch * used_cols``
+        conversions.
         """
-        grouped = self.matmat_grouped(chunks, quantize_output=quantize_output)
+        grouped = self.matmat_grouped(chunks)
         out = np.zeros((self.n_tiles, grouped[0].shape[0], self.cols),
                        dtype=grouped[0].dtype)
         for tile, (row_tile, col0, col1) in enumerate(self._span):
             out[tile, :, :col1 - col0] = grouped[row_tile][:, col0:col1]
         return out
 
-    def matmat_grouped(self, chunks: np.ndarray, *,
-                       quantize_output: bool = True) -> list[np.ndarray]:
+    def matmat_grouped(self, chunks: np.ndarray) -> np.ndarray:
         """The GEMM core of :meth:`matmat`, without the per-tile gather.
 
-        Returns one ``(batch, n_planes * n)`` current matrix per row
-        tile, laid out like its cells (tile ``(plane, row_tile,
-        col_tile)`` at columns ``plane * n + col_tile * cols``); only
-        occupied columns exist, so only they are converted.  Callers that
+        Returns every row tile's ``(batch, n_planes * n)`` converted
+        currents, one ``(n_row_tiles, batch, n_planes * n)`` array, each
+        laid out like its cells (tile ``(plane, row_tile, col_tile)`` at
+        columns ``plane * n + col_tile * cols``); only occupied columns
+        exist, so only they are converted.  Callers that
         immediately re-aggregate tiles (the bit-sliced shift-add) use
         this to skip materialising the ``(n_tiles, batch, cols)`` layout.
         """
         self._require_programmed()
         chunks = np.asarray(chunks, dtype=np.float32)
-        n_chunks = -(-self.shape[0] // self.rows)
-        if (chunks.ndim != 3 or chunks.shape[0] != n_chunks
+        if (chunks.ndim != 3 or chunks.shape[0] != len(self._row_bands)
                 or chunks.shape[2] != self.rows):
             raise ValueError(
-                f"expected (n_chunks={n_chunks}, batch, "
+                f"expected (n_chunks={len(self._row_bands)}, batch, "
                 f"rows={self.rows}) inputs, got {chunks.shape}")
-        if quantize_output:
-            # One ADC step per (row tile, query): the full scale
-            # depends only on the shared input chunk.
-            full_scale = np.abs(chunks).sum(axis=2)  # (n_row_tiles, batch)
-            full_scale = np.where(full_scale == 0.0, 1.0, full_scale)
-            steps = 2.0 * full_scale / (2 ** self.adc_bits - 1)
-        out = []
-        for g, chunk in enumerate(chunks):
-            # The stored cells are the operand: (used_rows, n_planes * n).
-            cells = self._cells[g * self.rows:(g + 1) * self.rows]
-            currents = chunk[:, :len(cells)] @ cells
-            if quantize_output:
-                step = steps[g][:, None]
-                currents = np.rint(currents / step) * step
-            out.append(currents)
+        # One ADC step per (row tile, query): the full scale depends only
+        # on the shared input chunk, all `rows` of it: (n_row_tiles, B, 1).
+        steps = np.add.reduce(np.abs(chunks), axis=2)[:, :, None]
+        steps[steps == 0.0] = 1.0
+        steps *= 2.0
+        steps /= 2 ** self.adc_bits - 1
         batch = chunks.shape[1]
+        currents = np.empty((len(chunks), batch, self._cells.shape[1]),
+                            dtype=np.float32)
+        for chunk, band, out in zip(chunks, self._row_bands, currents):
+            # The stored cells are the operand: (used_rows, n_planes * n).
+            cells = self._cells[band]
+            np.matmul(chunk[:, :len(cells)], cells, out=out)
+        currents /= steps
+        np.rint(currents, out=currents)
+        currents *= steps
         self.mvm_ops += batch
-        if quantize_output:
-            self.adc_conversions += batch * self.extent[:, 1]
-        return out
+        self.adc_conversions += batch * self._conversions
+        return currents
 
     def aggregate_stats(self) -> CrossbarStats:
         """Counters summed vectorially over the whole bank."""

@@ -38,7 +38,7 @@ from ..utils import (
     spawn_generators,
     state_generator,
 )
-from .pooling import multi_scale_vectors
+from .pooling import multi_scale_batch, multi_scale_vectors
 
 __all__ = ["SearchConfig", "SSA_CONFIG", "MIPS_CONFIG", "CiMSearchEngine",
            "RETRIEVAL_REGISTRY"]
@@ -70,11 +70,6 @@ class SearchConfig:
 SSA_CONFIG = SearchConfig(scales=(1, 2, 4), weights=(1.0, 0.8, 0.6))
 MIPS_CONFIG = SearchConfig(scales=(1,), weights=(1.0,))
 RETRIEVAL_REGISTRY = {"ssa": SSA_CONFIG, "mips": MIPS_CONFIG}
-
-
-def _unit(vector: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vector))
-    return vector if norm == 0.0 else vector / norm
 
 
 class CiMSearchEngine:
@@ -158,21 +153,25 @@ class CiMSearchEngine:
     def query_batch(self, encoded_queries: Sequence[np.ndarray]) -> np.ndarray:
         """Scores of many queries at once, shape (batch, n_stored).
 
-        All queries are pooled, stacked per scale and scored against each
-        scale's store with a single :meth:`CiMMatrix.matmat` — one batched
-        in-memory GMM per scale instead of ``batch x scales`` matvecs.
-        Row ``i`` is what ``encoded_queries[i]`` scores alone.
+        All queries are pooled together, normalised per scale and scored
+        against each scale's store with a single :meth:`CiMMatrix.matmat`
+        — one batched in-memory GMM per scale instead of ``batch x
+        scales`` matvecs.  Row ``i`` is what ``encoded_queries[i]``
+        scores alone.
         """
         self._require_built()
         if len(encoded_queries) == 0:
             raise ValueError("query_batch needs at least one query")
-        pooled = [multi_scale_vectors(q, self.config.scales,
-                                      self.config.pad_length)
-                  for q in encoded_queries]
-        total = np.zeros((len(pooled), self._count), dtype=np.float64)
+        pooled = multi_scale_batch(encoded_queries, self.config.scales,
+                                   self.config.pad_length)
+        total = np.zeros((len(encoded_queries), self._count),
+                         dtype=np.float64)
         for scale, weight in zip(self.config.scales, self.config.weights):
-            rows = [_unit(vectors[scale]) for vectors in pooled]
-            similarity = self._stores[scale].matmat(np.stack(rows))
+            vectors = pooled[scale]
+            # Each row's own dot product, as np.linalg.norm takes it.
+            norms = np.sqrt(np.vecdot(vectors, vectors))
+            norms[norms == 0.0] = 1.0
+            similarity = self._stores[scale].matmat(vectors / norms[:, None])
             total += weight * similarity.astype(np.float64)
         return (total / sum(self.config.weights)).astype(np.float32)
 

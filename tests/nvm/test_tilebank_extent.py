@@ -15,7 +15,7 @@ from repro.nvm import TileBank, available_devices, get_device
 from repro.serve.codec import decode_value, encode_value
 from tests.nvm.test_tilebank_grouping import grids
 from tests.oracles.crossbar import whole_tiles
-from tests.oracles.per_tile_cim import tile_conductance
+from tests.oracles.per_tile_cim import tile_conductance, tile_currents
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -100,22 +100,21 @@ class TestExtentIsTheOccupiedCorner:
         group_rows = extent[:n_groups * n_col_tiles:n_col_tiles, 0]
         chunks = rng.normal(size=(n_groups, 2, rows)).astype(np.float32)
         chunks *= np.arange(rows) < group_rows[:, None, None]
-        analog = small.matmat(chunks, quantize_output=False)
-        assert analog.shape == (n_tiles, 2, cols)
+        analog = tile_currents(small, chunks)
         columns = np.arange(cols) < extent[:, 1, None, None]
         columns = np.broadcast_to(columns, analog.shape)
         np.testing.assert_allclose(
-            analog[columns],
-            whole.matmat(chunks, quantize_output=False)[columns],
+            analog[columns], tile_currents(whole, chunks)[columns],
             rtol=1e-5, atol=1e-5)
-        assert not analog[~columns].any()
         quantized = small.matmat(chunks)
+        assert quantized.shape == (n_tiles, 2, cols)
         step = 2.0 * np.abs(chunks).sum(axis=2).max() / (2 ** adc_bits - 1)
+        assert np.abs(quantized - analog).max() <= step / 2 * (1 + 1e-5)
         # Sub-ulp GEMM differences may round across one ADC step.
         assert np.abs(quantized - whole.matmat(chunks)
                       )[columns].max() <= step * (1 + 1e-5)
         assert not quantized[~columns].any()
-        assert (small.mvm_ops == 2 * 2).all()
+        assert (small.mvm_ops == 2).all()  # one product of two queries
         assert np.array_equal(small.adc_conversions, 2 * extent[:, 1])
 
         # A read bills the occupied cells it touches.
@@ -125,6 +124,30 @@ class TestExtentIsTheOccupiedCorner:
         gain = device.n_levels - 1
         assert np.array_equal(whole_tiles(small, blocks),
                               whole_tiles(small) * gain)
+        # So does a column range of every plane at once: each tile the
+        # occupied rows it holds of the columns.
+        col0 = data.draw(st.integers(0, shape[1] - 1))
+        col1 = data.draw(st.integers(col0 + 1, shape[1]))
+        planes = small.read_plane_columns(col0, col1)
+        in_plane = np.arange(n_tiles) % n_col_tiles * cols
+        width = (np.minimum(in_plane + extent[:, 1], col1)
+                 - np.maximum(in_plane, col0)).clip(0)
+        assert np.array_equal(small.cell_reads - occupied,
+                              extent[:, 0] * width)
+        n_planes = n_tiles // (n_groups * n_col_tiles)
+        assert planes.shape == (shape[0], n_planes, col1 - col0)
+        for index, corner in enumerate(extent):
+            row_tile = index // n_col_tiles % n_groups
+            col_tile = index % n_col_tiles
+            lo = max(col0 - col_tile * cols, 0)
+            hi = min(col1 - col_tile * cols, corner[1])
+            if lo < hi:
+                block = planes[row_tile * rows:row_tile * rows + corner[0],
+                               index // (n_groups * n_col_tiles),
+                               col_tile * cols + lo - col0:
+                               col_tile * cols + hi - col0]
+                assert np.array_equal(
+                    block, tile_conductance(small, index)[:, lo:hi] * gain)
 
         # The snapshot is the corner, flat, and restores to itself.
         snap = small.snapshot()
@@ -246,6 +269,8 @@ class TestErasedCells:
             bank.read_cells(col0=0, col1=2)    # tile 1 has one column
         with pytest.raises(ValueError, match="occupied"):
             bank.read_cells(tiles=[3], col0=1, col1=2)
+        with pytest.raises(ValueError, match="outside"):
+            bank.read_plane_columns(2, 6)      # the planes are 5 wide
         assert encode_value(bank.snapshot()) == before
         assert [b.shape for b in bank.read_cells(tiles=[0, 2], col0=1,
                                                  col1=3)] == [(6, 2), (3, 2)]

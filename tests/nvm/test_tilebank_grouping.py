@@ -14,7 +14,7 @@ import pytest
 from repro.nvm import TileBank, available_devices, get_device
 from repro.serve.codec import encode_value
 from tests.oracles.crossbar import whole_tiles
-from tests.oracles.per_tile_cim import tile_conductance
+from tests.oracles.per_tile_cim import tile_conductance, tile_currents
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -103,16 +103,19 @@ class TestGroupingIsDataMovement:
             bank.reprogram_cells(masks, tiles=tiles)
         assert_same_state(grouped, identity)
 
-        # The product: one GEMM per row tile vs one per tile.
+        # The product: one GEMM per row tile vs one per tile.  Before the
+        # ADC both banks' cells carry the same currents, and each bank's
+        # converted output is within half a step of them.
         chunks = rng.normal(size=(n_groups, 2, rows)).astype(np.float32)
+        analog = tile_currents(grouped, chunks)
         np.testing.assert_allclose(
-            grouped.matmat(chunks, quantize_output=False),
-            identity.matmat(chunks[chunk_index], quantize_output=False),
+            analog, tile_currents(identity, chunks[chunk_index]),
             rtol=1e-5, atol=1e-5)
         step = (2.0 * np.abs(chunks).sum(axis=2).max()
                 / (2 ** adc_bits - 1))
         quantized = grouped.matmat(chunks)
         assert quantized.shape == (n_tiles, 2, cols)
+        assert np.abs(quantized - analog).max() <= step / 2 * (1 + 1e-5)
         # Sub-ulp GEMM differences may round across one ADC step.
         assert np.abs(quantized - identity.matmat(chunks[chunk_index])
                       ).max() <= step * (1 + 1e-5)

@@ -9,7 +9,10 @@ re-derives the slice weights, shift-adds with ``np.tensordot``, pools and
 normalises one query at a time and reads a column range tile by tile
 through ``TileBank.read_cells``.
 
-Each function bills the bank's per-tile counters exactly as the
+:func:`analog_matmat` is the product with the ADC left out, which no
+production call computes: what a noise-free store is held to.
+
+Each other function bills the bank's per-tile counters exactly as the
 production call does, so driving one of two equal stores through these
 and the other through production must leave equal outputs *and* equal
 counters, bit for bit (``tests/cim/test_cim_path.py``).
@@ -84,6 +87,22 @@ def matmat_reference(matrix, queries):
     weights = slice_weights(matrix.device.bits_per_cell, n_slices)
     weights = weights * (matrix.device.n_levels - 1)
     total = np.tensordot(planes, weights, axes=(1, 0))
+    total -= _OFFSET * queries.sum(axis=1, dtype=np.float64)[:, None]
+    outputs = (total * matrix.codec.scale).astype(np.float32)
+    return matrix.mitigation.correct_output(matrix, outputs)
+
+
+def analog_matmat(matrix, queries):
+    """``X @ W`` through a matrix's stored cells with no ADC: one product
+    of the queries and every plane's cells, shift-added, then the
+    mitigation's output correction."""
+    queries = np.asarray(queries, dtype=np.float32)
+    batch, n = len(queries), matrix.shape[1]
+    currents = queries @ matrix.bank._cells
+    planes = currents.reshape(batch, matrix.n_slices, n).astype(np.float64)
+    weights = slice_weights(matrix.device.bits_per_cell, matrix.n_slices)
+    total = np.tensordot(planes, weights * (matrix.device.n_levels - 1),
+                         axes=(1, 0))
     total -= _OFFSET * queries.sum(axis=1, dtype=np.float64)[:, None]
     outputs = (total * matrix.codec.scale).astype(np.float32)
     return matrix.mitigation.correct_output(matrix, outputs)

@@ -9,7 +9,8 @@ means bit-identical conductances, tile for tile; outputs agree to float
 tolerance and counters exactly.
 
 The production side of the tile-by-tile comparison reads a bank by
-``(bank, index)``: :func:`tile_conductance`, :func:`tile_stats` and
+``(bank, index)``: :func:`tile_conductance`, :func:`tile_currents` (the
+analog product before the ADC), :func:`tile_stats` and
 :func:`tiles_with_slice` (a ``CiMMatrix``'s flat tile indices with their
 bit slice, in the oracle's ``iter_tiles_with_slice`` order).
 """
@@ -152,6 +153,24 @@ class PerTileCiMMatrix:
 def tile_conductance(bank, index):
     """Tile ``index``'s occupied cells, ``(used_rows, used_cols)``: a view."""
     return bank._tile(bank._cells, index)
+
+
+def tile_currents(bank, chunks):
+    """The analog column currents of every tile before the ADC, ``(n_tiles,
+    batch, cols)`` and zero in unoccupied columns: one small product of
+    its row tile's chunk and its occupied cells per tile."""
+    d, n = bank.shape
+    grid = (bank.n_tiles, -(-d // bank.rows), -(-n // bank.cols))
+    grid = (grid[0] // (grid[1] * grid[2]), *grid[1:])
+    currents = np.zeros((bank.n_tiles, chunks.shape[1], bank.cols),
+                        dtype=np.float32)
+    for index in range(bank.n_tiles):
+        row_tile = np.unravel_index(index, grid)[1]
+        cells = tile_conductance(bank, index)
+        used_rows, used_cols = cells.shape
+        currents[index, :, :used_cols] = (
+            chunks[row_tile][:, :used_rows] @ cells)
+    return currents
 
 
 def tile_stats(bank, index) -> CrossbarStats:

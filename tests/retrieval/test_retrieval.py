@@ -15,6 +15,7 @@ from repro.retrieval import (
     multi_scale_vectors,
     pad_rows,
 )
+from repro.retrieval.pooling import multi_scale_batch
 from repro.serve.codec import decode_value, encode_value
 from repro.utils import STATE_WORDS
 from tests.oracles.legacy_rngs import dict_form
@@ -58,6 +59,28 @@ class TestPooling:
         assert vectors[1].shape == (96,)
         assert vectors[2].shape == (48,)
         assert vectors[4].shape == (24,)
+
+    @pytest.mark.parametrize("dims", [1, 3, 48])
+    def test_batch_rows_are_each_matrix_alone(self, dims):
+        """Truncated, padded, all-zero and dims-of-one matrices pooled
+        together equal each pooled alone, bit for bit."""
+        matrices = [RNG.normal(size=(rows, dims)).astype(np.float32)
+                    for rows in (1, 7, 16, 23)]
+        matrices.append(np.zeros((5, dims)))
+        batch = multi_scale_batch(matrices, (1, 2, 4, 8), 16)
+        for i, matrix in enumerate(matrices):
+            alone = multi_scale_vectors(matrix, (1, 2, 4, 8), 16)
+            for scale, vectors in batch.items():
+                assert vectors.dtype == np.float32
+                assert np.array_equal(vectors[i], alone[scale])
+
+    def test_batch_validation(self):
+        with pytest.raises(ValueError, match="2-D"):
+            multi_scale_batch([np.ones((2, 2)), np.ones(4)], (1,), 2)
+        with pytest.raises(ValueError, match="positive"):
+            multi_scale_batch([np.ones((2, 2))], (1,), 0)
+        with pytest.raises(ValueError, match="divisible"):
+            multi_scale_batch([np.ones((2, 2))], (1, 4), 6)
 
     def test_pooling_preserves_mean(self):
         x = RNG.normal(size=(16, 4)).astype(np.float32)
