@@ -230,7 +230,8 @@ class CiMMatrix:
         planes = planes.reshape(batch, self.n_slices, n).transpose(0, 2, 1)
         total = np.dot(planes.reshape(-1, self.n_slices),
                        self._shift_add).reshape(batch, n)
-        total -= _OFFSET * queries.sum(axis=1, dtype=np.float64)[:, None]
+        total -= _OFFSET * np.add.reduce(queries, axis=1,
+                                         dtype=np.float64)[:, None]
         outputs = (total * self.codec.scale).astype(np.float32)
         return self.mitigation.correct_output(self, outputs)
 

@@ -426,10 +426,11 @@ class TileBank:
                 f"rows={self.rows}) inputs, got {chunks.shape}")
         # One ADC step per (row tile, query): the full scale depends only
         # on the shared input chunk, all `rows` of it: (n_row_tiles, B, 1).
+        # A step is 2 * full scale / (2 ** adc_bits - 1); doubling is
+        # exact, so one division by half the levels rounds the same.
         steps = np.add.reduce(np.abs(chunks), axis=2)[:, :, None]
         steps[steps == 0.0] = 1.0
-        steps *= 2.0
-        steps /= 2 ** self.adc_bits - 1
+        steps /= (2 ** self.adc_bits - 1) / 2
         batch = chunks.shape[1]
         currents = np.empty((len(chunks), batch, self._cells.shape[1]),
                             dtype=np.float32)

@@ -172,7 +172,7 @@ class CiMSearchEngine:
             norms = np.sqrt(np.vecdot(vectors, vectors))
             norms[norms == 0.0] = 1.0
             similarity = self._stores[scale].matmat(vectors / norms[:, None])
-            total += weight * similarity.astype(np.float64)
+            total += np.multiply(similarity, weight, dtype=np.float64)
         return (total / sum(self.config.weights)).astype(np.float32)
 
     def restore(self, index: int) -> np.ndarray:
