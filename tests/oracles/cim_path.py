@@ -21,6 +21,8 @@ counters, bit for bit (``tests/cim/test_cim_path.py``).
 import numpy as np
 
 from repro.nvm import slice_weights
+from repro.retrieval import multi_scale_vectors
+from tests.oracles.retrieval import _unit
 
 _OFFSET = 32768  # excess code of the int16 bit-slicing
 
@@ -134,32 +136,6 @@ def read_columns_reference(matrix, col0, col1):
     read correction."""
     return matrix.mitigation.correct_read_columns(
         matrix, read_reference(matrix, col0, col1), col0, col1)
-
-
-def pad_rows(matrix, length):
-    """Zero-pad or truncate a token matrix to ``length`` rows."""
-    matrix = np.asarray(matrix, dtype=np.float32)
-    rows, dims = matrix.shape
-    if rows >= length:
-        return matrix[:length].copy()
-    out = np.zeros((length, dims), dtype=np.float32)
-    out[:rows] = matrix
-    return out
-
-
-def multi_scale_vectors(matrix, scales, length):
-    """Flattened average pools of one padded token matrix, per scale."""
-    padded = pad_rows(matrix, length)
-    rows, dims = padded.shape
-    return {scale: (padded.copy() if scale == 1 else
-                    padded.reshape(rows // scale, scale, dims).mean(axis=1)
-                    ).reshape(-1)
-            for scale in scales}
-
-
-def _unit(vector):
-    norm = float(np.linalg.norm(vector))
-    return vector if norm == 0.0 else vector / norm
 
 
 def query_batch_reference(engine, encoded_queries):

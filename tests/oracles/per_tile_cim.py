@@ -160,12 +160,11 @@ def tile_currents(bank, chunks):
     batch, cols)`` and zero in unoccupied columns: one small product of
     its row tile's chunk and its occupied cells per tile."""
     d, n = bank.shape
-    grid = (bank.n_tiles, -(-d // bank.rows), -(-n // bank.cols))
-    grid = (grid[0] // (grid[1] * grid[2]), *grid[1:])
+    n_row_tiles, n_col_tiles = -(-d // bank.rows), -(-n // bank.cols)
     currents = np.zeros((bank.n_tiles, chunks.shape[1], bank.cols),
                         dtype=np.float32)
     for index in range(bank.n_tiles):
-        row_tile = np.unravel_index(index, grid)[1]
+        row_tile = index // n_col_tiles % n_row_tiles
         cells = tile_conductance(bank, index)
         used_rows, used_cols = cells.shape
         currents[index, :, :used_cols] = (
