@@ -158,13 +158,12 @@ class TileBank:
     (``levels.astype(np.intp)``) and indexes with that.
     """
 
-    # `device` is configuration; `shape`, `_span`, `_row_bands`,
-    # `_plane_cols` and `_conversions` are geometry, derived at
-    # construction, not state.  `extent` is derived too but shipped —
-    # a snapshot's flat arrays mean nothing without it — and `restore`
-    # refuses another bank's.
+    # `device` is configuration; `shape`, `_span`, `_row_bands` and
+    # `_plane_cols` are geometry, derived at construction, not state.
+    # `extent` is derived too but shipped — a snapshot's flat arrays mean
+    # nothing without it — and `restore` refuses another bank's.
     _SNAPSHOT_EXCLUDED = ("device", "shape", "_span", "_row_bands",
-                          "_plane_cols", "_conversions")
+                          "_plane_cols")
 
     def __init__(self, device: NVMDevice, n_tiles: int, *, rows: int = 384,
                  cols: int = 128, sigma: float = 0.1, adc_bits: int = 8,
@@ -210,13 +209,12 @@ class TileBank:
         self._span = list(zip(row_tile.tolist(), col0.tolist(),
                               (col0 + self.extent[:, 1]).tolist()))
         # What every product and read re-uses: each row tile's band of
-        # cell rows (its GEMM operand), each tile's columns within its
-        # plane, and what one query converts per tile.
+        # cell rows (its GEMM operand) and each tile's columns within its
+        # plane.
         self._row_bands = [slice(r * rows, (r + 1) * rows)
                            for r in range(grid[0])]
         self._plane_cols = (col_tile * cols,
                             col_tile * cols + self.extent[:, 1])
-        self._conversions = self.extent[:, 1].copy()
         self._cells = np.zeros((d, n_planes * n), dtype=np.float32)
         self._levels = np.zeros(
             self._cells.shape, dtype=np.min_scalar_type(device.n_levels - 1))
@@ -341,31 +339,16 @@ class TileBank:
         self.write_pulses[list(tiles)] += [int(mask.sum()) for mask in masks]
 
     # ------------------------------------------------------------------
-    def read_cells(self, tiles: np.ndarray | None = None,
-                   col0: int | None = None,
-                   col1: int | None = None) -> list[np.ndarray]:
-        """Cell-wise readout in level units: one ``(used_rows, col1 -
-        col0)`` block per selected tile (``col1=None`` reads to the end of
-        each tile's occupied columns).
-
-        ``cell_reads`` bills only the occupied cells actually read.
-        """
+    def read_cells(self, tile: int) -> np.ndarray:
+        """Cell-wise readout of tile ``tile``'s occupied ``(used_rows,
+        used_cols)`` block in level units, billed to its ``cell_reads``:
+        the read of selective write-verify."""
         self._require_programmed()
-        tiles = (range(self.n_tiles) if tiles is None
-                 else [int(tile) for tile in tiles])
-        col0 = 0 if col0 is None else col0
-        gain = self.device.n_levels - 1
-        blocks = []
-        for tile in tiles:
-            cells = self._tile(self._cells, tile)
-            end = cells.shape[1] if col1 is None else col1
-            if not 0 <= col0 < end <= cells.shape[1]:
-                raise ValueError(
-                    f"column range [{col0}, {end}) leaves tile {tile}'s "
-                    f"occupied columns [0, {cells.shape[1]})")
-            blocks.append(cells[:, col0:end] * gain)
-        self.cell_reads[list(tiles)] += [block.size for block in blocks]
-        return blocks
+        if not 0 <= tile < self.n_tiles:
+            raise IndexError(f"tile {tile} out of range [0, {self.n_tiles})")
+        block = self._tile(self._cells, tile) * (self.device.n_levels - 1)
+        self.cell_reads[tile] += block.size
+        return block
 
     def read_plane_columns(self, col0: int, col1: int) -> np.ndarray:
         """Cell-wise readout of columns ``[col0, col1)`` of every plane,
@@ -442,7 +425,7 @@ class TileBank:
         np.rint(currents, out=currents)
         currents *= steps
         self.mvm_ops += batch
-        self.adc_conversions += batch * self._conversions
+        self.adc_conversions += batch * self.extent[:, 1]
         return currents
 
     def aggregate_stats(self) -> CrossbarStats:
@@ -623,7 +606,7 @@ class TileView:
         return self.bank._tile(self.bank._levels, self.index)
 
     def read_cells(self) -> np.ndarray:
-        return self.bank.read_cells(tiles=[self.index])[0]
+        return self.bank.read_cells(self.index)
 
     def reprogram_cells(self, mask: np.ndarray) -> None:
         self.bank.reprogram_cells([mask], tiles=[self.index])

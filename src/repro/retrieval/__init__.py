@@ -7,10 +7,10 @@ from .engine import (
     CiMSearchEngine,
     SearchConfig,
 )
-from .pooling import avg_pool_rows, multi_scale_vectors, pad_rows
+from .pooling import multi_scale_batch
 
 __all__ = [
-    "pad_rows", "avg_pool_rows", "multi_scale_vectors",
+    "multi_scale_batch",
     "SearchConfig", "SSA_CONFIG", "MIPS_CONFIG",
     "CiMSearchEngine", "RETRIEVAL_REGISTRY",
 ]

@@ -38,7 +38,7 @@ from ..utils import (
     spawn_generators,
     state_generator,
 )
-from .pooling import multi_scale_batch, multi_scale_vectors
+from .pooling import multi_scale_batch
 
 __all__ = ["SearchConfig", "SSA_CONFIG", "MIPS_CONFIG", "CiMSearchEngine",
            "RETRIEVAL_REGISTRY"]
@@ -131,12 +131,12 @@ class CiMSearchEngine:
         # tiles (hence draws) the stores built before it needed.
         store_rngs = iter(spawn_generators(self._rng,
                                            len(self.config.scales)))
+        pooled = multi_scale_batch(encoded_ovts, self.config.scales,
+                                   self.config.pad_length)
         for scale in self.config.scales:
             columns = []
             norms = []
-            for m in encoded_ovts:
-                vector = multi_scale_vectors(m, (scale,),
-                                             self.config.pad_length)[scale]
+            for vector in pooled[scale]:
                 norm = float(np.linalg.norm(vector))
                 if norm > 0:
                     vector = vector / norm

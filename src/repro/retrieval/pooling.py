@@ -11,55 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pad_rows", "avg_pool_rows", "multi_scale_vectors",
-           "multi_scale_batch"]
-
-
-def pad_rows(matrix: np.ndarray, length: int) -> np.ndarray:
-    """Zero-pad or truncate ``matrix`` to exactly ``length`` rows."""
-    matrix = np.asarray(matrix, dtype=np.float32)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2-D token matrix")
-    if length <= 0:
-        raise ValueError("length must be positive")
-    rows, dims = matrix.shape
-    if rows >= length:
-        return matrix[:length].copy()
-    out = np.zeros((length, dims), dtype=np.float32)
-    out[:rows] = matrix
-    return out
-
-
-def avg_pool_rows(matrix: np.ndarray, scale: int) -> np.ndarray:
-    """Average non-overlapping windows of ``scale`` rows.
-
-    The row count must be divisible by ``scale`` (callers pad first).
-    Scale 1 is the identity.
-    """
-    matrix = np.asarray(matrix, dtype=np.float32)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if scale == 1:
-        return matrix.copy()
-    rows, dims = matrix.shape
-    if rows % scale != 0:
-        raise ValueError(f"{rows} rows not divisible by scale {scale}")
-    return matrix.reshape(rows // scale, scale, dims).mean(axis=1)
-
-
-def multi_scale_vectors(matrix: np.ndarray, scales: tuple[int, ...],
-                        length: int) -> dict[int, np.ndarray]:
-    """Flattened pooled representations of ``matrix`` at each scale."""
-    padded = pad_rows(matrix, length)
-    return {scale: avg_pool_rows(padded, scale).reshape(-1)
-            for scale in scales}
+__all__ = ["multi_scale_batch"]
 
 
 def multi_scale_batch(matrices, scales: tuple[int, ...],
                       length: int) -> dict[int, np.ndarray]:
-    """:func:`multi_scale_vectors` of many token matrices at once: one
-    ``(batch, length // scale * dims)`` array per scale, row ``i`` equal to
-    ``multi_scale_vectors(matrices[i], scales, length)[scale]``."""
+    """Flattened pooled representations of many token matrices at once:
+    one ``(batch, length // scale * dims)`` array per scale, row ``i``
+    the mean of each ``scale``-row window of ``matrices[i]`` zero-padded
+    or truncated to ``length`` rows (scale 1 is the padded matrix)."""
     if length <= 0:
         raise ValueError("length must be positive")
     matrices = [np.asarray(matrix, dtype=np.float32) for matrix in matrices]
@@ -71,6 +31,8 @@ def multi_scale_batch(matrices, scales: tuple[int, ...],
         row[:len(matrix)] = matrix[:length]
     pooled = {}
     for scale in scales:
+        if scale <= 0:
+            raise ValueError("scale must be positive")
         if length % scale != 0:
             raise ValueError(f"{length} rows not divisible by scale {scale}")
         if scale == 1:

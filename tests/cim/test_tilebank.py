@@ -50,7 +50,7 @@ def make_pair(values, *, device="NVM-3", sigma=0.1, adc_bits=8, seed=7,
 def run_workload(matrix, x, batch, columns=(1, 3)):
     """A fixed mixed workload whose counters must match across layouts."""
     matrix.matmat(x[None])
-    matrix.matmat(x[None])
+    matrix.matmat(x[::-1][None])
     matrix.matmat(batch)
     matrix.read_matrix()
     matrix.read_columns(*columns)
@@ -259,7 +259,7 @@ class TestTileBank:
     def test_requires_programming(self):
         bank = self._bank()
         with pytest.raises(RuntimeError):
-            bank.read_cells()
+            bank.read_cells(0)
         with pytest.raises(RuntimeError):
             bank.matmat(np.zeros((4, 1, 8), dtype=np.float32))
 

@@ -121,7 +121,7 @@ class TestExtentIsTheOccupiedCorner:
         assert np.array_equal(small.adc_conversions, 2 * extent[:, 1])
 
         # A read bills the occupied cells it touches.
-        blocks = small.read_cells()
+        blocks = [small.read_cells(tile) for tile in range(n_tiles)]
         assert [block.shape for block in blocks] == [tuple(s) for s in extent]
         assert np.array_equal(small.cell_reads, occupied)
         gain = device.n_levels - 1
@@ -268,13 +268,14 @@ class TestErasedCells:
             bank.tile(1).reprogram_cells(whole[1])
         with pytest.raises(ValueError, match="erased"):
             bank.program(np.zeros((4, 6, 4), dtype=np.int64))
-        with pytest.raises(ValueError, match="occupied"):
-            bank.read_cells(col0=0, col1=2)    # tile 1 has one column
-        with pytest.raises(ValueError, match="occupied"):
-            bank.read_cells(tiles=[3], col0=1, col1=2)
+        with pytest.raises(IndexError):
+            bank.read_cells(4)                 # there are four tiles
         with pytest.raises(ValueError, match="outside"):
             bank.read_plane_columns(2, 6)      # the planes are 5 wide
         assert encode_value(bank.snapshot()) == before
-        assert [b.shape for b in bank.read_cells(tiles=[0, 2], col0=1,
-                                                 col1=3)] == [(6, 2), (3, 2)]
-        assert bank.cell_reads.tolist() == [12, 0, 6, 0]
+        # A tile reads its occupied corner; a column range of the planes
+        # bills each tile the occupied cells it holds of those columns.
+        assert [bank.read_cells(t).shape for t in (1, 2)] == [(6, 1), (3, 4)]
+        assert bank.cell_reads.tolist() == [0, 6, 12, 0]
+        assert bank.read_plane_columns(3, 5).shape == (9, 1, 2)
+        assert bank.cell_reads.tolist() == [6, 12, 15, 3]

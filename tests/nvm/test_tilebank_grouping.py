@@ -3,7 +3,7 @@
 A bank cut on a grid holds each row tile's tiles side by side, the GEMM
 operand of the chunk they share.  Given the same generators and levels,
 everything read in tile order — a tile's cells, ``read_cells``, a
-re-pulse, the snapshot — is *exactly* what the default bank (one row of
+column range of some tiles, a re-pulse, the snapshot — is *exactly* what the default bank (one row of
 whole tiles, one chunk per tile, the layout every earlier build had)
 produces, and only the GEMM's operand shape differs.
 """
@@ -14,7 +14,8 @@ import pytest
 from repro.nvm import TileBank, available_devices, get_device
 from repro.serve.codec import encode_value
 from tests.oracles.crossbar import whole_tiles
-from tests.oracles.per_tile_cim import tile_conductance, tile_currents
+from tests.oracles.per_tile_cim import (read_cell_range, tile_conductance,
+                                       tile_currents)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -85,14 +86,16 @@ class TestGroupingIsDataMovement:
             bank.program(levels)
         assert_same_state(grouped, identity)
 
-        # A column-ranged read of some tiles, in caller order.
+        # Some tiles' reads, and a column range of them, in caller order.
         tiles = np.array(data.draw(st.lists(
             st.integers(0, n_tiles - 1), min_size=1, max_size=n_tiles,
             unique=True)))
         col0 = data.draw(st.integers(0, cols - 1))
         col1 = data.draw(st.integers(col0 + 1, cols))
-        assert encode_value(grouped.read_cells(tiles, col0, col1)) == \
-            encode_value(identity.read_cells(tiles, col0, col1))
+        assert encode_value([grouped.read_cells(t) for t in tiles]) == \
+            encode_value([identity.read_cells(t) for t in tiles])
+        assert encode_value(read_cell_range(grouped, tiles, col0, col1)) == \
+            encode_value(read_cell_range(identity, tiles, col0, col1))
         assert tile_conductance(grouped, int(tiles[0])).tobytes() == \
             tile_conductance(identity, int(tiles[0])).tobytes()
 

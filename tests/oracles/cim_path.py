@@ -7,7 +7,7 @@ per-tile gather as ``bank_matmat_reference``) and the read-back
 the query to the tile grid, sums the ADC full scale over the padded row,
 re-derives the slice weights, shift-adds with ``np.tensordot``, pools and
 normalises one query at a time and reads a column range tile by tile
-through ``TileBank.read_cells``.
+(``tests/oracles/per_tile_cim.py``'s ``read_cell_range``).
 
 :func:`analog_matmat` is the product with the ADC left out, which no
 production call computes: what a noise-free store is held to.
@@ -21,8 +21,8 @@ counters, bit for bit (``tests/cim/test_cim_path.py``).
 import numpy as np
 
 from repro.nvm import slice_weights
-from repro.retrieval import multi_scale_vectors
-from tests.oracles.retrieval import _unit
+from tests.oracles.per_tile_cim import read_cell_range
+from tests.oracles.retrieval import _unit, multi_scale_vectors
 
 _OFFSET = 32768  # excess code of the int16 bit-slicing
 
@@ -112,7 +112,7 @@ def analog_matmat(matrix, queries):
 
 def read_reference(matrix, col0, col1):
     """``CiMMatrix.read_matrix``'s raw read of columns ``[col0, col1)``:
-    one ``TileBank.read_cells`` per column tile, added tile by tile."""
+    one ``read_cell_range`` per column tile, added tile by tile."""
     rows, cols = matrix.subarray_rows, matrix.subarray_cols
     value = np.zeros((matrix.shape[0], col1 - col0), dtype=np.float64)
     weights = slice_weights(matrix.device.bits_per_cell, matrix.n_slices)
@@ -122,7 +122,7 @@ def read_reference(matrix, col0, col1):
         # Flat bank index is (slice * n_rt + row_tile) * n_ct + ct.
         tiles = (np.arange(matrix.n_slices * matrix.n_row_tiles)
                  * matrix.n_col_tiles + ct)
-        blocks = matrix.bank.read_cells(tiles=tiles, col0=lo, col1=hi)
+        blocks = read_cell_range(matrix.bank, tiles, lo, hi)
         for index, digits in enumerate(blocks):
             s, rt = divmod(index, matrix.n_row_tiles)
             value[rt * rows:rt * rows + len(digits),

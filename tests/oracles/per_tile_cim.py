@@ -9,8 +9,9 @@ means bit-identical conductances, tile for tile; outputs agree to float
 tolerance and counters exactly.
 
 The production side of the tile-by-tile comparison reads a bank by
-``(bank, index)``: :func:`tile_conductance`, :func:`tile_currents` (the
-analog product before the ADC), :func:`tile_stats` and
+``(bank, index)``: :func:`tile_conductance`, :func:`read_cell_range` (a column range of
+some tiles' cells, billed), :func:`tile_currents` (the analog product
+before the ADC), :func:`tile_stats` and
 :func:`tiles_with_slice` (a ``CiMMatrix``'s flat tile indices with their
 bit slice, in the oracle's ``iter_tiles_with_slice`` order).
 """
@@ -153,6 +154,24 @@ class PerTileCiMMatrix:
 def tile_conductance(bank, index):
     """Tile ``index``'s occupied cells, ``(used_rows, used_cols)``: a view."""
     return bank._tile(bank._cells, index)
+
+
+def read_cell_range(bank, tiles, col0, col1):
+    """Columns ``[col0, col1)`` of each tile of ``tiles``' occupied cells
+    in level units, one ``(used_rows, col1 - col0)`` block per tile, each
+    billed to its tile's ``cell_reads``; a range that leaves a tile's
+    occupied columns is a ``ValueError``."""
+    tiles = [int(tile) for tile in tiles]
+    blocks = []
+    for tile in tiles:
+        cells = tile_conductance(bank, tile)
+        if not 0 <= col0 < col1 <= cells.shape[1]:
+            raise ValueError(
+                f"column range [{col0}, {col1}) leaves tile {tile}'s "
+                f"occupied columns [0, {cells.shape[1]})")
+        blocks.append(cells[:, col0:col1] * (bank.device.n_levels - 1))
+    bank.cell_reads[tiles] += [block.size for block in blocks]
+    return blocks
 
 
 def tile_currents(bank, chunks):

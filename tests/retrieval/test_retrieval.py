@@ -11,59 +11,69 @@ from repro.retrieval import (
     SSA_CONFIG,
     CiMSearchEngine,
     SearchConfig,
-    avg_pool_rows,
-    multi_scale_vectors,
-    pad_rows,
+    multi_scale_batch,
 )
-from repro.retrieval.pooling import multi_scale_batch
 from repro.serve.codec import decode_value, encode_value
 from repro.utils import STATE_WORDS
 from tests.oracles.legacy_rngs import dict_form
 from tests.oracles.per_tile_cim import per_tile_stores
-from tests.oracles.retrieval import best_match, query_scores, wmsdp_reference
+from tests.oracles.retrieval import (
+    best_match,
+    multi_scale_vectors,
+    query_scores,
+    wmsdp_reference,
+)
 
 RNG = np.random.default_rng(31)
 
 
+def pooled(matrix, scale, length):
+    """One matrix's pooled vector at one scale."""
+    return multi_scale_batch([matrix], (scale,), length)[scale][0]
+
+
 class TestPooling:
     def test_pad_extends_with_zeros(self):
-        out = pad_rows(np.ones((3, 4)), 6)
-        assert out.shape == (6, 4)
+        out = pooled(np.ones((3, 4)), 1, 6).reshape(6, 4)
+        np.testing.assert_allclose(out[:3], 1.0)
         np.testing.assert_allclose(out[3:], 0.0)
 
     def test_pad_truncates(self):
-        out = pad_rows(np.arange(20).reshape(10, 2), 4)
-        assert out.shape == (4, 2)
-        np.testing.assert_allclose(out[3], [6, 7])
+        out = pooled(np.arange(20).reshape(10, 2), 1, 4)
+        assert out.shape == (8,)
+        np.testing.assert_allclose(out.reshape(4, 2)[3], [6, 7])
 
     def test_pad_validation(self):
         with pytest.raises(ValueError):
-            pad_rows(np.ones(4), 2)
+            pooled(np.ones(4), 1, 2)
         with pytest.raises(ValueError):
-            pad_rows(np.ones((2, 2)), 0)
+            pooled(np.ones((2, 2)), 1, 0)
 
     def test_scale1_identity(self):
         x = RNG.normal(size=(8, 3)).astype(np.float32)
-        np.testing.assert_allclose(avg_pool_rows(x, 1), x)
+        np.testing.assert_allclose(pooled(x, 1, 8), x.reshape(-1))
 
     def test_scale2_averages_pairs(self):
         x = np.array([[1.0], [3.0], [5.0], [7.0]], dtype=np.float32)
-        np.testing.assert_allclose(avg_pool_rows(x, 2), [[2.0], [6.0]])
+        np.testing.assert_allclose(pooled(x, 2, 4), [2.0, 6.0])
 
     def test_indivisible_rows_rejected(self):
         with pytest.raises(ValueError):
-            avg_pool_rows(np.ones((5, 2)), 2)
+            pooled(np.ones((5, 2)), 2, 5)
+        with pytest.raises(ValueError):
+            pooled(np.ones((4, 2)), 0, 4)
 
     def test_multi_scale_shapes(self):
-        vectors = multi_scale_vectors(RNG.normal(size=(10, 6)), (1, 2, 4), 16)
-        assert vectors[1].shape == (96,)
-        assert vectors[2].shape == (48,)
-        assert vectors[4].shape == (24,)
+        vectors = multi_scale_batch([RNG.normal(size=(10, 6))], (1, 2, 4), 16)
+        assert vectors[1].shape == (1, 96)
+        assert vectors[2].shape == (1, 48)
+        assert vectors[4].shape == (1, 24)
 
     @pytest.mark.parametrize("dims", [1, 3, 48])
     def test_batch_rows_are_each_matrix_alone(self, dims):
         """Truncated, padded, all-zero and dims-of-one matrices pooled
-        together equal each pooled alone, bit for bit."""
+        together equal each pooled alone the long way (pad, then a window
+        mean), bit for bit."""
         matrices = [RNG.normal(size=(rows, dims)).astype(np.float32)
                     for rows in (1, 7, 16, 23)]
         matrices.append(np.zeros((5, dims)))
@@ -84,7 +94,7 @@ class TestPooling:
 
     def test_pooling_preserves_mean(self):
         x = RNG.normal(size=(16, 4)).astype(np.float32)
-        np.testing.assert_allclose(avg_pool_rows(x, 4).mean(axis=0),
+        np.testing.assert_allclose(pooled(x, 4, 16).reshape(4, 4).mean(axis=0),
                                    x.mean(axis=0), atol=1e-6)
 
 
