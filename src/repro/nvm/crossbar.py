@@ -112,6 +112,15 @@ def _runs(size: int, tile: int) -> list[tuple[int, int, int]]:
             if run[1] and run[2]]
 
 
+def _column_runs(block: np.ndarray) -> np.ndarray:
+    """``block`` with its last axis — one tile row's occupied columns,
+    contiguous in a band of the flat array and of the cells alike — viewed
+    as one ``np.void`` element: numpy then copies a band a run at a time,
+    not a cell at a time, byte for byte the same."""
+    run = np.dtype((np.void, block.shape[-1] * block.itemsize))
+    return block.view(run)
+
+
 class TileBank:
     """``n_tiles`` crossbar subarrays operated as one array.
 
@@ -475,23 +484,24 @@ class TileBank:
 
     def _flat(self, cells: np.ndarray) -> np.ndarray:
         """The occupied cells of a cell array, flat in tile order (each
-        tile row-major): one copy a band, at most four."""
+        tile row-major): one copy a band, at most four, a run of occupied
+        columns at a time."""
         flat = np.empty(cells.size, dtype=cells.dtype)
         for block, band in self._bands(flat, cells):
-            block[...] = band
+            _column_runs(block)[...] = _column_runs(band)
         return flat
 
     def _regrouped(self, array: np.ndarray, key: str, dtype) -> np.ndarray:
         """A snapshot's cell array — flat in tile order, of the bank's own
         ``dtype`` for it — as a new cell array the bank owns: one copy a
-        band, at most four."""
+        band, at most four, a run of occupied columns at a time."""
         if array.dtype != dtype or array.shape != (self._cells.size,):
             raise ValueError(
                 f"snapshot {key} is {array.dtype} {array.shape}, not "
                 f"{np.dtype(dtype)} ({self._cells.size},)")
         cells = np.empty(self._cells.shape, dtype=dtype)
         for block, band in self._bands(array, cells):
-            band[...] = block
+            _column_runs(band)[...] = _column_runs(block)
         return cells
 
     def snapshot(self) -> dict:

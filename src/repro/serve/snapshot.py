@@ -114,10 +114,11 @@ class SessionSnapshot:
         ae = library.autoencoder
         # A recipe banks the live crossbars' counters as a retirement
         # would; a deployment section carries its own.
-        deployment, retired_cim = None, session.cim_stats()
         if mode == "raw" and session.is_deployed:
             deployment = session._deployment.snapshot()
             retired_cim = session._retired_cim
+        else:
+            deployment, retired_cim = None, session.cim_stats()
         return cls(
             user_id=session.user_id,
             mode=mode,

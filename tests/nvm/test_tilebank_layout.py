@@ -3,11 +3,12 @@
 A snapshot's ``conductance`` and ``target_levels`` are, by definition,
 every tile's occupied block raveled row-major and concatenated in tile
 order (``(plane, row_tile, col_tile)``, C order).  The bank copies
-between that and its row-tile groups a grid cell at a time, all planes
-at once; whatever the geometry — several planes, several row and column
-tiles, partial last tiles, one tile, whole tiles — the arrays must be
-that concatenation, and ``restore`` must bring every cell back bit for
-bit.
+between that and its row-tile groups a band of like tiles at a time, all
+planes at once, and within a band a run of occupied columns at a time;
+whatever the geometry — several planes, several row and column tiles,
+partial last tiles, one tile, whole tiles, runs one cell wide — the
+arrays must be that concatenation, and ``restore`` must bring every cell
+back bit for bit.
 """
 
 import numpy as np
@@ -84,7 +85,11 @@ def test_snapshot_is_the_tile_order_concatenation(grid, seed):
     (1, 6, 5, (4, 3)),       # a single, partial tile
     (1, 6, 5, (6, 5)),       # a single whole tile
     (4, 6, 5, None),         # whole tiles, one row tile each
+    (6, 4, 3, (10, 1)),      # one column (a one-OVT library): 1-cell runs
+    (16, 384, 128, (768, 2)),  # a session's store: 8 planes of 2 x 1
+    (18, 4, 3, (10, 7)),     # 2 planes of 3 x 3, the last column tile 1 wide
 ], ids=["planes-ragged", "planes-whole", "ragged-rows", "ragged-cols",
-        "one-partial-tile", "one-whole-tile", "default-shape"])
+        "one-partial-tile", "one-whole-tile", "default-shape", "one-column",
+        "session-store", "one-column-last-tile"])
 def test_layout_of_named_geometries(n_tiles, rows, cols, shape):
     check_layout(programmed_bank(n_tiles, rows, cols, shape, 7), 7)

@@ -1,6 +1,9 @@
 """SessionStore backends and the engine's spill/restore integration."""
 
 import errno
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -81,12 +84,47 @@ class TestSessionStoreBackends:
         assert stats["backend"] == store.backend
 
 
+def listing(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
 class TestDiskBackend:
     def test_one_file_per_user_no_temp_residue(self, tmp_path):
         store = SessionStore(tmp_path)
         store.put(3, b"payload")
         assert (tmp_path / "session_3.nvpt").read_bytes() == b"payload"
         assert list(tmp_path.glob("*.tmp")) == []
+        assert listing(tmp_path) == ["session_3.nvpt"]
+        store.put(3, b"second payload")     # the displaced file is kept
+        assert listing(tmp_path) == ["session_3.nvpt", "session_3.nvpt.spare"]
+        assert (tmp_path / "session_3.nvpt").read_bytes() == b"second payload"
+
+    def test_put_recycles_the_displaced_file(self, tmp_path):
+        """The third put writes into the file the second displaced, cut to
+        the new blob's length, and keeps the one it displaces in turn."""
+        store = SessionStore(tmp_path)
+        live, spare = tmp_path / "session_3.nvpt", tmp_path / "session_3.nvpt.spare"
+        store.put(3, b"a" * 100)
+        store.put(3, b"b" * 10)
+        inodes = live.stat().st_ino, spare.stat().st_ino
+        store.put(3, b"c" * 5)
+        assert (spare.stat().st_ino, live.stat().st_ino) == inodes
+        assert live.read_bytes() == b"c" * 5
+        assert spare.stat().st_nlink == live.stat().st_nlink == 1
+        assert listing(tmp_path) == ["session_3.nvpt", "session_3.nvpt.spare"]
+
+    def test_a_spare_with_another_link_is_not_written(self, tmp_path):
+        """A spare that still has another name — the link a concurrent put
+        took while it was live, and may yet publish — is left as it is."""
+        store = SessionStore(tmp_path)
+        store.put(3, b"older")
+        store.put(3, b"old")
+        other = tmp_path / "session_3.nvpt.0a1b2c.old"
+        os.link(tmp_path / "session_3.nvpt.spare", other)
+        store.put(3, b"new")
+        assert other.read_bytes() == b"older"
+        assert store.get(3) == b"new"
+        assert (tmp_path / "session_3.nvpt.spare").read_bytes() == b"old"
 
     def test_reopened_directory_keeps_blobs(self, tmp_path):
         SessionStore(tmp_path).put(4, b"durable")
@@ -98,6 +136,128 @@ class TestDiskBackend:
         store = SessionStore(tmp_path)
         store.put(2, b"x")
         assert store.user_ids() == [2]
+
+    def test_spare_and_temp_files_are_not_blobs(self, tmp_path):
+        store = SessionStore(tmp_path)
+        store.put(3, b"old blob")
+        store.put(3, b"live")
+        # What a put that crashed leaves: its temp file and the displaced
+        # blob's second link.
+        (tmp_path / "session_3.nvpt.0a1b2c.tmp").write_bytes(b"half a")
+        (tmp_path / "session_5.nvpt.0a1b2c.old").write_bytes(b"old")
+        assert store.user_ids() == [3] and len(store) == 1
+        assert 5 not in store and store.get(5) is None
+        assert store.stats() == {"backend": "disk", "sessions": 1,
+                                 "bytes": len(b"live")}
+
+    def test_delete_quarantine_and_clear_leave_no_file_behind(self, tmp_path):
+        store = SessionStore(tmp_path)
+        for user_id in (1, 2, 3, 4):
+            store.put(user_id, b"first")
+            store.put(user_id, b"second")    # each with a spare
+        assert store.delete(1)
+        assert not any(name.startswith("session_1.")
+                       for name in listing(tmp_path))
+        assert store.quarantine(2)
+        assert [name for name in listing(tmp_path)
+                if name.startswith("session_2.")] == [
+            "session_2.nvpt.quarantined"]
+        (tmp_path / "session_4.nvpt.0a1b2c.tmp").write_bytes(b"half a")
+        (tmp_path / "session_4.nvpt.0a1b2c.old").write_bytes(b"second")
+        store.clear()
+        assert listing(tmp_path) == ["session_2.nvpt.quarantined"]
+
+    def test_without_hard_links_put_is_a_plain_atomic_replace(
+            self, tmp_path, monkeypatch):
+        """A filesystem that refuses hard links keeps no spare: each put
+        publishes a new file by rename, so a reader holding the old one
+        open still reads the whole old blob."""
+        def refuse(*args, **kwargs):
+            raise PermissionError(errno.EPERM, "Operation not permitted")
+        monkeypatch.setattr(os, "link", refuse)
+        store = SessionStore(tmp_path)
+        live = tmp_path / "session_3.nvpt"
+        previous = b"first blob"
+        store.put(3, previous)
+        for blob in (b"second, longer blob", b"third", b"fourth blob"):
+            with open(live, "rb") as reader:
+                head = reader.read(3)
+                store.put(3, blob)
+                assert head + reader.read() == previous
+            assert store.get(3) == blob
+            assert listing(tmp_path) == ["session_3.nvpt"]
+            previous = blob
+
+    @pytest.mark.parametrize("call, nth, raises", [
+        ("replace", 1, False),   # claiming the spare: a new file instead
+        ("link", 1, False),      # keeping the displaced file: it is freed
+        ("replace", 2, True),    # publishing: the old blob stays live
+        ("replace", 3, False),   # naming the next spare: published already
+    ], ids=["claim", "link-aside", "publish", "next-spare"])
+    def test_a_failed_step_leaves_a_whole_blob(self, tmp_path, monkeypatch,
+                                               call, nth, raises):
+        store = SessionStore(tmp_path)
+        store.put(3, b"older blob")
+        store.put(3, b"old blob")            # so the put claims a spare
+        real, calls = getattr(os, call), []
+
+        def flaky(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == nth:
+                raise OSError(errno.EIO, "Input/output error")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(os, call, flaky)
+        if raises:
+            with pytest.raises(OSError, match="Input/output"):
+                store.put(3, b"new, longer blob")
+            assert store.get(3) == b"old blob"
+        else:
+            store.put(3, b"new, longer blob")
+            assert store.get(3) == b"new, longer blob"
+        assert len(calls) >= nth
+        assert not [name for name in listing(tmp_path)
+                    if name.endswith((".tmp", ".old"))]
+        monkeypatch.undo()
+
+        # The next puts recover: they publish, and recycling resumes.
+        store.put(3, b"next")
+        store.put(3, b"after")
+        assert store.get(3) == b"after"
+        assert listing(tmp_path) == ["session_3.nvpt", "session_3.nvpt.spare"]
+
+    def test_two_stores_put_one_user_from_two_threads(self, tmp_path):
+        """Two stores over one directory race on one user (two threads
+        each, more than the cores, switching often): whichever put
+        published last, the live file is one whole blob of its thread."""
+        stores = [SessionStore(tmp_path), SessionStore(tmp_path)]
+        blobs = [[bytes([65 + who]) * (100 + 37 * (i % 11))
+                  for i in range(150)] for who in range(4)]
+        start = threading.Barrier(4, timeout=30)
+
+        def writer(who):
+            start.wait()
+            for blob in blobs[who]:
+                stores[who % 2].put(3, blob)
+
+        threads = [threading.Thread(target=writer, args=(who,))
+                   for who in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        live = stores[0].get(3)
+        assert live in [blob[-1] for blob in blobs]
+        assert stores[1].get(3) == live
+        assert listing(tmp_path) == ["session_3.nvpt", "session_3.nvpt.spare"]
+        spare = (tmp_path / "session_3.nvpt.spare").read_bytes()
+        assert len(set(spare)) == 1 and spare in blobs[spare[0] - 65]
 
 
 # ----------------------------------------------------------------------

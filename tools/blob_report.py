@@ -14,14 +14,19 @@ length only if the blob is in canonical form; exits 1 when it does not.
 
 ``--timing`` (with ``--fresh``) then prints the warm median of 200 calls
 of each durable stage a spill and a restore run on that session: capture,
-``to_bytes``, ``from_bytes`` and ``build_session``.  Wall-clock on the
-host it runs on — compare two trees on one host, never across hosts.
+``to_bytes``, ``put``, ``get``, ``from_bytes`` and ``build_session``.
+``put`` and ``get`` go through a disk :class:`SessionStore` in a
+temporary directory and cycle 8 users, so each put replaces a live file,
+as a spill does.  Wall-clock on the host it runs on — compare two trees
+on one host, never across hosts.
 """
 
 from __future__ import annotations
 
+import itertools
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -31,6 +36,7 @@ import numpy as np  # noqa: E402
 
 from repro.serve.codec import encode_value  # noqa: E402
 from repro.serve.snapshot import HEADER_SIZE, SessionSnapshot  # noqa: E402
+from repro.serve.store import SessionStore  # noqa: E402
 
 _FRAME = HEADER_SIZE + 1 + 8     # header, then the body's dict tag and count
 
@@ -57,22 +63,30 @@ def stage_timings(session, calls: int = 200) -> None:
     snap = SessionSnapshot.capture(session, mode="raw")
     blob = snap.to_bytes()
     restored = SessionSnapshot.from_bytes(blob)
-    stages = (
-        ("capture", lambda: SessionSnapshot.capture(session, mode="raw")),
-        ("to_bytes", snap.to_bytes),
-        ("from_bytes", lambda: SessionSnapshot.from_bytes(blob)),
-        ("build_session",
-         lambda: restored.build_session(session.model, session.tokenizer)),
-    )
-    print(f"stage timings: warm median of {calls} calls")
-    for name, call in stages:
-        call()
-        times = []
-        for _ in range(calls):
-            start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="blob-report-") as directory:
+        store = SessionStore(directory)
+        for user in range(8):
+            store.put(user, blob)
+        put_users = itertools.cycle(range(8))
+        get_users = itertools.cycle(range(8))
+        stages = (
+            ("capture", lambda: SessionSnapshot.capture(session, mode="raw")),
+            ("to_bytes", snap.to_bytes),
+            ("put", lambda: store.put(next(put_users), blob)),
+            ("get", lambda: store.get(next(get_users))),
+            ("from_bytes", lambda: SessionSnapshot.from_bytes(blob)),
+            ("build_session",
+             lambda: restored.build_session(session.model, session.tokenizer)),
+        )
+        print(f"stage timings: warm median of {calls} calls")
+        for name, call in stages:
             call()
-            times.append(time.perf_counter() - start)
-        print(f"  {name:<14} {statistics.median(times) * 1e3:8.3f} ms")
+            times = []
+            for _ in range(calls):
+                start = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - start)
+            print(f"  {name:<14} {statistics.median(times) * 1e3:8.3f} ms")
 
 
 def arrays(value, path=""):
